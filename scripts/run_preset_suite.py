@@ -1,9 +1,12 @@
 """Run the bundled experiment presets and collect results.
 
-Stationary presets get the full simulate / theory / compare treatment;
-tracking presets (long filters, time-varying targets) are simulated
-only, since their moment recursions operate on 500x500 covariance
-blocks and the adaptive fusion rules have no static predictor.
+Stationary presets get the full simulate / theory / compare treatment.
+The static tracking presets are simulated and predicted, and the steady
+MSD deviation on the tail of every stationary stage is printed for
+information only: the moment theory is known to sit off the simulation
+on that pair, so it does not count as a failure.  The adaptive tracking
+presets are simulated only, since the adaptive fusion rules have no
+static predictor.
 
 Usage: python3 scripts/run_preset_suite.py --out results [--runs 20]
 """
@@ -16,9 +19,21 @@ import pathlib
 import sys
 import time
 
+import numpy as np
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from diffcomb import harness  # noqa: E402
+from run_stepsize_sweep import STAGE_TAILS  # noqa: E402
+
+TAIL_SERIES = ("msd_network_1", "msd_network_2", "msd_combined")
+
+
+def tail_deviations_db(sim, theo, name):
+    """Theory minus simulation, in dB, of a series' mean over each tail."""
+    return [10.0 * np.log10(np.mean(theo.series[name][lo:hi])
+                            / np.mean(sim.series[name][lo:hi]))
+            for lo, hi in STAGE_TAILS]
 
 
 def main(argv=None):
@@ -53,7 +68,7 @@ def main(argv=None):
         print(f"{name}: simulated {sim.runs} runs in {elapsed:.1f}s "
               f"-> {sim_path.name}")
 
-        if name.startswith("tracking"):
+        if name.startswith("tracking_adaptive"):
             continue
         theo = harness.run_theory(cfg)
         theo_path = out_dir / f"{name}_theory.csv"
@@ -63,6 +78,13 @@ def main(argv=None):
                 print(f"  stage n={stage_start}: steady combined MSD "
                       f"{report.combined_msd:.3e}, "
                       f"{report.universality.verdict}")
+        if name.startswith("tracking"):
+            for series in TAIL_SERIES:
+                devs = "  ".join(f"{v:+7.2f}" for v in
+                                 tail_deviations_db(sim, theo, series))
+                print(f"  {series} theory - MC per stage tail (dB, "
+                      f"informational): {devs}")
+            continue
         verdict = harness.compare(sim, theo, tol_msd_db=args.tol_msd_db,
                                   tol_gamma=args.tol_gamma)
         failed = [e.name for e in verdict.entries if not e.passed]

@@ -620,8 +620,9 @@ def run_theory(cfg: ExperimentConfig, include_steady=None) -> TheoryResult:
 
     state = None
     prev_target = None
-    g_prev = np.full(n, 0.5)
-    g2_prev = np.full(n, 0.25)
+    gamma0 = 0.5 if cfg.gamma_init is None else float(cfg.gamma_init)
+    g_prev = np.full(n, gamma0)
+    g2_prev = np.full(n, gamma0 ** 2)
     steady_entries = []
     stages = cfg.schedule.stages
     for i, (start, target) in enumerate(stages):
@@ -633,7 +634,7 @@ def run_theory(cfg: ExperimentConfig, include_steady=None) -> TheoryResult:
         model2 = build_component_model(cfg.topology, cfg.components[1],
                                        rx, sigma_z2, target)
         if state is None:
-            state = initial_moments(model1, model2)
+            state = initial_moments(model1, model2, gamma0=gamma0)
         else:
             state = shift_targets(
                 state, prev_target.reshape(-1) - target.reshape(-1))

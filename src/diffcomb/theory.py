@@ -12,6 +12,15 @@ Means evolve as m' = bbar m - rbar; covariances follow a sandwich
 recursion with additive noise and drift terms.  Steady states come from
 direct linear solves of size (NL)^2 instead of iterating.
 
+When every regressor covariance is white (sigma_k^2 I_L), every NL x NL
+transition and noise matrix is an N x N agent-level factor Kronecker
+I_L.  build_component_model detects this once and keeps the factors on
+the model (KronFactors); the step functions then apply them to the
+agent axes of each block, which costs O(N (NL)^2) per sandwich instead
+of O((NL)^3).  Colored regressors (AR(1), general SPD covariances) keep
+the dense recursions, which also serve as the test oracle for the
+factored ones.
+
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
 """
@@ -36,6 +45,32 @@ class InstabilityError(RuntimeError):
     """A component's mean recursion has spectral radius >= 1."""
 
 
+def _freeze_arrays(obj, names) -> None:
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+@dataclass(frozen=True)
+class KronFactors:
+    """Agent-level factors of a model with white regressors.
+
+    With R_{x,k} = rx_scale[k] I_L the model matrices factor as
+    bbar = b kron I_L and g = g kron I_L.  The gradient noise splits as
+    g = f^T diag(q) f with q = sigma_z2 * rx_scale, so two models over the
+    same data have the cross noise moment f1^T diag(q) f2 kron I_L.
+    """
+
+    b: np.ndarray
+    g: np.ndarray
+    f: np.ndarray
+    rx_scale: np.ndarray
+
+    def __post_init__(self):
+        _freeze_arrays(self, ("b", "g", "f", "rx_scale"))
+
+
 @dataclass(frozen=True)
 class ComponentModel:
     """Frozen moment description of one component diffusion strategy.
@@ -44,7 +79,9 @@ class ComponentModel:
     drift (zero for a shared target under left-stochastic combining),
     g the second moment of the gradient noise.  c, mu, rx, sigma_z2 and
     w_star are kept so that cross moments and derived reports can be
-    computed without re-supplying the inputs.
+    computed without re-supplying the inputs.  factors is set when the
+    regressors are white; the step functions then use it instead of the
+    dense matrices, which stay available for reports and steady states.
     """
 
     n_agents: int
@@ -61,12 +98,10 @@ class ComponentModel:
     rx: np.ndarray
     sigma_z2: np.ndarray
     w_star: np.ndarray
+    factors: KronFactors | None = None
 
     def __post_init__(self):
-        for name in _MODEL_ARRAYS:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_arrays(self, _MODEL_ARRAYS)
 
     @property
     def block_dim(self) -> int:
@@ -193,9 +228,29 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 
 
 def _block_traces(matrix: np.ndarray, n: int, l: int) -> np.ndarray:
-    idx = np.arange(n)
-    blocks = matrix.reshape(n, l, n, l)[idx, :, idx, :]
-    return np.trace(blocks, axis1=-2, axis2=-1)
+    return np.diagonal(matrix).reshape(n, l).sum(axis=1)
+
+
+def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(factor kron I_L) v for a block vector v."""
+    return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
+
+
+def _kron_sandwich(left: np.ndarray, x: np.ndarray,
+                   right: np.ndarray) -> np.ndarray:
+    """(left kron I_L) x (right kron I_L)^T for an NL x NL matrix x."""
+    n, nl = left.shape[0], x.shape[0]
+    rows = (left @ x.reshape(n, -1)).reshape(nl, n, -1)
+    return np.matmul(right, rows).reshape(nl, nl)
+
+
+def _add_kron_identity(out: np.ndarray, factor: np.ndarray) -> None:
+    """out += factor kron I_L in place, touching only the nonzero entries."""
+    n = factor.shape[0]
+    l = out.shape[0] // n
+    # einsum returns a writeable view of the diagonals of the L x L blocks
+    diagonals = np.einsum("aibi->abi", out.reshape(n, l, n, l))
+    diagonals += factor[:, :, None]
 
 
 def build_component_model(topology: Topology, cfg: StrategyConfig,
@@ -204,8 +259,10 @@ def build_component_model(topology: Topology, cfg: StrategyConfig,
 
     rx holds the per-agent regressor covariances with shape (N, L, L),
     sigma_z2 the per-agent noise variances, w_star the stationary
-    targets with shape (N, L).  Raises for adaptive fusion modes, which
-    the predictor does not cover.
+    targets with shape (N, L).  White covariances (rx[k] = sigma_k^2 I_L
+    for every agent) give a model with Kronecker factors, anything else
+    a dense one.  Raises for adaptive fusion modes, which the predictor
+    does not cover.
     """
     if cfg.a2_mode != "static":
         raise ValueError("moment predictor requires a static a2 matrix")
@@ -225,7 +282,14 @@ def build_component_model(topology: Topology, cfg: StrategyConfig,
         raise ValueError("noise variances must be nonnegative")
     l = rx.shape[-1]
     w = np.asarray(w_star, dtype=float).reshape(n, l)
+    build = _kron_model if np.array_equal(rx, rx[:, :1, :1] * np.eye(l)) \
+        else _dense_model
+    return build(n, l, cfg, rx, sigma_z2, w)
 
+
+def _dense_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
+                 sigma_z2: np.ndarray, w: np.ndarray) -> ComponentModel:
+    """Model with general regressor covariances, built on NL x NL blocks."""
     eye_l = np.eye(l)
     eye_nl = np.eye(n * l)
     c = np.array(cfg.c.entries, dtype=float)
@@ -254,6 +318,43 @@ def build_component_model(topology: Topology, cfg: StrategyConfig,
                           w_star=w.reshape(-1))
 
 
+def _kron_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
+                sigma_z2: np.ndarray, w: np.ndarray) -> ComponentModel:
+    """Model with white regressors, built from N x N agent-level factors.
+
+    The same formulas as _dense_model with every block matrix replaced by
+    its agent-level factor; the dense matrices are Kronecker expansions.
+    """
+    eye_l = np.eye(l)
+    eye_n = np.eye(n)
+    c = np.array(cfg.c.entries, dtype=float)
+    a1 = np.array(cfg.a1.entries, dtype=float)
+    a2 = np.array(cfg.a2.entries, dtype=float)
+    mu = np.array(cfg.mu, dtype=float)
+    scale = rx[:, 0, 0].copy()
+
+    h = c.T @ scale
+    damp = 1.0 - mu * h
+    b = a2.T @ (damp[:, None] * a1.T)
+
+    diff = w[None, :, :] - w[:, None, :]
+    hu = np.einsum("lk,l,lkj->kj", c, scale, diff)
+    leak = a2.T @ (damp[:, None] * (a1.T - eye_n)) + (a2.T - eye_n)
+    rbar = (a2.T @ (mu[:, None] * hu) - leak @ w).reshape(-1)
+
+    f = c @ (mu[:, None] * a2)
+    g = f.T @ ((sigma_z2 * scale)[:, None] * f)
+    g = 0.5 * (g + g.T)
+
+    return ComponentModel(
+        n_agents=n, filter_len=l, a1x=np.kron(a1, eye_l),
+        a2x=np.kron(a2, eye_l), u=np.kron(np.diag(mu), eye_l),
+        hbar=np.kron(np.diag(h), eye_l), bbar=np.kron(b, eye_l), rbar=rbar,
+        g=np.kron(g, eye_l), c=c, mu=mu, rx=rx, sigma_z2=sigma_z2,
+        w_star=w.reshape(-1),
+        factors=KronFactors(b=b, g=g, f=f, rx_scale=scale))
+
+
 def _require_same_data(model1: ComponentModel, model2: ComponentModel) -> None:
     if (model1.n_agents != model2.n_agents
             or model1.filter_len != model2.filter_len):
@@ -264,10 +365,18 @@ def _require_same_data(model1: ComponentModel, model2: ComponentModel) -> None:
         raise ValueError("component models must share data statistics")
 
 
+def _structured_pair(model1: ComponentModel, model2: ComponentModel) -> bool:
+    return model1.factors is not None and model2.factors is not None
+
+
 def cross_noise_moment(model1: ComponentModel, model2: ComponentModel) -> np.ndarray:
     """E{g1 g2^T}: gradient-noise coupling through the shared measurements."""
     _require_same_data(model1, model2)
     n, l = model1.n_agents, model1.filter_len
+    if _structured_pair(model1, model2):
+        f1, f2 = model1.factors, model2.factors
+        q = model1.sigma_z2 * f1.rx_scale
+        return np.kron(f1.f.T @ (q[:, None] * f2.f), np.eye(l))
     inner = np.einsum("lk,lm,l,lij->kimj", model1.c, model2.c,
                       model1.sigma_z2, model1.rx)
     return model1.a2x.T @ model1.u @ inner.reshape(n * l, n * l) @ model2.u @ model2.a2x
@@ -275,11 +384,24 @@ def cross_noise_moment(model1: ComponentModel, model2: ComponentModel) -> np.nda
 
 def mean_step(model: ComponentModel, m: np.ndarray) -> np.ndarray:
     """One step of the mean error recursion."""
+    if model.factors is not None:
+        return _kron_apply(model.factors.b, m) - model.rbar
     return model.bbar @ m - model.rbar
 
 
 def covariance_step(model: ComponentModel, m: np.ndarray, om: np.ndarray) -> np.ndarray:
     """One step of the error covariance recursion (result symmetrized)."""
+    if model.factors is not None:
+        b, r = model.factors.b, model.rbar
+        bm = _kron_apply(b, m)
+        # half of the update, drift folded into one rank-one term: adding
+        # the transpose gives the symmetrized sandwich plus
+        # r r^T - bm r^T - r bm^T; scaling b by 0.5 is exact
+        half = _kron_sandwich(0.5 * b, om, b)
+        half += (0.5 * r - bm)[:, None] @ r[None, :]
+        out = half + half.T
+        _add_kron_identity(out, model.factors.g)
+        return out
     bm = model.bbar @ m
     out = model.bbar @ om @ model.bbar.T + model.g + np.outer(model.rbar, model.rbar)
     out -= np.outer(bm, model.rbar)
@@ -299,11 +421,28 @@ def cross_covariance_step(model1: ComponentModel, model2: ComponentModel,
         raise ValueError("cross covariance has mismatched dimensions")
     if gx is None:
         gx = cross_noise_moment(model1, model2)
+    r1, r2 = model1.rbar, model2.rbar
+    if _structured_pair(model1, model2):
+        bm1 = _kron_apply(model1.factors.b, m1)
+        bm2 = _kron_apply(model2.factors.b, m2)
+        out = _kron_sandwich(model1.factors.b, omx, model2.factors.b)
+        # r1 r2^T - bm1 r2^T - r1 bm2^T as one rank-two product
+        out += np.array([r1 - bm1, -r1]).T @ np.array([r2, bm2])
+        out += gx
+        return out
     out = model1.bbar @ omx @ model2.bbar.T + gx
-    out += np.outer(model1.rbar, model2.rbar)
-    out -= np.outer(model1.bbar @ m1, model2.rbar)
-    out -= np.outer(model1.rbar, model2.bbar @ m2)
+    out += np.outer(r1, r2)
+    out -= np.outer(model1.bbar @ m1, r2)
+    out -= np.outer(r1, model2.bbar @ m2)
     return out
+
+
+def _excess_errors(model: ComponentModel, om: np.ndarray,
+                   traces: np.ndarray) -> np.ndarray:
+    """emse_from_cov(om, model.rx), from the block traces when rx is white."""
+    if model.factors is not None:
+        return model.factors.rx_scale * traces
+    return emse_from_cov(om, model.rx)
 
 
 def emse_from_cov(om: np.ndarray, rx) -> np.ndarray:
@@ -436,26 +575,34 @@ def combined_msd(state: MomentState, weight=None) -> float:
     """
     n = state.gbar.shape[0]
     l = state.om1.shape[0] // n
+    return _combined_from_traces(*_state_traces(state, n, l),
+                                 state.gbar, state.g2bar, weight)
+
+
+def _state_traces(state: MomentState, n: int, l: int) -> list:
+    return [_block_traces(om, n, l) for om in (state.om1, state.om2, state.omx)]
+
+
+def _combined_from_traces(t1, t2, tx, gbar, g2bar, weight=None) -> float:
+    n = gbar.shape[0]
     w = np.full(n, 1.0 / n) if weight is None else \
         np.broadcast_to(np.asarray(weight, dtype=float), (n,))
-    t1 = _block_traces(state.om1, n, l)
-    t2 = _block_traces(state.om2, n, l)
-    tx = _block_traces(state.omx, n, l)
-    per_agent = (state.g2bar * t1
-                 + (1.0 - 2.0 * state.gbar + state.g2bar) * t2
-                 + 2.0 * (state.gbar - state.g2bar) * tx)
+    per_agent = (g2bar * t1 + (1.0 - 2.0 * gbar + g2bar) * t2
+                 + 2.0 * (gbar - g2bar) * tx)
     return float(np.sum(w * per_agent))
 
 
-def initial_moments(model1: ComponentModel, model2: ComponentModel) -> MomentState:
-    """Moment state for all-zero initial estimates and gamma = 1/2."""
+def initial_moments(model1: ComponentModel, model2: ComponentModel,
+                    gamma0: float = 0.5) -> MomentState:
+    """Moment state for all-zero initial estimates and gamma = gamma0."""
     _require_same_data(model1, model2)
     n = model1.n_agents
     w = model1.w_star
     outer = np.outer(w, w)
     return MomentState(m1=-w.copy(), m2=-w.copy(),
                        om1=outer.copy(), om2=outer.copy(), omx=outer.copy(),
-                       gbar=np.full(n, 0.5), g2bar=np.full(n, 0.25),
+                       gbar=np.full(n, float(gamma0)),
+                       g2bar=np.full(n, float(gamma0) ** 2),
                        pbar=np.zeros(n))
 
 
@@ -509,10 +656,14 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
     combined = np.empty(n_steps)
     degenerate = 0
 
+    # block traces of the current covariances, computed once per step:
+    # they give the deviations after the step and, for white regressors,
+    # the excess errors that drive the next one
+    traces = _state_traces(state, n, l)
     for t in range(n_steps):
-        j1 = emse_from_cov(state.om1, model1.rx)
-        j2 = emse_from_cov(state.om2, model1.rx)
-        j12 = emse_from_cov(state.omx, model1.rx)
+        j1 = _excess_errors(model1, state.om1, traces[0])
+        j2 = _excess_errors(model1, state.om2, traces[1])
+        j12 = _excess_errors(model1, state.omx, traces[2])
         dj1 = j1 - j12
         dj2 = j2 - j12
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
@@ -536,6 +687,7 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
             omx=cross_covariance_step(model1, model2, state.m1, state.m2,
                                       state.omx, gx=gx),
             gbar=gbar_next, g2bar=g2_next, pbar=pbar_next)
+        traces = _state_traces(state, n, l)
 
         emse1[t] = j1
         emse2[t] = j2
@@ -543,10 +695,10 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
         gbar[t] = state.gbar
         g2bar[t] = state.g2bar
         pbar[t] = state.pbar
-        msd1[t] = np.mean(_block_traces(state.om1, n, l))
-        msd2[t] = np.mean(_block_traces(state.om2, n, l))
-        cross[t] = np.mean(_block_traces(state.omx, n, l))
-        combined[t] = combined_msd(state)
+        msd1[t] = np.mean(traces[0])
+        msd2[t] = np.mean(traces[1])
+        cross[t] = np.mean(traces[2])
+        combined[t] = _combined_from_traces(*traces, state.gbar, state.g2bar)
 
     return TheoryTrajectory(emse1=emse1, emse2=emse2, emse12=emse12,
                             gbar=gbar, g2bar=g2bar, pbar=pbar,

@@ -38,6 +38,7 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
+from diffcomb.theory import _dense_model
 
 
 def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
@@ -1009,3 +1010,110 @@ class TestUniversalityReport:
                   + 2 * gamma * (1 - gamma) * j12)
         np.testing.assert_allclose(report.emse_combined[0], direct, rtol=1e-10)
         assert report.emse_combined[0] <= min(j1, j2) + 1e-10
+
+
+def white_pair(seed, n, l):
+    """Two strategies over white regressors with heterogeneous targets."""
+    rng = np.random.default_rng(seed)
+    topology = chain_topology(n)
+    rx = rng.uniform(0.5, 1.5, size=n)[:, None, None] * np.eye(l)
+    sigma_z2 = rng.uniform(0.05, 0.3, size=n)
+    w = rng.normal(size=(n, l))
+    cfgs = [StrategyConfig(topology=topology,
+                           a1=random_stochastic(topology, "left", rng),
+                           c=random_stochastic(topology, "right", rng),
+                           mu=rng.uniform(0.5, 1.0, size=n) * mu,
+                           a2=random_stochastic(topology, "left", rng))
+            for mu in (0.05, 0.12)]
+    return topology, cfgs, rx, sigma_z2, w
+
+
+class TestKronFactoredPath:
+    """White regressors take the Kronecker-factored path; the dense
+    builder and dense step functions serve as the oracle."""
+
+    @staticmethod
+    def models(seed, n, l):
+        topology, cfgs, rx, sigma_z2, w = white_pair(seed, n, l)
+        fast = [build_component_model(topology, cfg, rx, sigma_z2, w)
+                for cfg in cfgs]
+        dense = [_dense_model(n, l, cfg, rx, sigma_z2, w) for cfg in cfgs]
+        return fast, dense
+
+    @pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 2), (5, 7)])
+    def test_white_build_is_kron_factored(self, n, l):
+        fast, dense = self.models(n * 10 + l, n, l)
+        eye = np.eye(l)
+        for model, oracle in zip(fast, dense):
+            assert model.factors is not None and oracle.factors is None
+            np.testing.assert_array_equal(model.bbar,
+                                          np.kron(model.factors.b, eye))
+            np.testing.assert_array_equal(model.g,
+                                          np.kron(model.factors.g, eye))
+            for name in ("a1x", "a2x", "u", "hbar", "bbar", "g", "c", "mu",
+                         "rx", "sigma_z2", "w_star"):
+                np.testing.assert_allclose(getattr(model, name),
+                                           getattr(oracle, name),
+                                           rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(model.rbar, oracle.rbar, rtol=1e-10,
+                                       atol=1e-14)
+        np.testing.assert_allclose(cross_noise_moment(*fast),
+                                   cross_noise_moment(*dense),
+                                   rtol=1e-12, atol=1e-16)
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5),
+           l=st.sampled_from([1, 2, 3, 7]),
+           scheme=st.sampled_from(["power_normalized", "sign_regressor"]))
+    def test_evolve_matches_dense_oracle(self, seed, n, l, scheme):
+        fast, dense = self.models(seed, n, l)
+        for model in fast:
+            assume(np.max(np.abs(np.linalg.eigvals(model.factors.b))) < 1.0)
+        cfg = pn_cfg(nu=0.02) if scheme == "power_normalized" \
+            else sr_cfg(nu=0.02)
+        got = evolve(*fast, cfg, 60)
+        want = evolve(*dense, cfg, 60)
+        for name in ("emse1", "emse2", "emse12", "gbar", "g2bar", "pbar",
+                     "msd1", "msd2", "cross_msd", "combined_msd"):
+            a, b = getattr(got, name), getattr(want, name)
+            np.testing.assert_allclose(
+                a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
+                err_msg=name)
+        for name in ("m1", "m2", "om1", "om2", "omx", "gbar", "g2bar",
+                     "pbar"):
+            a, b = getattr(got.state, name), getattr(want.state, name)
+            np.testing.assert_allclose(
+                a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
+                err_msg=name)
+        np.testing.assert_array_equal(got.state.om1, got.state.om1.T)
+        assert got.degenerate_steps == want.degenerate_steps
+
+    def test_direct_steps_match_dense_steps(self):
+        fast, dense = self.models(7, 4, 3)
+        rng = np.random.default_rng(7)
+        nl = 12
+        a = rng.normal(size=(nl, nl))
+        om = a @ a.T
+        omx = rng.normal(size=(nl, nl))
+        m1, m2 = rng.normal(size=nl), rng.normal(size=nl)
+        for model, oracle in zip(fast, dense):
+            np.testing.assert_allclose(mean_step(model, m1),
+                                       mean_step(oracle, m1), rtol=1e-12)
+            np.testing.assert_allclose(covariance_step(model, m1, om),
+                                       covariance_step(oracle, m1, om),
+                                       rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            cross_covariance_step(*fast, m1, m2, omx),
+            cross_covariance_step(*dense, m1, m2, omx),
+            rtol=1e-12, atol=1e-14)
+
+    def test_colored_regressors_stay_dense(self):
+        topology, cfgs, _, sigma_z2, w = white_pair(3, 3, 2)
+        ar1 = np.tile(np.array([[1.0, 0.6], [0.6, 1.0]]), (3, 1, 1))
+        spd = random_spd_covariances(np.random.default_rng(3), 3, 2)
+        # white except for one agent's variance along one tap
+        uneven = np.tile(np.eye(2), (3, 1, 1))
+        uneven[1, 1, 1] = 1.5
+        for rx in (ar1, spd, uneven):
+            model = build_component_model(topology, cfgs[0], rx, sigma_z2, w)
+            assert model.factors is None
