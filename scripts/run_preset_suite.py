@@ -74,10 +74,9 @@ def main(argv=None):
         theo_path = out_dir / f"{name}_theory.csv"
         harness.export(theo, theo_path, columns=cfg.outputs)
         for stage_start, report in theo.steady:
-            if report is not None:
-                print(f"  stage n={stage_start}: steady combined MSD "
-                      f"{report.combined_msd:.3e}, "
-                      f"{report.universality.verdict}")
+            print(f"  stage n={stage_start}: steady combined MSD "
+                  f"{report.combined_msd:.3e}, "
+                  f"{report.universality.verdict}")
         if name.startswith("tracking"):
             for series in TAIL_SERIES:
                 devs = "  ".join(f"{v:+7.2f}" for v in

@@ -12,6 +12,7 @@ import sys
 
 from .harness import (
     ConfigError,
+    check_step_sizes,
     compare,
     export,
     load_result,
@@ -41,11 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     theo.add_argument("config", help="config file path or bundled preset name")
     theo.add_argument("-o", "--output", required=True, help="output file")
     theo.add_argument("--format", choices=("csv", "json"), default=None)
-    steady = theo.add_mutually_exclusive_group()
-    steady.add_argument("--steady", dest="steady", action="store_true",
-                        default=None, help="force the stationary solves")
-    steady.add_argument("--no-steady", dest="steady", action="store_false",
-                        help="skip the stationary solves")
 
     cmp_ = sub.add_parser("compare",
                           help="compare two exported result files")
@@ -74,11 +70,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     cfg = resolve_config(args.config)
-    result = run_theory(cfg, include_steady=args.steady)
+    result = run_theory(cfg)
     export(result, args.output, fmt=args.format, columns=cfg.outputs)
     for start, report in result.steady:
-        if report is None:
-            continue
         verdict = report.universality.verdict
         print(f"stage at n={start}: combined steady MSD "
               f"{report.combined_msd:.6e}, {verdict}")
@@ -109,6 +103,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = resolve_config(args.config)
+    check_step_sizes(cfg)
     schemes = ", ".join(comp.a2_mode for comp in cfg.components)
     print(f"config ok: {cfg.n_agents} agents, filter length "
           f"{cfg.filter_len}, {len(cfg.components)} components ({schemes}), "

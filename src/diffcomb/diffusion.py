@@ -77,12 +77,10 @@ class StrategyConfig:
 
 @dataclass
 class StrategyState:
-    """Evolving quantities of one strategy: estimates, stage values, and
-    the effective A2 (per batch entry when adaptive)."""
+    """Evolving quantities of one strategy: estimates and the effective
+    A2 (per batch entry when adaptive)."""
 
     w: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
     a2: np.ndarray
     zeta2: np.ndarray | None = None
 
@@ -102,7 +100,6 @@ def init_state(cfg: StrategyConfig, filter_len: int, batch_shape=()) -> Strategy
     averaging weights and unit distance estimates."""
     n = cfg.n_agents
     shape = tuple(batch_shape) + (n, filter_len)
-    zeros = np.zeros(shape)
     if cfg.a2_mode == "static":
         a2 = cfg.a2.entries.copy()
         zeta2 = None
@@ -114,7 +111,7 @@ def init_state(cfg: StrategyConfig, filter_len: int, batch_shape=()) -> Strategy
             if cfg.a2_mode == "adaptive_relative_variance"
             else None
         )
-    return StrategyState(w=zeros, psi=zeros.copy(), phi=zeros.copy(), a2=a2, zeta2=zeta2)
+    return StrategyState(w=np.zeros(shape), a2=a2, zeta2=zeta2)
 
 
 def errors_and_outputs(st: StrategyState, batch: SampleBatch) -> ErrorReport:
@@ -202,7 +199,7 @@ def step(cfg: StrategyConfig, st: StrategyState, batch: SampleBatch) -> Strategy
         w = np.einsum("lk,...ld->...kd", a2, psi)
     else:
         w = np.einsum("...lk,...ld->...kd", a2, psi)
-    return StrategyState(w=w, psi=psi, phi=phi, a2=a2, zeta2=zeta2)
+    return StrategyState(w=w, a2=a2, zeta2=zeta2)
 
 
 def atc_config(

@@ -333,9 +333,3 @@ def read_edge_list(path) -> Topology:
     """Load a Topology from an edge-list file."""
     with open(path) as fh:
         return parse_edge_list(fh.read())
-
-
-def write_edge_list(t: Topology, path) -> None:
-    """Write a Topology to an edge-list file."""
-    with open(path, "w") as fh:
-        fh.write(format_edge_list(t))

@@ -44,6 +44,7 @@ from .theory import (
     build_component_model,
     evolve,
     initial_moments,
+    mu_bounds,
     shift_targets,
     steady_state,
 )
@@ -163,8 +164,7 @@ class AggregateResult:
 class TheoryResult:
     """Predicted series plus per-stage stationary reports.
 
-    steady holds (stage_start, SteadyReport or None) pairs; the report
-    is skipped for block dimensions too large for the stationary solves.
+    steady holds one (stage_start, SteadyReport) pair per stage.
     """
 
     horizon: int
@@ -367,6 +367,28 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a single setting table")
     return config_from_dict(raw, base_dir=path.parent)
+
+
+def _regressor_covariances(cfg: ExperimentConfig) -> np.ndarray:
+    return np.stack([regressor_covariance(p) for p in cfg.signal_params])
+
+
+def check_step_sizes(cfg: ExperimentConfig) -> None:
+    """Refuse step-sizes at or above the mean-stability bound.
+
+    Every agent k of every component needs
+    mu_k < 2 / lambda_max(sum_l c_lk R_{x,l}); the bound depends only on
+    the data and C, so it covers the adaptive fusion rules as well.
+    """
+    rx = _regressor_covariances(cfg)
+    for i, comp in enumerate(cfg.components, start=1):
+        bound = mu_bounds(comp.c.entries, rx)
+        bad = np.flatnonzero(comp.mu >= bound)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"component {i} agent {k + 1}: step-size {comp.mu[k]:g} is "
+                f"not below the mean-stability bound {bound[k]:.6g}")
 
 
 def preset_names() -> tuple:
@@ -590,22 +612,20 @@ def merge_aggregates(parts) -> AggregateResult:
 # theory path
 
 
-def run_theory(cfg: ExperimentConfig, include_steady=None) -> TheoryResult:
+def run_theory(cfg: ExperimentConfig) -> TheoryResult:
     """Predicted series for the configured pair over the full horizon.
 
-    Each stationary stage gets its own moment description; at a stage
-    boundary the moment state is re-expressed against the new target and
-    evolution continues.  The predictor holds the previous target through
-    a transition ramp, so predicted and simulated curves are comparable
-    only inside stationary stretches.  include_steady defaults to
-    skipping the stationary solves when the block dimension exceeds 40.
+    Each stationary stage gets its own moment description and steady
+    report; at a stage boundary the moment state is re-expressed against
+    the new target and evolution continues.  The predictor holds the
+    previous target through a transition ramp, so predicted and
+    simulated curves are comparable only inside stationary stretches.
+    Raises InstabilityError when a stage has no steady state.
     """
     if cfg.combiner.scheme == "multi_sign":
         raise ValueError("theory covers the two-component schemes only")
-    n, l = cfg.n_agents, cfg.filter_len
-    if include_steady is None:
-        include_steady = n * l <= 40
-    rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
+    n = cfg.n_agents
+    rx = _regressor_covariances(cfg)
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
 
@@ -660,8 +680,7 @@ def run_theory(cfg: ExperimentConfig, include_steady=None) -> TheoryResult:
         state = traj.state
         prev_target = target
         steady_entries.append(
-            (start, steady_state(model1, model2, cfg.combiner)
-             if include_steady else None))
+            (start, steady_state(model1, model2, cfg.combiner)))
 
     series = {
         "msd_network_1": msd[:, 0],

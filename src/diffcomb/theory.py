@@ -9,17 +9,17 @@ steady-state aggregates (per-component MSD, cross-MSD, combined MSD).
 
 Block quantities live in R^{NL}: agent k owns the slice [kL, (k+1)L).
 Means evolve as m' = bbar m - rbar; covariances follow a sandwich
-recursion with additive noise and drift terms.  Steady states come from
-direct linear solves of size (NL)^2 instead of iterating.
+recursion with additive noise and drift terms.
 
-When every regressor covariance is white (sigma_k^2 I_L), every NL x NL
-transition and noise matrix is an N x N agent-level factor Kronecker
-I_L.  build_component_model detects this once and keeps the factors on
-the model (KronFactors); the step functions then apply them to the
-agent axes of each block, which costs O(N (NL)^2) per sandwich instead
-of O((NL)^3).  Colored regressors (AR(1), general SPD covariances) keep
-the dense recursions, which also serve as the test oracle for the
-factored ones.
+Every model matrix M of size NL x NL is stored as a factor F with
+M = F kron I_{kron_len}.  When every regressor covariance is white
+(sigma_k^2 I_L) the factors are N x N agent-level matrices and
+kron_len = L, so a sandwich costs O(N (NL)^2) instead of O((NL)^3);
+colored regressors (AR(1), general SPD covariances) give NL x NL factors
+with kron_len = 1.  The step functions and the steady state run one
+code path for both.  Steady covariances solve a Stein equation on the
+factors by squared Smith doubling, so they cost O(N_f^3 log t) for
+factors of size N_f.
 
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
@@ -27,7 +27,7 @@ refresh rules have no closed-form moment description here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,11 @@ from .graph import Topology
 
 DELTA_J_FLOOR = 1e-12
 
-_MODEL_ARRAYS = ("a1x", "a2x", "u", "hbar", "bbar", "rbar", "g",
-                 "c", "mu", "rx", "sigma_z2", "w_star")
+_MODEL_ARRAYS = ("bbar", "rbar", "g", "f", "q", "c", "mu", "rx", "sigma_z2",
+                 "w_star")
+# 2^64 terms of the Stein series: enough for any spectral radius below
+# one in double precision
+_MAX_DOUBLINGS = 64
 
 
 class InstabilityError(RuntimeError):
@@ -53,65 +56,42 @@ def _freeze_arrays(obj, names) -> None:
 
 
 @dataclass(frozen=True)
-class KronFactors:
-    """Agent-level factors of a model with white regressors.
-
-    With R_{x,k} = rx_scale[k] I_L the model matrices factor as
-    bbar = b kron I_L and g = g kron I_L.  The gradient noise splits as
-    g = f^T diag(q) f with q = sigma_z2 * rx_scale, so two models over the
-    same data have the cross noise moment f1^T diag(q) f2 kron I_L.
-    """
-
-    b: np.ndarray
-    g: np.ndarray
-    f: np.ndarray
-    rx_scale: np.ndarray
-
-    def __post_init__(self):
-        _freeze_arrays(self, ("b", "g", "f", "rx_scale"))
-
-
-@dataclass(frozen=True)
 class ComponentModel:
     """Frozen moment description of one component diffusion strategy.
 
     bbar is the mean error transition matrix, rbar the deterministic
     drift (zero for a shared target under left-stochastic combining),
-    g the second moment of the gradient noise.  c, mu, rx, sigma_z2 and
-    w_star are kept so that cross moments and derived reports can be
-    computed without re-supplying the inputs.  factors is set when the
-    regressors are white; the step functions then use it instead of the
-    dense matrices, which stay available for reports and steady states.
+    g the second moment of the gradient noise.  The gradient noise is
+    (f kron I)^T p, where p stacks the raw terms x_k z_k whose second
+    moment is q kron I; so g = f^T q f, and two models over the same data
+    couple through f1^T q f2.  bbar, g, f and q are factors over an
+    identity of size kron_len (see the module docstring).  c, mu, rx,
+    sigma_z2 and w_star are kept so that cross moments and derived
+    reports can be computed without re-supplying the inputs.
     """
 
     n_agents: int
     filter_len: int
-    a1x: np.ndarray
-    a2x: np.ndarray
-    u: np.ndarray
-    hbar: np.ndarray
+    kron_len: int
     bbar: np.ndarray
     rbar: np.ndarray
-    g: np.ndarray
+    f: np.ndarray
+    q: np.ndarray
     c: np.ndarray
     mu: np.ndarray
     rx: np.ndarray
     sigma_z2: np.ndarray
     w_star: np.ndarray
-    factors: KronFactors | None = None
+    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        g = self.f.T @ self.q @ self.f
+        object.__setattr__(self, "g", 0.5 * (g + g.T))
         _freeze_arrays(self, _MODEL_ARRAYS)
 
     @property
     def block_dim(self) -> int:
         return self.n_agents * self.filter_len
-
-    def data_matrices(self) -> np.ndarray:
-        """Per-agent averaged data matrices (the diagonal blocks of hbar)."""
-        n, l = self.n_agents, self.filter_len
-        idx = np.arange(n)
-        return self.hbar.reshape(n, l, n, l)[idx, :, idx, :]
 
 
 @dataclass
@@ -227,25 +207,41 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_traces(matrix: np.ndarray, n: int, l: int) -> np.ndarray:
-    return np.diagonal(matrix).reshape(n, l).sum(axis=1)
+def _block_readout(weights: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """sum_ij weights[..., k, i, j] (Om_kk)_ji over the diagonal blocks.
+
+    Each m x m weight block acts as weights[..., k, :, :] kron I, the
+    identity sized to fill the agent's block, so only the entries of Om
+    that it weights are read.
+    """
+    n, m = weights.shape[-3], weights.shape[-1]
+    reps = om.shape[0] // (n * m)
+    return np.einsum("...kij,kjtkit->...k", weights,
+                     om.reshape(n, m, reps, n, m, reps))
+
+
+def _block_traces(matrix: np.ndarray, n: int) -> np.ndarray:
+    return _block_readout(np.ones((n, 1, 1)), matrix)
 
 
 def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(factor kron I_L) v for a block vector v."""
+    """(factor kron I) v for a block vector v."""
     return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
 
 
 def _kron_sandwich(left: np.ndarray, x: np.ndarray,
                    right: np.ndarray) -> np.ndarray:
-    """(left kron I_L) x (right kron I_L)^T for an NL x NL matrix x."""
+    """(left kron I) x (right kron I)^T for a square matrix x."""
     n, nl = left.shape[0], x.shape[0]
     rows = (left @ x.reshape(n, -1)).reshape(nl, n, -1)
     return np.matmul(right, rows).reshape(nl, nl)
 
 
 def _add_kron_identity(out: np.ndarray, factor: np.ndarray) -> None:
-    """out += factor kron I_L in place, touching only the nonzero entries."""
+    """out += factor kron I in place, touching only the nonzero entries.
+
+    out must be C-contiguous, so that the reshape below is a view.
+    """
     n = factor.shape[0]
     l = out.shape[0] // n
     # einsum returns a writeable view of the diagonals of the L x L blocks
@@ -260,9 +256,9 @@ def build_component_model(topology: Topology, cfg: StrategyConfig,
     rx holds the per-agent regressor covariances with shape (N, L, L),
     sigma_z2 the per-agent noise variances, w_star the stationary
     targets with shape (N, L).  White covariances (rx[k] = sigma_k^2 I_L
-    for every agent) give a model with Kronecker factors, anything else
-    a dense one.  Raises for adaptive fusion modes, which the predictor
-    does not cover.
+    for every agent) give N x N factors with kron_len = L, anything else
+    NL x NL factors with kron_len = 1.  Raises for adaptive fusion modes,
+    which the predictor does not cover.
     """
     if cfg.a2_mode != "static":
         raise ValueError("moment predictor requires a static a2 matrix")
@@ -308,14 +304,11 @@ def _dense_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
     leak = a2x.T @ (eye_nl - u @ hbar) @ (a1x.T - eye_nl) + (a2x.T - eye_nl)
     rbar = a2x.T @ (u @ hu) - leak @ w.reshape(-1)
 
-    inner = np.einsum("lk,lm,l,lij->kimj", c, c, sigma_z2, rx)
-    g = a2x.T @ u @ inner.reshape(n * l, n * l) @ u @ a2x
-    g = 0.5 * (g + g.T)
-
-    return ComponentModel(n_agents=n, filter_len=l, a1x=a1x, a2x=a2x, u=u,
-                          hbar=hbar, bbar=bbar, rbar=rbar, g=g, c=c,
-                          mu=np.array(cfg.mu), rx=rx, sigma_z2=sigma_z2,
-                          w_star=w.reshape(-1))
+    f = np.kron(c, eye_l) @ u @ a2x
+    q = _block_diag(sigma_z2[:, None, None] * rx)
+    return ComponentModel(n_agents=n, filter_len=l, kron_len=1, bbar=bbar,
+                          rbar=rbar, f=f, q=q, c=c, mu=np.array(cfg.mu),
+                          rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1))
 
 
 def _kron_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
@@ -323,15 +316,14 @@ def _kron_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
     """Model with white regressors, built from N x N agent-level factors.
 
     The same formulas as _dense_model with every block matrix replaced by
-    its agent-level factor; the dense matrices are Kronecker expansions.
+    its agent-level factor.
     """
-    eye_l = np.eye(l)
     eye_n = np.eye(n)
     c = np.array(cfg.c.entries, dtype=float)
     a1 = np.array(cfg.a1.entries, dtype=float)
     a2 = np.array(cfg.a2.entries, dtype=float)
     mu = np.array(cfg.mu, dtype=float)
-    scale = rx[:, 0, 0].copy()
+    scale = rx[:, 0, 0]
 
     h = c.T @ scale
     damp = 1.0 - mu * h
@@ -342,22 +334,16 @@ def _kron_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
     leak = a2.T @ (damp[:, None] * (a1.T - eye_n)) + (a2.T - eye_n)
     rbar = (a2.T @ (mu[:, None] * hu) - leak @ w).reshape(-1)
 
-    f = c @ (mu[:, None] * a2)
-    g = f.T @ ((sigma_z2 * scale)[:, None] * f)
-    g = 0.5 * (g + g.T)
-
-    return ComponentModel(
-        n_agents=n, filter_len=l, a1x=np.kron(a1, eye_l),
-        a2x=np.kron(a2, eye_l), u=np.kron(np.diag(mu), eye_l),
-        hbar=np.kron(np.diag(h), eye_l), bbar=np.kron(b, eye_l), rbar=rbar,
-        g=np.kron(g, eye_l), c=c, mu=mu, rx=rx, sigma_z2=sigma_z2,
-        w_star=w.reshape(-1),
-        factors=KronFactors(b=b, g=g, f=f, rx_scale=scale))
+    return ComponentModel(n_agents=n, filter_len=l, kron_len=l, bbar=b,
+                          rbar=rbar, f=c @ (mu[:, None] * a2),
+                          q=np.diag(sigma_z2 * scale), c=c, mu=mu, rx=rx,
+                          sigma_z2=sigma_z2, w_star=w.reshape(-1))
 
 
 def _require_same_data(model1: ComponentModel, model2: ComponentModel) -> None:
     if (model1.n_agents != model2.n_agents
-            or model1.filter_len != model2.filter_len):
+            or model1.filter_len != model2.filter_len
+            or model1.kron_len != model2.kron_len):
         raise ValueError("component models have mismatched dimensions")
     if (not np.allclose(model1.rx, model2.rx)
             or not np.allclose(model1.sigma_z2, model2.sigma_z2)
@@ -365,48 +351,32 @@ def _require_same_data(model1: ComponentModel, model2: ComponentModel) -> None:
         raise ValueError("component models must share data statistics")
 
 
-def _structured_pair(model1: ComponentModel, model2: ComponentModel) -> bool:
-    return model1.factors is not None and model2.factors is not None
-
-
 def cross_noise_moment(model1: ComponentModel, model2: ComponentModel) -> np.ndarray:
-    """E{g1 g2^T}: gradient-noise coupling through the shared measurements."""
+    """E{g1 g2^T}: gradient-noise coupling through the shared measurements.
+
+    Returned as a factor over the models' kron_len identity.
+    """
     _require_same_data(model1, model2)
-    n, l = model1.n_agents, model1.filter_len
-    if _structured_pair(model1, model2):
-        f1, f2 = model1.factors, model2.factors
-        q = model1.sigma_z2 * f1.rx_scale
-        return np.kron(f1.f.T @ (q[:, None] * f2.f), np.eye(l))
-    inner = np.einsum("lk,lm,l,lij->kimj", model1.c, model2.c,
-                      model1.sigma_z2, model1.rx)
-    return model1.a2x.T @ model1.u @ inner.reshape(n * l, n * l) @ model2.u @ model2.a2x
+    return model1.f.T @ model1.q @ model2.f
 
 
 def mean_step(model: ComponentModel, m: np.ndarray) -> np.ndarray:
     """One step of the mean error recursion."""
-    if model.factors is not None:
-        return _kron_apply(model.factors.b, m) - model.rbar
-    return model.bbar @ m - model.rbar
+    return _kron_apply(model.bbar, m) - model.rbar
 
 
 def covariance_step(model: ComponentModel, m: np.ndarray, om: np.ndarray) -> np.ndarray:
     """One step of the error covariance recursion (result symmetrized)."""
-    if model.factors is not None:
-        b, r = model.factors.b, model.rbar
-        bm = _kron_apply(b, m)
-        # half of the update, drift folded into one rank-one term: adding
-        # the transpose gives the symmetrized sandwich plus
-        # r r^T - bm r^T - r bm^T; scaling b by 0.5 is exact
-        half = _kron_sandwich(0.5 * b, om, b)
-        half += (0.5 * r - bm)[:, None] @ r[None, :]
-        out = half + half.T
-        _add_kron_identity(out, model.factors.g)
-        return out
-    bm = model.bbar @ m
-    out = model.bbar @ om @ model.bbar.T + model.g + np.outer(model.rbar, model.rbar)
-    out -= np.outer(bm, model.rbar)
-    out -= np.outer(model.rbar, bm)
-    return 0.5 * (out + out.T)
+    b, r = model.bbar, model.rbar
+    bm = _kron_apply(b, m)
+    # half of the update, drift folded into one rank-one term: adding
+    # the transpose gives the symmetrized sandwich plus
+    # r r^T - bm r^T - r bm^T; scaling b by 0.5 is exact
+    half = _kron_sandwich(0.5 * b, om, b)
+    half += (0.5 * r - bm)[:, None] @ r[None, :]
+    out = half + half.T
+    _add_kron_identity(out, model.g)
+    return out
 
 
 def cross_covariance_step(model1: ComponentModel, model2: ComponentModel,
@@ -422,36 +392,21 @@ def cross_covariance_step(model1: ComponentModel, model2: ComponentModel,
     if gx is None:
         gx = cross_noise_moment(model1, model2)
     r1, r2 = model1.rbar, model2.rbar
-    if _structured_pair(model1, model2):
-        bm1 = _kron_apply(model1.factors.b, m1)
-        bm2 = _kron_apply(model2.factors.b, m2)
-        out = _kron_sandwich(model1.factors.b, omx, model2.factors.b)
-        # r1 r2^T - bm1 r2^T - r1 bm2^T as one rank-two product
-        out += np.array([r1 - bm1, -r1]).T @ np.array([r2, bm2])
-        out += gx
-        return out
-    out = model1.bbar @ omx @ model2.bbar.T + gx
-    out += np.outer(r1, r2)
-    out -= np.outer(model1.bbar @ m1, r2)
-    out -= np.outer(r1, model2.bbar @ m2)
+    bm1 = _kron_apply(model1.bbar, m1)
+    bm2 = _kron_apply(model2.bbar, m2)
+    # the drift goes into the sandwich result in place: with more large
+    # temporaries alive at once the allocator returned their memory and
+    # refaulted it on every step at NL=500
+    out = _kron_sandwich(model1.bbar, omx, model2.bbar)
+    # r1 r2^T - bm1 r2^T - r1 bm2^T as one rank-two product
+    out += np.array([r1 - bm1, -r1]).T @ np.array([r2, bm2])
+    _add_kron_identity(out, gx)
     return out
-
-
-def _excess_errors(model: ComponentModel, om: np.ndarray,
-                   traces: np.ndarray) -> np.ndarray:
-    """emse_from_cov(om, model.rx), from the block traces when rx is white."""
-    if model.factors is not None:
-        return model.factors.rx_scale * traces
-    return emse_from_cov(om, model.rx)
 
 
 def emse_from_cov(om: np.ndarray, rx) -> np.ndarray:
     """Per-agent excess errors tr(R_{x,k} Om_kk) from the diagonal blocks."""
-    rx = np.asarray(rx, dtype=float)
-    n, l = rx.shape[0], rx.shape[-1]
-    idx = np.arange(n)
-    blocks = om.reshape(n, l, n, l)[idx, :, idx, :]
-    return np.einsum("kij,kji->k", rx, blocks)
+    return _block_readout(np.asarray(rx, dtype=float), om)
 
 
 def _nu_values(cfg: CombinerConfig, n: int) -> np.ndarray:
@@ -574,13 +529,8 @@ def combined_msd(state: MomentState, weight=None) -> float:
     moments; the default weighting averages agents (1/N each).
     """
     n = state.gbar.shape[0]
-    l = state.om1.shape[0] // n
-    return _combined_from_traces(*_state_traces(state, n, l),
-                                 state.gbar, state.g2bar, weight)
-
-
-def _state_traces(state: MomentState, n: int, l: int) -> list:
-    return [_block_traces(om, n, l) for om in (state.om1, state.om2, state.omx)]
+    traces = [_block_traces(om, n) for om in (state.om1, state.om2, state.omx)]
+    return _combined_from_traces(*traces, state.gbar, state.g2bar, weight)
 
 
 def _combined_from_traces(t1, t2, tx, gbar, g2bar, weight=None) -> float:
@@ -656,14 +606,16 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
     combined = np.empty(n_steps)
     degenerate = 0
 
-    # block traces of the current covariances, computed once per step:
-    # they give the deviations after the step and, for white regressors,
-    # the excess errors that drive the next one
-    traces = _state_traces(state, n, l)
+    # one pass over the diagonal blocks gives their traces (row 0, the
+    # deviations after a step) and excess errors (row 1, which drive the
+    # next step); rx[k] is rx[k, :m, :m] kron I_kron_len
+    m = l // model1.kron_len
+    weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)),
+                        model1.rx[:, :m, :m]])
+    readouts = [_block_readout(weights, om)
+                for om in (state.om1, state.om2, state.omx)]
     for t in range(n_steps):
-        j1 = _excess_errors(model1, state.om1, traces[0])
-        j2 = _excess_errors(model1, state.om2, traces[1])
-        j12 = _excess_errors(model1, state.omx, traces[2])
+        (_, j1), (_, j2), (_, j12) = readouts
         dj1 = j1 - j12
         dj2 = j2 - j12
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
@@ -687,7 +639,9 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
             omx=cross_covariance_step(model1, model2, state.m1, state.m2,
                                       state.omx, gx=gx),
             gbar=gbar_next, g2bar=g2_next, pbar=pbar_next)
-        traces = _state_traces(state, n, l)
+        readouts = [_block_readout(weights, om)
+                    for om in (state.om1, state.om2, state.omx)]
+        traces = [readout[0] for readout in readouts]
 
         emse1[t] = j1
         emse2[t] = j2
@@ -711,28 +665,53 @@ def _spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def _fixed_point_cov(bleft: np.ndarray, bright: np.ndarray,
-                     const: np.ndarray) -> np.ndarray:
-    # X = bleft X bright^T + const, solved through the row-major
-    # identity vec(A X B^T) = (A kron B) vec(X)
-    nl = bleft.shape[0]
-    kron = np.kron(bleft, bright)
-    x = np.linalg.solve(np.eye(nl * nl) - kron, const.reshape(-1))
-    return x.reshape(nl, nl)
+def _fixed_mean(model: ComponentModel) -> np.ndarray:
+    """The mean error m with m = bbar m - rbar."""
+    k = model.bbar.shape[0]
+    rhs = model.rbar.reshape(k, -1)
+    return -np.linalg.solve(np.eye(k) - model.bbar, rhs).reshape(-1)
+
+
+def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve x = a x b^T + c by squared Smith doubling (Smith, 1968).
+
+    After k doublings x holds the first 2^k terms of the series
+    sum_j a^j c (b^T)^j, so once the spectral radii of a and b are below
+    one the remainder shrinks quadratically.
+    """
+    same = b is a
+    x = np.array(c, dtype=float)
+    tol = np.finfo(float).eps
+    for _ in range(_MAX_DOUBLINGS):
+        step = a @ x @ b.T
+        x += step
+        if np.max(np.abs(step)) <= tol * np.max(np.abs(x)):
+            return x
+        a = a @ a
+        b = a if same else b @ b
+    raise InstabilityError("steady covariance did not converge")
+
+
+def _steady_cov(m1: np.ndarray, m2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E{v1 v2^T} = p kron I + m1 m2^T from the centered factor p."""
+    out = np.outer(m1, m2)
+    _add_kron_identity(out, p)
+    return out
 
 
 def steady_state(model1: ComponentModel, model2: ComponentModel,
                  cfg: CombinerConfig) -> SteadyReport:
     """Closed-form limits of the coupled recursions.
 
-    Means come from direct solves, covariances from the discrete
-    fixed-point equations of the covariance recursions, coefficient
-    moments from their stationary expressions with moments frozen at the
-    limits.  Raises InstabilityError when a component cannot converge.
+    At the fixed means m = bbar m - rbar the drift terms of the
+    covariance recursions cancel, so each centered covariance
+    Om - m1 m2^T is p kron I with p = b1 p b2^T + g solved on the
+    factors.  Coefficient moments come from their stationary expressions
+    with moments frozen at the limits.  Raises InstabilityError when a
+    component cannot converge.
     """
     _require_same_data(model1, model2)
     n, l = model1.n_agents, model1.filter_len
-    eye = np.eye(model1.block_dim)
     for label, model in (("1", model1), ("2", model2)):
         rho = _spectral_radius(model.bbar)
         if rho >= 1.0:
@@ -740,23 +719,14 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
                 f"component {label} mean recursion diverges: "
                 f"spectral radius {rho:.6f} >= 1")
 
-    m1 = -np.linalg.solve(eye - model1.bbar, model1.rbar)
-    m2 = -np.linalg.solve(eye - model2.bbar, model2.rbar)
-
-    bm1 = model1.bbar @ m1
-    bm2 = model2.bbar @ m2
-    const1 = model1.g + np.outer(model1.rbar, model1.rbar) \
-        - np.outer(bm1, model1.rbar) - np.outer(model1.rbar, bm1)
-    const2 = model2.g + np.outer(model2.rbar, model2.rbar) \
-        - np.outer(bm2, model2.rbar) - np.outer(model2.rbar, bm2)
-    constx = cross_noise_moment(model1, model2) \
-        + np.outer(model1.rbar, model2.rbar) \
-        - np.outer(bm1, model2.rbar) - np.outer(model1.rbar, bm2)
-    om1 = _fixed_point_cov(model1.bbar, model1.bbar, const1)
-    om1 = 0.5 * (om1 + om1.T)
-    om2 = _fixed_point_cov(model2.bbar, model2.bbar, const2)
-    om2 = 0.5 * (om2 + om2.T)
-    omx = _fixed_point_cov(model1.bbar, model2.bbar, constx)
+    b1, b2 = model1.bbar, model2.bbar
+    m1 = _fixed_mean(model1)
+    m2 = _fixed_mean(model2)
+    p1 = _stein(b1, b1, model1.g)
+    p2 = _stein(b2, b2, model2.g)
+    om1 = _steady_cov(m1, m1, 0.5 * (p1 + p1.T))
+    om2 = _steady_cov(m2, m2, 0.5 * (p2 + p2.T))
+    omx = _steady_cov(m1, m2, _stein(b1, b2, cross_noise_moment(model1, model2)))
 
     j1 = emse_from_cov(om1, model1.rx)
     j2 = emse_from_cov(om2, model1.rx)
@@ -773,24 +743,30 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
     else:
         raise ValueError("steady state covers the two-component schemes only")
 
-    gamma_blocks = np.kron(np.diag(gbar), np.eye(l))
-    bias = gamma_blocks @ m1 + (np.eye(n * l) - gamma_blocks) @ m2
-    state = MomentState(m1=m1, m2=m2, om1=om1, om2=om2, omx=omx,
-                        gbar=gbar, g2bar=g2bar, pbar=pbar)
-
-    dj_sum = dj1 + dj2
-    bounds = stability_bounds(model1, model2, cfg, dj_sum=dj_sum)
-    universality = universality_report(j1, j2, j12)
+    gamma = np.repeat(gbar, l)
+    bias = gamma * m1 + (1.0 - gamma) * m2
+    traces = [_block_traces(om, n) for om in (om1, om2, omx)]
+    bounds = stability_bounds(model1, model2, cfg, dj_sum=dj1 + dj2)
 
     return SteadyReport(
         m1=m1, m2=m2, om1=om1, om2=om2, omx=omx,
         gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
         emse1=j1, emse2=j2, emse12=j12,
-        msd1=float(np.mean(_block_traces(om1, n, l))),
-        msd2=float(np.mean(_block_traces(om2, n, l))),
-        cross_msd=float(np.mean(_block_traces(omx, n, l))),
-        combined_msd=combined_msd(state),
-        universality=universality, bounds=bounds)
+        msd1=float(np.mean(traces[0])),
+        msd2=float(np.mean(traces[1])),
+        cross_msd=float(np.mean(traces[2])),
+        combined_msd=_combined_from_traces(*traces, gbar, g2bar),
+        universality=universality_report(j1, j2, j12), bounds=bounds)
+
+
+def mu_bounds(c, rx) -> np.ndarray:
+    """Per-agent mean-stability limits 2 / lambda_max(sum_l c_lk R_{x,l}).
+
+    The limit depends only on the data and the C matrix, so it holds for
+    every fusion rule.
+    """
+    data = np.einsum("lk,lij->kij", np.asarray(c, dtype=float), rx)
+    return 2.0 / np.linalg.eigvalsh(data)[:, -1]
 
 
 def stability_bounds(model1: ComponentModel, model2: ComponentModel,
@@ -804,8 +780,7 @@ def stability_bounds(model1: ComponentModel, model2: ComponentModel,
     """
     reports = []
     for model in (model1, model2):
-        lam = np.linalg.eigvalsh(model.data_matrices())[:, -1]
-        bound = 2.0 / lam
+        bound = mu_bounds(model.c, model.rx)
         reports.append((bound, (model.mu > 0) & (model.mu < bound)))
     (mu_bound1, mu_ok1), (mu_bound2, mu_ok2) = reports
 

@@ -5,6 +5,7 @@ Exit code contract: 0 success, 1 invalid values or tolerance failure,
 """
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text("{oops")
         assert main(["validate", str(path)]) == 2
+
+    def test_step_size_at_stability_bound(self, tmp_path, capsys):
+        # mu = 3 diverges in simulation after about 94 steps
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / "universality_fast_pn.json").read_text())
+        for comp in raw["components"]:
+            comp["mu"] = 3.0
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "component 1 agent 1" in err
+        assert "mean-stability bound" in err
 
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
@@ -99,12 +114,6 @@ class TestTheory:
         text = capsys.readouterr().out
         assert "stage at n=0" in text
         assert load_result(out).horizon == 40
-
-    def test_no_steady_flag(self, config_path, tmp_path, capsys):
-        out = tmp_path / "theo.csv"
-        assert main(["theory", str(config_path), "-o", str(out),
-                     "--no-steady"]) == 0
-        assert "stage at" not in capsys.readouterr().out
 
     def test_adaptive_fusion_rejected(self, tmp_path, capsys):
         out = tmp_path / "theo.csv"

@@ -7,6 +7,7 @@ and the export layer against exact round trips.  A small end-to-end
 experiment ties simulation and prediction together at loose tolerance.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,12 +15,13 @@ import pytest
 
 from diffcomb.combine import CombinerConfig
 from diffcomb.diffusion import StrategyConfig, atc_config
-from diffcomb.graph import Topology, build_preset, static_rule
+from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import (
     AggregateResult,
     ConfigError,
     ExperimentConfig,
     _resolve_workers,
+    check_step_sizes,
     compare,
     config_from_dict,
     export,
@@ -489,6 +491,30 @@ class TestMonteCarlo:
         assert meta["seed"] == 11
 
 
+class TestStepSizeCheck:
+    def test_refuses_step_size_at_mean_stability_bound(self):
+        # adaptive fusion and a non-identity C: the bound depends only on
+        # the data matrices sum_l c_lk R_{x,l}
+        cfg = small_config()
+        rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
+        c = StochasticMatrix(static_rule(CHAIN4, "metropolis").entries, "right")
+        data = np.einsum("lk,lij->kij", c.entries, rx)
+        bound = 2.0 / np.linalg.eigvalsh(data)[:, -1]
+
+        def with_mu(mu):
+            adaptive = StrategyConfig(
+                topology=CHAIN4, a1=static_rule(CHAIN4, "identity"), c=c,
+                mu=mu, a2_mode="adaptive_projection")
+            return dataclasses.replace(
+                cfg, components=[cfg.components[0], adaptive])
+
+        check_step_sizes(with_mu(0.999 * bound))
+        at_bound = 0.5 * bound
+        at_bound[2] = bound[2]
+        with pytest.raises(ValueError, match="component 2 agent 3"):
+            check_step_sizes(with_mu(at_bound))
+
+
 class TestTheoryPath:
     def test_initial_error_row_matches_cold_start(self):
         cfg = small_config()
@@ -553,15 +579,20 @@ class TestTheoryPath:
         assert msd[119] < msd[60]
 
     def test_steady_reports_per_stage(self):
-        moved = TargetSchedule(stages=((0, TARGETS4), (20, TARGETS4 + 1.0)))
-        result = run_theory(small_config(horizon=40, schedule=moved))
-        starts = [start for start, _ in result.steady]
-        assert starts == [0, 20]
-        assert all(report is not None for _, report in result.steady)
-
-    def test_steady_skippable(self):
-        result = run_theory(small_config(horizon=10), include_steady=False)
-        assert all(report is None for _, report in result.steady)
+        # filter length 12 puts the block dimension (48) above the 40
+        # that once bounded the stationary solves
+        for filter_len in (2, 12):
+            targets = np.resize(TARGETS4, (4, filter_len))
+            moved = TargetSchedule(stages=((0, targets), (20, targets + 1.0)))
+            cfg = dataclasses.replace(small_config(horizon=40),
+                                      signal_params=chain_params(filter_len),
+                                      schedule=moved)
+            result = run_theory(cfg)
+            starts = [start for start, _ in result.steady]
+            assert starts == [0, 20]
+            for _, report in result.steady:
+                assert report.om1.shape == (4 * filter_len,) * 2
+                assert report.universality.verdict
 
     def test_multi_scheme_rejected(self):
         with pytest.raises(ValueError, match="two-component"):

@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from diffcomb.combine import CombinerConfig
 from diffcomb.diffusion import StrategyConfig, atc_config
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
+from diffcomb.harness import load_preset_config
+from diffcomb.signal import regressor_covariance
 from diffcomb.theory import (
     DELTA_J_FLOOR,
     InstabilityError,
@@ -33,6 +35,7 @@ from diffcomb.theory import (
     gamma_steady_sr,
     initial_moments,
     mean_step,
+    mu_bounds,
     shift_targets,
     stability_bounds,
     steady_state,
@@ -97,20 +100,26 @@ def random_model(seed, n=3, l=1, single_task=False, mu=0.06):
     return model
 
 
-def random_model_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
-    """Two strategies over the same network observing the same data."""
+def random_pair_setup(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
+    """Two strategy configs over the same network and data statistics."""
     topology, _, rx, sigma_z2, w = random_setup(
         seed, n=n, l=l, single_task=single_task)
     rng = np.random.default_rng(seed + 1000)
+    cfgs = [StrategyConfig(topology=topology,
+                           a1=random_stochastic(topology, "left", rng),
+                           c=random_stochastic(topology, "right", rng),
+                           mu=mu,
+                           a2=random_stochastic(topology, "left", rng))
+            for mu in mus]
+    return topology, cfgs, rx, sigma_z2, w
+
+
+def random_model_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
+    """Two strategies over the same network observing the same data."""
+    topology, cfgs, rx, sigma_z2, w = random_pair_setup(
+        seed, n=n, l=l, single_task=single_task, mus=mus)
     models = []
-    for mu in mus:
-        cfg = StrategyConfig(
-            topology=topology,
-            a1=random_stochastic(topology, "left", rng),
-            c=random_stochastic(topology, "right", rng),
-            mu=mu,
-            a2=random_stochastic(topology, "left", rng),
-        )
+    for cfg in cfgs:
         model = build_component_model(topology, cfg, rx, sigma_z2, w)
         assert np.max(np.abs(np.linalg.eigvals(model.bbar))) < 1.0
         models.append(model)
@@ -248,8 +257,10 @@ class TestModelBuild:
         assert model.g.shape == (nl, nl)
         assert model.rbar.shape == (nl,)
         c = np.array(cfg.c.entries)
-        expected = np.einsum("lk,lij->kij", c, rx)
-        np.testing.assert_allclose(model.data_matrices(), expected, rtol=1e-13)
+        data = np.einsum("lk,lij->kij", c, rx)
+        expected = [2.0 / np.max(np.linalg.eigvalsh(d)) for d in data]
+        np.testing.assert_allclose(mu_bounds(model.c, model.rx), expected,
+                                   rtol=1e-13)
 
     def test_noise_moment_symmetric_and_psd(self):
         model = random_model(4, n=3, l=2)
@@ -305,17 +316,20 @@ class TestModelBuild:
 class TestNoiseMomentSampling:
     def test_matches_empirical_second_moments(self):
         # estimate E{g g^T} and E{g1 g2^T} from raw gradient-noise draws
-        model1, model2 = random_model_pair(8, n=3, l=2)
         n, l = 3, 2
+        topology, cfgs, rx, sigma_z2, w = random_pair_setup(8, n=n, l=l)
+        model1, model2 = (build_component_model(topology, cfg, rx, sigma_z2, w)
+                          for cfg in cfgs)
         rng = np.random.default_rng(123)
         draws = 120_000
-        chol = np.linalg.cholesky(model1.rx)
+        chol = np.linalg.cholesky(rx)
         x = np.einsum("kij,tkj->tki", chol, rng.standard_normal((draws, n, l)))
-        z = rng.standard_normal((draws, n)) * np.sqrt(model1.sigma_z2)
+        z = rng.standard_normal((draws, n)) * np.sqrt(sigma_z2)
         g_rows = []
-        for model in (model1, model2):
-            p = np.einsum("lk,tli,tl->tki", model.c, x, z).reshape(draws, -1)
-            g_rows.append(p @ (model.u @ model.a2x))
+        for cfg in cfgs:
+            p = np.einsum("lk,tli,tl->tki", cfg.c.entries, x, z).reshape(draws, -1)
+            fusion = np.diag(cfg.mu) @ cfg.a2.entries
+            g_rows.append(p @ np.kron(fusion, np.eye(l)))
         est11 = g_rows[0].T @ g_rows[0] / draws
         est12 = g_rows[0].T @ g_rows[1] / draws
         scale = np.max(np.abs(model1.g))
@@ -845,8 +859,16 @@ class TestEvolve:
 
 
 class TestSteadyState:
-    def test_matches_long_iteration(self):
-        model1, model2 = random_model_pair(90, n=3, l=2)
+    @pytest.mark.parametrize("pair", ["colored", "white"])
+    def test_matches_long_iteration(self, pair):
+        if pair == "colored":
+            model1, model2 = random_model_pair(90, n=3, l=2)
+        else:
+            topology, cfgs, rx, sigma_z2, w = white_pair(90, 3, 2)
+            model1, model2 = (build_component_model(topology, cfg, rx,
+                                                    sigma_z2, w)
+                              for cfg in cfgs)
+            assert model1.kron_len == 2
         report = steady_state(model1, model2, pn_cfg())
         m1 = -model1.w_star.copy()
         m2 = -model2.w_star.copy()
@@ -870,6 +892,25 @@ class TestSteadyState:
                                    atol=1e-8 * scale)
         np.testing.assert_allclose(report.omx, omx, rtol=1e-8,
                                    atol=1e-8 * scale)
+
+    def test_fixed_point_at_block_dimension_500(self):
+        cfg = load_preset_config("tracking_static_pn")
+        rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
+        sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
+        target = cfg.schedule.stages[1][1]
+        model1, model2 = (build_component_model(cfg.topology, comp, rx,
+                                                sigma_z2, target)
+                          for comp in cfg.components)
+        assert model1.block_dim == 500 and model1.bbar.shape == (10, 10)
+        rep = steady_state(model1, model2, cfg.combiner)
+        for got, want in (
+                (mean_step(model1, rep.m1), rep.m1),
+                (covariance_step(model1, rep.m1, rep.om1), rep.om1),
+                (covariance_step(model2, rep.m2, rep.om2), rep.om2),
+                (cross_covariance_step(model1, model2, rep.m1, rep.m2,
+                                       rep.omx), rep.omx)):
+            np.testing.assert_allclose(got, want, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(want)))
 
     def test_scalar_deviation_identity(self):
         mu, sx, sz = 0.01, 1.0, 0.1
@@ -1030,7 +1071,8 @@ def white_pair(seed, n, l):
 
 class TestKronFactoredPath:
     """White regressors take the Kronecker-factored path; the dense
-    builder and dense step functions serve as the oracle."""
+    builder, whose factors are the full NL x NL matrices, serves as the
+    oracle."""
 
     @staticmethod
     def models(seed, n, l):
@@ -1045,19 +1087,20 @@ class TestKronFactoredPath:
         fast, dense = self.models(n * 10 + l, n, l)
         eye = np.eye(l)
         for model, oracle in zip(fast, dense):
-            assert model.factors is not None and oracle.factors is None
-            np.testing.assert_array_equal(model.bbar,
-                                          np.kron(model.factors.b, eye))
-            np.testing.assert_array_equal(model.g,
-                                          np.kron(model.factors.g, eye))
-            for name in ("a1x", "a2x", "u", "hbar", "bbar", "g", "c", "mu",
-                         "rx", "sigma_z2", "w_star"):
+            assert model.kron_len == l and oracle.kron_len == 1
+            for name in ("bbar", "g", "f", "q"):
+                assert getattr(model, name).shape == (n, n)
+                np.testing.assert_allclose(np.kron(getattr(model, name), eye),
+                                           getattr(oracle, name),
+                                           rtol=1e-12, atol=1e-15,
+                                           err_msg=name)
+            for name in ("c", "mu", "rx", "sigma_z2", "w_star"):
                 np.testing.assert_allclose(getattr(model, name),
                                            getattr(oracle, name),
                                            rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(model.rbar, oracle.rbar, rtol=1e-10,
                                        atol=1e-14)
-        np.testing.assert_allclose(cross_noise_moment(*fast),
+        np.testing.assert_allclose(np.kron(cross_noise_moment(*fast), eye),
                                    cross_noise_moment(*dense),
                                    rtol=1e-12, atol=1e-16)
 
@@ -1068,7 +1111,7 @@ class TestKronFactoredPath:
     def test_evolve_matches_dense_oracle(self, seed, n, l, scheme):
         fast, dense = self.models(seed, n, l)
         for model in fast:
-            assume(np.max(np.abs(np.linalg.eigvals(model.factors.b))) < 1.0)
+            assume(np.max(np.abs(np.linalg.eigvals(model.bbar))) < 1.0)
         cfg = pn_cfg(nu=0.02) if scheme == "power_normalized" \
             else sr_cfg(nu=0.02)
         got = evolve(*fast, cfg, 60)
@@ -1116,4 +1159,5 @@ class TestKronFactoredPath:
         uneven[1, 1, 1] = 1.5
         for rx in (ar1, spd, uneven):
             model = build_component_model(topology, cfgs[0], rx, sigma_z2, w)
-            assert model.factors is None
+            assert model.kron_len == 1
+            assert model.bbar.shape == (6, 6)
