@@ -103,11 +103,6 @@ def combine_weights(st: CombinerState, estimates) -> np.ndarray:
     return g * w1 + (1.0 - g) * w2
 
 
-def output_difference(x: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Component output difference x'(w1 - w2), the combiner's regressor."""
-    return np.einsum("...kl,...kl->...k", x, w1 - w2)
-
-
 def pn_update(
     cfg: CombinerConfig, st: CombinerState, e: np.ndarray, delta_y: np.ndarray
 ) -> CombinerState:

@@ -8,18 +8,20 @@ per-agent mixing-coefficient moments, and assembles transient and
 steady-state aggregates (per-component MSD, cross-MSD, combined MSD).
 
 Block quantities live in R^{NL}: agent k owns the slice [kL, (k+1)L).
-Means evolve as m' = bbar m - rbar; covariances follow a sandwich
-recursion with additive noise and drift terms.
-
 Every model matrix M of size NL x NL is stored as a factor F with
-M = F kron I_{kron_len}.  When every regressor covariance is white
-(sigma_k^2 I_L) the factors are N x N agent-level matrices and
-kron_len = L, so a sandwich costs O(N (NL)^2) instead of O((NL)^3);
-colored regressors (AR(1), general SPD covariances) give NL x NL factors
-with kron_len = 1.  The step functions and the steady state run one
-code path for both.  Steady covariances solve a Stein equation on the
-factors by squared Smith doubling, so they cost O(N_f^3 log t) for
-factors of size N_f.
+M = F kron I_{kron_len}, over factor blocks of size m = L / kron_len.
+When every regressor covariance is white (sigma_k^2 I_L), m = 1 and the
+factors are N x N agent-level matrices; colored regressors (AR(1),
+general SPD covariances) give m = L, NL x NL factors and kron_len = 1.
+
+The moments share that structure.  Means evolve as m' = bbar m - rbar.
+Every (cross-)covariance is E{v1 v2^T} = P kron I + m1 m2^T, and only
+the centered factor P, of size N m, is carried: P' = b1 P b2^T + g12,
+because the drift moves the means and leaves centered moments alone.
+So white-regressor theory never forms an NL x NL array, and transient
+and steady state run one code path for both regressor kinds.  Steady
+factors solve that Stein equation by squared Smith doubling, at
+O(N_f^3 log t) for factors of size N_f.
 
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
@@ -27,7 +29,7 @@ refresh rules have no closed-form moment description here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,16 +100,19 @@ class ComponentModel:
 class MomentState:
     """Joint moment state of both components and the combiner at one instant.
 
-    m1/m2 are mean error vectors, om1/om2/omx the (cross-)covariances,
-    gbar/g2bar the per-agent first and second moments of the mixing
+    m1/m2 are the mean error vectors (length NL).  p1/p2/px are the
+    centered covariance factors of each component and of the cross term,
+    of size N m over the models' kron_len identity:
+    E{v1 v1^T} = p1 kron I + m1 m1^T, E{v1 v2^T} = px kron I + m1 m2^T.
+    gbar/g2bar are the per-agent first and second moments of the mixing
     coefficient, pbar the per-agent smoothed difference power.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    om1: np.ndarray
-    om2: np.ndarray
-    omx: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    px: np.ndarray
     gbar: np.ndarray
     g2bar: np.ndarray
     pbar: np.ndarray
@@ -177,13 +182,17 @@ class UniversalityReport:
 
 @dataclass(frozen=True)
 class SteadyReport:
-    """Closed-form steady state of the combined pair."""
+    """Closed-form steady state of the combined pair.
+
+    m1/m2 are the fixed mean errors and p1/p2/px the centered covariance
+    factors, in the form of MomentState.
+    """
 
     m1: np.ndarray
     m2: np.ndarray
-    om1: np.ndarray
-    om2: np.ndarray
-    omx: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    px: np.ndarray
     gbar: np.ndarray
     g2bar: np.ndarray
     pbar: np.ndarray
@@ -207,46 +216,40 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_readout(weights: np.ndarray, om: np.ndarray) -> np.ndarray:
-    """sum_ij weights[..., k, i, j] (Om_kk)_ji over the diagonal blocks.
-
-    Each m x m weight block acts as weights[..., k, :, :] kron I, the
-    identity sized to fill the agent's block, so only the entries of Om
-    that it weights are read.
-    """
-    n, m = weights.shape[-3], weights.shape[-1]
-    reps = om.shape[0] // (n * m)
-    return np.einsum("...kij,kjtkit->...k", weights,
-                     om.reshape(n, m, reps, n, m, reps))
-
-
-def _block_traces(matrix: np.ndarray, n: int) -> np.ndarray:
-    return _block_readout(np.ones((n, 1, 1)), matrix)
-
-
 def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(factor kron I) v for a block vector v."""
     return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
 
 
-def _kron_sandwich(left: np.ndarray, x: np.ndarray,
-                   right: np.ndarray) -> np.ndarray:
-    """(left kron I) x (right kron I)^T for a square matrix x."""
-    n, nl = left.shape[0], x.shape[0]
-    rows = (left @ x.reshape(n, -1)).reshape(nl, n, -1)
-    return np.matmul(right, rows).reshape(nl, nl)
+def _readout(weights: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+             p: np.ndarray) -> np.ndarray:
+    """Per-agent tr((W_k kron I) Om_kk) for Om = p kron I + m1 m2^T.
 
-
-def _add_kron_identity(out: np.ndarray, factor: np.ndarray) -> None:
-    """out += factor kron I in place, touching only the nonzero entries.
-
-    out must be C-contiguous, so that the reshape below is a view.
+    weights[..., k, :, :] is an m x m block W_k, m the factor block size
+    of p, acting on agent k's diagonal block as W_k kron I.  The centered
+    part is kron_len tr(W_k p_kk), the mean part m2_k^T (W_k kron I) m1_k.
     """
-    n = factor.shape[0]
-    l = out.shape[0] // n
-    # einsum returns a writeable view of the diagonals of the L x L blocks
-    diagonals = np.einsum("aibi->abi", out.reshape(n, l, n, l))
-    diagonals += factor[:, :, None]
+    n, m = weights.shape[-3], weights.shape[-1]
+    reps = m1.shape[0] // p.shape[0]
+    centered = np.einsum("...kij,kjki->...k", weights, p.reshape(n, m, n, m))
+    mean = np.einsum("...kij,kjt,kit->...k", weights,
+                     m1.reshape(n, m, reps), m2.reshape(n, m, reps))
+    return reps * centered + mean
+
+
+def _readouts(weights: np.ndarray, m1, m2, p1, p2, px) -> list:
+    """_readout of component 1, component 2 and the cross moment."""
+    return [_readout(weights, a, b, p)
+            for a, b, p in ((m1, m1, p1), (m2, m2, p2), (m1, m2, px))]
+
+
+def _readout_weights(model: ComponentModel) -> np.ndarray:
+    """m x m readout blocks per agent: the identity (row 0) gives
+    deviations, rx (row 1) excess errors; rx[k] is rx[k, :m, :m] kron I."""
+    n = model.n_agents
+    m = model.bbar.shape[0] // n
+    return np.stack([np.broadcast_to(np.eye(m), (n, m, m)),
+                     model.rx[:, :m, :m]])
 
 
 def build_component_model(topology: Topology, cfg: StrategyConfig,
@@ -278,65 +281,41 @@ def build_component_model(topology: Topology, cfg: StrategyConfig,
         raise ValueError("noise variances must be nonnegative")
     l = rx.shape[-1]
     w = np.asarray(w_star, dtype=float).reshape(n, l)
-    build = _kron_model if np.array_equal(rx, rx[:, :1, :1] * np.eye(l)) \
-        else _dense_model
-    return build(n, l, cfg, rx, sigma_z2, w)
+    white = np.array_equal(rx, rx[:, :1, :1] * np.eye(l))
+    return _build_model(n, l, 1 if white else l, cfg, rx, sigma_z2, w)
 
 
-def _dense_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
+def _build_model(n: int, l: int, m: int, cfg: StrategyConfig, rx: np.ndarray,
                  sigma_z2: np.ndarray, w: np.ndarray) -> ComponentModel:
-    """Model with general regressor covariances, built on NL x NL blocks."""
-    eye_l = np.eye(l)
-    eye_nl = np.eye(n * l)
-    c = np.array(cfg.c.entries, dtype=float)
-    a1x = np.kron(np.array(cfg.a1.entries), eye_l)
-    a2x = np.kron(np.array(cfg.a2.entries), eye_l)
-    u = np.kron(np.diag(cfg.mu), eye_l)
+    """Model over factor blocks of size m, so kron_len = L / m.
 
-    data_blocks = np.einsum("lk,lij->kij", c, rx)
-    hbar = _block_diag(data_blocks)
-    bbar = a2x.T @ (eye_nl - u @ hbar) @ a1x.T
+    Needs rx[k] = rx[k, :m, :m] kron I_kron_len for every agent: m = L
+    always qualifies, m = 1 when every covariance is sigma_k^2 I_L.
+    """
+    eye_m = np.eye(m)
+    eye = np.eye(n * m)
+    c = np.array(cfg.c.entries, dtype=float)
+    mu = np.array(cfg.mu, dtype=float)
+    a1x = np.kron(np.array(cfg.a1.entries, dtype=float), eye_m)
+    a2x = np.kron(np.array(cfg.a2.entries, dtype=float), eye_m)
+    u = np.kron(np.diag(mu), eye_m)
+    rx_m = rx[:, :m, :m]
+
+    hbar = _block_diag(np.einsum("lk,lij->kij", c, rx_m))
+    damp = eye - u @ hbar
+    bbar = a2x.T @ damp @ a1x.T
 
     # drift: data sharing pulls each agent toward its neighbors' targets,
     # while combining leaks weight mass across heterogeneous targets
     diff = w[None, :, :] - w[:, None, :]
     hu = np.einsum("lk,lij,lkj->ki", c, rx, diff).reshape(-1)
-    leak = a2x.T @ (eye_nl - u @ hbar) @ (a1x.T - eye_nl) + (a2x.T - eye_nl)
-    rbar = a2x.T @ (u @ hu) - leak @ w.reshape(-1)
+    leak = a2x.T @ damp @ (a1x.T - eye) + (a2x.T - eye)
+    rbar = _kron_apply(a2x.T @ u, hu) - _kron_apply(leak, w.reshape(-1))
 
-    f = np.kron(c, eye_l) @ u @ a2x
-    q = _block_diag(sigma_z2[:, None, None] * rx)
-    return ComponentModel(n_agents=n, filter_len=l, kron_len=1, bbar=bbar,
-                          rbar=rbar, f=f, q=q, c=c, mu=np.array(cfg.mu),
-                          rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1))
-
-
-def _kron_model(n: int, l: int, cfg: StrategyConfig, rx: np.ndarray,
-                sigma_z2: np.ndarray, w: np.ndarray) -> ComponentModel:
-    """Model with white regressors, built from N x N agent-level factors.
-
-    The same formulas as _dense_model with every block matrix replaced by
-    its agent-level factor.
-    """
-    eye_n = np.eye(n)
-    c = np.array(cfg.c.entries, dtype=float)
-    a1 = np.array(cfg.a1.entries, dtype=float)
-    a2 = np.array(cfg.a2.entries, dtype=float)
-    mu = np.array(cfg.mu, dtype=float)
-    scale = rx[:, 0, 0]
-
-    h = c.T @ scale
-    damp = 1.0 - mu * h
-    b = a2.T @ (damp[:, None] * a1.T)
-
-    diff = w[None, :, :] - w[:, None, :]
-    hu = np.einsum("lk,l,lkj->kj", c, scale, diff)
-    leak = a2.T @ (damp[:, None] * (a1.T - eye_n)) + (a2.T - eye_n)
-    rbar = (a2.T @ (mu[:, None] * hu) - leak @ w).reshape(-1)
-
-    return ComponentModel(n_agents=n, filter_len=l, kron_len=l, bbar=b,
-                          rbar=rbar, f=c @ (mu[:, None] * a2),
-                          q=np.diag(sigma_z2 * scale), c=c, mu=mu, rx=rx,
+    f = np.kron(c, eye_m) @ u @ a2x
+    q = _block_diag(sigma_z2[:, None, None] * rx_m)
+    return ComponentModel(n_agents=n, filter_len=l, kron_len=l // m,
+                          bbar=bbar, rbar=rbar, f=f, q=q, c=c, mu=mu, rx=rx,
                           sigma_z2=sigma_z2, w_star=w.reshape(-1))
 
 
@@ -365,48 +344,31 @@ def mean_step(model: ComponentModel, m: np.ndarray) -> np.ndarray:
     return _kron_apply(model.bbar, m) - model.rbar
 
 
-def covariance_step(model: ComponentModel, m: np.ndarray, om: np.ndarray) -> np.ndarray:
-    """One step of the error covariance recursion (result symmetrized)."""
-    b, r = model.bbar, model.rbar
-    bm = _kron_apply(b, m)
-    # half of the update, drift folded into one rank-one term: adding
-    # the transpose gives the symmetrized sandwich plus
-    # r r^T - bm r^T - r bm^T; scaling b by 0.5 is exact
-    half = _kron_sandwich(0.5 * b, om, b)
-    half += (0.5 * r - bm)[:, None] @ r[None, :]
-    out = half + half.T
-    _add_kron_identity(out, model.g)
-    return out
+def covariance_step(model: ComponentModel, p: np.ndarray) -> np.ndarray:
+    """One step of the centered covariance factor: b p b^T + g.
+
+    The result is exactly symmetric.
+    """
+    out = model.bbar @ p @ model.bbar.T
+    out += model.g
+    return 0.5 * (out + out.T)
 
 
 def cross_covariance_step(model1: ComponentModel, model2: ComponentModel,
-                          m1: np.ndarray, m2: np.ndarray, omx: np.ndarray,
+                          px: np.ndarray,
                           gx: np.ndarray | None = None) -> np.ndarray:
-    """One step of the cross-covariance recursion E{v1 v2^T}.
+    """One step of the centered cross-covariance factor: b1 px b2^T + gx.
 
     Pass a precomputed gx = cross_noise_moment(model1, model2) when
     iterating; it is rebuilt on every call otherwise.
     """
-    if omx.shape != (model1.block_dim, model2.block_dim):
+    if px.shape != (model1.bbar.shape[0], model2.bbar.shape[0]):
         raise ValueError("cross covariance has mismatched dimensions")
     if gx is None:
         gx = cross_noise_moment(model1, model2)
-    r1, r2 = model1.rbar, model2.rbar
-    bm1 = _kron_apply(model1.bbar, m1)
-    bm2 = _kron_apply(model2.bbar, m2)
-    # the drift goes into the sandwich result in place: with more large
-    # temporaries alive at once the allocator returned their memory and
-    # refaulted it on every step at NL=500
-    out = _kron_sandwich(model1.bbar, omx, model2.bbar)
-    # r1 r2^T - bm1 r2^T - r1 bm2^T as one rank-two product
-    out += np.array([r1 - bm1, -r1]).T @ np.array([r2, bm2])
-    _add_kron_identity(out, gx)
+    out = model1.bbar @ px @ model2.bbar.T
+    out += gx
     return out
-
-
-def emse_from_cov(om: np.ndarray, rx) -> np.ndarray:
-    """Per-agent excess errors tr(R_{x,k} Om_kk) from the diagonal blocks."""
-    return _block_readout(np.asarray(rx, dtype=float), om)
 
 
 def _nu_values(cfg: CombinerConfig, n: int) -> np.ndarray:
@@ -529,7 +491,9 @@ def combined_msd(state: MomentState, weight=None) -> float:
     moments; the default weighting averages agents (1/N each).
     """
     n = state.gbar.shape[0]
-    traces = [_block_traces(om, n) for om in (state.om1, state.om2, state.omx)]
+    m = state.p1.shape[0] // n
+    traces = _readouts(np.broadcast_to(np.eye(m), (n, m, m)), state.m1,
+                       state.m2, state.p1, state.p2, state.px)
     return _combined_from_traces(*traces, state.gbar, state.g2bar, weight)
 
 
@@ -544,13 +508,17 @@ def _combined_from_traces(t1, t2, tx, gbar, g2bar, weight=None) -> float:
 
 def initial_moments(model1: ComponentModel, model2: ComponentModel,
                     gamma0: float = 0.5) -> MomentState:
-    """Moment state for all-zero initial estimates and gamma = gamma0."""
+    """Moment state for all-zero initial estimates and gamma = gamma0.
+
+    The errors start at the deterministic -w_star, so every centered
+    factor is zero.
+    """
     _require_same_data(model1, model2)
     n = model1.n_agents
+    k = model1.bbar.shape[0]
     w = model1.w_star
-    outer = np.outer(w, w)
-    return MomentState(m1=-w.copy(), m2=-w.copy(),
-                       om1=outer.copy(), om2=outer.copy(), omx=outer.copy(),
+    return MomentState(m1=-w.copy(), m2=-w.copy(), p1=np.zeros((k, k)),
+                       p2=np.zeros((k, k)), px=np.zeros((k, k)),
                        gbar=np.full(n, float(gamma0)),
                        g2bar=np.full(n, float(gamma0) ** 2),
                        pbar=np.zeros(n))
@@ -560,19 +528,11 @@ def shift_targets(state: MomentState, delta: np.ndarray) -> MomentState:
     """Re-express a moment state against a new stationary target.
 
     delta is old target minus new target, flattened.  Error vectors all
-    shift deterministically by delta, so means translate and covariances
-    gain the corresponding rank-one corrections.  Coefficient moments
-    are unaffected.
+    shift deterministically by delta, so the means translate while the
+    centered factors and the coefficient moments are unaffected.
     """
     delta = np.asarray(delta, dtype=float)
-    dd = np.outer(delta, delta)
-    om1 = state.om1 + np.outer(state.m1, delta) + np.outer(delta, state.m1) + dd
-    om2 = state.om2 + np.outer(state.m2, delta) + np.outer(delta, state.m2) + dd
-    omx = state.omx + np.outer(state.m1, delta) + np.outer(delta, state.m2) + dd
-    return MomentState(m1=state.m1 + delta, m2=state.m2 + delta,
-                       om1=om1, om2=om2, omx=omx,
-                       gbar=state.gbar.copy(), g2bar=state.g2bar.copy(),
-                       pbar=state.pbar.copy())
+    return replace(state, m1=state.m1 + delta, m2=state.m2 + delta)
 
 
 def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
@@ -590,7 +550,7 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
         raise ValueError("moment recursions cover the two-component schemes only")
     if state is None:
         state = initial_moments(model1, model2)
-    n, l = model1.n_agents, model1.filter_len
+    n = model1.n_agents
     gx = cross_noise_moment(model1, model2)
     sigma_z2 = model1.sigma_z2
 
@@ -606,14 +566,11 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
     combined = np.empty(n_steps)
     degenerate = 0
 
-    # one pass over the diagonal blocks gives their traces (row 0, the
-    # deviations after a step) and excess errors (row 1, which drive the
-    # next step); rx[k] is rx[k, :m, :m] kron I_kron_len
-    m = l // model1.kron_len
-    weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)),
-                        model1.rx[:, :m, :m]])
-    readouts = [_block_readout(weights, om)
-                for om in (state.om1, state.om2, state.omx)]
+    # one readout per moment gives the deviations after a step (row 0)
+    # and the excess errors that drive the next step (row 1)
+    weights = _readout_weights(model1)
+    readouts = _readouts(weights, state.m1, state.m2, state.p1, state.p2,
+                         state.px)
     for t in range(n_steps):
         (_, j1), (_, j2), (_, j12) = readouts
         dj1 = j1 - j12
@@ -634,13 +591,12 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
         state = MomentState(
             m1=mean_step(model1, state.m1),
             m2=mean_step(model2, state.m2),
-            om1=covariance_step(model1, state.m1, state.om1),
-            om2=covariance_step(model2, state.m2, state.om2),
-            omx=cross_covariance_step(model1, model2, state.m1, state.m2,
-                                      state.omx, gx=gx),
+            p1=covariance_step(model1, state.p1),
+            p2=covariance_step(model2, state.p2),
+            px=cross_covariance_step(model1, model2, state.px, gx=gx),
             gbar=gbar_next, g2bar=g2_next, pbar=pbar_next)
-        readouts = [_block_readout(weights, om)
-                    for om in (state.om1, state.om2, state.omx)]
+        readouts = _readouts(weights, state.m1, state.m2, state.p1, state.p2,
+                             state.px)
         traces = [readout[0] for readout in readouts]
 
         emse1[t] = j1
@@ -692,23 +648,14 @@ def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     raise InstabilityError("steady covariance did not converge")
 
 
-def _steady_cov(m1: np.ndarray, m2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """E{v1 v2^T} = p kron I + m1 m2^T from the centered factor p."""
-    out = np.outer(m1, m2)
-    _add_kron_identity(out, p)
-    return out
-
-
 def steady_state(model1: ComponentModel, model2: ComponentModel,
                  cfg: CombinerConfig) -> SteadyReport:
     """Closed-form limits of the coupled recursions.
 
-    At the fixed means m = bbar m - rbar the drift terms of the
-    covariance recursions cancel, so each centered covariance
-    Om - m1 m2^T is p kron I with p = b1 p b2^T + g solved on the
-    factors.  Coefficient moments come from their stationary expressions
-    with moments frozen at the limits.  Raises InstabilityError when a
-    component cannot converge.
+    The means sit at m = bbar m - rbar and each centered factor solves
+    p = b1 p b2^T + g on the factors.  Coefficient moments come from
+    their stationary expressions with moments frozen at the limits.
+    Raises InstabilityError when a component cannot converge.
     """
     _require_same_data(model1, model2)
     n, l = model1.n_agents, model1.filter_len
@@ -724,13 +671,12 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
     m2 = _fixed_mean(model2)
     p1 = _stein(b1, b1, model1.g)
     p2 = _stein(b2, b2, model2.g)
-    om1 = _steady_cov(m1, m1, 0.5 * (p1 + p1.T))
-    om2 = _steady_cov(m2, m2, 0.5 * (p2 + p2.T))
-    omx = _steady_cov(m1, m2, _stein(b1, b2, cross_noise_moment(model1, model2)))
+    p1 = 0.5 * (p1 + p1.T)
+    p2 = 0.5 * (p2 + p2.T)
+    px = _stein(b1, b2, cross_noise_moment(model1, model2))
 
-    j1 = emse_from_cov(om1, model1.rx)
-    j2 = emse_from_cov(om2, model1.rx)
-    j12 = emse_from_cov(omx, model1.rx)
+    (t1, j1), (t2, j2), (tx, j12) = _readouts(
+        _readout_weights(model1), m1, m2, p1, p2, px)
     dj1 = j1 - j12
     dj2 = j2 - j12
     sigma_z2 = model1.sigma_z2
@@ -745,17 +691,16 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
 
     gamma = np.repeat(gbar, l)
     bias = gamma * m1 + (1.0 - gamma) * m2
-    traces = [_block_traces(om, n) for om in (om1, om2, omx)]
     bounds = stability_bounds(model1, model2, cfg, dj_sum=dj1 + dj2)
 
     return SteadyReport(
-        m1=m1, m2=m2, om1=om1, om2=om2, omx=omx,
+        m1=m1, m2=m2, p1=p1, p2=p2, px=px,
         gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
         emse1=j1, emse2=j2, emse12=j12,
-        msd1=float(np.mean(traces[0])),
-        msd2=float(np.mean(traces[1])),
-        cross_msd=float(np.mean(traces[2])),
-        combined_msd=_combined_from_traces(*traces, gbar, g2bar),
+        msd1=float(np.mean(t1)),
+        msd2=float(np.mean(t2)),
+        cross_msd=float(np.mean(tx)),
+        combined_msd=_combined_from_traces(t1, t2, tx, gbar, g2bar),
         universality=universality_report(j1, j2, j12), bounds=bounds)
 
 

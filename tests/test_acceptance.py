@@ -27,6 +27,7 @@ from diffcomb.theory import (
     gamma_ms_step_sr,
     gamma_steady_pn,
     gamma_steady_sr,
+    initial_moments,
     mean_step,
     stability_bounds,
     steady_state,
@@ -122,46 +123,44 @@ def test_moment_recursions_consistent_across_formulations():
     sigma = a @ a.T + 0.5 * np.eye(dim)
     steps = 100
 
+    raw_moment = test_theory.raw_moment
+    start = initial_moments(model1, model2)
     for model in (model1, model2):
         xi_vec = test_theory.weighted_norm_curve(model, sigma, steps)
-        m = -model.w_star.copy()
-        om = np.outer(model.w_star, model.w_star)
+        m, p = start.m1, start.p1
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            xi_mat[t] = np.sum(sigma * om)
-            om = covariance_step(model, m, om)
+            xi_mat[t] = np.sum(sigma * raw_moment(m, m, p))
+            p = covariance_step(model, p)
             m = mean_step(model, m)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
 
     xi_vec = test_theory.cross_norm_curve(model1, model2, sigma, steps)
     gx = cross_noise_moment(model1, model2)
-    m1 = -model1.w_star.copy()
-    m2 = -model2.w_star.copy()
-    omx = np.outer(model1.w_star, model2.w_star)
+    m1, m2, px = start.m1, start.m2, start.px
     xi_mat = np.empty(steps + 1)
     for t in range(steps + 1):
-        xi_mat[t] = np.sum(sigma * omx)
-        omx = cross_covariance_step(model1, model2, m1, m2, omx, gx=gx)
+        xi_mat[t] = np.sum(sigma * raw_moment(m1, m2, px))
+        px = cross_covariance_step(model1, model2, px, gx=gx)
         m1 = mean_step(model1, m1)
         m2 = mean_step(model2, m2)
     np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(xi_vec)))
 
     report = steady_state(model1, model2, test_theory.pn_cfg())
-    m1 = -model1.w_star.copy()
-    m2 = -model2.w_star.copy()
-    om1 = np.outer(model1.w_star, model1.w_star)
-    om2 = np.outer(model2.w_star, model2.w_star)
-    omx = np.outer(model1.w_star, model2.w_star)
+    m1, m2, p1, p2, px = start.m1, start.m2, start.p1, start.p2, start.px
     for _ in range(100_000):
-        om1 = covariance_step(model1, m1, om1)
-        om2 = covariance_step(model2, m2, om2)
-        omx = cross_covariance_step(model1, model2, m1, m2, omx, gx=gx)
+        p1 = covariance_step(model1, p1)
+        p2 = covariance_step(model2, p2)
+        px = cross_covariance_step(model1, model2, px, gx=gx)
         m1 = mean_step(model1, m1)
         m2 = mean_step(model2, m2)
-    for got, want in ((om1, report.om1), (om2, report.om2),
-                      (omx, report.omx)):
+    for got, want in (
+            (raw_moment(m1, m1, p1), raw_moment(report.m1, report.m1, report.p1)),
+            (raw_moment(m2, m2, p2), raw_moment(report.m2, report.m2, report.p2)),
+            (raw_moment(m1, m2, px),
+             raw_moment(report.m1, report.m2, report.px))):
         np.testing.assert_allclose(got, want, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(want)))
 

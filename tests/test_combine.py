@@ -10,7 +10,6 @@ from diffcomb.combine import (
     init_combiner,
     multi_update,
     optimal_gamma,
-    output_difference,
     pn_update,
     sr_update,
 )
@@ -283,11 +282,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="not configured"):
             pn_update(sr_cfg(), init_combiner(sr_cfg(), 1), np.zeros(1), np.zeros(1))
 
-
-def test_output_difference_matches_direct_product():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((4, 6, 3))
-    w1 = rng.standard_normal((4, 6, 3))
-    w2 = rng.standard_normal((4, 6, 3))
-    expect = np.einsum("rkl,rkl->rk", x, w1) - np.einsum("rkl,rkl->rk", x, w2)
-    np.testing.assert_allclose(output_difference(x, w1, w2), expect, atol=1e-12)

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from diffcomb import harness, theory
 from diffcomb.combine import CombinerConfig
 from diffcomb.diffusion import StrategyConfig, atc_config
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
@@ -85,6 +86,90 @@ def small_config(scheme="power_normalized", nu=0.01, mu=0.05, horizon=40,
         seed=seed,
         gamma_init=gamma_init,
     )
+
+
+def raw_moment_series(cfg):
+    """run_theory's series for a power-normalized pair, recomputed with the
+    uncentered recursion on raw NL x NL second moments:
+    Om+ = B Om B^T - B m r^T - r m^T B^T + r r^T + G kron I, and at a
+    stage boundary Om + m d^T + d m^T + d d^T for the target shift d."""
+    n = cfg.n_agents
+    rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
+    sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
+    l = rx.shape[-1]
+    pairs = ((0, 0), (1, 1), (0, 1))
+
+    def per_agent(om, weights):
+        return np.einsum("kikj,kji->k", om.reshape(n, l, n, l), weights)
+
+    rows = {name: [] for name in ("msd1", "msd2", "cross", "combined",
+                                  "emse1", "emse2", "emse12",
+                                  "emse_combined", "gbar", "g2bar")}
+    gbar, g2bar, pbar = np.full(n, 0.5), np.full(n, 0.25), np.zeros(n)
+    m = om = prev = None
+    stages = cfg.schedule.stages
+    for i, (start, target) in enumerate(stages):
+        end = stages[i + 1][0] if i + 1 < len(stages) else cfg.horizon
+        models = [theory.build_component_model(cfg.topology, comp, rx,
+                                               sigma_z2, target)
+                  for comp in cfg.components]
+        eye = np.eye(models[0].kron_len)
+        b = [np.kron(model.bbar, eye) for model in models]
+        r = [model.rbar for model in models]
+        g = {(0, 0): np.kron(models[0].g, eye),
+             (1, 1): np.kron(models[1].g, eye),
+             (0, 1): np.kron(theory.cross_noise_moment(*models), eye)}
+        w = target.reshape(-1)
+        if prev is None:
+            m = [-w, -w]
+            om = {pair: np.outer(w, w) for pair in pairs}
+        else:
+            d = prev - w
+            om = {(a, c): om[a, c] + np.outer(m[a], d) + np.outer(d, m[c])
+                  + np.outer(d, d) for a, c in pairs}
+            m = [m[0] + d, m[1] + d]
+        prev = w
+        for _ in range(start, end):
+            j1, j2, j12 = (per_agent(om[pair], rx) for pair in pairs)
+            dj1, dj2 = j1 - j12, j2 - j12
+            gbar_next, pbar = theory.gamma_mean_step_pn(
+                cfg.combiner, gbar, pbar, dj1, dj2)
+            g2bar_next = theory.gamma_ms_step_pn(
+                cfg.combiner, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
+            rows["emse1"].append(j1.sum())
+            rows["emse2"].append(j2.sum())
+            rows["emse12"].append(j12.sum())
+            rows["emse_combined"].append(np.sum(
+                g2bar * j1 + (1 - 2 * gbar + g2bar) * j2
+                + 2 * (gbar - g2bar) * j12))
+            gbar, g2bar = gbar_next, g2bar_next
+            bm = [b[0] @ m[0], b[1] @ m[1]]
+            om = {(a, c): b[a] @ om[a, c] @ b[c].T - np.outer(bm[a], r[c])
+                  - np.outer(r[a], bm[c]) + np.outer(r[a], r[c]) + g[a, c]
+                  for a, c in pairs}
+            m = [bm[0] - r[0], bm[1] - r[1]]
+            t1, t2, tx = (per_agent(om[pair], np.tile(np.eye(l), (n, 1, 1)))
+                          for pair in pairs)
+            rows["msd1"].append(t1.mean())
+            rows["msd2"].append(t2.mean())
+            rows["cross"].append(tx.mean())
+            rows["combined"].append(np.mean(
+                g2bar * t1 + (1 - 2 * gbar + g2bar) * t2
+                + 2 * (gbar - g2bar) * tx))
+            rows["gbar"].append(gbar)
+            rows["g2bar"].append(g2bar)
+    series = {"msd_network_1": rows["msd1"], "msd_network_2": rows["msd2"],
+              "msd_combined": rows["combined"], "msd_cross": rows["cross"],
+              "emse_network_1": rows["emse1"],
+              "emse_network_2": rows["emse2"],
+              "emse_network_combined": rows["emse_combined"],
+              "emse_network_cross": rows["emse12"]}
+    gammas = np.array(rows["gbar"])
+    squares = np.array(rows["g2bar"])
+    for k in range(n):
+        series[f"gamma_mean_a{k + 1}"] = gammas[:, k]
+        series[f"gamma_sq_a{k + 1}"] = squares[:, k]
+    return {name: np.asarray(values) for name, values in series.items()}
 
 
 def multi_config(horizon=30, runs=4):
@@ -591,8 +676,36 @@ class TestTheoryPath:
             starts = [start for start, _ in result.steady]
             assert starts == [0, 20]
             for _, report in result.steady:
-                assert report.om1.shape == (4 * filter_len,) * 2
+                # white regressors: agent-level factors, block means
+                for factor in (report.p1, report.p2, report.px):
+                    assert factor.shape == (4, 4)
+                assert report.m1.shape == (4 * filter_len,)
                 assert report.universality.verdict
+
+    def test_factored_state_matches_raw_moment_oracle(self, monkeypatch):
+        # white regressors at L = 12 over two stages: the factored state
+        # must stay N x N and reproduce the raw NL x NL recursion
+        l = 12
+        targets = np.resize(TARGETS4, (4, l))
+        moved = TargetSchedule(stages=((0, targets), (25, targets - 0.7)))
+        cfg = dataclasses.replace(small_config(horizon=50),
+                                  signal_params=chain_params(l),
+                                  schedule=moved)
+        shapes = []
+
+        def recording_evolve(*args, **kwargs):
+            traj = theory.evolve(*args, **kwargs)
+            shapes.extend(p.shape for p in (traj.state.p1, traj.state.p2,
+                                            traj.state.px))
+            return traj
+
+        monkeypatch.setattr(harness, "evolve", recording_evolve)
+        got = run_theory(cfg)
+        assert shapes == [(4, 4)] * 6
+        for name, want in raw_moment_series(cfg).items():
+            np.testing.assert_allclose(got.series[name], want, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(want)),
+                                       err_msg=name)
 
     def test_multi_scheme_rejected(self):
         with pytest.raises(ValueError, match="two-component"):

@@ -25,7 +25,6 @@ from diffcomb.theory import (
     covariance_step,
     cross_covariance_step,
     cross_noise_moment,
-    emse_from_cov,
     evolve,
     gamma_mean_step_pn,
     gamma_mean_step_sr,
@@ -41,7 +40,7 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
-from diffcomb.theory import _dense_model
+from diffcomb.theory import _build_model, _readout
 
 
 def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
@@ -134,6 +133,26 @@ def scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0):
                          mu=mu, a2=ident)
     return build_component_model(topology, cfg, np.array([[[sx]]]),
                                  np.array([sz]), np.array([[target]]))
+
+
+def raw_moment(m1, m2, p):
+    """E{v1 v2^T} = p kron I + m1 m2^T from a centered factor."""
+    return np.kron(p, np.eye(m1.shape[0] // p.shape[0])) + np.outer(m1, m2)
+
+
+def state_moments(state):
+    """A moment state with its covariances rebuilt as raw NL x NL moments."""
+    return {"m1": state.m1, "m2": state.m2,
+            "om1": raw_moment(state.m1, state.m1, state.p1),
+            "om2": raw_moment(state.m2, state.m2, state.p2),
+            "omx": raw_moment(state.m1, state.m2, state.px),
+            "gbar": state.gbar, "g2bar": state.g2bar, "pbar": state.pbar}
+
+
+def excess_errors(om, rx):
+    """Per-agent tr(R_{x,k} Om_kk) of a dense second moment."""
+    zero = np.zeros(om.shape[0])
+    return _readout(np.asarray(rx, dtype=float), zero, zero, om)
 
 
 def vec_col(mat):
@@ -376,12 +395,12 @@ class TestVecFormEquivalence:
         sigma = a @ a.T + 0.5 * np.eye(model.block_dim)
         steps = 120
         xi_vec = weighted_norm_curve(model, sigma, steps)
-        m = -model.w_star.copy()
-        om = np.outer(model.w_star, model.w_star)
+        state = initial_moments(model, model)
+        m, p = state.m1, state.p1
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            xi_mat[t] = np.sum(sigma * om)
-            om = covariance_step(model, m, om)
+            xi_mat[t] = np.sum(sigma * raw_moment(m, m, p))
+            p = covariance_step(model, p)
             m = mean_step(model, m)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
@@ -395,13 +414,12 @@ class TestVecFormEquivalence:
         steps = 120
         xi_vec = cross_norm_curve(model1, model2, sigma, steps)
         gx = cross_noise_moment(model1, model2)
-        m1 = -model1.w_star.copy()
-        m2 = -model2.w_star.copy()
-        omx = np.outer(model1.w_star, model2.w_star)
+        state = initial_moments(model1, model2)
+        m1, m2, px = state.m1, state.m2, state.px
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            xi_mat[t] = np.sum(sigma * omx)
-            omx = cross_covariance_step(model1, model2, m1, m2, omx, gx=gx)
+            xi_mat[t] = np.sum(sigma * raw_moment(m1, m2, px))
+            px = cross_covariance_step(model1, model2, px, gx=gx)
             m1 = mean_step(model1, m1)
             m2 = mean_step(model2, m2)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
@@ -412,33 +430,32 @@ class TestCovarianceRecursion:
     def test_result_is_exactly_symmetric(self):
         model = random_model(40, n=3, l=2)
         rng = np.random.default_rng(40)
-        om = np.outer(model.w_star, model.w_star)
-        m = -model.w_star + rng.normal(size=model.block_dim) * 0.1
-        out = covariance_step(model, m, om)
+        a = rng.normal(size=(model.block_dim,) * 2)
+        out = covariance_step(model, a @ a.T)
         np.testing.assert_array_equal(out, out.T)
 
     def test_zero_noise_zero_drift_stays_zero(self):
         topology, cfg, rx, _, w = random_setup(41, n=3, l=1, single_task=True)
         model = build_component_model(topology, cfg, rx, 0.0, w)
-        om = np.zeros((model.block_dim,) * 2)
+        p = np.zeros((model.block_dim,) * 2)
         m = np.zeros(model.block_dim)
-        out = covariance_step(model, m, om)
+        m = mean_step(model, m)
+        out = raw_moment(m, m, covariance_step(model, p))
         # the shared-target drift cancels only to roundoff (~1e-17) and
         # enters squared, so the result is zero at the 1e-32 scale
         assert np.max(np.abs(out)) < 1e-30
 
     def test_identical_pair_cross_tracks_auto(self):
         model = random_model(42, n=3, l=2)
-        m = -model.w_star.copy()
-        om = np.outer(model.w_star, model.w_star)
-        omx = om.copy()
+        state = initial_moments(model, model)
+        m, p, px = state.m1, state.p1, state.px
         gx = cross_noise_moment(model, model)
         for _ in range(60):
-            om_next = covariance_step(model, m, om)
-            omx = cross_covariance_step(model, model, m, m, omx, gx=gx)
-            om = om_next
+            p, px = (covariance_step(model, p),
+                     cross_covariance_step(model, model, px, gx=gx))
             m = mean_step(model, m)
-        np.testing.assert_allclose(omx, om, rtol=1e-10,
+        om = raw_moment(m, m, p)
+        np.testing.assert_allclose(raw_moment(m, m, px), om, rtol=1e-10,
                                    atol=1e-13 * np.max(np.abs(om)))
 
     def test_joint_moment_stays_psd(self):
@@ -446,38 +463,35 @@ class TestCovarianceRecursion:
         # must remain PSD along the coupled recursions
         model1, model2 = random_model_pair(43, n=3, l=2)
         nl = model1.block_dim
-        m1 = -model1.w_star.copy()
-        m2 = -model2.w_star.copy()
-        om1 = np.outer(model1.w_star, model1.w_star)
-        om2 = om1.copy()
-        omx = om1.copy()
+        state = initial_moments(model1, model2)
+        m1, m2, p1, p2, px = (state.m1, state.m2, state.p1, state.p2,
+                              state.px)
         gx = cross_noise_moment(model1, model2)
         joint = np.empty((2 * nl, 2 * nl))
         for _ in range(200):
-            om1, om2, omx = (
-                covariance_step(model1, m1, om1),
-                covariance_step(model2, m2, om2),
-                cross_covariance_step(model1, model2, m1, m2, omx, gx=gx),
+            p1, p2, px = (
+                covariance_step(model1, p1),
+                covariance_step(model2, p2),
+                cross_covariance_step(model1, model2, px, gx=gx),
             )
             m1 = mean_step(model1, m1)
             m2 = mean_step(model2, m2)
-            joint[:nl, :nl] = om1
-            joint[nl:, nl:] = om2
-            joint[:nl, nl:] = omx
-            joint[nl:, :nl] = omx.T
+            joint[:nl, :nl] = raw_moment(m1, m1, p1)
+            joint[nl:, nl:] = raw_moment(m2, m2, p2)
+            joint[:nl, nl:] = raw_moment(m1, m2, px)
+            joint[nl:, :nl] = joint[:nl, nl:].T
             scale = np.max(np.abs(joint))
             assert np.min(np.linalg.eigvalsh(joint)) >= -1e-9 * scale
 
     def test_cross_step_rejects_bad_shape(self):
         model1, model2 = random_model_pair(44, n=3, l=1)
-        m = np.zeros(3)
         with pytest.raises(ValueError, match="mismatched dimensions"):
-            cross_covariance_step(model1, model2, m, m, np.zeros((3, 4)))
+            cross_covariance_step(model1, model2, np.zeros((3, 4)))
 
 
 class TestExcessErrors:
     def test_scalar_value(self):
-        out = emse_from_cov(np.array([[0.2]]), np.array([[[2.0]]]))
+        out = excess_errors(np.array([[0.2]]), np.array([[[2.0]]]))
         np.testing.assert_allclose(out, [0.4], rtol=1e-15)
 
     def test_reads_diagonal_blocks_only(self):
@@ -488,7 +502,11 @@ class TestExcessErrors:
         rx = random_spd_covariances(rng, n, l)
         expected = [np.trace(rx[k] @ om[k * l:(k + 1) * l, k * l:(k + 1) * l])
                     for k in range(n)]
-        np.testing.assert_allclose(emse_from_cov(om, rx), expected, rtol=1e-13)
+        np.testing.assert_allclose(excess_errors(om, rx), expected, rtol=1e-13)
+        # the same moment split into a centered factor and a mean part
+        m1, m2 = rng.normal(size=(2, n * l))
+        np.testing.assert_allclose(
+            _readout(rx, m1, m2, om - np.outer(m1, m2)), expected, rtol=1e-12)
 
     def test_block_permutation_consistency(self):
         rng = np.random.default_rng(51)
@@ -498,8 +516,8 @@ class TestExcessErrors:
         rx = random_spd_covariances(rng, n, l)
         perm = rng.permutation(n)
         idx = (perm[:, None] * l + np.arange(l)).reshape(-1)
-        permuted = emse_from_cov(om[np.ix_(idx, idx)], rx[perm])
-        np.testing.assert_allclose(permuted, emse_from_cov(om, rx)[perm],
+        permuted = excess_errors(om[np.ix_(idx, idx)], rx[perm])
+        np.testing.assert_allclose(permuted, excess_errors(om, rx)[perm],
                                    rtol=1e-13)
 
     @settings(deadline=None, max_examples=40)
@@ -512,9 +530,9 @@ class TestExcessErrors:
         a = rng.normal(size=(2 * nl, 2 * nl))
         joint = a @ a.T
         rx = random_spd_covariances(rng, n, l)
-        j1 = emse_from_cov(joint[:nl, :nl], rx)
-        j2 = emse_from_cov(joint[nl:, nl:], rx)
-        j12 = emse_from_cov(joint[:nl, nl:], rx)
+        j1 = excess_errors(joint[:nl, :nl], rx)
+        j2 = excess_errors(joint[nl:, nl:], rx)
+        j12 = excess_errors(joint[:nl, nl:], rx)
         assert np.all(np.abs(j12) <= np.sqrt(j1 * j2) + 1e-9)
 
 
@@ -684,8 +702,8 @@ class TestCombinedDeviation:
         om1 = np.asarray(om1, float)
         n = np.shape(gbar)[0]
         return MomentState(m1=np.zeros(om1.shape[0]), m2=np.zeros(om1.shape[0]),
-                           om1=om1, om2=np.asarray(om2, float),
-                           omx=np.asarray(omx, float),
+                           p1=om1, p2=np.asarray(om2, float),
+                           px=np.asarray(omx, float),
                            gbar=np.asarray(gbar, float),
                            g2bar=np.asarray(g2bar, float), pbar=np.zeros(n))
 
@@ -730,29 +748,33 @@ class TestShiftTargets:
         rng = np.random.default_rng(70)
         a1, b1, a2, b2 = rng.normal(size=(4, 4))
         p = 0.3
+        m1 = p * a1 + (1 - p) * b1
+        m2 = p * a2 + (1 - p) * b2
         state = MomentState(
-            m1=p * a1 + (1 - p) * b1,
-            m2=p * a2 + (1 - p) * b2,
-            om1=p * np.outer(a1, a1) + (1 - p) * np.outer(b1, b1),
-            om2=p * np.outer(a2, a2) + (1 - p) * np.outer(b2, b2),
-            omx=p * np.outer(a1, a2) + (1 - p) * np.outer(b1, b2),
+            m1=m1, m2=m2,
+            p1=p * np.outer(a1, a1) + (1 - p) * np.outer(b1, b1)
+            - np.outer(m1, m1),
+            p2=p * np.outer(a2, a2) + (1 - p) * np.outer(b2, b2)
+            - np.outer(m2, m2),
+            px=p * np.outer(a1, a2) + (1 - p) * np.outer(b1, b2)
+            - np.outer(m1, m2),
             gbar=np.array([0.4, 0.6]), g2bar=np.array([0.2, 0.5]),
             pbar=np.array([0.1, 0.3]))
         delta = rng.normal(size=4)
         shifted = shift_targets(state, delta)
         np.testing.assert_allclose(shifted.m1, p * (a1 + delta) + (1 - p) * (b1 + delta), rtol=1e-12)
         np.testing.assert_allclose(
-            shifted.om1,
+            raw_moment(shifted.m1, shifted.m1, shifted.p1),
             p * np.outer(a1 + delta, a1 + delta)
             + (1 - p) * np.outer(b1 + delta, b1 + delta),
             rtol=1e-12)
         np.testing.assert_allclose(
-            shifted.om2,
+            raw_moment(shifted.m2, shifted.m2, shifted.p2),
             p * np.outer(a2 + delta, a2 + delta)
             + (1 - p) * np.outer(b2 + delta, b2 + delta),
             rtol=1e-12)
         np.testing.assert_allclose(
-            shifted.omx,
+            raw_moment(shifted.m1, shifted.m2, shifted.px),
             p * np.outer(a1 + delta, a2 + delta)
             + (1 - p) * np.outer(b1 + delta, b2 + delta),
             rtol=1e-12)
@@ -764,7 +786,7 @@ class TestShiftTargets:
         model = random_model(71, n=2, l=2)
         state = initial_moments(model, model)
         shifted = shift_targets(state, np.zeros(model.block_dim))
-        np.testing.assert_array_equal(shifted.om1, state.om1)
+        np.testing.assert_array_equal(shifted.p1, state.p1)
         np.testing.assert_array_equal(shifted.m1, state.m1)
 
 
@@ -778,9 +800,9 @@ class TestEvolve:
         state = initial_moments(model1, model2)
         gx = cross_noise_moment(model1, model2)
         for t in range(3):
-            j1 = emse_from_cov(state.om1, model1.rx)
-            j2 = emse_from_cov(state.om2, model1.rx)
-            j12 = emse_from_cov(state.omx, model1.rx)
+            j1 = _readout(model1.rx, state.m1, state.m1, state.p1)
+            j2 = _readout(model1.rx, state.m2, state.m2, state.p2)
+            j12 = _readout(model1.rx, state.m1, state.m2, state.px)
             np.testing.assert_array_equal(traj.emse1[t], j1)
             np.testing.assert_array_equal(traj.emse2[t], j2)
             np.testing.assert_array_equal(traj.emse12[t], j12)
@@ -791,16 +813,16 @@ class TestEvolve:
             state = MomentState(
                 m1=mean_step(model1, state.m1),
                 m2=mean_step(model2, state.m2),
-                om1=covariance_step(model1, state.m1, state.om1),
-                om2=covariance_step(model2, state.m2, state.om2),
-                omx=cross_covariance_step(model1, model2, state.m1, state.m2,
-                                          state.omx, gx=gx),
+                p1=covariance_step(model1, state.p1),
+                p2=covariance_step(model2, state.p2),
+                px=cross_covariance_step(model1, model2, state.px, gx=gx),
                 gbar=gbar, g2bar=g2bar, pbar=pbar)
             np.testing.assert_array_equal(traj.gbar[t], state.gbar)
             np.testing.assert_array_equal(traj.g2bar[t], state.g2bar)
             np.testing.assert_allclose(traj.combined_msd[t],
                                        combined_msd(state), rtol=1e-13)
-        np.testing.assert_array_equal(traj.state.om1, state.om1)
+        np.testing.assert_array_equal(traj.state.m1, state.m1)
+        np.testing.assert_array_equal(traj.state.p1, state.p1)
 
     def test_identical_components_freeze_coefficient(self):
         model = random_model(81, n=3, l=1)
@@ -870,27 +892,28 @@ class TestSteadyState:
                               for cfg in cfgs)
             assert model1.kron_len == 2
         report = steady_state(model1, model2, pn_cfg())
-        m1 = -model1.w_star.copy()
-        m2 = -model2.w_star.copy()
-        om1 = np.outer(model1.w_star, model1.w_star)
-        om2 = om1.copy()
-        omx = om1.copy()
+        state = initial_moments(model1, model2)
+        m1, m2, p1, p2, px = (state.m1, state.m2, state.p1, state.p2,
+                              state.px)
         gx = cross_noise_moment(model1, model2)
         for _ in range(30_000):
-            om1, om2, omx = (
-                covariance_step(model1, m1, om1),
-                covariance_step(model2, m2, om2),
-                cross_covariance_step(model1, model2, m1, m2, omx, gx=gx),
+            p1, p2, px = (
+                covariance_step(model1, p1),
+                covariance_step(model2, p2),
+                cross_covariance_step(model1, model2, px, gx=gx),
             )
             m1 = mean_step(model1, m1)
             m2 = mean_step(model2, m2)
         np.testing.assert_allclose(report.m1, m1, rtol=1e-8, atol=1e-12)
-        scale = np.max(np.abs(report.om1))
-        np.testing.assert_allclose(report.om1, om1, rtol=1e-8,
+        rep_om1 = raw_moment(report.m1, report.m1, report.p1)
+        scale = np.max(np.abs(rep_om1))
+        np.testing.assert_allclose(rep_om1, raw_moment(m1, m1, p1), rtol=1e-8,
                                    atol=1e-8 * scale)
-        np.testing.assert_allclose(report.om2, om2, rtol=1e-8,
+        np.testing.assert_allclose(raw_moment(report.m2, report.m2, report.p2),
+                                   raw_moment(m2, m2, p2), rtol=1e-8,
                                    atol=1e-8 * scale)
-        np.testing.assert_allclose(report.omx, omx, rtol=1e-8,
+        np.testing.assert_allclose(raw_moment(report.m1, report.m2, report.px),
+                                   raw_moment(m1, m2, px), rtol=1e-8,
                                    atol=1e-8 * scale)
 
     def test_fixed_point_at_block_dimension_500(self):
@@ -903,12 +926,16 @@ class TestSteadyState:
                           for comp in cfg.components)
         assert model1.block_dim == 500 and model1.bbar.shape == (10, 10)
         rep = steady_state(model1, model2, cfg.combiner)
+        m1, m2 = mean_step(model1, rep.m1), mean_step(model2, rep.m2)
         for got, want in (
-                (mean_step(model1, rep.m1), rep.m1),
-                (covariance_step(model1, rep.m1, rep.om1), rep.om1),
-                (covariance_step(model2, rep.m2, rep.om2), rep.om2),
-                (cross_covariance_step(model1, model2, rep.m1, rep.m2,
-                                       rep.omx), rep.omx)):
+                (m1, rep.m1),
+                (raw_moment(m1, m1, covariance_step(model1, rep.p1)),
+                 raw_moment(rep.m1, rep.m1, rep.p1)),
+                (raw_moment(m2, m2, covariance_step(model2, rep.p2)),
+                 raw_moment(rep.m2, rep.m2, rep.p2)),
+                (raw_moment(m1, m2, cross_covariance_step(model1, model2,
+                                                          rep.px)),
+                 raw_moment(rep.m1, rep.m2, rep.px))):
             np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(want)))
 
@@ -1070,16 +1097,16 @@ def white_pair(seed, n, l):
 
 
 class TestKronFactoredPath:
-    """White regressors take the Kronecker-factored path; the dense
-    builder, whose factors are the full NL x NL matrices, serves as the
-    oracle."""
+    """White regressors take the Kronecker-factored path; the same
+    builder at factor block size m = L, whose factors are the full
+    NL x NL matrices, serves as the oracle."""
 
     @staticmethod
     def models(seed, n, l):
         topology, cfgs, rx, sigma_z2, w = white_pair(seed, n, l)
         fast = [build_component_model(topology, cfg, rx, sigma_z2, w)
                 for cfg in cfgs]
-        dense = [_dense_model(n, l, cfg, rx, sigma_z2, w) for cfg in cfgs]
+        dense = [_build_model(n, l, l, cfg, rx, sigma_z2, w) for cfg in cfgs]
         return fast, dense
 
     @pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 2), (5, 7)])
@@ -1122,32 +1149,36 @@ class TestKronFactoredPath:
             np.testing.assert_allclose(
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
-        for name in ("m1", "m2", "om1", "om2", "omx", "gbar", "g2bar",
-                     "pbar"):
-            a, b = getattr(got.state, name), getattr(want.state, name)
+
+        oracle = state_moments(want.state)
+        for name, a in state_moments(got.state).items():
+            b = oracle[name]
             np.testing.assert_allclose(
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
-        np.testing.assert_array_equal(got.state.om1, got.state.om1.T)
+        assert got.state.p1.shape == (n, n)
+        np.testing.assert_array_equal(got.state.p1, got.state.p1.T)
         assert got.degenerate_steps == want.degenerate_steps
 
     def test_direct_steps_match_dense_steps(self):
         fast, dense = self.models(7, 4, 3)
         rng = np.random.default_rng(7)
-        nl = 12
-        a = rng.normal(size=(nl, nl))
-        om = a @ a.T
-        omx = rng.normal(size=(nl, nl))
-        m1, m2 = rng.normal(size=nl), rng.normal(size=nl)
+        n, nl = 4, 12
+        eye = np.eye(3)
+        a = rng.normal(size=(n, n))
+        p = a @ a.T
+        px = rng.normal(size=(n, n))
+        m1 = rng.normal(size=nl)
         for model, oracle in zip(fast, dense):
             np.testing.assert_allclose(mean_step(model, m1),
                                        mean_step(oracle, m1), rtol=1e-12)
-            np.testing.assert_allclose(covariance_step(model, m1, om),
-                                       covariance_step(oracle, m1, om),
-                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(
+                np.kron(covariance_step(model, p), eye),
+                covariance_step(oracle, np.kron(p, eye)),
+                rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(
-            cross_covariance_step(*fast, m1, m2, omx),
-            cross_covariance_step(*dense, m1, m2, omx),
+            np.kron(cross_covariance_step(*fast, px), eye),
+            cross_covariance_step(*dense, np.kron(px, eye)),
             rtol=1e-12, atol=1e-14)
 
     def test_colored_regressors_stay_dense(self):
