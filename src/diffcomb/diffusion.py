@@ -5,6 +5,9 @@ neighborhood pre-combination (through A1), an LMS adaptation driven by
 shared data (through C), and neighborhood post-combination (through A2).
 A1 = I gives adapt-then-combine, A2 = I gives combine-then-adapt.  A2
 may also be refreshed every step by one of two data-driven rules.
+Whether A1 and C are the identity is decided once, when the
+configuration is built; a step then skips the pre-combination and uses
+each agent's own datum without testing the matrices again.
 
 All state arrays carry an arbitrary leading batch shape (used by the
 harness to advance a block of Monte Carlo runs at once); agents occupy
@@ -13,7 +16,7 @@ axis -2 and taps axis -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +35,7 @@ class StrategyConfig:
     ``a2`` is required in static mode and ignored otherwise; ``tau``
     holds the per-agent forgetting factors of the relative-variance
     rule.  ``mu`` broadcasts a scalar step-size across agents.
+    ``a1_identity`` and ``c_identity`` are derived from the matrices.
     """
 
     topology: Topology
@@ -41,6 +45,8 @@ class StrategyConfig:
     a2: StochasticMatrix | None = None
     a2_mode: str = "static"
     tau: np.ndarray | None = None
+    a1_identity: bool = field(init=False)
+    c_identity: bool = field(init=False)
 
     def __post_init__(self):
         n = self.topology.n_agents
@@ -69,6 +75,9 @@ class StrategyConfig:
                 raise ValueError("forgetting factors must lie in (0, 1)")
             tau.setflags(write=False)
             object.__setattr__(self, "tau", tau)
+        eye = np.eye(n)
+        object.__setattr__(self, "a1_identity", np.array_equal(self.a1.entries, eye))
+        object.__setattr__(self, "c_identity", np.array_equal(self.c.entries, eye))
 
     @property
     def n_agents(self) -> int:
@@ -114,9 +123,9 @@ def init_state(cfg: StrategyConfig, filter_len: int, batch_shape=()) -> Strategy
     return StrategyState(w=np.zeros(shape), a2=a2, zeta2=zeta2)
 
 
-def errors_and_outputs(st: StrategyState, batch: SampleBatch) -> ErrorReport:
-    """Outputs and errors of the current estimates against a batch."""
-    x, w = batch.regressors, st.w
+def errors_and_outputs(w: np.ndarray, batch: SampleBatch) -> ErrorReport:
+    """Outputs and errors of estimates w (..., N, L) against a batch."""
+    x = batch.regressors
     y = np.einsum("...kl,...kl->...k", x, w)
     e = batch.references - y
     e_tilde = np.einsum("...kl,kl->...k", x, batch.targets) - y
@@ -173,17 +182,16 @@ def step(cfg: StrategyConfig, st: StrategyState, batch: SampleBatch) -> Strategy
         raise ValueError(
             f"batch shape {x.shape} does not match state {st.w.shape}"
         )
-    a1 = cfg.a1.entries
-    phi = np.einsum("lk,...ld->...kd", a1, st.w)
+    phi = st.w if cfg.a1_identity else cfg.a1.entries.T @ st.w
 
-    c = cfg.c.entries
     mu_col = cfg.mu[:, None]
-    if np.array_equal(c, np.eye(cfg.n_agents)):
+    if cfg.c_identity:
         err = d - np.einsum("...kl,...kl->...k", x, phi)
         psi = phi + mu_col * err[..., None] * x
     else:
-        cross = d[..., :, None] - np.einsum("...ld,...kd->...lk", x, phi)
-        psi = phi + mu_col * np.einsum("lk,...lk,...ld->...kd", c, cross, x)
+        # cross[l, k] = d_l - x_l' phi_k, weighted by c_lk and summed over l
+        cross = d[..., :, None] - x @ np.swapaxes(phi, -1, -2)
+        psi = phi + mu_col * (np.swapaxes(cfg.c.entries * cross, -1, -2) @ x)
 
     zeta2 = st.zeta2
     if cfg.a2_mode == "adaptive_projection":
@@ -195,10 +203,7 @@ def step(cfg: StrategyConfig, st: StrategyState, batch: SampleBatch) -> Strategy
     else:
         a2 = st.a2
 
-    if a2.ndim == 2:
-        w = np.einsum("lk,...ld->...kd", a2, psi)
-    else:
-        w = np.einsum("...lk,...ld->...kd", a2, psi)
+    w = np.swapaxes(a2, -1, -2) @ psi
     return StrategyState(w=w, a2=a2, zeta2=zeta2)
 
 

@@ -31,7 +31,7 @@ from .combine import (
     pn_update,
     sr_update,
 )
-from .diffusion import StrategyConfig, init_state, step
+from .diffusion import StrategyConfig, errors_and_outputs, init_state, step
 from .graph import StochasticMatrix, Topology, build_preset, read_edge_list, static_rule
 from .signal import (
     AgentSignalParams,
@@ -448,90 +448,60 @@ def series_names(cfg: ExperimentConfig) -> list:
     return names
 
 
-def _simulate_chunk(cfg: ExperimentConfig, run_indices) -> dict:
-    """Advance one block of runs and return per-step sums over the block."""
-    n, l = cfg.n_agents, cfg.filter_len
-    m = len(cfg.components)
-    pair = cfg.combiner.scheme != "multi_sign"
-    r = len(run_indices)
-    t_max = cfg.horizon
+def _power_sums(parts, pair) -> list:
+    """Sum of squares of each part (components, then their combination),
+    then the cross sum of the two components of a pair."""
+    sums = [np.sum(part * part) for part in parts]
+    if pair:
+        sums.append(np.sum(parts[0] * parts[1]))
+    return sums
 
+
+def _simulate_chunk(cfg: ExperimentConfig, run_indices) -> np.ndarray:
+    """Advance one block of runs and return per-step sums over the block,
+    a (horizon, series) table in series_names order."""
+    n = cfg.n_agents
+    pair = cfg.combiner.scheme != "multi_sign"
+    if pair:
+        update = (pn_update if cfg.combiner.scheme == "power_normalized"
+                  else sr_update)
+
+        def driver(reports):
+            return reports[0].y - reports[1].y
+    else:
+        update = multi_update
+
+        def driver(reports):
+            return np.stack([rep.e for rep in reports[:-1]], axis=-2)
+
+    r = len(run_indices)
     sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
                              run_indices)
-    states = [init_state(comp, l, batch_shape=(r,)) for comp in cfg.components]
+    states = [init_state(comp, cfg.filter_len, batch_shape=(r,))
+              for comp in cfg.components]
     comb = init_combiner(cfg.combiner, n, batch_shape=(r,))
     if cfg.gamma_init is not None:
         comb.gamma = np.full_like(comb.gamma, float(cfg.gamma_init))
 
-    msd_comp = np.empty((t_max, m))
-    emse_comp = np.empty((t_max, m))
-    msd_comb = np.empty(t_max)
-    emse_comb = np.empty(t_max)
-    msd_cross = np.empty(t_max) if pair else None
-    emse_cross = np.empty(t_max) if pair else None
-    gamma_shape = (t_max, n) if pair else (t_max, m, n)
-    gamma_mean = np.empty(gamma_shape)
-    gamma_sq = np.empty(gamma_shape)
-
-    for t in range(t_max):
+    # the component estimates, then their combination
+    estimates = [st.w for st in states]
+    estimates.append(combine_weights(comb, estimates))
+    table = np.empty((cfg.horizon, len(series_names(cfg))))
+    for t in range(cfg.horizon):
         batch = sampler.step()
-        x, d = batch.regressors, batch.references
-        ys = np.stack(
-            [np.einsum("rkl,rkl->rk", x, st.w) for st in states], axis=1)
-        xw = np.einsum("rkl,kl->rk", x, batch.targets)
-
-        if pair:
-            g = comb.gamma
-            y_c = g * ys[:, 0] + (1.0 - g) * ys[:, 1]
-        else:
-            y_c = np.einsum("rik,rik->rk", comb.gamma, ys)
-        e_c = d - y_c
-
-        etilde = xw[:, None, :] - ys
-        for i in range(m):
-            emse_comp[t, i] = np.sum(etilde[:, i] ** 2)
-        emse_comb[t] = np.sum((xw - y_c) ** 2)
-        if pair:
-            emse_cross[t] = np.sum(etilde[:, 0] * etilde[:, 1])
-
-        if cfg.combiner.scheme == "power_normalized":
-            comb = pn_update(cfg.combiner, comb, e_c, ys[:, 0] - ys[:, 1])
-        elif cfg.combiner.scheme == "sign_regressor":
-            comb = sr_update(cfg.combiner, comb, e_c, ys[:, 0] - ys[:, 1])
-        else:
-            comb = multi_update(cfg.combiner, comb, e_c, d[:, None, :] - ys)
-
+        reports = [errors_and_outputs(w, batch) for w in estimates]
+        comb = update(cfg.combiner, comb, reports[-1].e, driver(reports))
         states = [step(comp, st, batch)
                   for comp, st in zip(cfg.components, states)]
-
-        devs = [st.w - batch.targets for st in states]
-        for i, dv in enumerate(devs):
-            msd_comp[t, i] = np.sum(dv**2) / n
-        w_c = combine_weights(comb, [st.w for st in states])
-        msd_comb[t] = np.sum((w_c - batch.targets) ** 2) / n
-        if pair:
-            msd_cross[t] = np.sum(devs[0] * devs[1]) / n
-        gamma_mean[t] = comb.gamma.sum(axis=0)
-        gamma_sq[t] = (comb.gamma**2).sum(axis=0)
-
-    sums = {}
-    for i in range(m):
-        sums[f"msd_network_{i + 1}"] = msd_comp[:, i]
-        sums[f"emse_network_{i + 1}"] = emse_comp[:, i]
-    sums["msd_combined"] = msd_comb
-    sums["emse_network_combined"] = emse_comb
-    if pair:
-        sums["msd_cross"] = msd_cross
-        sums["emse_network_cross"] = emse_cross
-        for k in range(n):
-            sums[f"gamma_mean_a{k + 1}"] = gamma_mean[:, k]
-            sums[f"gamma_sq_a{k + 1}"] = gamma_sq[:, k]
-    else:
-        for i in range(m):
-            for k in range(n):
-                sums[f"gamma_mean_c{i + 1}_a{k + 1}"] = gamma_mean[:, i, k]
-                sums[f"gamma_sq_c{i + 1}_a{k + 1}"] = gamma_sq[:, i, k]
-    return {"count": r, "sums": sums}
+        estimates = [st.w for st in states]
+        estimates.append(combine_weights(comb, estimates))
+        devs = [w - batch.targets for w in estimates]
+        table[t] = np.concatenate((
+            np.divide(_power_sums(devs, pair), n),
+            _power_sums([rep.e_tilde for rep in reports], pair),
+            comb.gamma.sum(axis=0).ravel(),
+            (comb.gamma * comb.gamma).sum(axis=0).ravel()))
+    return table
 
 
 def _chunk_worker(payload):
@@ -554,7 +524,9 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
     reruns exactly those seeds (repeats are allowed, which makes the
     degenerate equal-seed aggregate testable).  workers defaults to the
     DIFFCOMB_WORKERS environment variable, then to serial execution.
-    The result is identical for every worker count.
+    The result is identical for every worker count.  A series that is
+    not finite at some instant raises ValueError naming the first such
+    instant and series.
     """
     if run_indices is None:
         run_indices = range(cfg.runs)
@@ -572,40 +544,18 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
         parts = [_simulate_chunk(cfg, chunk) for chunk in chunks]
 
     names = series_names(cfg)
-    totals = {name: np.zeros(cfg.horizon) for name in names}
-    count = 0
+    total = np.zeros((cfg.horizon, len(names)))
     for part in parts:  # chunk order, independent of scheduling
-        count += part["count"]
-        for name in names:
-            totals[name] += part["sums"][name]
-    series = {name: totals[name] / count for name in names}
-    return AggregateResult(horizon=cfg.horizon, runs=count,
-                           n_agents=cfg.n_agents, series=series,
+        total += part
+    bad = np.argwhere(~np.isfinite(total))
+    if bad.size:
+        t, j = bad[0]
+        raise ValueError(f"the simulation diverged: {names[j]} is not "
+                         f"finite at instant {t}")
+    return AggregateResult(horizon=cfg.horizon, runs=len(run_indices),
+                           n_agents=cfg.n_agents,
+                           series=dict(zip(names, total.T / len(run_indices))),
                            seed=cfg.seed, config_hash=cfg.config_hash)
-
-
-def merge_aggregates(parts) -> AggregateResult:
-    """Run-count weighted mean of aggregates from disjoint run batches."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to merge")
-    first = parts[0]
-    for other in parts[1:]:
-        if other.horizon != first.horizon or other.n_agents != first.n_agents:
-            raise ValueError("aggregates describe different experiments")
-        if set(other.series) != set(first.series):
-            raise ValueError("aggregates carry different series")
-    runs = sum(p.runs for p in parts)
-    series = {
-        name: sum(p.series[name] * p.runs for p in parts) / runs
-        for name in first.series
-    }
-    seeds = {p.seed for p in parts}
-    hashes = {p.config_hash for p in parts}
-    return AggregateResult(
-        horizon=first.horizon, runs=runs, n_agents=first.n_agents,
-        series=series, seed=seeds.pop() if len(seeds) == 1 else None,
-        config_hash=hashes.pop() if len(hashes) == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +579,7 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
 
-    msd = np.empty((t_max, 2))
-    emse = np.empty((t_max, 2))
-    msd_comb = np.empty(t_max)
-    msd_cross = np.empty(t_max)
-    emse_comb = np.empty(t_max)
-    emse_cross = np.empty(t_max)
-    gamma_mean = np.empty((t_max, n))
-    gamma_sq = np.empty((t_max, n))
-
+    table = np.empty((t_max, len(series_names(cfg))))
     state = None
     prev_target = None
     gamma0 = 0.5 if cfg.gamma_init is None else float(cfg.gamma_init)
@@ -659,44 +601,24 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
             state = shift_targets(
                 state, prev_target.reshape(-1) - target.reshape(-1))
         traj = evolve(model1, model2, cfg.combiner, end - start, state=state)
-        rows = slice(start, end)
-        msd[rows, 0] = traj.msd1
-        msd[rows, 1] = traj.msd2
-        msd_comb[rows] = traj.combined_msd
-        msd_cross[rows] = traj.cross_msd
-        emse[rows, 0] = np.sum(traj.emse1, axis=1)
-        emse[rows, 1] = np.sum(traj.emse2, axis=1)
-        emse_cross[rows] = np.sum(traj.emse12, axis=1)
         # the combined error at an instant mixes with the coefficient
         # moments produced one update earlier
         gp = np.vstack([g_prev, traj.gbar[:-1]])
         g2p = np.vstack([g2_prev, traj.g2bar[:-1]])
-        emse_comb[rows] = np.sum(
-            g2p * traj.emse1 + (1.0 - 2.0 * gp + g2p) * traj.emse2
-            + 2.0 * (gp - g2p) * traj.emse12, axis=1)
-        gamma_mean[rows] = traj.gbar
-        gamma_sq[rows] = traj.g2bar
+        emse_comb = (g2p * traj.emse1 + (1.0 - 2.0 * gp + g2p) * traj.emse2
+                     + 2.0 * (gp - g2p) * traj.emse12)
+        emse = (traj.emse1, traj.emse2, emse_comb, traj.emse12)
+        table[start:end] = np.column_stack((
+            traj.msd1, traj.msd2, traj.combined_msd, traj.cross_msd,
+            *(np.sum(e, axis=1) for e in emse), traj.gbar, traj.g2bar))
         g_prev, g2_prev = traj.gbar[-1], traj.g2bar[-1]
         state = traj.state
         prev_target = target
         steady_entries.append(
             (start, steady_state(model1, model2, cfg.combiner)))
 
-    series = {
-        "msd_network_1": msd[:, 0],
-        "msd_network_2": msd[:, 1],
-        "msd_combined": msd_comb,
-        "msd_cross": msd_cross,
-        "emse_network_1": emse[:, 0],
-        "emse_network_2": emse[:, 1],
-        "emse_network_combined": emse_comb,
-        "emse_network_cross": emse_cross,
-    }
-    for k in range(n):
-        series[f"gamma_mean_a{k + 1}"] = gamma_mean[:, k]
-    for k in range(n):
-        series[f"gamma_sq_a{k + 1}"] = gamma_sq[:, k]
-    return TheoryResult(horizon=t_max, n_agents=n, series=series,
+    return TheoryResult(horizon=t_max, n_agents=n,
+                        series=dict(zip(series_names(cfg), table.T)),
                         steady=tuple(steady_entries),
                         config_hash=cfg.config_hash)
 

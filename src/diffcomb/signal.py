@@ -252,39 +252,39 @@ class ChunkedSampler:
             raise ValueError("ar1 regressors require filter_len = 2")
         self._n = 0
         self._cursor = self.block_len  # force a refill on first step
+        self._ar_last = None
         self._reg_block = None
         self._noise_block = None
 
     def _refill(self):
-        n_runs, n_agents = len(self.runs), self.n_agents
-        b, L = self.block_len, self.filter_len
-        reg = np.empty((b, n_runs, n_agents, L))
-        noise = np.empty((b, n_runs, n_agents))
-        for i in range(n_runs):
-            for k in range(n_agents):
-                state = self._states[i][k]
-                if self._ar_mask[k]:
-                    if state.ar_prev is None:
-                        seq = state.regressor_rng.standard_normal(b + 1)
-                        state.ar_prev = float(np.sqrt(self._sx[k]) * seq[0])
-                        innov = seq[1:]
-                    else:
-                        innov = state.regressor_rng.standard_normal(b)
-                    scale = np.sqrt(0.75 * self._sx[k])
-                    prev = state.ar_prev
-                    for t in range(b):
-                        x_new = AR1_COEFF * prev + scale * innov[t]
-                        reg[t, i, k, 0] = x_new
-                        reg[t, i, k, 1] = prev
-                        prev = x_new
-                    state.ar_prev = float(prev)
-                else:
+        n_runs, b, L = len(self.runs), self.block_len, self.filter_len
+        reg = np.empty((b, n_runs, self.n_agents, L))
+        noise = np.empty((b, n_runs, self.n_agents))
+        ar = np.flatnonzero(self._ar_mask)
+        # per AR(1) stream: row 0 its last value (on the very first block,
+        # the stream's first normal), rows 1..b its innovations, which the
+        # recursion below overwrites in place with the new values
+        xs = np.empty((b + 1, n_runs, ar.size))
+        first = self._ar_last is None
+        for i, states in enumerate(self._states):
+            for k, state in enumerate(states):
+                if not self._ar_mask[k]:
                     reg[:, i, k] = np.sqrt(self._sx[k]) * (
                         state.regressor_rng.standard_normal((b, L))
                     )
                 noise[:, i, k] = np.sqrt(self._sz[k]) * (
                     state.noise_rng.standard_normal(b)
                 )
+            for j, k in enumerate(ar):
+                xs[1 - first:, i, j] = states[k].regressor_rng.standard_normal(
+                    b + first)
+        xs[0] = np.sqrt(self._sx[ar]) * xs[0] if first else self._ar_last
+        scale = np.sqrt(0.75 * self._sx[ar])
+        for t in range(b):
+            xs[t + 1] = AR1_COEFF * xs[t] + scale * xs[t + 1]
+        reg[:, :, ar, 0] = xs[1:]
+        reg[:, :, ar, 1] = xs[:-1]
+        self._ar_last = xs[b].copy()
         self._reg_block = reg
         self._noise_block = noise
         self._cursor = 0

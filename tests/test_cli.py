@@ -102,6 +102,20 @@ class TestSimulate:
                      "--workers", "3"]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_divergence_exits_one_without_output(self, tmp_path, capsys):
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / "universality_fast_pn.json").read_text())
+        for comp in raw["components"]:
+            comp["mu"] = 3.0
+        raw["horizon"] = 200
+        path, out = tmp_path / "fast.json", tmp_path / "sim.csv"
+        path.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            assert main(["simulate", str(path), "-o", str(out)]) == 1
+        assert "not finite at instant 89" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output(self, config_path, tmp_path):
         out = tmp_path / "no" / "dir" / "sim.csv"
         assert main(["simulate", str(config_path), "-o", str(out)]) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffcomb.diffusion import (
     StrategyConfig,
@@ -158,6 +159,84 @@ class TestStep:
         assert np.all(np.diff(block_means) <= 0)
 
 
+def random_stochastic(rng, n, role):
+    """Positive combination matrix on a complete graph: columns sum to one
+    for role "left", rows for role "right"."""
+    m = rng.uniform(0.1, 1.0, (n, n))
+    axis = 0 if role == "left" else 1
+    return StochasticMatrix(m / m.sum(axis=axis, keepdims=True), role)
+
+
+def paper_step(cfg, w, x, d, a2_of_psi):
+    """One instant for one batch entry, agent by agent, from the three
+    stages: phi_k = sum_l a1_lk w_l; psi_k = phi_k + mu_k sum_l c_lk x_l
+    (d_l - x_l' phi_k); w_k = sum_l a2_lk psi_l."""
+    n = cfg.n_agents
+    a1, c = cfg.a1.entries, cfg.c.entries
+    phi = [sum(a1[l, k] * w[l] for l in range(n)) for k in range(n)]
+    psi = np.array([
+        phi[k] + cfg.mu[k] * sum(c[l, k] * x[l] * (d[l] - x[l] @ phi[k])
+                                 for l in range(n))
+        for k in range(n)])
+    a2 = a2_of_psi(psi)
+    return np.array([sum(a2[l, k] * psi[l] for l in range(n))
+                     for k in range(n)]), a2
+
+
+class TestStepOracle:
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 4),
+           filter_len=st.integers(1, 3),
+           batch_shape=st.sampled_from([(), (3,)]),
+           a1_random=st.booleans(), c_random=st.booleans(),
+           a2_mode=st.sampled_from(["identity", "random", "adaptive_projection",
+                                    "adaptive_relative_variance"]))
+    def test_matches_per_agent_stages(self, seed, n, filter_len, batch_shape,
+                                      a1_random, c_random, a2_mode):
+        rng = np.random.default_rng(seed)
+        t = Topology(n_agents=n, adjacency=np.ones((n, n), dtype=bool))
+        identity = static_rule(t, "identity")
+        a1 = random_stochastic(rng, n, "left") if a1_random else identity
+        c = (random_stochastic(rng, n, "right") if c_random
+             else StochasticMatrix(np.eye(n), "right"))
+        mu = rng.uniform(0.01, 0.5, n)
+        if a2_mode in ("identity", "random"):
+            a2 = random_stochastic(rng, n, "left") if a2_mode == "random" \
+                else identity
+            cfg = StrategyConfig(topology=t, a1=a1, c=c, mu=mu, a2=a2)
+        else:
+            cfg = StrategyConfig(topology=t, a1=a1, c=c, mu=mu, a2_mode=a2_mode,
+                                 tau=rng.uniform(0.05, 0.95, n))
+        assert cfg.a1_identity is not a1_random
+        assert cfg.c_identity is not c_random
+
+        state = init_state(cfg, filter_len, batch_shape=batch_shape)
+        state.w[...] = rng.standard_normal(state.w.shape)
+        if state.zeta2 is not None:
+            state.zeta2[...] = rng.uniform(0.1, 2.0, state.zeta2.shape)
+        x = rng.standard_normal(batch_shape + (n, filter_len))
+        d = rng.standard_normal(batch_shape + (n,))
+        targets = rng.standard_normal((n, filter_len))
+        new = step(cfg, state, batch_of(x, d, targets))
+
+        for idx in np.ndindex(batch_shape):
+            def a2_of_psi(psi):
+                if a2_mode == "adaptive_projection":
+                    return adapt_matrix_projection(
+                        t, psi, batch_of(x[idx], d[idx], targets), cfg.mu)
+                if a2_mode == "adaptive_relative_variance":
+                    return adapt_matrix_relative_variance(
+                        t, psi, state.w[idx], state.zeta2[idx], cfg.tau)[0]
+                return cfg.a2.entries
+
+            w, a2 = paper_step(cfg, state.w[idx], x[idx], d[idx], a2_of_psi)
+            scale = np.abs(w).max()
+            np.testing.assert_allclose(new.w[idx], w, rtol=1e-12,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(new.a2[idx] if new.a2.ndim > 2
+                                       else new.a2, a2, rtol=1e-12)
+
+
 class TestErrors:
     def test_perfect_estimate(self):
         t = single_agent()
@@ -165,7 +244,7 @@ class TestErrors:
         st = init_state(cfg, 2)
         st.w[:] = [[1.0, -1.0]]
         b = batch_of([[2.0, 1.0]], [1.0 + 0.3], [[1.0, -1.0]], z=[0.3])
-        rep = errors_and_outputs(st, b)
+        rep = errors_and_outputs(st.w, b)
         assert rep.e_tilde[0] == pytest.approx(0.0, abs=1e-15)
         assert rep.e[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -175,7 +254,7 @@ class TestErrors:
         st = init_state(cfg, 2)
         st.w[:] = [[0.2, 0.4]]
         b = batch_of([[1.0, 3.0]], [1.0 * 0.6 + 3.0 * -0.1], [[0.6, -0.1]])
-        rep = errors_and_outputs(st, b)
+        rep = errors_and_outputs(st.w, b)
         assert rep.e[0] == rep.e_tilde[0]
 
     def test_hand_example(self):
@@ -183,7 +262,7 @@ class TestErrors:
         cfg = atc_config(t, static_rule(t, "identity"), mu=0.1)
         st = init_state(cfg, 2)  # w = 0
         b = batch_of([[1.0, 1.0]], [1.5], [[1.0, 0.0]], z=[0.5])
-        rep = errors_and_outputs(st, b)
+        rep = errors_and_outputs(st.w, b)
         assert rep.y[0] == 0.0
         assert rep.e_tilde[0] == 1.0
         assert rep.e[0] == 1.5
@@ -200,7 +279,7 @@ class TestErrors:
         st = init_state(cfg, 2, batch_shape=(1,))
         for _ in range(30):
             b = sampler.step()
-            rep = errors_and_outputs(st, b)
+            rep = errors_and_outputs(st.w, b)
             np.testing.assert_allclose(rep.e, rep.e_tilde + b.noises, atol=1e-12)
             st = step(cfg, st, b)
 

@@ -13,9 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from diffcomb import harness, theory
+from diffcomb import combine, harness, theory
 from diffcomb.combine import CombinerConfig
-from diffcomb.diffusion import StrategyConfig, atc_config
+from diffcomb.diffusion import StrategyConfig, atc_config, init_state, step
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import (
     AggregateResult,
@@ -31,7 +31,6 @@ from diffcomb.harness import (
     load_config,
     load_preset_config,
     load_result,
-    merge_aggregates,
     preset_names,
     resolve_config,
     run_monte_carlo,
@@ -40,6 +39,8 @@ from diffcomb.harness import (
 )
 from diffcomb.signal import (
     AgentSignalParams,
+    ChunkedSampler,
+    SampleBatch,
     TargetSchedule,
     load_snr_preset,
     regressor_covariance,
@@ -186,6 +187,53 @@ def multi_config(horizon=30, runs=4):
         components=comps, combiner=combiner,
         horizon=horizon, runs=runs, seed=3,
     )
+
+
+def per_run_series(cfg):
+    """run_monte_carlo's series recomputed one run at a time, with the
+    affine weights of every component spelled out: (gamma, 1 - gamma) for
+    a pair, the M mapped coefficients otherwise."""
+    n, l = cfg.n_agents, cfg.filter_len
+    pair = cfg.combiner.scheme != "multi_sign"
+    rows = []
+    for run in range(cfg.runs):
+        sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
+                                 [run])
+        states = [init_state(comp, l) for comp in cfg.components]
+        comb = combine.init_combiner(cfg.combiner, n)
+        for t in range(cfg.horizon):
+            b = sampler.step()
+            x, d, w = b.regressors[0], b.references[0], b.targets
+            ys = np.array([np.sum(x * s.w, axis=1) for s in states])
+            weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
+                else comb.gamma
+            y_c = np.sum(weights * ys, axis=0)
+            if cfg.combiner.scheme == "power_normalized":
+                comb = combine.pn_update(cfg.combiner, comb, d - y_c,
+                                         ys[0] - ys[1])
+            elif cfg.combiner.scheme == "sign_regressor":
+                comb = combine.sr_update(cfg.combiner, comb, d - y_c,
+                                         ys[0] - ys[1])
+            else:
+                comb = combine.multi_update(cfg.combiner, comb, d - y_c,
+                                            d - ys)
+            states = [step(comp, s, SampleBatch(x, d, b.noises[0], w))
+                      for comp, s in zip(cfg.components, states)]
+            new_weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
+                else comb.gamma
+            w_c = np.sum(new_weights[:, :, None] * [s.w for s in states],
+                         axis=0)
+            devs = [s.w - w for s in states] + [w_c - w]
+            errs = [np.sum(x * w, axis=1) - y for y in [*ys, y_c]]
+            row = [np.sum(v**2) / n for v in devs]
+            if pair:
+                row.append(np.sum(devs[0] * devs[1]) / n)
+            row += [np.sum(e**2) for e in errs]
+            if pair:
+                row.append(np.sum(errs[0] * errs[1]))
+            rows.append(row + list(np.ravel(comb.gamma))
+                        + list(np.ravel(comb.gamma**2)))
+    return np.mean(np.reshape(rows, (cfg.runs, cfg.horizon, -1)), axis=0)
 
 
 def raw_config(**overrides):
@@ -518,23 +566,26 @@ class TestMonteCarlo:
                                        twice.series[name],
                                        rtol=1e-12, atol=1e-14)
 
-    def test_merge_matches_joint_run(self):
-        cfg = small_config(runs=8)
-        full = run_monte_carlo(cfg)
-        parts = [run_monte_carlo(cfg, run_indices=range(0, 4)),
-                 run_monte_carlo(cfg, run_indices=range(4, 8))]
-        merged = merge_aggregates(parts)
-        assert merged.runs == 8
-        assert merged.seed == cfg.seed
-        for name in full.series:
-            np.testing.assert_allclose(merged.series[name],
-                                       full.series[name], rtol=1e-13)
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_preset_runs_finite_and_worker_independent(self, name):
+        # 30 runs make two chunks, so the pool reduces more than one part
+        cfg = dataclasses.replace(load_preset_config(name), horizon=40,
+                                  runs=30)
+        serial = run_monte_carlo(cfg, workers=1)
+        pooled = run_monte_carlo(cfg, workers=2)
+        assert list(serial.series) == series_names(cfg)
+        for key, values in serial.series.items():
+            assert np.all(np.isfinite(values)), key
+            np.testing.assert_array_equal(values, pooled.series[key])
 
-    def test_merge_rejects_mismatched_experiments(self):
-        a = run_monte_carlo(small_config(horizon=10, runs=2))
-        b = run_monte_carlo(small_config(horizon=12, runs=2))
-        with pytest.raises(ValueError, match="different experiments"):
-            merge_aggregates([a, b])
+    def test_divergence_names_first_non_finite_instant(self):
+        # mu = 3 on the fast universality preset: component 2 overflows first
+        cfg = load_preset_config("universality_fast_pn")
+        cfg = dataclasses.replace(cfg, horizon=200, components=[
+            dataclasses.replace(comp, mu=3.0) for comp in cfg.components])
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="msd_network_2 is not finite at instant 89"):
+            run_monte_carlo(cfg)
 
     def test_empty_run_list_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
@@ -559,6 +610,19 @@ class TestMonteCarlo:
                                       result.series["emse_network_1"])
         np.testing.assert_array_equal(result.series["gamma_mean_a2"],
                                       np.ones(cfg.horizon))
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(horizon=30, runs=3),
+        small_config(scheme="sign_regressor", nu=0.02, horizon=30, runs=3),
+        multi_config(horizon=30, runs=3),
+    ], ids=["power_normalized", "sign_regressor", "multi_sign"])
+    def test_matches_per_run_reference(self, cfg):
+        result = run_monte_carlo(cfg)
+        expected = per_run_series(cfg)
+        assert list(result.series) == series_names(cfg)
+        for j, (name, values) in enumerate(result.series.items()):
+            np.testing.assert_allclose(values, expected[:, j], rtol=1e-10,
+                                       atol=1e-12, err_msg=name)
 
     def test_multi_scheme_series(self):
         cfg = multi_config()
