@@ -26,8 +26,8 @@ class CombinerConfig:
     """Parameters of the combination layer.
 
     nu_gamma is the per-agent coefficient step-size (broadcast from a
-    scalar).  epsilon and eta belong to the power-normalized scheme;
-    delta and nu_alpha to the multi scheme.
+    scalar; a sequence is stored as an array).  epsilon and eta belong to
+    the power-normalized scheme; delta and nu_alpha to the multi scheme.
     """
 
     scheme: str
@@ -45,6 +45,9 @@ class CombinerConfig:
             raise ValueError("two-component schemes require m = 2")
         if self.m < 2:
             raise ValueError("need at least two component strategies")
+        if np.ndim(self.nu_gamma):
+            object.__setattr__(self, "nu_gamma",
+                               np.asarray(self.nu_gamma, dtype=float))
         if np.any(np.asarray(self.nu_gamma) < 0):
             raise ValueError("nu_gamma must be nonnegative")
         if self.scheme == "power_normalized":
@@ -114,9 +117,8 @@ def pn_update(
     """
     if cfg.scheme != "power_normalized":
         raise ValueError("combiner is not configured as power_normalized")
-    nu = np.asarray(cfg.nu_gamma)
     p_new = cfg.eta * st.p + (1.0 - cfg.eta) * delta_y**2
-    gamma_new = st.gamma + nu / (cfg.epsilon + p_new) * e * delta_y
+    gamma_new = st.gamma + cfg.nu_gamma / (cfg.epsilon + p_new) * e * delta_y
     return CombinerState(gamma=gamma_new, p=p_new)
 
 
@@ -127,8 +129,7 @@ def sr_update(
     nu e sgn(delta_y), with sgn(0) = 0."""
     if cfg.scheme != "sign_regressor":
         raise ValueError("combiner is not configured as sign_regressor")
-    nu = np.asarray(cfg.nu_gamma)
-    gamma_new = st.gamma + nu * e * np.sign(delta_y)
+    gamma_new = st.gamma + cfg.nu_gamma * e * np.sign(delta_y)
     return CombinerState(gamma=gamma_new)
 
 

@@ -97,7 +97,7 @@ class StrategyState:
 @dataclass(frozen=True)
 class ErrorReport:
     """Per-agent filter output y, error e = d - y, and a priori error
-    e_tilde = x'(w* - w).  e = e_tilde + noise exactly."""
+    e_tilde = x'(w* - w), read as e - noise since d = x'w* + noise."""
 
     y: np.ndarray
     e: np.ndarray
@@ -128,8 +128,7 @@ def errors_and_outputs(w: np.ndarray, batch: SampleBatch) -> ErrorReport:
     x = batch.regressors
     y = np.einsum("...kl,...kl->...k", x, w)
     e = batch.references - y
-    e_tilde = np.einsum("...kl,kl->...k", x, batch.targets) - y
-    return ErrorReport(y=y, e=e, e_tilde=e_tilde)
+    return ErrorReport(y=y, e=e, e_tilde=e - batch.noises)
 
 
 def adapt_matrix_projection(

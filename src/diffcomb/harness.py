@@ -570,10 +570,9 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
     the new target and evolution continues.  The predictor holds the
     previous target through a transition ramp, so predicted and
     simulated curves are comparable only inside stationary stretches.
-    Raises InstabilityError when a stage has no steady state.
+    Raises InstabilityError when a stage has no steady state and
+    ValueError for the multi-component scheme.
     """
-    if cfg.combiner.scheme == "multi_sign":
-        raise ValueError("theory covers the two-component schemes only")
     n = cfg.n_agents
     rx = _regressor_covariances(cfg)
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])

@@ -23,6 +23,13 @@ and steady state run one code path for both regressor kinds.  Steady
 factors solve that Stein equation by squared Smith doubling, at
 O(N_f^3 log t) for factors of size N_f.
 
+The mixing coefficient follows one law per two-component scheme, looked
+up once by scheme name: coefficient_step advances its per-agent mean,
+second moment and smoothed power together, coefficient_steady gives
+their limits.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read
+from (m1 - m2, p1 - px) and (m2 - m1, p2 - px) directly, so nearly
+equal excess errors never cancel.
+
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
 """
@@ -221,26 +228,29 @@ def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
 
 
-def _readout(weights: np.ndarray, m1: np.ndarray, m2: np.ndarray,
-             p: np.ndarray) -> np.ndarray:
-    """Per-agent tr((W_k kron I) Om_kk) for Om = p kron I + m1 m2^T.
+def _readouts(weights: np.ndarray, m1, m2, p1, p2, px) -> np.ndarray:
+    """Per-agent tr((W_k kron I) Om_kk) of five moments Om = p kron I + a b^T.
 
-    weights[..., k, :, :] is an m x m block W_k, m the factor block size
-    of p, acting on agent k's diagonal block as W_k kron I.  The centered
-    part is kron_len tr(W_k p_kk), the mean part m2_k^T (W_k kron I) m1_k.
+    weights[w, k] is an m x m block W_k, m the factor block size of the
+    p's, acting on agent k's diagonal block as W_k kron I.  The moments
+    are component 1 (m1, m1, p1), component 2 (m2, m2, p2), the cross
+    moment (m1, m2, px), and the drivers j1 - j12 from (m1, m1 - m2,
+    p1 - px) and j2 - j12 from (m2, m2 - m1, p2 - px): read directly, the
+    drivers never cancel two nearly equal excess errors.  Returns an
+    array of shape (5, weights.shape[0], N).
     """
     n, m = weights.shape[-3], weights.shape[-1]
-    reps = m1.shape[0] // p.shape[0]
-    centered = np.einsum("...kij,kjki->...k", weights, p.reshape(n, m, n, m))
-    mean = np.einsum("...kij,kjt,kit->...k", weights,
-                     m1.reshape(n, m, reps), m2.reshape(n, m, reps))
-    return reps * centered + mean
-
-
-def _readouts(weights: np.ndarray, m1, m2, p1, p2, px) -> list:
-    """_readout of component 1, component 2 and the cross moment."""
-    return [_readout(weights, a, b, p)
-            for a, b, p in ((m1, m1, p1), (m2, m2, p2), (m1, m2, px))]
+    reps = m1.shape[0] // p1.shape[0]
+    blocks = np.einsum("skikj->skij",
+                       np.stack((p1, p2, px)).reshape(3, n, m, n, m))
+    d = m1 - m2
+    left = np.stack((m1, m2, m1, m1, m2)).reshape(5, n, m, reps)
+    right = np.stack((m1, m2, m2, d, -d)).reshape(5, n, m, reps)
+    # agent k's diagonal block of Om, folded over the kron_len identity:
+    # kron_len p_kk plus the mean part sum_t a_t b_t^T
+    om = reps * np.concatenate((blocks, blocks[:2] - blocks[2]))
+    om += np.einsum("skjt,skit->skji", left, right)
+    return np.einsum("wkij,skji->swk", weights, om)
 
 
 def _readout_weights(model: ComponentModel) -> np.ndarray:
@@ -371,139 +381,111 @@ def cross_covariance_step(model1: ComponentModel, model2: ComponentModel,
     return out
 
 
-def _nu_values(cfg: CombinerConfig, n: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(cfg.nu_gamma, dtype=float), (n,))
-
-
-def _per_agent(*values):
-    return tuple(np.asarray(v, dtype=float) for v in values)
-
-
-def _require_scheme(cfg: CombinerConfig, scheme: str) -> None:
-    if cfg.scheme != scheme:
-        raise ValueError(f"recursion applies to the {scheme!r} scheme, "
-                         f"got {cfg.scheme!r}")
-
-
-def gamma_mean_step_pn(cfg: CombinerConfig, gbar, pbar_prev, dj1, dj2):
-    """Advance the power-normalized coefficient mean by one step.
-
-    Returns (next mean, updated power); the power is refreshed first and
-    divides the raw step-size, mirroring the stochastic update.
-    """
-    _require_scheme(cfg, "power_normalized")
-    gbar, pbar_prev, dj1, dj2 = _per_agent(gbar, pbar_prev, dj1, dj2)
+def _pn_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
+    """Power-normalized step: the power is refreshed first and divides
+    the raw step-size, mirroring the stochastic update; the squared
+    normalized step-size is approximated by the square of its mean."""
     s = dj1 + dj2
-    pbar = cfg.eta * pbar_prev + (1.0 - cfg.eta) * s
-    nu = _nu_values(cfg, np.shape(gbar)[0]) / (cfg.epsilon + pbar)
-    return gbar * (1.0 - nu * s) + nu * dj2, pbar
-
-
-def gamma_ms_step_pn(cfg: CombinerConfig, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
-    """Advance the power-normalized coefficient second moment by one step.
-
-    pbar must be the value already refreshed by gamma_mean_step_pn for
-    the same instant.  The squared normalized step-size is approximated
-    by the square of its mean.
-    """
-    _require_scheme(cfg, "power_normalized")
-    gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2 = _per_agent(
-        gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2
-    )
-    s = dj1 + dj2
-    nu = _nu_values(cfg, np.shape(gbar)[0]) / (cfg.epsilon + pbar)
+    pbar = cfg.eta * pbar + (1.0 - cfg.eta) * s
+    nu = cfg.nu_gamma / (cfg.epsilon + pbar)
     nu2 = nu * nu
     quad = g2bar * (1.0 + 3.0 * nu2 * s * s - 2.0 * nu * s)
     drive = nu2 * j2 * s + 2.0 * nu2 * dj2 * dj2
     noise = sigma_z2 * nu2 * s
     cross = gbar * (nu * dj2 - 3.0 * nu2 * s * dj2)
-    return quad + drive + noise + 2.0 * cross
+    return (gbar * (1.0 - nu * s) + nu * dj2,
+            quad + drive + noise + 2.0 * cross, pbar)
 
 
-def gamma_mean_step_sr(cfg: CombinerConfig, gbar, dj1, dj2):
-    """Advance the sign-regressor coefficient mean by one step.
-
-    The rectified moments of the Gaussian error difference give the
-    sqrt(2 S / pi) contraction; S is floored at DELTA_J_FLOOR so that
-    indistinguishable components leave the coefficient frozen.
-    """
-    _require_scheme(cfg, "sign_regressor")
-    gbar, dj1, dj2 = _per_agent(gbar, dj1, dj2)
+def _sr_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
+    """Sign-regressor step: the rectified moments of the Gaussian error
+    difference give the sqrt(2 S / pi) contraction; S is floored at
+    DELTA_J_FLOOR so that indistinguishable components leave the
+    coefficient frozen.  The power is not used."""
     s = np.maximum(dj1 + dj2, DELTA_J_FLOOR)
-    nu = _nu_values(cfg, np.shape(gbar)[0])
-    rate = nu * np.sqrt(2.0 * s / np.pi)
-    return gbar * (1.0 - rate) + nu * np.sqrt(2.0 / np.pi) * dj2 / np.sqrt(s)
-
-
-def gamma_ms_step_sr(cfg: CombinerConfig, gbar, g2bar, dj1, dj2, j2, sigma_z2):
-    """Advance the sign-regressor coefficient second moment by one step."""
-    _require_scheme(cfg, "sign_regressor")
-    gbar, g2bar, dj1, dj2, j2, sigma_z2 = _per_agent(
-        gbar, g2bar, dj1, dj2, j2, sigma_z2
-    )
-    s = np.maximum(dj1 + dj2, DELTA_J_FLOOR)
-    nu = _nu_values(cfg, np.shape(gbar)[0])
+    nu = cfg.nu_gamma
     nu2 = nu * nu
-    quad = g2bar * (1.0 + nu2 * s - 2.0 * nu * np.sqrt(2.0 * s / np.pi))
-    cross = gbar * (np.sqrt(2.0 / np.pi) * nu * dj2 / np.sqrt(s) - nu2 * dj2)
-    return quad + nu2 * j2 + nu2 * sigma_z2 + 2.0 * cross
+    rate = nu * np.sqrt(2.0 * s / np.pi)
+    sign_drive = nu * np.sqrt(2.0 / np.pi) * dj2 / np.sqrt(s)
+    quad = g2bar * (1.0 + nu2 * s - 2.0 * rate)
+    cross = gbar * (sign_drive - nu2 * dj2)
+    return (gbar * (1.0 - rate) + sign_drive,
+            quad + nu2 * j2 + nu2 * sigma_z2 + 2.0 * cross, pbar)
 
 
-def gamma_steady_pn(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):
-    """Closed-form stationary coefficient moments, power-normalized scheme.
-
-    Returns (mean, second moment, power).  Where the difference power is
-    degenerate the coefficient never moves, so the initialization moments
-    (1/2, 1/4) are reported.
-    """
-    _require_scheme(cfg, "power_normalized")
-    dj1, dj2, j2, sigma_z2 = _per_agent(dj1, dj2, j2, sigma_z2)
-    degenerate = dj1 + dj2 <= DELTA_J_FLOOR
-    s = np.maximum(dj1 + dj2, DELTA_J_FLOOR)
-    nu = _nu_values(cfg, s.shape[0]) / (cfg.epsilon + s)
-    gbar = np.where(degenerate, 0.5, dj2 / s)
+def _pn_steady(cfg, s, gbar, dj2, j2, sigma_z2):
+    nu = cfg.nu_gamma / (cfg.epsilon + s)
     num = nu * (j2 + sigma_z2) * s + 2.0 * nu * dj2 ** 2 \
         + 2.0 * gbar * (dj2 - 3.0 * nu * dj2 * s)
-    den = 2.0 * s - 3.0 * nu * s * s
-    g2bar = np.where(degenerate, 0.25, num / den)
-    return gbar, g2bar, np.where(degenerate, 0.0, s)
+    return num, 2.0 * s - 3.0 * nu * s * s, s
 
 
-def gamma_steady_sr(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):
-    """Closed-form stationary coefficient moments, sign-regressor scheme."""
-    _require_scheme(cfg, "sign_regressor")
-    dj1, dj2, j2, sigma_z2 = _per_agent(dj1, dj2, j2, sigma_z2)
-    degenerate = dj1 + dj2 <= DELTA_J_FLOOR
-    s = np.maximum(dj1 + dj2, DELTA_J_FLOOR)
-    nu = _nu_values(cfg, s.shape[0])
-    gbar = np.where(degenerate, 0.5, dj2 / s)
+def _sr_steady(cfg, s, gbar, dj2, j2, sigma_z2):
+    nu = cfg.nu_gamma
     num = nu * (j2 + sigma_z2) \
         + 2.0 * gbar * (dj2 * np.sqrt(2.0 / (np.pi * s)) - nu * dj2)
-    den = np.sqrt(8.0 * s / np.pi) - nu * s
-    g2bar = np.where(degenerate, 0.25, num / den)
-    return gbar, g2bar
+    return num, np.sqrt(8.0 * s / np.pi) - nu * s, 0.0
 
 
-def combined_msd(state: MomentState, weight=None) -> float:
+# per scheme: the coefficient step, and the numerator, denominator and
+# power of the stationary second moment
+_LAWS = {"power_normalized": (_pn_step, _pn_steady),
+         "sign_regressor": (_sr_step, _sr_steady)}
+
+
+def _law(cfg: CombinerConfig):
+    try:
+        return _LAWS[cfg.scheme]
+    except KeyError:
+        raise ValueError("moment recursions cover the two-component "
+                         "schemes only") from None
+
+
+def coefficient_step(cfg: CombinerConfig, gbar, g2bar, pbar, dj1, dj2, j2,
+                     sigma_z2):
+    """Advance the per-agent coefficient moments (gbar, g2bar, pbar) by
+    one instant, driven by dj1 = j1 - j12, dj2 = j2 - j12 and j2.
+
+    Arguments are NumPy arrays over agents; cfg.nu_gamma (scalar or per
+    agent) broadcasts.  The sign-regressor scheme returns pbar unchanged.
+    """
+    return _law(cfg)[0](cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
+
+
+def coefficient_steady(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):
+    """Closed-form stationary coefficient moments (gbar, g2bar, pbar).
+
+    The mean is dj2 / (dj1 + dj2) for both schemes.  Where the difference
+    power is degenerate the coefficient never moves, so the
+    initialization moments (1/2, 1/4) and zero power are reported; the
+    sign-regressor power is always zero.
+    """
+    steady = _law(cfg)[1]
+    degenerate = dj1 + dj2 <= DELTA_J_FLOOR
+    s = np.maximum(dj1 + dj2, DELTA_J_FLOOR)
+    gbar = np.where(degenerate, 0.5, dj2 / s)
+    num, den, power = steady(cfg, s, gbar, dj2, j2, sigma_z2)
+    return (gbar, np.where(degenerate, 0.25, num / den),
+            np.where(degenerate, 0.0, power))
+
+
+def combined_msd(state: MomentState) -> float:
     """Network deviation of the combined estimates at the state's instant.
 
     Expands E{||Gamma v1 + (I - Gamma) v2||^2} with per-agent coefficient
-    moments; the default weighting averages agents (1/N each).
+    moments, averaged over agents.
     """
     n = state.gbar.shape[0]
     m = state.p1.shape[0] // n
-    traces = _readouts(np.broadcast_to(np.eye(m), (n, m, m)), state.m1,
-                       state.m2, state.p1, state.p2, state.px)
-    return _combined_from_traces(*traces, state.gbar, state.g2bar, weight)
+    traces = _readouts(np.broadcast_to(np.eye(m), (1, n, m, m)), state.m1,
+                       state.m2, state.p1, state.p2, state.px)[:3, 0]
+    return _combined_from_traces(*traces, state.gbar, state.g2bar)
 
 
-def _combined_from_traces(t1, t2, tx, gbar, g2bar, weight=None) -> float:
-    n = gbar.shape[0]
-    w = np.full(n, 1.0 / n) if weight is None else \
-        np.broadcast_to(np.asarray(weight, dtype=float), (n,))
+def _combined_from_traces(t1, t2, tx, gbar, g2bar) -> float:
     per_agent = (g2bar * t1 + (1.0 - 2.0 * gbar + g2bar) * t2
                  + 2.0 * (gbar - g2bar) * tx)
-    return float(np.sum(w * per_agent))
+    return float(np.mean(per_agent))
 
 
 def initial_moments(model1: ComponentModel, model2: ComponentModel,
@@ -546,8 +528,6 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
     state.  Component moments never depend on the coefficient.
     """
     _require_same_data(model1, model2)
-    if cfg.scheme not in ("power_normalized", "sign_regressor"):
-        raise ValueError("moment recursions cover the two-component schemes only")
     if state is None:
         state = initial_moments(model1, model2)
     n = model1.n_agents
@@ -567,37 +547,25 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
     degenerate = 0
 
     # one readout per moment gives the deviations after a step (row 0)
-    # and the excess errors that drive the next step (row 1)
+    # and the excess errors and drivers of the next step (row 1)
     weights = _readout_weights(model1)
     readouts = _readouts(weights, state.m1, state.m2, state.p1, state.p2,
                          state.px)
     for t in range(n_steps):
-        (_, j1), (_, j2), (_, j12) = readouts
-        dj1 = j1 - j12
-        dj2 = j2 - j12
+        j1, j2, j12, dj1, dj2 = readouts[:, 1]
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
-
-        if cfg.scheme == "power_normalized":
-            gbar_next, pbar_next = gamma_mean_step_pn(
-                cfg, state.gbar, state.pbar, dj1, dj2)
-            g2_next = gamma_ms_step_pn(
-                cfg, state.gbar, state.g2bar, pbar_next, dj1, dj2, j2, sigma_z2)
-        else:
-            gbar_next = gamma_mean_step_sr(cfg, state.gbar, dj1, dj2)
-            g2_next = gamma_ms_step_sr(
-                cfg, state.gbar, state.g2bar, dj1, dj2, j2, sigma_z2)
-            pbar_next = state.pbar
-
+        gbar_next, g2bar_next, pbar_next = coefficient_step(
+            cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2, sigma_z2)
         state = MomentState(
             m1=mean_step(model1, state.m1),
             m2=mean_step(model2, state.m2),
             p1=covariance_step(model1, state.p1),
             p2=covariance_step(model2, state.p2),
             px=cross_covariance_step(model1, model2, state.px, gx=gx),
-            gbar=gbar_next, g2bar=g2_next, pbar=pbar_next)
+            gbar=gbar_next, g2bar=g2bar_next, pbar=pbar_next)
         readouts = _readouts(weights, state.m1, state.m2, state.p1, state.p2,
                              state.px)
-        traces = [readout[0] for readout in readouts]
+        traces = readouts[:3, 0]
 
         emse1[t] = j1
         emse2[t] = j2
@@ -605,9 +573,7 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
         gbar[t] = state.gbar
         g2bar[t] = state.g2bar
         pbar[t] = state.pbar
-        msd1[t] = np.mean(traces[0])
-        msd2[t] = np.mean(traces[1])
-        cross[t] = np.mean(traces[2])
+        msd1[t], msd2[t], cross[t] = np.mean(traces, axis=1)
         combined[t] = _combined_from_traces(*traces, state.gbar, state.g2bar)
 
     return TheoryTrajectory(emse1=emse1, emse2=emse2, emse12=emse12,
@@ -658,7 +624,7 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
     Raises InstabilityError when a component cannot converge.
     """
     _require_same_data(model1, model2)
-    n, l = model1.n_agents, model1.filter_len
+    l = model1.filter_len
     for label, model in (("1", model1), ("2", model2)):
         rho = _spectral_radius(model.bbar)
         if rho >= 1.0:
@@ -675,19 +641,10 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
     p2 = 0.5 * (p2 + p2.T)
     px = _stein(b1, b2, cross_noise_moment(model1, model2))
 
-    (t1, j1), (t2, j2), (tx, j12) = _readouts(
+    (t1, j1), (t2, j2), (tx, j12), (_, dj1), (_, dj2) = _readouts(
         _readout_weights(model1), m1, m2, p1, p2, px)
-    dj1 = j1 - j12
-    dj2 = j2 - j12
-    sigma_z2 = model1.sigma_z2
-
-    if cfg.scheme == "power_normalized":
-        gbar, g2bar, pbar = gamma_steady_pn(cfg, dj1, dj2, j2, sigma_z2)
-    elif cfg.scheme == "sign_regressor":
-        gbar, g2bar = gamma_steady_sr(cfg, dj1, dj2, j2, sigma_z2)
-        pbar = np.zeros(n)
-    else:
-        raise ValueError("steady state covers the two-component schemes only")
+    gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, j2,
+                                           model1.sigma_z2)
 
     gamma = np.repeat(gbar, l)
     bias = gamma * m1 + (1.0 - gamma) * m2
@@ -701,7 +658,8 @@ def steady_state(model1: ComponentModel, model2: ComponentModel,
         msd2=float(np.mean(t2)),
         cross_msd=float(np.mean(tx)),
         combined_msd=_combined_from_traces(t1, t2, tx, gbar, g2bar),
-        universality=universality_report(j1, j2, j12), bounds=bounds)
+        universality=universality_report(j1, j2, j12, dj1, dj2),
+        bounds=bounds)
 
 
 def mu_bounds(c, rx) -> np.ndarray:
@@ -729,8 +687,8 @@ def stability_bounds(model1: ComponentModel, model2: ComponentModel,
         reports.append((bound, (model.mu > 0) & (model.mu < bound)))
     (mu_bound1, mu_ok1), (mu_bound2, mu_ok2) = reports
 
-    n = model1.n_agents
-    nu = _nu_values(cfg, n)
+    nu = np.broadcast_to(np.asarray(cfg.nu_gamma, dtype=float),
+                         (model1.n_agents,))
     pn_mean_bound = 1.0 - cfg.eta
     pn_ms_bound = (1.0 - cfg.eta) / 3.0
     pn_mean_ok = (nu > 0) & (nu < pn_mean_bound)
@@ -753,21 +711,20 @@ def stability_bounds(model1: ComponentModel, model2: ComponentModel,
                            sr_mean_ok=sr_mean_ok, sr_ms_ok=sr_ms_ok)
 
 
-def universality_report(j1, j2, j12) -> UniversalityReport:
+def universality_report(j1, j2, j12, dj1, dj2) -> UniversalityReport:
     """Compare the stationary combined excess error to both components.
 
-    With the stationary coefficient, each agent's combined excess error
-    is j12 + dj1 dj2 / (dj1 + dj2); agents whose difference power is
+    dj1 = j1 - j12 and dj2 = j2 - j12 are the drivers, passed in so that
+    they can be read without cancellation.  With the stationary
+    coefficient, each agent's combined excess error is
+    j12 + dj1 dj2 / (dj1 + dj2); agents whose difference power is
     degenerate contribute their (identical) component value.  The margin
     is the network gap min(component sums) - combined sum.
     """
-    j1 = np.asarray(j1, dtype=float)
-    j2 = np.asarray(j2, dtype=float)
-    j12 = np.asarray(j12, dtype=float)
+    j1, j2, j12, dj1, dj2 = (np.asarray(v, dtype=float)
+                             for v in (j1, j2, j12, dj1, dj2))
     if np.any(np.abs(j12) > np.sqrt(j1 * j2) + 1e-9):
         raise ValueError("cross excess error violates the Cauchy-Schwarz bound")
-    dj1 = j1 - j12
-    dj2 = j2 - j12
     s = dj1 + dj2
     degenerate = s <= DELTA_J_FLOOR
     combined = np.where(degenerate, j12,

@@ -18,15 +18,11 @@ from diffcomb import harness
 from diffcomb.combine import optimal_gamma
 from diffcomb.graph import build_preset, static_rule, stats, validate_stochastic
 from diffcomb.theory import (
+    coefficient_steady,
+    coefficient_step,
     covariance_step,
     cross_covariance_step,
     cross_noise_moment,
-    gamma_mean_step_pn,
-    gamma_mean_step_sr,
-    gamma_ms_step_pn,
-    gamma_ms_step_sr,
-    gamma_steady_pn,
-    gamma_steady_sr,
     initial_moments,
     mean_step,
     stability_bounds,
@@ -192,7 +188,7 @@ def test_optimal_coefficient_against_grid_and_closed_forms():
     assert np.all(np.isfinite(gopt))
     at_opt = gopt ** 2 * j1 + (1.0 - gopt) ** 2 * j2 \
         + 2.0 * gopt * (1.0 - gopt) * j12
-    report = universality_report(j1, j2, j12)
+    report = universality_report(j1, j2, j12, j1 - j12, j2 - j12)
     np.testing.assert_allclose(report.emse_combined, at_opt, rtol=1e-12)
 
     scalar = steady_state(test_theory.scalar_model(),
@@ -217,16 +213,15 @@ def test_frozen_moment_iteration_reaches_steady_forms():
     g2bar = np.full(size, 0.25)
     pbar = np.zeros(size)
     for _ in range(80_000):
-        g_next, p_next = gamma_mean_step_pn(cfg, gbar, pbar, dj1, dj2)
-        m_next = gamma_ms_step_pn(cfg, gbar, g2bar, p_next,
-                                  dj1, dj2, j2, sz)
+        g_next, m_next, p_next = coefficient_step(cfg, gbar, g2bar, pbar,
+                                                  dj1, dj2, j2, sz)
         done = (np.max(np.abs(g_next - gbar)) < 1e-15
                 and np.max(np.abs(m_next - g2bar)) < 1e-15
                 and np.max(np.abs(p_next - pbar)) < 1e-15)
         gbar, g2bar, pbar = g_next, m_next, p_next
         if done:
             break
-    ref_g, ref_m, ref_p = gamma_steady_pn(cfg, dj1, dj2, j2, sz)
+    ref_g, ref_m, ref_p = coefficient_steady(cfg, dj1, dj2, j2, sz)
     np.testing.assert_allclose(gbar, ref_g, rtol=1e-6)
     np.testing.assert_allclose(g2bar, ref_m, rtol=1e-6)
     np.testing.assert_allclose(pbar, ref_p, rtol=1e-6)
@@ -240,17 +235,19 @@ def test_frozen_moment_iteration_reaches_steady_forms():
     cfg = test_theory.sr_cfg(nu=nu)
     gbar = np.full(size, 0.5)
     g2bar = np.full(size, 0.25)
+    pbar = np.zeros(size)
     for _ in range(80_000):
-        g_next = gamma_mean_step_sr(cfg, gbar, dj1, dj2)
-        m_next = gamma_ms_step_sr(cfg, gbar, g2bar, dj1, dj2, j2, sz)
+        g_next, m_next, pbar = coefficient_step(cfg, gbar, g2bar, pbar,
+                                                dj1, dj2, j2, sz)
         done = (np.max(np.abs(g_next - gbar)) < 1e-15
                 and np.max(np.abs(m_next - g2bar)) < 1e-15)
         gbar, g2bar = g_next, m_next
         if done:
             break
-    ref_g, ref_m = gamma_steady_sr(cfg, dj1, dj2, j2, sz)
+    ref_g, ref_m, ref_p = coefficient_steady(cfg, dj1, dj2, j2, sz)
     np.testing.assert_allclose(gbar, ref_g, rtol=1e-6)
     np.testing.assert_allclose(g2bar, ref_m, rtol=1e-6)
+    np.testing.assert_array_equal(ref_p, 0.0)
 
 
 def test_stability_bounds_on_hand_cases():

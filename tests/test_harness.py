@@ -133,9 +133,7 @@ def raw_moment_series(cfg):
         for _ in range(start, end):
             j1, j2, j12 = (per_agent(om[pair], rx) for pair in pairs)
             dj1, dj2 = j1 - j12, j2 - j12
-            gbar_next, pbar = theory.gamma_mean_step_pn(
-                cfg.combiner, gbar, pbar, dj1, dj2)
-            g2bar_next = theory.gamma_ms_step_pn(
+            gbar_next, g2bar_next, pbar = theory.coefficient_step(
                 cfg.combiner, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
             rows["emse1"].append(j1.sum())
             rows["emse2"].append(j2.sum())

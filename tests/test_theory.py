@@ -21,17 +21,13 @@ from diffcomb.theory import (
     InstabilityError,
     MomentState,
     build_component_model,
+    coefficient_step,
+    coefficient_steady,
     combined_msd,
     covariance_step,
     cross_covariance_step,
     cross_noise_moment,
     evolve,
-    gamma_mean_step_pn,
-    gamma_mean_step_sr,
-    gamma_ms_step_pn,
-    gamma_ms_step_sr,
-    gamma_steady_pn,
-    gamma_steady_sr,
     initial_moments,
     mean_step,
     mu_bounds,
@@ -40,7 +36,7 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
-from diffcomb.theory import _build_model, _readout
+from diffcomb.theory import _build_model, _readouts
 
 
 def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
@@ -151,8 +147,15 @@ def state_moments(state):
 
 def excess_errors(om, rx):
     """Per-agent tr(R_{x,k} Om_kk) of a dense second moment."""
-    zero = np.zeros(om.shape[0])
-    return _readout(np.asarray(rx, dtype=float), zero, zero, om)
+    rx = np.asarray(rx, dtype=float)
+    n, l = rx.shape[:2]
+    return np.einsum("kikj,kji->k", np.asarray(om).reshape(n, l, n, l), rx)
+
+
+def universality_of(j1, j2, j12):
+    """universality_report with the drivers formed as differences."""
+    j1, j2, j12 = (np.asarray(v, dtype=float) for v in (j1, j2, j12))
+    return universality_report(j1, j2, j12, j1 - j12, j2 - j12)
 
 
 def vec_col(mat):
@@ -505,8 +508,44 @@ class TestExcessErrors:
         np.testing.assert_allclose(excess_errors(om, rx), expected, rtol=1e-13)
         # the same moment split into a centered factor and a mean part
         m1, m2 = rng.normal(size=(2, n * l))
-        np.testing.assert_allclose(
-            _readout(rx, m1, m2, om - np.outer(m1, m2)), expected, rtol=1e-12)
+        p = om - np.outer(m1, m2)
+        np.testing.assert_allclose(_readouts(rx[None], m1, m2, p, p, p)[2, 0],
+                                   expected, rtol=1e-12)
+
+    def test_drivers_read_without_cancellation(self):
+        # |m| ~ 10 and m1 - m2 ~ 1e-7: j1 - j12 would cancel about eight
+        # digits, the direct readout of (m1, m1 - m2) none
+        rng = np.random.default_rng(52)
+        n, l = 3, 2
+        rx = random_spd_covariances(rng, n, l)
+        m1 = 10.0 * rng.normal(size=n * l) / np.sqrt(l)
+        m2 = m1 - 1e-7 * rng.normal(size=n * l)
+        delta = m1 - m2  # exact (Sterbenz), unlike the perturbation drawn
+        a = rng.normal(size=(n * l, n * l))
+        p = a @ a.T
+        dj1, dj2 = _readouts(rx[None], m1, m2, p, p, p)[3:, 0]
+        blocks = [slice(k * l, (k + 1) * l) for k in range(n)]
+        hand1 = [delta[b] @ rx[k] @ m1[b] for k, b in enumerate(blocks)]
+        hand2 = [-delta[b] @ rx[k] @ m2[b] for k, b in enumerate(blocks)]
+        np.testing.assert_allclose(dj1, hand1, rtol=1e-12)
+        np.testing.assert_allclose(dj2, hand2, rtol=1e-12)
+
+    def test_drivers_are_excess_error_differences(self):
+        rng = np.random.default_rng(53)
+        n, l = 3, 2
+        rx = random_spd_covariances(rng, n, l)
+        m1, m2 = rng.normal(size=(2, n * l))
+        p1, p2, px = rng.normal(size=(3, n * l, n * l))
+        j1, j2, j12, dj1, dj2 = _readouts(rx[None], m1, m2, p1, p2, px)[:, 0]
+        np.testing.assert_allclose(j1, excess_errors(
+            raw_moment(m1, m1, p1), rx), rtol=1e-12)
+        np.testing.assert_allclose(j12, excess_errors(
+            raw_moment(m1, m2, px), rx), rtol=1e-12)
+        scale = np.max(np.abs([j1, j2, j12]))
+        np.testing.assert_allclose(dj1, j1 - j12, rtol=1e-12,
+                                   atol=1e-14 * scale)
+        np.testing.assert_allclose(dj2, j2 - j12, rtol=1e-12,
+                                   atol=1e-14 * scale)
 
     def test_block_permutation_consistency(self):
         rng = np.random.default_rng(51)
@@ -536,64 +575,82 @@ class TestExcessErrors:
         assert np.all(np.abs(j12) <= np.sqrt(j1 * j2) + 1e-9)
 
 
+def arrays(*values):
+    return tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in values)
+
+
+def step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sz):
+    return coefficient_step(cfg, *arrays(gbar, g2bar, pbar, dj1, dj2, j2, sz))
+
+
+def steady(cfg, dj1, dj2, j2, sz):
+    return coefficient_steady(cfg, *arrays(dj1, dj2, j2, sz))
+
+
 class TestCoefficientSteps:
-    def test_power_normalized_mean_hand_value(self):
+    def test_power_normalized_hand_values(self):
         cfg = pn_cfg(nu=0.1)
-        gbar, pbar = gamma_mean_step_pn(cfg, [0.5], [0.0], [1.0], [3.0])
+        gbar, g2bar, pbar = step(cfg, 0.5, 0.25, 0.0, 1.0, 3.0, 5.0, 0.5)
         # power refresh first: p = 0.05 * 4 = 0.2, nu/(eps + p) = 0.4
         np.testing.assert_allclose(pbar, [0.2], rtol=1e-12)
         np.testing.assert_allclose(gbar, [0.9], rtol=1e-12)
+        np.testing.assert_allclose(g2bar, [3.21], rtol=1e-12)
 
-    def test_power_normalized_ms_hand_value(self):
-        cfg = pn_cfg(nu=0.1)
-        out = gamma_ms_step_pn(cfg, [0.5], [0.25], [0.2], [1.0], [3.0],
-                               [5.0], [0.5])
-        np.testing.assert_allclose(out, [3.21], rtol=1e-12)
-
-    def test_sign_regressor_mean_hand_value(self):
+    def test_sign_regressor_hand_values(self):
         cfg = sr_cfg(nu=0.1)
-        out = gamma_mean_step_sr(cfg, [0.5], [np.pi / 8], [3 * np.pi / 8])
-        np.testing.assert_allclose(out, [0.525], rtol=1e-12)
-
-    def test_sign_regressor_ms_hand_value(self):
-        cfg = sr_cfg(nu=0.1)
-        out = gamma_ms_step_sr(cfg, [0.5], [0.25], [np.pi / 8],
-                               [3 * np.pi / 8], [2.0], [0.3])
-        np.testing.assert_allclose(out, [0.298 - 0.0025 * np.pi], rtol=1e-12)
+        gbar, g2bar, pbar = step(cfg, 0.5, 0.25, 0.7, np.pi / 8,
+                                 3 * np.pi / 8, 2.0, 0.3)
+        np.testing.assert_allclose(gbar, [0.525], rtol=1e-12)
+        np.testing.assert_allclose(g2bar, [0.298 - 0.0025 * np.pi],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(pbar, [0.7])
 
     def test_balanced_components_fix_the_mean_at_half(self):
         dj = np.array([0.4, 0.02])
         gbar = np.full(2, 0.5)
         pbar = 2 * dj.copy()  # stationary power for equal differences
-        g_pn, _ = gamma_mean_step_pn(pn_cfg(nu=0.01), gbar, pbar, dj, dj)
-        g_sr = gamma_mean_step_sr(sr_cfg(nu=0.01), gbar, dj, dj)
-        np.testing.assert_allclose(g_pn, 0.5, rtol=1e-14)
-        np.testing.assert_allclose(g_sr, 0.5, rtol=1e-14)
+        for cfg in (pn_cfg(nu=0.01), sr_cfg(nu=0.01)):
+            out = coefficient_step(cfg, gbar, gbar ** 2, pbar, dj, dj, dj,
+                                   np.zeros(2))
+            np.testing.assert_allclose(out[0], 0.5, rtol=1e-14)
 
     def test_zero_step_size_freezes_moments(self):
         gbar = np.array([0.3, 0.8])
         g2bar = np.array([0.2, 0.7])
-        g_pn, pbar = gamma_mean_step_pn(pn_cfg(nu=0.0), gbar, [0.0, 0.0],
-                                        [1.0, 2.0], [3.0, 1.0])
-        m_pn = gamma_ms_step_pn(pn_cfg(nu=0.0), gbar, g2bar, pbar,
-                                [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], 0.1)
-        g_sr = gamma_mean_step_sr(sr_cfg(nu=0.0), gbar, [1.0, 2.0], [3.0, 1.0])
-        m_sr = gamma_ms_step_sr(sr_cfg(nu=0.0), gbar, g2bar,
-                                [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], 0.1)
-        np.testing.assert_allclose(g_pn, gbar, rtol=1e-15)
-        np.testing.assert_allclose(m_pn, g2bar, rtol=1e-15)
-        np.testing.assert_allclose(g_sr, gbar, rtol=1e-15)
-        np.testing.assert_allclose(m_sr, g2bar, rtol=1e-15)
+        args = arrays([1.0, 2.0], [3.0, 1.0], [4.0, 3.0], 0.1)
+        for cfg in (pn_cfg(nu=0.0), sr_cfg(nu=0.0)):
+            g, m, _ = coefficient_step(cfg, gbar, g2bar, np.zeros(2), *args)
+            np.testing.assert_allclose(g, gbar, rtol=1e-15)
+            np.testing.assert_allclose(m, g2bar, rtol=1e-15)
 
-    def test_scheme_guards(self):
-        with pytest.raises(ValueError, match="power_normalized"):
-            gamma_mean_step_pn(sr_cfg(), [0.5], [0.0], [1.0], [1.0])
-        with pytest.raises(ValueError, match="sign_regressor"):
-            gamma_mean_step_sr(pn_cfg(), [0.5], [1.0], [1.0])
-        with pytest.raises(ValueError, match="power_normalized"):
-            gamma_steady_pn(sr_cfg(), [1.0], [1.0], [2.0], [0.1])
-        with pytest.raises(ValueError, match="sign_regressor"):
-            gamma_steady_sr(pn_cfg(), [1.0], [1.0], [2.0], [0.1])
+    def test_multi_scheme_is_rejected(self):
+        cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=2)
+        with pytest.raises(ValueError, match="two-component"):
+            step(cfg, 0.5, 0.25, 0.0, 1.0, 1.0, 2.0, 0.1)
+        with pytest.raises(ValueError, match="two-component"):
+            steady(cfg, 1.0, 1.0, 2.0, 0.1)
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_scalar_and_per_agent_step_size_agree_bitwise(self, make_cfg):
+        rng = np.random.default_rng(7)
+        n = 5
+        dj1, dj2 = rng.uniform(-0.1, 1.0, size=(2, n))
+        j2 = dj2 + rng.uniform(0.0, 0.5, size=n)
+        sz = rng.uniform(0.01, 0.5, size=n)
+        gbar = rng.uniform(0.0, 1.0, size=n)
+        g2bar = gbar ** 2 + rng.uniform(0.0, 0.1, size=n)
+        pbar = rng.uniform(0.0, 1.0, size=n)
+        scalar = make_cfg(nu=0.013)
+        want = (coefficient_step(scalar, gbar, g2bar, pbar, dj1, dj2, j2, sz)
+                + coefficient_steady(scalar, dj1, dj2, j2, sz))
+        # a JSON config gives a list, stored as an array
+        for nu in (np.full(n, 0.013), [0.013] * n):
+            per_agent = make_cfg(nu=nu)
+            got = (coefficient_step(per_agent, gbar, g2bar, pbar, dj1, dj2,
+                                    j2, sz)
+                   + coefficient_steady(per_agent, dj1, dj2, j2, sz))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestCoefficientSteadyForms:
@@ -609,12 +666,11 @@ class TestCoefficientSteadyForms:
                                                      sz, nu):
         cfg = pn_cfg(nu=nu)
         j2 = dj2 + extra
-        gbar, g2bar, pbar = gamma_steady_pn(cfg, [dj1], [dj2], [j2], [sz])
-        g_next, p_next = gamma_mean_step_pn(cfg, gbar, pbar, [dj1], [dj2])
+        gbar, g2bar, pbar = steady(cfg, dj1, dj2, j2, sz)
+        g_next, m_next, p_next = step(cfg, gbar, g2bar, pbar, dj1, dj2, j2,
+                                      sz)
         np.testing.assert_allclose(p_next, pbar, rtol=1e-10)
         np.testing.assert_allclose(g_next, gbar, rtol=1e-10)
-        m_next = gamma_ms_step_pn(cfg, gbar, g2bar, p_next, [dj1], [dj2],
-                                  [j2], [sz])
         np.testing.assert_allclose(m_next, g2bar, rtol=1e-9, atol=1e-12)
 
     @settings(deadline=None, max_examples=120)
@@ -629,10 +685,10 @@ class TestCoefficientSteadyForms:
                                                    sz, nu):
         cfg = sr_cfg(nu=nu)
         j2 = dj2 + extra
-        gbar, g2bar = gamma_steady_sr(cfg, [dj1], [dj2], [j2], [sz])
-        g_next = gamma_mean_step_sr(cfg, gbar, [dj1], [dj2])
+        gbar, g2bar, pbar = steady(cfg, dj1, dj2, j2, sz)
+        np.testing.assert_array_equal(pbar, [0.0])
+        g_next, m_next, _ = step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sz)
         np.testing.assert_allclose(g_next, gbar, rtol=1e-10)
-        m_next = gamma_ms_step_sr(cfg, gbar, g2bar, [dj1], [dj2], [j2], [sz])
         np.testing.assert_allclose(m_next, g2bar, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -643,18 +699,18 @@ class TestCoefficientSteadyForms:
         j2 = dj2 + rng.uniform(0.0, 0.5)
         sz = rng.uniform(0.01, 0.5)
         cfg = pn_cfg(nu=rng.uniform(0.005, 0.015))
-        gbar, g2bar, pbar = np.array([0.5]), np.array([0.25]), np.array([0.0])
+        gbar, g2bar, pbar = arrays(0.5, 0.25, 0.0)
+        drivers = arrays(dj1, dj2, j2, sz)
         for _ in range(40_000):
-            g_next, p_next = gamma_mean_step_pn(cfg, gbar, pbar, dj1, dj2)
-            m_next = gamma_ms_step_pn(cfg, gbar, g2bar, p_next,
-                                      dj1, dj2, j2, sz)
+            g_next, m_next, p_next = coefficient_step(cfg, gbar, g2bar, pbar,
+                                                      *drivers)
             done = (abs(g_next[0] - gbar[0]) < 1e-16
                     and abs(m_next[0] - g2bar[0]) < 1e-16
                     and abs(p_next[0] - pbar[0]) < 1e-16)
             gbar, g2bar, pbar = g_next, m_next, p_next
             if done:
                 break
-        ref_g, ref_m, ref_p = gamma_steady_pn(cfg, [dj1], [dj2], [j2], [sz])
+        ref_g, ref_m, ref_p = steady(cfg, dj1, dj2, j2, sz)
         np.testing.assert_allclose(gbar, ref_g, rtol=1e-6)
         np.testing.assert_allclose(g2bar, ref_m, rtol=1e-6)
         np.testing.assert_allclose(pbar, ref_p, rtol=1e-6)
@@ -667,31 +723,30 @@ class TestCoefficientSteadyForms:
         j2 = dj2 + rng.uniform(0.0, 0.5)
         sz = rng.uniform(0.01, 0.5)
         cfg = sr_cfg(nu=rng.uniform(0.005, 0.02))
-        gbar, g2bar = np.array([0.5]), np.array([0.25])
+        gbar, g2bar, pbar = arrays(0.5, 0.25, 0.0)
+        drivers = arrays(dj1, dj2, j2, sz)
         for _ in range(60_000):
-            g_next = gamma_mean_step_sr(cfg, gbar, dj1, dj2)
-            m_next = gamma_ms_step_sr(cfg, gbar, g2bar, dj1, dj2, j2, sz)
+            g_next, m_next, pbar = coefficient_step(cfg, gbar, g2bar, pbar,
+                                                    *drivers)
             done = (abs(g_next[0] - gbar[0]) < 1e-16
                     and abs(m_next[0] - g2bar[0]) < 1e-16)
             gbar, g2bar = g_next, m_next
             if done:
                 break
-        ref_g, ref_m = gamma_steady_sr(cfg, [dj1], [dj2], [j2], [sz])
+        ref_g, ref_m, _ = steady(cfg, dj1, dj2, j2, sz)
         np.testing.assert_allclose(gbar, ref_g, rtol=1e-6)
         np.testing.assert_allclose(g2bar, ref_m, rtol=1e-6)
 
     def test_degenerate_difference_reports_frozen_start(self):
-        g, m, p = gamma_steady_pn(pn_cfg(), [0.0], [0.0], [1.0], [0.1])
-        np.testing.assert_array_equal(g, [0.5])
-        np.testing.assert_array_equal(m, [0.25])
-        np.testing.assert_array_equal(p, [0.0])
-        g, m = gamma_steady_sr(sr_cfg(), [0.0], [0.0], [1.0], [0.1])
-        np.testing.assert_array_equal(g, [0.5])
-        np.testing.assert_array_equal(m, [0.25])
+        for cfg in (pn_cfg(), sr_cfg()):
+            g, m, p = steady(cfg, 0.0, 0.0, 1.0, 0.1)
+            np.testing.assert_array_equal(g, [0.5])
+            np.testing.assert_array_equal(m, [0.25])
+            np.testing.assert_array_equal(p, [0.0])
 
     def test_mixed_agents_handle_degeneracy_elementwise(self):
-        g, m, p = gamma_steady_pn(pn_cfg(nu=0.01), [0.0, 0.2], [0.0, 0.6],
-                                  [1.0, 1.0], [0.1, 0.1])
+        g, m, p = steady(pn_cfg(nu=0.01), [0.0, 0.2], [0.0, 0.6],
+                         [1.0, 1.0], [0.1, 0.1])
         assert g[0] == 0.5 and m[0] == 0.25 and p[0] == 0.0
         np.testing.assert_allclose(g[1], 0.75, rtol=1e-12)
         assert p[1] == pytest.approx(0.8, rel=1e-12)
@@ -730,15 +785,6 @@ class TestCombinedDeviation:
         state = self._state([[0.3]], [[0.7]], [[0.2]], [0.5], [0.25])
         expected = 0.25 * 0.3 + 0.25 * 0.7 + 2 * 0.25 * 0.2
         np.testing.assert_allclose(combined_msd(state), expected, rtol=1e-14)
-
-    def test_custom_weights(self):
-        state = self._state(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]),
-                            np.zeros((2, 2)), [1.0, 0.0], [1.0, 0.0])
-        # agent 1 follows component one (trace 1), agent 2 component two
-        out = combined_msd(state, weight=[1.0, 0.0])
-        np.testing.assert_allclose(out, 1.0, rtol=1e-14)
-        out = combined_msd(state, weight=[0.0, 1.0])
-        np.testing.assert_allclose(out, 4.0, rtol=1e-14)
 
 
 class TestShiftTargets:
@@ -790,26 +836,39 @@ class TestShiftTargets:
         np.testing.assert_array_equal(shifted.m1, state.m1)
 
 
+def near_equal_pair(seed, n=3, l=2):
+    """Two strategies 1e-8 apart in mu with |w*| ~ 10: their excess
+    errors agree to about eight digits."""
+    topology, cfg, rx, sigma_z2, w = random_setup(seed, n=n, l=l)
+    return [build_component_model(
+        topology, StrategyConfig(topology=topology, a1=cfg.a1, c=cfg.c,
+                                 mu=mu, a2=cfg.a2), rx, sigma_z2, 10.0 * w)
+        for mu in (0.06, 0.06 * (1.0 + 1e-8))]
+
+
 class TestEvolve:
-    def test_matches_manual_composition(self):
+    @pytest.mark.parametrize("near_equal", [False, True])
+    def test_matches_manual_composition(self, near_equal):
         # three steps unrolled by direct calls pin the update order:
-        # pre-update errors drive the coefficient, then moments advance
-        model1, model2 = random_model_pair(80, n=3, l=1)
+        # pre-update errors drive the coefficient, then moments advance;
+        # the near-equal pair also pins drivers read without cancellation
+        model1, model2 = (near_equal_pair(85) if near_equal
+                          else random_model_pair(80, n=3, l=1))
         cfg = pn_cfg(nu=0.01)
         traj = evolve(model1, model2, cfg, 3)
         state = initial_moments(model1, model2)
         gx = cross_noise_moment(model1, model2)
+        weights = model1.rx[None]
         for t in range(3):
-            j1 = _readout(model1.rx, state.m1, state.m1, state.p1)
-            j2 = _readout(model1.rx, state.m2, state.m2, state.p2)
-            j12 = _readout(model1.rx, state.m1, state.m2, state.px)
+            j1, j2, j12, dj1, dj2 = _readouts(weights, state.m1, state.m2,
+                                              state.p1, state.p2,
+                                              state.px)[:, 0]
             np.testing.assert_array_equal(traj.emse1[t], j1)
             np.testing.assert_array_equal(traj.emse2[t], j2)
             np.testing.assert_array_equal(traj.emse12[t], j12)
-            gbar, pbar = gamma_mean_step_pn(cfg, state.gbar, state.pbar,
-                                            j1 - j12, j2 - j12)
-            g2bar = gamma_ms_step_pn(cfg, state.gbar, state.g2bar, pbar,
-                                     j1 - j12, j2 - j12, j2, model1.sigma_z2)
+            gbar, g2bar, pbar = coefficient_step(
+                cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
+                model1.sigma_z2)
             state = MomentState(
                 m1=mean_step(model1, state.m1),
                 m2=mean_step(model2, state.m2),
@@ -1031,7 +1090,7 @@ class TestStabilityBounds:
 
 class TestUniversalityReport:
     def test_interpolating_hand_triple(self):
-        report = universality_report([2.0], [3.0], [1.0])
+        report = universality_of([2.0], [3.0], [1.0])
         np.testing.assert_allclose(report.emse_combined, [5.0 / 3.0],
                                    rtol=1e-14)
         assert report.agent_regimes == ("interpolating",)
@@ -1040,27 +1099,27 @@ class TestUniversalityReport:
 
     def test_boundary_equals_better_component(self):
         # dj1 = 0: the combined error collapses onto component one
-        report = universality_report([1.0], [3.0], [1.0])
+        report = universality_of([1.0], [3.0], [1.0])
         np.testing.assert_allclose(report.emse_combined, [1.0], rtol=1e-14)
         assert report.verdict == "universal"
 
     def test_extrapolation_beats_both_components(self):
-        report = universality_report([1.0], [3.0], [1.5])
+        report = universality_of([1.0], [3.0], [1.5])
         np.testing.assert_allclose(report.emse_combined, [0.75], rtol=1e-14)
         assert report.agent_regimes == ("extrapolating_beyond_1",)
         assert report.network_combined < 1.0
-        report = universality_report([3.0], [1.0], [1.5])
+        report = universality_of([3.0], [1.0], [1.5])
         assert report.agent_regimes == ("extrapolating_beyond_2",)
 
     def test_indistinguishable_components(self):
-        report = universality_report([2.0, 1.0], [2.0, 1.0], [2.0, 1.0])
+        report = universality_of([2.0, 1.0], [2.0, 1.0], [2.0, 1.0])
         np.testing.assert_allclose(report.emse_combined, [2.0, 1.0])
         assert report.verdict == "components indistinguishable"
         assert report.agent_regimes == ("indistinguishable",) * 2
 
     def test_rejects_impossible_cross_error(self):
         with pytest.raises(ValueError, match="Cauchy-Schwarz"):
-            universality_report([1.0], [1.0], [5.0])
+            universality_of([1.0], [1.0], [5.0])
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -1072,7 +1131,7 @@ class TestUniversalityReport:
         j12 = rho * float(np.sqrt(j1 * j2))
         s = j1 + j2 - 2 * j12
         assume(s > 1e-6)
-        report = universality_report([j1], [j2], [j12])
+        report = universality_of([j1], [j2], [j12])
         gamma = (j2 - j12) / s
         direct = (gamma**2 * j1 + (1 - gamma)**2 * j2
                   + 2 * gamma * (1 - gamma) * j12)
