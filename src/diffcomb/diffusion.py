@@ -205,28 +205,3 @@ def step(cfg: StrategyConfig, st: StrategyState, batch: SampleBatch) -> Strategy
     w = np.swapaxes(a2, -1, -2) @ psi
     return StrategyState(w=w, a2=a2, zeta2=zeta2)
 
-
-def atc_config(
-    topology: Topology,
-    a2: StochasticMatrix,
-    mu,
-    c: StochasticMatrix | None = None,
-) -> StrategyConfig:
-    """Adapt-then-combine configuration (A1 = I) with static A2."""
-    identity = static_rule(topology, "identity")
-    c_matrix = c if c is not None else StochasticMatrix(identity.entries, "right")
-    return StrategyConfig(topology=topology, a1=identity, c=c_matrix, mu=mu, a2=a2)
-
-
-def cta_config(
-    topology: Topology,
-    a1: StochasticMatrix,
-    mu,
-    c: StochasticMatrix | None = None,
-) -> StrategyConfig:
-    """Combine-then-adapt configuration (A2 = I)."""
-    identity = static_rule(topology, "identity")
-    c_matrix = c if c is not None else StochasticMatrix(identity.entries, "right")
-    return StrategyConfig(
-        topology=topology, a1=a1, c=c_matrix, mu=mu, a2=identity
-    )

@@ -41,6 +41,7 @@ from .signal import (
     regressor_covariance,
 )
 from .theory import (
+    PairModel,
     build_component_model,
     evolve,
     initial_moments,
@@ -115,6 +116,17 @@ class ExperimentConfig:
                 f"got {len(self.components)}")
         if self.gamma_init is not None and self.combiner.scheme == "multi_sign":
             raise ValueError("gamma_init applies to two-component schemes only")
+        for name, shape, per in (
+                ("nu_gamma", (n,), "agent"),
+                ("nu_alpha", (self.combiner.m, n), "component and agent")):
+            value = getattr(self.combiner, name)
+            try:
+                np.broadcast_to(value, shape)
+            except ValueError:
+                raise ValueError(
+                    f"{name} has shape {np.shape(value)}: it must be a "
+                    f"scalar or give one value per {per}, shape "
+                    f"{shape}") from None
 
     @property
     def n_agents(self) -> int:
@@ -590,16 +602,15 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
         if start >= t_max:
             break
         end = min(stages[i + 1][0] if i + 1 < len(stages) else t_max, t_max)
-        model1 = build_component_model(cfg.topology, cfg.components[0],
-                                       rx, sigma_z2, target)
-        model2 = build_component_model(cfg.topology, cfg.components[1],
-                                       rx, sigma_z2, target)
+        pair = PairModel(*(build_component_model(cfg.topology, comp, rx,
+                                                 sigma_z2, target)
+                           for comp in cfg.components[:2]))
         if state is None:
-            state = initial_moments(model1, model2, gamma0=gamma0)
+            state = initial_moments(pair, gamma0=gamma0)
         else:
             state = shift_targets(
                 state, prev_target.reshape(-1) - target.reshape(-1))
-        traj = evolve(model1, model2, cfg.combiner, end - start, state=state)
+        traj = evolve(pair, cfg.combiner, end - start, state=state)
         # the combined error at an instant mixes with the coefficient
         # moments produced one update earlier
         gp = np.vstack([g_prev, traj.gbar[:-1]])
@@ -614,7 +625,7 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
         state = traj.state
         prev_target = target
         steady_entries.append(
-            (start, steady_state(model1, model2, cfg.combiner)))
+            (start, steady_state(pair, cfg.combiner)))
 
     return TheoryResult(horizon=t_max, n_agents=n,
                         series=dict(zip(series_names(cfg), table.T)),

@@ -14,20 +14,25 @@ When every regressor covariance is white (sigma_k^2 I_L), m = 1 and the
 factors are N x N agent-level matrices; colored regressors (AR(1),
 general SPD covariances) give m = L, NL x NL factors and kron_len = 1.
 
-The moments share that structure.  Means evolve as m' = bbar m - rbar.
-Every (cross-)covariance is E{v1 v2^T} = P kron I + m1 m2^T, and only
-the centered factor P, of size N m, is carried: P' = b1 P b2^T + g12,
-because the drift moves the means and leaves centered moments alone.
-So white-regressor theory never forms an NL x NL array, and transient
-and steady state run one code path for both regressor kinds.  Steady
-factors solve that Stein equation by squared Smith doubling, at
-O(N_f^3 log t) for factors of size N_f.
+The moments share that structure, and the pair's moments are carried
+stacked.  The means m, of shape (2, NL), hold m1 and m2 and evolve as
+m_i' = b_i m_i - r_i.  The three distinct (cross-)covariances
+E{v_i v_j^T} = p_ij kron I + m_i m_j^T are carried by their centered
+factors p, of shape (3, N m, N m), in the block order (p11, p22, p12):
+p' = left p right^T + g with left = (b1, b2, b1), right = (b1, b2, b2)
+and g = (f1^T q f1, f2^T q f2, f1^T q f2), because the drift moves the
+means and leaves centered moments alone.  PairModel builds those stacks
+once per stage.  So white-regressor theory never forms an NL x NL
+array, and transient and steady state run one code path for both
+regressor kinds.  Steady factors solve that Stein equation, all three
+blocks in one call, by squared Smith doubling at O(N_f^3 log t) for
+factors of size N_f.
 
 The mixing coefficient follows one law per two-component scheme, looked
 up once by scheme name: coefficient_step advances its per-agent mean,
 second moment and smoothed power together, coefficient_steady gives
 their limits.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read
-from (m1 - m2, p1 - px) and (m2 - m1, p2 - px) directly, so nearly
+from (m1 - m2, p11 - p12) and (m2 - m1, p22 - p12) directly, so nearly
 equal excess errors never cancel.
 
 The predictor covers static fusion matrices only; the data-driven A2
@@ -46,7 +51,7 @@ from .graph import Topology
 
 DELTA_J_FLOOR = 1e-12
 
-_MODEL_ARRAYS = ("bbar", "rbar", "g", "f", "q", "c", "mu", "rx", "sigma_z2",
+_MODEL_ARRAYS = ("bbar", "rbar", "f", "q", "c", "mu", "rx", "sigma_z2",
                  "w_star")
 # 2^64 terms of the Stein series: enough for any spectral radius below
 # one in double precision
@@ -69,14 +74,13 @@ class ComponentModel:
     """Frozen moment description of one component diffusion strategy.
 
     bbar is the mean error transition matrix, rbar the deterministic
-    drift (zero for a shared target under left-stochastic combining),
-    g the second moment of the gradient noise.  The gradient noise is
-    (f kron I)^T p, where p stacks the raw terms x_k z_k whose second
-    moment is q kron I; so g = f^T q f, and two models over the same data
-    couple through f1^T q f2.  bbar, g, f and q are factors over an
-    identity of size kron_len (see the module docstring).  c, mu, rx,
-    sigma_z2 and w_star are kept so that cross moments and derived
-    reports can be computed without re-supplying the inputs.
+    drift (zero for a shared target under left-stochastic combining).
+    The gradient noise is (f kron I)^T p, where p stacks the raw terms
+    x_k z_k whose second moment is q kron I; PairModel forms its second
+    moments f_i^T q f_j.  bbar, f and q are factors over an identity of
+    size kron_len (see the module docstring).  c, mu, rx, sigma_z2 and
+    w_star are kept so that pair moments and derived reports can be
+    computed without re-supplying the inputs.
     """
 
     n_agents: int
@@ -91,11 +95,8 @@ class ComponentModel:
     rx: np.ndarray
     sigma_z2: np.ndarray
     w_star: np.ndarray
-    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        g = self.f.T @ self.q @ self.f
-        object.__setattr__(self, "g", 0.5 * (g + g.T))
         _freeze_arrays(self, _MODEL_ARRAYS)
 
     @property
@@ -103,23 +104,63 @@ class ComponentModel:
         return self.n_agents * self.filter_len
 
 
+@dataclass(frozen=True)
+class PairModel:
+    """Stacked moment description of two strategies observing the same data.
+
+    b and rbar stack the two components' transitions and drifts.  left
+    and right are the transitions (b1, b2, b1) and (b1, b2, b2) acting on
+    the centered factors in the block order (p11, p22, p12), and g the
+    gradient-noise moments (f1^T q f1, f2^T q f2, f1^T q f2) in the same
+    order; the two auto moments are exactly symmetric.  weights holds the
+    per-agent readout blocks: the identity (row 0) gives deviations, rx
+    (row 1) excess errors, with rx[k] = rx[k, :m, :m] kron I.  Building a
+    pair checks that both components share dimensions and data.
+    """
+
+    model1: ComponentModel
+    model2: ComponentModel
+    b: np.ndarray = field(init=False)
+    rbar: np.ndarray = field(init=False)
+    left: np.ndarray = field(init=False)
+    right: np.ndarray = field(init=False)
+    g: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        model1, model2 = self.model1, self.model2
+        _require_same_data(model1, model2)
+        b = np.stack((model1.bbar, model2.bbar))
+        f1, f2, q = model1.f, model2.f, model1.q
+        g = np.stack((f1.T @ q @ f1, f2.T @ q @ f2, f1.T @ q @ f2))
+        g[:2] = 0.5 * (g[:2] + g[:2].transpose(0, 2, 1))
+        n = model1.n_agents
+        m = model1.bbar.shape[0] // n
+        weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)),
+                            model1.rx[:, :m, :m]])
+        arrays = {"b": b, "rbar": np.stack((model1.rbar, model2.rbar)),
+                  "left": b[[0, 1, 0]], "right": b[[0, 1, 1]], "g": g,
+                  "weights": weights}
+        for name, value in arrays.items():
+            object.__setattr__(self, name, value)
+        _freeze_arrays(self, arrays)
+
+
 @dataclass
 class MomentState:
     """Joint moment state of both components and the combiner at one instant.
 
-    m1/m2 are the mean error vectors (length NL).  p1/p2/px are the
-    centered covariance factors of each component and of the cross term,
-    of size N m over the models' kron_len identity:
-    E{v1 v1^T} = p1 kron I + m1 m1^T, E{v1 v2^T} = px kron I + m1 m2^T.
-    gbar/g2bar are the per-agent first and second moments of the mixing
-    coefficient, pbar the per-agent smoothed difference power.
+    m, of shape (2, NL), stacks the mean error vectors m1 and m2.  p, of
+    shape (3, N m, N m), stacks the centered covariance factors over the
+    models' kron_len identity in the block order (p11, p22, p12):
+    E{v_i v_j^T} = p_ij kron I + m_i m_j^T, so p[2] is the cross factor
+    of E{v1 v2^T}.  gbar/g2bar are the per-agent first and second moments
+    of the mixing coefficient, pbar the per-agent smoothed difference
+    power.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    px: np.ndarray
+    m: np.ndarray
+    p: np.ndarray
     gbar: np.ndarray
     g2bar: np.ndarray
     pbar: np.ndarray
@@ -191,15 +232,12 @@ class UniversalityReport:
 class SteadyReport:
     """Closed-form steady state of the combined pair.
 
-    m1/m2 are the fixed mean errors and p1/p2/px the centered covariance
-    factors, in the form of MomentState.
+    m stacks the fixed mean errors (m1, m2) and p the centered covariance
+    factors (p11, p22, p12), in the layout of MomentState.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    px: np.ndarray
+    m: np.ndarray
+    p: np.ndarray
     gbar: np.ndarray
     g2bar: np.ndarray
     pbar: np.ndarray
@@ -228,38 +266,28 @@ def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
 
 
-def _readouts(weights: np.ndarray, m1, m2, p1, p2, px) -> np.ndarray:
+def _readouts(weights: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Per-agent tr((W_k kron I) Om_kk) of five moments Om = p kron I + a b^T.
 
-    weights[w, k] is an m x m block W_k, m the factor block size of the
-    p's, acting on agent k's diagonal block as W_k kron I.  The moments
-    are component 1 (m1, m1, p1), component 2 (m2, m2, p2), the cross
-    moment (m1, m2, px), and the drivers j1 - j12 from (m1, m1 - m2,
-    p1 - px) and j2 - j12 from (m2, m2 - m1, p2 - px): read directly, the
-    drivers never cancel two nearly equal excess errors.  Returns an
+    weights[w, k] is an m x m block W_k, m the factor block size of p,
+    acting on agent k's diagonal block as W_k kron I.  The moments are
+    component 1 (m1, m1, p11), component 2 (m2, m2, p22), the cross
+    moment (m1, m2, p12), and the drivers j1 - j12 from (m1, m1 - m2,
+    p11 - p12) and j2 - j12 from (m2, m2 - m1, p22 - p12): read directly,
+    the drivers never cancel two nearly equal excess errors.  Returns an
     array of shape (5, weights.shape[0], N).
     """
-    n, m = weights.shape[-3], weights.shape[-1]
-    reps = m1.shape[0] // p1.shape[0]
-    blocks = np.einsum("skikj->skij",
-                       np.stack((p1, p2, px)).reshape(3, n, m, n, m))
-    d = m1 - m2
-    left = np.stack((m1, m2, m1, m1, m2)).reshape(5, n, m, reps)
-    right = np.stack((m1, m2, m2, d, -d)).reshape(5, n, m, reps)
+    n, k = weights.shape[-3], weights.shape[-1]
+    reps = m.shape[1] // p.shape[1]
+    blocks = np.einsum("skikj->skij", p.reshape(3, n, k, n, k))
+    d = m[0] - m[1]
+    left = m[[0, 1, 0, 0, 1]].reshape(5, n, k, reps)
+    right = np.stack((m[0], m[1], m[1], d, -d)).reshape(5, n, k, reps)
     # agent k's diagonal block of Om, folded over the kron_len identity:
     # kron_len p_kk plus the mean part sum_t a_t b_t^T
     om = reps * np.concatenate((blocks, blocks[:2] - blocks[2]))
     om += np.einsum("skjt,skit->skji", left, right)
     return np.einsum("wkij,skji->swk", weights, om)
-
-
-def _readout_weights(model: ComponentModel) -> np.ndarray:
-    """m x m readout blocks per agent: the identity (row 0) gives
-    deviations, rx (row 1) excess errors; rx[k] is rx[k, :m, :m] kron I."""
-    n = model.n_agents
-    m = model.bbar.shape[0] // n
-    return np.stack([np.broadcast_to(np.eye(m), (n, m, m)),
-                     model.rx[:, :m, :m]])
 
 
 def build_component_model(topology: Topology, cfg: StrategyConfig,
@@ -340,44 +368,20 @@ def _require_same_data(model1: ComponentModel, model2: ComponentModel) -> None:
         raise ValueError("component models must share data statistics")
 
 
-def cross_noise_moment(model1: ComponentModel, model2: ComponentModel) -> np.ndarray:
-    """E{g1 g2^T}: gradient-noise coupling through the shared measurements.
+def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
+    """One step of both mean error recursions: b m - rbar, per component."""
+    return (pair.b @ m.reshape(2, pair.b.shape[1], -1)).reshape(2, -1) \
+        - pair.rbar
 
-    Returned as a factor over the models' kron_len identity.
+
+def covariance_step(pair: PairModel, p: np.ndarray) -> np.ndarray:
+    """One step of the three centered factors: left p right^T + g.
+
+    The two auto factors p11 and p22 of the result are exactly symmetric.
     """
-    _require_same_data(model1, model2)
-    return model1.f.T @ model1.q @ model2.f
-
-
-def mean_step(model: ComponentModel, m: np.ndarray) -> np.ndarray:
-    """One step of the mean error recursion."""
-    return _kron_apply(model.bbar, m) - model.rbar
-
-
-def covariance_step(model: ComponentModel, p: np.ndarray) -> np.ndarray:
-    """One step of the centered covariance factor: b p b^T + g.
-
-    The result is exactly symmetric.
-    """
-    out = model.bbar @ p @ model.bbar.T
-    out += model.g
-    return 0.5 * (out + out.T)
-
-
-def cross_covariance_step(model1: ComponentModel, model2: ComponentModel,
-                          px: np.ndarray,
-                          gx: np.ndarray | None = None) -> np.ndarray:
-    """One step of the centered cross-covariance factor: b1 px b2^T + gx.
-
-    Pass a precomputed gx = cross_noise_moment(model1, model2) when
-    iterating; it is rebuilt on every call otherwise.
-    """
-    if px.shape != (model1.bbar.shape[0], model2.bbar.shape[0]):
-        raise ValueError("cross covariance has mismatched dimensions")
-    if gx is None:
-        gx = cross_noise_moment(model1, model2)
-    out = model1.bbar @ px @ model2.bbar.T
-    out += gx
+    out = pair.left @ p @ pair.right.transpose(0, 2, 1)
+    out += pair.g
+    out[:2] = 0.5 * (out[:2] + out[:2].transpose(0, 2, 1))
     return out
 
 
@@ -469,38 +473,22 @@ def coefficient_steady(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):
             np.where(degenerate, 0.0, power))
 
 
-def combined_msd(state: MomentState) -> float:
-    """Network deviation of the combined estimates at the state's instant.
-
-    Expands E{||Gamma v1 + (I - Gamma) v2||^2} with per-agent coefficient
-    moments, averaged over agents.
-    """
-    n = state.gbar.shape[0]
-    m = state.p1.shape[0] // n
-    traces = _readouts(np.broadcast_to(np.eye(m), (1, n, m, m)), state.m1,
-                       state.m2, state.p1, state.p2, state.px)[:3, 0]
-    return _combined_from_traces(*traces, state.gbar, state.g2bar)
-
-
 def _combined_from_traces(t1, t2, tx, gbar, g2bar) -> float:
     per_agent = (g2bar * t1 + (1.0 - 2.0 * gbar + g2bar) * t2
                  + 2.0 * (gbar - g2bar) * tx)
     return float(np.mean(per_agent))
 
 
-def initial_moments(model1: ComponentModel, model2: ComponentModel,
-                    gamma0: float = 0.5) -> MomentState:
+def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
     """Moment state for all-zero initial estimates and gamma = gamma0.
 
     The errors start at the deterministic -w_star, so every centered
     factor is zero.
     """
-    _require_same_data(model1, model2)
-    n = model1.n_agents
-    k = model1.bbar.shape[0]
-    w = model1.w_star
-    return MomentState(m1=-w.copy(), m2=-w.copy(), p1=np.zeros((k, k)),
-                       p2=np.zeros((k, k)), px=np.zeros((k, k)),
+    n = pair.model1.n_agents
+    k = pair.b.shape[1]
+    return MomentState(m=np.tile(-pair.model1.w_star, (2, 1)),
+                       p=np.zeros((3, k, k)),
                        gbar=np.full(n, float(gamma0)),
                        g2bar=np.full(n, float(gamma0) ** 2),
                        pbar=np.zeros(n))
@@ -510,15 +498,14 @@ def shift_targets(state: MomentState, delta: np.ndarray) -> MomentState:
     """Re-express a moment state against a new stationary target.
 
     delta is old target minus new target, flattened.  Error vectors all
-    shift deterministically by delta, so the means translate while the
+    shift deterministically by delta, so both means translate while the
     centered factors and the coefficient moments are unaffected.
     """
-    delta = np.asarray(delta, dtype=float)
-    return replace(state, m1=state.m1 + delta, m2=state.m2 + delta)
+    return replace(state, m=state.m + np.asarray(delta, dtype=float))
 
 
-def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
-           n_steps: int, state: MomentState | None = None) -> TheoryTrajectory:
+def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
+           state: MomentState | None = None) -> TheoryTrajectory:
     """Run the coupled moment recursions for n_steps instants.
 
     Per instant: the pre-update covariances give the excess errors that
@@ -527,12 +514,10 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
     advance, and the combined deviation is assembled from the advanced
     state.  Component moments never depend on the coefficient.
     """
-    _require_same_data(model1, model2)
     if state is None:
-        state = initial_moments(model1, model2)
-    n = model1.n_agents
-    gx = cross_noise_moment(model1, model2)
-    sigma_z2 = model1.sigma_z2
+        state = initial_moments(pair)
+    n = pair.model1.n_agents
+    sigma_z2 = pair.model1.sigma_z2
 
     emse1 = np.empty((n_steps, n))
     emse2 = np.empty((n_steps, n))
@@ -548,23 +533,17 @@ def evolve(model1: ComponentModel, model2: ComponentModel, cfg: CombinerConfig,
 
     # one readout per moment gives the deviations after a step (row 0)
     # and the excess errors and drivers of the next step (row 1)
-    weights = _readout_weights(model1)
-    readouts = _readouts(weights, state.m1, state.m2, state.p1, state.p2,
-                         state.px)
+    weights = pair.weights
+    readouts = _readouts(weights, state.m, state.p)
     for t in range(n_steps):
         j1, j2, j12, dj1, dj2 = readouts[:, 1]
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
         gbar_next, g2bar_next, pbar_next = coefficient_step(
             cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2, sigma_z2)
-        state = MomentState(
-            m1=mean_step(model1, state.m1),
-            m2=mean_step(model2, state.m2),
-            p1=covariance_step(model1, state.p1),
-            p2=covariance_step(model2, state.p2),
-            px=cross_covariance_step(model1, model2, state.px, gx=gx),
-            gbar=gbar_next, g2bar=g2bar_next, pbar=pbar_next)
-        readouts = _readouts(weights, state.m1, state.m2, state.p1, state.p2,
-                             state.px)
+        state = MomentState(m=mean_step(pair, state.m),
+                            p=covariance_step(pair, state.p),
+                            gbar=gbar_next, g2bar=g2bar_next, pbar=pbar_next)
+        readouts = _readouts(weights, state.m, state.p)
         traces = readouts[:3, 0]
 
         emse1[t] = j1
@@ -587,71 +566,67 @@ def _spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def _fixed_mean(model: ComponentModel) -> np.ndarray:
-    """The mean error m with m = bbar m - rbar."""
-    k = model.bbar.shape[0]
-    rhs = model.rbar.reshape(k, -1)
-    return -np.linalg.solve(np.eye(k) - model.bbar, rhs).reshape(-1)
+def _fixed_mean(pair: PairModel) -> np.ndarray:
+    """The mean errors m with m = b m - rbar, per component."""
+    k = pair.b.shape[1]
+    rhs = pair.rbar.reshape(2, k, -1)
+    return -np.linalg.solve(np.eye(k) - pair.b, rhs).reshape(2, -1)
 
 
 def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve x = a x b^T + c by squared Smith doubling (Smith, 1968).
+    """Solve x = a x b^T + c for stacks of blocks by squared Smith
+    doubling (Smith, 1968).
 
-    After k doublings x holds the first 2^k terms of the series
-    sum_j a^j c (b^T)^j, so once the spectral radii of a and b are below
-    one the remainder shrinks quadratically.
+    After k doublings each block of x holds the first 2^k terms of the
+    series sum_j a^j c (b^T)^j, so once the spectral radii of a and b are
+    below one the remainder shrinks quadratically.  Doubling stops once
+    every block's increment is below eps times that block's largest
+    entry.
     """
-    same = b is a
     x = np.array(c, dtype=float)
     tol = np.finfo(float).eps
     for _ in range(_MAX_DOUBLINGS):
-        step = a @ x @ b.T
+        step = a @ x @ b.transpose(0, 2, 1)
         x += step
-        if np.max(np.abs(step)) <= tol * np.max(np.abs(x)):
+        if np.all(np.max(np.abs(step), axis=(1, 2))
+                  <= tol * np.max(np.abs(x), axis=(1, 2))):
             return x
         a = a @ a
-        b = a if same else b @ b
+        b = b @ b
     raise InstabilityError("steady covariance did not converge")
 
 
-def steady_state(model1: ComponentModel, model2: ComponentModel,
-                 cfg: CombinerConfig) -> SteadyReport:
+def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     """Closed-form limits of the coupled recursions.
 
-    The means sit at m = bbar m - rbar and each centered factor solves
-    p = b1 p b2^T + g on the factors.  Coefficient moments come from
-    their stationary expressions with moments frozen at the limits.
-    Raises InstabilityError when a component cannot converge.
+    The means sit at m = b m - rbar and the centered factors solve
+    p = left p right^T + g, all three blocks in one Stein solve.
+    Coefficient moments come from their stationary expressions with
+    moments frozen at the limits.  Raises InstabilityError when a
+    component cannot converge.
     """
-    _require_same_data(model1, model2)
-    l = model1.filter_len
-    for label, model in (("1", model1), ("2", model2)):
-        rho = _spectral_radius(model.bbar)
+    for label, b in zip("12", pair.b):
+        rho = _spectral_radius(b)
         if rho >= 1.0:
             raise InstabilityError(
                 f"component {label} mean recursion diverges: "
                 f"spectral radius {rho:.6f} >= 1")
 
-    b1, b2 = model1.bbar, model2.bbar
-    m1 = _fixed_mean(model1)
-    m2 = _fixed_mean(model2)
-    p1 = _stein(b1, b1, model1.g)
-    p2 = _stein(b2, b2, model2.g)
-    p1 = 0.5 * (p1 + p1.T)
-    p2 = 0.5 * (p2 + p2.T)
-    px = _stein(b1, b2, cross_noise_moment(model1, model2))
+    m = _fixed_mean(pair)
+    p = _stein(pair.left, pair.right, pair.g)
+    p[:2] = 0.5 * (p[:2] + p[:2].transpose(0, 2, 1))
 
     (t1, j1), (t2, j2), (tx, j12), (_, dj1), (_, dj2) = _readouts(
-        _readout_weights(model1), m1, m2, p1, p2, px)
+        pair.weights, m, p)
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, j2,
-                                           model1.sigma_z2)
+                                           pair.model1.sigma_z2)
 
-    gamma = np.repeat(gbar, l)
-    bias = gamma * m1 + (1.0 - gamma) * m2
-    bounds = stability_bounds(model1, model2, cfg, dj_sum=dj1 + dj2)
+    gamma = np.repeat(gbar, pair.model1.filter_len)
+    bias = gamma * m[0] + (1.0 - gamma) * m[1]
+    bounds = stability_bounds(pair, cfg, dj_sum=dj1 + dj2)
 
     return SteadyReport(
-        m1=m1, m2=m2, p1=p1, p2=p2, px=px,
+        m=m, p=p,
         gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
         emse1=j1, emse2=j2, emse12=j12,
         msd1=float(np.mean(t1)),
@@ -672,8 +647,8 @@ def mu_bounds(c, rx) -> np.ndarray:
     return 2.0 / np.linalg.eigvalsh(data)[:, -1]
 
 
-def stability_bounds(model1: ComponentModel, model2: ComponentModel,
-                     cfg: CombinerConfig, dj_sum=None) -> StabilityReport:
+def stability_bounds(pair: PairModel, cfg: CombinerConfig,
+                     dj_sum=None) -> StabilityReport:
     """Step-size stability limits for the configured pair.
 
     dj_sum holds per-agent trajectories of the excess-error difference
@@ -682,13 +657,13 @@ def stability_bounds(model1: ComponentModel, model2: ComponentModel,
     step-size equal to its bound is flagged as failing.
     """
     reports = []
-    for model in (model1, model2):
+    for model in (pair.model1, pair.model2):
         bound = mu_bounds(model.c, model.rx)
         reports.append((bound, (model.mu > 0) & (model.mu < bound)))
     (mu_bound1, mu_ok1), (mu_bound2, mu_ok2) = reports
 
     nu = np.broadcast_to(np.asarray(cfg.nu_gamma, dtype=float),
-                         (model1.n_agents,))
+                         (pair.model1.n_agents,))
     pn_mean_bound = 1.0 - cfg.eta
     pn_ms_bound = (1.0 - cfg.eta) / 3.0
     pn_mean_ok = (nu > 0) & (nu < pn_mean_bound)

@@ -18,11 +18,10 @@ from diffcomb import harness
 from diffcomb.combine import optimal_gamma
 from diffcomb.graph import build_preset, static_rule, stats, validate_stochastic
 from diffcomb.theory import (
+    PairModel,
     coefficient_steady,
     coefficient_step,
     covariance_step,
-    cross_covariance_step,
-    cross_noise_moment,
     initial_moments,
     mean_step,
     stability_bounds,
@@ -112,51 +111,37 @@ def test_mixing_coefficient_moments_match_predictions(pn_bundle, sr_bundle):
 def test_moment_recursions_consistent_across_formulations():
     """Matrix covariance recursions agree with the vectorized weighted-norm
     route over 100 steps, and the steady solves with long iteration."""
-    model1, model2 = test_theory.random_model_pair(41, n=3, l=1)
+    pair = test_theory.random_pair(41, n=3, l=1)
     rng = np.random.default_rng(541)
-    dim = model1.block_dim
+    dim = pair.model1.block_dim
     a = rng.normal(size=(dim, dim))
     sigma = a @ a.T + 0.5 * np.eye(dim)
     steps = 100
 
-    raw_moment = test_theory.raw_moment
-    start = initial_moments(model1, model2)
-    for model in (model1, model2):
-        xi_vec = test_theory.weighted_norm_curve(model, sigma, steps)
-        m, p = start.m1, start.p1
-        xi_mat = np.empty(steps + 1)
-        for t in range(steps + 1):
-            xi_mat[t] = np.sum(sigma * raw_moment(m, m, p))
-            p = covariance_step(model, p)
-            m = mean_step(model, m)
-        np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
-                                   atol=1e-12 * np.max(np.abs(xi_vec)))
-
-    xi_vec = test_theory.cross_norm_curve(model1, model2, sigma, steps)
-    gx = cross_noise_moment(model1, model2)
-    m1, m2, px = start.m1, start.m2, start.px
-    xi_mat = np.empty(steps + 1)
+    raw_moments = test_theory.raw_moments
+    start = initial_moments(pair)
+    m, p = start.m, start.p
+    xi_mat = np.empty((3, steps + 1))
     for t in range(steps + 1):
-        xi_mat[t] = np.sum(sigma * raw_moment(m1, m2, px))
-        px = cross_covariance_step(model1, model2, px, gx=gx)
-        m1 = mean_step(model1, m1)
-        m2 = mean_step(model2, m2)
-    np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
+        xi_mat[:, t] = [np.sum(sigma * om) for om in raw_moments(m, p)]
+        p = covariance_step(pair, p)
+        m = mean_step(pair, m)
+    for k, model in enumerate((pair.model1, pair.model2)):
+        xi_vec = test_theory.weighted_norm_curve(model, pair.g[k], sigma,
+                                                 steps)
+        np.testing.assert_allclose(xi_mat[k], xi_vec, rtol=1e-10,
+                                   atol=1e-12 * np.max(np.abs(xi_vec)))
+    xi_vec = test_theory.cross_norm_curve(pair, sigma, steps)
+    np.testing.assert_allclose(xi_mat[2], xi_vec, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(xi_vec)))
 
-    report = steady_state(model1, model2, test_theory.pn_cfg())
-    m1, m2, p1, p2, px = start.m1, start.m2, start.p1, start.p2, start.px
+    report = steady_state(pair, test_theory.pn_cfg())
+    m, p = start.m, start.p
     for _ in range(100_000):
-        p1 = covariance_step(model1, p1)
-        p2 = covariance_step(model2, p2)
-        px = cross_covariance_step(model1, model2, px, gx=gx)
-        m1 = mean_step(model1, m1)
-        m2 = mean_step(model2, m2)
-    for got, want in (
-            (raw_moment(m1, m1, p1), raw_moment(report.m1, report.m1, report.p1)),
-            (raw_moment(m2, m2, p2), raw_moment(report.m2, report.m2, report.p2)),
-            (raw_moment(m1, m2, px),
-             raw_moment(report.m1, report.m2, report.px))):
+        p = covariance_step(pair, p)
+        m = mean_step(pair, m)
+    for got, want in zip(raw_moments(m, p),
+                         raw_moments(report.m, report.p)):
         np.testing.assert_allclose(got, want, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(want)))
 
@@ -191,8 +176,9 @@ def test_optimal_coefficient_against_grid_and_closed_forms():
     report = universality_report(j1, j2, j12, j1 - j12, j2 - j12)
     np.testing.assert_allclose(report.emse_combined, at_opt, rtol=1e-12)
 
-    scalar = steady_state(test_theory.scalar_model(),
-                          test_theory.scalar_model(), test_theory.pn_cfg())
+    scalar = steady_state(PairModel(test_theory.scalar_model(),
+                                    test_theory.scalar_model()),
+                          test_theory.pn_cfg())
     assert scalar.msd1 == pytest.approx(0.01 * 0.1 / (2.0 - 0.01 * 1.0),
                                         rel=1e-12)
 
@@ -253,9 +239,9 @@ def test_frozen_moment_iteration_reaches_steady_forms():
 def test_stability_bounds_on_hand_cases():
     """Coefficient and component step-size limits on directly computable
     cases, including the open-interval behavior at the limit itself."""
-    m1 = test_theory.scalar_model(mu=1.0, sx=2.0)
-    m2 = test_theory.scalar_model(mu=0.5, sx=2.0)
-    report = stability_bounds(m1, m2, test_theory.pn_cfg(nu=0.01, eta=0.95))
+    pair = PairModel(test_theory.scalar_model(mu=1.0, sx=2.0),
+                     test_theory.scalar_model(mu=0.5, sx=2.0))
+    report = stability_bounds(pair, test_theory.pn_cfg(nu=0.01, eta=0.95))
     assert report.pn_mean_bound == 1.0 - 0.95
     assert report.pn_ms_bound == (1.0 - 0.95) / 3.0
     assert report.pn_mean_ok.all() and report.pn_ms_ok.all()
@@ -264,18 +250,19 @@ def test_stability_bounds_on_hand_cases():
     np.testing.assert_array_equal(report.mu_bound2, [1.0])
     assert not report.mu_ok1.any()
     assert report.mu_ok2.all()
-    wide = stability_bounds(test_theory.scalar_model(mu=0.1, sx=0.5),
-                            test_theory.scalar_model(mu=0.2, sx=0.5),
-                            test_theory.pn_cfg())
+    wide = stability_bounds(
+        PairModel(test_theory.scalar_model(mu=0.1, sx=0.5),
+                  test_theory.scalar_model(mu=0.2, sx=0.5)),
+        test_theory.pn_cfg())
     np.testing.assert_array_equal(wide.mu_bound1, [4.0])
 
-    report = stability_bounds(m1, m2, test_theory.sr_cfg(nu=0.5),
+    report = stability_bounds(pair, test_theory.sr_cfg(nu=0.5),
                               dj_sum=[np.pi / 2.0])
     np.testing.assert_array_equal(report.sr_mean_bound, [1.0])
     np.testing.assert_array_equal(
         report.sr_ms_bound, [np.sqrt(2.0 / (np.pi * (np.pi / 2.0)))])
     assert report.sr_mean_ok.all() and report.sr_ms_ok.all()
-    at_limit = stability_bounds(m1, m2, test_theory.sr_cfg(nu=1.0),
+    at_limit = stability_bounds(pair, test_theory.sr_cfg(nu=1.0),
                                 dj_sum=[np.pi / 2.0])
     assert not at_limit.sr_mean_ok.any()
 

@@ -67,6 +67,19 @@ class TestValidate:
         assert "component 1 agent 1" in err
         assert "mean-stability bound" in err
 
+    def test_per_agent_nu_gamma_of_wrong_length(self, tmp_path, capsys):
+        # a 3-value list on the 10-agent preset used to pass validation
+        # and fail mid-run on a numpy broadcast
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / "universality_pn.json").read_text())
+        raw["combiner"]["nu_gamma"] = [0.01, 0.01, 0.01]
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "nu_gamma" in err and "(10,)" in err
+
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
         raw["components"][0]["mu"] = -1.0

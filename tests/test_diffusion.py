@@ -6,8 +6,6 @@ from diffcomb.diffusion import (
     StrategyConfig,
     adapt_matrix_projection,
     adapt_matrix_relative_variance,
-    atc_config,
-    cta_config,
     errors_and_outputs,
     init_state,
     step,
@@ -19,6 +17,7 @@ from diffcomb.signal import (
     SampleBatch,
     TargetSchedule,
 )
+from helpers import strategy
 
 
 def single_agent():
@@ -41,7 +40,7 @@ def batch_of(x, d, w_star, z=None):
 class TestStep:
     def test_degenerate_network_is_plain_lms(self):
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.3)
+        cfg = strategy(t, 0.3)
         st = init_state(cfg, filter_len=2)
         st.w[:] = [[0.5, -0.5]]
         x = np.array([[1.0, 2.0]])
@@ -52,7 +51,7 @@ class TestStep:
 
     def test_zero_step_size_freezes_state(self):
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.0)
+        cfg = strategy(t, 0.0)
         st = init_state(cfg, filter_len=2)
         st.w[:] = [[1.0, 2.0]]
         new = step(cfg, st, batch_of([[0.3, 0.4]], [5.0], np.zeros((1, 2))))
@@ -61,7 +60,7 @@ class TestStep:
     def test_two_hand_iterations(self):
         # noiseless scalar LMS: w* = 1, w0 = 0, mu = 0.5, x = 1
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.5)
+        cfg = strategy(t, 0.5)
         st = init_state(cfg, filter_len=1)
         w_star = np.ones((1, 1))
         b = batch_of([[1.0]], [1.0], w_star)
@@ -72,14 +71,14 @@ class TestStep:
 
     def test_dimension_mismatch_rejected(self):
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.1)
+        cfg = strategy(t, 0.1)
         st = init_state(cfg, filter_len=2)
         with pytest.raises(ValueError, match="match"):
             step(cfg, st, batch_of([[1.0, 2.0, 3.0]], [0.0], np.zeros((1, 3))))
 
     def test_batched_step_matches_per_run(self):
         t = build_preset("net1")
-        cfg = atc_config(t, static_rule(t, "averaging"), mu=0.05)
+        cfg = strategy(t, 0.05, a2=static_rule(t, "averaging"))
         params = [
             AgentSignalParams(sigma_x2=1.0, sigma_z2=0.1, filter_len=3)
             for _ in range(10)
@@ -145,7 +144,7 @@ class TestStep:
         # contraction regime mu * sigma_x2 well below 2
         rng = np.random.default_rng(123)
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.1)
+        cfg = strategy(t, 0.1)
         st = init_state(cfg, filter_len=1)
         w_star = np.array([[2.0]])
         devs = []
@@ -240,7 +239,7 @@ class TestStepOracle:
 class TestErrors:
     def test_perfect_estimate(self):
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.1)
+        cfg = strategy(t, 0.1)
         st = init_state(cfg, 2)
         st.w[:] = [[1.0, -1.0]]
         b = batch_of([[2.0, 1.0]], [1.0 + 0.3], [[1.0, -1.0]], z=[0.3])
@@ -250,7 +249,7 @@ class TestErrors:
 
     def test_zero_noise_errors_coincide(self):
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.1)
+        cfg = strategy(t, 0.1)
         st = init_state(cfg, 2)
         st.w[:] = [[0.2, 0.4]]
         b = batch_of([[1.0, 3.0]], [1.0 * 0.6 + 3.0 * -0.1], [[0.6, -0.1]])
@@ -259,7 +258,7 @@ class TestErrors:
 
     def test_hand_example(self):
         t = single_agent()
-        cfg = atc_config(t, static_rule(t, "identity"), mu=0.1)
+        cfg = strategy(t, 0.1)
         st = init_state(cfg, 2)  # w = 0
         b = batch_of([[1.0, 1.0]], [1.5], [[1.0, 0.0]], z=[0.5])
         rep = errors_and_outputs(st.w, b)
@@ -269,7 +268,7 @@ class TestErrors:
 
     def test_error_identity(self):
         t = build_preset("net1")
-        cfg = atc_config(t, static_rule(t, "averaging"), mu=0.05)
+        cfg = strategy(t, 0.05, a2=static_rule(t, "averaging"))
         params = [
             AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=2)
             for _ in range(10)
@@ -399,7 +398,7 @@ class TestAdaptiveModesInsideStep:
     def test_static_matrices_untouched(self):
         t = build_preset("net1")
         a2 = static_rule(t, "averaging")
-        cfg = atc_config(t, a2, mu=0.05)
+        cfg = strategy(t, 0.05, a2=a2)
         before = a2.entries.copy()
         params = [
             AgentSignalParams(sigma_x2=1.0, sigma_z2=0.1, filter_len=2)
@@ -427,7 +426,7 @@ class TestConfigValidation:
     def test_negative_mu_rejected(self):
         t = single_agent()
         with pytest.raises(ValueError, match="nonnegative"):
-            atc_config(t, static_rule(t, "identity"), mu=-0.1)
+            strategy(t, -0.1)
 
     def test_tau_range(self):
         t = build_preset("net1")
@@ -445,8 +444,3 @@ class TestConfigValidation:
                 topology=t, a1=static_rule(t, "identity"),
                 c=StochasticMatrix(np.eye(10), "right"), mu=0.1,
             )
-
-    def test_cta_helper_uses_identity_a2(self):
-        t = build_preset("net1")
-        cfg = cta_config(t, static_rule(t, "metropolis"), mu=0.1)
-        np.testing.assert_array_equal(cfg.a2.entries, np.eye(10))

@@ -15,7 +15,7 @@ import pytest
 
 from diffcomb import combine, harness, theory
 from diffcomb.combine import CombinerConfig
-from diffcomb.diffusion import StrategyConfig, atc_config, init_state, step
+from diffcomb.diffusion import StrategyConfig, init_state, step
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import (
     AggregateResult,
@@ -45,6 +45,7 @@ from diffcomb.signal import (
     load_snr_preset,
     regressor_covariance,
 )
+from helpers import strategy
 
 CHAIN4 = Topology(
     n_agents=4,
@@ -64,18 +65,18 @@ TARGETS4 = np.array([
 ])
 
 
-def chain_params(filter_len=2):
+def chain_params(filter_len=2, kind="white"):
     return [
         AgentSignalParams(sigma_x2=1.0 + 0.1 * k, sigma_z2=0.04 + 0.01 * k,
-                          filter_len=filter_len)
+                          filter_len=filter_len, regressor_kind=kind)
         for k in range(4)
     ]
 
 
 def small_config(scheme="power_normalized", nu=0.01, mu=0.05, horizon=40,
                  runs=6, seed=11, schedule=None, gamma_init=None):
-    comp1 = atc_config(CHAIN4, static_rule(CHAIN4, "identity"), mu)
-    comp2 = atc_config(CHAIN4, static_rule(CHAIN4, "averaging"), mu)
+    comp1 = strategy(CHAIN4, mu)
+    comp2 = strategy(CHAIN4, mu, a2=static_rule(CHAIN4, "averaging"))
     return ExperimentConfig(
         topology=CHAIN4,
         signal_params=chain_params(),
@@ -117,9 +118,8 @@ def raw_moment_series(cfg):
         eye = np.eye(models[0].kron_len)
         b = [np.kron(model.bbar, eye) for model in models]
         r = [model.rbar for model in models]
-        g = {(0, 0): np.kron(models[0].g, eye),
-             (1, 1): np.kron(models[1].g, eye),
-             (0, 1): np.kron(theory.cross_noise_moment(*models), eye)}
+        g = {pair: np.kron(noise, eye) for pair, noise
+             in zip(pairs, theory.PairModel(*models).g)}
         w = target.reshape(-1)
         if prev is None:
             m = [-w, -w]
@@ -173,7 +173,7 @@ def raw_moment_series(cfg):
 
 def multi_config(horizon=30, runs=4):
     comps = [
-        atc_config(CHAIN4, static_rule(CHAIN4, rule), mu)
+        strategy(CHAIN4, mu, a2=static_rule(CHAIN4, rule))
         for rule, mu in (("identity", 0.04), ("averaging", 0.08),
                          ("metropolis", 0.02))
     ]
@@ -299,9 +299,27 @@ class TestExperimentConfig:
                 combiner=cfg.combiner, horizon=10, runs=1, seed=0,
                 gamma_init=0.8)
 
+    def test_rejects_nu_gamma_of_wrong_length(self):
+        cfg = small_config()
+        with pytest.raises(ValueError, match=r"per agent, shape \(4,\)"):
+            dataclasses.replace(cfg, combiner=CombinerConfig(
+                scheme="power_normalized", nu_gamma=[0.01] * 3))
+        per_agent = dataclasses.replace(cfg, combiner=CombinerConfig(
+            scheme="power_normalized", nu_gamma=[0.01] * 4))
+        assert per_agent.combiner.nu_gamma.shape == (4,)
+
+    def test_rejects_nu_alpha_of_wrong_shape(self):
+        cfg = multi_config()
+        for nu_alpha in ([0.1] * 4, [[0.1] * 4] * 3, 0.1):
+            dataclasses.replace(cfg, combiner=dataclasses.replace(
+                cfg.combiner, nu_alpha=nu_alpha))
+        with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
+            dataclasses.replace(cfg, combiner=dataclasses.replace(
+                cfg.combiner, nu_alpha=[0.1] * 3))
+
     def test_rejects_foreign_component_topology(self):
         other = build_preset("net1")
-        comp = atc_config(other, static_rule(other, "identity"), 0.05)
+        comp = strategy(other, 0.05)
         cfg = small_config()
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -739,31 +757,33 @@ class TestTheoryPath:
             assert starts == [0, 20]
             for _, report in result.steady:
                 # white regressors: agent-level factors, block means
-                for factor in (report.p1, report.p2, report.px):
-                    assert factor.shape == (4, 4)
-                assert report.m1.shape == (4 * filter_len,)
+                assert report.p.shape == (3, 4, 4)
+                assert report.m.shape == (2, 4 * filter_len)
                 assert report.universality.verdict
 
-    def test_factored_state_matches_raw_moment_oracle(self, monkeypatch):
-        # white regressors at L = 12 over two stages: the factored state
-        # must stay N x N and reproduce the raw NL x NL recursion
-        l = 12
+    @pytest.mark.parametrize("kind,l,factor", [("white", 12, 4),
+                                               ("ar1", 2, 8)],
+                             ids=["white", "colored"])
+    def test_factored_state_matches_raw_moment_oracle(self, monkeypatch, kind,
+                                                      l, factor):
+        # two stages: the stacked factors must stay N x N for white
+        # regressors at L = 12 and be NL x NL for AR(1) regressors at
+        # L = 2 (kron_len = 1), and reproduce the raw NL x NL recursion
         targets = np.resize(TARGETS4, (4, l))
         moved = TargetSchedule(stages=((0, targets), (25, targets - 0.7)))
         cfg = dataclasses.replace(small_config(horizon=50),
-                                  signal_params=chain_params(l),
+                                  signal_params=chain_params(l, kind),
                                   schedule=moved)
         shapes = []
 
         def recording_evolve(*args, **kwargs):
             traj = theory.evolve(*args, **kwargs)
-            shapes.extend(p.shape for p in (traj.state.p1, traj.state.p2,
-                                            traj.state.px))
+            shapes.append(traj.state.p.shape)
             return traj
 
         monkeypatch.setattr(harness, "evolve", recording_evolve)
         got = run_theory(cfg)
-        assert shapes == [(4, 4)] * 6
+        assert shapes == [(3, factor, factor)] * 2
         for name, want in raw_moment_series(cfg).items():
             np.testing.assert_allclose(got.series[name], want, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(want)),
@@ -792,8 +812,8 @@ class TestTheoryPath:
             topology=topo, signal_params=params,
             schedule=TargetSchedule.constant(np.tile(w_star, (10, 1))),
             components=[
-                atc_config(topo, static_rule(topo, "identity"), 0.05),
-                atc_config(topo, static_rule(topo, "averaging"), 0.05),
+                strategy(topo, 0.05),
+                strategy(topo, 0.05, a2=static_rule(topo, "averaging")),
             ],
             combiner=CombinerConfig(scheme="power_normalized", nu_gamma=0.01),
             horizon=500, runs=50, seed=29)

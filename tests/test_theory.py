@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diffcomb.combine import CombinerConfig
-from diffcomb.diffusion import StrategyConfig, atc_config
+from diffcomb.diffusion import StrategyConfig
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import load_preset_config
 from diffcomb.signal import regressor_covariance
@@ -20,13 +20,11 @@ from diffcomb.theory import (
     DELTA_J_FLOOR,
     InstabilityError,
     MomentState,
+    PairModel,
     build_component_model,
     coefficient_step,
     coefficient_steady,
-    combined_msd,
     covariance_step,
-    cross_covariance_step,
-    cross_noise_moment,
     evolve,
     initial_moments,
     mean_step,
@@ -36,7 +34,8 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
-from diffcomb.theory import _build_model, _readouts
+from diffcomb.theory import _build_model, _combined_from_traces, _readouts
+from helpers import strategy
 
 
 def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
@@ -109,7 +108,7 @@ def random_pair_setup(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
     return topology, cfgs, rx, sigma_z2, w
 
 
-def random_model_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
+def random_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
     """Two strategies over the same network observing the same data."""
     topology, cfgs, rx, sigma_z2, w = random_pair_setup(
         seed, n=n, l=l, single_task=single_task, mus=mus)
@@ -118,7 +117,7 @@ def random_model_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
         model = build_component_model(topology, cfg, rx, sigma_z2, w)
         assert np.max(np.abs(np.linalg.eigvals(model.bbar))) < 1.0
         models.append(model)
-    return models[0], models[1]
+    return PairModel(*models)
 
 
 def scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0):
@@ -136,12 +135,20 @@ def raw_moment(m1, m2, p):
     return np.kron(p, np.eye(m1.shape[0] // p.shape[0])) + np.outer(m1, m2)
 
 
+def raw_moments(m, p):
+    """The three raw NL x NL moments (om11, om22, om12) of a stacked state."""
+    return [raw_moment(m[i], m[j], p[k])
+            for k, (i, j) in enumerate(((0, 0), (1, 1), (0, 1)))]
+
+
+def stacked(m1, m2, p11, p22, p12):
+    return np.stack((m1, m2)), np.stack((p11, p22, p12))
+
+
 def state_moments(state):
     """A moment state with its covariances rebuilt as raw NL x NL moments."""
-    return {"m1": state.m1, "m2": state.m2,
-            "om1": raw_moment(state.m1, state.m1, state.p1),
-            "om2": raw_moment(state.m2, state.m2, state.p2),
-            "omx": raw_moment(state.m1, state.m2, state.px),
+    om1, om2, omx = raw_moments(state.m, state.p)
+    return {"m": state.m, "om1": om1, "om2": om2, "omx": omx,
             "gbar": state.gbar, "g2bar": state.g2bar, "pbar": state.pbar}
 
 
@@ -166,8 +173,9 @@ def unvec_col(flat, nl):
     return np.asarray(flat).reshape(nl, nl, order="F")
 
 
-def weighted_norm_curve(model, sigma_mat, n_steps):
-    """E{||v_n||^2_Sigma} through the vectorized recursion.
+def weighted_norm_curve(model, g, sigma_mat, n_steps):
+    """E{||v_n||^2_Sigma} through the vectorized recursion, for the
+    component model with gradient-noise moment g.
 
     Maintains the propagated weighting K^n sigma and a drift accumulator
     instead of the full covariance matrix, so it shares no code path
@@ -179,7 +187,7 @@ def weighted_norm_curve(model, sigma_mat, n_steps):
     eye_k = np.eye(nl * nl)
     v0 = -model.w_star
     m = v0.copy()
-    vec_gt = vec_col(model.g.T)
+    vec_gt = vec_col(g.T)
     lam = np.zeros(nl * nl)
     kns = sigma.copy()
     xi = np.empty(n_steps + 1)
@@ -199,13 +207,14 @@ def weighted_norm_curve(model, sigma_mat, n_steps):
     return xi
 
 
-def cross_norm_curve(model1, model2, sigma_mat, n_steps):
+def cross_norm_curve(pair, sigma_mat, n_steps):
     """E{v1_n^T Sigma v2_n} through the vectorized recursion."""
+    model1, model2 = pair.model1, pair.model2
     nl = model1.block_dim
     sigma = vec_col(sigma_mat)
     kx = np.kron(model2.bbar.T, model1.bbar.T)
     eye_k = np.eye(nl * nl)
-    vec_gxt = vec_col(cross_noise_moment(model1, model2))
+    vec_gxt = vec_col(pair.g[2])
     v01 = -model1.w_star
     v02 = -model2.w_star
     m1 = v01.copy()
@@ -240,8 +249,8 @@ class TestModelBuild:
         model = scalar_model(mu=0.01, sx=1.0, sz=0.1)
         assert model.bbar.shape == (1, 1)
         assert model.bbar[0, 0] == 1.0 - 0.01 * 1.0
-        np.testing.assert_allclose(model.g[0, 0], 0.01**2 * 0.1 * 1.0,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(PairModel(model, model).g[:, 0, 0],
+                                   0.01**2 * 0.1 * 1.0, rtol=1e-14)
         assert model.rbar[0] == 0.0
 
     def test_scalar_drift_for_offset_target(self):
@@ -276,8 +285,10 @@ class TestModelBuild:
         nl = 8
         assert model.block_dim == nl
         assert model.bbar.shape == (nl, nl)
-        assert model.g.shape == (nl, nl)
         assert model.rbar.shape == (nl,)
+        pair = PairModel(model, model)
+        assert pair.g.shape == pair.left.shape == (3, nl, nl)
+        assert pair.b.shape == (2, nl, nl) and pair.rbar.shape == (2, nl)
         c = np.array(cfg.c.entries)
         data = np.einsum("lk,lij->kij", c, rx)
         expected = [2.0 / np.max(np.linalg.eigvalsh(d)) for d in data]
@@ -285,9 +296,10 @@ class TestModelBuild:
                                    rtol=1e-13)
 
     def test_noise_moment_symmetric_and_psd(self):
-        model = random_model(4, n=3, l=2)
-        np.testing.assert_array_equal(model.g, model.g.T)
-        assert np.min(np.linalg.eigvalsh(model.g)) >= -1e-12
+        pair = random_pair(4, n=3, l=2)
+        for g in pair.g[:2]:
+            np.testing.assert_array_equal(g, g.T)
+            assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
     def test_rejects_adaptive_fusion(self):
         topology = chain_topology(3)
@@ -321,18 +333,22 @@ class TestModelBuild:
             build_component_model(topology, cfg, good, -0.1, w)
 
     def test_cross_moment_requires_shared_data(self):
-        model1, model2 = random_model_pair(5)
+        pair = random_pair(5)
         wrong = random_model(6)
         with pytest.raises(ValueError, match="share data statistics"):
-            cross_noise_moment(model1, wrong)
-        # the legitimate pair works and couples both fusion maps
-        gx = cross_noise_moment(model1, model2)
-        assert gx.shape == (model1.block_dim, model2.block_dim)
+            PairModel(pair.model1, wrong)
+        # the legitimate pair couples both fusion maps
+        np.testing.assert_array_equal(
+            pair.g[2], pair.model1.f.T @ pair.model1.q @ pair.model2.f)
 
     def test_model_arrays_are_frozen(self):
         model = random_model(7)
         with pytest.raises(ValueError):
             model.bbar[0, 0] = 0.0
+        pair = PairModel(model, model)
+        for name in ("b", "rbar", "left", "right", "g", "weights"):
+            with pytest.raises(ValueError):
+                getattr(pair, name)[0] = 0.0
 
 
 class TestNoiseMomentSampling:
@@ -340,8 +356,8 @@ class TestNoiseMomentSampling:
         # estimate E{g g^T} and E{g1 g2^T} from raw gradient-noise draws
         n, l = 3, 2
         topology, cfgs, rx, sigma_z2, w = random_pair_setup(8, n=n, l=l)
-        model1, model2 = (build_component_model(topology, cfg, rx, sigma_z2, w)
-                          for cfg in cfgs)
+        pair = PairModel(*(build_component_model(topology, cfg, rx, sigma_z2,
+                                                 w) for cfg in cfgs))
         rng = np.random.default_rng(123)
         draws = 120_000
         chol = np.linalg.cholesky(rx)
@@ -354,38 +370,43 @@ class TestNoiseMomentSampling:
             g_rows.append(p @ np.kron(fusion, np.eye(l)))
         est11 = g_rows[0].T @ g_rows[0] / draws
         est12 = g_rows[0].T @ g_rows[1] / draws
-        scale = np.max(np.abs(model1.g))
-        assert np.max(np.abs(est11 - model1.g)) < 0.05 * scale
-        gx = cross_noise_moment(model1, model2)
+        scale = np.max(np.abs(pair.g[0]))
+        assert np.max(np.abs(est11 - pair.g[0])) < 0.05 * scale
+        gx = pair.g[2]
         scale_x = max(np.max(np.abs(gx)), scale)
         assert np.max(np.abs(est12 - gx)) < 0.05 * scale_x
 
     def test_identical_strategies_give_auto_moment(self):
         model = random_model(9, n=3, l=2)
-        gx = cross_noise_moment(model, model)
-        np.testing.assert_allclose(gx, model.g, rtol=1e-12, atol=1e-15)
+        g = PairModel(model, model).g
+        np.testing.assert_allclose(g[2], g[0], rtol=1e-12, atol=1e-15)
 
 
 class TestMeanRecursion:
     def test_scalar_geometric_decay(self):
-        model = scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0)
-        m = -model.w_star.copy()
+        fast = scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0)
+        slow = scalar_model(mu=0.005, sx=1.0, sz=0.1, target=2.0)
+        pair = PairModel(fast, slow)
+        m = np.full((2, 1), -2.0)
         for n in range(1, 11):
-            m = mean_step(model, m)
-            np.testing.assert_allclose(m[0], -2.0 * 0.99**n, rtol=1e-12)
+            m = mean_step(pair, m)
+            np.testing.assert_allclose(m[:, 0], [-2.0 * 0.99**n,
+                                                 -2.0 * 0.995**n],
+                                       rtol=1e-12)
 
     def test_fixed_point_is_stationary(self):
-        model = random_model(10, n=3, l=2)
-        eye = np.eye(model.block_dim)
-        m_inf = -np.linalg.solve(eye - model.bbar, model.rbar)
-        np.testing.assert_allclose(mean_step(model, m_inf), m_inf,
+        pair = random_pair(10, n=3, l=2)
+        eye = np.eye(pair.model1.block_dim)
+        m_inf = np.stack([-np.linalg.solve(eye - model.bbar, model.rbar)
+                          for model in (pair.model1, pair.model2)])
+        np.testing.assert_allclose(mean_step(pair, m_inf), m_inf,
                                    rtol=0, atol=1e-12)
 
     def test_zero_drift_keeps_zero_mean(self):
-        model = random_model(12, n=4, l=1, single_task=True)
-        m = np.zeros(model.block_dim)
+        pair = random_pair(12, n=4, l=1, single_task=True)
+        m = np.zeros((2, pair.model1.block_dim))
         for _ in range(5):
-            m = mean_step(model, m)
+            m = mean_step(pair, m)
         assert np.max(np.abs(m)) < 1e-12
 
 
@@ -393,103 +414,105 @@ class TestVecFormEquivalence:
     @pytest.mark.parametrize("seed,n,l", [(20, 3, 1), (21, 2, 2), (22, 3, 2)])
     def test_weighted_norm_matches_covariance_recursion(self, seed, n, l):
         model = random_model(seed, n=n, l=l)
+        pair = PairModel(model, model)
         rng = np.random.default_rng(seed + 500)
         a = rng.normal(size=(model.block_dim,) * 2)
         sigma = a @ a.T + 0.5 * np.eye(model.block_dim)
         steps = 120
-        xi_vec = weighted_norm_curve(model, sigma, steps)
-        state = initial_moments(model, model)
-        m, p = state.m1, state.p1
+        xi_vec = weighted_norm_curve(model, pair.g[0], sigma, steps)
+        state = initial_moments(pair)
+        m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            xi_mat[t] = np.sum(sigma * raw_moment(m, m, p))
-            p = covariance_step(model, p)
-            m = mean_step(model, m)
+            xi_mat[t] = np.sum(sigma * raw_moment(m[0], m[0], p[0]))
+            p = covariance_step(pair, p)
+            m = mean_step(pair, m)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
 
     @pytest.mark.parametrize("seed,n,l", [(30, 3, 1), (31, 2, 2)])
     def test_cross_norm_matches_cross_recursion(self, seed, n, l):
-        model1, model2 = random_model_pair(seed, n=n, l=l)
+        pair = random_pair(seed, n=n, l=l)
         rng = np.random.default_rng(seed + 500)
         # general (non-symmetric) weighting stresses the index order
-        sigma = rng.normal(size=(model1.block_dim,) * 2)
+        sigma = rng.normal(size=(pair.model1.block_dim,) * 2)
         steps = 120
-        xi_vec = cross_norm_curve(model1, model2, sigma, steps)
-        gx = cross_noise_moment(model1, model2)
-        state = initial_moments(model1, model2)
-        m1, m2, px = state.m1, state.m2, state.px
+        xi_vec = cross_norm_curve(pair, sigma, steps)
+        state = initial_moments(pair)
+        m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            xi_mat[t] = np.sum(sigma * raw_moment(m1, m2, px))
-            px = cross_covariance_step(model1, model2, px, gx=gx)
-            m1 = mean_step(model1, m1)
-            m2 = mean_step(model2, m2)
+            xi_mat[t] = np.sum(sigma * raw_moment(m[0], m[1], p[2]))
+            p = covariance_step(pair, p)
+            m = mean_step(pair, m)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
 
 
 class TestCovarianceRecursion:
     def test_result_is_exactly_symmetric(self):
-        model = random_model(40, n=3, l=2)
+        pair = random_pair(40, n=3, l=2)
         rng = np.random.default_rng(40)
-        a = rng.normal(size=(model.block_dim,) * 2)
-        out = covariance_step(model, a @ a.T)
-        np.testing.assert_array_equal(out, out.T)
+        a = rng.normal(size=(3,) + (pair.model1.block_dim,) * 2)
+        out = covariance_step(pair, a @ a.transpose(0, 2, 1))
+        for block in out[:2]:
+            np.testing.assert_array_equal(block, block.T)
+
+    def test_blocks_follow_component_order(self):
+        # p11, p22 and p12 advance with (b1, b1), (b2, b2) and (b1, b2);
+        # a general (non-symmetric) cross factor pins the side of each
+        pair = random_pair(44, n=3, l=2)
+        b1, b2 = pair.model1.bbar, pair.model2.bbar
+        rng = np.random.default_rng(44)
+        p = rng.normal(size=(3,) + b1.shape)
+        p[:2] += p[:2].transpose(0, 2, 1)
+        out = covariance_step(pair, p)
+        for k, (left, right) in enumerate(((b1, b1), (b2, b2), (b1, b2))):
+            np.testing.assert_allclose(
+                out[k], left @ p[k] @ right.T + pair.g[k], rtol=1e-13,
+                atol=1e-15)
 
     def test_zero_noise_zero_drift_stays_zero(self):
         topology, cfg, rx, _, w = random_setup(41, n=3, l=1, single_task=True)
         model = build_component_model(topology, cfg, rx, 0.0, w)
-        p = np.zeros((model.block_dim,) * 2)
-        m = np.zeros(model.block_dim)
-        m = mean_step(model, m)
-        out = raw_moment(m, m, covariance_step(model, p))
+        pair = PairModel(model, model)
+        p = np.zeros((3,) + (model.block_dim,) * 2)
+        m = mean_step(pair, np.zeros((2, model.block_dim)))
+        out = raw_moments(m, covariance_step(pair, p))
         # the shared-target drift cancels only to roundoff (~1e-17) and
         # enters squared, so the result is zero at the 1e-32 scale
         assert np.max(np.abs(out)) < 1e-30
 
     def test_identical_pair_cross_tracks_auto(self):
         model = random_model(42, n=3, l=2)
-        state = initial_moments(model, model)
-        m, p, px = state.m1, state.p1, state.px
-        gx = cross_noise_moment(model, model)
+        pair = PairModel(model, model)
+        state = initial_moments(pair)
+        m, p = state.m, state.p
         for _ in range(60):
-            p, px = (covariance_step(model, p),
-                     cross_covariance_step(model, model, px, gx=gx))
-            m = mean_step(model, m)
-        om = raw_moment(m, m, p)
-        np.testing.assert_allclose(raw_moment(m, m, px), om, rtol=1e-10,
+            p = covariance_step(pair, p)
+            m = mean_step(pair, m)
+        om, _, omx = raw_moments(m, p)
+        np.testing.assert_allclose(omx, om, rtol=1e-10,
                                    atol=1e-13 * np.max(np.abs(om)))
 
     def test_joint_moment_stays_psd(self):
         # [om1 omx; omx^T om2] is a genuine joint second moment, so it
         # must remain PSD along the coupled recursions
-        model1, model2 = random_model_pair(43, n=3, l=2)
-        nl = model1.block_dim
-        state = initial_moments(model1, model2)
-        m1, m2, p1, p2, px = (state.m1, state.m2, state.p1, state.p2,
-                              state.px)
-        gx = cross_noise_moment(model1, model2)
+        pair = random_pair(43, n=3, l=2)
+        nl = pair.model1.block_dim
+        state = initial_moments(pair)
+        m, p = state.m, state.p
         joint = np.empty((2 * nl, 2 * nl))
         for _ in range(200):
-            p1, p2, px = (
-                covariance_step(model1, p1),
-                covariance_step(model2, p2),
-                cross_covariance_step(model1, model2, px, gx=gx),
-            )
-            m1 = mean_step(model1, m1)
-            m2 = mean_step(model2, m2)
-            joint[:nl, :nl] = raw_moment(m1, m1, p1)
-            joint[nl:, nl:] = raw_moment(m2, m2, p2)
-            joint[:nl, nl:] = raw_moment(m1, m2, px)
-            joint[nl:, :nl] = joint[:nl, nl:].T
+            p = covariance_step(pair, p)
+            m = mean_step(pair, m)
+            om1, om2, omx = raw_moments(m, p)
+            joint[:nl, :nl] = om1
+            joint[nl:, nl:] = om2
+            joint[:nl, nl:] = omx
+            joint[nl:, :nl] = omx.T
             scale = np.max(np.abs(joint))
             assert np.min(np.linalg.eigvalsh(joint)) >= -1e-9 * scale
-
-    def test_cross_step_rejects_bad_shape(self):
-        model1, model2 = random_model_pair(44, n=3, l=1)
-        with pytest.raises(ValueError, match="mismatched dimensions"):
-            cross_covariance_step(model1, model2, np.zeros((3, 4)))
 
 
 class TestExcessErrors:
@@ -509,8 +532,9 @@ class TestExcessErrors:
         # the same moment split into a centered factor and a mean part
         m1, m2 = rng.normal(size=(2, n * l))
         p = om - np.outer(m1, m2)
-        np.testing.assert_allclose(_readouts(rx[None], m1, m2, p, p, p)[2, 0],
-                                   expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            _readouts(rx[None], *stacked(m1, m2, p, p, p))[2, 0], expected,
+            rtol=1e-12)
 
     def test_drivers_read_without_cancellation(self):
         # |m| ~ 10 and m1 - m2 ~ 1e-7: j1 - j12 would cancel about eight
@@ -523,7 +547,7 @@ class TestExcessErrors:
         delta = m1 - m2  # exact (Sterbenz), unlike the perturbation drawn
         a = rng.normal(size=(n * l, n * l))
         p = a @ a.T
-        dj1, dj2 = _readouts(rx[None], m1, m2, p, p, p)[3:, 0]
+        dj1, dj2 = _readouts(rx[None], *stacked(m1, m2, p, p, p))[3:, 0]
         blocks = [slice(k * l, (k + 1) * l) for k in range(n)]
         hand1 = [delta[b] @ rx[k] @ m1[b] for k, b in enumerate(blocks)]
         hand2 = [-delta[b] @ rx[k] @ m2[b] for k, b in enumerate(blocks)]
@@ -536,7 +560,8 @@ class TestExcessErrors:
         rx = random_spd_covariances(rng, n, l)
         m1, m2 = rng.normal(size=(2, n * l))
         p1, p2, px = rng.normal(size=(3, n * l, n * l))
-        j1, j2, j12, dj1, dj2 = _readouts(rx[None], m1, m2, p1, p2, px)[:, 0]
+        j1, j2, j12, dj1, dj2 = _readouts(
+            rx[None], *stacked(m1, m2, p1, p2, px))[:, 0]
         np.testing.assert_allclose(j1, excess_errors(
             raw_moment(m1, m1, p1), rx), rtol=1e-12)
         np.testing.assert_allclose(j12, excess_errors(
@@ -752,39 +777,45 @@ class TestCoefficientSteadyForms:
         assert p[1] == pytest.approx(0.8, rel=1e-12)
 
 
-class TestCombinedDeviation:
-    def _state(self, om1, om2, omx, gbar, g2bar):
-        om1 = np.asarray(om1, float)
-        n = np.shape(gbar)[0]
-        return MomentState(m1=np.zeros(om1.shape[0]), m2=np.zeros(om1.shape[0]),
-                           p1=om1, p2=np.asarray(om2, float),
-                           px=np.asarray(omx, float),
-                           gbar=np.asarray(gbar, float),
-                           g2bar=np.asarray(g2bar, float), pbar=np.zeros(n))
+def block_traces(om, n):
+    """Per-agent traces of the n diagonal blocks of a square moment."""
+    om = np.asarray(om, dtype=float)
+    l = om.shape[0] // n
+    return np.einsum("kiki->k", om.reshape(n, l, n, l))
 
+
+def combined_deviation(om1, om2, omx, gbar, g2bar):
+    """Network deviation of the combined estimates from dense moments."""
+    gbar, g2bar = np.asarray(gbar, float), np.asarray(g2bar, float)
+    traces = (block_traces(om, gbar.shape[0]) for om in (om1, om2, omx))
+    return _combined_from_traces(*traces, gbar, g2bar)
+
+
+class TestCombinedDeviation:
     def test_degenerate_coefficient_selects_first_component(self):
         rng = np.random.default_rng(60)
         om1 = rng.normal(size=(4, 4))
         om1 = om1 @ om1.T
         om2 = 2.0 * om1
         omx = 0.5 * om1
-        state = self._state(om1, om2, omx, [1.0, 1.0], [1.0, 1.0])
-        np.testing.assert_allclose(combined_msd(state),
-                                   np.trace(om1) / 2, rtol=1e-13)
+        np.testing.assert_allclose(
+            combined_deviation(om1, om2, omx, [1.0, 1.0], [1.0, 1.0]),
+            np.trace(om1) / 2, rtol=1e-13)
 
     def test_identical_moments_make_coefficient_irrelevant(self):
         rng = np.random.default_rng(61)
         om = rng.normal(size=(6, 6))
         om = om @ om.T
         for gbar, g2bar in [(0.3, 0.1), (0.7, 0.6), (0.5, 0.25)]:
-            state = self._state(om, om, om, [gbar] * 3, [g2bar] * 3)
-            np.testing.assert_allclose(combined_msd(state),
-                                       np.trace(om) / 3, rtol=1e-13)
+            np.testing.assert_allclose(
+                combined_deviation(om, om, om, [gbar] * 3, [g2bar] * 3),
+                np.trace(om) / 3, rtol=1e-13)
 
     def test_hand_value_single_agent(self):
-        state = self._state([[0.3]], [[0.7]], [[0.2]], [0.5], [0.25])
         expected = 0.25 * 0.3 + 0.25 * 0.7 + 2 * 0.25 * 0.2
-        np.testing.assert_allclose(combined_msd(state), expected, rtol=1e-14)
+        np.testing.assert_allclose(
+            combined_deviation([[0.3]], [[0.7]], [[0.2]], [0.5], [0.25]),
+            expected, rtol=1e-14)
 
 
 class TestShiftTargets:
@@ -796,31 +827,37 @@ class TestShiftTargets:
         p = 0.3
         m1 = p * a1 + (1 - p) * b1
         m2 = p * a2 + (1 - p) * b2
-        state = MomentState(
-            m1=m1, m2=m2,
-            p1=p * np.outer(a1, a1) + (1 - p) * np.outer(b1, b1)
+        means, factors = stacked(
+            m1, m2,
+            p * np.outer(a1, a1) + (1 - p) * np.outer(b1, b1)
             - np.outer(m1, m1),
-            p2=p * np.outer(a2, a2) + (1 - p) * np.outer(b2, b2)
+            p * np.outer(a2, a2) + (1 - p) * np.outer(b2, b2)
             - np.outer(m2, m2),
-            px=p * np.outer(a1, a2) + (1 - p) * np.outer(b1, b2)
-            - np.outer(m1, m2),
+            p * np.outer(a1, a2) + (1 - p) * np.outer(b1, b2)
+            - np.outer(m1, m2))
+        state = MomentState(
+            m=means, p=factors,
             gbar=np.array([0.4, 0.6]), g2bar=np.array([0.2, 0.5]),
             pbar=np.array([0.1, 0.3]))
         delta = rng.normal(size=4)
         shifted = shift_targets(state, delta)
-        np.testing.assert_allclose(shifted.m1, p * (a1 + delta) + (1 - p) * (b1 + delta), rtol=1e-12)
         np.testing.assert_allclose(
-            raw_moment(shifted.m1, shifted.m1, shifted.p1),
+            shifted.m, [p * (a1 + delta) + (1 - p) * (b1 + delta),
+                        p * (a2 + delta) + (1 - p) * (b2 + delta)],
+            rtol=1e-12)
+        om1, om2, omx = raw_moments(shifted.m, shifted.p)
+        np.testing.assert_allclose(
+            om1,
             p * np.outer(a1 + delta, a1 + delta)
             + (1 - p) * np.outer(b1 + delta, b1 + delta),
             rtol=1e-12)
         np.testing.assert_allclose(
-            raw_moment(shifted.m2, shifted.m2, shifted.p2),
+            om2,
             p * np.outer(a2 + delta, a2 + delta)
             + (1 - p) * np.outer(b2 + delta, b2 + delta),
             rtol=1e-12)
         np.testing.assert_allclose(
-            raw_moment(shifted.m1, shifted.m2, shifted.px),
+            omx,
             p * np.outer(a1 + delta, a2 + delta)
             + (1 - p) * np.outer(b1 + delta, b2 + delta),
             rtol=1e-12)
@@ -830,20 +867,20 @@ class TestShiftTargets:
 
     def test_zero_shift_is_identity(self):
         model = random_model(71, n=2, l=2)
-        state = initial_moments(model, model)
+        state = initial_moments(PairModel(model, model))
         shifted = shift_targets(state, np.zeros(model.block_dim))
-        np.testing.assert_array_equal(shifted.p1, state.p1)
-        np.testing.assert_array_equal(shifted.m1, state.m1)
+        np.testing.assert_array_equal(shifted.p, state.p)
+        np.testing.assert_array_equal(shifted.m, state.m)
 
 
 def near_equal_pair(seed, n=3, l=2):
     """Two strategies 1e-8 apart in mu with |w*| ~ 10: their excess
     errors agree to about eight digits."""
     topology, cfg, rx, sigma_z2, w = random_setup(seed, n=n, l=l)
-    return [build_component_model(
+    return PairModel(*(build_component_model(
         topology, StrategyConfig(topology=topology, a1=cfg.a1, c=cfg.c,
                                  mu=mu, a2=cfg.a2), rx, sigma_z2, 10.0 * w)
-        for mu in (0.06, 0.06 * (1.0 + 1e-8))]
+        for mu in (0.06, 0.06 * (1.0 + 1e-8))))
 
 
 class TestEvolve:
@@ -852,50 +889,47 @@ class TestEvolve:
         # three steps unrolled by direct calls pin the update order:
         # pre-update errors drive the coefficient, then moments advance;
         # the near-equal pair also pins drivers read without cancellation
-        model1, model2 = (near_equal_pair(85) if near_equal
-                          else random_model_pair(80, n=3, l=1))
+        pair = near_equal_pair(85) if near_equal \
+            else random_pair(80, n=3, l=1)
         cfg = pn_cfg(nu=0.01)
-        traj = evolve(model1, model2, cfg, 3)
-        state = initial_moments(model1, model2)
-        gx = cross_noise_moment(model1, model2)
-        weights = model1.rx[None]
+        traj = evolve(pair, cfg, 3)
+        state = initial_moments(pair)
+        weights = pair.model1.rx[None]
         for t in range(3):
-            j1, j2, j12, dj1, dj2 = _readouts(weights, state.m1, state.m2,
-                                              state.p1, state.p2,
-                                              state.px)[:, 0]
+            j1, j2, j12, dj1, dj2 = _readouts(weights, state.m,
+                                              state.p)[:, 0]
             np.testing.assert_array_equal(traj.emse1[t], j1)
             np.testing.assert_array_equal(traj.emse2[t], j2)
             np.testing.assert_array_equal(traj.emse12[t], j12)
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
-                model1.sigma_z2)
-            state = MomentState(
-                m1=mean_step(model1, state.m1),
-                m2=mean_step(model2, state.m2),
-                p1=covariance_step(model1, state.p1),
-                p2=covariance_step(model2, state.p2),
-                px=cross_covariance_step(model1, model2, state.px, gx=gx),
-                gbar=gbar, g2bar=g2bar, pbar=pbar)
+                pair.model1.sigma_z2)
+            state = MomentState(m=mean_step(pair, state.m),
+                                p=covariance_step(pair, state.p),
+                                gbar=gbar, g2bar=g2bar, pbar=pbar)
             np.testing.assert_array_equal(traj.gbar[t], state.gbar)
             np.testing.assert_array_equal(traj.g2bar[t], state.g2bar)
-            np.testing.assert_allclose(traj.combined_msd[t],
-                                       combined_msd(state), rtol=1e-13)
-        np.testing.assert_array_equal(traj.state.m1, state.m1)
-        np.testing.assert_array_equal(traj.state.p1, state.p1)
+            np.testing.assert_allclose(
+                traj.combined_msd[t],
+                combined_deviation(*raw_moments(state.m, state.p),
+                                   state.gbar, state.g2bar), rtol=1e-13)
+        np.testing.assert_array_equal(traj.state.m, state.m)
+        np.testing.assert_array_equal(traj.state.p, state.p)
 
     def test_identical_components_freeze_coefficient(self):
         model = random_model(81, n=3, l=1)
-        traj = evolve(model, model, pn_cfg(), 50)
+        traj = evolve(PairModel(model, model), pn_cfg(), 50)
         np.testing.assert_allclose(traj.gbar, 0.5, rtol=1e-9)
         np.testing.assert_allclose(traj.g2bar, 0.25, rtol=1e-9)
         assert traj.degenerate_steps == 50 * 3
         np.testing.assert_allclose(traj.combined_msd, traj.msd1, rtol=1e-9)
 
     def test_initial_row_reflects_starting_state(self):
-        model1, model2 = random_model_pair(82, n=3, l=2)
-        traj = evolve(model1, model2, sr_cfg(), 2)
-        w = model1.w_star.reshape(3, 2)
-        expected = np.array([w[k] @ model1.rx[k] @ w[k] for k in range(3)])
+        pair = random_pair(82, n=3, l=2)
+        traj = evolve(pair, sr_cfg(), 2)
+        w = pair.model1.w_star.reshape(3, 2)
+        rx = pair.model1.rx
+        expected = np.array([w[k] @ rx[k] @ w[k] for k in range(3)])
         np.testing.assert_allclose(traj.emse1[0], expected, rtol=1e-12)
         np.testing.assert_allclose(traj.emse12[0], expected, rtol=1e-12)
 
@@ -903,7 +937,7 @@ class TestEvolve:
         model = random_model(83)
         cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=2)
         with pytest.raises(ValueError, match="two-component"):
-            evolve(model, model, cfg, 1)
+            evolve(PairModel(model, model), cfg, 1)
 
     @pytest.mark.parametrize("make_cfg", [lambda: pn_cfg(nu=0.04),
                                           lambda: sr_cfg(nu=0.05)])
@@ -915,13 +949,13 @@ class TestEvolve:
         w = np.tile(rng.normal(size=1), (3, 1))
         a2 = static_rule(topology, "metropolis")
         slow = build_component_model(
-            topology, atc_config(topology, a2, 0.02), rx, 0.25, w)
-        ident = static_rule(topology, "identity")
+            topology, strategy(topology, 0.02, a2=a2), rx, 0.25, w)
         fast = build_component_model(
-            topology, atc_config(topology, ident, 0.4), rx, 0.25, w)
+            topology, strategy(topology, 0.4), rx, 0.25, w)
+        pair = PairModel(slow, fast)
         cfg = make_cfg()
-        report = steady_state(slow, fast, cfg)
-        traj = evolve(slow, fast, cfg, 4000)
+        report = steady_state(pair, cfg)
+        traj = evolve(pair, cfg, 4000)
         np.testing.assert_allclose(traj.gbar[-1], report.gbar, rtol=1e-5)
         np.testing.assert_allclose(traj.g2bar[-1], report.g2bar, rtol=1e-5)
         np.testing.assert_allclose(traj.msd1[-1], report.msd1, rtol=1e-8)
@@ -933,8 +967,7 @@ class TestEvolve:
         np.testing.assert_allclose(traj.emse1[-1], report.emse1, rtol=1e-6)
 
     def test_coefficient_variance_stays_nonnegative(self):
-        model1, model2 = random_model_pair(85, n=3, l=2)
-        traj = evolve(model1, model2, pn_cfg(nu=0.01), 500)
+        traj = evolve(random_pair(85, n=3, l=2), pn_cfg(nu=0.01), 500)
         assert np.all(traj.g2bar - traj.gbar**2 >= -1e-9)
         assert np.all(np.isfinite(traj.combined_msd))
 
@@ -943,65 +976,47 @@ class TestSteadyState:
     @pytest.mark.parametrize("pair", ["colored", "white"])
     def test_matches_long_iteration(self, pair):
         if pair == "colored":
-            model1, model2 = random_model_pair(90, n=3, l=2)
+            model = random_pair(90, n=3, l=2)
         else:
             topology, cfgs, rx, sigma_z2, w = white_pair(90, 3, 2)
-            model1, model2 = (build_component_model(topology, cfg, rx,
-                                                    sigma_z2, w)
-                              for cfg in cfgs)
-            assert model1.kron_len == 2
-        report = steady_state(model1, model2, pn_cfg())
-        state = initial_moments(model1, model2)
-        m1, m2, p1, p2, px = (state.m1, state.m2, state.p1, state.p2,
-                              state.px)
-        gx = cross_noise_moment(model1, model2)
+            model = PairModel(*(build_component_model(topology, cfg, rx,
+                                                      sigma_z2, w)
+                                for cfg in cfgs))
+            assert model.model1.kron_len == 2
+        report = steady_state(model, pn_cfg())
+        state = initial_moments(model)
+        m, p = state.m, state.p
         for _ in range(30_000):
-            p1, p2, px = (
-                covariance_step(model1, p1),
-                covariance_step(model2, p2),
-                cross_covariance_step(model1, model2, px, gx=gx),
-            )
-            m1 = mean_step(model1, m1)
-            m2 = mean_step(model2, m2)
-        np.testing.assert_allclose(report.m1, m1, rtol=1e-8, atol=1e-12)
-        rep_om1 = raw_moment(report.m1, report.m1, report.p1)
-        scale = np.max(np.abs(rep_om1))
-        np.testing.assert_allclose(rep_om1, raw_moment(m1, m1, p1), rtol=1e-8,
-                                   atol=1e-8 * scale)
-        np.testing.assert_allclose(raw_moment(report.m2, report.m2, report.p2),
-                                   raw_moment(m2, m2, p2), rtol=1e-8,
-                                   atol=1e-8 * scale)
-        np.testing.assert_allclose(raw_moment(report.m1, report.m2, report.px),
-                                   raw_moment(m1, m2, px), rtol=1e-8,
-                                   atol=1e-8 * scale)
+            p = covariance_step(model, p)
+            m = mean_step(model, m)
+        np.testing.assert_allclose(report.m, m, rtol=1e-8, atol=1e-12)
+        want = raw_moments(report.m, report.p)
+        scale = np.max(np.abs(want[0]))
+        for got, rep_om in zip(raw_moments(m, p), want):
+            np.testing.assert_allclose(rep_om, got, rtol=1e-8,
+                                       atol=1e-8 * scale)
 
     def test_fixed_point_at_block_dimension_500(self):
         cfg = load_preset_config("tracking_static_pn")
         rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
         sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
         target = cfg.schedule.stages[1][1]
-        model1, model2 = (build_component_model(cfg.topology, comp, rx,
-                                                sigma_z2, target)
-                          for comp in cfg.components)
-        assert model1.block_dim == 500 and model1.bbar.shape == (10, 10)
-        rep = steady_state(model1, model2, cfg.combiner)
-        m1, m2 = mean_step(model1, rep.m1), mean_step(model2, rep.m2)
-        for got, want in (
-                (m1, rep.m1),
-                (raw_moment(m1, m1, covariance_step(model1, rep.p1)),
-                 raw_moment(rep.m1, rep.m1, rep.p1)),
-                (raw_moment(m2, m2, covariance_step(model2, rep.p2)),
-                 raw_moment(rep.m2, rep.m2, rep.p2)),
-                (raw_moment(m1, m2, cross_covariance_step(model1, model2,
-                                                          rep.px)),
-                 raw_moment(rep.m1, rep.m2, rep.px))):
+        pair = PairModel(*(build_component_model(cfg.topology, comp, rx,
+                                                 sigma_z2, target)
+                           for comp in cfg.components))
+        assert pair.model1.block_dim == 500 and pair.b.shape == (2, 10, 10)
+        rep = steady_state(pair, cfg.combiner)
+        m = mean_step(pair, rep.m)
+        for got, want in zip(
+                [m] + raw_moments(m, covariance_step(pair, rep.p)),
+                [rep.m] + raw_moments(rep.m, rep.p)):
             np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(want)))
 
     def test_scalar_deviation_identity(self):
         mu, sx, sz = 0.01, 1.0, 0.1
         model = scalar_model(mu=mu, sx=sx, sz=sz)
-        report = steady_state(model, model, pn_cfg())
+        report = steady_state(PairModel(model, model), pn_cfg())
         expected = mu * sz / (2.0 - mu * sx)
         np.testing.assert_allclose(report.msd1, expected, rtol=1e-12)
         np.testing.assert_allclose(report.msd2, expected, rtol=1e-12)
@@ -1009,30 +1024,29 @@ class TestSteadyState:
         np.testing.assert_allclose(report.emse1, [sx * expected], rtol=1e-12)
 
     def test_bias_assembles_component_means(self):
-        model1, model2 = random_model_pair(91, n=3, l=2)
-        report = steady_state(model1, model2, pn_cfg())
+        report = steady_state(random_pair(91, n=3, l=2), pn_cfg())
         gamma_blocks = np.kron(np.diag(report.gbar), np.eye(2))
-        expected = gamma_blocks @ report.m1 \
-            + (np.eye(6) - gamma_blocks) @ report.m2
+        expected = gamma_blocks @ report.m[0] \
+            + (np.eye(6) - gamma_blocks) @ report.m[1]
         np.testing.assert_allclose(report.bias, expected, rtol=1e-13)
 
     def test_shared_target_bias_vanishes(self):
-        model1, model2 = random_model_pair(92, n=3, l=2, single_task=True)
-        report = steady_state(model1, model2, sr_cfg())
+        report = steady_state(random_pair(92, n=3, l=2, single_task=True),
+                              sr_cfg())
         assert np.max(np.abs(report.bias)) < 1e-10
-        assert np.max(np.abs(report.m1)) < 1e-10
+        assert np.max(np.abs(report.m)) < 1e-10
 
     def test_unstable_component_raises(self):
         stable = scalar_model(mu=0.1, sx=1.0, sz=0.1)
         unstable = scalar_model(mu=3.0, sx=1.0, sz=0.1)
         with pytest.raises(InstabilityError, match="component 1"):
-            steady_state(unstable, stable, pn_cfg())
+            steady_state(PairModel(unstable, stable), pn_cfg())
         with pytest.raises(InstabilityError, match="component 2"):
-            steady_state(stable, unstable, pn_cfg())
+            steady_state(PairModel(stable, unstable), pn_cfg())
 
     def test_report_carries_bounds_and_universality(self):
-        model1, model2 = random_model_pair(93, n=3, l=1, single_task=True)
-        report = steady_state(model1, model2, sr_cfg(nu=0.001))
+        report = steady_state(random_pair(93, n=3, l=1, single_task=True),
+                              sr_cfg(nu=0.001))
         assert report.bounds.sr_mean_bound is not None
         assert report.universality.verdict in (
             "universal", "components indistinguishable")
@@ -1043,9 +1057,8 @@ class TestSteadyState:
 
 class TestStabilityBounds:
     def test_coefficient_bound_arithmetic(self):
-        model1, model2 = random_model_pair(94, n=3, l=1)
         cfg = pn_cfg(nu=0.04, eta=0.95)
-        report = stability_bounds(model1, model2, cfg)
+        report = stability_bounds(random_pair(94, n=3, l=1), cfg)
         assert report.pn_mean_bound == 1.0 - 0.95
         assert report.pn_ms_bound == (1.0 - 0.95) / 3.0
         assert bool(np.all(report.pn_mean_ok))
@@ -1058,21 +1071,20 @@ class TestStabilityBounds:
         topology = chain_topology(2)
         ident = static_rule(topology, "identity")
         rx = np.tile(np.diag([1.0, 3.0]), (2, 1, 1))
-        cfg = atc_config(topology, ident, 0.5)
-        model = build_component_model(topology, cfg, rx, 0.1, np.zeros((2, 2)))
-        report = stability_bounds(model, model, pn_cfg())
+        model = build_component_model(topology, strategy(topology, 0.5), rx,
+                                      0.1, np.zeros((2, 2)))
+        report = stability_bounds(PairModel(model, model), pn_cfg())
         np.testing.assert_allclose(report.mu_bound1, 2.0 / 3.0, rtol=1e-14)
         assert bool(np.all(report.mu_ok1))
         at_limit = build_component_model(
-            topology, atc_config(topology, ident, 2.0 / 3.0), rx, 0.1,
+            topology, strategy(topology, 2.0 / 3.0), rx, 0.1,
             np.zeros((2, 2)))
-        report = stability_bounds(at_limit, model, pn_cfg())
+        report = stability_bounds(PairModel(at_limit, model), pn_cfg())
         assert not bool(np.any(report.mu_ok1))  # open interval
 
     def test_sign_regressor_bounds_hand_substitution(self):
-        model1, model2 = random_model_pair(95, n=2, l=1)
         cfg = sr_cfg(nu=0.9)
-        report = stability_bounds(model1, model2, cfg,
+        report = stability_bounds(random_pair(95, n=2, l=1), cfg,
                                   dj_sum=np.full(2, np.pi / 2))
         np.testing.assert_allclose(report.sr_mean_bound, 1.0, rtol=1e-14)
         np.testing.assert_allclose(report.sr_ms_bound, 2.0 / np.pi, rtol=1e-14)
@@ -1080,9 +1092,9 @@ class TestStabilityBounds:
         assert not bool(np.any(report.sr_ms_ok))
 
     def test_sign_regressor_uses_worst_instant(self):
-        model1, model2 = random_model_pair(96, n=2, l=1)
         history = np.array([[0.1, 0.2], [np.pi / 2, 0.05], [0.3, 0.1]])
-        report = stability_bounds(model1, model2, sr_cfg(), dj_sum=history)
+        report = stability_bounds(random_pair(96, n=2, l=1), sr_cfg(),
+                                  dj_sum=history)
         np.testing.assert_allclose(report.sr_mean_bound[0], 1.0, rtol=1e-14)
         np.testing.assert_allclose(
             report.sr_mean_bound[1], np.sqrt(np.pi / 0.4), rtol=1e-14)
@@ -1166,15 +1178,16 @@ class TestKronFactoredPath:
         fast = [build_component_model(topology, cfg, rx, sigma_z2, w)
                 for cfg in cfgs]
         dense = [_build_model(n, l, l, cfg, rx, sigma_z2, w) for cfg in cfgs]
-        return fast, dense
+        return PairModel(*fast), PairModel(*dense)
 
     @pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 2), (5, 7)])
     def test_white_build_is_kron_factored(self, n, l):
         fast, dense = self.models(n * 10 + l, n, l)
         eye = np.eye(l)
-        for model, oracle in zip(fast, dense):
+        for model, oracle in ((fast.model1, dense.model1),
+                              (fast.model2, dense.model2)):
             assert model.kron_len == l and oracle.kron_len == 1
-            for name in ("bbar", "g", "f", "q"):
+            for name in ("bbar", "f", "q"):
                 assert getattr(model, name).shape == (n, n)
                 np.testing.assert_allclose(np.kron(getattr(model, name), eye),
                                            getattr(oracle, name),
@@ -1186,9 +1199,10 @@ class TestKronFactoredPath:
                                            rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(model.rbar, oracle.rbar, rtol=1e-10,
                                        atol=1e-14)
-        np.testing.assert_allclose(np.kron(cross_noise_moment(*fast), eye),
-                                   cross_noise_moment(*dense),
-                                   rtol=1e-12, atol=1e-16)
+        assert fast.g.shape == (3, n, n)
+        for got, want in zip(fast.g, dense.g):
+            np.testing.assert_allclose(np.kron(got, eye), want,
+                                       rtol=1e-12, atol=1e-16)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5),
@@ -1196,12 +1210,12 @@ class TestKronFactoredPath:
            scheme=st.sampled_from(["power_normalized", "sign_regressor"]))
     def test_evolve_matches_dense_oracle(self, seed, n, l, scheme):
         fast, dense = self.models(seed, n, l)
-        for model in fast:
-            assume(np.max(np.abs(np.linalg.eigvals(model.bbar))) < 1.0)
+        for b in fast.b:
+            assume(np.max(np.abs(np.linalg.eigvals(b))) < 1.0)
         cfg = pn_cfg(nu=0.02) if scheme == "power_normalized" \
             else sr_cfg(nu=0.02)
-        got = evolve(*fast, cfg, 60)
-        want = evolve(*dense, cfg, 60)
+        got = evolve(fast, cfg, 60)
+        want = evolve(dense, cfg, 60)
         for name in ("emse1", "emse2", "emse12", "gbar", "g2bar", "pbar",
                      "msd1", "msd2", "cross_msd", "combined_msd"):
             a, b = getattr(got, name), getattr(want, name)
@@ -1215,8 +1229,9 @@ class TestKronFactoredPath:
             np.testing.assert_allclose(
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
-        assert got.state.p1.shape == (n, n)
-        np.testing.assert_array_equal(got.state.p1, got.state.p1.T)
+        assert got.state.p.shape == (3, n, n)
+        for p in got.state.p[:2]:
+            np.testing.assert_array_equal(p, p.T)
         assert got.degenerate_steps == want.degenerate_steps
 
     def test_direct_steps_match_dense_steps(self):
@@ -1224,21 +1239,16 @@ class TestKronFactoredPath:
         rng = np.random.default_rng(7)
         n, nl = 4, 12
         eye = np.eye(3)
-        a = rng.normal(size=(n, n))
-        p = a @ a.T
-        px = rng.normal(size=(n, n))
-        m1 = rng.normal(size=nl)
-        for model, oracle in zip(fast, dense):
-            np.testing.assert_allclose(mean_step(model, m1),
-                                       mean_step(oracle, m1), rtol=1e-12)
-            np.testing.assert_allclose(
-                np.kron(covariance_step(model, p), eye),
-                covariance_step(oracle, np.kron(p, eye)),
-                rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(
-            np.kron(cross_covariance_step(*fast, px), eye),
-            cross_covariance_step(*dense, np.kron(px, eye)),
-            rtol=1e-12, atol=1e-14)
+        a = rng.normal(size=(2, n, n))
+        p = np.concatenate((a @ a.transpose(0, 2, 1),
+                            rng.normal(size=(1, n, n))))
+        m = rng.normal(size=(2, nl))
+        np.testing.assert_allclose(mean_step(fast, m), mean_step(dense, m),
+                                   rtol=1e-12)
+        want = covariance_step(dense, np.stack([np.kron(b, eye) for b in p]))
+        for got, block in zip(covariance_step(fast, p), want):
+            np.testing.assert_allclose(np.kron(got, eye), block,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_colored_regressors_stay_dense(self):
         topology, cfgs, _, sigma_z2, w = white_pair(3, 3, 2)
