@@ -18,6 +18,7 @@ import json
 import math
 import pathlib
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,32 @@ def _lambda2(adj: np.ndarray) -> float:
     deg = adj.sum(axis=1)
     lap = np.diag(deg) - adj
     return float(np.linalg.eigvalsh(lap)[1])
+
+
+class GraphStats(NamedTuple):
+    """Summary statistics of a topology."""
+
+    size: int
+    density: float
+    lambda2: float
+    diameter: int
+
+
+def stats(t: graph.Topology) -> GraphStats:
+    """Size, density (nonzero adjacency entries, diagonal included, over
+    N^2), algebraic connectivity (the second-smallest eigenvalue of the
+    unnormalized Laplacian, self-loops excluded) and diameter, the fewest
+    hops that join every pair of agents.  A Topology is connected, so the
+    diameter is always defined."""
+    n = t.n_agents
+    adj = t.adjacency.astype(float)
+    np.fill_diagonal(adj, 0.0)
+    hop = adj + np.eye(n)
+    reach, diameter = np.eye(n), 0
+    while not reach.all():
+        reach, diameter = (reach @ hop > 0).astype(float), diameter + 1
+    return GraphStats(size=n, density=np.count_nonzero(t.adjacency) / (n * n),
+                      lambda2=_lambda2(adj), diameter=diameter)
 
 
 def _diameter_is_3(adj: np.ndarray) -> bool:
@@ -102,7 +129,7 @@ def make_topologies() -> None:
     for name, (n, n_edges, lam2, diam, seed) in TOPOLOGY_TARGETS.items():
         adj, cost = search_topology(n, n_edges, lam2, seed)
         topo = graph.Topology(n_agents=n, adjacency=adj.astype(bool))
-        st = graph.stats(topo)
+        st = stats(topo)
         assert st.diameter == diam, f"{name}: diameter {st.diameter} != {diam}"
         assert abs(st.lambda2 - lam2) < 1e-3, f"{name}: lambda2 {st.lambda2}"
         path = DATA_DIR / f"{name}.edges"

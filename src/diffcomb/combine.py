@@ -93,17 +93,15 @@ def init_combiner(cfg: CombinerConfig, n_agents: int, batch_shape=()) -> Combine
     return state
 
 
-def combine_weights(st: CombinerState, estimates) -> np.ndarray:
-    """Mix component estimates: gamma w1 + (1 - gamma) w2, or the
-    M-component sum for the multi scheme."""
+def combine_weights(st: CombinerState, estimates, out=None) -> np.ndarray:
+    """Mix the component estimates, stacked on axis 0 as (M, ..., N, L):
+    gamma w1 + (1 - gamma) w2, or the M-component sum for the multi
+    scheme.  The mix is written into out when given (the harness passes
+    the combination row of its estimate stack)."""
     if st.alpha is not None:
-        stacked = np.stack(estimates, axis=-3)
-        return np.einsum("...ik,...ikl->...kl", st.gamma, stacked)
-    w1, w2 = estimates
-    if w1.shape != w2.shape:
-        raise ValueError("component estimates must share one shape")
+        return np.einsum("...ik,i...kl->...kl", st.gamma, estimates, out=out)
     g = st.gamma[..., None]
-    return g * w1 + (1.0 - g) * w2
+    return np.add(g * estimates[0], (1.0 - g) * estimates[1], out=out)
 
 
 def pn_update(

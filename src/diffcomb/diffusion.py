@@ -5,18 +5,23 @@ neighborhood pre-combination (through A1), an LMS adaptation driven by
 shared data (through C), and neighborhood post-combination (through A2).
 A1 = I gives adapt-then-combine, A2 = I gives combine-then-adapt.  A2
 may also be refreshed every step by one of two data-driven rules.
-Whether A1 and C are the identity is decided once, when the
-configuration is built; a step then skips the pre-combination and uses
-each agent's own datum without testing the matrices again.
 
-All state arrays carry an arbitrary leading batch shape (used by the
-harness to advance a block of Monte Carlo runs at once); agents occupy
-axis -2 and taps axis -1.
+The M component strategies of an experiment advance together: a
+``StrategyStack``, built once from their configurations, holds the
+step-sizes as (M, N, 1) and the matrices as (M, N, N), and decides once
+whether A1 and C are the identity for every component.  A step then
+skips the pre-combination, and reuses the output errors the caller
+already formed, without testing the matrices again.  A single strategy
+is a stack of one.
+
+State arrays are (M, ..., N, L): the component axis first, then an
+arbitrary batch shape (used by the harness to advance a block of Monte
+Carlo runs at once), agents on axis -2 and taps on axis -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +40,6 @@ class StrategyConfig:
     ``a2`` is required in static mode and ignored otherwise; ``tau``
     holds the per-agent forgetting factors of the relative-variance
     rule.  ``mu`` broadcasts a scalar step-size across agents.
-    ``a1_identity`` and ``c_identity`` are derived from the matrices.
     """
 
     topology: Topology
@@ -45,8 +49,6 @@ class StrategyConfig:
     a2: StochasticMatrix | None = None
     a2_mode: str = "static"
     tau: np.ndarray | None = None
-    a1_identity: bool = field(init=False)
-    c_identity: bool = field(init=False)
 
     def __post_init__(self):
         n = self.topology.n_agents
@@ -75,19 +77,51 @@ class StrategyConfig:
                 raise ValueError("forgetting factors must lie in (0, 1)")
             tau.setflags(write=False)
             object.__setattr__(self, "tau", tau)
-        eye = np.eye(n)
-        object.__setattr__(self, "a1_identity", np.array_equal(self.a1.entries, eye))
-        object.__setattr__(self, "c_identity", np.array_equal(self.c.entries, eye))
 
     @property
     def n_agents(self) -> int:
         return self.topology.n_agents
 
 
+@dataclass(frozen=True)
+class StrategyStack:
+    """The M component strategies of an experiment, advanced as one.
+
+    ``mu`` is (M, N, 1); ``a1`` and ``c`` are (M, N, N), or None when the
+    matrix is the identity for every component; ``a2`` (M, N, N) holds
+    each static A2, or the averaging start of an adaptive one, whose
+    index is listed in ``adaptive``.
+    """
+
+    components: tuple
+    mu: np.ndarray
+    a1: np.ndarray | None
+    c: np.ndarray | None
+    a2: np.ndarray
+    adaptive: tuple
+
+    @classmethod
+    def of(cls, components) -> StrategyStack:
+        """Stack the configurations of strategies on one network."""
+        comps = tuple(components)
+        eye = np.eye(comps[0].n_agents)
+
+        def stacked(role):
+            entries = np.stack([getattr(c, role).entries for c in comps])
+            return None if (entries == eye).all() else entries
+
+        a2 = [c.a2.entries if c.a2_mode == "static"
+              else static_rule(c.topology, "averaging").entries for c in comps]
+        return cls(comps, np.stack([c.mu for c in comps])[:, :, None],
+                   stacked("a1"), stacked("c"), np.stack(a2),
+                   tuple(i for i, c in enumerate(comps) if c.a2_mode != "static"))
+
+
 @dataclass
 class StrategyState:
-    """Evolving quantities of one strategy: estimates and the effective
-    A2 (per batch entry when adaptive)."""
+    """Evolving quantities of a stack: estimates w (M, ..., N, L), the
+    effective A2 (M, ..., N, N) (singleton batch axes when every
+    component is static) and the relative-variance distances zeta2."""
 
     w: np.ndarray
     a2: np.ndarray
@@ -104,27 +138,30 @@ class ErrorReport:
     e_tilde: np.ndarray
 
 
-def init_state(cfg: StrategyConfig, filter_len: int, batch_shape=()) -> StrategyState:
-    """Fresh state: zero estimates; adaptive modes start from uniform
+def _lift(stacked: np.ndarray, batch_ndim: int) -> np.ndarray:
+    """View a per-component (M, N, .) array with singleton batch axes."""
+    return stacked.reshape(stacked.shape[:1] + (1,) * batch_ndim
+                           + stacked.shape[1:])
+
+
+def init_state(stack: StrategyStack, filter_len: int, batch_shape=()) -> StrategyState:
+    """Fresh state: zero estimates; adaptive components start from uniform
     averaging weights and unit distance estimates."""
-    n = cfg.n_agents
-    shape = tuple(batch_shape) + (n, filter_len)
-    if cfg.a2_mode == "static":
-        a2 = cfg.a2.entries.copy()
-        zeta2 = None
-    else:
-        averaging = static_rule(cfg.topology, "averaging").entries
-        a2 = np.broadcast_to(averaging, tuple(batch_shape) + (n, n)).copy()
-        zeta2 = (
-            np.ones(tuple(batch_shape) + (n, n))
-            if cfg.a2_mode == "adaptive_relative_variance"
-            else None
-        )
-    return StrategyState(w=np.zeros(shape), a2=a2, zeta2=zeta2)
+    m, n = stack.a2.shape[:2]
+    batch_shape = tuple(batch_shape)
+    a2 = _lift(stack.a2, len(batch_shape))
+    if stack.adaptive:
+        a2 = np.broadcast_to(a2, (m,) + batch_shape + (n, n)).copy()
+    relative = any(c.a2_mode == "adaptive_relative_variance"
+                   for c in stack.components)
+    return StrategyState(w=np.zeros((m,) + batch_shape + (n, filter_len)),
+                         a2=a2, zeta2=np.ones_like(a2) if relative else None)
 
 
 def errors_and_outputs(w: np.ndarray, batch: SampleBatch) -> ErrorReport:
-    """Outputs and errors of estimates w (..., N, L) against a batch."""
+    """Outputs and errors of estimates w (..., N, L) against a batch; any
+    leading axes of w beyond the batch's (a stack of estimates) carry
+    through to the outputs."""
     x = batch.regressors
     y = np.einsum("...kl,...kl->...k", x, w)
     e = batch.references - y
@@ -174,34 +211,48 @@ def adapt_matrix_relative_variance(
     return inv / inv.sum(axis=-2, keepdims=True), zeta2_new
 
 
-def step(cfg: StrategyConfig, st: StrategyState, batch: SampleBatch) -> StrategyState:
-    """Advance one instant: pre-combine, adapt, (refresh A2), combine."""
+def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,
+         e: np.ndarray | None = None) -> StrategyState:
+    """Advance every component one instant: pre-combine, adapt, (refresh
+    A2), combine.
+
+    e, when given, holds the components' output errors d - x'w (M, ...,
+    N) from errors_and_outputs.  With A1 = C = I for every component they
+    are the errors the adaptation needs, so x'w is not formed again;
+    otherwise e is not read.
+    """
     x, d = batch.regressors, batch.references
     if x.shape[-2:] != st.w.shape[-2:]:
         raise ValueError(
             f"batch shape {x.shape} does not match state {st.w.shape}"
         )
-    phi = st.w if cfg.a1_identity else cfg.a1.entries.T @ st.w
+    nb = st.w.ndim - 3
+    phi = st.w
+    if stack.a1 is not None:
+        phi = np.swapaxes(_lift(stack.a1, nb), -1, -2) @ st.w
 
-    mu_col = cfg.mu[:, None]
-    if cfg.c_identity:
-        err = d - np.einsum("...kl,...kl->...k", x, phi)
-        psi = phi + mu_col * err[..., None] * x
+    mu = _lift(stack.mu, nb)
+    if stack.c is None:
+        if e is None or stack.a1 is not None:
+            e = d - np.einsum("...kl,...kl->...k", x, phi)
+        psi = phi + mu * e[..., None] * x
     else:
         # cross[l, k] = d_l - x_l' phi_k, weighted by c_lk and summed over l
         cross = d[..., :, None] - x @ np.swapaxes(phi, -1, -2)
-        psi = phi + mu_col * (np.swapaxes(cfg.c.entries * cross, -1, -2) @ x)
+        psi = phi + mu * (np.swapaxes(_lift(stack.c, nb) * cross, -1, -2) @ x)
 
-    zeta2 = st.zeta2
-    if cfg.a2_mode == "adaptive_projection":
-        a2 = adapt_matrix_projection(cfg.topology, psi, batch, cfg.mu)
-    elif cfg.a2_mode == "adaptive_relative_variance":
-        a2, zeta2 = adapt_matrix_relative_variance(
-            cfg.topology, psi, st.w, st.zeta2, cfg.tau
-        )
-    else:
-        a2 = st.a2
+    a2, zeta2 = st.a2, st.zeta2
+    if stack.adaptive:
+        a2 = a2.copy()
+        zeta2 = None if zeta2 is None else zeta2.copy()
+    for i in stack.adaptive:
+        comp = stack.components[i]
+        if comp.a2_mode == "adaptive_projection":
+            a2[i] = adapt_matrix_projection(comp.topology, psi[i], batch,
+                                            comp.mu)
+        else:
+            a2[i], zeta2[i] = adapt_matrix_relative_variance(
+                comp.topology, psi[i], st.w[i], zeta2[i], comp.tau)
 
     w = np.swapaxes(a2, -1, -2) @ psi
     return StrategyState(w=w, a2=a2, zeta2=zeta2)
-

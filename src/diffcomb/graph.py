@@ -1,4 +1,4 @@
-"""Network topologies, their statistics, and combination matrices.
+"""Network topologies and combination matrices.
 
 A topology is an undirected connected graph over N agents in which every
 agent counts as its own neighbor.  Combination matrices built on a topology
@@ -96,20 +96,6 @@ class StochasticMatrix:
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Summary statistics of a topology."""
-
-    size: int
-    density: float
-    lambda2: float
-    diameter: int
-
 
 @dataclass(frozen=True)
 class StochasticReport:
@@ -148,33 +134,6 @@ def _bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
-
-
-def laplacian(t: Topology) -> np.ndarray:
-    """Unnormalized graph Laplacian D - A (self-loops excluded)."""
-    off_diag = t.adjacency.astype(float)
-    np.fill_diagonal(off_diag, 0.0)
-    return np.diag(off_diag.sum(axis=1)) - off_diag
-
-
-def stats(t: Topology) -> GraphStats:
-    """Compute size, density, algebraic connectivity, and diameter.
-
-    Density counts nonzero adjacency entries including the diagonal,
-    over N^2.  lambda2 is the second-smallest eigenvalue of the
-    unnormalized Laplacian.  Raises on a disconnected topology, where
-    the diameter is undefined.
-    """
-    n = t.n_agents
-    density = float(np.count_nonzero(t.adjacency)) / (n * n)
-    lam2 = float(np.linalg.eigvalsh(laplacian(t))[1])
-    diameter = 0
-    for src in range(n):
-        dist = _bfs_distances(t.adjacency, src)
-        if np.any(dist < 0):
-            raise ValueError("diameter undefined: topology is disconnected")
-        diameter = max(diameter, int(dist.max()))
-    return GraphStats(size=n, density=density, lambda2=lam2, diameter=diameter)
 
 
 def static_rule(t: Topology, rule: str) -> StochasticMatrix:

@@ -9,6 +9,13 @@ Monte Carlo runs are split into fixed-size chunks of consecutive run
 indices.  Each chunk advances all of its runs as one batched simulation,
 and chunk partial sums are reduced in chunk order, so the aggregate is
 bit-identical no matter how many worker processes execute the chunks.
+
+Within a chunk the M component estimates and their combination are one
+(M+1, runs, N, L) array.  Each instant reads it once for the outputs
+and errors, updates the combiner once, advances all M components with
+one step (a ``StrategyStack`` built once per experiment), writes the
+combination into row M, and reduces each power family with one sum
+over the stack, straight into the series table.
 """
 
 from __future__ import annotations
@@ -31,7 +38,13 @@ from .combine import (
     pn_update,
     sr_update,
 )
-from .diffusion import StrategyConfig, errors_and_outputs, init_state, step
+from .diffusion import (
+    StrategyConfig,
+    StrategyStack,
+    errors_and_outputs,
+    init_state,
+    step,
+)
 from .graph import StochasticMatrix, Topology, build_preset, read_edge_list, static_rule
 from .signal import (
     AgentSignalParams,
@@ -460,65 +473,65 @@ def series_names(cfg: ExperimentConfig) -> list:
     return names
 
 
-def _power_sums(parts, pair) -> list:
-    """Sum of squares of each part (components, then their combination),
-    then the cross sum of the two components of a pair."""
-    sums = [np.sum(part * part) for part in parts]
-    if pair:
-        sums.append(np.sum(parts[0] * parts[1]))
-    return sums
+def _power_sums(parts, left, right, out) -> None:
+    """Write into out the sums of parts[i] * parts[j] over the row pairs
+    (i, j) of zip(left, right); the rows stack the components, then
+    their combination."""
+    flat = parts.reshape(len(parts), -1)
+    np.add.reduce(flat.take(left, 0) * flat.take(right, 0), axis=1, out=out)
 
 
-def _simulate_chunk(cfg: ExperimentConfig, run_indices) -> np.ndarray:
-    """Advance one block of runs and return per-step sums over the block,
-    a (horizon, series) table in series_names order."""
-    n = cfg.n_agents
+def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
+                    run_indices) -> np.ndarray:
+    """Advance one block of runs of the stacked components and return
+    per-step sums over the block, a (horizon, series) table in
+    series_names order."""
+    n, m = cfg.n_agents, len(cfg.components)
     pair = cfg.combiner.scheme != "multi_sign"
     if pair:
         update = (pn_update if cfg.combiner.scheme == "power_normalized"
                   else sr_update)
 
-        def driver(reports):
-            return reports[0].y - reports[1].y
+        def driver(rep):
+            return rep.y[0] - rep.y[1]
     else:
         update = multi_update
 
-        def driver(reports):
-            return np.stack([rep.e for rep in reports[:-1]], axis=-2)
+        def driver(rep):
+            return np.moveaxis(rep.e[:m], 0, -2)
 
     r = len(run_indices)
     sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
-                             run_indices)
-    states = [init_state(comp, cfg.filter_len, batch_shape=(r,))
-              for comp in cfg.components]
+                             run_indices, horizon=cfg.horizon)
+    st = init_state(stack, cfg.filter_len, batch_shape=(r,))
     comb = init_combiner(cfg.combiner, n, batch_shape=(r,))
     if cfg.gamma_init is not None:
         comb.gamma = np.full_like(comb.gamma, float(cfg.gamma_init))
 
-    # the component estimates, then their combination
-    estimates = [st.w for st in states]
-    estimates.append(combine_weights(comb, estimates))
+    # rows 0..M-1 the component estimates, row M their combination
+    est = np.empty((m + 1,) + st.w.shape[1:])
+    est[:m] = st.w
+    combine_weights(comb, est[:m], out=est[m])
     table = np.empty((cfg.horizon, len(series_names(cfg))))
+    left = right = np.arange(m + 1)
+    if pair:
+        left, right = np.append(left, 0), np.append(right, 1)
+    k = len(left)  # columns of each power family
+    gammas = table[:, 2 * k:].reshape(cfg.horizon, 2, *comb.gamma.shape[1:])
     for t in range(cfg.horizon):
         batch = sampler.step()
-        reports = [errors_and_outputs(w, batch) for w in estimates]
-        comb = update(cfg.combiner, comb, reports[-1].e, driver(reports))
-        states = [step(comp, st, batch)
-                  for comp, st in zip(cfg.components, states)]
-        estimates = [st.w for st in states]
-        estimates.append(combine_weights(comb, estimates))
-        devs = [w - batch.targets for w in estimates]
-        table[t] = np.concatenate((
-            np.divide(_power_sums(devs, pair), n),
-            _power_sums([rep.e_tilde for rep in reports], pair),
-            comb.gamma.sum(axis=0).ravel(),
-            (comb.gamma * comb.gamma).sum(axis=0).ravel()))
+        rep = errors_and_outputs(est, batch)
+        comb = update(cfg.combiner, comb, rep.e[m], driver(rep))
+        st = step(stack, st, batch, rep.e[:m])
+        est[:m] = st.w
+        combine_weights(comb, est[:m], out=est[m])
+        row = table[t]
+        _power_sums(est - batch.targets, left, right, row[:k])
+        row[:k] /= n
+        _power_sums(rep.e_tilde, left, right, row[k:2 * k])
+        np.add.reduce(comb.gamma, axis=0, out=gammas[t, 0])
+        np.add.reduce(comb.gamma * comb.gamma, axis=0, out=gammas[t, 1])
     return table
-
-
-def _chunk_worker(payload):
-    cfg, run_indices = payload
-    return _simulate_chunk(cfg, run_indices)
 
 
 def _resolve_workers(workers) -> int:
@@ -547,13 +560,15 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
         raise ValueError("need at least one run index")
     chunks = [run_indices[i:i + CHUNK_RUNS]
               for i in range(0, len(run_indices), CHUNK_RUNS)]
+    stack = StrategyStack.of(cfg.components)
     workers = _resolve_workers(workers)
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_worker,
-                                  [(cfg, chunk) for chunk in chunks]))
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(_simulate_chunk, [cfg] * len(chunks),
+                                  [stack] * len(chunks), chunks))
     else:
-        parts = [_simulate_chunk(cfg, chunk) for chunk in chunks]
+        parts = [_simulate_chunk(cfg, stack, chunk) for chunk in chunks]
 
     names = series_names(cfg)
     total = np.zeros((cfg.horizon, len(names)))

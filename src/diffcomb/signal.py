@@ -7,14 +7,15 @@ follow a staged schedule with linear interpolation between stages.
 
 Randomness is organized as one pair of independent streams per
 (run, agent): one for regressors, one for noise.  The block-drawing
-sampler used by the Monte Carlo harness consumes these streams in the
-same order as the scalar functions, so batching never changes the data.
+sampler used by the Monte Carlo harness consumes each stream in the
+order a one-sample-at-a-time draw would, so batching never changes the
+data.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -109,16 +110,6 @@ class TargetSchedule:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One agent's datum at one instant: d = regressor'target + noise."""
-
-    regressor: np.ndarray
-    reference: float
-    noise: float
-    target: np.ndarray
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """One instant of data for a block of runs.
 
@@ -133,11 +124,8 @@ class SampleBatch:
 
 
 class GeneratorState:
-    """Sampling state of one (run, agent) pair.
-
-    Holds two independent streams (regressors and noise) plus the
-    autoregressive memory x_{n-1} for ar1 inputs.
-    """
+    """Sampling state of one (run, agent) pair: two independent streams,
+    one for regressors and one for noise."""
 
     def __init__(self, seed: int, run: int, agent: int):
         self.regressor_rng = np.random.default_rng(
@@ -146,7 +134,6 @@ class GeneratorState:
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence((seed, run, agent, 1))
         )
-        self.ar_prev: float | None = None
 
 
 def regressor_covariance(p: AgentSignalParams) -> np.ndarray:
@@ -181,34 +168,6 @@ def target_at(schedule: TargetSchedule, n: int) -> np.ndarray:
     return current
 
 
-def draw_regressor(p: AgentSignalParams, state: GeneratorState) -> np.ndarray:
-    """Draw the next regressor from the agent's stream."""
-    if p.regressor_kind == "white":
-        return np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal(p.filter_len)
-    if p.filter_len != 2:
-        raise ValueError("ar1 regressors require filter_len = 2")
-    if state.ar_prev is None:
-        state.ar_prev = float(
-            np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal()
-        )
-    innovation = state.regressor_rng.standard_normal()
-    x_new = AR1_COEFF * state.ar_prev + np.sqrt(0.75 * p.sigma_x2) * innovation
-    out = np.array([x_new, state.ar_prev])
-    state.ar_prev = float(x_new)
-    return out
-
-
-def emit_sample(
-    p: AgentSignalParams, w_star: np.ndarray, x: np.ndarray, state: GeneratorState
-) -> Sample:
-    """Complete one datum: draw noise and form the reference."""
-    if len(w_star) != len(x):
-        raise ValueError("target and regressor lengths differ")
-    z = float(np.sqrt(p.sigma_z2) * state.noise_rng.standard_normal())
-    d = float(np.dot(x, w_star)) + z
-    return Sample(regressor=x, reference=d, noise=z, target=np.asarray(w_star, float))
-
-
 def snr(p: AgentSignalParams, w_star: np.ndarray) -> float:
     """Signal-to-noise ratio 10 log10(w*' R_x w* / sigma_z2) in dB."""
     if p.sigma_z2 <= 0:
@@ -218,20 +177,24 @@ def snr(p: AgentSignalParams, w_star: np.ndarray) -> float:
 
 
 class ChunkedSampler:
-    """Draws data for a block of runs, matching the scalar path bit for bit.
+    """Draws the data of a block of runs, one instant per step.
 
     One stream pair per (run, agent), seeded from (seed, run, agent), so
     the numbers of a given run never depend on which block it lands in.
     Normals are drawn in blocks of ``block_len`` steps per stream; block
     boundaries do not change the values either, only how many samples
-    each stream call returns.
+    each stream call returns.  With a ``horizon`` no block reaches past
+    it, so the streams are left exactly ``horizon`` instants in and
+    stepping further raises ValueError.
     """
 
-    def __init__(self, params, schedule, seed, runs, block_len=512):
+    def __init__(self, params, schedule, seed, runs, block_len=512,
+                 horizon=None):
         self.params = list(params)
         self.schedule = schedule
         self.runs = list(runs)
         self.block_len = int(block_len)
+        self.horizon = horizon
         self.n_agents = len(self.params)
         lens = {p.filter_len for p in self.params}
         if len(lens) != 1:
@@ -251,13 +214,19 @@ class ChunkedSampler:
         if np.any(self._ar_mask) and self.filter_len != 2:
             raise ValueError("ar1 regressors require filter_len = 2")
         self._n = 0
-        self._cursor = self.block_len  # force a refill on first step
+        self._cursor = 0
         self._ar_last = None
-        self._reg_block = None
-        self._noise_block = None
+        self._reg_block = self._ref_block = self._target_block = None
+        self._noise_block = np.empty((0,))  # empty: the first step refills
 
     def _refill(self):
-        n_runs, b, L = len(self.runs), self.block_len, self.filter_len
+        b = self.block_len
+        if self.horizon is not None:
+            b = min(b, self.horizon - self._n)
+            if b <= 0:
+                raise ValueError(f"the sampler's horizon of {self.horizon} "
+                                 "instants is exhausted")
+        n_runs, L = len(self.runs), self.filter_len
         reg = np.empty((b, n_runs, self.n_agents, L))
         noise = np.empty((b, n_runs, self.n_agents))
         ar = np.flatnonzero(self._ar_mask)
@@ -285,21 +254,28 @@ class ChunkedSampler:
         reg[:, :, ar, 0] = xs[1:]
         reg[:, :, ar, 1] = xs[:-1]
         self._ar_last = xs[b].copy()
+        # targets and references for the whole block, each instant's the
+        # same numbers an instant-by-instant product gives
+        w = np.stack([target_at(self.schedule, n)
+                      for n in range(self._n, self._n + b)])
         self._reg_block = reg
         self._noise_block = noise
+        self._target_block = w
+        self._ref_block = np.einsum("brkl,bkl->brk", reg, w)
+        self._ref_block += noise
         self._cursor = 0
 
     def step(self) -> SampleBatch:
         """Produce the next instant of data for all runs and agents."""
-        if self._cursor >= self.block_len:
+        if self._cursor >= len(self._noise_block):
             self._refill()
-        x = self._reg_block[self._cursor]
-        z = self._noise_block[self._cursor]
+        i = self._cursor
         self._cursor += 1
-        w = target_at(self.schedule, self._n)
         self._n += 1
-        d = np.einsum("rkl,kl->rk", x, w) + z
-        return SampleBatch(regressors=x, references=d, noises=z, targets=w)
+        return SampleBatch(regressors=self._reg_block[i],
+                           references=self._ref_block[i],
+                           noises=self._noise_block[i],
+                           targets=self._target_block[i])
 
 
 def load_snr_preset(n_agents: int, level: str, kind: str):

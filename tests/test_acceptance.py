@@ -16,7 +16,7 @@ import pytest
 import test_theory
 from diffcomb import harness
 from diffcomb.combine import optimal_gamma
-from diffcomb.graph import build_preset, static_rule, stats, validate_stochastic
+from diffcomb.graph import build_preset, static_rule, validate_stochastic
 from diffcomb.theory import (
     PairModel,
     coefficient_steady,
@@ -28,6 +28,7 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
+from helpers import stats
 
 WINDOW_SLOW = (18000, 20000)
 WINDOW_FAST = (4500, 5000)

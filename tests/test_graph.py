@@ -8,9 +8,9 @@ from diffcomb.graph import (
     format_edge_list,
     parse_edge_list,
     static_rule,
-    stats,
     validate_stochastic,
 )
+from helpers import stats
 
 
 def path_graph(n):

@@ -45,7 +45,7 @@ from diffcomb.signal import (
     load_snr_preset,
     regressor_covariance,
 )
-from helpers import strategy
+from helpers import stack, strategy
 
 CHAIN4 = Topology(
     n_agents=4,
@@ -74,14 +74,16 @@ def chain_params(filter_len=2, kind="white"):
 
 
 def small_config(scheme="power_normalized", nu=0.01, mu=0.05, horizon=40,
-                 runs=6, seed=11, schedule=None, gamma_init=None):
-    comp1 = strategy(CHAIN4, mu)
-    comp2 = strategy(CHAIN4, mu, a2=static_rule(CHAIN4, "averaging"))
+                 runs=6, seed=11, schedule=None, gamma_init=None,
+                 components=None):
+    if components is None:
+        components = [strategy(CHAIN4, mu),
+                      strategy(CHAIN4, mu, a2=static_rule(CHAIN4, "averaging"))]
     return ExperimentConfig(
         topology=CHAIN4,
         signal_params=chain_params(),
         schedule=schedule or TargetSchedule.constant(TARGETS4),
-        components=[comp1, comp2],
+        components=components,
         combiner=CombinerConfig(scheme=scheme, nu_gamma=nu),
         horizon=horizon,
         runs=runs,
@@ -187,6 +189,25 @@ def multi_config(horizon=30, runs=4):
     )
 
 
+def static_and_relative_variance_pair():
+    """Static adapt-then-combine beside relative-variance fusion."""
+    return [
+        strategy(CHAIN4, 0.05, a2=static_rule(CHAIN4, "averaging")),
+        StrategyConfig(topology=CHAIN4, a1=static_rule(CHAIN4, "identity"),
+                       c=StochasticMatrix(np.eye(4), "right"), mu=0.04,
+                       a2_mode="adaptive_relative_variance", tau=0.2),
+    ]
+
+
+def metropolis_pair():
+    """Both components share data through a Metropolis C; the first also
+    pre-combines through a Metropolis A1, the second does not."""
+    metropolis = static_rule(CHAIN4, "metropolis")
+    c = StochasticMatrix(metropolis.entries.T, "right")
+    return [strategy(CHAIN4, 0.05, a1=metropolis, c=c),
+            strategy(CHAIN4, 0.03, a2=static_rule(CHAIN4, "averaging"), c=c)]
+
+
 def per_run_series(cfg):
     """run_monte_carlo's series recomputed one run at a time, with the
     affine weights of every component spelled out: (gamma, 1 - gamma) for
@@ -197,12 +218,13 @@ def per_run_series(cfg):
     for run in range(cfg.runs):
         sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
                                  [run])
-        states = [init_state(comp, l) for comp in cfg.components]
+        stacks = [stack(comp) for comp in cfg.components]
+        states = [init_state(one, l) for one in stacks]
         comb = combine.init_combiner(cfg.combiner, n)
         for t in range(cfg.horizon):
             b = sampler.step()
             x, d, w = b.regressors[0], b.references[0], b.targets
-            ys = np.array([np.sum(x * s.w, axis=1) for s in states])
+            ys = np.array([np.sum(x * s.w[0], axis=1) for s in states])
             weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
                 else comb.gamma
             y_c = np.sum(weights * ys, axis=0)
@@ -215,13 +237,13 @@ def per_run_series(cfg):
             else:
                 comb = combine.multi_update(cfg.combiner, comb, d - y_c,
                                             d - ys)
-            states = [step(comp, s, SampleBatch(x, d, b.noises[0], w))
-                      for comp, s in zip(cfg.components, states)]
+            states = [step(one, s, SampleBatch(x, d, b.noises[0], w))
+                      for one, s in zip(stacks, states)]
             new_weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
                 else comb.gamma
-            w_c = np.sum(new_weights[:, :, None] * [s.w for s in states],
+            w_c = np.sum(new_weights[:, :, None] * [s.w[0] for s in states],
                          axis=0)
-            devs = [s.w - w for s in states] + [w_c - w]
+            devs = [s.w[0] - w for s in states] + [w_c - w]
             errs = [np.sum(x * w, axis=1) - y for y in [*ys, y_c]]
             row = [np.sum(v**2) / n for v in devs]
             if pair:
@@ -594,6 +616,45 @@ class TestMonteCarlo:
             assert np.all(np.isfinite(values)), key
             np.testing.assert_array_equal(values, pooled.series[key])
 
+    @pytest.mark.parametrize("name", ["universality_pn",
+                                      "steady_net2_snr1_ar1_pn",
+                                      "tracking_adaptive_pn"])
+    def test_three_workers_export_the_same_bytes(self, name, tmp_path):
+        # 75 runs make three chunks, one per worker
+        cfg = dataclasses.replace(load_preset_config(name), horizon=40,
+                                  runs=75)
+        exported = []
+        for workers in (1, 3):
+            path = tmp_path / f"workers{workers}.csv"
+            export_csv(run_monte_carlo(cfg, workers=workers), path)
+            exported.append(path.read_bytes())
+        assert exported[0] == exported[1]
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = small_config(horizon=5, runs=2 * harness.CHUNK_RUNS)
+        serial = run_monte_carlo(cfg, workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_monte_carlo(cfg, workers=8)
+        assert sizes == [2]
+        for name, values in serial.series.items():
+            np.testing.assert_array_equal(values, pooled.series[name])
+
     def test_divergence_names_first_non_finite_instant(self):
         # mu = 3 on the fast universality preset: component 2 overflows first
         cfg = load_preset_config("universality_fast_pn")
@@ -631,7 +692,11 @@ class TestMonteCarlo:
         small_config(horizon=30, runs=3),
         small_config(scheme="sign_regressor", nu=0.02, horizon=30, runs=3),
         multi_config(horizon=30, runs=3),
-    ], ids=["power_normalized", "sign_regressor", "multi_sign"])
+        small_config(horizon=30, runs=3,
+                     components=static_and_relative_variance_pair()),
+        small_config(horizon=30, runs=3, components=metropolis_pair()),
+    ], ids=["power_normalized", "sign_regressor", "multi_sign",
+            "static_relative_variance", "metropolis_a1_c"])
     def test_matches_per_run_reference(self, cfg):
         result = run_monte_carlo(cfg)
         expected = per_run_series(cfg)

@@ -3,17 +3,49 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffcomb.signal import (
+    AR1_COEFF,
     AgentSignalParams,
     ChunkedSampler,
     GeneratorState,
     TargetSchedule,
-    draw_regressor,
-    emit_sample,
     load_snr_preset,
     regressor_covariance,
     snr,
     target_at,
 )
+
+
+# The scalar sampling path: one datum at a time from one (run, agent)
+# stream pair, the oracle the block-drawing sampler is checked against.
+
+class ScalarStream(GeneratorState):
+    """A stream pair plus the autoregressive memory x_{n-1} of ar1 inputs."""
+
+    ar_prev = None
+
+
+def draw_regressor(p, state):
+    """Draw the next regressor from the agent's stream."""
+    if p.regressor_kind == "white":
+        return np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal(p.filter_len)
+    if p.filter_len != 2:
+        raise ValueError("ar1 regressors require filter_len = 2")
+    if state.ar_prev is None:
+        state.ar_prev = float(
+            np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal()
+        )
+    innovation = state.regressor_rng.standard_normal()
+    x_new = AR1_COEFF * state.ar_prev + np.sqrt(0.75 * p.sigma_x2) * innovation
+    out = np.array([x_new, state.ar_prev])
+    state.ar_prev = float(x_new)
+    return out
+
+
+def emit_sample(p, w_star, x, state):
+    """Complete one datum: draw noise and form the reference d = x'w* + z;
+    returns (reference, noise)."""
+    z = float(np.sqrt(p.sigma_z2) * state.noise_rng.standard_normal())
+    return float(np.dot(x, w_star)) + z, z
 
 
 def two_stage_schedule(a=0.0, b=5.0, n_agents=1, L=1, t_len=500):
@@ -105,7 +137,7 @@ class TestRegressors:
         p = AgentSignalParams(
             sigma_x2=1.5, sigma_z2=0.1, filter_len=2, regressor_kind="ar1"
         )
-        state = GeneratorState(seed=3, run=0, agent=0)
+        state = ScalarStream(seed=3, run=0, agent=0)
         draws = np.array([draw_regressor(p, state) for _ in range(40_000)])
         assert np.var(draws[:, 0]) == pytest.approx(1.5, rel=0.05)
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -124,53 +156,53 @@ class TestRegressors:
             sigma_x2=1.0, sigma_z2=0.1, filter_len=3, regressor_kind="ar1"
         )
         with pytest.raises(ValueError, match="filter_len"):
-            draw_regressor(p, GeneratorState(0, 0, 0))
+            draw_regressor(p, ScalarStream(0, 0, 0))
 
     def test_same_seed_same_stream(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)
-        a = GeneratorState(seed=11, run=2, agent=5)
-        b = GeneratorState(seed=11, run=2, agent=5)
+        a = ScalarStream(seed=11, run=2, agent=5)
+        b = ScalarStream(seed=11, run=2, agent=5)
         for _ in range(50):
             np.testing.assert_array_equal(draw_regressor(p, a), draw_regressor(p, b))
 
     def test_runs_get_independent_streams(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)
-        a = GeneratorState(seed=11, run=0, agent=0)
-        b = GeneratorState(seed=11, run=1, agent=0)
+        a = ScalarStream(seed=11, run=0, agent=0)
+        b = ScalarStream(seed=11, run=1, agent=0)
         assert not np.array_equal(draw_regressor(p, a), draw_regressor(p, b))
 
 
 class TestEmit:
     def test_noiseless_reference(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.0, filter_len=2)
-        state = GeneratorState(0, 0, 0)
+        state = ScalarStream(0, 0, 0)
         x = np.array([1.0, -2.0])
         w = np.array([0.5, 0.25])
-        s = emit_sample(p, w, x, state)
-        assert s.reference == 1.0 * 0.5 - 2.0 * 0.25
-        assert s.noise == 0.0
+        reference, noise = emit_sample(p, w, x, state)
+        assert reference == 1.0 * 0.5 - 2.0 * 0.25
+        assert noise == 0.0
 
     def test_zero_regressor(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.3, filter_len=2)
-        state = GeneratorState(0, 0, 0)
-        s = emit_sample(p, np.ones(2), np.zeros(2), state)
-        assert s.reference == s.noise
+        state = ScalarStream(0, 0, 0)
+        reference, noise = emit_sample(p, np.ones(2), np.zeros(2), state)
+        assert reference == noise
 
     def test_model_identity_holds_exactly(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.5, filter_len=3)
-        state = GeneratorState(5, 0, 0)
+        state = ScalarStream(5, 0, 0)
         w = np.array([0.3, -1.2, 0.7])
         for _ in range(200):
             x = draw_regressor(p, state)
-            s = emit_sample(p, w, x, state)
-            assert s.reference == float(np.dot(x, w)) + s.noise
+            reference, noise = emit_sample(p, w, x, state)
+            assert reference == float(np.dot(x, w)) + noise
 
     def test_noise_variance(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.4, filter_len=1)
-        state = GeneratorState(9, 0, 0)
+        state = ScalarStream(9, 0, 0)
         w = np.zeros(1)
         noises = [
-            emit_sample(p, w, draw_regressor(p, state), state).noise
+            emit_sample(p, w, draw_regressor(p, state), state)[1]
             for _ in range(100_000)
         ]
         assert np.var(noises) == pytest.approx(0.4, rel=0.05)
@@ -229,17 +261,17 @@ class TestChunkedSampler:
         ]
 
     def _scalar_reference(self, params, schedule, seed, run, horizon):
-        states = [GeneratorState(seed, run, k) for k in range(len(params))]
+        states = [ScalarStream(seed, run, k) for k in range(len(params))]
         xs, ds, zs = [], [], []
         for n in range(horizon):
             w = target_at(schedule, n)
             row_x, row_d, row_z = [], [], []
             for k, p in enumerate(params):
                 x = draw_regressor(p, states[k])
-                s = emit_sample(p, w[k], x, states[k])
+                reference, noise = emit_sample(p, w[k], x, states[k])
                 row_x.append(x)
-                row_d.append(s.reference)
-                row_z.append(s.noise)
+                row_d.append(reference)
+                row_z.append(noise)
             xs.append(row_x)
             ds.append(row_d)
             zs.append(row_z)
@@ -284,6 +316,37 @@ class TestChunkedSampler:
             ss, gg = solo.step(), grouped.step()
             np.testing.assert_array_equal(ss.regressors[0], gg.regressors[3])
             np.testing.assert_array_equal(ss.noises[0], gg.noises[3])
+
+    @pytest.mark.parametrize("block_len", [512, 64])
+    def test_horizon_stops_every_stream_at_the_horizon(self, block_len):
+        params = self._params(("white", "ar1", "white"))
+        schedule = TargetSchedule.constant(np.tile([0.4, -0.7], (3, 1)))
+        runs = [0, 3]
+        capped = ChunkedSampler(params, schedule, seed=5, runs=runs,
+                                block_len=block_len, horizon=200)
+        full = ChunkedSampler(params, schedule, seed=5, runs=runs,
+                              block_len=512)
+        for _ in range(200):
+            sc, sf = capped.step(), full.step()
+            np.testing.assert_array_equal(sc.regressors, sf.regressors)
+            np.testing.assert_array_equal(sc.references, sf.references)
+            np.testing.assert_array_equal(sc.noises, sf.noises)
+        # a fresh stream that draws exactly 200 instants ends in the same
+        # state: 2 normals per white regressor, one more (the start) for
+        # an AR(1) stream, one per noise sample
+        for i, run in enumerate(runs):
+            for k, p in enumerate(params):
+                fresh = GeneratorState(5, run, k)
+                fresh.regressor_rng.standard_normal(
+                    400 if p.regressor_kind == "white" else 201)
+                fresh.noise_rng.standard_normal(200)
+                used = capped._states[i][k]
+                assert (used.regressor_rng.bit_generator.state
+                        == fresh.regressor_rng.bit_generator.state)
+                assert (used.noise_rng.bit_generator.state
+                        == fresh.noise_rng.bit_generator.state)
+        with pytest.raises(ValueError, match="exhausted"):
+            capped.step()
 
 
 class TestParamValidation:
