@@ -131,17 +131,19 @@ def sr_update(
     return CombinerState(gamma=gamma_new)
 
 
-def _multi_mapping(cfg: CombinerConfig, alpha: np.ndarray):
-    """Map scores to sum-one coefficients; clamp nonpositive denominators.
-
-    Returns (gamma, clamped_count).  The denominator sum(alpha) + M delta
-    is replaced by delta wherever it is not positive; those entries are
-    counted and the affine constraint does not hold there.
-    """
+def _denominator(cfg: CombinerConfig, alpha: np.ndarray):
+    """sum(alpha) + M delta over the components, replaced by delta where
+    it is not positive, and the count of replaced entries."""
     denom = alpha.sum(axis=-2, keepdims=True) + cfg.m * cfg.delta
     bad = denom <= 0
-    clamped = int(np.count_nonzero(bad))
-    denom = np.where(bad, cfg.delta, denom)
+    return np.where(bad, cfg.delta, denom), int(np.count_nonzero(bad))
+
+
+def _multi_mapping(cfg: CombinerConfig, alpha: np.ndarray):
+    """Map scores to sum-one coefficients, (alpha + delta) / denominator;
+    returns (gamma, clamped_count).  The affine constraint fails where
+    the denominator is clamped."""
+    denom, clamped = _denominator(cfg, alpha)
     return (alpha + cfg.delta) / denom, clamped
 
 
@@ -162,10 +164,7 @@ def multi_update(
     if component_errors.shape[-2] != cfg.m:
         raise ValueError(f"expected {cfg.m} component error rows")
     nu = np.asarray(cfg.nu_alpha)
-    denom = st.alpha.sum(axis=-2, keepdims=True) + cfg.m * cfg.delta
-    bad = denom <= 0
-    clamped = int(np.count_nonzero(bad))
-    denom = np.where(bad, cfg.delta, denom)
+    denom, clamped = _denominator(cfg, st.alpha)
     arg = (e[..., None, :] - component_errors) / denom
     alpha_new = st.alpha + nu * e[..., None, :] * np.sign(arg)
     gamma_new, clamped_map = _multi_mapping(cfg, alpha_new)

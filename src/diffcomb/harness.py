@@ -58,6 +58,7 @@ from .theory import (
     build_component_model,
     evolve,
     initial_moments,
+    mix,
     mu_bounds,
     shift_targets,
     steady_state,
@@ -140,6 +141,9 @@ class ExperimentConfig:
                     f"{name} has shape {np.shape(value)}: it must be a "
                     f"scalar or give one value per {per}, shape "
                     f"{shape}") from None
+        unknown = sorted(set(self.outputs or ()) - set(series_names(self)))
+        if unknown:
+            raise ValueError(f"outputs name unknown series {unknown}")
 
     @property
     def n_agents(self) -> int:
@@ -600,52 +604,39 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
     Raises InstabilityError when a stage has no steady state and
     ValueError for the multi-component scheme.
     """
-    n = cfg.n_agents
     rx = _regressor_covariances(cfg)
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
-
     table = np.empty((t_max, len(series_names(cfg))))
-    state = None
-    prev_target = None
     gamma0 = 0.5 if cfg.gamma_init is None else float(cfg.gamma_init)
-    g_prev = np.full(n, gamma0)
-    g2_prev = np.full(n, gamma0 ** 2)
-    steady_entries = []
+    steady = []
     stages = cfg.schedule.stages
-    for i, (start, target) in enumerate(stages):
+    ends = [start for start, _ in stages[1:]] + [t_max]
+    for i, ((start, target), end) in enumerate(zip(stages, ends)):
         if start >= t_max:
             break
-        end = min(stages[i + 1][0] if i + 1 < len(stages) else t_max, t_max)
+        end = min(end, t_max)
         pair = PairModel(*(build_component_model(cfg.topology, comp, rx,
                                                  sigma_z2, target)
                            for comp in cfg.components[:2]))
-        if state is None:
-            state = initial_moments(pair, gamma0=gamma0)
-        else:
-            state = shift_targets(
-                state, prev_target.reshape(-1) - target.reshape(-1))
+        # the coefficient moments carry over in the last recorded state
+        state = (shift_targets(traj.state, (stages[i - 1][1] - target).ravel())
+                 if i else initial_moments(pair, gamma0=gamma0))
         traj = evolve(pair, cfg.combiner, end - start, state=state)
-        # the combined error at an instant mixes with the coefficient
-        # moments produced one update earlier
-        gp = np.vstack([g_prev, traj.gbar[:-1]])
-        g2p = np.vstack([g2_prev, traj.g2bar[:-1]])
-        emse_comb = (g2p * traj.emse1 + (1.0 - 2.0 * gp + g2p) * traj.emse2
-                     + 2.0 * (gp - g2p) * traj.emse12)
-        emse = (traj.emse1, traj.emse2, emse_comb, traj.emse12)
-        table[start:end] = np.column_stack((
-            traj.msd1, traj.msd2, traj.combined_msd, traj.cross_msd,
-            *(np.sum(e, axis=1) for e in emse), traj.gbar, traj.g2bar))
-        g_prev, g2_prev = traj.gbar[-1], traj.g2bar[-1]
-        state = traj.state
-        prev_target = target
-        steady_entries.append(
-            (start, steady_state(pair, cfg.combiner)))
+        # columns (1, 2, combined, cross) per power family: deviations
+        # after each update, excess errors before it
+        rows, coef = table[start:end], traj.coefficients
+        msd, emse = traj.record[1:, :, 0], traj.record[:-1, :, 1]
+        rows[:, [0, 1, 3]] = np.mean(msd, axis=-1)
+        rows[:, 2] = np.mean(mix(msd, coef[1:, 0], coef[1:, 1]), axis=-1)
+        rows[:, [4, 5, 7]] = np.sum(emse, axis=-1)
+        rows[:, 6] = np.sum(mix(emse, coef[:-1, 0], coef[:-1, 1]), axis=-1)
+        rows[:, 8:] = coef[1:].reshape(end - start, -1)
+        steady.append((start, steady_state(pair, cfg.combiner)))
 
-    return TheoryResult(horizon=t_max, n_agents=n,
+    return TheoryResult(horizon=t_max, n_agents=cfg.n_agents,
                         series=dict(zip(series_names(cfg), table.T)),
-                        steady=tuple(steady_entries),
-                        config_hash=cfg.config_hash)
+                        steady=tuple(steady), config_hash=cfg.config_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +704,7 @@ def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
     if names is not None:
         missing = sorted(set(names) - set(common))
         if missing:
-            raise ValueError(f"series {missing} absent from both results")
+            raise ValueError(f"series {missing} absent from either result")
         common = [name for name in common if name in set(names)]
 
     entries = []

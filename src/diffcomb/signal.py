@@ -58,6 +58,8 @@ class AgentSignalParams:
             raise ValueError("filter_len must be at least 1")
         if self.regressor_kind not in ("white", "ar1"):
             raise ValueError(f"unknown regressor kind {self.regressor_kind!r}")
+        if self.regressor_kind == "ar1" and self.filter_len != 2:
+            raise ValueError("ar1 regressors require filter_len = 2")
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,6 @@ def regressor_covariance(p: AgentSignalParams) -> np.ndarray:
     """Stationary covariance R_x of the regressor."""
     if p.regressor_kind == "white":
         return p.sigma_x2 * np.eye(p.filter_len)
-    if p.filter_len != 2:
-        raise ValueError("ar1 regressors require filter_len = 2")
     return p.sigma_x2 * np.array([[1.0, AR1_COEFF], [AR1_COEFF, 1.0]])
 
 
@@ -211,8 +211,6 @@ class ChunkedSampler:
         self._ar_mask = np.array(
             [p.regressor_kind == "ar1" for p in self.params]
         )
-        if np.any(self._ar_mask) and self.filter_len != 2:
-            raise ValueError("ar1 regressors require filter_len = 2")
         self._n = 0
         self._cursor = 0
         self._ar_last = None

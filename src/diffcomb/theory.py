@@ -35,6 +35,14 @@ their limits.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read
 from (m1 - m2, p11 - p12) and (m2 - m1, p22 - p12) directly, so nearly
 equal excess errors never cancel.
 
+evolve advances the bare arrays (m, p) and (gbar, g2bar, pbar) and
+records the states 0..n of a stage: per-agent deviation and excess-error
+readouts of the three moments, and (gbar, g2bar).  The series read the
+deviations after each update (rows 1..n) and the excess errors before
+it (rows 0..n-1), the errors that drive it.  mix forms a combined value
+from those readouts and coefficient moments, for the transient series
+and the steady report alike.
+
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
 """
@@ -168,27 +176,29 @@ class MomentState:
 
 @dataclass
 class TheoryTrajectory:
-    """Recorded curves from evolve().
+    """The record of one evolve() call over the states 0..n of a stage.
 
-    Row t of the per-step arrays holds the state after t+1 updates.  The
-    emse arrays instead hold the pre-update values that drove the
-    coefficient update at step t (so row 0 reflects the initial state).
+    Row s of both arrays is the state after s updates, row 0 the starting
+    state.  record, of shape (n+1, 3, 2, N), holds per-agent readouts of
+    the moments (p11, p22, p12): deviations (axis 2 index 0) and excess
+    errors (index 1).  coefficients, of shape (n+1, 2, N), holds gbar and
+    g2bar.  The series of instant t read the deviations after its update,
+    row t+1, and the excess errors before it, row t, each mixed with the
+    coefficient moments of the same row.  state is the final state and
     degenerate_steps counts (step, agent) pairs whose excess-error
-    difference power fell below DELTA_J_FLOOR.
+    difference power fell below DELTA_J_FLOOR.  msd1 and degenerate_steps
+    are what perfbench/tracing.py reads to count evolve steps.
     """
 
-    emse1: np.ndarray
-    emse2: np.ndarray
-    emse12: np.ndarray
-    gbar: np.ndarray
-    g2bar: np.ndarray
-    pbar: np.ndarray
-    msd1: np.ndarray
-    msd2: np.ndarray
-    cross_msd: np.ndarray
-    combined_msd: np.ndarray
+    record: np.ndarray
+    coefficients: np.ndarray
     state: MomentState
     degenerate_steps: int = 0
+
+    @property
+    def msd1(self) -> np.ndarray:
+        """Network deviation of component 1 after each of the n updates."""
+        return np.mean(self.record[1:, 0, 0], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -473,10 +483,18 @@ def coefficient_steady(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):
             np.where(degenerate, 0.0, power))
 
 
-def _combined_from_traces(t1, t2, tx, gbar, g2bar) -> float:
-    per_agent = (g2bar * t1 + (1.0 - 2.0 * gbar + g2bar) * t2
-                 + 2.0 * (gbar - g2bar) * tx)
-    return float(np.mean(per_agent))
+def mix(t, gbar, g2bar):
+    """Per-agent value of the combined strategy from its components'.
+
+    t stacks the readouts of (p11, p22, p12) on axis -2; gbar and g2bar
+    are the coefficient moments, broadcast over the remaining axes.  With
+    the coefficient independent of the errors,
+    E|g e1 + (1 - g) e2|^2 = g2bar t1 + (1 - 2 gbar + g2bar) t2
+    + 2 (gbar - g2bar) t12.
+    """
+    t1, t2, tx = np.moveaxis(t, -2, 0)
+    return (g2bar * t1 + (1.0 - 2.0 * gbar + g2bar) * t2
+            + 2.0 * (gbar - g2bar) * tx)
 
 
 def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
@@ -485,13 +503,10 @@ def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
     The errors start at the deterministic -w_star, so every centered
     factor is zero.
     """
-    n = pair.model1.n_agents
-    k = pair.b.shape[1]
+    n, k, g = pair.model1.n_agents, pair.b.shape[1], float(gamma0)
     return MomentState(m=np.tile(-pair.model1.w_star, (2, 1)),
-                       p=np.zeros((3, k, k)),
-                       gbar=np.full(n, float(gamma0)),
-                       g2bar=np.full(n, float(gamma0) ** 2),
-                       pbar=np.zeros(n))
+                       p=np.zeros((3, k, k)), gbar=np.full(n, g),
+                       g2bar=np.full(n, g ** 2), pbar=np.zeros(n))
 
 
 def shift_targets(state: MomentState, delta: np.ndarray) -> MomentState:
@@ -508,62 +523,37 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
            state: MomentState | None = None) -> TheoryTrajectory:
     """Run the coupled moment recursions for n_steps instants.
 
-    Per instant: the pre-update covariances give the excess errors that
-    drive the coefficient update (the stochastic update also acts on
-    pre-update errors), component moments advance, coefficient moments
-    advance, and the combined deviation is assembled from the advanced
-    state.  Component moments never depend on the coefficient.
+    Per instant: the pre-update excess errors drive the coefficient
+    update (the stochastic update also acts on pre-update errors), then
+    both components' moments advance, and the new state is read out into
+    the record.  Component moments never depend on the coefficient.
     """
     if state is None:
         state = initial_moments(pair)
-    n = pair.model1.n_agents
+    m, p = state.m, state.p
+    gbar, g2bar, pbar = state.gbar, state.g2bar, state.pbar
     sigma_z2 = pair.model1.sigma_z2
-
-    emse1 = np.empty((n_steps, n))
-    emse2 = np.empty((n_steps, n))
-    emse12 = np.empty((n_steps, n))
-    gbar = np.empty((n_steps, n))
-    g2bar = np.empty((n_steps, n))
-    pbar = np.empty((n_steps, n))
-    msd1 = np.empty(n_steps)
-    msd2 = np.empty(n_steps)
-    cross = np.empty(n_steps)
-    combined = np.empty(n_steps)
+    record = np.empty((n_steps + 1, 3, 2, pair.model1.n_agents))
+    coefficients = np.empty((n_steps + 1, 2, pair.model1.n_agents))
     degenerate = 0
 
-    # one readout per moment gives the deviations after a step (row 0)
-    # and the excess errors and drivers of the next step (row 1)
-    weights = pair.weights
-    readouts = _readouts(weights, state.m, state.p)
-    for t in range(n_steps):
-        j1, j2, j12, dj1, dj2 = readouts[:, 1]
+    readouts = _readouts(pair.weights, m, p)
+    record[0] = readouts[:3]
+    coefficients[0] = gbar, g2bar
+    for t in range(1, n_steps + 1):
+        _, j2, _, dj1, dj2 = readouts[:, 1]
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
-        gbar_next, g2bar_next, pbar_next = coefficient_step(
-            cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2, sigma_z2)
-        state = MomentState(m=mean_step(pair, state.m),
-                            p=covariance_step(pair, state.p),
-                            gbar=gbar_next, g2bar=g2bar_next, pbar=pbar_next)
-        readouts = _readouts(weights, state.m, state.p)
-        traces = readouts[:3, 0]
+        gbar, g2bar, pbar = coefficient_step(cfg, gbar, g2bar, pbar,
+                                             dj1, dj2, j2, sigma_z2)
+        m = mean_step(pair, m)
+        p = covariance_step(pair, p)
+        readouts = _readouts(pair.weights, m, p)
+        record[t] = readouts[:3]
+        coefficients[t] = gbar, g2bar
 
-        emse1[t] = j1
-        emse2[t] = j2
-        emse12[t] = j12
-        gbar[t] = state.gbar
-        g2bar[t] = state.g2bar
-        pbar[t] = state.pbar
-        msd1[t], msd2[t], cross[t] = np.mean(traces, axis=1)
-        combined[t] = _combined_from_traces(*traces, state.gbar, state.g2bar)
-
-    return TheoryTrajectory(emse1=emse1, emse2=emse2, emse12=emse12,
-                            gbar=gbar, g2bar=g2bar, pbar=pbar,
-                            msd1=msd1, msd2=msd2, cross_msd=cross,
-                            combined_msd=combined, state=state,
+    return TheoryTrajectory(record=record, coefficients=coefficients,
+                            state=MomentState(m, p, gbar, g2bar, pbar),
                             degenerate_steps=degenerate)
-
-
-def _spectral_radius(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
 def _fixed_mean(pair: PairModel) -> np.ndarray:
@@ -606,7 +596,7 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     component cannot converge.
     """
     for label, b in zip("12", pair.b):
-        rho = _spectral_radius(b)
+        rho = float(np.max(np.abs(np.linalg.eigvals(b))))
         if rho >= 1.0:
             raise InstabilityError(
                 f"component {label} mean recursion diverges: "
@@ -616,8 +606,8 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     p = _stein(pair.left, pair.right, pair.g)
     p[:2] = 0.5 * (p[:2] + p[:2].transpose(0, 2, 1))
 
-    (t1, j1), (t2, j2), (tx, j12), (_, dj1), (_, dj2) = _readouts(
-        pair.weights, m, p)
+    readouts = _readouts(pair.weights, m, p)
+    (t1, j1), (t2, j2), (tx, j12), (_, dj1), (_, dj2) = readouts
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, j2,
                                            pair.model1.sigma_z2)
 
@@ -632,7 +622,7 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
         msd1=float(np.mean(t1)),
         msd2=float(np.mean(t2)),
         cross_msd=float(np.mean(tx)),
-        combined_msd=_combined_from_traces(t1, t2, tx, gbar, g2bar),
+        combined_msd=float(np.mean(mix(readouts[:3, 0], gbar, g2bar))),
         universality=universality_report(j1, j2, j12, dj1, dj2),
         bounds=bounds)
 

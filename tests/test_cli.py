@@ -80,6 +80,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "nu_gamma" in err and "(10,)" in err
 
+    def test_unknown_output_series(self, tmp_path, capsys):
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / "universality_pn.json").read_text())
+        raw["outputs"] = ["msd_combinde"]
+        path = tmp_path / "outputs.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid experiment" in err and "msd_combinde" in err
+
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
         raw["components"][0]["mu"] = -1.0

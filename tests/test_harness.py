@@ -447,6 +447,20 @@ class TestConfigFromDict:
     def test_config_error_is_not_value_error(self):
         assert not issubclass(ConfigError, ValueError)
 
+    def test_unknown_output_series_refused(self):
+        # a misspelled series used to pass the loader and fail only at
+        # export, after the whole experiment had run
+        raw = raw_config(outputs=["msd_combined", "msd_combinde"])
+        with pytest.raises(ValueError, match="msd_combinde") as excinfo:
+            config_from_dict(raw)
+        assert "msd_combined'" not in str(excinfo.value)
+        assert not isinstance(excinfo.value, ConfigError)
+
+    def test_known_output_series_accepted(self):
+        cfg = config_from_dict(raw_config(outputs=["msd_combined",
+                                                   "gamma_mean_a3"]))
+        assert cfg.outputs == ("msd_combined", "gamma_mean_a3")
+
 
 class TestConfigFiles:
     def test_load_config_round_trip(self, tmp_path):
@@ -943,8 +957,15 @@ class TestCompare:
 
     def test_missing_requested_series(self):
         result = run_theory(small_config())
-        with pytest.raises(ValueError, match="absent"):
+        with pytest.raises(ValueError, match="absent from either result"):
             compare(result, result, names=["msd_imaginary"])
+
+    def test_series_absent_from_one_result(self):
+        full = run_theory(small_config())
+        part = self._result({"msd_combined": full.series["msd_combined"]},
+                            horizon=full.horizon)
+        with pytest.raises(ValueError, match="'msd_network_1'.*either"):
+            compare(full, part, names=["msd_combined", "msd_network_1"])
 
     def test_negative_instants_are_ignored_pointwise(self):
         base = np.linspace(1.0, 2.0, 50)

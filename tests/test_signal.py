@@ -28,8 +28,6 @@ def draw_regressor(p, state):
     """Draw the next regressor from the agent's stream."""
     if p.regressor_kind == "white":
         return np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal(p.filter_len)
-    if p.filter_len != 2:
-        raise ValueError("ar1 regressors require filter_len = 2")
     if state.ar_prev is None:
         state.ar_prev = float(
             np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal()
@@ -152,11 +150,10 @@ class TestRegressors:
         )
 
     def test_ar1_needs_two_taps(self):
-        p = AgentSignalParams(
-            sigma_x2=1.0, sigma_z2=0.1, filter_len=3, regressor_kind="ar1"
-        )
-        with pytest.raises(ValueError, match="filter_len"):
-            draw_regressor(p, ScalarStream(0, 0, 0))
+        with pytest.raises(ValueError, match="filter_len = 2"):
+            AgentSignalParams(
+                sigma_x2=1.0, sigma_z2=0.1, filter_len=3, regressor_kind="ar1"
+            )
 
     def test_same_seed_same_stream(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)

@@ -28,13 +28,14 @@ from diffcomb.theory import (
     evolve,
     initial_moments,
     mean_step,
+    mix,
     mu_bounds,
     shift_targets,
     stability_bounds,
     steady_state,
     universality_report,
 )
-from diffcomb.theory import _build_model, _combined_from_traces, _readouts
+from diffcomb.theory import _build_model, _readouts
 from helpers import strategy
 
 
@@ -787,8 +788,21 @@ def block_traces(om, n):
 def combined_deviation(om1, om2, omx, gbar, g2bar):
     """Network deviation of the combined estimates from dense moments."""
     gbar, g2bar = np.asarray(gbar, float), np.asarray(g2bar, float)
-    traces = (block_traces(om, gbar.shape[0]) for om in (om1, om2, omx))
-    return _combined_from_traces(*traces, gbar, g2bar)
+    traces = [block_traces(om, gbar.shape[0]) for om in (om1, om2, omx)]
+    return float(np.mean(mix(np.array(traces), gbar, g2bar)))
+
+
+def record_series(traj):
+    """Per-instant series of an evolve record, row t for instant t:
+    deviations after the update (rows 1..n), excess errors before it
+    (rows 0..n-1), as the harness reads them."""
+    dev, err = traj.record[1:, :, 0], traj.record[:-1, :, 1]
+    gbar, g2bar = traj.coefficients[1:, 0], traj.coefficients[1:, 1]
+    msd1, msd2, cross = np.mean(dev, axis=-1).T
+    return {"emse1": err[:, 0], "emse2": err[:, 1], "emse12": err[:, 2],
+            "gbar": gbar, "g2bar": g2bar, "msd1": msd1, "msd2": msd2,
+            "cross_msd": cross,
+            "combined_msd": np.mean(mix(dev, gbar, g2bar), axis=-1)}
 
 
 class TestCombinedDeviation:
@@ -893,36 +907,42 @@ class TestEvolve:
             else random_pair(80, n=3, l=1)
         cfg = pn_cfg(nu=0.01)
         traj = evolve(pair, cfg, 3)
+        assert traj.record.shape == (4, 3, 2, 3)
+        assert traj.coefficients.shape == (4, 2, 3)
         state = initial_moments(pair)
         weights = pair.model1.rx[None]
+        np.testing.assert_array_equal(traj.coefficients[0],
+                                      [state.gbar, state.g2bar])
         for t in range(3):
             j1, j2, j12, dj1, dj2 = _readouts(weights, state.m,
                                               state.p)[:, 0]
-            np.testing.assert_array_equal(traj.emse1[t], j1)
-            np.testing.assert_array_equal(traj.emse2[t], j2)
-            np.testing.assert_array_equal(traj.emse12[t], j12)
+            np.testing.assert_array_equal(traj.record[t, :, 1],
+                                          [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
                 pair.model1.sigma_z2)
             state = MomentState(m=mean_step(pair, state.m),
                                 p=covariance_step(pair, state.p),
                                 gbar=gbar, g2bar=g2bar, pbar=pbar)
-            np.testing.assert_array_equal(traj.gbar[t], state.gbar)
-            np.testing.assert_array_equal(traj.g2bar[t], state.g2bar)
+            np.testing.assert_array_equal(traj.coefficients[t + 1],
+                                          [state.gbar, state.g2bar])
             np.testing.assert_allclose(
-                traj.combined_msd[t],
+                record_series(traj)["combined_msd"][t],
                 combined_deviation(*raw_moments(state.m, state.p),
                                    state.gbar, state.g2bar), rtol=1e-13)
         np.testing.assert_array_equal(traj.state.m, state.m)
         np.testing.assert_array_equal(traj.state.p, state.p)
+        np.testing.assert_array_equal(traj.state.pbar, state.pbar)
 
     def test_identical_components_freeze_coefficient(self):
         model = random_model(81, n=3, l=1)
         traj = evolve(PairModel(model, model), pn_cfg(), 50)
-        np.testing.assert_allclose(traj.gbar, 0.5, rtol=1e-9)
-        np.testing.assert_allclose(traj.g2bar, 0.25, rtol=1e-9)
+        series = record_series(traj)
+        np.testing.assert_allclose(series["gbar"], 0.5, rtol=1e-9)
+        np.testing.assert_allclose(series["g2bar"], 0.25, rtol=1e-9)
         assert traj.degenerate_steps == 50 * 3
-        np.testing.assert_allclose(traj.combined_msd, traj.msd1, rtol=1e-9)
+        np.testing.assert_allclose(series["combined_msd"], traj.msd1,
+                                   rtol=1e-9)
 
     def test_initial_row_reflects_starting_state(self):
         pair = random_pair(82, n=3, l=2)
@@ -930,8 +950,35 @@ class TestEvolve:
         w = pair.model1.w_star.reshape(3, 2)
         rx = pair.model1.rx
         expected = np.array([w[k] @ rx[k] @ w[k] for k in range(3)])
-        np.testing.assert_allclose(traj.emse1[0], expected, rtol=1e-12)
-        np.testing.assert_allclose(traj.emse12[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(traj.record[0, 0, 1], expected,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(traj.record[0, 2, 1], expected,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_split_run_continues_bit_for_bit(self, make_cfg):
+        # a stage boundary without a target change: the second call
+        # starts from the first one's final state, coefficient moments
+        # included, and its row 0 is the first call's last row
+        pair = random_pair(86, n=3, l=2)
+        cfg = make_cfg()
+        start = initial_moments(pair, gamma0=0.8)
+        whole = evolve(pair, cfg, 30, state=start)
+        first = evolve(pair, cfg, 12, state=start)
+        second = evolve(pair, cfg, 18, state=first.state)
+        np.testing.assert_array_equal(second.record[0], first.record[-1])
+        np.testing.assert_array_equal(second.coefficients[0],
+                                      first.coefficients[-1])
+        np.testing.assert_array_equal(
+            whole.record, np.concatenate((first.record, second.record[1:])))
+        np.testing.assert_array_equal(
+            whole.coefficients,
+            np.concatenate((first.coefficients, second.coefficients[1:])))
+        for name in ("m", "p", "gbar", "g2bar", "pbar"):
+            np.testing.assert_array_equal(getattr(whole.state, name),
+                                          getattr(second.state, name))
+        assert whole.degenerate_steps == (first.degenerate_steps
+                                          + second.degenerate_steps)
 
     def test_rejects_multi_component_scheme(self):
         model = random_model(83)
@@ -955,21 +1002,27 @@ class TestEvolve:
         pair = PairModel(slow, fast)
         cfg = make_cfg()
         report = steady_state(pair, cfg)
-        traj = evolve(pair, cfg, 4000)
-        np.testing.assert_allclose(traj.gbar[-1], report.gbar, rtol=1e-5)
-        np.testing.assert_allclose(traj.g2bar[-1], report.g2bar, rtol=1e-5)
-        np.testing.assert_allclose(traj.msd1[-1], report.msd1, rtol=1e-8)
-        np.testing.assert_allclose(traj.msd2[-1], report.msd2, rtol=1e-8)
-        np.testing.assert_allclose(traj.cross_msd[-1], report.cross_msd,
-                                   rtol=1e-8)
-        np.testing.assert_allclose(traj.combined_msd[-1], report.combined_msd,
+        series = record_series(evolve(pair, cfg, 4000))
+        np.testing.assert_allclose(series["gbar"][-1], report.gbar,
                                    rtol=1e-5)
-        np.testing.assert_allclose(traj.emse1[-1], report.emse1, rtol=1e-6)
+        np.testing.assert_allclose(series["g2bar"][-1], report.g2bar,
+                                   rtol=1e-5)
+        np.testing.assert_allclose(series["msd1"][-1], report.msd1,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(series["msd2"][-1], report.msd2,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(series["cross_msd"][-1], report.cross_msd,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(series["combined_msd"][-1],
+                                   report.combined_msd, rtol=1e-5)
+        np.testing.assert_allclose(series["emse1"][-1], report.emse1,
+                                   rtol=1e-6)
 
     def test_coefficient_variance_stays_nonnegative(self):
         traj = evolve(random_pair(85, n=3, l=2), pn_cfg(nu=0.01), 500)
-        assert np.all(traj.g2bar - traj.gbar**2 >= -1e-9)
-        assert np.all(np.isfinite(traj.combined_msd))
+        series = record_series(traj)
+        assert np.all(series["g2bar"] - series["gbar"]**2 >= -1e-9)
+        assert np.all(np.isfinite(series["combined_msd"]))
 
 
 class TestSteadyState:
@@ -1216,9 +1269,10 @@ class TestKronFactoredPath:
             else sr_cfg(nu=0.02)
         got = evolve(fast, cfg, 60)
         want = evolve(dense, cfg, 60)
-        for name in ("emse1", "emse2", "emse12", "gbar", "g2bar", "pbar",
-                     "msd1", "msd2", "cross_msd", "combined_msd"):
-            a, b = getattr(got, name), getattr(want, name)
+        # pbar is not recorded per step; the final states compare it
+        got_series, want_series = record_series(got), record_series(want)
+        for name, b in want_series.items():
+            a = got_series[name]
             np.testing.assert_allclose(
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
