@@ -1,11 +1,11 @@
-"""Print the SHA-256 of the CSV export of every bundled preset.
+"""Print the SHA-256 of the CSV and JSON exports of every bundled preset.
 
 Each preset is cut to the given horizon and run count, simulated on the
 given number of workers, and predicted where the moment theory covers
-it (static fusion, two-component scheme).  One line per export:
-``<preset> sim|theory <sha256>``.  Two runs that must agree byte for
-byte, say at one and at three workers or before and after a refactor,
-are checked by diffing their outputs.
+it (harness.theory_covers).  One line per export:
+``<preset> sim|theory csv|json <sha256>``.  Two runs that must agree
+byte for byte, say at one and at three workers or before and after a
+refactor, are checked by diffing their outputs.
 
 Usage: python3 scripts/export_digests.py --horizon 40 --runs 75 --workers 3
 """
@@ -24,15 +24,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from diffcomb import harness  # noqa: E402
 
 
-def covered(cfg) -> bool:
-    """Whether the moment theory predicts this experiment."""
-    return (cfg.combiner.scheme != "multi_sign"
-            and all(comp.a2_mode == "static" for comp in cfg.components))
-
-
-def digest(result, columns, path) -> str:
-    harness.export_csv(result, path, columns=columns)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def print_digests(name, kind, result, columns, tmp) -> None:
+    for fmt in ("csv", "json"):
+        path = tmp / f"export.{fmt}"
+        harness.export(result, path, columns=columns)
+        print(name, kind, fmt, hashlib.sha256(path.read_bytes()).hexdigest(),
+              flush=True)
 
 
 def main(argv=None):
@@ -43,16 +40,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "export.csv"
+        tmp = pathlib.Path(tmp)
         for name in harness.preset_names():
             cfg = dataclasses.replace(harness.load_preset_config(name),
                                       horizon=args.horizon, runs=args.runs)
             sim = harness.run_monte_carlo(cfg, workers=args.workers)
-            print(name, "sim", digest(sim, cfg.outputs, path), flush=True)
-            if covered(cfg):
-                theory = harness.run_theory(cfg)
-                print(name, "theory", digest(theory, cfg.outputs, path),
-                      flush=True)
+            print_digests(name, "sim", sim, cfg.outputs, tmp)
+            if harness.theory_covers(cfg):
+                print_digests(name, "theory", harness.run_theory(cfg),
+                              cfg.outputs, tmp)
     return 0
 
 

@@ -63,7 +63,7 @@ def _cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
     result = run_monte_carlo(cfg, workers=args.workers)
     export(result, args.output, fmt=args.format, columns=cfg.outputs)
-    print(f"wrote {args.output} ({result.runs} runs, "
+    print(f"wrote {args.output} ({result.metadata['runs']} runs, "
           f"horizon {result.horizon})")
     return 0
 

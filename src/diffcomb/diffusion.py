@@ -57,13 +57,16 @@ class StrategyConfig:
         for matrix, role in ((self.a1, "left"), (self.c, "right")):
             if matrix.role != role:
                 raise ValueError(f"matrix role must be {role!r}, got {matrix.role!r}")
-            if not validate_stochastic(matrix, self.topology).ok:
-                raise ValueError(f"{role}-stochastic matrix fails validation")
+            defect = validate_stochastic(matrix, self.topology)
+            if defect:
+                raise ValueError(f"{role}-stochastic matrix fails validation: {defect}")
         if self.a2_mode == "static":
             if self.a2 is None:
                 raise ValueError("static a2_mode requires an a2 matrix")
-            if self.a2.role != "left" or not validate_stochastic(self.a2, self.topology).ok:
-                raise ValueError("a2 must be a valid left-stochastic matrix")
+            defect = (validate_stochastic(self.a2, self.topology)
+                      if self.a2.role == "left" else f"role is {self.a2.role!r}")
+            if defect:
+                raise ValueError(f"a2 must be a valid left-stochastic matrix: {defect}")
         mu = np.broadcast_to(np.asarray(self.mu, dtype=float), (n,)).copy()
         if np.any(mu < 0):
             raise ValueError("step-sizes must be nonnegative")

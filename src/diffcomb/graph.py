@@ -97,24 +97,6 @@ class StochasticMatrix:
         object.__setattr__(self, "entries", ent)
 
 
-@dataclass(frozen=True)
-class StochasticReport:
-    """Validation report for a combination matrix on a topology.
-
-    ``sum_deviations`` holds |sum - 1| per column (left role) or per row
-    (right role).  ``ok`` means: no negative entries, no support
-    violations, and all sums within ``tol`` of one.
-    """
-
-    role: str
-    sum_deviations: np.ndarray
-    max_sum_deviation: float
-    negative_entries: tuple
-    support_violations: tuple
-    doubly_stochastic: bool
-    ok: bool
-
-
 def _is_connected(adj: np.ndarray) -> bool:
     return not np.any(_bfs_distances(adj, 0) < 0)
 
@@ -176,33 +158,29 @@ def static_rule(t: Topology, rule: str) -> StochasticMatrix:
 
 def validate_stochastic(
     m: StochasticMatrix, t: Topology, tol: float = 1e-12
-) -> StochasticReport:
-    """Check a combination matrix against its role and the topology support."""
+) -> str | None:
+    """Check a combination matrix against its role and the topology support.
+
+    Returns None for a valid matrix, otherwise a message naming the first
+    defect: a negative entry, an entry off the topology's support, or a
+    column (left role) or row (right role) whose sum is not within tol
+    of one.
+    """
     ent = m.entries
     if ent.shape != (t.n_agents, t.n_agents):
         raise ValueError("matrix size does not match topology")
-    axis = 0 if m.role == "left" else 1
+    for bad, what in ((ent < 0, "is negative"),
+                      ((ent != 0) & ~t.adjacency,
+                       "lies off the topology's support")):
+        if bad.any():
+            l, k = np.argwhere(bad)[0]
+            return f"entry ({l}, {k}) {what}"
+    axis, line = (0, "column") if m.role == "left" else (1, "row")
     sums = ent.sum(axis=axis)
-    deviations = np.abs(sums - 1.0)
-    negatives = tuple(zip(*np.nonzero(ent < 0)))
-    off_support = (ent != 0) & ~t.adjacency
-    violations = tuple(zip(*np.nonzero(off_support)))
-    col_ok = np.all(np.abs(ent.sum(axis=0) - 1.0) <= tol)
-    row_ok = np.all(np.abs(ent.sum(axis=1) - 1.0) <= tol)
-    ok = (
-        not negatives
-        and not violations
-        and bool(np.all(deviations <= tol))
-    )
-    return StochasticReport(
-        role=m.role,
-        sum_deviations=deviations,
-        max_sum_deviation=float(deviations.max()),
-        negative_entries=negatives,
-        support_violations=violations,
-        doubly_stochastic=bool(col_ok and row_ok and not negatives),
-        ok=ok,
-    )
+    off = np.flatnonzero(~(np.abs(sums - 1.0) <= tol))
+    if off.size:
+        return f"{line} {off[0]} sums to {float(sums[off[0]])}, not 1"
+    return None
 
 
 def build_preset(name: str) -> Topology:

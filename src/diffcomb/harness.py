@@ -162,68 +162,28 @@ class ExperimentConfig:
 
 
 @dataclass
-class AggregateResult:
-    """Run-averaged series of one Monte Carlo experiment.
+class SeriesResult:
+    """Named series over a horizon: simulated, predicted or reloaded.
 
     series maps names to (horizon,) arrays in linear units; decibel
     conversion happens only at export.  Error-power rows hold the
     pre-update errors of each instant, deviation and coefficient rows
-    the post-update state, mirroring the moment recursions.
+    the post-update state, in both engines.  metadata is the header of
+    the JSON export (kind, horizon, runs, n_agents, seed, config_hash),
+    empty after a CSV reload.  steady holds one (stage_start,
+    SteadyReport) pair per stage of a prediction and is empty otherwise.
     """
 
     horizon: int
-    runs: int
-    n_agents: int
     series: dict
-    seed: int | None = None
-    config_hash: str | None = None
-
-    def metadata(self) -> dict:
-        return {
-            "kind": "monte_carlo",
-            "horizon": self.horizon,
-            "runs": self.runs,
-            "n_agents": self.n_agents,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+    metadata: dict
+    steady: tuple = ()
 
 
-@dataclass
-class TheoryResult:
-    """Predicted series plus per-stage stationary reports.
-
-    steady holds one (stage_start, SteadyReport) pair per stage.
-    """
-
-    horizon: int
-    n_agents: int
-    series: dict
-    steady: tuple
-    config_hash: str | None = None
-    runs: int = 0
-
-    def metadata(self) -> dict:
-        return {
-            "kind": "theory",
-            "horizon": self.horizon,
-            "runs": self.runs,
-            "n_agents": self.n_agents,
-            "seed": None,
-            "config_hash": self.config_hash,
-        }
-
-
-@dataclass
-class SeriesBundle:
-    """Series reloaded from an exported file, mapped back to linear units."""
-
-    horizon: int
-    series: dict
-    metadata_values: dict | None = None
-
-    def metadata(self) -> dict:
-        return self.metadata_values or {}
+def _metadata(cfg, kind, runs, seed) -> dict:
+    return {"kind": kind, "horizon": cfg.horizon, "runs": runs,
+            "n_agents": cfg.n_agents, "seed": seed,
+            "config_hash": cfg.config_hash}
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +326,8 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
     except TypeError:
         raise ConfigError("combiner has unknown settings") from None
     outputs = raw.get("outputs")
+    if outputs is not None and not isinstance(outputs, list):
+        raise ConfigError("outputs must be a list of series names")
     return ExperimentConfig(
         topology=topology,
         signal_params=params,
@@ -546,7 +508,7 @@ def _resolve_workers(workers) -> int:
 
 
 def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
-                    workers=None) -> AggregateResult:
+                    workers=None) -> SeriesResult:
     """Average the configured experiment over seeded Monte Carlo runs.
 
     run_indices defaults to range(cfg.runs); passing an explicit list
@@ -583,17 +545,23 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
         t, j = bad[0]
         raise ValueError(f"the simulation diverged: {names[j]} is not "
                          f"finite at instant {t}")
-    return AggregateResult(horizon=cfg.horizon, runs=len(run_indices),
-                           n_agents=cfg.n_agents,
-                           series=dict(zip(names, total.T / len(run_indices))),
-                           seed=cfg.seed, config_hash=cfg.config_hash)
+    runs = len(run_indices)
+    return SeriesResult(cfg.horizon, dict(zip(names, total.T / runs)),
+                        _metadata(cfg, "monte_carlo", runs, cfg.seed))
 
 
 # ---------------------------------------------------------------------------
 # theory path
 
 
-def run_theory(cfg: ExperimentConfig) -> TheoryResult:
+def theory_covers(cfg: ExperimentConfig) -> bool:
+    """Whether the moment theory predicts this experiment: a
+    two-component scheme whose components fuse with a static a2."""
+    return (cfg.combiner.scheme != "multi_sign"
+            and all(comp.a2_mode == "static" for comp in cfg.components))
+
+
+def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     """Predicted series for the configured pair over the full horizon.
 
     Each stationary stage gets its own moment description and steady
@@ -601,9 +569,13 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
     the new target and evolution continues.  The predictor holds the
     previous target through a transition ramp, so predicted and
     simulated curves are comparable only inside stationary stretches.
-    Raises InstabilityError when a stage has no steady state and
-    ValueError for the multi-component scheme.
+    Raises ValueError, before building any model, for an experiment
+    theory_covers rejects, and InstabilityError when a stage has no
+    steady state.
     """
+    if not theory_covers(cfg):
+        raise ValueError("the moment theory covers two-component schemes "
+                         "with static a2 fusion only")
     rx = _regressor_covariances(cfg)
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
@@ -634,9 +606,8 @@ def run_theory(cfg: ExperimentConfig) -> TheoryResult:
         rows[:, 8:] = coef[1:].reshape(end - start, -1)
         steady.append((start, steady_state(pair, cfg.combiner)))
 
-    return TheoryResult(horizon=t_max, n_agents=cfg.n_agents,
-                        series=dict(zip(series_names(cfg), table.T)),
-                        steady=tuple(steady), config_hash=cfg.config_hash)
+    return SeriesResult(t_max, dict(zip(series_names(cfg), table.T)),
+                        _metadata(cfg, "theory", 0, None), tuple(steady))
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +638,28 @@ class ComparisonReport:
         return all(entry.passed for entry in self.entries)
 
 
-def _to_db(values: np.ndarray) -> np.ndarray:
+def _in_db(name: str) -> bool:
+    """Power series (MSD and EMSE) are stored and compared in decibels,
+    the coefficient series linearly."""
+    return name.startswith(("msd", "emse"))
+
+
+def _stored(name, values) -> np.ndarray:
+    """A series in its stored units: decibels for power series, nan
+    where the power is nonpositive; linear otherwise."""
     values = np.asarray(values, dtype=float)
+    if not _in_db(name):
+        return values
     out = np.full(values.shape, np.nan)
     positive = values > 0
     out[positive] = 10.0 * np.log10(values[positive])
     return out
+
+
+def _linear(name, stored) -> np.ndarray:
+    """A stored series back in linear units; nan stays nan."""
+    stored = np.array(stored, dtype=float)
+    return 10.0 ** (stored / 10.0) if _in_db(name) else stored
 
 
 def _window_mean(values, windows):
@@ -709,24 +696,19 @@ def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
 
     entries = []
     for name in common:
-        a = np.asarray(sim.series[name], dtype=float)
-        b = np.asarray(theory.series[name], dtype=float)
-        if name.startswith(("msd", "emse")):
+        if _in_db(name):
             kind, tol = "db", tol_msd_db
-            point = np.abs(_to_db(a) - _to_db(b))
-            readout_a = _to_db(np.array(_window_mean(a, windows)))
-            readout_b = _to_db(np.array(_window_mean(b, windows)))
         elif name.startswith("gamma"):
             kind, tol = "linear", tol_gamma
-            point = np.abs(a - b)
-            readout_a = np.array(_window_mean(a, windows))
-            readout_b = np.array(_window_mean(b, windows))
         else:
             continue
+        a, b = (np.asarray(r.series[name], dtype=float) for r in (sim, theory))
+        point = np.abs(_stored(name, a) - _stored(name, b))
         with np.errstate(invalid="ignore"):
             max_dev = float(np.nanmax(point)) if np.any(np.isfinite(point)) \
                 else float("nan")
-        steady = float(np.max(np.abs(readout_a - readout_b)))
+        steady = float(np.max(np.abs(_stored(name, _window_mean(a, windows))
+                                     - _stored(name, _window_mean(b, windows)))))
         passed = bool(np.isfinite(steady) and steady <= tol)
         entries.append(SeriesComparison(name=name, kind=kind,
                                         max_abs_dev=max_dev,
@@ -749,17 +731,6 @@ def _export_names(result, columns):
     return names
 
 
-def _export_matrix(result, names):
-    t_max = result.horizon
-    data = np.empty((t_max, len(names) + 1))
-    data[:, 0] = np.arange(t_max)
-    for j, name in enumerate(names):
-        values = np.asarray(result.series[name], dtype=float)
-        data[:, j + 1] = _to_db(values) if name.startswith(("msd", "emse")) \
-            else values
-    return data
-
-
 def export_csv(result, path, columns=None) -> None:
     """Write a result as CSV: time index column plus one series per column.
 
@@ -768,7 +739,9 @@ def export_csv(result, path, columns=None) -> None:
     bytes.
     """
     names = _export_names(result, columns)
-    data = _export_matrix(result, names)
+    data = np.column_stack([np.arange(result.horizon)]
+                           + [_stored(name, result.series[name])
+                              for name in names])
     with open(path, "w", newline="") as fh:
         fh.write("n," + ",".join(names) + "\n")
         np.savetxt(fh, data, delimiter=",",
@@ -778,12 +751,11 @@ def export_csv(result, path, columns=None) -> None:
 def export_json(result, path, columns=None) -> None:
     """Write a result as JSON mirroring the CSV plus run metadata."""
     names = _export_names(result, columns)
-    data = _export_matrix(result, names)
     payload = {
-        "metadata": result.metadata(),
+        "metadata": result.metadata,
         "columns": ["n"] + names,
-        "series": {name: data[:, j + 1].tolist()
-                   for j, name in enumerate(names)},
+        "series": {name: _stored(name, result.series[name]).tolist()
+                   for name in names},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -802,37 +774,24 @@ def export(result, path, fmt=None, columns=None) -> None:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-def _series_from_columns(names, matrix):
-    series = {}
-    for j, name in enumerate(names):
-        column = matrix[:, j + 1]
-        if name.startswith(("msd", "emse")):
-            series[name] = 10.0 ** (column / 10.0)
-        else:
-            series[name] = column.copy()
-    return series
-
-
-def load_result(path) -> SeriesBundle:
+def load_result(path) -> SeriesResult:
     """Reload an exported file, mapping power series back to linear units.
 
     Instants whose power was nonpositive were stored as nan and stay nan.
+    The metadata of a JSON file comes back with it; a CSV file has none.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
         payload = json.loads(path.read_text())
         names = [name for name in payload["columns"] if name != "n"]
-        t_max = len(payload["series"][names[0]]) if names else 0
-        matrix = np.empty((t_max, len(names) + 1))
-        matrix[:, 0] = np.arange(t_max)
-        for j, name in enumerate(names):
-            matrix[:, j + 1] = np.asarray(payload["series"][name], dtype=float)
-        return SeriesBundle(horizon=t_max,
-                            series=_series_from_columns(names, matrix),
-                            metadata_values=payload.get("metadata"))
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-    names = header[1:]
-    return SeriesBundle(horizon=matrix.shape[0],
-                        series=_series_from_columns(names, matrix))
+        columns = [payload["series"][name] for name in names]
+        horizon = len(columns[0]) if columns else 0
+        metadata = payload.get("metadata") or {}
+    else:
+        with open(path) as fh:
+            names = fh.readline().strip().split(",")[1:]
+            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+        columns, horizon, metadata = matrix.T[1:], matrix.shape[0], {}
+    return SeriesResult(horizon, {name: _linear(name, column)
+                                  for name, column in zip(names, columns)},
+                        metadata)

@@ -284,9 +284,9 @@ def test_bundled_networks_and_combination_rules_are_well_formed():
         if topo.clusters is not None:
             rules.append("uniform_in_cluster")
         for rule in rules:
-            check = validate_stochastic(static_rule(topo, rule), topo,
-                                        tol=1e-12)
-            assert check.ok, (name, rule, check.max_sum_deviation)
+            defect = validate_stochastic(static_rule(topo, rule), topo,
+                                         tol=1e-12)
+            assert defect is None, (name, rule, defect)
 
     for preset in harness.preset_names():
         cfg = harness.load_preset_config(preset)
@@ -294,9 +294,8 @@ def test_bundled_networks_and_combination_rules_are_well_formed():
             for matrix in (component.a1, component.c, component.a2):
                 if matrix is None:
                     continue
-                check = validate_stochastic(matrix, cfg.topology, tol=1e-12)
-                assert check.ok, (preset, matrix.role,
-                                  check.max_sum_deviation)
+                defect = validate_stochastic(matrix, cfg.topology, tol=1e-12)
+                assert defect is None, (preset, matrix.role, defect)
 
 
 def test_exports_identical_across_worker_counts(pn_bundle, tmp_path):

@@ -91,6 +91,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "invalid experiment" in err and "msd_combinde" in err
 
+    def test_outputs_as_string(self, config_path, capsys):
+        # a bare string used to be split into one-letter series names
+        raw = json.loads(config_path.read_text())
+        raw["outputs"] = "msd_combined"
+        config_path.write_text(json.dumps(raw))
+        assert main(["validate", str(config_path)]) == 2
+        assert "outputs must be a list" in capsys.readouterr().err
+
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
         raw["components"][0]["mu"] = -1.0

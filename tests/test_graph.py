@@ -138,8 +138,7 @@ class TestStaticRules:
     def test_uniform_in_cluster_support(self):
         t = build_preset("net3")
         m = static_rule(t, "uniform_in_cluster")
-        report = validate_stochastic(m, t)
-        assert report.ok
+        assert validate_stochastic(m, t) is None
         # bridge neighbors in other clusters get zero weight
         a = m.entries
         for k in range(t.n_agents):
@@ -150,9 +149,11 @@ class TestStaticRules:
 
     def test_metropolis_is_doubly_stochastic(self):
         t = build_preset("net2")
-        report = validate_stochastic(static_rule(t, "metropolis"), t)
-        assert report.ok
-        assert report.doubly_stochastic
+        m = static_rule(t, "metropolis")
+        assert validate_stochastic(m, t) is None
+        for axis in (0, 1):
+            np.testing.assert_allclose(m.entries.sum(axis=axis), 1.0,
+                                       rtol=0, atol=1e-12)
 
     def test_averaging_doubly_stochastic_on_regular_graph(self):
         # 4-cycle: every neighborhood has size 3
@@ -160,14 +161,16 @@ class TestStaticRules:
         for i in range(4):
             adj[i, (i + 1) % 4] = adj[(i + 1) % 4, i] = True
         t = Topology(n_agents=4, adjacency=adj)
-        assert validate_stochastic(static_rule(t, "averaging"), t).doubly_stochastic
+        m = static_rule(t, "averaging")
+        assert validate_stochastic(m, t) is None
+        for axis in (0, 1):
+            np.testing.assert_allclose(m.entries.sum(axis=axis), 1.0,
+                                       rtol=0, atol=1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(t=topologies(), rule=st.sampled_from(["identity", "averaging", "metropolis"]))
     def test_rules_always_left_stochastic(self, t, rule):
-        report = validate_stochastic(static_rule(t, rule), t)
-        assert report.ok
-        assert report.max_sum_deviation <= 1e-12
+        assert validate_stochastic(static_rule(t, rule), t, tol=1e-12) is None
 
 
 class TestValidate:
@@ -178,9 +181,8 @@ class TestValidate:
         bad[:, 0] *= 0.9
         from diffcomb.graph import StochasticMatrix
 
-        report = validate_stochastic(StochasticMatrix(bad, "left"), t)
-        assert not report.ok
-        assert report.max_sum_deviation == pytest.approx(0.1)
+        defect = validate_stochastic(StochasticMatrix(bad, "left"), t)
+        assert defect == "column 0 sums to 0.9, not 1"
 
     def test_support_violation_reported(self):
         t = path_graph(3)
@@ -189,27 +191,25 @@ class TestValidate:
         bad = np.eye(3)
         bad[0, 2] = 0.5  # agents 0 and 2 are not neighbors
         bad[2, 2] = 0.5
-        report = validate_stochastic(StochasticMatrix(bad, "left"), t)
-        assert (0, 2) in report.support_violations
-        assert not report.ok
+        defect = validate_stochastic(StochasticMatrix(bad, "left"), t)
+        assert defect == "entry (0, 2) lies off the topology's support"
 
     def test_negative_entry_reported(self):
         t = path_graph(2)
         from diffcomb.graph import StochasticMatrix
 
         bad = np.array([[1.5, 0.0], [-0.5, 1.0]])
-        report = validate_stochastic(StochasticMatrix(bad, "left"), t)
-        assert (1, 0) in report.negative_entries
-        assert not report.ok
+        defect = validate_stochastic(StochasticMatrix(bad, "left"), t)
+        assert defect == "entry (1, 0) is negative"
 
     def test_right_role_checks_rows(self):
         t = path_graph(2)
         from diffcomb.graph import StochasticMatrix
 
         c = np.array([[0.5, 0.5], [0.0, 1.0]])
-        report = validate_stochastic(StochasticMatrix(c, "right"), t)
-        assert report.ok
-        assert not report.doubly_stochastic
+        assert validate_stochastic(StochasticMatrix(c, "right"), t) is None
+        defect = validate_stochastic(StochasticMatrix(c, "left"), t)
+        assert defect == "column 0 sums to 0.5, not 1"
 
 
 def test_edge_list_roundtrip():

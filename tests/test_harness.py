@@ -18,9 +18,9 @@ from diffcomb.combine import CombinerConfig
 from diffcomb.diffusion import StrategyConfig, init_state, step
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import (
-    AggregateResult,
     ConfigError,
     ExperimentConfig,
+    SeriesResult,
     _resolve_workers,
     check_step_sizes,
     compare,
@@ -36,6 +36,7 @@ from diffcomb.harness import (
     run_monte_carlo,
     run_theory,
     series_names,
+    theory_covers,
 )
 from diffcomb.signal import (
     AgentSignalParams,
@@ -408,6 +409,8 @@ class TestConfigFromDict:
         (lambda r: r["combiner"].update(winding=2), "combiner"),
         (lambda r: r["components"][0].update(a2="spiral"), "spiral"),
         (lambda r: r.update(components="averaging"), "must be a list"),
+        (lambda r: r.update(outputs="msd_combined"),
+         "outputs must be a list of series names"),
     ])
     def test_structural_errors(self, mutate, message):
         raw = raw_config()
@@ -581,8 +584,8 @@ class TestMonteCarlo:
     def test_shapes_and_names(self):
         cfg = small_config()
         result = run_monte_carlo(cfg)
-        assert result.runs == cfg.runs
-        assert result.n_agents == 4
+        assert result.metadata["runs"] == cfg.runs
+        assert result.metadata["n_agents"] == 4
         assert set(result.series) == set(series_names(cfg))
         for values in result.series.values():
             assert values.shape == (cfg.horizon,)
@@ -612,7 +615,7 @@ class TestMonteCarlo:
         cfg = small_config()
         once = run_monte_carlo(cfg, run_indices=[4])
         twice = run_monte_carlo(cfg, run_indices=[4, 4])
-        assert twice.runs == 2
+        assert twice.metadata["runs"] == 2
         for name in once.series:
             np.testing.assert_allclose(once.series[name],
                                        twice.series[name],
@@ -729,7 +732,7 @@ class TestMonteCarlo:
 
     def test_metadata(self):
         result = run_monte_carlo(small_config())
-        meta = result.metadata()
+        meta = result.metadata
         assert meta["kind"] == "monte_carlo"
         assert meta["runs"] == 6
         assert meta["seed"] == 11
@@ -872,7 +875,9 @@ class TestTheoryPath:
         with pytest.raises(ValueError, match="two-component"):
             run_theory(multi_config())
 
-    def test_adaptive_fusion_rejected(self):
+    def test_adaptive_fusion_rejected(self, monkeypatch):
+        # refused up front, before any moment model is built
+        monkeypatch.setattr(harness, "build_component_model", None)
         cfg = small_config()
         adaptive = StrategyConfig(
             topology=CHAIN4, a1=static_rule(CHAIN4, "identity"),
@@ -883,6 +888,17 @@ class TestTheoryPath:
             combiner=cfg.combiner, horizon=10, runs=1, seed=0)
         with pytest.raises(ValueError, match="static a2"):
             run_theory(bad)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_theory_covers_exactly_the_predicted_presets(self, name):
+        cfg = dataclasses.replace(load_preset_config(name), horizon=5, runs=1)
+        try:
+            run_theory(cfg)
+        except ValueError:
+            predicted = False
+        else:
+            predicted = True
+        assert theory_covers(cfg) == predicted
 
     def test_simulation_tracks_prediction(self):
         params, w_star = load_snr_preset(10, "snr1", "white")
@@ -907,8 +923,7 @@ class TestTheoryPath:
 
 class TestCompare:
     def _result(self, series, horizon=50):
-        return AggregateResult(horizon=horizon, runs=1, n_agents=1,
-                               series=series)
+        return SeriesResult(horizon, series, {})
 
     def test_self_comparison_is_exact(self):
         result = run_theory(small_config())
@@ -990,10 +1005,9 @@ class TestExport:
         assert lines[5].split(",")[0] == "4"
 
     def test_decibel_conversion(self, tmp_path):
-        result = AggregateResult(
-            horizon=1, runs=1, n_agents=1,
-            series={"msd_combined": np.array([0.001]),
-                    "gamma_mean_a1": np.array([0.25])})
+        result = SeriesResult(
+            1, {"msd_combined": np.array([0.001]),
+                "gamma_mean_a1": np.array([0.25])}, {})
         path = tmp_path / "one.csv"
         export_csv(result, path)
         row = path.read_text().strip().split("\n")[1].split(",")
@@ -1001,9 +1015,8 @@ class TestExport:
         assert float(row[2]) == 0.25
 
     def test_nonpositive_power_becomes_nan(self, tmp_path):
-        result = AggregateResult(
-            horizon=3, runs=1, n_agents=1,
-            series={"msd_cross": np.array([0.5, -0.5, 0.0])})
+        result = SeriesResult(3, {"msd_cross": np.array([0.5, -0.5, 0.0])},
+                              {})
         path = tmp_path / "neg.csv"
         export_csv(result, path)
         reloaded = load_result(path)
@@ -1033,6 +1046,7 @@ class TestExport:
         export_csv(result, path)
         loaded = load_result(path)
         assert loaded.horizon == 10
+        assert loaded.metadata == {}
         for name, values in result.series.items():
             if name.startswith(("msd", "emse")):
                 np.testing.assert_allclose(loaded.series[name], values,
@@ -1041,18 +1055,25 @@ class TestExport:
                 np.testing.assert_allclose(loaded.series[name], values,
                                            rtol=0, atol=1e-16)
 
-    def test_json_round_trip_and_metadata(self, tmp_path):
+    @pytest.mark.parametrize("produce, kind, runs, seed", [
+        (run_monte_carlo, "monte_carlo", 2, 5),
+        (run_theory, "theory", 0, None),
+    ], ids=["simulated", "predicted"])
+    def test_json_round_trip_and_metadata(self, tmp_path, produce, kind,
+                                          runs, seed):
         cfg = config_from_dict(raw_config(horizon=6, runs=2))
-        result = run_monte_carlo(cfg)
+        result = produce(cfg)
         path = tmp_path / "round.json"
         export_json(result, path)
         payload = json.loads(path.read_text())
-        assert payload["metadata"]["kind"] == "monte_carlo"
-        assert payload["metadata"]["runs"] == 2
-        assert payload["metadata"]["config_hash"] == cfg.config_hash
+        assert payload["metadata"] == {
+            "kind": kind, "horizon": 6, "runs": runs, "n_agents": 10,
+            "seed": seed, "config_hash": cfg.config_hash}
+        assert list(payload["metadata"]) == [
+            "kind", "horizon", "runs", "n_agents", "seed", "config_hash"]
         assert payload["columns"][0] == "n"
         loaded = load_result(path)
-        assert loaded.metadata()["config_hash"] == cfg.config_hash
+        assert loaded.metadata == result.metadata
         for name, values in result.series.items():
             np.testing.assert_allclose(loaded.series[name], values,
                                        rtol=1e-12, atol=1e-300)
