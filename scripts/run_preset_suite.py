@@ -1,12 +1,14 @@
 """Run the bundled experiment presets and collect results.
 
-Stationary presets get the full simulate / theory / compare treatment.
-The static tracking presets are simulated and predicted, and the steady
-MSD deviation on the tail of every stationary stage is printed for
-information only: the moment theory is known to sit off the simulation
-on that pair, so it does not count as a failure.  Presets the moment
-theory does not cover (harness.theory_covers), such as the adaptive
-tracking ones, are simulated only.
+Every preset is simulated, and predicted and compared where the moment
+theory covers it (harness.theory_covers); the adaptive tracking presets
+are simulated only.  The steady windows come from the target schedule,
+harness.stage_windows: the last tenth of each stationary stretch.  A
+single-stretch preset fails the suite when compare finds a series
+beyond tolerance.  A preset with several stretches, such as the static
+tracking ones, prints the signed theory - MC deviation of each window
+for information only: the moment theory is known to sit off the
+simulation across target changes, so it does not count as a failure.
 
 Usage: python3 scripts/run_preset_suite.py --out results [--runs 20]
 """
@@ -19,21 +21,11 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from diffcomb import harness  # noqa: E402
-from run_stepsize_sweep import STAGE_TAILS  # noqa: E402
 
 TAIL_SERIES = ("msd_network_1", "msd_network_2", "msd_combined")
-
-
-def tail_deviations_db(sim, theo, name):
-    """Theory minus simulation, in dB, of a series' mean over each tail."""
-    return [10.0 * np.log10(np.mean(theo.series[name][lo:hi])
-                            / np.mean(sim.series[name][lo:hi]))
-            for lo, hi in STAGE_TAILS]
 
 
 def main(argv=None):
@@ -77,15 +69,17 @@ def main(argv=None):
             print(f"  stage n={stage_start}: steady combined MSD "
                   f"{report.combined_msd:.3e}, "
                   f"{report.universality.verdict}")
-        if name.startswith("tracking"):
+        verdict = harness.compare(
+            sim, theo, tol_msd_db=args.tol_msd_db, tol_gamma=args.tol_gamma,
+            windows=harness.stage_windows(cfg.horizon, cfg.schedule))
+        if len(verdict.windows) > 1:
+            entries = {e.name: e for e in verdict.entries}
             for series in TAIL_SERIES:
-                devs = "  ".join(f"{v:+7.2f}" for v in
-                                 tail_deviations_db(sim, theo, series))
-                print(f"  {series} theory - MC per stage tail (dB, "
+                devs = "  ".join(f"{v:+7.2f}"
+                                 for v in entries[series].window_devs)
+                print(f"  {series} theory - MC per stage window (dB, "
                       f"informational): {devs}")
             continue
-        verdict = harness.compare(sim, theo, tol_msd_db=args.tol_msd_db,
-                                  tol_gamma=args.tol_gamma)
         failed = [e.name for e in verdict.entries if not e.passed]
         if failed:
             failures.append((name, failed))

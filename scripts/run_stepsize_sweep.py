@@ -1,9 +1,10 @@
 """Sweep the coefficient adaptation gain on the static tracking setup.
 
-For each gain the tracking preset is rerun and the steady network MSD
-over the tail of every stationary stage is reported, showing the
-tradeoff between reconvergence speed after a target change and steady
-accuracy.
+For each gain the tracking preset is rerun and the steady combined MSD
+over the last fifth of every stationary stretch of the target schedule
+(harness.stage_windows) is reported, showing the tradeoff between
+reconvergence speed after a target change and steady accuracy.  The
+CSV has one stage<i>_msd_db column per stretch.
 
 Usage: python3 scripts/run_stepsize_sweep.py --scheme power_normalized
 """
@@ -29,8 +30,6 @@ BASE_PRESET = {
     "power_normalized": "tracking_static_pn",
     "sign_regressor": "tracking_static_sr",
 }
-# tails of the four stationary stretches (start, end)
-STAGE_TAILS = ((800, 1000), (2300, 2500), (3800, 4000), (6500, 7000))
 
 
 def main(argv=None):
@@ -45,11 +44,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     gains = tuple(args.gains) if args.gains else DEFAULT_GAINS[args.scheme]
-    base = harness.load_preset_config(BASE_PRESET[args.scheme]).source
+    base = harness.load_preset_config(BASE_PRESET[args.scheme])
+    windows = harness.stage_windows(base.horizon, base.schedule, 0.2)
 
     rows = []
     for nu in gains:
-        raw = json.loads(json.dumps(base))
+        raw = json.loads(json.dumps(base.source))
         raw["combiner"]["nu_gamma"] = nu
         raw["label"] = f"{args.scheme} sweep nu={nu}"
         cfg = harness.config_from_dict(raw)
@@ -57,7 +57,7 @@ def main(argv=None):
                                       workers=args.workers)
         msd = sim.series["msd_combined"]
         tails = [10.0 * np.log10(np.mean(msd[lo:hi]))
-                 for lo, hi in STAGE_TAILS]
+                 for lo, hi in windows]
         rows.append((nu, tails))
         stages = "  ".join(f"{v:8.3f}" for v in tails)
         print(f"nu={nu:<7g} steady combined MSD per stage (dB): {stages}")
@@ -65,7 +65,7 @@ def main(argv=None):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("nu," + ",".join(
-                f"stage{i + 1}_msd_db" for i in range(len(STAGE_TAILS))) + "\n")
+                f"stage{i + 1}_msd_db" for i in range(len(windows))) + "\n")
             for nu, tails in rows:
                 fh.write(",".join([f"{nu:g}"] +
                                   [f"{v:.6f}" for v in tails]) + "\n")

@@ -19,6 +19,7 @@ from .harness import (
     resolve_config,
     run_monte_carlo,
     run_theory,
+    stage_windows,
 )
 from .theory import InstabilityError
 
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--tol-gamma", type=float, default=0.05,
                       help="steady tolerance for coefficient series")
     cmp_.add_argument("--steady-window", type=float, default=0.1,
-                      help="fraction of the horizon used as steady window")
+                      help="fraction in (0, 1] of the horizon used as steady window")
 
     val = sub.add_parser("validate", help="check a config without running it")
     val.add_argument("config", help="config file path or bundled preset name")
@@ -85,7 +86,7 @@ def _cmd_compare(args) -> int:
     theo = load_result(args.predicted)
     report = compare(sim, theo, tol_msd_db=args.tol_msd_db,
                      tol_gamma=args.tol_gamma,
-                     window_frac=args.steady_window)
+                     windows=stage_windows(sim.horizon, frac=args.steady_window))
     lo, hi = report.windows[0]
     print(f"steady window [{lo}, {hi})")
     for entry in report.entries:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -103,10 +104,11 @@ class ExperimentConfig:
     label: str | None = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        for name, least in (("horizon", 1), ("runs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or value % 1 or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, int(value))
         n = self.topology.n_agents
         if len(self.signal_params) != n:
             raise ValueError("signal parameters must cover every agent")
@@ -128,8 +130,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"combiner expects {expected} component strategies, "
                 f"got {len(self.components)}")
-        if self.gamma_init is not None and self.combiner.scheme == "multi_sign":
-            raise ValueError("gamma_init applies to two-component schemes only")
+        if self.gamma_init is not None:
+            if self.combiner.scheme == "multi_sign":
+                raise ValueError("gamma_init applies to two-component schemes only")
+            if not isinstance(self.gamma_init, numbers.Real):
+                raise ValueError(f"gamma_init is not a number: {self.gamma_init!r}")
+            self.gamma_init = float(self.gamma_init)
         for name, shape, per in (
                 ("nu_gamma", (n,), "agent"),
                 ("nu_alpha", (self.combiner.m, n), "component and agent")):
@@ -334,9 +340,9 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
         schedule=schedule,
         components=components,
         combiner=combiner,
-        horizon=int(_structural(raw, "horizon", "experiment config")),
-        runs=int(_structural(raw, "runs", "experiment config")),
-        seed=int(_structural(raw, "seed", "experiment config")),
+        horizon=_structural(raw, "horizon", "experiment config"),
+        runs=_structural(raw, "runs", "experiment config"),
+        seed=_structural(raw, "seed", "experiment config"),
         outputs=tuple(outputs) if outputs is not None else None,
         gamma_init=raw.get("gamma_init"),
         source=raw,
@@ -472,7 +478,7 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     st = init_state(stack, cfg.filter_len, batch_shape=(r,))
     comb = init_combiner(cfg.combiner, n, batch_shape=(r,))
     if cfg.gamma_init is not None:
-        comb.gamma = np.full_like(comb.gamma, float(cfg.gamma_init))
+        comb.gamma = np.full_like(comb.gamma, cfg.gamma_init)
 
     # rows 0..M-1 the component estimates, row M their combination
     est = np.empty((m + 1,) + st.w.shape[1:])
@@ -580,7 +586,7 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
     table = np.empty((t_max, len(series_names(cfg))))
-    gamma0 = 0.5 if cfg.gamma_init is None else float(cfg.gamma_init)
+    gamma0 = 0.5 if cfg.gamma_init is None else cfg.gamma_init
     steady = []
     stages = cfg.schedule.stages
     ends = [start for start, _ in stages[1:]] + [t_max]
@@ -621,6 +627,7 @@ class SeriesComparison:
     name: str
     kind: str
     max_abs_dev: float
+    window_devs: tuple
     steady_abs_dev: float
     tol: float
     passed: bool
@@ -662,26 +669,33 @@ def _linear(name, stored) -> np.ndarray:
     return 10.0 ** (stored / 10.0) if _in_db(name) else stored
 
 
-def _window_mean(values, windows):
-    return [np.nanmean(values[lo:hi]) for lo, hi in windows]
+def stage_windows(horizon, schedule=None, frac=0.1) -> tuple:
+    """The last frac in (0, 1] of each stationary stretch, which runs from
+    a stage start to the next ramp start or the horizon, as (lo, hi)
+    windows of at least one instant; no schedule means one stretch."""
+    if not 0 < frac <= 1:
+        raise ValueError(f"steady window fraction {frac:g} is outside (0, 1]")
+    starts = [s for s, _ in schedule.stages] if schedule is not None else [0]
+    ends = [min(s - schedule.transition_len, horizon) for s in starts[1:]]
+    return tuple((hi - max(1, int(round(frac * (hi - lo)))), hi)
+                 for lo, hi in zip(starts, ends + [horizon]) if lo < hi)
 
 
 def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
-            window_frac=0.1, windows=None, names=None) -> ComparisonReport:
+            windows=None, names=None) -> ComparisonReport:
     """Deviations between two result objects sharing series names.
 
     Power series (msd/emse prefixes) are compared in decibels, the
     coefficient series linearly.  The pointwise maximum over the whole
-    horizon is informational; pass/fail uses the steady readout, the
-    window mean of each series, over the final window_frac of the
-    horizon (or explicit (lo, hi) windows).
+    horizon is informational; pass/fail takes the largest magnitude of
+    window_devs, the second's minus the first's mean over each (lo, hi)
+    window (default stage_windows(sim.horizon)), in stored units.
     """
     if sim.horizon != theory.horizon:
         raise ValueError("results cover different horizons")
     t_max = sim.horizon
     if windows is None:
-        lo = t_max - max(1, int(round(window_frac * t_max)))
-        windows = [(max(lo, 0), t_max)]
+        windows = stage_windows(t_max)
     windows = tuple((int(lo), int(hi)) for lo, hi in windows)
     for lo, hi in windows:
         if not 0 <= lo < hi <= t_max:
@@ -707,13 +721,15 @@ def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
         with np.errstate(invalid="ignore"):
             max_dev = float(np.nanmax(point)) if np.any(np.isfinite(point)) \
                 else float("nan")
-        steady = float(np.max(np.abs(_stored(name, _window_mean(a, windows))
-                                     - _stored(name, _window_mean(b, windows)))))
+        first, second = (_stored(name, [np.nanmean(x[lo:hi]) for lo, hi in windows])
+                         for x in (a, b))
+        devs = second - first
+        steady = float(np.max(np.abs(devs)))
         passed = bool(np.isfinite(steady) and steady <= tol)
-        entries.append(SeriesComparison(name=name, kind=kind,
-                                        max_abs_dev=max_dev,
-                                        steady_abs_dev=steady,
-                                        tol=tol, passed=passed))
+        entries.append(SeriesComparison(
+            name=name, kind=kind, max_abs_dev=max_dev,
+            window_devs=tuple(devs.tolist()), steady_abs_dev=steady,
+            tol=tol, passed=passed))
     return ComparisonReport(entries=tuple(entries), windows=windows)
 
 

@@ -177,7 +177,7 @@ def snr(p: AgentSignalParams, w_star: np.ndarray) -> float:
 
 
 class ChunkedSampler:
-    """Draws the data of a block of runs, one instant per step.
+    """Draws one instant per step for a block of runs of an ExperimentConfig.
 
     One stream pair per (run, agent), seeded from (seed, run, agent), so
     the numbers of a given run never depend on which block it lands in.
@@ -196,12 +196,6 @@ class ChunkedSampler:
         self.block_len = int(block_len)
         self.horizon = horizon
         self.n_agents = len(self.params)
-        lens = {p.filter_len for p in self.params}
-        if len(lens) != 1:
-            raise ValueError("all agents must share one filter length")
-        self.filter_len = lens.pop()
-        if schedule.n_agents != self.n_agents or schedule.filter_len != self.filter_len:
-            raise ValueError("schedule shape does not match agent parameters")
         self._states = [
             [GeneratorState(seed, r, k) for k in range(self.n_agents)]
             for r in self.runs
@@ -224,7 +218,7 @@ class ChunkedSampler:
             if b <= 0:
                 raise ValueError(f"the sampler's horizon of {self.horizon} "
                                  "instants is exhausted")
-        n_runs, L = len(self.runs), self.filter_len
+        n_runs, L = len(self.runs), self.schedule.filter_len
         reg = np.empty((b, n_runs, self.n_agents, L))
         noise = np.empty((b, n_runs, self.n_agents))
         ar = np.flatnonzero(self._ar_mask)

@@ -63,6 +63,14 @@ def fast_bundle():
     return _run_bundle("universality_fast_pn", 2.0, WINDOW_FAST)
 
 
+def test_steady_windows_are_the_stage_windows():
+    for name, window in (("universality_pn", WINDOW_SLOW),
+                         ("universality_sr", WINDOW_SLOW),
+                         ("universality_fast_pn", WINDOW_FAST)):
+        cfg = harness.load_preset_config(name)
+        assert harness.stage_windows(cfg.horizon, cfg.schedule) == (window,)
+
+
 def _window_db(series, window):
     lo, hi = window
     return 10.0 * np.log10(np.mean(series[lo:hi]))

@@ -91,6 +91,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "invalid experiment" in err and "msd_combinde" in err
 
+    def test_negative_seed(self, config_path, capsys):
+        # validate used to accept it, then simulate failed inside numpy
+        raw = json.loads(config_path.read_text())
+        raw["seed"] = -1
+        config_path.write_text(json.dumps(raw))
+        assert main(["validate", str(config_path)]) == 1
+        assert "seed must be an integer >= 0" in \
+            capsys.readouterr().err
+
     def test_outputs_as_string(self, config_path, capsys):
         # a bare string used to be split into one-letter series names
         raw = json.loads(config_path.read_text())
@@ -201,6 +210,19 @@ class TestCompare:
         assert main(["compare", str(theo), str(theo),
                      "--steady-window", "0.5"]) == 0
         assert "[20, 40)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("frac", ["-3", "0", "2.5", "nan"])
+    def test_steady_window_outside_unit_interval(self, config_path, tmp_path,
+                                                 capsys, frac):
+        # each used to compare on instant 39 alone, on the whole horizon,
+        # or to fail converting nan to an integer
+        _, theo = self._export_pair(config_path, tmp_path)
+        capsys.readouterr()
+        assert main(["compare", str(theo), str(theo),
+                     "--steady-window", frac]) == 1
+        captured = capsys.readouterr()
+        assert f"fraction {float(frac):g} is outside (0, 1]" in captured.err
+        assert captured.out == ""
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "a.csv"),

@@ -36,6 +36,7 @@ from diffcomb.harness import (
     run_monte_carlo,
     run_theory,
     series_names,
+    stage_windows,
     theory_covers,
 )
 from diffcomb.signal import (
@@ -287,6 +288,27 @@ class TestExperimentConfig:
     def test_rejects_nonpositive_counts(self, field, value):
         with pytest.raises(ValueError):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        # each used to pass validate, then fail or truncate at run time
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("horizon", 20.7, "horizon must be an integer >= 1"),
+        ("runs", 2.5, "runs must be an integer"),
+        ("runs", "3", "runs must be an integer"),
+        ("gamma_init", "x", "gamma_init is not a number: 'x'"),
+    ])
+    def test_rejects_unrunnable_values(self, field, value, message):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            config_from_dict(raw_config(**{field: value}))
+        assert not isinstance(excinfo.value, ConfigError)
+
+    def test_integral_floats_and_gamma_init_are_normalized(self):
+        cfg = config_from_dict(raw_config(horizon=30.0, runs=3.0,
+                                          gamma_init=1))
+        assert (cfg.horizon, cfg.runs) == (30, 3)
+        assert type(cfg.horizon) is int and type(cfg.runs) is int
+        assert type(cfg.gamma_init) is float and cfg.gamma_init == 1.0
 
     def test_rejects_single_component(self):
         cfg = small_config()
@@ -942,7 +964,16 @@ class TestCompare:
         np.testing.assert_allclose(entry.max_abs_dev, 1.0, atol=1e-9)
         np.testing.assert_allclose(entry.steady_abs_dev, 1.0, atol=1e-9)
         assert entry.passed
+        assert entry.window_devs == pytest.approx((1.0,), abs=1e-9)
         assert not compare(a, b, tol_msd_db=0.5).passed
+        # two windows, the second result 1 dB above, then 2 dB below
+        shifted = base * np.where(np.arange(50) < 25, 10 ** 0.1, 10 ** -0.2)
+        report = compare(a, self._result({"msd_combined": shifted}),
+                         tol_msd_db=1.5, windows=[(10, 20), (40, 50)])
+        entry = report.entries[0]
+        np.testing.assert_allclose(entry.window_devs, [1.0, -2.0], atol=1e-9)
+        assert entry.steady_abs_dev == max(abs(d) for d in entry.window_devs)
+        assert not entry.passed
 
     def test_gamma_uses_linear_units(self):
         base = np.full(50, 0.5)
@@ -958,7 +989,7 @@ class TestCompare:
     def test_default_window_is_final_tenth(self):
         result = run_theory(small_config(horizon=500))
         report = compare(result, result)
-        assert report.windows == ((450, 500),)
+        assert report.windows == ((450, 500),) == stage_windows(500)
 
     def test_explicit_windows_validated(self):
         result = run_theory(small_config())
@@ -991,6 +1022,47 @@ class TestCompare:
         entry = report.entries[0]
         assert np.isfinite(entry.max_abs_dev)
         assert entry.passed
+
+
+# the tails of the four stationary stretches of the tracking presets,
+# which the step-size sweep and the preset suite used to spell out
+TRACKING_TAILS = ((800, 1000), (2300, 2500), (3800, 4000), (6500, 7000))
+
+
+class TestStageWindows:
+    @pytest.mark.parametrize("name", preset_names())
+    def test_bundled_presets(self, name):
+        cfg = load_preset_config(name)
+        h = cfg.horizon
+        if len(cfg.schedule.stages) > 1:  # the four tracking presets
+            assert stage_windows(h, cfg.schedule, 0.2) == TRACKING_TAILS
+            assert stage_windows(h, cfg.schedule) == (
+                (900, 1000), (2400, 2500), (3900, 4000), (6750, 7000))
+        else:
+            assert stage_windows(h, cfg.schedule) == ((h - round(h / 10), h),)
+            assert stage_windows(h) == stage_windows(h, cfg.schedule)
+
+    def test_horizon_inside_a_ramp_or_a_stage(self):
+        schedule = load_preset_config("tracking_static_pn").schedule
+        # 1,200 ends inside the ramp [1000, 1500) into the second stage
+        assert stage_windows(1200, schedule) == ((900, 1000),)
+        # 1,800 ends inside the second stage, before its ramp at 2,500
+        assert stage_windows(1800, schedule) == ((900, 1000), (1770, 1800))
+        assert stage_windows(1800, schedule, 1.0) == ((0, 1000), (1500, 1800))
+
+    def test_every_window_holds_an_instant(self):
+        assert stage_windows(1) == ((0, 1),)
+        assert stage_windows(9, frac=0.01) == ((8, 9),)
+
+    def test_back_to_back_ramp_leaves_no_stretch(self):
+        schedule = TargetSchedule(stages=((0, TARGETS4), (10, -TARGETS4)),
+                                  transition_len=10)
+        assert stage_windows(30, schedule, 0.5) == ((20, 30),)
+
+    @pytest.mark.parametrize("frac", [-3.0, 0.0, 1.0000001, 2.5, float("nan")])
+    def test_fraction_outside_unit_interval_refused(self, frac):
+        with pytest.raises(ValueError, match="fraction .* outside"):
+            stage_windows(50, frac=frac)
 
 
 class TestExport:
