@@ -3,9 +3,11 @@
 Each preset is cut to the given horizon and run count, simulated on the
 given number of workers, and predicted where the moment theory covers
 it (harness.theory_covers).  One line per export:
-``<preset> sim|theory csv|json <sha256>``.  Two runs that must agree
-byte for byte, say at one and at three workers or before and after a
-refactor, are checked by diffing their outputs.
+``<preset> sim|theory csv|json <sha256>``, and for a prediction one more,
+``<preset> theory steady <sha256>``, over the arrays of every stage's
+SteadyReport in field order.  Two runs that must agree byte for byte,
+say at one and at three workers or before and after a refactor, are
+checked by diffing their outputs.
 
 Usage: python3 scripts/export_digests.py --horizon 40 --runs 75 --workers 3
 """
@@ -19,6 +21,7 @@ import pathlib
 import sys
 import tempfile
 
+import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from diffcomb import harness  # noqa: E402
@@ -30,6 +33,20 @@ def print_digests(name, kind, result, columns, tmp) -> None:
         harness.export(result, path, columns=columns)
         print(name, kind, fmt, hashlib.sha256(path.read_bytes()).hexdigest(),
               flush=True)
+
+
+def report_bytes(value):
+    """Every leaf of a steady report, nested records included, in field
+    order, each with its dtype and shape."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from report_bytes(getattr(value, field.name))
+    elif value is None:
+        yield b"None"
+    else:
+        arr = np.asarray(value)
+        yield f"{arr.dtype.str}{arr.shape}".encode()
+        yield arr.tobytes()
 
 
 def main(argv=None):
@@ -47,8 +64,14 @@ def main(argv=None):
             sim = harness.run_monte_carlo(cfg, workers=args.workers)
             print_digests(name, "sim", sim, cfg.outputs, tmp)
             if harness.theory_covers(cfg):
-                print_digests(name, "theory", harness.run_theory(cfg),
-                              cfg.outputs, tmp)
+                theo = harness.run_theory(cfg)
+                print_digests(name, "theory", theo, cfg.outputs, tmp)
+                digest = hashlib.sha256()
+                for start, report in theo.steady:
+                    for chunk in (*report_bytes(start), *report_bytes(report)):
+                        digest.update(chunk)
+                print(name, "theory", "steady", digest.hexdigest(),
+                      flush=True)
     return 0
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal import integer_value, require_number
+
 SCHEMES = ("power_normalized", "sign_regressor", "multi_sign")
 
 
@@ -28,6 +30,7 @@ class CombinerConfig:
     nu_gamma is the per-agent coefficient step-size (broadcast from a
     scalar; a sequence is stored as an array).  epsilon and eta belong to
     the power-normalized scheme; delta and nu_alpha to the multi scheme.
+    A value that is not a number is refused by name.
     """
 
     scheme: str
@@ -41,10 +44,12 @@ class CombinerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name in ("nu_gamma", "epsilon", "eta", "delta", "nu_alpha"):
+            if getattr(self, name) is not None:
+                require_number(name, getattr(self, name))
+        object.__setattr__(self, "m", integer_value("m", self.m, 2))
         if self.scheme != "multi_sign" and self.m != 2:
             raise ValueError("two-component schemes require m = 2")
-        if self.m < 2:
-            raise ValueError("need at least two component strategies")
         if np.ndim(self.nu_gamma):
             object.__setattr__(self, "nu_gamma",
                                np.asarray(self.nu_gamma, dtype=float))

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -51,11 +50,12 @@ from .signal import (
     AgentSignalParams,
     ChunkedSampler,
     TargetSchedule,
+    integer_value,
     load_snr_preset,
     regressor_covariance,
+    require_number,
 )
 from .theory import (
-    PairModel,
     build_component_model,
     evolve,
     initial_moments,
@@ -105,10 +105,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, least in (("horizon", 1), ("runs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or value % 1 or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, integer_value(name, getattr(self, name), least))
         n = self.topology.n_agents
         if len(self.signal_params) != n:
             raise ValueError("signal parameters must cover every agent")
@@ -133,8 +130,7 @@ class ExperimentConfig:
         if self.gamma_init is not None:
             if self.combiner.scheme == "multi_sign":
                 raise ValueError("gamma_init applies to two-component schemes only")
-            if not isinstance(self.gamma_init, numbers.Real):
-                raise ValueError(f"gamma_init is not a number: {self.gamma_init!r}")
+            require_number("gamma_init", self.gamma_init)
             self.gamma_init = float(self.gamma_init)
         for name, shape, per in (
                 ("nu_gamma", (n,), "agent"),
@@ -297,6 +293,8 @@ def _component_from_dict(topology, raw):
     elif "a2" in raw:
         raise ConfigError("adaptive fusion modes do not take a static a2")
     if "tau" in raw:
+        if a2_mode != "adaptive_relative_variance":
+            raise ConfigError("only adaptive_relative_variance takes tau")
         kwargs["tau"] = raw["tau"]
     return StrategyConfig(
         topology=topology,
@@ -325,12 +323,9 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
         raise ConfigError("components must be a list")
     components = [_component_from_dict(topology, entry) for entry in comp_entries]
     comb_raw = _structural(raw, "combiner", "experiment config")
-    if not isinstance(comb_raw, dict):
-        raise ConfigError("combiner must be a table of settings")
-    try:
-        combiner = CombinerConfig(**comb_raw)
-    except TypeError:
-        raise ConfigError("combiner has unknown settings") from None
+    _check_keys(comb_raw, {f.name for f in fields(CombinerConfig)}, "combiner")
+    _structural(comb_raw, "scheme", "combiner")
+    combiner = CombinerConfig(**comb_raw)
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, list):
         raise ConfigError("outputs must be a list of series names")
@@ -594,9 +589,8 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
         if start >= t_max:
             break
         end = min(end, t_max)
-        pair = PairModel(*(build_component_model(cfg.topology, comp, rx,
-                                                 sigma_z2, target)
-                           for comp in cfg.components[:2]))
+        pair = build_component_model(cfg.topology, cfg.components, rx,
+                                     sigma_z2, target)
         # the coefficient moments carry over in the last recorded state
         state = (shift_targets(traj.state, (stages[i - 1][1] - target).ravel())
                  if i else initial_moments(pair, gamma0=gamma0))

@@ -15,6 +15,7 @@ data.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,6 +24,20 @@ import numpy as np
 AR1_COEFF = 0.5
 
 _SNR_FILE = "snr_presets.json"
+
+
+def integer_value(name, value, least) -> int:
+    """value as an int, refused by name unless integral and >= least."""
+    if not isinstance(value, numbers.Real) or value % 1 or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def require_number(name, value) -> None:
+    """Refuse by name a value that is not a number or array of numbers."""
+    if not all(isinstance(v, numbers.Real)
+               for v in np.asarray(value, dtype=object).ravel()):
+        raise ValueError(f"{name} is not a number: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,12 +65,14 @@ class AgentSignalParams:
     regressor_kind: str = "white"
 
     def __post_init__(self):
+        require_number("sigma_x2", self.sigma_x2)
+        require_number("sigma_z2", self.sigma_z2)
+        object.__setattr__(self, "filter_len",
+                           integer_value("filter_len", self.filter_len, 1))
         if self.sigma_x2 <= 0:
             raise ValueError("sigma_x2 must be positive")
         if self.sigma_z2 < 0:
             raise ValueError("sigma_z2 must be nonnegative")
-        if self.filter_len < 1:
-            raise ValueError("filter_len must be at least 1")
         if self.regressor_kind not in ("white", "ar1"):
             raise ValueError(f"unknown regressor kind {self.regressor_kind!r}")
         if self.regressor_kind == "ar1" and self.filter_len != 2:
@@ -69,7 +86,8 @@ class TargetSchedule:
     ``stages`` is an ordered tuple of (start_time, targets) pairs where
     targets is an (N, L) array.  Each stage's value is reached exactly at
     its start time; the ``transition_len`` instants before a stage start
-    interpolate linearly from the previous stage's value.
+    interpolate linearly from the previous stage's value.  Start times
+    and transition_len must be integral and are stored as ints.
     """
 
     stages: tuple
@@ -78,15 +96,15 @@ class TargetSchedule:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("schedule needs at least one stage")
-        if self.transition_len < 0:
-            raise ValueError("transition_len must be nonnegative")
+        object.__setattr__(self, "transition_len", integer_value(
+            "transition_len", self.transition_len, 0))
         norm = []
         for start, w in self.stages:
             arr = np.array(w, dtype=float)
             if arr.ndim != 2:
                 raise ValueError("stage targets must be (n_agents, L) arrays")
             arr.setflags(write=False)
-            norm.append((int(start), arr))
+            norm.append((integer_value("stage start", start, 0), arr))
         shapes = {arr.shape for _, arr in norm}
         if len(shapes) != 1:
             raise ValueError("all stages must share the same target shape")

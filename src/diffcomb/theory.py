@@ -21,12 +21,13 @@ E{v_i v_j^T} = p_ij kron I + m_i m_j^T are carried by their centered
 factors p, of shape (3, N m, N m), in the block order (p11, p22, p12):
 p' = left p right^T + g with left = (b1, b2, b1), right = (b1, b2, b2)
 and g = (f1^T q f1, f2^T q f2, f1^T q f2), because the drift moves the
-means and leaves centered moments alone.  PairModel builds those stacks
-once per stage.  So white-regressor theory never forms an NL x NL
-array, and transient and steady state run one code path for both
-regressor kinds.  Steady factors solve that Stein equation, all three
-blocks in one call, by squared Smith doubling at O(N_f^3 log t) for
-factors of size N_f.
+means and leaves centered moments alone.  build_component_model builds
+one PairModel per stage from both components and the data they share,
+and the steady report keeps that block order.  So white-regressor
+theory never forms an NL x NL array, and transient and steady state run
+one code path for both regressor kinds.  Steady factors solve that
+Stein equation, all three blocks in one call, by squared Smith doubling
+at O(N_f^3 log t) for factors of size N_f.
 
 The mixing coefficient follows one law per two-component scheme, looked
 up once by scheme name: coefficient_step advances its per-agent mean,
@@ -49,7 +50,7 @@ refresh rules have no closed-form moment description here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,8 +60,6 @@ from .graph import Topology
 
 DELTA_J_FLOOR = 1e-12
 
-_MODEL_ARRAYS = ("bbar", "rbar", "f", "q", "c", "mu", "rx", "sigma_z2",
-                 "w_star")
 # 2^64 terms of the Stein series: enough for any spectral radius below
 # one in double precision
 _MAX_DOUBLINGS = 64
@@ -70,34 +69,33 @@ class InstabilityError(RuntimeError):
     """A component's mean recursion has spectral radius >= 1."""
 
 
-def _freeze_arrays(obj, names) -> None:
-    for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
-
-
 @dataclass(frozen=True)
-class ComponentModel:
-    """Frozen moment description of one component diffusion strategy.
+class PairModel:
+    """Stacked moment description of two strategies observing the same data.
 
-    bbar is the mean error transition matrix, rbar the deterministic
-    drift (zero for a shared target under left-stochastic combining).
-    The gradient noise is (f kron I)^T p, where p stacks the raw terms
-    x_k z_k whose second moment is q kron I; PairModel forms its second
-    moments f_i^T q f_j.  bbar, f and q are factors over an identity of
-    size kron_len (see the module docstring).  c, mu, rx, sigma_z2 and
-    w_star are kept so that pair moments and derived reports can be
-    computed without re-supplying the inputs.
+    b, rbar and f stack the components' mean transitions, drifts and
+    gradient-noise maps: component i's noise is (f_i kron I)^T p, where
+    the raw terms p = x_k z_k have second moment q kron I.  left, right
+    and g are the transitions and noise moments of the centered factors
+    in the block order (p11, p22, p12) (see the module docstring); the
+    two auto moments of g are exactly symmetric.  weights holds the
+    per-agent readout blocks: the identity (row 0) gives deviations, rx
+    (row 1) excess errors, with rx[k] = rx[k, :m, :m] kron I.  c and mu
+    stack the components' C matrices and step-sizes; rx, sigma_z2 and
+    the flattened w_star are the data both components share.
     """
 
     n_agents: int
     filter_len: int
     kron_len: int
-    bbar: np.ndarray
+    b: np.ndarray
     rbar: np.ndarray
     f: np.ndarray
     q: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    g: np.ndarray
+    weights: np.ndarray
     c: np.ndarray
     mu: np.ndarray
     rx: np.ndarray
@@ -105,53 +103,11 @@ class ComponentModel:
     w_star: np.ndarray
 
     def __post_init__(self):
-        _freeze_arrays(self, _MODEL_ARRAYS)
-
-    @property
-    def block_dim(self) -> int:
-        return self.n_agents * self.filter_len
-
-
-@dataclass(frozen=True)
-class PairModel:
-    """Stacked moment description of two strategies observing the same data.
-
-    b and rbar stack the two components' transitions and drifts.  left
-    and right are the transitions (b1, b2, b1) and (b1, b2, b2) acting on
-    the centered factors in the block order (p11, p22, p12), and g the
-    gradient-noise moments (f1^T q f1, f2^T q f2, f1^T q f2) in the same
-    order; the two auto moments are exactly symmetric.  weights holds the
-    per-agent readout blocks: the identity (row 0) gives deviations, rx
-    (row 1) excess errors, with rx[k] = rx[k, :m, :m] kron I.  Building a
-    pair checks that both components share dimensions and data.
-    """
-
-    model1: ComponentModel
-    model2: ComponentModel
-    b: np.ndarray = field(init=False)
-    rbar: np.ndarray = field(init=False)
-    left: np.ndarray = field(init=False)
-    right: np.ndarray = field(init=False)
-    g: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        model1, model2 = self.model1, self.model2
-        _require_same_data(model1, model2)
-        b = np.stack((model1.bbar, model2.bbar))
-        f1, f2, q = model1.f, model2.f, model1.q
-        g = np.stack((f1.T @ q @ f1, f2.T @ q @ f2, f1.T @ q @ f2))
-        g[:2] = 0.5 * (g[:2] + g[:2].transpose(0, 2, 1))
-        n = model1.n_agents
-        m = model1.bbar.shape[0] // n
-        weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)),
-                            model1.rx[:, :m, :m]])
-        arrays = {"b": b, "rbar": np.stack((model1.rbar, model2.rbar)),
-                  "left": b[[0, 1, 0]], "right": b[[0, 1, 1]], "g": g,
-                  "weights": weights}
-        for name, value in arrays.items():
-            object.__setattr__(self, name, value)
-        _freeze_arrays(self, arrays)
+        for name in self.__dataclass_fields__:
+            if name not in ("n_agents", "filter_len", "kron_len"):
+                arr = np.asarray(getattr(self, name), dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 @dataclass
@@ -205,16 +161,15 @@ class TheoryTrajectory:
 class StabilityReport:
     """Step-size limits and pass/fail flags for a configured pair.
 
-    mu bounds are per agent and per component.  The power-normalized
-    coefficient bounds depend only on the smoothing factor; the
-    sign-regressor bounds need the worst observed difference power and
-    are None when no trajectory was supplied.
+    mu_bound and mu_ok, of shape (2, N), hold each component's per-agent
+    step-size limits and flags.  The power-normalized coefficient bounds
+    depend only on the smoothing factor; the sign-regressor bounds need
+    the worst observed difference power and are None when no trajectory
+    was supplied.
     """
 
-    mu_bound1: np.ndarray
-    mu_bound2: np.ndarray
-    mu_ok1: np.ndarray
-    mu_ok2: np.ndarray
+    mu_bound: np.ndarray
+    mu_ok: np.ndarray
     pn_mean_bound: float
     pn_ms_bound: float
     pn_mean_ok: np.ndarray
@@ -243,7 +198,10 @@ class SteadyReport:
     """Closed-form steady state of the combined pair.
 
     m stacks the fixed mean errors (m1, m2) and p the centered covariance
-    factors (p11, p22, p12), in the layout of MomentState.
+    factors (p11, p22, p12), in the layout of MomentState.  emse, of
+    shape (3, N), holds the per-agent excess errors and msd, of shape
+    (3,), the network deviations of the same three moments, in the
+    same block order.
     """
 
     m: np.ndarray
@@ -252,12 +210,8 @@ class SteadyReport:
     g2bar: np.ndarray
     pbar: np.ndarray
     bias: np.ndarray
-    emse1: np.ndarray
-    emse2: np.ndarray
-    emse12: np.ndarray
-    msd1: float
-    msd2: float
-    cross_msd: float
+    emse: np.ndarray
+    msd: np.ndarray
     combined_msd: float
     universality: UniversalityReport
     bounds: StabilityReport
@@ -300,22 +254,25 @@ def _readouts(weights: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("wkij,skji->swk", weights, om)
 
 
-def build_component_model(topology: Topology, cfg: StrategyConfig,
-                          rx, sigma_z2, w_star) -> ComponentModel:
-    """Assemble the moment description of one diffusion strategy.
+def build_component_model(topology: Topology, components, rx, sigma_z2,
+                          w_star) -> PairModel:
+    """Assemble the stacked moment description of two diffusion strategies.
 
-    rx holds the per-agent regressor covariances with shape (N, L, L),
-    sigma_z2 the per-agent noise variances, w_star the stationary
-    targets with shape (N, L).  White covariances (rx[k] = sigma_k^2 I_L
-    for every agent) give N x N factors with kron_len = L, anything else
-    NL x NL factors with kron_len = 1.  Raises for adaptive fusion modes,
-    which the predictor does not cover.
+    components holds both strategies' configurations.  rx holds the
+    per-agent regressor covariances with shape (N, L, L), sigma_z2 the
+    per-agent noise variances, w_star the stationary targets with shape
+    (N, L); both components observe these data.  White covariances
+    (rx[k] = sigma_k^2 I_L for every agent) give N x N factors with
+    kron_len = L, anything else NL x NL factors with kron_len = 1.  Raises
+    for adaptive fusion modes, which the predictor does not cover.
     """
-    if cfg.a2_mode != "static":
-        raise ValueError("moment predictor requires a static a2 matrix")
-    if cfg.topology is not topology and not np.array_equal(
-            cfg.topology.adjacency, topology.adjacency):
-        raise ValueError("strategy config was built for a different topology")
+    if len(components) != 2:
+        raise ValueError("the moment predictor covers two components")
+    for cfg in components:
+        if cfg.a2_mode != "static":
+            raise ValueError("moment predictor requires a static a2 matrix")
+        if not np.array_equal(cfg.topology.adjacency, topology.adjacency):
+            raise ValueError("a component was built for a different topology")
     n = topology.n_agents
     rx = np.asarray(rx, dtype=float)
     if rx.ndim != 3 or rx.shape[0] != n or rx.shape[1] != rx.shape[2]:
@@ -330,26 +287,41 @@ def build_component_model(topology: Topology, cfg: StrategyConfig,
     l = rx.shape[-1]
     w = np.asarray(w_star, dtype=float).reshape(n, l)
     white = np.array_equal(rx, rx[:, :1, :1] * np.eye(l))
-    return _build_model(n, l, 1 if white else l, cfg, rx, sigma_z2, w)
+    return _build_model(components, rx, sigma_z2, w, 1 if white else l)
 
 
-def _build_model(n: int, l: int, m: int, cfg: StrategyConfig, rx: np.ndarray,
-                 sigma_z2: np.ndarray, w: np.ndarray) -> ComponentModel:
-    """Model over factor blocks of size m, so kron_len = L / m.
+def _build_model(components, rx: np.ndarray, sigma_z2: np.ndarray,
+                 w: np.ndarray, m: int) -> PairModel:
+    """Pair model over factor blocks of size m, so kron_len = L / m.
 
     Needs rx[k] = rx[k, :m, :m] kron I_kron_len for every agent: m = L
     always qualifies, m = 1 when every covariance is sigma_k^2 I_L.
     """
-    eye_m = np.eye(m)
-    eye = np.eye(n * m)
+    n, l = w.shape
+    rx_m = rx[:, :m, :m]
+    b, rbar, f = (np.stack(x) for x in zip(*(_component(cfg, rx, w, m)
+                                            for cfg in components)))
+    q = _block_diag(sigma_z2[:, None, None] * rx_m)
+    g = np.stack([f[i].T @ q @ f[j] for i, j in ((0, 0), (1, 1), (0, 1))])
+    g[:2] = 0.5 * (g[:2] + g[:2].transpose(0, 2, 1))
+    weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)), rx_m])
+    return PairModel(
+        n_agents=n, filter_len=l, kron_len=l // m, b=b, rbar=rbar, f=f, q=q,
+        left=b[[0, 1, 0]], right=b[[0, 1, 1]], g=g, weights=weights,
+        c=np.array([cfg.c.entries for cfg in components], dtype=float),
+        mu=np.array([cfg.mu for cfg in components], dtype=float),
+        rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1))
+
+
+def _component(cfg: StrategyConfig, rx: np.ndarray, w: np.ndarray, m: int):
+    """One component's (bbar, rbar, f) over factor blocks of size m."""
+    eye_m, eye = np.eye(m), np.eye(w.shape[0] * m)
     c = np.array(cfg.c.entries, dtype=float)
-    mu = np.array(cfg.mu, dtype=float)
     a1x = np.kron(np.array(cfg.a1.entries, dtype=float), eye_m)
     a2x = np.kron(np.array(cfg.a2.entries, dtype=float), eye_m)
-    u = np.kron(np.diag(mu), eye_m)
-    rx_m = rx[:, :m, :m]
+    u = np.kron(np.diag(np.array(cfg.mu, dtype=float)), eye_m)
 
-    hbar = _block_diag(np.einsum("lk,lij->kij", c, rx_m))
+    hbar = _block_diag(np.einsum("lk,lij->kij", c, rx[:, :m, :m]))
     damp = eye - u @ hbar
     bbar = a2x.T @ damp @ a1x.T
 
@@ -359,23 +331,7 @@ def _build_model(n: int, l: int, m: int, cfg: StrategyConfig, rx: np.ndarray,
     hu = np.einsum("lk,lij,lkj->ki", c, rx, diff).reshape(-1)
     leak = a2x.T @ damp @ (a1x.T - eye) + (a2x.T - eye)
     rbar = _kron_apply(a2x.T @ u, hu) - _kron_apply(leak, w.reshape(-1))
-
-    f = np.kron(c, eye_m) @ u @ a2x
-    q = _block_diag(sigma_z2[:, None, None] * rx_m)
-    return ComponentModel(n_agents=n, filter_len=l, kron_len=l // m,
-                          bbar=bbar, rbar=rbar, f=f, q=q, c=c, mu=mu, rx=rx,
-                          sigma_z2=sigma_z2, w_star=w.reshape(-1))
-
-
-def _require_same_data(model1: ComponentModel, model2: ComponentModel) -> None:
-    if (model1.n_agents != model2.n_agents
-            or model1.filter_len != model2.filter_len
-            or model1.kron_len != model2.kron_len):
-        raise ValueError("component models have mismatched dimensions")
-    if (not np.allclose(model1.rx, model2.rx)
-            or not np.allclose(model1.sigma_z2, model2.sigma_z2)
-            or not np.allclose(model1.w_star, model2.w_star)):
-        raise ValueError("component models must share data statistics")
+    return bbar, rbar, np.kron(c, eye_m) @ u @ a2x
 
 
 def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
@@ -503,8 +459,8 @@ def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
     The errors start at the deterministic -w_star, so every centered
     factor is zero.
     """
-    n, k, g = pair.model1.n_agents, pair.b.shape[1], float(gamma0)
-    return MomentState(m=np.tile(-pair.model1.w_star, (2, 1)),
+    n, k, g = pair.n_agents, pair.b.shape[1], float(gamma0)
+    return MomentState(m=np.tile(-pair.w_star, (2, 1)),
                        p=np.zeros((3, k, k)), gbar=np.full(n, g),
                        g2bar=np.full(n, g ** 2), pbar=np.zeros(n))
 
@@ -532,9 +488,9 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
         state = initial_moments(pair)
     m, p = state.m, state.p
     gbar, g2bar, pbar = state.gbar, state.g2bar, state.pbar
-    sigma_z2 = pair.model1.sigma_z2
-    record = np.empty((n_steps + 1, 3, 2, pair.model1.n_agents))
-    coefficients = np.empty((n_steps + 1, 2, pair.model1.n_agents))
+    sigma_z2 = pair.sigma_z2
+    record = np.empty((n_steps + 1, 3, 2, pair.n_agents))
+    coefficients = np.empty((n_steps + 1, 2, pair.n_agents))
     degenerate = 0
 
     readouts = _readouts(pair.weights, m, p)
@@ -595,7 +551,7 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     moments frozen at the limits.  Raises InstabilityError when a
     component cannot converge.
     """
-    for label, b in zip("12", pair.b):
+    for label, b in enumerate(pair.b, start=1):
         rho = float(np.max(np.abs(np.linalg.eigvals(b))))
         if rho >= 1.0:
             raise InstabilityError(
@@ -607,23 +563,20 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     p[:2] = 0.5 * (p[:2] + p[:2].transpose(0, 2, 1))
 
     readouts = _readouts(pair.weights, m, p)
-    (t1, j1), (t2, j2), (tx, j12), (_, dj1), (_, dj2) = readouts
-    gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, j2,
-                                           pair.model1.sigma_z2)
+    emse, (dj1, dj2) = readouts[:3, 1], readouts[3:, 1]
+    gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[1],
+                                           pair.sigma_z2)
 
-    gamma = np.repeat(gbar, pair.model1.filter_len)
+    gamma = np.repeat(gbar, pair.filter_len)
     bias = gamma * m[0] + (1.0 - gamma) * m[1]
     bounds = stability_bounds(pair, cfg, dj_sum=dj1 + dj2)
 
     return SteadyReport(
         m=m, p=p,
         gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
-        emse1=j1, emse2=j2, emse12=j12,
-        msd1=float(np.mean(t1)),
-        msd2=float(np.mean(t2)),
-        cross_msd=float(np.mean(tx)),
+        emse=emse, msd=np.mean(readouts[:3, 0], axis=-1),
         combined_msd=float(np.mean(mix(readouts[:3, 0], gbar, g2bar))),
-        universality=universality_report(j1, j2, j12, dj1, dj2),
+        universality=universality_report(*emse, dj1, dj2),
         bounds=bounds)
 
 
@@ -646,14 +599,9 @@ def stability_bounds(pair: PairModel, cfg: CombinerConfig,
     sets the sign-regressor limits.  All bounds are open intervals, so a
     step-size equal to its bound is flagged as failing.
     """
-    reports = []
-    for model in (pair.model1, pair.model2):
-        bound = mu_bounds(model.c, model.rx)
-        reports.append((bound, (model.mu > 0) & (model.mu < bound)))
-    (mu_bound1, mu_ok1), (mu_bound2, mu_ok2) = reports
-
+    mu_bound = np.stack([mu_bounds(c, pair.rx) for c in pair.c])
     nu = np.broadcast_to(np.asarray(cfg.nu_gamma, dtype=float),
-                         (pair.model1.n_agents,))
+                         (pair.n_agents,))
     pn_mean_bound = 1.0 - cfg.eta
     pn_ms_bound = (1.0 - cfg.eta) / 3.0
     pn_mean_ok = (nu > 0) & (nu < pn_mean_bound)
@@ -668,8 +616,8 @@ def stability_bounds(pair: PairModel, cfg: CombinerConfig,
         sr_mean_ok = (nu > 0) & (nu < sr_mean_bound)
         sr_ms_ok = (nu > 0) & (nu < sr_ms_bound)
 
-    return StabilityReport(mu_bound1=mu_bound1, mu_bound2=mu_bound2,
-                           mu_ok1=mu_ok1, mu_ok2=mu_ok2,
+    return StabilityReport(mu_bound=mu_bound,
+                           mu_ok=(pair.mu > 0) & (pair.mu < mu_bound),
                            pn_mean_bound=pn_mean_bound, pn_ms_bound=pn_ms_bound,
                            pn_mean_ok=pn_mean_ok, pn_ms_ok=pn_ms_ok,
                            sr_mean_bound=sr_mean_bound, sr_ms_bound=sr_ms_bound,

@@ -18,7 +18,6 @@ from diffcomb import harness
 from diffcomb.combine import optimal_gamma
 from diffcomb.graph import build_preset, static_rule, validate_stochastic
 from diffcomb.theory import (
-    PairModel,
     coefficient_steady,
     coefficient_step,
     covariance_step,
@@ -122,7 +121,7 @@ def test_moment_recursions_consistent_across_formulations():
     route over 100 steps, and the steady solves with long iteration."""
     pair = test_theory.random_pair(41, n=3, l=1)
     rng = np.random.default_rng(541)
-    dim = pair.model1.block_dim
+    dim = pair.w_star.size
     a = rng.normal(size=(dim, dim))
     sigma = a @ a.T + 0.5 * np.eye(dim)
     steps = 100
@@ -135,9 +134,8 @@ def test_moment_recursions_consistent_across_formulations():
         xi_mat[:, t] = [np.sum(sigma * om) for om in raw_moments(m, p)]
         p = covariance_step(pair, p)
         m = mean_step(pair, m)
-    for k, model in enumerate((pair.model1, pair.model2)):
-        xi_vec = test_theory.weighted_norm_curve(model, pair.g[k], sigma,
-                                                 steps)
+    for k in range(2):
+        xi_vec = test_theory.weighted_norm_curve(pair, k, sigma, steps)
         np.testing.assert_allclose(xi_mat[k], xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
     xi_vec = test_theory.cross_norm_curve(pair, sigma, steps)
@@ -185,10 +183,8 @@ def test_optimal_coefficient_against_grid_and_closed_forms():
     report = universality_report(j1, j2, j12, j1 - j12, j2 - j12)
     np.testing.assert_allclose(report.emse_combined, at_opt, rtol=1e-12)
 
-    scalar = steady_state(PairModel(test_theory.scalar_model(),
-                                    test_theory.scalar_model()),
-                          test_theory.pn_cfg())
-    assert scalar.msd1 == pytest.approx(0.01 * 0.1 / (2.0 - 0.01 * 1.0),
+    scalar = steady_state(test_theory.scalar_model(), test_theory.pn_cfg())
+    assert scalar.msd[0] == pytest.approx(0.01 * 0.1 / (2.0 - 0.01 * 1.0),
                                         rel=1e-12)
 
 
@@ -248,22 +244,18 @@ def test_frozen_moment_iteration_reaches_steady_forms():
 def test_stability_bounds_on_hand_cases():
     """Coefficient and component step-size limits on directly computable
     cases, including the open-interval behavior at the limit itself."""
-    pair = PairModel(test_theory.scalar_model(mu=1.0, sx=2.0),
-                     test_theory.scalar_model(mu=0.5, sx=2.0))
+    pair = test_theory.scalar_model(mu=(1.0, 0.5), sx=2.0)
     report = stability_bounds(pair, test_theory.pn_cfg(nu=0.01, eta=0.95))
     assert report.pn_mean_bound == 1.0 - 0.95
     assert report.pn_ms_bound == (1.0 - 0.95) / 3.0
     assert report.pn_mean_ok.all() and report.pn_ms_ok.all()
 
-    np.testing.assert_array_equal(report.mu_bound1, [1.0])
-    np.testing.assert_array_equal(report.mu_bound2, [1.0])
-    assert not report.mu_ok1.any()
-    assert report.mu_ok2.all()
+    np.testing.assert_array_equal(report.mu_bound, [[1.0], [1.0]])
+    assert not report.mu_ok[0].any()
+    assert report.mu_ok[1].all()
     wide = stability_bounds(
-        PairModel(test_theory.scalar_model(mu=0.1, sx=0.5),
-                  test_theory.scalar_model(mu=0.2, sx=0.5)),
-        test_theory.pn_cfg())
-    np.testing.assert_array_equal(wide.mu_bound1, [4.0])
+        test_theory.scalar_model(mu=(0.1, 0.2), sx=0.5), test_theory.pn_cfg())
+    np.testing.assert_array_equal(wide.mu_bound[0], [4.0])
 
     report = stability_bounds(pair, test_theory.sr_cfg(nu=0.5),
                               dj_sum=[np.pi / 2.0])

@@ -108,6 +108,47 @@ class TestValidate:
         assert main(["validate", str(config_path)]) == 2
         assert "outputs must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset,edit,code,message", [
+        # each used to print "config ok" after truncating the time
+        ("tracking_static_pn",
+         lambda r: r["targets"]["stages"][1].update(start=1500.7), 1,
+         "stage start must be an integer >= 0, got 1500.7"),
+        ("tracking_static_pn",
+         lambda r: r["targets"].update(transition_len=500.5), 1,
+         "transition_len must be an integer >= 0, got 500.5"),
+        # each used to end in a TypeError traceback
+        ("tracking_static_pn",
+         lambda r: r["targets"].update(transition_len="5"), 1,
+         "transition_len must be an integer >= 0, got '5'"),
+        ("universality_pn",
+         lambda r: r["signal"]["agents"][0].update(sigma_x2="16"), 1,
+         "sigma_x2 is not a number: '16'"),
+        # each used to be reported as an unknown combiner setting
+        ("universality_pn", lambda r: r["combiner"].update(nu_gamma="x"), 1,
+         "nu_gamma is not a number: 'x'"),
+        ("universality_pn", lambda r: r["combiner"].update(eta="x"), 1,
+         "eta is not a number: 'x'"),
+        ("universality_pn", lambda r: r["combiner"].update(nu=0.1), 2,
+         "combiner has unknown keys ['nu']"),
+        ("universality_pn", lambda r: r["combiner"].pop("scheme"), 2,
+         "combiner is missing 'scheme'"),
+        # used to be ignored on a static component
+        ("universality_pn", lambda r: r["components"][0].update(tau=0.05), 2,
+         "only adaptive_relative_variance takes tau"),
+    ])
+    def test_malformed_value(self, tmp_path, capsys, preset, edit, code,
+                             message):
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / f"{preset}.json").read_text())
+        edit(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
         raw["components"][0]["mu"] = -1.0

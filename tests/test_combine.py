@@ -275,6 +275,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="nu_alpha"):
             CombinerConfig(scheme="multi_sign", m=3)
 
+    @pytest.mark.parametrize("name", ["nu_gamma", "epsilon", "eta", "delta",
+                                      "nu_alpha"])
+    def test_non_numbers_refused_by_name(self, name):
+        kwargs = {"scheme": "multi_sign", "m": 3, "nu_alpha": 0.1, name: "x"}
+        with pytest.raises(ValueError, match=f"{name} is not a number"):
+            CombinerConfig(**kwargs)
+
+    def test_non_numeric_entry_and_fractional_m_refused(self):
+        with pytest.raises(ValueError, match="nu_gamma is not a number"):
+            CombinerConfig(scheme="power_normalized", nu_gamma=[0.1, "x"])
+        with pytest.raises(ValueError, match="m must be an integer >= 2"):
+            CombinerConfig(scheme="multi_sign", m=2.5, nu_alpha=0.1)
+
     def test_scheme_mismatch_guards(self):
         state = init_combiner(pn_cfg(), 1)
         with pytest.raises(ValueError, match="not configured"):

@@ -116,14 +116,10 @@ def raw_moment_series(cfg):
     stages = cfg.schedule.stages
     for i, (start, target) in enumerate(stages):
         end = stages[i + 1][0] if i + 1 < len(stages) else cfg.horizon
-        models = [theory.build_component_model(cfg.topology, comp, rx,
-                                               sigma_z2, target)
-                  for comp in cfg.components]
-        eye = np.eye(models[0].kron_len)
-        b = [np.kron(model.bbar, eye) for model in models]
-        r = [model.rbar for model in models]
-        g = {pair: np.kron(noise, eye) for pair, noise
-             in zip(pairs, theory.PairModel(*models).g)}
+        # the dense model: factor blocks of size L, NL x NL factors
+        model = theory._build_model(cfg.components, rx, sigma_z2, target, l)
+        b, r = model.b, model.rbar
+        g = dict(zip(pairs, model.g))
         w = target.reshape(-1)
         if prev is None:
             m = [-w, -w]

@@ -95,6 +95,12 @@ class TestTargetSchedule:
         with pytest.raises(ValueError, match="transition"):
             TargetSchedule(stages=((0, w), (100, w)), transition_len=200)
 
+    def test_integral_times_are_stored_as_ints(self):
+        w = np.zeros((1, 1))
+        s = TargetSchedule(stages=((0.0, w), (5.0, w)), transition_len=2.0)
+        assert [type(start) for start, _ in s.stages] == [int, int]
+        assert type(s.transition_len) is int
+
     @settings(deadline=None, max_examples=25)
     @given(
         starts=st.lists(st.integers(0, 50), min_size=2, max_size=4, unique=True),

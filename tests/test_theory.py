@@ -20,7 +20,6 @@ from diffcomb.theory import (
     DELTA_J_FLOOR,
     InstabilityError,
     MomentState,
-    PairModel,
     build_component_model,
     coefficient_step,
     coefficient_steady,
@@ -87,10 +86,12 @@ def random_setup(seed, n=3, l=1, single_task=False, mu=0.06):
 
 
 def random_model(seed, n=3, l=1, single_task=False, mu=0.06):
+    """One random strategy paired with itself: b[0] and rbar[0] are its
+    transition and drift."""
     topology, cfg, rx, sigma_z2, w = random_setup(
         seed, n=n, l=l, single_task=single_task, mu=mu)
-    model = build_component_model(topology, cfg, rx, sigma_z2, w)
-    rho = np.max(np.abs(np.linalg.eigvals(model.bbar)))
+    model = build_component_model(topology, [cfg, cfg], rx, sigma_z2, w)
+    rho = np.max(np.abs(np.linalg.eigvals(model.b[0])))
     assert rho < 1.0, f"random model unstable (rho={rho})"
     return model
 
@@ -113,21 +114,21 @@ def random_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
     """Two strategies over the same network observing the same data."""
     topology, cfgs, rx, sigma_z2, w = random_pair_setup(
         seed, n=n, l=l, single_task=single_task, mus=mus)
-    models = []
-    for cfg in cfgs:
-        model = build_component_model(topology, cfg, rx, sigma_z2, w)
-        assert np.max(np.abs(np.linalg.eigvals(model.bbar))) < 1.0
-        models.append(model)
-    return PairModel(*models)
+    pair = build_component_model(topology, cfgs, rx, sigma_z2, w)
+    assert np.max(np.abs(np.linalg.eigvals(pair.b))) < 1.0
+    return pair
 
 
 def scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0):
+    """One agent with identity combiners; mu is one step-size for both
+    components or a pair (mu1, mu2)."""
     topology = Topology(n_agents=1, adjacency=np.ones((1, 1), dtype=bool))
     ident = static_rule(topology, "identity")
-    cfg = StrategyConfig(topology=topology, a1=ident,
-                         c=StochasticMatrix(ident.entries, "right"),
-                         mu=mu, a2=ident)
-    return build_component_model(topology, cfg, np.array([[[sx]]]),
+    cfgs = [StrategyConfig(topology=topology, a1=ident,
+                           c=StochasticMatrix(ident.entries, "right"),
+                           mu=step, a2=ident)
+            for step in np.broadcast_to(mu, (2,))]
+    return build_component_model(topology, cfgs, np.array([[[sx]]]),
                                  np.array([sz]), np.array([[target]]))
 
 
@@ -174,50 +175,51 @@ def unvec_col(flat, nl):
     return np.asarray(flat).reshape(nl, nl, order="F")
 
 
-def weighted_norm_curve(model, g, sigma_mat, n_steps):
-    """E{||v_n||^2_Sigma} through the vectorized recursion, for the
-    component model with gradient-noise moment g.
+def weighted_norm_curve(model, k, sigma_mat, n_steps):
+    """E{||v_n||^2_Sigma} through the vectorized recursion, for component
+    k of a pair model.
 
     Maintains the propagated weighting K^n sigma and a drift accumulator
     instead of the full covariance matrix, so it shares no code path
     with covariance_step.
     """
-    nl = model.block_dim
+    bbar, rbar = model.b[k], model.rbar[k]
+    nl = model.w_star.size
     sigma = vec_col(sigma_mat)
-    kk = np.kron(model.bbar.T, model.bbar.T)
+    kk = np.kron(bbar.T, bbar.T)
     eye_k = np.eye(nl * nl)
     v0 = -model.w_star
     m = v0.copy()
-    vec_gt = vec_col(g.T)
+    vec_gt = vec_col(model.g[k].T)
     lam = np.zeros(nl * nl)
     kns = sigma.copy()
     xi = np.empty(n_steps + 1)
     xi[0] = v0 @ sigma_mat @ v0
     for n in range(n_steps):
         knext = kk @ kns
-        bm = model.bbar @ m
-        drift_row = np.kron(bm, model.rbar)
+        bm = bbar @ m
+        drift_row = np.kron(bm, rbar)
         delta = vec_gt @ kns
-        delta += model.rbar @ unvec_col(kns, nl) @ model.rbar
+        delta += rbar @ unvec_col(kns, nl) @ rbar
         delta -= v0 @ unvec_col(kns - knext, nl) @ v0
         delta -= 2.0 * (lam + drift_row) @ sigma
         xi[n + 1] = xi[n] + delta
         lam = lam @ kk + drift_row @ (kk - eye_k)
-        m = model.bbar @ m - model.rbar
+        m = bbar @ m - rbar
         kns = knext
     return xi
 
 
 def cross_norm_curve(pair, sigma_mat, n_steps):
     """E{v1_n^T Sigma v2_n} through the vectorized recursion."""
-    model1, model2 = pair.model1, pair.model2
-    nl = model1.block_dim
+    (b1, b2), (r1, r2) = pair.b, pair.rbar
+    nl = pair.w_star.size
     sigma = vec_col(sigma_mat)
-    kx = np.kron(model2.bbar.T, model1.bbar.T)
+    kx = np.kron(b2.T, b1.T)
     eye_k = np.eye(nl * nl)
     vec_gxt = vec_col(pair.g[2])
-    v01 = -model1.w_star
-    v02 = -model2.w_star
+    v01 = -pair.w_star
+    v02 = -pair.w_star
     m1 = v01.copy()
     m2 = v02.copy()
     pi1 = np.zeros(nl * nl)
@@ -227,20 +229,20 @@ def cross_norm_curve(pair, sigma_mat, n_steps):
     xi[0] = v01 @ sigma_mat @ v02
     for n in range(n_steps):
         knext = kx @ kns
-        bm1 = model1.bbar @ m1
-        bm2 = model2.bbar @ m2
-        row1 = np.kron(model2.rbar, bm1)
-        row2 = np.kron(bm2, model1.rbar)
+        bm1 = b1 @ m1
+        bm2 = b2 @ m2
+        row1 = np.kron(r2, bm1)
+        row2 = np.kron(bm2, r1)
         delta = vec_gxt @ kns
         delta += (pi1 + pi2) @ sigma
         delta -= (row1 + row2) @ sigma
         delta -= v01 @ unvec_col(kns - knext, nl) @ v02
-        delta += model1.rbar @ unvec_col(kns, nl) @ model2.rbar
+        delta += r1 @ unvec_col(kns, nl) @ r2
         xi[n + 1] = xi[n] + delta
         pi1 = pi1 @ kx + row1 @ (eye_k - kx)
         pi2 = pi2 @ kx + row2 @ (eye_k - kx)
-        m1 = model1.bbar @ m1 - model1.rbar
-        m2 = model2.bbar @ m2 - model2.rbar
+        m1 = b1 @ m1 - r1
+        m2 = b2 @ m2 - r2
         kns = knext
     return xi
 
@@ -248,18 +250,18 @@ def cross_norm_curve(pair, sigma_mat, n_steps):
 class TestModelBuild:
     def test_scalar_transition_and_noise_moment(self):
         model = scalar_model(mu=0.01, sx=1.0, sz=0.1)
-        assert model.bbar.shape == (1, 1)
-        assert model.bbar[0, 0] == 1.0 - 0.01 * 1.0
-        np.testing.assert_allclose(PairModel(model, model).g[:, 0, 0],
+        assert model.b.shape == (2, 1, 1)
+        assert model.b[0, 0, 0] == 1.0 - 0.01 * 1.0
+        np.testing.assert_allclose(model.g[:, 0, 0],
                                    0.01**2 * 0.1 * 1.0, rtol=1e-14)
-        assert model.rbar[0] == 0.0
+        assert model.rbar[0, 0] == 0.0
 
     def test_scalar_drift_for_offset_target(self):
         # one agent, identity combiners: the drift must vanish even
         # though the target is nonzero
         model = scalar_model(mu=0.5, sx=2.0, sz=0.3, target=-1.5)
-        assert model.rbar[0] == 0.0
-        assert model.bbar[0, 0] == 1.0 - 0.5 * 2.0
+        assert model.rbar[0, 0] == 0.0
+        assert model.b[0, 0, 0] == 1.0 - 0.5 * 2.0
 
     def test_shared_target_has_no_drift(self):
         topology = build_preset("net1")
@@ -273,27 +275,26 @@ class TestModelBuild:
         )
         rx = random_spd_covariances(rng, topology.n_agents, 2)
         w = np.tile(rng.normal(size=2), (topology.n_agents, 1))
-        model = build_component_model(topology, cfg, rx, 0.1, w)
-        assert np.max(np.abs(model.rbar)) < 1e-10
+        model = build_component_model(topology, [cfg, cfg], rx, 0.1, w)
+        assert np.max(np.abs(model.rbar[0])) < 1e-10
 
     def test_distinct_targets_produce_drift(self):
         model = random_model(3, n=3, l=2)
-        assert np.max(np.abs(model.rbar)) > 1e-6
+        assert np.max(np.abs(model.rbar[0])) > 1e-6
 
     def test_block_shapes_and_data_matrices(self):
         topology, cfg, rx, sigma_z2, w = random_setup(0, n=4, l=2)
-        model = build_component_model(topology, cfg, rx, sigma_z2, w)
+        pair = build_component_model(topology, [cfg, cfg], rx, sigma_z2, w)
         nl = 8
-        assert model.block_dim == nl
-        assert model.bbar.shape == (nl, nl)
-        assert model.rbar.shape == (nl,)
-        pair = PairModel(model, model)
+        assert pair.w_star.shape == (nl,)
+        assert (pair.n_agents, pair.filter_len, pair.kron_len) == (4, 2, 1)
         assert pair.g.shape == pair.left.shape == (3, nl, nl)
         assert pair.b.shape == (2, nl, nl) and pair.rbar.shape == (2, nl)
+        assert pair.c.shape == (2, 4, 4) and pair.mu.shape == (2, 4)
         c = np.array(cfg.c.entries)
         data = np.einsum("lk,lij->kij", c, rx)
         expected = [2.0 / np.max(np.linalg.eigvalsh(d)) for d in data]
-        np.testing.assert_allclose(mu_bounds(model.c, model.rx), expected,
+        np.testing.assert_allclose(mu_bounds(pair.c[0], pair.rx), expected,
                                    rtol=1e-13)
 
     def test_noise_moment_symmetric_and_psd(self):
@@ -309,45 +310,50 @@ class TestModelBuild:
                              c=StochasticMatrix(ident.entries, "right"),
                              mu=0.1, a2=None, a2_mode="adaptive_projection")
         rx = np.tile(np.eye(1), (3, 1, 1))
-        with pytest.raises(ValueError, match="static"):
-            build_component_model(topology, cfg, rx, 0.1, np.zeros((3, 1)))
+        static = strategy(topology, 0.1)
+        for cfgs in ([cfg, static], [static, cfg]):
+            with pytest.raises(ValueError, match="static"):
+                build_component_model(topology, cfgs, rx, 0.1,
+                                      np.zeros((3, 1)))
 
     def test_rejects_foreign_topology(self):
         topology, cfg, rx, sigma_z2, w = random_setup(1, n=3)
         other = chain_topology(4)
         with pytest.raises(ValueError, match="different topology"):
-            build_component_model(other, cfg, rx, sigma_z2, w)
+            build_component_model(other, [cfg, cfg], rx, sigma_z2, w)
+
+    def test_rejects_other_than_two_components(self):
+        topology, cfg, rx, sigma_z2, w = random_setup(1, n=3)
+        for cfgs in ([cfg], [cfg] * 3):
+            with pytest.raises(ValueError, match="two components"):
+                build_component_model(topology, cfgs, rx, sigma_z2, w)
 
     def test_rejects_bad_covariances(self):
         topology, cfg, _, sigma_z2, w = random_setup(2, n=3, l=2)
+        cfgs = [cfg, cfg]
         with pytest.raises(ValueError, match="shape"):
-            build_component_model(topology, cfg, np.ones((3, 2)), sigma_z2, w)
+            build_component_model(topology, cfgs, np.ones((3, 2)), sigma_z2,
+                                  w)
         skew = np.tile(np.eye(2), (3, 1, 1))
         skew[0, 0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            build_component_model(topology, cfg, skew, sigma_z2, w)
+            build_component_model(topology, cfgs, skew, sigma_z2, w)
         indef = np.tile(np.diag([1.0, -0.2]), (3, 1, 1))
         with pytest.raises(ValueError, match="positive semi-definite"):
-            build_component_model(topology, cfg, indef, sigma_z2, w)
+            build_component_model(topology, cfgs, indef, sigma_z2, w)
         good = np.tile(np.eye(2), (3, 1, 1))
         with pytest.raises(ValueError, match="nonnegative"):
-            build_component_model(topology, cfg, good, -0.1, w)
+            build_component_model(topology, cfgs, good, -0.1, w)
 
-    def test_cross_moment_requires_shared_data(self):
+    def test_cross_moment_couples_both_fusion_maps(self):
         pair = random_pair(5)
-        wrong = random_model(6)
-        with pytest.raises(ValueError, match="share data statistics"):
-            PairModel(pair.model1, wrong)
-        # the legitimate pair couples both fusion maps
         np.testing.assert_array_equal(
-            pair.g[2], pair.model1.f.T @ pair.model1.q @ pair.model2.f)
+            pair.g[2], pair.f[0].T @ pair.q @ pair.f[1])
 
     def test_model_arrays_are_frozen(self):
-        model = random_model(7)
-        with pytest.raises(ValueError):
-            model.bbar[0, 0] = 0.0
-        pair = PairModel(model, model)
-        for name in ("b", "rbar", "left", "right", "g", "weights"):
+        pair = random_model(7)
+        for name in ("b", "rbar", "f", "q", "left", "right", "g", "weights",
+                     "c", "mu", "rx", "sigma_z2", "w_star"):
             with pytest.raises(ValueError):
                 getattr(pair, name)[0] = 0.0
 
@@ -357,8 +363,7 @@ class TestNoiseMomentSampling:
         # estimate E{g g^T} and E{g1 g2^T} from raw gradient-noise draws
         n, l = 3, 2
         topology, cfgs, rx, sigma_z2, w = random_pair_setup(8, n=n, l=l)
-        pair = PairModel(*(build_component_model(topology, cfg, rx, sigma_z2,
-                                                 w) for cfg in cfgs))
+        pair = build_component_model(topology, cfgs, rx, sigma_z2, w)
         rng = np.random.default_rng(123)
         draws = 120_000
         chol = np.linalg.cholesky(rx)
@@ -378,16 +383,13 @@ class TestNoiseMomentSampling:
         assert np.max(np.abs(est12 - gx)) < 0.05 * scale_x
 
     def test_identical_strategies_give_auto_moment(self):
-        model = random_model(9, n=3, l=2)
-        g = PairModel(model, model).g
+        g = random_model(9, n=3, l=2).g
         np.testing.assert_allclose(g[2], g[0], rtol=1e-12, atol=1e-15)
 
 
 class TestMeanRecursion:
     def test_scalar_geometric_decay(self):
-        fast = scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0)
-        slow = scalar_model(mu=0.005, sx=1.0, sz=0.1, target=2.0)
-        pair = PairModel(fast, slow)
+        pair = scalar_model(mu=(0.01, 0.005), sx=1.0, sz=0.1, target=2.0)
         m = np.full((2, 1), -2.0)
         for n in range(1, 11):
             m = mean_step(pair, m)
@@ -397,15 +399,15 @@ class TestMeanRecursion:
 
     def test_fixed_point_is_stationary(self):
         pair = random_pair(10, n=3, l=2)
-        eye = np.eye(pair.model1.block_dim)
-        m_inf = np.stack([-np.linalg.solve(eye - model.bbar, model.rbar)
-                          for model in (pair.model1, pair.model2)])
+        eye = np.eye(pair.w_star.size)
+        m_inf = np.stack([-np.linalg.solve(eye - b, r)
+                          for b, r in zip(pair.b, pair.rbar)])
         np.testing.assert_allclose(mean_step(pair, m_inf), m_inf,
                                    rtol=0, atol=1e-12)
 
     def test_zero_drift_keeps_zero_mean(self):
         pair = random_pair(12, n=4, l=1, single_task=True)
-        m = np.zeros((2, pair.model1.block_dim))
+        m = np.zeros((2, pair.w_star.size))
         for _ in range(5):
             m = mean_step(pair, m)
         assert np.max(np.abs(m)) < 1e-12
@@ -414,13 +416,12 @@ class TestMeanRecursion:
 class TestVecFormEquivalence:
     @pytest.mark.parametrize("seed,n,l", [(20, 3, 1), (21, 2, 2), (22, 3, 2)])
     def test_weighted_norm_matches_covariance_recursion(self, seed, n, l):
-        model = random_model(seed, n=n, l=l)
-        pair = PairModel(model, model)
+        pair = random_model(seed, n=n, l=l)
         rng = np.random.default_rng(seed + 500)
-        a = rng.normal(size=(model.block_dim,) * 2)
-        sigma = a @ a.T + 0.5 * np.eye(model.block_dim)
+        a = rng.normal(size=(pair.w_star.size,) * 2)
+        sigma = a @ a.T + 0.5 * np.eye(pair.w_star.size)
         steps = 120
-        xi_vec = weighted_norm_curve(model, pair.g[0], sigma, steps)
+        xi_vec = weighted_norm_curve(pair, 0, sigma, steps)
         state = initial_moments(pair)
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
@@ -436,7 +437,7 @@ class TestVecFormEquivalence:
         pair = random_pair(seed, n=n, l=l)
         rng = np.random.default_rng(seed + 500)
         # general (non-symmetric) weighting stresses the index order
-        sigma = rng.normal(size=(pair.model1.block_dim,) * 2)
+        sigma = rng.normal(size=(pair.w_star.size,) * 2)
         steps = 120
         xi_vec = cross_norm_curve(pair, sigma, steps)
         state = initial_moments(pair)
@@ -454,7 +455,7 @@ class TestCovarianceRecursion:
     def test_result_is_exactly_symmetric(self):
         pair = random_pair(40, n=3, l=2)
         rng = np.random.default_rng(40)
-        a = rng.normal(size=(3,) + (pair.model1.block_dim,) * 2)
+        a = rng.normal(size=(3,) + (pair.w_star.size,) * 2)
         out = covariance_step(pair, a @ a.transpose(0, 2, 1))
         for block in out[:2]:
             np.testing.assert_array_equal(block, block.T)
@@ -463,7 +464,7 @@ class TestCovarianceRecursion:
         # p11, p22 and p12 advance with (b1, b1), (b2, b2) and (b1, b2);
         # a general (non-symmetric) cross factor pins the side of each
         pair = random_pair(44, n=3, l=2)
-        b1, b2 = pair.model1.bbar, pair.model2.bbar
+        b1, b2 = pair.b
         rng = np.random.default_rng(44)
         p = rng.normal(size=(3,) + b1.shape)
         p[:2] += p[:2].transpose(0, 2, 1)
@@ -475,18 +476,16 @@ class TestCovarianceRecursion:
 
     def test_zero_noise_zero_drift_stays_zero(self):
         topology, cfg, rx, _, w = random_setup(41, n=3, l=1, single_task=True)
-        model = build_component_model(topology, cfg, rx, 0.0, w)
-        pair = PairModel(model, model)
-        p = np.zeros((3,) + (model.block_dim,) * 2)
-        m = mean_step(pair, np.zeros((2, model.block_dim)))
+        pair = build_component_model(topology, [cfg, cfg], rx, 0.0, w)
+        p = np.zeros((3,) + (pair.w_star.size,) * 2)
+        m = mean_step(pair, np.zeros((2, pair.w_star.size)))
         out = raw_moments(m, covariance_step(pair, p))
         # the shared-target drift cancels only to roundoff (~1e-17) and
         # enters squared, so the result is zero at the 1e-32 scale
         assert np.max(np.abs(out)) < 1e-30
 
     def test_identical_pair_cross_tracks_auto(self):
-        model = random_model(42, n=3, l=2)
-        pair = PairModel(model, model)
+        pair = random_model(42, n=3, l=2)
         state = initial_moments(pair)
         m, p = state.m, state.p
         for _ in range(60):
@@ -500,7 +499,7 @@ class TestCovarianceRecursion:
         # [om1 omx; omx^T om2] is a genuine joint second moment, so it
         # must remain PSD along the coupled recursions
         pair = random_pair(43, n=3, l=2)
-        nl = pair.model1.block_dim
+        nl = pair.w_star.size
         state = initial_moments(pair)
         m, p = state.m, state.p
         joint = np.empty((2 * nl, 2 * nl))
@@ -880,9 +879,9 @@ class TestShiftTargets:
         np.testing.assert_array_equal(shifted.pbar, state.pbar)
 
     def test_zero_shift_is_identity(self):
-        model = random_model(71, n=2, l=2)
-        state = initial_moments(PairModel(model, model))
-        shifted = shift_targets(state, np.zeros(model.block_dim))
+        pair = random_model(71, n=2, l=2)
+        state = initial_moments(pair)
+        shifted = shift_targets(state, np.zeros(pair.w_star.size))
         np.testing.assert_array_equal(shifted.p, state.p)
         np.testing.assert_array_equal(shifted.m, state.m)
 
@@ -891,10 +890,11 @@ def near_equal_pair(seed, n=3, l=2):
     """Two strategies 1e-8 apart in mu with |w*| ~ 10: their excess
     errors agree to about eight digits."""
     topology, cfg, rx, sigma_z2, w = random_setup(seed, n=n, l=l)
-    return PairModel(*(build_component_model(
-        topology, StrategyConfig(topology=topology, a1=cfg.a1, c=cfg.c,
-                                 mu=mu, a2=cfg.a2), rx, sigma_z2, 10.0 * w)
-        for mu in (0.06, 0.06 * (1.0 + 1e-8))))
+    return build_component_model(
+        topology, [StrategyConfig(topology=topology, a1=cfg.a1, c=cfg.c,
+                                  mu=mu, a2=cfg.a2)
+                   for mu in (0.06, 0.06 * (1.0 + 1e-8))],
+        rx, sigma_z2, 10.0 * w)
 
 
 class TestEvolve:
@@ -910,7 +910,7 @@ class TestEvolve:
         assert traj.record.shape == (4, 3, 2, 3)
         assert traj.coefficients.shape == (4, 2, 3)
         state = initial_moments(pair)
-        weights = pair.model1.rx[None]
+        weights = pair.rx[None]
         np.testing.assert_array_equal(traj.coefficients[0],
                                       [state.gbar, state.g2bar])
         for t in range(3):
@@ -920,7 +920,7 @@ class TestEvolve:
                                           [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
-                pair.model1.sigma_z2)
+                pair.sigma_z2)
             state = MomentState(m=mean_step(pair, state.m),
                                 p=covariance_step(pair, state.p),
                                 gbar=gbar, g2bar=g2bar, pbar=pbar)
@@ -935,8 +935,7 @@ class TestEvolve:
         np.testing.assert_array_equal(traj.state.pbar, state.pbar)
 
     def test_identical_components_freeze_coefficient(self):
-        model = random_model(81, n=3, l=1)
-        traj = evolve(PairModel(model, model), pn_cfg(), 50)
+        traj = evolve(random_model(81, n=3, l=1), pn_cfg(), 50)
         series = record_series(traj)
         np.testing.assert_allclose(series["gbar"], 0.5, rtol=1e-9)
         np.testing.assert_allclose(series["g2bar"], 0.25, rtol=1e-9)
@@ -947,8 +946,8 @@ class TestEvolve:
     def test_initial_row_reflects_starting_state(self):
         pair = random_pair(82, n=3, l=2)
         traj = evolve(pair, sr_cfg(), 2)
-        w = pair.model1.w_star.reshape(3, 2)
-        rx = pair.model1.rx
+        w = pair.w_star.reshape(3, 2)
+        rx = pair.rx
         expected = np.array([w[k] @ rx[k] @ w[k] for k in range(3)])
         np.testing.assert_allclose(traj.record[0, 0, 1], expected,
                                    rtol=1e-12)
@@ -981,10 +980,9 @@ class TestEvolve:
                                           + second.degenerate_steps)
 
     def test_rejects_multi_component_scheme(self):
-        model = random_model(83)
         cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=2)
         with pytest.raises(ValueError, match="two-component"):
-            evolve(PairModel(model, model), cfg, 1)
+            evolve(random_model(83), cfg, 1)
 
     @pytest.mark.parametrize("make_cfg", [lambda: pn_cfg(nu=0.04),
                                           lambda: sr_cfg(nu=0.05)])
@@ -995,11 +993,9 @@ class TestEvolve:
         rx = np.ones((3, 1, 1))
         w = np.tile(rng.normal(size=1), (3, 1))
         a2 = static_rule(topology, "metropolis")
-        slow = build_component_model(
-            topology, strategy(topology, 0.02, a2=a2), rx, 0.25, w)
-        fast = build_component_model(
-            topology, strategy(topology, 0.4), rx, 0.25, w)
-        pair = PairModel(slow, fast)
+        pair = build_component_model(
+            topology, [strategy(topology, 0.02, a2=a2), strategy(topology, 0.4)],
+            rx, 0.25, w)
         cfg = make_cfg()
         report = steady_state(pair, cfg)
         series = record_series(evolve(pair, cfg, 4000))
@@ -1007,15 +1003,12 @@ class TestEvolve:
                                    rtol=1e-5)
         np.testing.assert_allclose(series["g2bar"][-1], report.g2bar,
                                    rtol=1e-5)
-        np.testing.assert_allclose(series["msd1"][-1], report.msd1,
-                                   rtol=1e-8)
-        np.testing.assert_allclose(series["msd2"][-1], report.msd2,
-                                   rtol=1e-8)
-        np.testing.assert_allclose(series["cross_msd"][-1], report.cross_msd,
-                                   rtol=1e-8)
+        for k, name in enumerate(("msd1", "msd2", "cross_msd")):
+            np.testing.assert_allclose(series[name][-1], report.msd[k],
+                                       rtol=1e-8)
         np.testing.assert_allclose(series["combined_msd"][-1],
                                    report.combined_msd, rtol=1e-5)
-        np.testing.assert_allclose(series["emse1"][-1], report.emse1,
+        np.testing.assert_allclose(series["emse1"][-1], report.emse[0],
                                    rtol=1e-6)
 
     def test_coefficient_variance_stays_nonnegative(self):
@@ -1032,10 +1025,8 @@ class TestSteadyState:
             model = random_pair(90, n=3, l=2)
         else:
             topology, cfgs, rx, sigma_z2, w = white_pair(90, 3, 2)
-            model = PairModel(*(build_component_model(topology, cfg, rx,
-                                                      sigma_z2, w)
-                                for cfg in cfgs))
-            assert model.model1.kron_len == 2
+            model = build_component_model(topology, cfgs, rx, sigma_z2, w)
+            assert model.kron_len == 2
         report = steady_state(model, pn_cfg())
         state = initial_moments(model)
         m, p = state.m, state.p
@@ -1054,10 +1045,9 @@ class TestSteadyState:
         rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
         sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
         target = cfg.schedule.stages[1][1]
-        pair = PairModel(*(build_component_model(cfg.topology, comp, rx,
-                                                 sigma_z2, target)
-                           for comp in cfg.components))
-        assert pair.model1.block_dim == 500 and pair.b.shape == (2, 10, 10)
+        pair = build_component_model(cfg.topology, cfg.components, rx,
+                                     sigma_z2, target)
+        assert pair.w_star.size == 500 and pair.b.shape == (2, 10, 10)
         rep = steady_state(pair, cfg.combiner)
         m = mean_step(pair, rep.m)
         for got, want in zip(
@@ -1068,13 +1058,12 @@ class TestSteadyState:
 
     def test_scalar_deviation_identity(self):
         mu, sx, sz = 0.01, 1.0, 0.1
-        model = scalar_model(mu=mu, sx=sx, sz=sz)
-        report = steady_state(PairModel(model, model), pn_cfg())
+        report = steady_state(scalar_model(mu=mu, sx=sx, sz=sz), pn_cfg())
         expected = mu * sz / (2.0 - mu * sx)
-        np.testing.assert_allclose(report.msd1, expected, rtol=1e-12)
-        np.testing.assert_allclose(report.msd2, expected, rtol=1e-12)
+        np.testing.assert_allclose(report.msd[:2], expected, rtol=1e-12)
         np.testing.assert_allclose(report.combined_msd, expected, rtol=1e-12)
-        np.testing.assert_allclose(report.emse1, [sx * expected], rtol=1e-12)
+        np.testing.assert_allclose(report.emse[0], [sx * expected],
+                                   rtol=1e-12)
 
     def test_bias_assembles_component_means(self):
         report = steady_state(random_pair(91, n=3, l=2), pn_cfg())
@@ -1090,12 +1079,12 @@ class TestSteadyState:
         assert np.max(np.abs(report.m)) < 1e-10
 
     def test_unstable_component_raises(self):
-        stable = scalar_model(mu=0.1, sx=1.0, sz=0.1)
-        unstable = scalar_model(mu=3.0, sx=1.0, sz=0.1)
         with pytest.raises(InstabilityError, match="component 1"):
-            steady_state(PairModel(unstable, stable), pn_cfg())
+            steady_state(scalar_model(mu=(3.0, 0.1), sx=1.0, sz=0.1),
+                         pn_cfg())
         with pytest.raises(InstabilityError, match="component 2"):
-            steady_state(PairModel(stable, unstable), pn_cfg())
+            steady_state(scalar_model(mu=(0.1, 3.0), sx=1.0, sz=0.1),
+                         pn_cfg())
 
     def test_report_carries_bounds_and_universality(self):
         report = steady_state(random_pair(93, n=3, l=1, single_task=True),
@@ -1124,16 +1113,18 @@ class TestStabilityBounds:
         topology = chain_topology(2)
         ident = static_rule(topology, "identity")
         rx = np.tile(np.diag([1.0, 3.0]), (2, 1, 1))
-        model = build_component_model(topology, strategy(topology, 0.5), rx,
-                                      0.1, np.zeros((2, 2)))
-        report = stability_bounds(PairModel(model, model), pn_cfg())
-        np.testing.assert_allclose(report.mu_bound1, 2.0 / 3.0, rtol=1e-14)
-        assert bool(np.all(report.mu_ok1))
+        model = build_component_model(topology, [strategy(topology, 0.5)] * 2,
+                                      rx, 0.1, np.zeros((2, 2)))
+        report = stability_bounds(model, pn_cfg())
+        assert report.mu_bound.shape == report.mu_ok.shape == (2, 2)
+        np.testing.assert_allclose(report.mu_bound, 2.0 / 3.0, rtol=1e-14)
+        assert bool(np.all(report.mu_ok))
         at_limit = build_component_model(
-            topology, strategy(topology, 2.0 / 3.0), rx, 0.1,
-            np.zeros((2, 2)))
-        report = stability_bounds(PairModel(at_limit, model), pn_cfg())
-        assert not bool(np.any(report.mu_ok1))  # open interval
+            topology, [strategy(topology, 2.0 / 3.0), strategy(topology, 0.5)],
+            rx, 0.1, np.zeros((2, 2)))
+        report = stability_bounds(at_limit, pn_cfg())
+        assert not bool(np.any(report.mu_ok[0]))  # open interval
+        assert bool(np.all(report.mu_ok[1]))
 
     def test_sign_regressor_bounds_hand_substitution(self):
         cfg = sr_cfg(nu=0.9)
@@ -1228,30 +1219,27 @@ class TestKronFactoredPath:
     @staticmethod
     def models(seed, n, l):
         topology, cfgs, rx, sigma_z2, w = white_pair(seed, n, l)
-        fast = [build_component_model(topology, cfg, rx, sigma_z2, w)
-                for cfg in cfgs]
-        dense = [_build_model(n, l, l, cfg, rx, sigma_z2, w) for cfg in cfgs]
-        return PairModel(*fast), PairModel(*dense)
+        return (build_component_model(topology, cfgs, rx, sigma_z2, w),
+                _build_model(cfgs, rx, sigma_z2, w, l))
 
     @pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 2), (5, 7)])
     def test_white_build_is_kron_factored(self, n, l):
         fast, dense = self.models(n * 10 + l, n, l)
         eye = np.eye(l)
-        for model, oracle in ((fast.model1, dense.model1),
-                              (fast.model2, dense.model2)):
-            assert model.kron_len == l and oracle.kron_len == 1
-            for name in ("bbar", "f", "q"):
-                assert getattr(model, name).shape == (n, n)
-                np.testing.assert_allclose(np.kron(getattr(model, name), eye),
-                                           getattr(oracle, name),
-                                           rtol=1e-12, atol=1e-15,
-                                           err_msg=name)
-            for name in ("c", "mu", "rx", "sigma_z2", "w_star"):
-                np.testing.assert_allclose(getattr(model, name),
-                                           getattr(oracle, name),
-                                           rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(model.rbar, oracle.rbar, rtol=1e-10,
-                                       atol=1e-14)
+        assert fast.kron_len == l and dense.kron_len == 1
+        for name in ("b", "f", "q"):
+            got, want = getattr(fast, name), getattr(dense, name)
+            assert got.shape[-2:] == (n, n)
+            for a, b in zip(np.reshape(got, (-1, n, n)),
+                            np.reshape(want, (-1, n * l, n * l))):
+                np.testing.assert_allclose(np.kron(a, eye), b, rtol=1e-12,
+                                           atol=1e-15, err_msg=name)
+        for name in ("c", "mu", "rx", "sigma_z2", "w_star"):
+            np.testing.assert_allclose(getattr(fast, name),
+                                       getattr(dense, name),
+                                       rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(fast.rbar, dense.rbar, rtol=1e-10,
+                                   atol=1e-14)
         assert fast.g.shape == (3, n, n)
         for got, want in zip(fast.g, dense.g):
             np.testing.assert_allclose(np.kron(got, eye), want,
@@ -1312,6 +1300,6 @@ class TestKronFactoredPath:
         uneven = np.tile(np.eye(2), (3, 1, 1))
         uneven[1, 1, 1] = 1.5
         for rx in (ar1, spd, uneven):
-            model = build_component_model(topology, cfgs[0], rx, sigma_z2, w)
+            model = build_component_model(topology, cfgs, rx, sigma_z2, w)
             assert model.kron_len == 1
-            assert model.bbar.shape == (6, 6)
+            assert model.b.shape == (2, 6, 6)
