@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import StochasticMatrix, Topology, static_rule, validate_stochastic
-from .signal import SampleBatch
+from .signal import SampleBatch, require_number
 
 DISTANCE_FLOOR = 1e-12
 
@@ -67,6 +67,7 @@ class StrategyConfig:
                       if self.a2.role == "left" else f"role is {self.a2.role!r}")
             if defect:
                 raise ValueError(f"a2 must be a valid left-stochastic matrix: {defect}")
+        require_number("mu", self.mu)
         mu = np.broadcast_to(np.asarray(self.mu, dtype=float), (n,)).copy()
         if np.any(mu < 0):
             raise ValueError("step-sizes must be nonnegative")
@@ -75,6 +76,7 @@ class StrategyConfig:
         if self.a2_mode == "adaptive_relative_variance":
             if self.tau is None:
                 raise ValueError("adaptive_relative_variance requires tau")
+            require_number("tau", self.tau)
             tau = np.broadcast_to(np.asarray(self.tau, dtype=float), (n,)).copy()
             if np.any((tau <= 0) | (tau >= 1)):
                 raise ValueError("forgetting factors must lie in (0, 1)")

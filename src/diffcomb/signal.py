@@ -34,8 +34,8 @@ def integer_value(name, value, least) -> int:
 
 
 def require_number(name, value) -> None:
-    """Refuse by name a value that is not a number or array of numbers."""
-    if not all(isinstance(v, numbers.Real)
+    """Refuse by name a value that is not a finite number or array of them."""
+    if not all(isinstance(v, numbers.Real) and np.isfinite(v)
                for v in np.asarray(value, dtype=object).ravel()):
         raise ValueError(f"{name} is not a number: {value!r}")
 

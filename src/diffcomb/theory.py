@@ -30,19 +30,21 @@ Stein equation, all three blocks in one call, by squared Smith doubling
 at O(N_f^3 log t) for factors of size N_f.
 
 The mixing coefficient follows one law per two-component scheme, looked
-up once by scheme name: coefficient_step advances its per-agent mean,
-second moment and smoothed power together, coefficient_steady gives
-their limits.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read
-from (m1 - m2, p11 - p12) and (m2 - m1, p22 - p12) directly, so nearly
-equal excess errors never cancel.
+up by scheme name.  A law forms the terms of its step that do not depend
+on the coefficient, the smoothed power among them, over a block of
+instants; only the per-agent mean and second moment then advance per
+instant.  coefficient_step is a block of one, coefficient_steady gives
+the limits.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read from
+(m1 - m2, p11 - p12) and (m2 - m1, p22 - p12) directly, so nearly equal
+excess errors never cancel.
 
-evolve advances the bare arrays (m, p) and (gbar, g2bar, pbar) and
-records the states 0..n of a stage: per-agent deviation and excess-error
-readouts of the three moments, and (gbar, g2bar).  The series read the
-deviations after each update (rows 1..n) and the excess errors before
-it (rows 0..n-1), the errors that drive it.  mix forms a combined value
-from those readouts and coefficient moments, for the transient series
-and the steady report alike.
+evolve advances the bare arrays (m, p) and (gbar, g2bar, pbar), block
+by block, and records the states 0..n of a stage: per-agent deviation
+and excess-error readouts of the three moments, and (gbar, g2bar).  The
+series read the deviations after each update (rows 1..n) and the excess
+errors before it (rows 0..n-1), the errors that drive it.  mix forms a
+combined value from those readouts and coefficient moments, for the
+transient series and the steady report alike.
 
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
@@ -59,6 +61,9 @@ from .diffusion import StrategyConfig
 from .graph import Topology
 
 DELTA_J_FLOOR = 1e-12
+
+# instants per evolve block, and the most buffered values a block holds
+_BLOCK, _BLOCK_FLOATS = 256, 1 << 20
 
 # 2^64 terms of the Stein series: enough for any spectral radius below
 # one in double precision
@@ -230,28 +235,35 @@ def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
 
 
-def _readouts(weights: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _diagonal_blocks(p: np.ndarray, n: int) -> np.ndarray:
+    """A view of each agent's diagonal block of p: (..., 3, N, m, m)."""
+    k = p.shape[-1] // n
+    return np.einsum("...skikj->...skij", p.reshape(*p.shape[:-2], n, k, n, k))
+
+
+def _readouts(weights: np.ndarray, m: np.ndarray, blocks: np.ndarray):
     """Per-agent tr((W_k kron I) Om_kk) of five moments Om = p kron I + a b^T.
 
-    weights[w, k] is an m x m block W_k, m the factor block size of p,
-    acting on agent k's diagonal block as W_k kron I.  The moments are
-    component 1 (m1, m1, p11), component 2 (m2, m2, p22), the cross
+    weights[w, k] is an m x m block W_k acting as W_k kron I on agent k's
+    diagonal block of p, held in blocks (_diagonal_blocks).  The moments
+    are component 1 (m1, m1, p11), component 2 (m2, m2, p22), the cross
     moment (m1, m2, p12), and the drivers j1 - j12 from (m1, m1 - m2,
     p11 - p12) and j2 - j12 from (m2, m2 - m1, p22 - p12): read directly,
-    the drivers never cancel two nearly equal excess errors.  Returns an
-    array of shape (5, weights.shape[0], N).
+    the drivers never cancel two nearly equal excess errors.  Any leading
+    (time) axes of m and blocks lead the result, (..., 5, len(weights), N).
     """
-    n, k = weights.shape[-3], weights.shape[-1]
-    reps = m.shape[1] // p.shape[1]
-    blocks = np.einsum("skikj->skij", p.reshape(3, n, k, n, k))
-    d = m[0] - m[1]
-    left = m[[0, 1, 0, 0, 1]].reshape(5, n, k, reps)
-    right = np.stack((m[0], m[1], m[1], d, -d)).reshape(5, n, k, reps)
+    n, k = blocks.shape[-3], blocks.shape[-1]
+    shape = (*m.shape[:-2], 5, n, k, m.shape[-1] // (n * k))
+    m1, m2 = m[..., 0, :], m[..., 1, :]
+    d = m1 - m2
+    left = np.stack((m1, m2, m1, m1, m2), axis=-2).reshape(shape)
+    right = np.stack((m1, m2, m2, d, -d), axis=-2).reshape(shape)
     # agent k's diagonal block of Om, folded over the kron_len identity:
     # kron_len p_kk plus the mean part sum_t a_t b_t^T
-    om = reps * np.concatenate((blocks, blocks[:2] - blocks[2]))
-    om += np.einsum("skjt,skit->skji", left, right)
-    return np.einsum("wkij,skji->swk", weights, om)
+    drivers = blocks[..., :2, :, :, :] - blocks[..., 2:, :, :, :]
+    om = shape[-1] * np.concatenate((blocks, drivers), axis=-4)
+    om += np.einsum("...skjt,...skit->...skji", left, right)
+    return np.einsum("wkij,...skji->...swk", weights, om)
 
 
 def build_component_model(topology: Topology, components, rx, sigma_z2,
@@ -351,24 +363,26 @@ def covariance_step(pair: PairModel, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pn_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
-    """Power-normalized step: the power is refreshed first and divides
+def _pn_terms(cfg, pbar, dj1, dj2, j2, sigma_z2):
+    """Power-normalized terms: the power is refreshed first and divides
     the raw step-size, mirroring the stochastic update; the squared
     normalized step-size is approximated by the square of its mean."""
     s = dj1 + dj2
-    pbar = cfg.eta * pbar + (1.0 - cfg.eta) * s
-    nu = cfg.nu_gamma / (cfg.epsilon + pbar)
+    fresh = (1.0 - cfg.eta) * s
+    powers = np.empty_like(s)
+    for t in range(len(s)):
+        pbar = powers[t] = cfg.eta * pbar + fresh[t]
+    nu = cfg.nu_gamma / (cfg.epsilon + powers)
     nu2 = nu * nu
-    quad = g2bar * (1.0 + 3.0 * nu2 * s * s - 2.0 * nu * s)
-    drive = nu2 * j2 * s + 2.0 * nu2 * dj2 * dj2
-    noise = sigma_z2 * nu2 * s
-    cross = gbar * (nu * dj2 - 3.0 * nu2 * s * dj2)
-    return (gbar * (1.0 - nu * s) + nu * dj2,
-            quad + drive + noise + 2.0 * cross, pbar)
+    return pbar, (1.0 - nu * s, nu * dj2,
+                  1.0 + 3.0 * nu2 * s * s - 2.0 * nu * s,
+                  nu2 * j2 * s + 2.0 * nu2 * dj2 * dj2,
+                  sigma_z2 * nu2 * s,
+                  nu * dj2 - 3.0 * nu2 * s * dj2)
 
 
-def _sr_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
-    """Sign-regressor step: the rectified moments of the Gaussian error
+def _sr_terms(cfg, pbar, dj1, dj2, j2, sigma_z2):
+    """Sign-regressor terms: the rectified moments of the Gaussian error
     difference give the sqrt(2 S / pi) contraction; S is floored at
     DELTA_J_FLOOR so that indistinguishable components leave the
     coefficient frozen.  The power is not used."""
@@ -377,10 +391,8 @@ def _sr_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
     nu2 = nu * nu
     rate = nu * np.sqrt(2.0 * s / np.pi)
     sign_drive = nu * np.sqrt(2.0 / np.pi) * dj2 / np.sqrt(s)
-    quad = g2bar * (1.0 + nu2 * s - 2.0 * rate)
-    cross = gbar * (sign_drive - nu2 * dj2)
-    return (gbar * (1.0 - rate) + sign_drive,
-            quad + nu2 * j2 + nu2 * sigma_z2 + 2.0 * cross, pbar)
+    return pbar, (1.0 - rate, sign_drive, 1.0 + nu2 * s - 2.0 * rate,
+                  nu2 * j2, nu2 * sigma_z2, sign_drive - nu2 * dj2)
 
 
 def _pn_steady(cfg, s, gbar, dj2, j2, sigma_z2):
@@ -397,10 +409,11 @@ def _sr_steady(cfg, s, gbar, dj2, j2, sigma_z2):
     return num, np.sqrt(8.0 * s / np.pi) - nu * s, 0.0
 
 
-# per scheme: the coefficient step, and the numerator, denominator and
-# power of the stationary second moment
-_LAWS = {"power_normalized": (_pn_step, _pn_steady),
-         "sign_regressor": (_sr_step, _sr_steady)}
+# per scheme: over a block, the final power and the terms (a, b, c, d1,
+# d2, e) of gbar' = gbar a + b, g2bar' = g2bar c + d1 + d2 + 2 gbar e; and
+# the numerator, denominator and power of the stationary second moment
+_LAWS = {"power_normalized": (_pn_terms, _pn_steady),
+         "sign_regressor": (_sr_terms, _sr_steady)}
 
 
 def _law(cfg: CombinerConfig):
@@ -411,15 +424,32 @@ def _law(cfg: CombinerConfig):
                          "schemes only") from None
 
 
+def _coefficients(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
+    """(gbar, g2bar) after each instant of a block, shape (T, 2, N), and
+    the final pbar; dj1, dj2 and j2 carry time on axis 0.  Only the
+    coefficient moments advance per instant."""
+    pbar, terms = _law(cfg)[0](cfg, pbar, dj1, dj2, j2, sigma_z2)
+    a, b, c, d1, d2, e = np.broadcast_arrays(*terms)
+    rows = np.empty((len(a), 2, *a.shape[1:]))
+    for t in range(len(a)):
+        g2bar = rows[t, 1] = (g2bar * c[t] + d1[t] + d2[t]
+                              + 2.0 * (gbar * e[t]))
+        gbar = rows[t, 0] = gbar * a[t] + b[t]
+    return rows, pbar
+
+
 def coefficient_step(cfg: CombinerConfig, gbar, g2bar, pbar, dj1, dj2, j2,
                      sigma_z2):
     """Advance the per-agent coefficient moments (gbar, g2bar, pbar) by
     one instant, driven by dj1 = j1 - j12, dj2 = j2 - j12 and j2.
 
-    Arguments are NumPy arrays over agents; cfg.nu_gamma (scalar or per
-    agent) broadcasts.  The sign-regressor scheme returns pbar unchanged.
+    Arguments (scalars or arrays over agents) broadcast together, as does
+    cfg.nu_gamma.  The sign-regressor scheme returns pbar unchanged.
     """
-    return _law(cfg)[0](cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
+    args = np.broadcast_arrays(gbar, g2bar, pbar, dj1, dj2, j2)
+    rows, pbar = _coefficients(cfg, *args[:3], *np.asarray(
+        args[3:], dtype=float)[:, None], sigma_z2)
+    return rows[0, 0], rows[0, 1], pbar
 
 
 def coefficient_steady(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):
@@ -479,37 +509,45 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
            state: MomentState | None = None) -> TheoryTrajectory:
     """Run the coupled moment recursions for n_steps instants.
 
-    Per instant: the pre-update excess errors drive the coefficient
-    update (the stochastic update also acts on pre-update errors), then
-    both components' moments advance, and the new state is read out into
-    the record.  Component moments never depend on the coefficient.
+    Per instant, the pre-update excess errors drive the coefficient
+    update (the stochastic update also acts on pre-update errors), and
+    both components' moments advance.  Component moments never depend on
+    the coefficient, so the states 0..n-1 go in blocks of _BLOCK instants
+    and three passes: the moments pass steps (m, p) and keeps the means
+    and each agent's diagonal factor blocks, one readout covers the
+    block, and the coefficient pass forms the law's time-only terms over
+    the block, then advances (gbar, g2bar) per instant.
     """
     if state is None:
         state = initial_moments(pair)
-    m, p = state.m, state.p
-    gbar, g2bar, pbar = state.gbar, state.g2bar, state.pbar
-    sigma_z2 = pair.sigma_z2
-    record = np.empty((n_steps + 1, 3, 2, pair.n_agents))
-    coefficients = np.empty((n_steps + 1, 2, pair.n_agents))
+    m, p, pbar = state.m, state.p, state.pbar
+    n, k = pair.n_agents, pair.weights.shape[-1]
+    record = np.empty((n_steps + 1, 3, 2, n))
+    coefficients = np.empty((n_steps + 1, 2, n))
+    coefficients[0] = state.gbar, state.g2bar
+    width = max(1, min(_BLOCK, n_steps,
+                       _BLOCK_FLOATS // (m.size + 3 * n * k * k)))
+    means = np.empty((width,) + m.shape)
+    blocks = np.empty((width, 3, n, k, k))
     degenerate = 0
 
-    readouts = _readouts(pair.weights, m, p)
-    record[0] = readouts[:3]
-    coefficients[0] = gbar, g2bar
-    for t in range(1, n_steps + 1):
-        _, j2, _, dj1, dj2 = readouts[:, 1]
+    for t0 in range(0, n_steps, width):
+        t1 = min(t0 + width, n_steps)
+        for r in range(t1 - t0):
+            means[r] = m
+            blocks[r] = _diagonal_blocks(p, n)
+            m = mean_step(pair, m)
+            p = covariance_step(pair, p)
+        readouts = _readouts(pair.weights, means[:t1 - t0], blocks[:t1 - t0])
+        record[t0:t1] = readouts[:, :3]
+        _, j2, _, dj1, dj2 = readouts[:, :, 1].transpose(1, 0, 2)
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
-        gbar, g2bar, pbar = coefficient_step(cfg, gbar, g2bar, pbar,
-                                             dj1, dj2, j2, sigma_z2)
-        m = mean_step(pair, m)
-        p = covariance_step(pair, p)
-        readouts = _readouts(pair.weights, m, p)
-        record[t] = readouts[:3]
-        coefficients[t] = gbar, g2bar
+        coefficients[t0 + 1:t1 + 1], pbar = _coefficients(
+            cfg, *coefficients[t0], pbar, dj1, dj2, j2, pair.sigma_z2)
+    record[n_steps] = _readouts(pair.weights, m, _diagonal_blocks(p, n))[:3]
 
-    return TheoryTrajectory(record=record, coefficients=coefficients,
-                            state=MomentState(m, p, gbar, g2bar, pbar),
-                            degenerate_steps=degenerate)
+    return TheoryTrajectory(record, coefficients, MomentState(
+        m, p, *coefficients[n_steps].copy(), pbar), degenerate)
 
 
 def _fixed_mean(pair: PairModel) -> np.ndarray:
@@ -562,7 +600,7 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     p = _stein(pair.left, pair.right, pair.g)
     p[:2] = 0.5 * (p[:2] + p[:2].transpose(0, 2, 1))
 
-    readouts = _readouts(pair.weights, m, p)
+    readouts = _readouts(pair.weights, m, _diagonal_blocks(p, pair.n_agents))
     emse, (dj1, dj2) = readouts[:3, 1], readouts[3:, 1]
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[1],
                                            pair.sigma_z2)

@@ -135,6 +135,27 @@ class TestValidate:
         # used to be ignored on a static component
         ("universality_pn", lambda r: r["components"][0].update(tau=0.05), 2,
          "only adaptive_relative_variance takes tau"),
+        # each used to print "config ok": a quoted number, and NaN
+        ("universality_pn", lambda r: r["components"][0].update(mu="0.002"),
+         1, "mu is not a number: '0.002'"),
+        ("tracking_adaptive_pn",
+         lambda r: r["components"][1].update(tau="0.05"), 1,
+         "tau is not a number: '0.05'"),
+        ("universality_pn",
+         lambda r: r["components"][1].update(mu=float("nan")), 1,
+         "mu is not a number: nan"),
+        ("tracking_adaptive_pn",
+         lambda r: r["components"][1].update(tau=float("nan")), 1,
+         "tau is not a number: nan"),
+        ("universality_pn",
+         lambda r: r["combiner"].update(nu_gamma=float("nan")), 1,
+         "nu_gamma is not a number: nan"),
+        ("universality_pn",
+         lambda r: r["combiner"].update(epsilon=float("nan")), 1,
+         "epsilon is not a number: nan"),
+        ("universality_pn",
+         lambda r: r["components"][0].update(mu=float("inf")), 1,
+         "mu is not a number: inf"),
     ])
     def test_malformed_value(self, tmp_path, capsys, preset, edit, code,
                              message):

@@ -5,7 +5,11 @@ weighted-norm recursion (the vectorized route), against Monte Carlo
 estimates of the gradient-noise moments, and against scalar closed forms.
 Coefficient-moment updates are checked on hand-computed values and their
 stationary expressions are verified to be fixed points of the iteration.
+The blocked evolve is checked bit for bit against a per-instant loop
+kept here as an oracle, alone and inside run_theory on every preset.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,7 +38,8 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
-from diffcomb.theory import _build_model, _readouts
+from diffcomb import harness, theory
+from diffcomb.theory import _build_model, _diagonal_blocks, _readouts
 from helpers import strategy
 
 
@@ -145,6 +150,11 @@ def raw_moments(m, p):
 
 def stacked(m1, m2, p11, p22, p12):
     return np.stack((m1, m2)), np.stack((p11, p22, p12))
+
+
+def readouts(weights, m, p):
+    """_readouts of a state given by its full factors p."""
+    return _readouts(weights, m, _diagonal_blocks(p, weights.shape[1]))
 
 
 def state_moments(state):
@@ -533,7 +543,7 @@ class TestExcessErrors:
         m1, m2 = rng.normal(size=(2, n * l))
         p = om - np.outer(m1, m2)
         np.testing.assert_allclose(
-            _readouts(rx[None], *stacked(m1, m2, p, p, p))[2, 0], expected,
+            readouts(rx[None], *stacked(m1, m2, p, p, p))[2, 0], expected,
             rtol=1e-12)
 
     def test_drivers_read_without_cancellation(self):
@@ -547,7 +557,7 @@ class TestExcessErrors:
         delta = m1 - m2  # exact (Sterbenz), unlike the perturbation drawn
         a = rng.normal(size=(n * l, n * l))
         p = a @ a.T
-        dj1, dj2 = _readouts(rx[None], *stacked(m1, m2, p, p, p))[3:, 0]
+        dj1, dj2 = readouts(rx[None], *stacked(m1, m2, p, p, p))[3:, 0]
         blocks = [slice(k * l, (k + 1) * l) for k in range(n)]
         hand1 = [delta[b] @ rx[k] @ m1[b] for k, b in enumerate(blocks)]
         hand2 = [-delta[b] @ rx[k] @ m2[b] for k, b in enumerate(blocks)]
@@ -560,7 +570,7 @@ class TestExcessErrors:
         rx = random_spd_covariances(rng, n, l)
         m1, m2 = rng.normal(size=(2, n * l))
         p1, p2, px = rng.normal(size=(3, n * l, n * l))
-        j1, j2, j12, dj1, dj2 = _readouts(
+        j1, j2, j12, dj1, dj2 = readouts(
             rx[None], *stacked(m1, m2, p1, p2, px))[:, 0]
         np.testing.assert_allclose(j1, excess_errors(
             raw_moment(m1, m1, p1), rx), rtol=1e-12)
@@ -886,15 +896,214 @@ class TestShiftTargets:
         np.testing.assert_array_equal(shifted.m, state.m)
 
 
-def near_equal_pair(seed, n=3, l=2):
-    """Two strategies 1e-8 apart in mu with |w*| ~ 10: their excess
-    errors agree to about eight digits."""
+def near_equal_pair(seed, n=3, l=2, gap=1e-8):
+    """Two strategies gap apart in relative mu with |w*| ~ 10: at the
+    default gap their excess errors agree to about eight digits."""
     topology, cfg, rx, sigma_z2, w = random_setup(seed, n=n, l=l)
     return build_component_model(
         topology, [StrategyConfig(topology=topology, a1=cfg.a1, c=cfg.c,
                                   mu=mu, a2=cfg.a2)
-                   for mu in (0.06, 0.06 * (1.0 + 1e-8))],
+                   for mu in (0.06, 0.06 * (1.0 + gap))],
         rx, sigma_z2, 10.0 * w)
+
+
+def oracle_readouts(weights, m, p):
+    """Per-agent readouts of one state from its full factors p, coded
+    without a time axis: (5, weights.shape[0], N)."""
+    n, k = weights.shape[-3], weights.shape[-1]
+    reps = m.shape[1] // p.shape[1]
+    blocks = np.einsum("skikj->skij", p.reshape(3, n, k, n, k))
+    d = m[0] - m[1]
+    left = m[[0, 1, 0, 0, 1]].reshape(5, n, k, reps)
+    right = np.stack((m[0], m[1], m[1], d, -d)).reshape(5, n, k, reps)
+    om = reps * np.concatenate((blocks, blocks[:2] - blocks[2]))
+    om += np.einsum("skjt,skit->skji", left, right)
+    return np.einsum("wkij,skji->swk", weights, om)
+
+
+def oracle_coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
+    """One instant of each coefficient law, written out per scheme."""
+    if cfg.scheme == "power_normalized":
+        s = dj1 + dj2
+        pbar = cfg.eta * pbar + (1.0 - cfg.eta) * s
+        nu = cfg.nu_gamma / (cfg.epsilon + pbar)
+        nu2 = nu * nu
+        quad = g2bar * (1.0 + 3.0 * nu2 * s * s - 2.0 * nu * s)
+        drive = nu2 * j2 * s + 2.0 * nu2 * dj2 * dj2
+        noise = sigma_z2 * nu2 * s
+        cross = gbar * (nu * dj2 - 3.0 * nu2 * s * dj2)
+        return (gbar * (1.0 - nu * s) + nu * dj2,
+                quad + drive + noise + 2.0 * cross, pbar)
+    s = np.maximum(dj1 + dj2, DELTA_J_FLOOR)
+    nu = cfg.nu_gamma
+    nu2 = nu * nu
+    rate = nu * np.sqrt(2.0 * s / np.pi)
+    sign_drive = nu * np.sqrt(2.0 / np.pi) * dj2 / np.sqrt(s)
+    quad = g2bar * (1.0 + nu2 * s - 2.0 * rate)
+    cross = gbar * (sign_drive - nu2 * dj2)
+    return (gbar * (1.0 - rate) + sign_drive,
+            quad + nu2 * j2 + nu2 * sigma_z2 + 2.0 * cross, pbar)
+
+
+def oracle_evolve(pair, cfg, n_steps, state=None):
+    """evolve as a per-instant loop: one coefficient step, one mean and
+    covariance step and one readout per instant."""
+    if state is None:
+        state = initial_moments(pair)
+    m, p = state.m, state.p
+    gbar, g2bar, pbar = state.gbar, state.g2bar, state.pbar
+    record = np.empty((n_steps + 1, 3, 2, pair.n_agents))
+    coefficients = np.empty((n_steps + 1, 2, pair.n_agents))
+    degenerate = 0
+    out = oracle_readouts(pair.weights, m, p)
+    record[0] = out[:3]
+    coefficients[0] = gbar, g2bar
+    for t in range(1, n_steps + 1):
+        _, j2, _, dj1, dj2 = out[:, 1]
+        degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
+        gbar, g2bar, pbar = oracle_coefficient_step(
+            cfg, gbar, g2bar, pbar, dj1, dj2, j2, pair.sigma_z2)
+        m = mean_step(pair, m)
+        p = covariance_step(pair, p)
+        out = oracle_readouts(pair.weights, m, p)
+        record[t] = out[:3]
+        coefficients[t] = gbar, g2bar
+    return theory.TheoryTrajectory(
+        record=record, coefficients=coefficients,
+        state=MomentState(m, p, gbar, g2bar, pbar),
+        degenerate_steps=degenerate)
+
+
+def assert_same_trajectory(got, want):
+    np.testing.assert_array_equal(got.record, want.record)
+    np.testing.assert_array_equal(got.coefficients, want.coefficients)
+    for name in ("m", "p", "gbar", "g2bar", "pbar"):
+        assert np.array_equal(getattr(got.state, name),
+                              getattr(want.state, name)), name
+    assert got.degenerate_steps == want.degenerate_steps
+
+
+def assert_same_leaves(got, want):
+    """Every array of two (nested) records is bit-for-bit equal."""
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            assert_same_leaves(getattr(got, field.name),
+                               getattr(want, field.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_leaves(a, b)
+    elif want is None or isinstance(want, str):
+        assert got == want
+    else:
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+B = theory._BLOCK
+
+
+def started(pair, gamma0=0.8):
+    """A start state off the defaults: gamma0 = 0.8 and nonzero power."""
+    state = initial_moments(pair, gamma0=gamma0)
+    return dataclasses.replace(
+        state, pbar=np.linspace(0.1, 0.3, pair.n_agents))
+
+
+class TestBlockedEvolve:
+    @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    @pytest.mark.parametrize("kind", ["white", "colored"])
+    def test_matches_per_instant_oracle(self, kind, make_cfg, n_steps):
+        if kind == "white":
+            pair = build_component_model(*white_pair(87, 4, 3))
+            assert pair.kron_len == 3
+        else:
+            pair = random_pair(87, n=3, l=2)
+            assert pair.kron_len == 1
+        cfg, start = make_cfg(), started(pair)
+        got = evolve(pair, cfg, n_steps, state=start)
+        assert_same_trajectory(got, oracle_evolve(pair, cfg, n_steps, start))
+        assert got.record.shape == (n_steps + 1, 3, 2, pair.n_agents)
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_near_equal_pair_hits_the_floor(self, make_cfg):
+        pair = near_equal_pair(85, gap=1e-6)
+        cfg, start = make_cfg(), started(pair)
+        got = evolve(pair, cfg, 3 * B + 7, state=start)
+        assert 0 < got.degenerate_steps < (3 * B + 7) * pair.n_agents
+        assert_same_trajectory(
+            got, oracle_evolve(pair, cfg, 3 * B + 7, start))
+
+    def test_per_agent_step_size_matches_oracle(self):
+        pair = random_pair(88, n=3, l=2)
+        cfg = pn_cfg(nu=[0.005, 0.01, 0.015])
+        assert_same_trajectory(evolve(pair, cfg, B + 9, started(pair)),
+                               oracle_evolve(pair, cfg, B + 9, started(pair)))
+
+    def test_short_blocks_for_large_factors(self, monkeypatch):
+        # a value budget of three instants' means and diagonal blocks
+        pair = random_pair(89, n=3, l=2)
+        monkeypatch.setattr(theory, "_BLOCK_FLOATS", 3 * (12 + 3 * 3 * 4))
+        cfg, start = sr_cfg(), started(pair)
+        assert_same_trajectory(evolve(pair, cfg, 20, start),
+                               oracle_evolve(pair, cfg, 20, start))
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_coefficient_step_is_a_block_of_one(self, make_cfg):
+        rng = np.random.default_rng(9)
+        t_len, n = 40, 5
+        dj1, dj2 = rng.uniform(-0.1, 1.0, size=(2, t_len, n))
+        dj1[3, 1] = dj2[3, 1] = 0.0  # a degenerate (instant, agent)
+        j2 = dj2 + rng.uniform(0.0, 0.5, size=(t_len, n))
+        sz = rng.uniform(0.01, 0.5, size=n)
+        cfg = make_cfg(nu=0.013)
+        start = (rng.uniform(0.0, 1.0, size=n), rng.uniform(0.0, 1.0, size=n),
+                 rng.uniform(0.0, 1.0, size=n))
+        rows, pbar = theory._coefficients(cfg, *start, dj1, dj2, j2, sz)
+        one = want = start
+        for t in range(t_len):
+            one = coefficient_step(cfg, *one, dj1[t], dj2[t], j2[t], sz)
+            want = oracle_coefficient_step(cfg, *want, dj1[t], dj2[t], j2[t],
+                                           sz)
+            for got in (one, rows[t]):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(one[2], want[2])
+        np.testing.assert_array_equal(pbar, want[2])
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_coefficient_step_broadcasts_mixed_shapes(self, make_cfg):
+        cfg = make_cfg(nu=0.013)
+        agents = np.array([0.3, 0.6, 0.9])
+        cases = [  # drivers of unequal shapes; states over agents with
+            # scalar drivers; scalar states with drivers over agents
+            ((0.5, 0.25, 0.1), (agents, agents + 0.2, 0.7)),
+            ((agents, agents ** 2, agents), (0.4, 0.2, 0.7)),
+            ((0.5, 0.25, 0.0), (agents, 0.2, agents + 0.5)),
+        ]
+        for start, drivers in cases:
+            got = coefficient_step(cfg, *start, *drivers, 0.05)
+            want = oracle_coefficient_step(cfg, *start, *drivers, 0.05)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, np.broadcast_to(w, (3,)))
+
+    def test_presets_match_per_instant_oracle(self, monkeypatch):
+        # several blocks per preset, stage boundaries included
+        for name in harness.preset_names():
+            cfg = dataclasses.replace(harness.load_preset_config(name),
+                                      horizon=600)
+            if not harness.theory_covers(cfg):
+                continue
+            got = harness.run_theory(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "evolve", oracle_evolve)
+                want = harness.run_theory(cfg)
+            assert got.series.keys() == want.series.keys()
+            for key, series in want.series.items():
+                assert np.array_equal(got.series[key], series), (name, key)
+            assert len(got.steady) == len(want.steady)
+            assert_same_leaves(got.steady, want.steady)
 
 
 class TestEvolve:
@@ -914,8 +1123,8 @@ class TestEvolve:
         np.testing.assert_array_equal(traj.coefficients[0],
                                       [state.gbar, state.g2bar])
         for t in range(3):
-            j1, j2, j12, dj1, dj2 = _readouts(weights, state.m,
-                                              state.p)[:, 0]
+            j1, j2, j12, dj1, dj2 = readouts(weights, state.m,
+                                             state.p)[:, 0]
             np.testing.assert_array_equal(traj.record[t, :, 1],
                                           [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
@@ -954,17 +1163,20 @@ class TestEvolve:
         np.testing.assert_allclose(traj.record[0, 2, 1], expected,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("split", [(12, 18), (B, 30), (2 * B, B)],
+                             ids=["inside", "block", "two_blocks"])
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
-    def test_split_run_continues_bit_for_bit(self, make_cfg):
+    def test_split_run_continues_bit_for_bit(self, make_cfg, split):
         # a stage boundary without a target change: the second call
         # starts from the first one's final state, coefficient moments
-        # included, and its row 0 is the first call's last row
+        # included, and its row 0 is the first call's last row; the
+        # split falls inside a block or on a block boundary
         pair = random_pair(86, n=3, l=2)
         cfg = make_cfg()
         start = initial_moments(pair, gamma0=0.8)
-        whole = evolve(pair, cfg, 30, state=start)
-        first = evolve(pair, cfg, 12, state=start)
-        second = evolve(pair, cfg, 18, state=first.state)
+        whole = evolve(pair, cfg, sum(split), state=start)
+        first = evolve(pair, cfg, split[0], state=start)
+        second = evolve(pair, cfg, split[1], state=first.state)
         np.testing.assert_array_equal(second.record[0], first.record[-1])
         np.testing.assert_array_equal(second.coefficients[0],
                                       first.coefficients[-1])
