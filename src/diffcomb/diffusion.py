@@ -4,7 +4,8 @@ Each agent k holds an estimate w_k and repeats three stages per instant:
 neighborhood pre-combination (through A1), an LMS adaptation driven by
 shared data (through C), and neighborhood post-combination (through A2).
 A1 = I gives adapt-then-combine, A2 = I gives combine-then-adapt.  A2
-may also be refreshed every step by one of two data-driven rules.
+may also be refreshed every step by one of two data-driven rules, which
+measure distances on the network's edge list only.
 
 The M component strategies of an experiment advance together: a
 ``StrategyStack``, built once from their configurations, holds the
@@ -126,7 +127,8 @@ class StrategyStack:
 class StrategyState:
     """Evolving quantities of a stack: estimates w (M, ..., N, L), the
     effective A2 (M, ..., N, N) (singleton batch axes when every
-    component is static) and the relative-variance distances zeta2."""
+    component is static) and the edge distances zeta2 (M, ..., E) of the
+    relative-variance rule."""
 
     w: np.ndarray
     a2: np.ndarray
@@ -159,8 +161,9 @@ def init_state(stack: StrategyStack, filter_len: int, batch_shape=()) -> Strateg
         a2 = np.broadcast_to(a2, (m,) + batch_shape + (n, n)).copy()
     relative = any(c.a2_mode == "adaptive_relative_variance"
                    for c in stack.components)
-    return StrategyState(w=np.zeros((m,) + batch_shape + (n, filter_len)),
-                         a2=a2, zeta2=np.ones_like(a2) if relative else None)
+    edges = stack.components[0].topology.edges[0].shape
+    return StrategyState(w=np.zeros((m,) + batch_shape + (n, filter_len)), a2=a2,
+                         zeta2=np.ones(a2.shape[:-2] + edges) if relative else None)
 
 
 def errors_and_outputs(w: np.ndarray, batch: SampleBatch) -> ErrorReport:
@@ -173,26 +176,39 @@ def errors_and_outputs(w: np.ndarray, batch: SampleBatch) -> ErrorReport:
     return ErrorReport(y=y, e=e, e_tilde=e - batch.noises)
 
 
+def _edge_dist2(topology: Topology, at_src, at_dst) -> np.ndarray:
+    """Squared distances (..., E) from at_src[l] to at_dst[k] over the
+    edges (l, k) of the topology."""
+    src, dst = topology.edges
+    diff = np.take(at_src, src, axis=-2) - np.take(at_dst, dst, axis=-2)
+    return np.einsum("...ed,...ed->...e", diff, diff)
+
+
+def _inverse_weights(topology: Topology, dist2: np.ndarray) -> np.ndarray:
+    """A2 (..., N, N) weighting each edge by its floored inverse squared
+    distance, columns normalized; non-neighbors weigh zero."""
+    inv = np.zeros(dist2.shape[:-1] + (topology.n_agents,) * 2)
+    inv[(..., *topology.edges)] = 1.0 / np.maximum(dist2, DISTANCE_FLOOR)
+    return inv / inv.sum(axis=-2, keepdims=True)
+
+
 def adapt_matrix_projection(
     topology: Topology,
     psi: np.ndarray,
     batch: SampleBatch,
     mu: np.ndarray,
-    floor: float = DISTANCE_FLOOR,
 ) -> np.ndarray:
     """Projection-based refresh of A2 from the freshly adapted psi.
 
     Each agent k forms the one-step-ahead point psi_k + mu_k q_k, with
     q_k the instantaneous LMS direction evaluated at psi_k, and weights
-    neighbors by inverse squared distance to that point.
+    each neighbor l by inverse squared distance from psi_l to that
+    point, measured on the edges (l, k) only.
     """
     x, d = batch.regressors, batch.references
     eps = d - np.einsum("...kl,...kl->...k", x, psi)
     ref = psi + mu[:, None] * eps[..., None] * x
-    diff = psi[..., :, None, :] - ref[..., None, :, :]
-    dist2 = np.einsum("...lkd,...lkd->...lk", diff, diff)
-    inv = np.where(topology.adjacency, 1.0 / np.maximum(dist2, floor), 0.0)
-    return inv / inv.sum(axis=-2, keepdims=True)
+    return _inverse_weights(topology, _edge_dist2(topology, psi, ref))
 
 
 def adapt_matrix_relative_variance(
@@ -201,19 +217,17 @@ def adapt_matrix_relative_variance(
     w_prev: np.ndarray,
     zeta2: np.ndarray,
     tau: np.ndarray,
-    floor: float = DISTANCE_FLOOR,
 ):
     """Relative-variance refresh of A2.
 
-    Tracks smoothed squared distances zeta2[l, k] between neighbor
-    estimates psi_l and agent k's previous combined estimate, then
-    weights by inverse zeta2.  Returns (a2, new_zeta2).
+    Tracks smoothed squared distances zeta2 (..., E), one per edge (l, k)
+    of topology.edges, between neighbor estimate psi_l and agent k's
+    previous combined estimate, then weights by inverse zeta2.  Returns
+    (a2, new_zeta2).
     """
-    diff = psi[..., :, None, :] - w_prev[..., None, :, :]
-    dist2 = np.einsum("...lkd,...lkd->...lk", diff, diff)
-    zeta2_new = (1.0 - tau[None, :]) * zeta2 + tau[None, :] * dist2
-    inv = np.where(topology.adjacency, 1.0 / np.maximum(zeta2_new, floor), 0.0)
-    return inv / inv.sum(axis=-2, keepdims=True), zeta2_new
+    tau = tau[topology.edges[1]]
+    zeta2_new = (1.0 - tau) * zeta2 + tau * _edge_dist2(topology, psi, w_prev)
+    return _inverse_weights(topology, zeta2_new), zeta2_new
 
 
 def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,

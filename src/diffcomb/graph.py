@@ -8,7 +8,6 @@ and supported on the neighborhoods.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -31,11 +30,15 @@ class Topology:
     clusters : tuple of tuples, optional
         Disjoint groups of agent indices (0-based) that together cover
         all agents.  Only needed by cluster-aware combination rules.
+
+    ``edges`` is (src, dst), the row-major nonzero (l, k) entries of the
+    adjacency, self-loops included, as read-only index arrays.
     """
 
     n_agents: int
     adjacency: np.ndarray
     clusters: tuple | None = None
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.array(self.adjacency, dtype=bool)
@@ -48,6 +51,9 @@ class Topology:
         np.fill_diagonal(adj, True)
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
+        edges = np.array(np.nonzero(adj))
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", tuple(edges))
         if self.clusters is not None:
             groups = tuple(tuple(sorted(int(i) for i in g)) for g in self.clusters)
             members = sorted(i for g in groups for i in g)
@@ -98,24 +104,12 @@ class StochasticMatrix:
 
 
 def _is_connected(adj: np.ndarray) -> bool:
-    return not np.any(_bfs_distances(adj, 0) < 0)
-
-
-def _bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
-    """Hop distances from source; -1 marks unreachable nodes."""
-    n = adj.shape[0]
-    dist = np.full(n, -1, dtype=int)
-    dist[source] = 0
-    queue = deque([source])
-    off_diag = adj.copy()
-    np.fill_diagonal(off_diag, False)
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(off_diag[u]):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    """Whether every agent reaches agent 0; adj has a true diagonal, so
+    the reached set only grows, and N - 1 hops reach every agent."""
+    reached = adj[0]
+    for _ in range(len(adj) - 1):
+        reached = adj[reached].any(axis=0)
+    return bool(reached.all())
 
 
 def static_rule(t: Topology, rule: str) -> StochasticMatrix:

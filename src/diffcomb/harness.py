@@ -440,12 +440,16 @@ def series_names(cfg: ExperimentConfig) -> list:
     return names
 
 
-def _power_sums(parts, left, right, out) -> None:
-    """Write into out the sums of parts[i] * parts[j] over the row pairs
-    (i, j) of zip(left, right); the rows stack the components, then
-    their combination."""
+def _power_sums(parts, pair, buf, out) -> None:
+    """Write into out the sum of each squared row of parts (the
+    components, then their combination) and, for a pair scheme, of row 0
+    times row 1, forming the products in the rows of buf."""
     flat = parts.reshape(len(parts), -1)
-    np.add.reduce(flat.take(left, 0) * flat.take(right, 0), axis=1, out=out)
+    prods = buf[:len(out), :flat.shape[1]]
+    np.multiply(flat, flat, out=prods[:len(flat)])
+    if pair:
+        np.multiply(flat[0], flat[1], out=prods[-1])
+    np.add.reduce(prods, axis=1, out=out)
 
 
 def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
@@ -480,10 +484,8 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     est[:m] = st.w
     combine_weights(comb, est[:m], out=est[m])
     table = np.empty((cfg.horizon, len(series_names(cfg))))
-    left = right = np.arange(m + 1)
-    if pair:
-        left, right = np.append(left, 0), np.append(right, 1)
-    k = len(left)  # columns of each power family
+    k = m + 1 + pair  # columns of each power family
+    buf = np.empty((k, est[0].size))
     gammas = table[:, 2 * k:].reshape(cfg.horizon, 2, *comb.gamma.shape[1:])
     for t in range(cfg.horizon):
         batch = sampler.step()
@@ -493,9 +495,9 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
         est[:m] = st.w
         combine_weights(comb, est[:m], out=est[m])
         row = table[t]
-        _power_sums(est - batch.targets, left, right, row[:k])
+        _power_sums(est - batch.targets, pair, buf, row[:k])
         row[:k] /= n
-        _power_sums(rep.e_tilde, left, right, row[k:2 * k])
+        _power_sums(rep.e_tilde, pair, buf, row[k:2 * k])
         np.add.reduce(comb.gamma, axis=0, out=gammas[t, 0])
         np.add.reduce(comb.gamma * comb.gamma, axis=0, out=gammas[t, 1])
     return table

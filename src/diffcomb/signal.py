@@ -220,9 +220,8 @@ class ChunkedSampler:
         ]
         self._sx = np.array([p.sigma_x2 for p in self.params])
         self._sz = np.array([p.sigma_z2 for p in self.params])
-        self._ar_mask = np.array(
-            [p.regressor_kind == "ar1" for p in self.params]
-        )
+        self._ar_mask = np.array([p.regressor_kind == "ar1" for p in self.params])
+        self._ar = np.flatnonzero(self._ar_mask)  # empty when all are white
         self._n = 0
         self._cursor = 0
         self._ar_last = None
@@ -239,7 +238,7 @@ class ChunkedSampler:
         n_runs, L = len(self.runs), self.schedule.filter_len
         reg = np.empty((b, n_runs, self.n_agents, L))
         noise = np.empty((b, n_runs, self.n_agents))
-        ar = np.flatnonzero(self._ar_mask)
+        ar = self._ar
         # per AR(1) stream: row 0 its last value (on the very first block,
         # the stream's first normal), rows 1..b its innovations, which the
         # recursion below overwrites in place with the new values
@@ -257,13 +256,14 @@ class ChunkedSampler:
             for j, k in enumerate(ar):
                 xs[1 - first:, i, j] = states[k].regressor_rng.standard_normal(
                     b + first)
-        xs[0] = np.sqrt(self._sx[ar]) * xs[0] if first else self._ar_last
-        scale = np.sqrt(0.75 * self._sx[ar])
-        for t in range(b):
-            xs[t + 1] = AR1_COEFF * xs[t] + scale * xs[t + 1]
-        reg[:, :, ar, 0] = xs[1:]
-        reg[:, :, ar, 1] = xs[:-1]
-        self._ar_last = xs[b].copy()
+        if ar.size:
+            xs[0] = np.sqrt(self._sx[ar]) * xs[0] if first else self._ar_last
+            scale = np.sqrt(0.75 * self._sx[ar])
+            for t in range(b):
+                xs[t + 1] = AR1_COEFF * xs[t] + scale * xs[t + 1]
+            reg[:, :, ar, 0] = xs[1:]
+            reg[:, :, ar, 1] = xs[:-1]
+            self._ar_last = xs[b].copy()
         # targets and references for the whole block, each instant's the
         # same numbers an instant-by-instant product gives
         w = np.stack([target_at(self.schedule, n)

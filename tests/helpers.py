@@ -3,8 +3,11 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+from hypothesis import strategies as st
+
 from diffcomb.diffusion import StrategyConfig, StrategyStack
-from diffcomb.graph import StochasticMatrix, static_rule
+from diffcomb.graph import StochasticMatrix, Topology, static_rule
 
 # the statistics of a topology live with the script that searches for the
 # bundled networks, their only user outside the tests
@@ -28,3 +31,18 @@ def stack(cfg):
     """A single strategy as a stack of one: its state arrays carry a
     leading component axis of length one."""
     return StrategyStack.of([cfg])
+
+
+@st.composite
+def topologies(draw, min_n=2, max_n=8):
+    """Connected topologies: a chain through the agents in index order,
+    plus any drawn subset of the other pairs."""
+    n = draw(st.integers(min_n, max_n))
+    n_pairs = n * (n - 1) // 2
+    bits = draw(st.lists(st.booleans(), min_size=n_pairs, max_size=n_pairs))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = bits
+    adj |= adj.T
+    for i in range(n - 1):
+        adj[i, i + 1] = adj[i + 1, i] = True
+    return Topology(n_agents=n, adjacency=adj)

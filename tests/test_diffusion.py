@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diffcomb.diffusion import (
+    DISTANCE_FLOOR,
     StrategyConfig,
     StrategyStack,
     adapt_matrix_projection,
@@ -18,7 +19,7 @@ from diffcomb.signal import (
     SampleBatch,
     TargetSchedule,
 )
-from helpers import stack, strategy
+from helpers import stack, strategy, topologies
 
 
 def single_agent():
@@ -192,12 +193,44 @@ class TestStep:
         assert np.all(np.diff(block_means) <= 0)
 
 
-def random_stochastic(rng, n, role):
-    """Positive combination matrix on a complete graph: columns sum to one
-    for role "left", rows for role "right"."""
-    m = rng.uniform(0.1, 1.0, (n, n))
+def random_stochastic(rng, t, role):
+    """Positive combination matrix on the support of topology t: columns
+    sum to one for role "left", rows for role "right"."""
+    m = rng.uniform(0.1, 1.0, (t.n_agents,) * 2) * t.adjacency
     axis = 0 if role == "left" else 1
     return StochasticMatrix(m / m.sum(axis=axis, keepdims=True), role)
+
+
+def dense_projection(topology, psi, batch, mu):
+    """The projection rule over all N^2 agent pairs, non-neighbors
+    masked out afterwards."""
+    x, d = batch.regressors, batch.references
+    eps = d - np.einsum("...kl,...kl->...k", x, psi)
+    ref = psi + mu[:, None] * eps[..., None] * x
+    diff = psi[..., :, None, :] - ref[..., None, :, :]
+    dist2 = np.einsum("...lkd,...lkd->...lk", diff, diff)
+    inv = np.where(topology.adjacency, 1.0 / np.maximum(dist2, DISTANCE_FLOOR), 0.0)
+    return inv / inv.sum(axis=-2, keepdims=True)
+
+
+def dense_relative_variance(topology, psi, w_prev, zeta2, tau):
+    """The relative-variance rule with zeta2 (..., N, N) over all agent
+    pairs, non-neighbors masked out afterwards."""
+    diff = psi[..., :, None, :] - w_prev[..., None, :, :]
+    dist2 = np.einsum("...lkd,...lkd->...lk", diff, diff)
+    zeta2_new = (1.0 - tau[None, :]) * zeta2 + tau[None, :] * dist2
+    inv = np.where(topology.adjacency,
+                   1.0 / np.maximum(zeta2_new, DISTANCE_FLOOR), 0.0)
+    return inv / inv.sum(axis=-2, keepdims=True), zeta2_new
+
+
+def dense_of_edges(topology, on_edges, off_edges):
+    """A (..., N, N) array holding an edge vector (..., E) at the edges
+    and off_edges elsewhere."""
+    n = topology.n_agents
+    dense = np.full(on_edges.shape[:-1] + (n, n), off_edges)
+    dense[(..., *topology.edges)] = on_edges
+    return dense
 
 
 def paper_step(cfg, w, x, d, a2_of_psi):
@@ -219,26 +252,29 @@ def paper_step(cfg, w, x, d, a2_of_psi):
 class TestStepOracle:
     # A2 entries near 1e-8 inherit the round-off of a column sum set by
     # the dominant entry, so A2 is bounded relative to its largest entry
-    @example(seed=1297, n=3, filter_len=3, batch_shape=(3,), a1_random=True,
-             c_random=True, a2_mode="adaptive_projection")
+    # on sparse topologies the adaptive rules meet non-neighbors, which
+    # the all-pairs oracles mask out after measuring them
+    @example(seed=1297, t=Topology(n_agents=3, adjacency=np.ones((3, 3), dtype=bool)),
+             filter_len=3, batch_shape=(3,), a1_random=True, c_random=True,
+             a2_mode="adaptive_projection")
     @settings(deadline=None, max_examples=100)
-    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 4),
+    @given(seed=st.integers(0, 2**31 - 1), t=topologies(max_n=4),
            filter_len=st.integers(1, 3),
            batch_shape=st.sampled_from([(), (3,)]),
            a1_random=st.booleans(), c_random=st.booleans(),
            a2_mode=st.sampled_from(["identity", "random", "adaptive_projection",
                                     "adaptive_relative_variance"]))
-    def test_matches_per_agent_stages(self, seed, n, filter_len, batch_shape,
+    def test_matches_per_agent_stages(self, seed, t, filter_len, batch_shape,
                                       a1_random, c_random, a2_mode):
         rng = np.random.default_rng(seed)
-        t = Topology(n_agents=n, adjacency=np.ones((n, n), dtype=bool))
+        n = t.n_agents
         identity = static_rule(t, "identity")
-        a1 = random_stochastic(rng, n, "left") if a1_random else identity
-        c = (random_stochastic(rng, n, "right") if c_random
+        a1 = random_stochastic(rng, t, "left") if a1_random else identity
+        c = (random_stochastic(rng, t, "right") if c_random
              else StochasticMatrix(np.eye(n), "right"))
         mu = rng.uniform(0.01, 0.5, n)
         if a2_mode in ("identity", "random"):
-            a2 = random_stochastic(rng, n, "left") if a2_mode == "random" \
+            a2 = random_stochastic(rng, t, "left") if a2_mode == "random" \
                 else identity
             cfg = StrategyConfig(topology=t, a1=a1, c=c, mu=mu, a2=a2)
         else:
@@ -263,12 +299,12 @@ class TestStepOracle:
         for idx in np.ndindex(batch_shape):
             def a2_of_psi(psi):
                 if a2_mode == "adaptive_projection":
-                    return adapt_matrix_projection(
+                    return dense_projection(
                         t, psi, batch_of(x[idx], d[idx], targets), cfg.mu)
                 if a2_mode == "adaptive_relative_variance":
-                    return adapt_matrix_relative_variance(
-                        t, psi, state.w[0][idx], state.zeta2[0][idx],
-                        cfg.tau)[0]
+                    zeta2 = dense_of_edges(t, state.zeta2[0][idx], 5.0)
+                    return dense_relative_variance(
+                        t, psi, state.w[0][idx], zeta2, cfg.tau)[0]
                 return cfg.a2.entries
 
             w, a2 = paper_step(cfg, state.w[0][idx], x[idx], d[idx],
@@ -372,11 +408,13 @@ class TestAdaptiveProjection:
 
 
 class TestAdaptiveRelativeVariance:
+    # zeta2 holds one entry per edge of topology.edges; on a complete
+    # graph that is the row-major ravel of the (l, k) table
     def test_equal_distances_give_uniform_weights(self):
         t = triangle()
         psi = np.zeros((3, 2))
         w_prev = np.zeros((3, 2))
-        zeta2 = np.ones((3, 3))
+        zeta2 = np.ones((3, 3)).ravel()
         a2, _ = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, np.full(3, 0.1))
         np.testing.assert_allclose(a2, np.full((3, 3), 1 / 3), atol=1e-12)
 
@@ -385,30 +423,63 @@ class TestAdaptiveRelativeVariance:
         rng = np.random.default_rng(0)
         psi = rng.standard_normal((3, 2))
         w_prev = rng.standard_normal((3, 2))
-        zeta2 = np.full((3, 3), 99.0)
+        zeta2 = np.full((3, 3), 99.0).ravel()
         _, z_new = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, np.ones(3))
         expect = ((psi[:, None, :] - w_prev[None, :, :]) ** 2).sum(-1)
-        np.testing.assert_allclose(z_new, expect, atol=1e-12)
+        np.testing.assert_allclose(z_new, expect[t.edges], atol=1e-12)
 
     def test_pair_weights(self):
         t = Topology(n_agents=2, adjacency=np.ones((2, 2), dtype=bool))
         w_prev = np.zeros((2, 2))
         psi = np.array([[1.0, 0.0], [2.0, 0.0]])  # distances 1 and 4 from w_0
-        zeta2 = np.array([[1.0, 1.0], [4.0, 4.0]])
+        zeta2 = np.array([[1.0, 1.0], [4.0, 4.0]]).ravel()
         a2, z_new = adapt_matrix_relative_variance(
             t, psi, w_prev, zeta2, np.full(2, 0.5)
         )
-        np.testing.assert_allclose(z_new[:, 0], [1.0, 4.0])
+        np.testing.assert_allclose(z_new.reshape(2, 2)[:, 0], [1.0, 4.0])
         np.testing.assert_allclose(a2[:, 0], [0.8, 0.2], atol=1e-12)
 
     def test_zero_distance_floored(self):
         t = Topology(n_agents=2, adjacency=np.ones((2, 2), dtype=bool))
         zeros = np.zeros((2, 2))
         a2, _ = adapt_matrix_relative_variance(
-            t, zeros, zeros, zeros.copy(), np.full(2, 0.5)
+            t, zeros, zeros, zeros.ravel(), np.full(2, 0.5)
         )
         assert np.all(np.isfinite(a2))
         np.testing.assert_allclose(a2.sum(axis=0), 1.0, atol=1e-12)
+
+
+def assert_edge_rules_match_dense(t, seed, filter_len, batch_shape):
+    """Both refresh rules on the edge list against their all-pairs
+    oracles: the same A2 bits, and the same zeta2 bits on every edge."""
+    rng = np.random.default_rng(seed)
+    n = t.n_agents
+    psi, w_prev, x = rng.standard_normal((3,) + batch_shape + (n, filter_len))
+    batch = batch_of(x, rng.standard_normal(batch_shape + (n,)),
+                     rng.standard_normal((n, filter_len)))
+    mu, tau = rng.uniform(0.01, 0.5, n), rng.uniform(0.05, 0.95, n)
+    zeta2 = rng.uniform(0.1, 2.0, batch_shape + t.edges[0].shape)
+    assert np.array_equal(adapt_matrix_projection(t, psi, batch, mu),
+                          dense_projection(t, psi, batch, mu))
+    a2, z_new = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, tau)
+    a2_dense, z_dense = dense_relative_variance(
+        t, psi, w_prev, dense_of_edges(t, zeta2, 3.0), tau)
+    assert z_new.shape == zeta2.shape
+    assert np.array_equal(a2, a2_dense)
+    assert np.array_equal(z_new, z_dense[(..., *t.edges)])
+
+
+class TestEdgeRefreshMatchesDenseOracle:
+    @pytest.mark.parametrize("name", ["net1", "net2"])
+    @pytest.mark.parametrize("batch_shape", [(), (3,)])
+    def test_presets(self, name, batch_shape):
+        assert_edge_rules_match_dense(build_preset(name), 11, 50, batch_shape)
+
+    @settings(deadline=None, max_examples=60)
+    @given(t=topologies(), seed=st.integers(0, 2**31 - 1),
+           filter_len=st.integers(1, 4), batch_shape=st.sampled_from([(), (3,)]))
+    def test_sparse_topologies(self, t, seed, filter_len, batch_shape):
+        assert_edge_rules_match_dense(t, seed, filter_len, batch_shape)
 
 
 class TestAdaptiveModesInsideStep:

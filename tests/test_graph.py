@@ -10,7 +10,7 @@ from diffcomb.graph import (
     static_rule,
     validate_stochastic,
 )
-from helpers import stats
+from helpers import stats, topologies
 
 
 def path_graph(n):
@@ -22,20 +22,6 @@ def path_graph(n):
 
 def complete_graph(n):
     return Topology(n_agents=n, adjacency=np.ones((n, n), dtype=bool))
-
-
-@st.composite
-def topologies(draw):
-    n = draw(st.integers(2, 8))
-    n_pairs = n * (n - 1) // 2
-    bits = draw(st.lists(st.booleans(), min_size=n_pairs, max_size=n_pairs))
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.triu_indices(n, 1)] = bits
-    adj |= adj.T
-    # a chain keeps every sampled graph connected
-    for i in range(n - 1):
-        adj[i, i + 1] = adj[i + 1, i] = True
-    return Topology(n_agents=n, adjacency=adj)
 
 
 class TestStats:
@@ -106,6 +92,31 @@ class TestTopology:
         adj = np.ones((3, 3), dtype=bool)
         with pytest.raises(ValueError, match="partition"):
             Topology(n_agents=3, adjacency=adj, clusters=((0, 1), (1, 2)))
+
+    def test_connectivity_spans_the_diameter(self):
+        # a path's far end is N - 1 hops away; cut one link and it is not
+        assert path_graph(12).n_agents == 12
+        adj = path_graph(12).adjacency.copy()
+        adj[10, 11] = adj[11, 10] = False
+        with pytest.raises(ValueError, match="connected"):
+            Topology(n_agents=12, adjacency=adj)
+
+    def test_edges_are_the_row_major_support(self):
+        t = build_preset("net1")
+        src, dst = t.edges
+        assert len(src) == len(dst) == np.count_nonzero(t.adjacency)
+        # row-major: sorted by (src, dst), every one an adjacency entry
+        order = src * t.n_agents + dst
+        assert np.all(np.diff(order) > 0)
+        assert t.adjacency[src, dst].all()
+        np.testing.assert_array_equal(np.stack(t.edges), np.argwhere(t.adjacency).T)
+        # every self-loop is an edge
+        loops = set(zip(src[src == dst].tolist(), dst[src == dst].tolist()))
+        assert loops == {(k, k) for k in range(t.n_agents)}
+        for e in (src, dst):
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0] = 1
 
     def test_neighbors_include_self(self):
         t = path_graph(3)

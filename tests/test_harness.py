@@ -612,6 +612,24 @@ class TestMonteCarlo:
                      "emse_network_1", "emse_network_combined"):
             assert np.all(result.series[name] >= 0.0)
 
+    @pytest.mark.parametrize("rows,pair", [(3, True), (4, False)])
+    def test_power_sums_match_gathered_row_products(self, rows, pair):
+        # against the row-gathering form the buffered sums replace; the
+        # error-power rows use only the head of each row of the buffer
+        rng = np.random.default_rng(3)
+        left = right = np.arange(rows)
+        if pair:
+            left, right = np.append(left, 0), np.append(right, 1)
+        buf = np.empty((len(left), 25 * 10 * 50))
+        for shape in ((rows, 25, 10, 50), (rows, 25, 10)):
+            parts = rng.standard_normal(shape)
+            flat = parts.reshape(rows, -1)
+            expect = np.add.reduce(flat.take(left, 0) * flat.take(right, 0),
+                                   axis=1)
+            out = np.empty(len(left))
+            harness._power_sums(parts, pair, buf, out)
+            assert np.array_equal(out, expect)
+
     def test_repeat_is_bit_identical(self):
         cfg = small_config()
         a = run_monte_carlo(cfg)
