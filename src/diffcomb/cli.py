@@ -53,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--tol-gamma", type=float, default=0.05,
                       help="steady tolerance for coefficient series")
     cmp_.add_argument("--steady-window", type=float, default=0.1,
-                      help="fraction in (0, 1] of the horizon used as steady window")
+                      help="fraction in (0, 1] of the horizon, or of each "
+                           "stretch with --config, used as steady window")
+    cmp_.add_argument("--config", help="config or preset whose target "
+                      "schedule gives one window per stationary stretch")
 
     val = sub.add_parser("validate", help="check a config without running it")
     val.add_argument("config", help="config file path or bundled preset name")
@@ -84,11 +87,16 @@ def _cmd_theory(args) -> int:
 def _cmd_compare(args) -> int:
     sim = load_result(args.simulated)
     theo = load_result(args.predicted)
+    cfg = resolve_config(args.config) if args.config else None
+    if cfg is not None and cfg.horizon != sim.horizon:
+        raise ValueError(f"the config's horizon {cfg.horizon} differs from "
+                         f"the exports' horizon {sim.horizon}")
+    windows = stage_windows(sim.horizon, None if cfg is None else cfg.schedule,
+                            args.steady_window)
     report = compare(sim, theo, tol_msd_db=args.tol_msd_db,
-                     tol_gamma=args.tol_gamma,
-                     windows=stage_windows(sim.horizon, frac=args.steady_window))
-    lo, hi = report.windows[0]
-    print(f"steady window [{lo}, {hi})")
+                     tol_gamma=args.tol_gamma, windows=windows)
+    for lo, hi in report.windows:
+        print(f"steady window [{lo}, {hi})")
     for entry in report.entries:
         unit = "dB" if entry.kind == "db" else ""
         flag = "pass" if entry.passed else "FAIL"

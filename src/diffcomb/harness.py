@@ -13,9 +13,10 @@ bit-identical no matter how many worker processes execute the chunks.
 Within a chunk the M component estimates and their combination are one
 (M+1, runs, N, L) array.  Each instant reads it once for the outputs
 and errors, updates the combiner once, advances all M components with
-one step (a ``StrategyStack`` built once per experiment), writes the
-combination into row M, and reduces each power family with one sum
-over the stack, straight into the series table.
+one step (a ``StrategyStack`` built once per experiment) and writes the
+next stack.  Blocks of up to 2**15 estimate values (at least one
+instant) reduce each power family with one sum, straight into the
+series table; the sampler draws blocks of up to 2**19 regressor values.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .theory import (
 )
 
 CHUNK_RUNS = 25
+_BLOCK_VALUES = 2 ** 15  # estimate values per reduction block
 WORKERS_ENV = "DIFFCOMB_WORKERS"
 
 _TOP_LEVEL_KEYS = {
@@ -440,16 +442,17 @@ def series_names(cfg: ExperimentConfig) -> list:
     return names
 
 
-def _power_sums(parts, pair, buf, out) -> None:
-    """Write into out the sum of each squared row of parts (the
-    components, then their combination) and, for a pair scheme, of row 0
-    times row 1, forming the products in the rows of buf."""
-    flat = parts.reshape(len(parts), -1)
-    prods = buf[:len(out), :flat.shape[1]]
-    np.multiply(flat, flat, out=prods[:len(flat)])
+def _power_sums(parts, pair, cross, out) -> None:
+    """Write into out (b, rows + pair) the sum of each squared row of parts
+    (b, rows, ...), squared in place, and for a pair scheme of row 0 times
+    row 1, formed in the heads of the rows of cross."""
+    flat = parts.reshape(parts.shape[:2] + (-1,))
     if pair:
-        np.multiply(flat[0], flat[1], out=prods[-1])
-    np.add.reduce(prods, axis=1, out=out)
+        prods = cross[:len(flat), :flat.shape[2]]
+        np.multiply(flat[:, 0], flat[:, 1], out=prods)
+        np.add.reduce(prods, axis=-1, out=out[:, -1])
+    flat *= flat
+    np.add.reduce(flat, axis=-1, out=out[:, :flat.shape[1]])
 
 
 def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
@@ -459,15 +462,12 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     series_names order."""
     n, m = cfg.n_agents, len(cfg.components)
     pair = cfg.combiner.scheme != "multi_sign"
+    update = {"power_normalized": pn_update, "sign_regressor": sr_update,
+              "multi_sign": multi_update}[cfg.combiner.scheme]
     if pair:
-        update = (pn_update if cfg.combiner.scheme == "power_normalized"
-                  else sr_update)
-
         def driver(rep):
             return rep.y[0] - rep.y[1]
     else:
-        update = multi_update
-
         def driver(rep):
             return np.moveaxis(rep.e[:m], 0, -2)
 
@@ -479,35 +479,53 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     if cfg.gamma_init is not None:
         comb.gamma = np.full_like(comb.gamma, cfg.gamma_init)
 
-    # rows 0..M-1 the component estimates, row M their combination
-    est = np.empty((m + 1,) + st.w.shape[1:])
-    est[:m] = st.w
-    combine_weights(comb, est[:m], out=est[m])
+    # est[j] is the stack before instant j of a block: rows 0..M-1 the
+    # component estimates, row M their combination
+    size = st.w[0].size
+    width = max(1, min(cfg.horizon, _BLOCK_VALUES // ((m + 1) * size)))
+    est = np.empty((width + 1, m + 1) + st.w.shape[1:])
+    est[0, :m] = st.w
+    combine_weights(comb, est[0, :m], out=est[0, m])
+    e_tilde = np.empty((width, m + 1) + st.w.shape[1:-1])
+    gamma = np.empty((width,) + comb.gamma.shape)
+    targets = np.empty((width, n, cfg.filter_len))
+    cross = np.empty((width, size))
     table = np.empty((cfg.horizon, len(series_names(cfg))))
     k = m + 1 + pair  # columns of each power family
-    buf = np.empty((k, est[0].size))
     gammas = table[:, 2 * k:].reshape(cfg.horizon, 2, *comb.gamma.shape[1:])
-    for t in range(cfg.horizon):
-        batch = sampler.step()
-        rep = errors_and_outputs(est, batch)
-        comb = update(cfg.combiner, comb, rep.e[m], driver(rep))
-        st = step(stack, st, batch, rep.e[:m])
-        est[:m] = st.w
-        combine_weights(comb, est[:m], out=est[m])
-        row = table[t]
-        _power_sums(est - batch.targets, pair, buf, row[:k])
-        row[:k] /= n
-        _power_sums(rep.e_tilde, pair, buf, row[k:2 * k])
-        np.add.reduce(comb.gamma, axis=0, out=gammas[t, 0])
-        np.add.reduce(comb.gamma * comb.gamma, axis=0, out=gammas[t, 1])
+    for t in range(0, cfg.horizon, width):
+        b = min(width, cfg.horizon - t)
+        for j in range(b):
+            batch = sampler.step()
+            rep = errors_and_outputs(est[j], batch)
+            comb = update(cfg.combiner, comb, rep.e[m], driver(rep))
+            st = step(stack, st, batch, rep.e[:m])
+            est[j + 1, :m] = st.w
+            combine_weights(comb, st.w, out=est[j + 1, m])
+            e_tilde[j] = rep.e_tilde
+            gamma[j] = comb.gamma
+            targets[j] = batch.targets
+            del batch  # so that a refill can free the spent sampler block
+        est[0] = est[b]
+        dev = est[1:b + 1]
+        dev -= targets[:b, None, None]
+        rows = table[t:t + b]
+        _power_sums(dev, pair, cross, rows[:, :k])
+        _power_sums(e_tilde[:b], pair, cross, rows[:, k:2 * k])
+        rows[:, :k] /= n
+        g = gamma[:b]
+        np.add.reduce(g, axis=1, out=gammas[t:t + b, 0])
+        g *= g
+        np.add.reduce(g, axis=1, out=gammas[t:t + b, 1])
     return table
 
 
 def _resolve_workers(workers) -> int:
+    name = "workers"
     if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else 1
-    return max(1, int(workers))
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        name, workers = WORKERS_ENV, int(env) if env.isdecimal() else env or 1
+    return max(1, integer_value(name, workers, 0))
 
 
 def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
@@ -524,7 +542,7 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
     """
     if run_indices is None:
         run_indices = range(cfg.runs)
-    run_indices = [int(i) for i in run_indices]
+    run_indices = [integer_value("run index", i, 0) for i in run_indices]
     if not run_indices:
         raise ValueError("need at least one run index")
     chunks = [run_indices[i:i + CHUNK_RUNS]

@@ -24,6 +24,7 @@ import numpy as np
 AR1_COEFF = 0.5
 
 _SNR_FILE = "snr_presets.json"
+_BLOCK_VALUES = 2 ** 19  # regressor values per default sampler block
 
 
 def integer_value(name, value, least) -> int:
@@ -201,19 +202,23 @@ class ChunkedSampler:
     the numbers of a given run never depend on which block it lands in.
     Normals are drawn in blocks of ``block_len`` steps per stream; block
     boundaries do not change the values either, only how many samples
-    each stream call returns.  With a ``horizon`` no block reaches past
-    it, so the streams are left exactly ``horizon`` instants in and
-    stepping further raises ValueError.
+    each stream call returns; the default is at most 512 instants of at
+    most 2**19 regressor values (41 at 25 runs, 10 agents, L = 50).
+    With a ``horizon`` no block reaches past it, so the streams are left
+    exactly ``horizon`` instants in and stepping further raises ValueError.
     """
 
-    def __init__(self, params, schedule, seed, runs, block_len=512,
+    def __init__(self, params, schedule, seed, runs, block_len=None,
                  horizon=None):
         self.params = list(params)
         self.schedule = schedule
         self.runs = list(runs)
-        self.block_len = int(block_len)
-        self.horizon = horizon
         self.n_agents = len(self.params)
+        if block_len is None:
+            values = len(self.runs) * self.n_agents * schedule.filter_len
+            block_len = min(512, max(1, _BLOCK_VALUES // max(1, values)))
+        self.block_len = integer_value("block_len", block_len, 1)
+        self.horizon = horizon
         self._states = [
             [GeneratorState(seed, r, k) for k in range(self.n_agents)]
             for r in self.runs
@@ -222,11 +227,9 @@ class ChunkedSampler:
         self._sz = np.array([p.sigma_z2 for p in self.params])
         self._ar_mask = np.array([p.regressor_kind == "ar1" for p in self.params])
         self._ar = np.flatnonzero(self._ar_mask)  # empty when all are white
-        self._n = 0
-        self._cursor = 0
+        self._n = self._cursor = self._end = 0  # the first step refills
         self._ar_last = None
-        self._reg_block = self._ref_block = self._target_block = None
-        self._noise_block = np.empty((0,))  # empty: the first step refills
+        self._block = None  # regressors, references, noises and targets
 
     def _refill(self):
         b = self.block_len
@@ -235,6 +238,7 @@ class ChunkedSampler:
             if b <= 0:
                 raise ValueError(f"the sampler's horizon of {self.horizon} "
                                  "instants is exhausted")
+        self._block = None  # freed now unless a caller holds a batch of it
         n_runs, L = len(self.runs), self.schedule.filter_len
         reg = np.empty((b, n_runs, self.n_agents, L))
         noise = np.empty((b, n_runs, self.n_agents))
@@ -268,24 +272,18 @@ class ChunkedSampler:
         # same numbers an instant-by-instant product gives
         w = np.stack([target_at(self.schedule, n)
                       for n in range(self._n, self._n + b)])
-        self._reg_block = reg
-        self._noise_block = noise
-        self._target_block = w
-        self._ref_block = np.einsum("brkl,bkl->brk", reg, w)
-        self._ref_block += noise
-        self._cursor = 0
+        ref = np.einsum("brkl,bkl->brk", reg, w)
+        ref += noise
+        self._block, self._cursor, self._end = (reg, ref, noise, w), 0, b
 
     def step(self) -> SampleBatch:
         """Produce the next instant of data for all runs and agents."""
-        if self._cursor >= len(self._noise_block):
+        if self._cursor == self._end:
             self._refill()
         i = self._cursor
         self._cursor += 1
         self._n += 1
-        return SampleBatch(regressors=self._reg_block[i],
-                           references=self._ref_block[i],
-                           noises=self._noise_block[i],
-                           targets=self._target_block[i])
+        return SampleBatch(*(part[i] for part in self._block))
 
 
 def load_snr_preset(n_agents: int, level: str, kind: str):

@@ -205,6 +205,15 @@ class TestSimulate:
                      "--workers", "3"]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_bad_worker_variable_exits_one_naming_it(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DIFFCOMB_WORKERS", "abc")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", str(config_path), "-o", str(out)]) == 1
+        assert "DIFFCOMB_WORKERS must be an integer >= 0, got 'abc'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exits_one_without_output(self, tmp_path, capsys):
         raw = json.loads(
             (resources.files("diffcomb") / "presets"
@@ -284,6 +293,37 @@ class TestCompare:
                      "--steady-window", frac]) == 1
         captured = capsys.readouterr()
         assert f"fraction {float(frac):g} is outside (0, 1]" in captured.err
+        assert captured.out == ""
+
+    def test_config_gives_one_window_per_stretch(self, tmp_path, capsys):
+        # tracking_static_pn cut to 1,600 instants: the first stretch
+        # ends where the ramp into the second stage starts, at 1,000;
+        # without the schedule the one window [800, 1600) spans that ramp,
+        # where the second file is ten times the first
+        raw = json.loads(resources.files("diffcomb").joinpath(
+            "presets", "tracking_static_pn.json").read_text())
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps(dict(raw, horizon=1600)))
+        theo, ramped = tmp_path / "theo.csv", tmp_path / "ramped.csv"
+        assert main(["theory", str(cfg), "-o", str(theo)]) == 0
+        bundle = load_result(theo)
+        for name in bundle.series:
+            bundle.series[name][1000:1500] *= 10.0
+        export_csv(bundle, ramped)
+        capsys.readouterr()
+        args = ["compare", str(theo), str(ramped), "--steady-window", "0.5"]
+        assert main(args) == 1
+        assert "steady window [800, 1600)\n" in capsys.readouterr().out
+        assert main(args + ["--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "steady window [500, 1000)\nsteady window [1550, 1600)\n")
+        assert "comparison passed" in out
+        # the preset itself runs 7,000 instants
+        assert main(args + ["--config", "tracking_static_pn"]) == 1
+        captured = capsys.readouterr()
+        assert "horizon 7000 differs from the exports' horizon 1600" \
+            in captured.err
         assert captured.out == ""
 
     def test_missing_input(self, tmp_path, capsys):

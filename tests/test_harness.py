@@ -15,7 +15,7 @@ import pytest
 
 from diffcomb import combine, harness, theory
 from diffcomb.combine import CombinerConfig
-from diffcomb.diffusion import StrategyConfig, init_state, step
+from diffcomb.diffusion import StrategyConfig, StrategyStack, init_state, step
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import (
     ConfigError,
@@ -65,6 +65,11 @@ TARGETS4 = np.array([
     [-0.2, 0.4],
     [1.1, -0.6],
 ])
+
+
+# two stages, the second reached over a ramp of five instants
+STAGED4 = TargetSchedule(stages=((0, TARGETS4), (15, TARGETS4 - 0.5)),
+                         transition_len=5)
 
 
 def chain_params(filter_len=2, kind="white"):
@@ -597,6 +602,19 @@ class TestWorkerResolution:
     def test_floor_at_one(self):
         assert _resolve_workers(0) == 1
 
+    @pytest.mark.parametrize("env", ["abc", "2.5", "-1"])
+    def test_refuses_env_value_by_name(self, monkeypatch, env):
+        # "abc" used to fail in int() without naming the variable
+        monkeypatch.setenv("DIFFCOMB_WORKERS", env)
+        with pytest.raises(ValueError, match="DIFFCOMB_WORKERS must be an "
+                                             "integer >= 0"):
+            _resolve_workers(None)
+
+    @pytest.mark.parametrize("workers", [-2, 1.5])
+    def test_refuses_argument_by_name(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            _resolve_workers(workers)
+
 
 class TestMonteCarlo:
     def test_shapes_and_names(self):
@@ -614,21 +632,51 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("rows,pair", [(3, True), (4, False)])
     def test_power_sums_match_gathered_row_products(self, rows, pair):
-        # against the row-gathering form the buffered sums replace; the
-        # error-power rows use only the head of each row of the buffer
+        # a block of b instants against the row-gathering form, one
+        # instant at a time, written into columns of a wider table as the
+        # simulator does; the error-power rows use only the head of each
+        # row of the cross buffer
         rng = np.random.default_rng(3)
         left = right = np.arange(rows)
         if pair:
             left, right = np.append(left, 0), np.append(right, 1)
-        buf = np.empty((len(left), 25 * 10 * 50))
-        for shape in ((rows, 25, 10, 50), (rows, 25, 10)):
+        b = 3
+        cross = np.empty((b + 2, 25 * 10 * 50))
+        for shape in ((b, rows, 25, 10, 50), (b, rows, 25, 10)):
             parts = rng.standard_normal(shape)
-            flat = parts.reshape(rows, -1)
-            expect = np.add.reduce(flat.take(left, 0) * flat.take(right, 0),
-                                   axis=1)
-            out = np.empty(len(left))
-            harness._power_sums(parts, pair, buf, out)
-            assert np.array_equal(out, expect)
+            expect = [np.add.reduce(flat.take(left, 0) * flat.take(right, 0),
+                                    axis=1)
+                      for flat in parts.reshape(b, rows, -1)]
+            table = np.zeros((b, len(left) + 2))
+            harness._power_sums(parts, pair, cross, table[:, 1:-1])
+            assert np.array_equal(table[:, 1:-1], expect)
+            assert not table[:, [0, -1]].any()
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(horizon=30, runs=4, schedule=STAGED4),
+        small_config(scheme="sign_regressor", nu=0.02, horizon=30, runs=4,
+                     schedule=STAGED4),
+        dataclasses.replace(multi_config(horizon=30, runs=4),
+                            schedule=STAGED4),
+    ], ids=["power_normalized", "sign_regressor", "multi_sign"])
+    def test_chunk_table_independent_of_block_width(self, cfg, monkeypatch):
+        # widths 1, 7 (four full blocks and one of two instants) and the
+        # whole horizon, over targets that ramp inside a block
+        per_instant = (len(cfg.components) + 1) * cfg.runs * 4 * 2
+        tables = []
+        for width in (1, 7, 10 ** 6):
+            monkeypatch.setattr(harness, "_BLOCK_VALUES", width * per_instant)
+            tables.append(harness._simulate_chunk(
+                cfg, StrategyStack.of(cfg.components), range(cfg.runs)))
+        assert np.all(np.isfinite(tables[0]))
+        for table in tables[1:]:
+            assert np.array_equal(table, tables[0])
+
+    @pytest.mark.parametrize("index", [0.7, -1, "3"])
+    def test_refuses_bad_run_index_by_name(self, index):
+        # 0.7 used to run run 0, -1 to fail inside numpy's seeding
+        with pytest.raises(ValueError, match="run index must be an integer"):
+            run_monte_carlo(small_config(horizon=3), run_indices=[1, index])
 
     def test_repeat_is_bit_identical(self):
         cfg = small_config()

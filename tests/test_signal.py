@@ -320,6 +320,42 @@ class TestChunkedSampler:
             np.testing.assert_array_equal(ss.regressors[0], gg.regressors[3])
             np.testing.assert_array_equal(ss.noises[0], gg.noises[3])
 
+    def test_default_block_bounds_regressor_values(self):
+        # 25 runs of 10 agents at L = 50: 12,500 values an instant
+        params = [AgentSignalParams(sigma_x2=1.0, sigma_z2=0.1, filter_len=50)
+                  ] * 10
+        schedule = TargetSchedule.constant(np.full((10, 50), 0.2))
+        runs = range(25)
+        default = ChunkedSampler(params, schedule, seed=3, runs=runs)
+        assert default.block_len == 41
+        long = ChunkedSampler(params, schedule, seed=3, runs=runs,
+                              block_len=512, horizon=100)
+        for _ in range(100):  # crosses two default refills
+            sd, sl = default.step(), long.step()
+            assert default._block[0].size <= 2 ** 19
+            np.testing.assert_array_equal(sd.regressors, sl.regressors)
+            np.testing.assert_array_equal(sd.references, sl.references)
+            np.testing.assert_array_equal(sd.noises, sl.noises)
+
+    @pytest.mark.parametrize("runs,agents,length,expected", [
+        (25, 10, 2, 512), (64, 8, 2, 512), (25, 41, 1, 511)])
+    def test_default_block_is_512_up_to_1024_values(self, runs, agents,
+                                                    length, expected):
+        params = [AgentSignalParams(sigma_x2=1.0, sigma_z2=0.1,
+                                    filter_len=length)] * agents
+        schedule = TargetSchedule.constant(np.zeros((agents, length)))
+        sampler = ChunkedSampler(params, schedule, seed=3, runs=range(runs))
+        assert sampler.block_len == expected
+
+    @pytest.mark.parametrize("block_len", [0, -4, 2.5, "8"])
+    def test_refuses_bad_block_length_by_name(self, block_len):
+        # 0 used to fail stacking an empty block of targets
+        params = self._params(("white", "ar1"))
+        schedule = TargetSchedule.constant(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="block_len must be an integer"):
+            ChunkedSampler(params, schedule, seed=5, runs=[0],
+                           block_len=block_len)
+
     @pytest.mark.parametrize("block_len", [512, 64])
     def test_horizon_stops_every_stream_at_the_horizon(self, block_len):
         params = self._params(("white", "ar1", "white"))
