@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -145,7 +146,9 @@ class ExperimentConfig:
                     f"{name} has shape {np.shape(value)}: it must be a "
                     f"scalar or give one value per {per}, shape "
                     f"{shape}") from None
-        unknown = sorted(set(self.outputs or ()) - set(series_names(self)))
+        if self.outputs is not None and not self.outputs:
+            raise ValueError("outputs must name at least one series")
+        unknown = sorted(set(self.outputs or ()) - set(series_layout(self).names))
         if unknown:
             raise ValueError(f"outputs name unknown series {unknown}")
 
@@ -169,8 +172,8 @@ class ExperimentConfig:
 class SeriesResult:
     """Named series over a horizon: simulated, predicted or reloaded.
 
-    series maps names to (horizon,) arrays in linear units; decibel
-    conversion happens only at export.  Error-power rows hold the
+    series maps names to (horizon,) arrays in linear units; conversion
+    to series_units happens only at export.  Error-power rows hold the
     pre-update errors of each instant, deviation and coefficient rows
     the post-update state, in both engines.  metadata is the header of
     the JSON export (kind, horizon, runs, n_agents, seed, config_hash),
@@ -184,10 +187,20 @@ class SeriesResult:
     steady: tuple = ()
 
 
-def _metadata(cfg, kind, runs, seed) -> dict:
-    return {"kind": kind, "horizon": cfg.horizon, "runs": runs,
-            "n_agents": cfg.n_agents, "seed": seed,
-            "config_hash": cfg.config_hash}
+def _result(cfg, table, kind, runs, seed, steady=()) -> SeriesResult:
+    """The result of a (horizon, series) table in series_layout order; a
+    diverged one raises ValueError naming its first non-finite entry."""
+    names = series_layout(cfg).names
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        t, j = bad[0]
+        engine = "simulation" if kind == "monte_carlo" else "prediction"
+        raise ValueError(f"the {engine} diverged: {names[j]} is not "
+                         f"finite at instant {t}")
+    metadata = dict(kind=kind, horizon=cfg.horizon, runs=runs,
+                    n_agents=cfg.n_agents, seed=seed, config_hash=cfg.config_hash)
+    return SeriesResult(cfg.horizon, dict(zip(names, table.T)), metadata,
+                        tuple(steady))
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +433,25 @@ def resolve_config(spec: str) -> ExperimentConfig:
 # Monte Carlo execution
 
 
-def series_names(cfg: ExperimentConfig) -> list:
-    """Ordered names of the series an experiment produces."""
-    m = len(cfg.components)
-    pair = cfg.combiner.scheme != "multi_sign"
-    names = [f"msd_network_{i + 1}" for i in range(m)]
-    names.append("msd_combined")
-    if pair:
-        names.append("msd_cross")
-    names += [f"emse_network_{i + 1}" for i in range(m)]
-    names.append("emse_network_combined")
-    if pair:
-        names.append("emse_network_cross")
-        names += [f"gamma_mean_a{k + 1}" for k in range(cfg.n_agents)]
-        names += [f"gamma_sq_a{k + 1}" for k in range(cfg.n_agents)]
-    else:
-        names += [f"gamma_mean_c{i + 1}_a{k + 1}"
-                  for i in range(m) for k in range(cfg.n_agents)]
-        names += [f"gamma_sq_c{i + 1}_a{k + 1}"
-                  for i in range(m) for k in range(cfg.n_agents)]
-    return names
+SeriesLayout = namedtuple("SeriesLayout", "names msd emse gamma")
+
+
+def series_layout(cfg: ExperimentConfig) -> SeriesLayout:
+    """Ordered series names and the column slice of each family: msd and
+    emse each hold the M components, the combination and, for a pair, the
+    cross moment; gamma every per-agent mean, then every mean square."""
+    m, pair = len(cfg.components), cfg.combiner.scheme != "multi_sign"
+    numbered = [str(i + 1) for i in range(m)]
+    tail = ["combined", "cross"][:1 + pair]
+    agents = [f"a{k + 1}" for k in range(cfg.n_agents)]
+    if not pair:
+        agents = [f"c{i}_{a}" for i in numbered for a in agents]
+    names = ([f"msd_network_{i}" for i in numbered] + [f"msd_{s}" for s in tail]
+             + [f"emse_network_{s}" for s in numbered + tail]
+             + [f"gamma_{moment}_{a}" for moment in ("mean", "sq") for a in agents])
+    k = m + 1 + pair
+    return SeriesLayout(names, slice(0, k), slice(k, 2 * k),
+                        slice(2 * k, len(names)))
 
 
 def _power_sums(parts, pair, cross, out) -> None:
@@ -459,7 +471,7 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
                     run_indices) -> np.ndarray:
     """Advance one block of runs of the stacked components and return
     per-step sums over the block, a (horizon, series) table in
-    series_names order."""
+    series_layout order."""
     n, m = cfg.n_agents, len(cfg.components)
     pair = cfg.combiner.scheme != "multi_sign"
     update = {"power_normalized": pn_update, "sign_regressor": sr_update,
@@ -490,9 +502,9 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     gamma = np.empty((width,) + comb.gamma.shape)
     targets = np.empty((width, n, cfg.filter_len))
     cross = np.empty((width, size))
-    table = np.empty((cfg.horizon, len(series_names(cfg))))
-    k = m + 1 + pair  # columns of each power family
-    gammas = table[:, 2 * k:].reshape(cfg.horizon, 2, *comb.gamma.shape[1:])
+    layout = series_layout(cfg)
+    table = np.empty((cfg.horizon, len(layout.names)))
+    gammas = table[:, layout.gamma].reshape(cfg.horizon, 2, *comb.gamma.shape[1:])
     for t in range(0, cfg.horizon, width):
         b = min(width, cfg.horizon - t)
         for j in range(b):
@@ -510,9 +522,9 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
         dev = est[1:b + 1]
         dev -= targets[:b, None, None]
         rows = table[t:t + b]
-        _power_sums(dev, pair, cross, rows[:, :k])
-        _power_sums(e_tilde[:b], pair, cross, rows[:, k:2 * k])
-        rows[:, :k] /= n
+        _power_sums(dev, pair, cross, rows[:, layout.msd])
+        _power_sums(e_tilde[:b], pair, cross, rows[:, layout.emse])
+        rows[:, layout.msd] /= n
         g = gamma[:b]
         np.add.reduce(g, axis=1, out=gammas[t:t + b, 0])
         g *= g
@@ -557,18 +569,11 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
     else:
         parts = [_simulate_chunk(cfg, stack, chunk) for chunk in chunks]
 
-    names = series_names(cfg)
-    total = np.zeros((cfg.horizon, len(names)))
+    total = np.zeros_like(parts[0])
     for part in parts:  # chunk order, independent of scheduling
         total += part
-    bad = np.argwhere(~np.isfinite(total))
-    if bad.size:
-        t, j = bad[0]
-        raise ValueError(f"the simulation diverged: {names[j]} is not "
-                         f"finite at instant {t}")
     runs = len(run_indices)
-    return SeriesResult(cfg.horizon, dict(zip(names, total.T / runs)),
-                        _metadata(cfg, "monte_carlo", runs, cfg.seed))
+    return _result(cfg, total / runs, "monte_carlo", runs, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +596,9 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     previous target through a transition ramp, so predicted and
     simulated curves are comparable only inside stationary stretches.
     Raises ValueError, before building any model, for an experiment
-    theory_covers rejects, and InstabilityError when a stage has no
-    steady state.
+    theory_covers rejects, and after evolving, naming the first instant
+    and series that is not finite, for recursions that diverged;
+    InstabilityError when a stage has no steady state.
     """
     if not theory_covers(cfg):
         raise ValueError("the moment theory covers two-component schemes "
@@ -600,7 +606,8 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     rx = _regressor_covariances(cfg)
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
-    table = np.empty((t_max, len(series_names(cfg))))
+    layout = series_layout(cfg)
+    table = np.empty((t_max, len(layout.names)))
     gamma0 = 0.5 if cfg.gamma_init is None else cfg.gamma_init
     steady = []
     stages = cfg.schedule.stages
@@ -615,19 +622,17 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
         state = (shift_targets(traj.state, (stages[i - 1][1] - target).ravel())
                  if i else initial_moments(pair, gamma0=gamma0))
         traj = evolve(pair, cfg.combiner, end - start, state=state)
-        # columns (1, 2, combined, cross) per power family: deviations
-        # after each update, excess errors before it
+        # a power family holds (1, 2, combined, cross): deviations after
+        # each update, averaged over agents, excess errors before it, summed
         rows, coef = table[start:end], traj.coefficients
-        msd, emse = traj.record[1:, :, 0], traj.record[:-1, :, 1]
-        rows[:, [0, 1, 3]] = np.mean(msd, axis=-1)
-        rows[:, 2] = np.mean(mix(msd, coef[1:, 0], coef[1:, 1]), axis=-1)
-        rows[:, [4, 5, 7]] = np.sum(emse, axis=-1)
-        rows[:, 6] = np.sum(mix(emse, coef[:-1, 0], coef[:-1, 1]), axis=-1)
-        rows[:, 8:] = coef[1:].reshape(end - start, -1)
+        for cols, at, f, reduce in ((layout.msd, slice(1, None), 0, np.mean),
+                                    (layout.emse, slice(-1), 1, np.sum)):
+            family, t, c = rows[:, cols], traj.record[at, :, f], coef[at]
+            family[:, [0, 1, 3]] = reduce(t, axis=-1)
+            family[:, 2] = reduce(mix(t, c[:, 0], c[:, 1]), axis=-1)
+        rows[:, layout.gamma] = coef[1:].reshape(end - start, -1)
         steady.append((start, steady_state(pair, cfg.combiner)))
-
-    return SeriesResult(t_max, dict(zip(series_names(cfg), table.T)),
-                        _metadata(cfg, "theory", 0, None), tuple(steady))
+    return _result(cfg, table, "theory", 0, None, steady)
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +664,17 @@ class ComparisonReport:
         return all(entry.passed for entry in self.entries)
 
 
-def _in_db(name: str) -> bool:
-    """Power series (MSD and EMSE) are stored and compared in decibels,
-    the coefficient series linearly."""
-    return name.startswith(("msd", "emse"))
+def series_units(name: str) -> str | None:
+    """Units of a series by its family, the name's first word: "db" for
+    power (msd, emse), "linear" for gamma, None for a foreign column."""
+    return {"msd": "db", "emse": "db", "gamma": "linear"}.get(name.split("_")[0])
 
 
 def _stored(name, values) -> np.ndarray:
     """A series in its stored units: decibels for power series, nan
     where the power is nonpositive; linear otherwise."""
     values = np.asarray(values, dtype=float)
-    if not _in_db(name):
+    if series_units(name) != "db":
         return values
     out = np.full(values.shape, np.nan)
     positive = values > 0
@@ -680,7 +685,7 @@ def _stored(name, values) -> np.ndarray:
 def _linear(name, stored) -> np.ndarray:
     """A stored series back in linear units; nan stays nan."""
     stored = np.array(stored, dtype=float)
-    return 10.0 ** (stored / 10.0) if _in_db(name) else stored
+    return 10.0 ** (stored / 10.0) if series_units(name) == "db" else stored
 
 
 def stage_windows(horizon, schedule=None, frac=0.1) -> tuple:
@@ -699,11 +704,12 @@ def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
             windows=None, names=None) -> ComparisonReport:
     """Deviations between two result objects sharing series names.
 
-    Power series (msd/emse prefixes) are compared in decibels, the
-    coefficient series linearly.  The pointwise maximum over the whole
-    horizon is informational; pass/fail takes the largest magnitude of
-    window_devs, the second's minus the first's mean over each (lo, hi)
-    window (default stage_windows(sim.horizon)), in stored units.
+    Each series is compared in its series_units, foreign columns not at
+    all, and ValueError is raised if no series is compared.  The
+    pointwise maximum over the whole horizon is informational; pass/fail
+    takes the largest magnitude of window_devs, the second's minus the
+    first's mean over each (lo, hi) window (default
+    stage_windows(sim.horizon)), in stored units.
     """
     if sim.horizon != theory.horizon:
         raise ValueError("results cover different horizons")
@@ -724,12 +730,10 @@ def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
 
     entries = []
     for name in common:
-        if _in_db(name):
-            kind, tol = "db", tol_msd_db
-        elif name.startswith("gamma"):
-            kind, tol = "linear", tol_gamma
-        else:
+        kind = series_units(name)
+        if kind is None:
             continue
+        tol = tol_msd_db if kind == "db" else tol_gamma
         a, b = (np.asarray(r.series[name], dtype=float) for r in (sim, theory))
         point = np.abs(_stored(name, a) - _stored(name, b))
         with np.errstate(invalid="ignore"):
@@ -744,6 +748,8 @@ def compare(sim, theory, tol_msd_db=1.0, tol_gamma=0.05,
             name=name, kind=kind, max_abs_dev=max_dev,
             window_devs=tuple(devs.tolist()), steady_abs_dev=steady,
             tol=tol, passed=passed))
+    if not entries:
+        raise ValueError("the results share no power or coefficient series")
     return ComparisonReport(entries=tuple(entries), windows=windows)
 
 

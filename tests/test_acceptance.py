@@ -107,7 +107,7 @@ def test_mixing_coefficient_moments_match_predictions(pn_bundle, sr_bundle):
     recursion predictions for both adaptation schemes."""
     for bundle in (pn_bundle, sr_bundle):
         gamma_entries = [e for e in bundle.report.entries
-                         if e.name.startswith(("gamma_mean", "gamma_sq"))]
+                         if harness.series_units(e.name) == "linear"]
         assert len(gamma_entries) == 2 * bundle.cfg.n_agents
         for entry in gamma_entries:
             assert np.isfinite(entry.steady_abs_dev) \

@@ -91,6 +91,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "invalid experiment" in err and "msd_combinde" in err
 
+    def test_empty_outputs(self, config_path, tmp_path, capsys):
+        raw = json.loads(config_path.read_text())
+        raw["outputs"] = []
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "sim.csv"
+        for args in (["validate"], ["simulate", "-o", str(out)]):
+            assert main(args + [str(config_path)]) == 1
+            assert "outputs must name at least one series" in \
+                capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed(self, config_path, capsys):
         # validate used to accept it, then simulate failed inside numpy
         raw = json.loads(config_path.read_text())
@@ -241,6 +252,20 @@ class TestTheory:
         assert "stage at n=0" in text
         assert load_result(out).horizon == 40
 
+    def test_divergence_exits_one_without_output(self, tmp_path, capsys):
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / "universality_pn.json").read_text())
+        raw["combiner"]["nu_gamma"] = 5.0
+        raw["horizon"] = 400
+        path, out = tmp_path / "diverge.json", tmp_path / "theo.csv"
+        path.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            assert main(["theory", str(path), "-o", str(out)]) == 1
+        assert "the prediction diverged: msd_combined is not finite at " \
+            "instant 289" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_adaptive_fusion_rejected(self, tmp_path, capsys):
         out = tmp_path / "theo.csv"
         assert main(["theory", "tracking_adaptive_pn", "-o", str(out)]) == 1
@@ -325,6 +350,20 @@ class TestCompare:
         assert "horizon 7000 differs from the exports' horizon 1600" \
             in captured.err
         assert captured.out == ""
+
+    def test_no_shared_series(self, config_path, tmp_path, capsys):
+        raw = json.loads(config_path.read_text())
+        paths = []
+        for outputs in (["msd_combined"], ["gamma_mean_a1"]):
+            config_path.write_text(json.dumps(dict(raw, outputs=outputs)))
+            paths.append(str(tmp_path / f"{outputs[0]}.csv"))
+            assert main(["simulate", str(config_path), "-o", paths[-1]]) == 0
+        capsys.readouterr()
+        assert main(["compare", *paths]) == 1
+        captured = capsys.readouterr()
+        assert "the results share no power or coefficient series" \
+            in captured.err
+        assert "comparison passed" not in captured.out
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "a.csv"),

@@ -35,7 +35,8 @@ from diffcomb.harness import (
     resolve_config,
     run_monte_carlo,
     run_theory,
-    series_names,
+    series_layout,
+    series_units,
     stage_windows,
     theory_covers,
 )
@@ -482,6 +483,15 @@ class TestConfigFromDict:
         assert "msd_combined'" not in str(excinfo.value)
         assert not isinstance(excinfo.value, ConfigError)
 
+    def test_empty_outputs_refused(self):
+        # an empty list used to export a CSV of the time index alone
+        with pytest.raises(ValueError, match="outputs must name at least "
+                           "one series") as excinfo:
+            config_from_dict(raw_config(outputs=[]))
+        assert not isinstance(excinfo.value, ConfigError)
+        with pytest.raises(ValueError, match="at least one series"):
+            dataclasses.replace(small_config(), outputs=())
+
     def test_known_output_series_accepted(self):
         cfg = config_from_dict(raw_config(outputs=["msd_combined",
                                                    "gamma_mean_a3"]))
@@ -586,6 +596,58 @@ class TestBundledPresets:
         assert fast.combiner.nu_gamma == 0.01
 
 
+# pinned: the exported names, in column order, of a 4-agent pair and of
+# a 3-component multi_sign experiment
+PAIR4_NAMES = [
+    "msd_network_1", "msd_network_2", "msd_combined", "msd_cross",
+    "emse_network_1", "emse_network_2", "emse_network_combined",
+    "emse_network_cross", "gamma_mean_a1", "gamma_mean_a2",
+    "gamma_mean_a3", "gamma_mean_a4", "gamma_sq_a1", "gamma_sq_a2",
+    "gamma_sq_a3", "gamma_sq_a4",
+]
+MULTI3_NAMES = [
+    "msd_network_1", "msd_network_2", "msd_network_3", "msd_combined",
+    "emse_network_1", "emse_network_2", "emse_network_3",
+    "emse_network_combined", "gamma_mean_c1_a1", "gamma_mean_c1_a2",
+    "gamma_mean_c1_a3", "gamma_mean_c1_a4", "gamma_mean_c2_a1",
+    "gamma_mean_c2_a2", "gamma_mean_c2_a3", "gamma_mean_c2_a4",
+    "gamma_mean_c3_a1", "gamma_mean_c3_a2", "gamma_mean_c3_a3",
+    "gamma_mean_c3_a4", "gamma_sq_c1_a1", "gamma_sq_c1_a2",
+    "gamma_sq_c1_a3", "gamma_sq_c1_a4", "gamma_sq_c2_a1", "gamma_sq_c2_a2",
+    "gamma_sq_c2_a3", "gamma_sq_c2_a4", "gamma_sq_c3_a1", "gamma_sq_c3_a2",
+    "gamma_sq_c3_a3", "gamma_sq_c3_a4",
+]
+
+
+class TestSeriesLayout:
+    @pytest.mark.parametrize("cfg, names", [
+        (small_config(), PAIR4_NAMES),
+        (small_config(scheme="sign_regressor"), PAIR4_NAMES),
+        (multi_config(), MULTI3_NAMES),
+    ], ids=["pn", "sr", "multi_sign"])
+    def test_names_and_family_slices(self, cfg, names):
+        layout = series_layout(cfg)
+        assert layout.names == names
+        columns = np.arange(len(names))
+        families = (layout.msd, layout.emse, layout.gamma)
+        assert np.concatenate([columns[s] for s in families]).tolist() \
+            == columns.tolist()
+        pair = cfg.combiner.scheme != "multi_sign"
+        for family in families[:2]:
+            assert len(columns[family]) == len(cfg.components) + 1 + pair
+        for family, units in zip(families, ("db", "db", "linear")):
+            assert {series_units(names[j]) for j in columns[family]} \
+                == {units}
+
+    @pytest.mark.parametrize("name, units", [
+        ("msd_network_2", "db"), ("msd_cross", "db"),
+        ("emse_network_combined", "db"), ("gamma_sq_c2_a3", "linear"),
+        ("n", None), ("msdx_1", None), ("gammas", None), ("", None),
+    ])
+    def test_units_follow_the_first_word(self, name, units):
+        assert series_units(name) == units
+
+
 class TestWorkerResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("DIFFCOMB_WORKERS", "7")
@@ -622,7 +684,7 @@ class TestMonteCarlo:
         result = run_monte_carlo(cfg)
         assert result.metadata["runs"] == cfg.runs
         assert result.metadata["n_agents"] == 4
-        assert set(result.series) == set(series_names(cfg))
+        assert set(result.series) == set(series_layout(cfg).names)
         for values in result.series.values():
             assert values.shape == (cfg.horizon,)
             assert np.all(np.isfinite(values))
@@ -712,7 +774,7 @@ class TestMonteCarlo:
                                   runs=30)
         serial = run_monte_carlo(cfg, workers=1)
         pooled = run_monte_carlo(cfg, workers=2)
-        assert list(serial.series) == series_names(cfg)
+        assert list(serial.series) == series_layout(cfg).names
         for key, values in serial.series.items():
             assert np.all(np.isfinite(values)), key
             np.testing.assert_array_equal(values, pooled.series[key])
@@ -801,7 +863,7 @@ class TestMonteCarlo:
     def test_matches_per_run_reference(self, cfg):
         result = run_monte_carlo(cfg)
         expected = per_run_series(cfg)
-        assert list(result.series) == series_names(cfg)
+        assert list(result.series) == series_layout(cfg).names
         for j, (name, values) in enumerate(result.series.items()):
             np.testing.assert_allclose(values, expected[:, j], rtol=1e-10,
                                        atol=1e-12, err_msg=name)
@@ -955,6 +1017,17 @@ class TestTheoryPath:
                                        atol=1e-10 * np.max(np.abs(want)),
                                        err_msg=name)
 
+    def test_divergence_names_first_non_finite_instant(self):
+        # nu_gamma = 5 on universality_pn: the predicted coefficient moments
+        # overflow, while the component moments stay finite
+        cfg = load_preset_config("universality_pn")
+        cfg = dataclasses.replace(cfg, horizon=400, combiner=dataclasses.replace(
+            cfg.combiner, nu_gamma=5.0))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="the prediction diverged: msd_combined is "
+                                  "not finite at instant 289"):
+            run_theory(cfg)
+
     def test_multi_scheme_rejected(self):
         with pytest.raises(ValueError, match="two-component"):
             run_theory(multi_config())
@@ -998,7 +1071,7 @@ class TestTheoryPath:
             horizon=500, runs=50, seed=29)
         sim = run_monte_carlo(cfg)
         theo = run_theory(cfg)
-        power = [n for n in sim.series if n.startswith(("msd", "emse"))]
+        power = [n for n in sim.series if series_units(n) == "db"]
         report = compare(sim, theo, tol_msd_db=1.0, windows=[(400, 500)],
                          names=power)
         failed = [e.name for e in report.entries if not e.passed]
@@ -1074,6 +1147,16 @@ class TestCompare:
                             horizon=full.horizon)
         with pytest.raises(ValueError, match="'msd_network_1'.*either"):
             compare(full, part, names=["msd_combined", "msd_network_1"])
+
+    def test_no_shared_series_refused(self):
+        # used to return an empty report, which passed
+        power = self._result({"msd_combined": np.ones(50)})
+        coef = self._result({"gamma_mean_a1": np.ones(50)})
+        foreign = self._result({"n": np.ones(50), "label": np.ones(50)})
+        for a, b in ((power, coef), (foreign, foreign)):
+            with pytest.raises(ValueError, match="the results share no "
+                               "power or coefficient series"):
+                compare(a, b)
 
     def test_negative_instants_are_ignored_pointwise(self):
         base = np.linspace(1.0, 2.0, 50)
@@ -1182,7 +1265,7 @@ class TestExport:
         assert loaded.horizon == 10
         assert loaded.metadata == {}
         for name, values in result.series.items():
-            if name.startswith(("msd", "emse")):
+            if series_units(name) == "db":
                 np.testing.assert_allclose(loaded.series[name], values,
                                            rtol=1e-12)
             else:
