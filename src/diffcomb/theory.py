@@ -44,7 +44,10 @@ and excess-error readouts of the three moments, and (gbar, g2bar).  The
 series read the deviations after each update (rows 1..n) and the excess
 errors before it (rows 0..n-1), the errors that drive it.  mix forms a
 combined value from those readouts and coefficient moments, for the
-transient series and the steady report alike.
+transient series and the steady report alike.  Within a stage
+covariance_step reads p alone, so once one step returns p bit for bit,
+every later step would too: from the next block on, evolve stops
+stepping p and only the means and the coefficient moments advance.
 
 The predictor covers static fusion matrices only; the data-driven A2
 refresh rules have no closed-form moment description here.
@@ -517,6 +520,10 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     and each agent's diagonal factor blocks, one readout covers the
     block, and the coefficient pass forms the law's time-only terms over
     the block, then advances (gbar, g2bar) per instant.
+
+    Within one call covariance_step reads p alone, so once a block's last
+    step returns its input bit for bit (a non-finite p never does), later
+    blocks read their diagonal blocks from that p without stepping it.
     """
     if state is None:
         state = initial_moments(pair)
@@ -529,15 +536,19 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
                        _BLOCK_FLOATS // (m.size + 3 * n * k * k)))
     means = np.empty((width,) + m.shape)
     blocks = np.empty((width, 3, n, k, k))
-    degenerate = 0
+    degenerate, settled = 0, False
 
     for t0 in range(0, n_steps, width):
         t1 = min(t0 + width, n_steps)
+        if settled:
+            blocks[:] = _diagonal_blocks(p, n)
         for r in range(t1 - t0):
             means[r] = m
-            blocks[r] = _diagonal_blocks(p, n)
             m = mean_step(pair, m)
-            p = covariance_step(pair, p)
+            if not settled:
+                blocks[r] = _diagonal_blocks(p, n)
+                last, p = p, covariance_step(pair, p)
+        settled = settled or np.array_equal(last, p)
         readouts = _readouts(pair.weights, means[:t1 - t0], blocks[:t1 - t0])
         record[t0:t1] = readouts[:, :3]
         _, j2, _, dj1, dj2 = readouts[:, :, 1].transpose(1, 0, 2)
@@ -586,8 +597,9 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     The means sit at m = b m - rbar and the centered factors solve
     p = left p right^T + g, all three blocks in one Stein solve.
     Coefficient moments come from their stationary expressions with
-    moments frozen at the limits.  Raises InstabilityError when a
-    component cannot converge.
+    moments frozen at the limits; the verdict reads "outside coefficient
+    bounds" when the scheme's mean-square bound fails on any agent.
+    Raises InstabilityError when a component cannot converge.
     """
     for label, b in enumerate(pair.b, start=1):
         rho = float(np.max(np.abs(np.linalg.eigvals(b))))
@@ -608,14 +620,17 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     gamma = np.repeat(gbar, pair.filter_len)
     bias = gamma * m[0] + (1.0 - gamma) * m[1]
     bounds = stability_bounds(pair, cfg, dj_sum=dj1 + dj2)
+    universality = universality_report(*emse, dj1, dj2)
+    if not np.all(bounds.pn_ms_ok if cfg.scheme == "power_normalized"
+                  else bounds.sr_ms_ok):
+        universality = replace(universality,
+                               verdict="outside coefficient bounds")
 
     return SteadyReport(
-        m=m, p=p,
-        gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
+        m=m, p=p, gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
         emse=emse, msd=np.mean(readouts[:3, 0], axis=-1),
         combined_msd=float(np.mean(mix(readouts[:3, 0], gbar, g2bar))),
-        universality=universality_report(*emse, dj1, dj2),
-        bounds=bounds)
+        universality=universality, bounds=bounds)
 
 
 def mu_bounds(c, rx) -> np.ndarray:

@@ -266,6 +266,19 @@ class TestTheory:
             "instant 289" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_steady_verdict_outside_coefficient_bounds(self, tmp_path,
+                                                       capsys):
+        # nu_gamma = 5 diverges at instant 289, so horizon 200 is finite
+        raw = json.loads(
+            (resources.files("diffcomb") / "presets"
+             / "universality_pn.json").read_text())
+        raw["combiner"]["nu_gamma"] = 5.0
+        raw["horizon"] = 200
+        path, out = tmp_path / "fast.json", tmp_path / "theo.csv"
+        path.write_text(json.dumps(raw))
+        assert main(["theory", str(path), "-o", str(out)]) == 0
+        assert "outside coefficient bounds" in capsys.readouterr().out
+
     def test_adaptive_fusion_rejected(self, tmp_path, capsys):
         out = tmp_path / "theo.csv"
         assert main(["theory", "tracking_adaptive_pn", "-o", str(out)]) == 1

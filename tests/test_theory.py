@@ -1003,6 +1003,27 @@ def assert_same_leaves(got, want):
 B = theory._BLOCK
 
 
+def settling_pair():
+    """A white pair whose covariance settles bit for bit at instant 170
+    and whose means settle at instant 321."""
+    pair = build_component_model(*white_pair(87, 4, 3, mus=(0.15, 0.3)))
+    assert pair.kron_len == 3
+    return pair
+
+
+def count_covariance_steps(monkeypatch):
+    """A one-item list that counts the calls evolve makes to
+    covariance_step from now on."""
+    calls, step = [0], theory.covariance_step
+
+    def counted(pair, p):
+        calls[0] += 1
+        return step(pair, p)
+
+    monkeypatch.setattr(theory, "covariance_step", counted)
+    return calls
+
+
 def started(pair, gamma0=0.8):
     """A start state off the defaults: gamma0 = 0.8 and nonzero power."""
     state = initial_moments(pair, gamma0=gamma0)
@@ -1088,11 +1109,38 @@ class TestBlockedEvolve:
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, np.broadcast_to(w, (3,)))
 
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_settled_covariance_matches_oracle(self, make_cfg, monkeypatch):
+        # the covariance reaches its fixed point at instant 170, inside
+        # the first block, while the means move on to instant 321: later
+        # blocks read the settled factors and step the means alone
+        pair = settling_pair()
+        cfg, start, n_steps = make_cfg(), started(pair), 3 * B + 7
+        calls = count_covariance_steps(monkeypatch)
+        got = evolve(pair, cfg, n_steps, state=start)
+        assert calls == [B]
+        # with the factors settled, only the means move the readouts
+        assert not np.array_equal(got.record[B], got.record[-1])
+        assert_same_trajectory(got, oracle_evolve(pair, cfg, n_steps, start))
+
+    def test_moving_covariance_steps_every_instant(self, monkeypatch):
+        pair = random_pair(87, n=3, l=2, mus=(0.01, 0.02))
+        cfg, start, n_steps = pn_cfg(), started(pair), 3 * B + 7
+        calls = count_covariance_steps(monkeypatch)
+        got = evolve(pair, cfg, n_steps, state=start)
+        assert calls == [n_steps]
+        p = got.state.p
+        assert not np.array_equal(covariance_step(pair, p), p)
+        assert_same_trajectory(got, oracle_evolve(pair, cfg, n_steps, start))
+
     def test_presets_match_per_instant_oracle(self, monkeypatch):
-        # several blocks per preset, stage boundaries included
+        # several blocks per preset, stage boundaries included; at 1,100
+        # instants the covariance of universality_pn/_sr settles and is
+        # no longer stepped from instant 768, universality_fast_pn's
+        # from instant 256
         for name in harness.preset_names():
             cfg = dataclasses.replace(harness.load_preset_config(name),
-                                      horizon=600)
+                                      horizon=1100)
             if not harness.theory_covers(cfg):
                 continue
             got = harness.run_theory(cfg)
@@ -1163,14 +1211,18 @@ class TestEvolve:
         np.testing.assert_allclose(traj.record[0, 2, 1], expected,
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("split", [(12, 18), (B, 30), (2 * B, B)],
-                             ids=["inside", "block", "two_blocks"])
+    @pytest.mark.parametrize("split", [(12, 18), (B, 30), (2 * B, B),
+                                       (2 * B + 7, 2 * B)],
+                             ids=["inside", "block", "two_blocks", "settled"])
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
     def test_split_run_continues_bit_for_bit(self, make_cfg, split):
         # a stage boundary without a target change: the second call
         # starts from the first one's final state, coefficient moments
         # included, and its row 0 is the first call's last row; the
-        # split falls inside a block or on a block boundary
+        # split falls inside a block or on a block boundary.  The
+        # covariance settles at instant 288: the whole run stops stepping
+        # it from instant 512, the split run from 512 in the first call
+        # and one block into the second
         pair = random_pair(86, n=3, l=2)
         cfg = make_cfg()
         start = initial_moments(pair, gamma0=0.8)
@@ -1308,6 +1360,30 @@ class TestSteadyState:
         per_agent = report.universality.emse_combined
         assert per_agent.shape == (3,)
 
+    @pytest.mark.parametrize("nu", [5.0, 0.02, 0.002])
+    def test_verdict_outside_power_normalized_bound(self, nu):
+        # universality_pn's mean-square bound is (1 - eta) / 3 = 0.0167;
+        # at horizon 200 even nu = 5 predicts a finite transient
+        base = load_preset_config("universality_pn")
+        combiner = dataclasses.replace(base.combiner, nu_gamma=nu)
+        cfg = dataclasses.replace(base, horizon=200, combiner=combiner)
+        ((_, report),) = harness.run_theory(cfg).steady
+        assert report.bounds.pn_ms_bound == pytest.approx(0.05 / 3)
+        outside = nu > report.bounds.pn_ms_bound
+        assert bool(np.all(report.bounds.pn_ms_ok)) is not outside
+        assert (report.universality.verdict
+                == "outside coefficient bounds") is outside
+
+    def test_verdict_outside_sign_regressor_bound_on_one_agent(self):
+        pair = random_pair(93, n=3, l=1)
+        bound = steady_state(pair, sr_cfg(nu=0.001)).bounds.sr_ms_bound
+        nu = np.append(0.5 * bound[:2], 1.01 * bound[2])
+        report = steady_state(pair, sr_cfg(nu=nu))
+        assert report.bounds.sr_ms_ok.tolist() == [True, True, False]
+        assert report.universality.verdict == "outside coefficient bounds"
+        inside = steady_state(pair, sr_cfg(nu=0.5 * bound))
+        assert inside.universality.verdict != "outside coefficient bounds"
+
 
 class TestStabilityBounds:
     def test_coefficient_bound_arithmetic(self):
@@ -1407,8 +1483,9 @@ class TestUniversalityReport:
         assert report.emse_combined[0] <= min(j1, j2) + 1e-10
 
 
-def white_pair(seed, n, l):
-    """Two strategies over white regressors with heterogeneous targets."""
+def white_pair(seed, n, l, mus=(0.05, 0.12)):
+    """Two strategies over white regressors with heterogeneous targets;
+    component i's agents draw step-sizes from [mus[i] / 2, mus[i])."""
     rng = np.random.default_rng(seed)
     topology = chain_topology(n)
     rx = rng.uniform(0.5, 1.5, size=n)[:, None, None] * np.eye(l)
@@ -1419,7 +1496,7 @@ def white_pair(seed, n, l):
                            c=random_stochastic(topology, "right", rng),
                            mu=rng.uniform(0.5, 1.0, size=n) * mu,
                            a2=random_stochastic(topology, "left", rng))
-            for mu in (0.05, 0.12)]
+            for mu in mus]
     return topology, cfgs, rx, sigma_z2, w
 
 
