@@ -3,11 +3,12 @@
 Each preset is cut to the given horizon and run count, simulated on the
 given number of workers, and predicted where the moment theory covers
 it (harness.theory_covers).  One line per export:
-``<preset> sim|theory csv|json <sha256>``, and for a prediction one more,
-``<preset> theory steady <sha256>``, over the arrays of every stage's
-SteadyReport in field order.  Two runs that must agree byte for byte,
-say at one and at three workers or before and after a refactor, are
-checked by diffing their outputs.
+``<preset> sim|theory csv|json <sha256>``, and for a prediction one more
+per SteadyReport field, ``<preset> theory steady <field> <sha256>``, over
+every stage's start and that field's arrays, stage by stage.  Two runs
+that must agree byte for byte, say at one and at three workers or before
+and after a refactor, are checked by diffing their outputs, which name
+the steady field that changed.
 
 Usage: python3 scripts/export_digests.py --horizon 40 --runs 75 --workers 3
 """
@@ -41,8 +42,6 @@ def report_bytes(value):
     if dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             yield from report_bytes(getattr(value, field.name))
-    elif value is None:
-        yield b"None"
     else:
         arr = np.asarray(value)
         yield f"{arr.dtype.str}{arr.shape}".encode()
@@ -66,12 +65,14 @@ def main(argv=None):
             if harness.theory_covers(cfg):
                 theo = harness.run_theory(cfg)
                 print_digests(name, "theory", theo, cfg.outputs, tmp)
-                digest = hashlib.sha256()
-                for start, report in theo.steady:
-                    for chunk in (*report_bytes(start), *report_bytes(report)):
-                        digest.update(chunk)
-                print(name, "theory", "steady", digest.hexdigest(),
-                      flush=True)
+                for field in dataclasses.fields(theo.steady[0][1]):
+                    digest = hashlib.sha256()
+                    for start, report in theo.steady:
+                        for chunk in (*report_bytes(start), *report_bytes(
+                                getattr(report, field.name))):
+                            digest.update(chunk)
+                    print(name, "theory", "steady", field.name,
+                          digest.hexdigest(), flush=True)
     return 0
 
 

@@ -179,17 +179,3 @@ def multi_update(
         degenerate_events=st.degenerate_events + clamped + clamped_map,
     )
 
-
-def optimal_gamma(j1: float, j2: float, j12: float, tol: float = 1e-12) -> float:
-    """Minimizer of the combined quadratic error surface.
-
-    For component error powers j1, j2 and cross power j12 the combined
-    second moment is gamma^2 j1 + (1-gamma)^2 j2 + 2 gamma (1-gamma) j12,
-    minimized at (j2 - j12) / (j1 + j2 - 2 j12).  When the denominator
-    falls below tol the components are statistically identical, every
-    gamma performs equally, and NaN is returned to mark the degeneracy.
-    """
-    denom = j1 + j2 - 2.0 * j12
-    if denom <= tol:
-        return float("nan")
-    return (j2 - j12) / denom

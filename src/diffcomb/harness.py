@@ -123,7 +123,8 @@ class ExperimentConfig:
         if len(self.components) < 2:
             raise ValueError("need at least two component strategies")
         for comp in self.components:
-            if comp.topology.n_agents != n:
+            if not np.array_equal(comp.topology.adjacency,
+                                  self.topology.adjacency):
                 raise ValueError("component strategies must share the network")
         expected = self.combiner.m if self.combiner.scheme == "multi_sign" else 2
         if len(self.components) != expected:
@@ -290,8 +291,7 @@ def _schedule_from_dict(raw, w_star, n_agents):
         for entry in raw["stages"]:
             _check_keys(entry, {"start", "targets"}, "target stage")
             stages.append((_structural(entry, "start", "target stage"),
-                           np.array(_structural(entry, "targets", "target stage"),
-                                    dtype=float)))
+                           _structural(entry, "targets", "target stage")))
         return TargetSchedule(stages=tuple(stages),
                               transition_len=raw.get("transition_len", 0))
     raise ConfigError("targets need a constant value or explicit stages")

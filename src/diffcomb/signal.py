@@ -36,8 +36,11 @@ def integer_value(name, value, least) -> int:
 
 def require_number(name, value) -> None:
     """Refuse by name a value that is not a finite number or array of them."""
-    if not all(isinstance(v, numbers.Real) and np.isfinite(v)
-               for v in np.asarray(value, dtype=object).ravel()):
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting is no array of numbers
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} is not a number: {value!r}")
 
 
@@ -101,6 +104,7 @@ class TargetSchedule:
             "transition_len", self.transition_len, 0))
         norm = []
         for start, w in self.stages:
+            require_number("targets", w)
             arr = np.array(w, dtype=float)
             if arr.ndim != 2:
                 raise ValueError("stage targets must be (n_agents, L) arrays")
@@ -127,7 +131,7 @@ class TargetSchedule:
     @staticmethod
     def constant(targets, start: int = 0) -> "TargetSchedule":
         """A single-stage schedule holding one target forever."""
-        return TargetSchedule(stages=((start, np.array(targets, dtype=float)),))
+        return TargetSchedule(stages=((start, targets),))
 
 
 @dataclass(frozen=True)

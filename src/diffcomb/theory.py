@@ -34,9 +34,9 @@ up by scheme name.  A law forms the terms of its step that do not depend
 on the coefficient, the smoothed power among them, over a block of
 instants; only the per-agent mean and second moment then advance per
 instant.  coefficient_step is a block of one, coefficient_steady gives
-the limits.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read from
-(m1 - m2, p11 - p12) and (m2 - m1, p22 - p12) directly, so nearly equal
-excess errors never cancel.
+the limits, stability_bounds the step-size bounds.  The drivers dj1 =
+j1 - j12 and dj2 = j2 - j12 are read from (m1 - m2, p11 - p12) and
+(m2 - m1, p22 - p12) directly, so nearly equal excess errors never cancel.
 
 evolve advances the bare arrays (m, p) and (gbar, g2bar, pbar), block
 by block, and records the states 0..n of a stage: per-agent deviation
@@ -170,22 +170,17 @@ class StabilityReport:
     """Step-size limits and pass/fail flags for a configured pair.
 
     mu_bound and mu_ok, of shape (2, N), hold each component's per-agent
-    step-size limits and flags.  The power-normalized coefficient bounds
-    depend only on the smoothing factor; the sign-regressor bounds need
-    the worst observed difference power and are None when no trajectory
-    was supplied.
+    step-size limits and flags.  nu_mean_bound and nu_ms_bound, of shape
+    (N,), hold the configured scheme's per-agent coefficient limits in
+    the mean and the mean square, and nu_mean_ok and nu_ms_ok their flags.
     """
 
     mu_bound: np.ndarray
     mu_ok: np.ndarray
-    pn_mean_bound: float
-    pn_ms_bound: float
-    pn_mean_ok: np.ndarray
-    pn_ms_ok: np.ndarray
-    sr_mean_bound: np.ndarray | None = None
-    sr_ms_bound: np.ndarray | None = None
-    sr_mean_ok: np.ndarray | None = None
-    sr_ms_ok: np.ndarray | None = None
+    nu_mean_bound: np.ndarray
+    nu_ms_bound: np.ndarray
+    nu_mean_ok: np.ndarray
+    nu_ms_ok: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -412,11 +407,22 @@ def _sr_steady(cfg, s, gbar, dj2, j2, sigma_z2):
     return num, np.sqrt(8.0 * s / np.pi) - nu * s, 0.0
 
 
+def _pn_limits(cfg, s):
+    return (np.full(np.shape(s), 1.0 - cfg.eta),
+            np.full(np.shape(s), (1.0 - cfg.eta) / 3.0))
+
+
+def _sr_limits(cfg, s):
+    s = np.maximum(s, DELTA_J_FLOOR)
+    return np.sqrt(np.pi / (2.0 * s)), np.sqrt(2.0 / (np.pi * s))
+
+
 # per scheme: over a block, the final power and the terms (a, b, c, d1,
-# d2, e) of gbar' = gbar a + b, g2bar' = g2bar c + d1 + d2 + 2 gbar e; and
-# the numerator, denominator and power of the stationary second moment
-_LAWS = {"power_normalized": (_pn_terms, _pn_steady),
-         "sign_regressor": (_sr_terms, _sr_steady)}
+# d2, e) of gbar' = gbar a + b, g2bar' = g2bar c + d1 + d2 + 2 gbar e; the
+# numerator, denominator and power of the stationary second moment; and
+# the coefficient step-size limits (mean, mean square) at power dj1 + dj2
+_LAWS = {"power_normalized": (_pn_terms, _pn_steady, _pn_limits),
+         "sign_regressor": (_sr_terms, _sr_steady, _sr_limits)}
 
 
 def _law(cfg: CombinerConfig):
@@ -598,7 +604,7 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     p = left p right^T + g, all three blocks in one Stein solve.
     Coefficient moments come from their stationary expressions with
     moments frozen at the limits; the verdict reads "outside coefficient
-    bounds" when the scheme's mean-square bound fails on any agent.
+    bounds" when bounds.nu_ms_ok fails on any agent.
     Raises InstabilityError when a component cannot converge.
     """
     for label, b in enumerate(pair.b, start=1):
@@ -619,10 +625,9 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
 
     gamma = np.repeat(gbar, pair.filter_len)
     bias = gamma * m[0] + (1.0 - gamma) * m[1]
-    bounds = stability_bounds(pair, cfg, dj_sum=dj1 + dj2)
+    bounds = stability_bounds(pair, cfg, dj1 + dj2)
     universality = universality_report(*emse, dj1, dj2)
-    if not np.all(bounds.pn_ms_ok if cfg.scheme == "power_normalized"
-                  else bounds.sr_ms_ok):
+    if not np.all(bounds.nu_ms_ok):
         universality = replace(universality,
                                verdict="outside coefficient bounds")
 
@@ -644,37 +649,22 @@ def mu_bounds(c, rx) -> np.ndarray:
 
 
 def stability_bounds(pair: PairModel, cfg: CombinerConfig,
-                     dj_sum=None) -> StabilityReport:
+                     dj_sum) -> StabilityReport:
     """Step-size stability limits for the configured pair.
 
-    dj_sum holds per-agent trajectories of the excess-error difference
-    power (time on the leading axis, or a single row); its worst value
-    sets the sign-regressor limits.  All bounds are open intervals, so a
-    step-size equal to its bound is flagged as failing.
+    dj_sum, of shape (N,), is the stationary excess-error difference
+    power per agent, from which the configured scheme's law sets the
+    coefficient limits.  All bounds are open intervals, so a step-size
+    equal to its bound is flagged as failing.
     """
     mu_bound = np.stack([mu_bounds(c, pair.rx) for c in pair.c])
-    nu = np.broadcast_to(np.asarray(cfg.nu_gamma, dtype=float),
-                         (pair.n_agents,))
-    pn_mean_bound = 1.0 - cfg.eta
-    pn_ms_bound = (1.0 - cfg.eta) / 3.0
-    pn_mean_ok = (nu > 0) & (nu < pn_mean_bound)
-    pn_ms_ok = (nu > 0) & (nu < pn_ms_bound)
-
-    sr_mean_bound = sr_ms_bound = sr_mean_ok = sr_ms_ok = None
-    if dj_sum is not None:
-        worst = np.max(np.atleast_2d(np.asarray(dj_sum, dtype=float)), axis=0)
-        worst = np.maximum(worst, DELTA_J_FLOOR)
-        sr_mean_bound = np.sqrt(np.pi / (2.0 * worst))
-        sr_ms_bound = np.sqrt(2.0 / (np.pi * worst))
-        sr_mean_ok = (nu > 0) & (nu < sr_mean_bound)
-        sr_ms_ok = (nu > 0) & (nu < sr_ms_bound)
-
+    nu = cfg.nu_gamma
+    mean_bound, ms_bound = _law(cfg)[2](cfg, np.asarray(dj_sum, dtype=float))
     return StabilityReport(mu_bound=mu_bound,
                            mu_ok=(pair.mu > 0) & (pair.mu < mu_bound),
-                           pn_mean_bound=pn_mean_bound, pn_ms_bound=pn_ms_bound,
-                           pn_mean_ok=pn_mean_ok, pn_ms_ok=pn_ms_ok,
-                           sr_mean_bound=sr_mean_bound, sr_ms_bound=sr_ms_bound,
-                           sr_mean_ok=sr_mean_ok, sr_ms_ok=sr_ms_ok)
+                           nu_mean_bound=mean_bound, nu_ms_bound=ms_bound,
+                           nu_mean_ok=(nu > 0) & (nu < mean_bound),
+                           nu_ms_ok=(nu > 0) & (nu < ms_bound))
 
 
 def universality_report(j1, j2, j12, dj1, dj2) -> UniversalityReport:

@@ -15,7 +15,6 @@ import pytest
 
 import test_theory
 from diffcomb import harness
-from diffcomb.combine import optimal_gamma
 from diffcomb.graph import build_preset, static_rule, validate_stochastic
 from diffcomb.theory import (
     coefficient_steady,
@@ -154,18 +153,19 @@ def test_moment_recursions_consistent_across_formulations():
 
 
 def test_optimal_coefficient_against_grid_and_closed_forms():
-    """The closed-form minimizer beats a 1e-3 grid search, the stationary
-    combined error equals the quadratic surface at the minimizer, and the
+    """The stationary mean coefficient beats a 1e-3 grid search, the
+    stationary combined error equals the quadratic surface at it, and the
     scalar steady MSD matches its textbook value."""
     rng = np.random.default_rng(77)
     grid = np.linspace(-3.0, 4.0, 7001)
+    cfg = test_theory.pn_cfg()
     checked = 0
     while checked < 200:
         j1 = rng.uniform(0.2, 3.0)
         j2 = rng.uniform(0.2, 3.0)
         j12 = rng.uniform(-0.9, 0.9) * np.sqrt(j1 * j2)
-        gopt = optimal_gamma(j1, j2, j12)
-        if not np.isfinite(gopt) or abs(gopt) > 2.5:
+        gopt = coefficient_steady(cfg, j1 - j12, j2 - j12, j2, 0.0)[0]
+        if abs(gopt) > 2.5:
             continue
         surface = grid ** 2 * j1 + (1.0 - grid) ** 2 * j2 \
             + 2.0 * grid * (1.0 - grid) * j12
@@ -175,9 +175,7 @@ def test_optimal_coefficient_against_grid_and_closed_forms():
     j1 = rng.uniform(0.1, 4.0, size=1000)
     j2 = rng.uniform(0.1, 4.0, size=1000)
     j12 = rng.uniform(-0.95, 0.95, size=1000) * np.sqrt(j1 * j2)
-    gopt = np.array([optimal_gamma(a, b, c)
-                     for a, b, c in zip(j1, j2, j12)])
-    assert np.all(np.isfinite(gopt))
+    gopt = coefficient_steady(cfg, j1 - j12, j2 - j12, j2, 0.0)[0]
     at_opt = gopt ** 2 * j1 + (1.0 - gopt) ** 2 * j2 \
         + 2.0 * gopt * (1.0 - gopt) * j12
     report = universality_report(j1, j2, j12, j1 - j12, j2 - j12)
@@ -245,27 +243,27 @@ def test_stability_bounds_on_hand_cases():
     """Coefficient and component step-size limits on directly computable
     cases, including the open-interval behavior at the limit itself."""
     pair = test_theory.scalar_model(mu=(1.0, 0.5), sx=2.0)
-    report = stability_bounds(pair, test_theory.pn_cfg(nu=0.01, eta=0.95))
-    assert report.pn_mean_bound == 1.0 - 0.95
-    assert report.pn_ms_bound == (1.0 - 0.95) / 3.0
-    assert report.pn_mean_ok.all() and report.pn_ms_ok.all()
+    report = stability_bounds(pair, test_theory.pn_cfg(nu=0.01, eta=0.95),
+                              [1.0])
+    np.testing.assert_array_equal(report.nu_mean_bound, [1.0 - 0.95])
+    np.testing.assert_array_equal(report.nu_ms_bound, [(1.0 - 0.95) / 3.0])
+    assert report.nu_mean_ok.all() and report.nu_ms_ok.all()
 
     np.testing.assert_array_equal(report.mu_bound, [[1.0], [1.0]])
     assert not report.mu_ok[0].any()
     assert report.mu_ok[1].all()
-    wide = stability_bounds(
-        test_theory.scalar_model(mu=(0.1, 0.2), sx=0.5), test_theory.pn_cfg())
+    wide = stability_bounds(test_theory.scalar_model(mu=(0.1, 0.2), sx=0.5),
+                            test_theory.pn_cfg(), [1.0])
     np.testing.assert_array_equal(wide.mu_bound[0], [4.0])
 
-    report = stability_bounds(pair, test_theory.sr_cfg(nu=0.5),
-                              dj_sum=[np.pi / 2.0])
-    np.testing.assert_array_equal(report.sr_mean_bound, [1.0])
+    report = stability_bounds(pair, test_theory.sr_cfg(nu=0.5), [np.pi / 2.0])
+    np.testing.assert_array_equal(report.nu_mean_bound, [1.0])
     np.testing.assert_array_equal(
-        report.sr_ms_bound, [np.sqrt(2.0 / (np.pi * (np.pi / 2.0)))])
-    assert report.sr_mean_ok.all() and report.sr_ms_ok.all()
+        report.nu_ms_bound, [np.sqrt(2.0 / (np.pi * (np.pi / 2.0)))])
+    assert report.nu_mean_ok.all() and report.nu_ms_ok.all()
     at_limit = stability_bounds(pair, test_theory.sr_cfg(nu=1.0),
-                                dj_sum=[np.pi / 2.0])
-    assert not at_limit.sr_mean_ok.any()
+                                [np.pi / 2.0])
+    assert not at_limit.nu_mean_ok.any()
 
 
 def test_bundled_networks_and_combination_rules_are_well_formed():

@@ -167,6 +167,20 @@ class TestValidate:
         ("universality_pn",
          lambda r: r["components"][0].update(mu=float("inf")), 1,
          "mu is not a number: inf"),
+        # the first used to be parsed, the second reported as a diverged
+        # simulation; both forms of targets
+        ("universality_pn",
+         lambda r: r["targets"]["constant"][0].__setitem__(0, "0.7"), 1,
+         "targets is not a number: [['0.7', -0.5]"),
+        ("universality_pn",
+         lambda r: r["targets"]["constant"][0].__setitem__(0, float("nan")),
+         1, "targets is not a number: [[nan, -0.5]"),
+        ("tracking_static_pn",
+         lambda r: r["targets"]["stages"][1]["targets"][0].__setitem__(
+             0, "0.7"), 1, "targets is not a number: [['0.7', "),
+        ("tracking_static_pn",
+         lambda r: r["targets"]["stages"][1]["targets"][0].__setitem__(
+             0, float("nan")), 1, "targets is not a number: [[nan, "),
     ])
     def test_malformed_value(self, tmp_path, capsys, preset, edit, code,
                              message):

@@ -9,7 +9,6 @@ from diffcomb.combine import (
     combine_weights,
     init_combiner,
     multi_update,
-    optimal_gamma,
     pn_update,
     sr_update,
 )
@@ -214,33 +213,6 @@ class TestMulti:
         state = init_combiner(cfg, 1)
         with pytest.raises(ValueError, match="component error rows"):
             multi_update(cfg, state, np.zeros(1), np.zeros((2, 1)))
-
-
-class TestOptimalGamma:
-    def test_symmetric_components(self):
-        assert optimal_gamma(1.0, 1.0, 0.0) == pytest.approx(0.5)
-
-    def test_perfect_first_component(self):
-        assert optimal_gamma(0.0, 3.0, 0.0) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        assert optimal_gamma(2.0, 3.0, 1.0) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_degenerate_marked(self):
-        assert np.isnan(optimal_gamma(1.0, 1.0, 1.0))
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        j1=st.floats(0.01, 10),
-        j2=st.floats(0.01, 10),
-        rho=st.floats(-0.99, 0.99),
-    )
-    def test_matches_grid_search(self, j1, j2, rho):
-        j12 = rho * np.sqrt(j1 * j2)
-        got = optimal_gamma(j1, j2, j12)
-        grid = np.arange(-5.0, 5.0, 1e-3)
-        cost = grid**2 * j1 + (1 - grid) ** 2 * j2 + 2 * grid * (1 - grid) * j12
-        assert got == pytest.approx(grid[np.argmin(cost)], abs=2e-3)
 
 
 class TestInit:

@@ -328,6 +328,14 @@ class TestExperimentConfig:
                 schedule=cfg.schedule, components=cfg.components[:2],
                 combiner=cfg.combiner, horizon=10, runs=1, seed=0)
 
+    def test_rejects_component_on_another_network_of_the_same_size(self):
+        # used to simulate over edges the first network does not have
+        full = Topology(n_agents=4, adjacency=np.ones((4, 4), dtype=bool))
+        with pytest.raises(ValueError,
+                           match="component strategies must share the network"):
+            small_config(components=[strategy(full, 0.05),
+                                     strategy(CHAIN4, 0.05)])
+
     def test_rejects_schedule_shape_mismatch(self):
         with pytest.raises(ValueError, match="schedule"):
             small_config(schedule=TargetSchedule.constant(np.zeros((5, 2))))

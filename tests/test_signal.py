@@ -95,6 +95,17 @@ class TestTargetSchedule:
         with pytest.raises(ValueError, match="transition"):
             TargetSchedule(stages=((0, w), (100, w)), transition_len=200)
 
+    @pytest.mark.parametrize("bad", ["0.7", float("nan"), float("inf"),
+                                     None, [0.7]])
+    def test_non_number_targets_refused_by_name(self, bad):
+        # a quoted target used to be parsed, a NaN one to run; [0.7] makes
+        # the rows a ragged nesting
+        rows = [[bad, -0.5], [0.7, -0.5]]
+        with pytest.raises(ValueError, match="targets is not a number"):
+            TargetSchedule.constant(rows)
+        with pytest.raises(ValueError, match="targets is not a number"):
+            TargetSchedule(stages=((0, np.zeros((2, 2))), (5, rows)))
+
     def test_integral_times_are_stored_as_ints(self):
         w = np.zeros((1, 1))
         s = TargetSchedule(stages=((0.0, w), (5.0, w)), transition_len=2.0)

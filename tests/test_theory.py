@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diffcomb.combine import CombinerConfig
 from diffcomb.diffusion import StrategyConfig
@@ -772,6 +772,22 @@ class TestCoefficientSteadyForms:
         np.testing.assert_allclose(gbar, ref_g, rtol=1e-6)
         np.testing.assert_allclose(g2bar, ref_m, rtol=1e-6)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        j1=st.floats(0.01, 10),
+        j2=st.floats(0.01, 10),
+        rho=st.floats(-0.99, 0.99),
+    )
+    @example(j1=0.0, j2=3.0, rho=0.0)  # a perfect first component: 1
+    def test_mean_matches_grid_search(self, j1, j2, rho):
+        # the stationary mean minimizes the combined quadratic error surface
+        j12 = rho * np.sqrt(j1 * j2)
+        grid = np.arange(-5.0, 5.0, 1e-3)
+        cost = grid**2 * j1 + (1 - grid) ** 2 * j2 + 2 * grid * (1 - grid) * j12
+        for cfg in (pn_cfg(), sr_cfg()):
+            got = steady(cfg, j1 - j12, j2 - j12, j2, 0.0)[0]
+            assert got[0] == pytest.approx(grid[np.argmin(cost)], abs=2e-3)
+
     def test_degenerate_difference_reports_frozen_start(self):
         for cfg in (pn_cfg(), sr_cfg()):
             g, m, p = steady(cfg, 0.0, 0.0, 1.0, 0.1)
@@ -1350,10 +1366,18 @@ class TestSteadyState:
             steady_state(scalar_model(mu=(0.1, 3.0), sx=1.0, sz=0.1),
                          pn_cfg())
 
-    def test_report_carries_bounds_and_universality(self):
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_report_carries_bounds_and_universality(self, make_cfg):
         report = steady_state(random_pair(93, n=3, l=1, single_task=True),
-                              sr_cfg(nu=0.001))
-        assert report.bounds.sr_mean_bound is not None
+                              make_cfg(nu=0.001))
+        bounds = report.bounds
+        assert [f.name for f in dataclasses.fields(bounds)] == [
+            "mu_bound", "mu_ok", "nu_mean_bound", "nu_ms_bound",
+            "nu_mean_ok", "nu_ms_ok"]
+        for name in ("nu_mean_bound", "nu_ms_bound", "nu_mean_ok",
+                     "nu_ms_ok"):
+            assert getattr(bounds, name).shape == (3,)
+        assert bounds.nu_mean_ok.all() and bounds.nu_ms_ok.all()
         assert report.universality.verdict in (
             "universal", "components indistinguishable")
         # stationary coefficient view must agree with the assembled value
@@ -1368,18 +1392,19 @@ class TestSteadyState:
         combiner = dataclasses.replace(base.combiner, nu_gamma=nu)
         cfg = dataclasses.replace(base, horizon=200, combiner=combiner)
         ((_, report),) = harness.run_theory(cfg).steady
-        assert report.bounds.pn_ms_bound == pytest.approx(0.05 / 3)
-        outside = nu > report.bounds.pn_ms_bound
-        assert bool(np.all(report.bounds.pn_ms_ok)) is not outside
+        np.testing.assert_array_equal(report.bounds.nu_ms_bound,
+                                      np.full(10, (1.0 - 0.95) / 3.0))
+        outside = nu > (1.0 - 0.95) / 3.0
+        assert bool(np.all(report.bounds.nu_ms_ok)) is not outside
         assert (report.universality.verdict
                 == "outside coefficient bounds") is outside
 
     def test_verdict_outside_sign_regressor_bound_on_one_agent(self):
         pair = random_pair(93, n=3, l=1)
-        bound = steady_state(pair, sr_cfg(nu=0.001)).bounds.sr_ms_bound
+        bound = steady_state(pair, sr_cfg(nu=0.001)).bounds.nu_ms_bound
         nu = np.append(0.5 * bound[:2], 1.01 * bound[2])
         report = steady_state(pair, sr_cfg(nu=nu))
-        assert report.bounds.sr_ms_ok.tolist() == [True, True, False]
+        assert report.bounds.nu_ms_ok.tolist() == [True, True, False]
         assert report.universality.verdict == "outside coefficient bounds"
         inside = steady_state(pair, sr_cfg(nu=0.5 * bound))
         assert inside.universality.verdict != "outside coefficient bounds"
@@ -1387,14 +1412,22 @@ class TestSteadyState:
 
 class TestStabilityBounds:
     def test_coefficient_bound_arithmetic(self):
+        # the power-normalized limits do not depend on the difference power
         cfg = pn_cfg(nu=0.04, eta=0.95)
-        report = stability_bounds(random_pair(94, n=3, l=1), cfg)
-        assert report.pn_mean_bound == 1.0 - 0.95
-        assert report.pn_ms_bound == (1.0 - 0.95) / 3.0
-        assert bool(np.all(report.pn_mean_ok))
-        assert not bool(np.any(report.pn_ms_ok))
-        assert report.sr_mean_bound is None
-        assert report.sr_ms_bound is None
+        report = stability_bounds(random_pair(94, n=3, l=1), cfg,
+                                  [0.0, 0.3, 7.0])
+        np.testing.assert_array_equal(report.nu_mean_bound,
+                                      np.full(3, 1.0 - 0.95))
+        np.testing.assert_array_equal(report.nu_ms_bound,
+                                      np.full(3, (1.0 - 0.95) / 3.0))
+        assert bool(np.all(report.nu_mean_ok))
+        assert not bool(np.any(report.nu_ms_ok))
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_zero_coefficient_step_size_fails(self, make_cfg):
+        report = stability_bounds(random_pair(94, n=3, l=1),
+                                  make_cfg(nu=0.0), np.ones(3))
+        assert not report.nu_mean_ok.any() and not report.nu_ms_ok.any()
 
     def test_step_size_bound_uses_data_spectrum(self):
         # C = I and R = diag(1, 3) gives per-agent bound 2/3
@@ -1403,33 +1436,30 @@ class TestStabilityBounds:
         rx = np.tile(np.diag([1.0, 3.0]), (2, 1, 1))
         model = build_component_model(topology, [strategy(topology, 0.5)] * 2,
                                       rx, 0.1, np.zeros((2, 2)))
-        report = stability_bounds(model, pn_cfg())
+        report = stability_bounds(model, pn_cfg(), np.ones(2))
         assert report.mu_bound.shape == report.mu_ok.shape == (2, 2)
         np.testing.assert_allclose(report.mu_bound, 2.0 / 3.0, rtol=1e-14)
         assert bool(np.all(report.mu_ok))
         at_limit = build_component_model(
             topology, [strategy(topology, 2.0 / 3.0), strategy(topology, 0.5)],
             rx, 0.1, np.zeros((2, 2)))
-        report = stability_bounds(at_limit, pn_cfg())
+        report = stability_bounds(at_limit, pn_cfg(), np.ones(2))
         assert not bool(np.any(report.mu_ok[0]))  # open interval
         assert bool(np.all(report.mu_ok[1]))
 
     def test_sign_regressor_bounds_hand_substitution(self):
+        # a degenerate difference power is floored at DELTA_J_FLOOR
         cfg = sr_cfg(nu=0.9)
         report = stability_bounds(random_pair(95, n=2, l=1), cfg,
-                                  dj_sum=np.full(2, np.pi / 2))
-        np.testing.assert_allclose(report.sr_mean_bound, 1.0, rtol=1e-14)
-        np.testing.assert_allclose(report.sr_ms_bound, 2.0 / np.pi, rtol=1e-14)
-        assert bool(np.all(report.sr_mean_ok))
-        assert not bool(np.any(report.sr_ms_ok))
-
-    def test_sign_regressor_uses_worst_instant(self):
-        history = np.array([[0.1, 0.2], [np.pi / 2, 0.05], [0.3, 0.1]])
-        report = stability_bounds(random_pair(96, n=2, l=1), sr_cfg(),
-                                  dj_sum=history)
-        np.testing.assert_allclose(report.sr_mean_bound[0], 1.0, rtol=1e-14)
+                                  [np.pi / 2, 0.0])
         np.testing.assert_allclose(
-            report.sr_mean_bound[1], np.sqrt(np.pi / 0.4), rtol=1e-14)
+            report.nu_mean_bound, [1.0, np.sqrt(np.pi / (2 * DELTA_J_FLOOR))],
+            rtol=1e-14)
+        np.testing.assert_allclose(
+            report.nu_ms_bound,
+            [2.0 / np.pi, np.sqrt(2.0 / (np.pi * DELTA_J_FLOOR))], rtol=1e-14)
+        assert report.nu_mean_ok.tolist() == [True, True]
+        assert report.nu_ms_ok.tolist() == [False, True]
 
 
 class TestUniversalityReport:
