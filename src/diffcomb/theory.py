@@ -659,7 +659,7 @@ def stability_bounds(pair: PairModel, cfg: CombinerConfig,
     """
     mu_bound = np.stack([mu_bounds(c, pair.rx) for c in pair.c])
     nu = cfg.nu_gamma
-    mean_bound, ms_bound = _law(cfg)[2](cfg, np.asarray(dj_sum, dtype=float))
+    mean_bound, ms_bound = _law(cfg)[2](cfg, dj_sum)
     return StabilityReport(mu_bound=mu_bound,
                            mu_ok=(pair.mu > 0) & (pair.mu < mu_bound),
                            nu_mean_bound=mean_bound, nu_ms_bound=ms_bound,
