@@ -196,21 +196,13 @@ def build_preset(name: str) -> Topology:
 
 
 def _build_net3() -> Topology:
-    sizes = [3, 3, 3, 3, 3, 3, 2]
-    clusters = []
-    start = 0
-    for s in sizes:
-        clusters.append(tuple(range(start, start + s)))
-        start += s
-    n = start
-    adj = np.zeros((n, n), dtype=bool)
+    clusters = tuple(tuple(range(s, min(s + 3, 20))) for s in range(0, 20, 3))
+    adj = np.zeros((20, 20), dtype=bool)
     for grp in clusters:
-        for i in grp:
-            for j in grp:
-                adj[i, j] = True
-    for a, b in [(2, 3), (5, 6), (8, 9), (11, 12), (14, 15), (17, 18)]:
-        adj[a, b] = adj[b, a] = True
-    return Topology(n_agents=n, adjacency=adj, clusters=tuple(clusters))
+        adj[np.ix_(grp, grp)] = True
+    for a in range(2, 18, 3):  # one bridge edge between consecutive clusters
+        adj[a, a + 1] = adj[a + 1, a] = True
+    return Topology(n_agents=20, adjacency=adj, clusters=clusters)
 
 
 def parse_edge_list(text: str) -> Topology:
@@ -248,11 +240,7 @@ def parse_edge_list(text: str) -> Topology:
 
 def format_edge_list(t: Topology) -> str:
     """Serialize a Topology to the edge-list text format (1-based)."""
-    lines = []
-    for u in range(t.n_agents):
-        for v in range(u + 1, t.n_agents):
-            if t.adjacency[u, v]:
-                lines.append(f"{u + 1} {v + 1}")
+    lines = [f"{u + 1} {v + 1}" for u, v in np.argwhere(np.triu(t.adjacency, 1))]
     if t.clusters is not None:
         for i, grp in enumerate(t.clusters, start=1):
             members = " ".join(str(m + 1) for m in grp)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,14 +35,23 @@ def integer_value(name, value, least) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    arr = np.asarray(value)
+    return arr.dtype.kind in "biuf" and bool(np.all(np.isfinite(arr)))
+
+
 def require_number(name, value) -> None:
-    """Refuse by name a value that is not a finite number or array of them."""
+    """Refuse by name a value that is not a finite number or array of
+    them; for an array, the message names the first bad entry by index."""
     try:
-        arr = np.asarray(value)
+        if _is_number(value):
+            return
+        entries = np.array(value, dtype=object)
     except ValueError:  # a ragged nesting is no array of numbers
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} is not a number: {value!r}")
+        raise ValueError(f"{name} is not a number: a ragged nesting") from None
+    at = next(i for i, v in np.ndenumerate(entries) if not _is_number(v))
+    where = f"entry {tuple(map(int, at))} is " if at else ""
+    raise ValueError(f"{name} is not a number: {where}{reprlib.repr(entries[at])}")
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,13 @@ Stein equation, all three blocks in one call, by squared Smith doubling
 at O(N_f^3 log t) for factors of size N_f.
 
 The mixing coefficient follows one law per two-component scheme, looked
-up by scheme name.  A law forms the terms of its step that do not depend
-on the coefficient, the smoothed power among them, over a block of
-instants; only the per-agent mean and second moment then advance per
-instant.  coefficient_step is a block of one, coefficient_steady gives
-the limits, stability_bounds the step-size bounds.  The drivers dj1 =
-j1 - j12 and dj2 = j2 - j12 are read from (m1 - m2, p11 - p12) and
-(m2 - m1, p22 - p12) directly, so nearly equal excess errors never cancel.
+up by scheme name.  Over a block of instants, the smoothed power, the
+per-agent mean and then its second moment are each one log-depth affine
+scan over the law's terms, and agree with a per-instant loop to rounding.
+coefficient_step is a block of one, coefficient_steady gives the limits,
+stability_bounds the step-size bounds.  The drivers dj1 = j1 - j12 and
+dj2 = j2 - j12 are read from (m1 - m2, p11 - p12) and (m2 - m1,
+p22 - p12) directly, so nearly equal excess errors never cancel.
 
 evolve advances the bare arrays (m, p) and (gbar, g2bar, pbar), block
 by block, and records the states 0..n of a stage: per-agent deviation
@@ -222,10 +222,9 @@ class SteadyReport:
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     n, l, _ = blocks.shape
-    out = np.zeros((n * l, n * l))
-    for k in range(n):
-        out[k * l:(k + 1) * l, k * l:(k + 1) * l] = blocks[k]
-    return out
+    out = np.zeros((n, l, n, l))
+    out[np.arange(n), :, np.arange(n)] = blocks
+    return out.reshape(n * l, n * l)
 
 
 def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -366,17 +365,14 @@ def _pn_terms(cfg, pbar, dj1, dj2, j2, sigma_z2):
     the raw step-size, mirroring the stochastic update; the squared
     normalized step-size is approximated by the square of its mean."""
     s = dj1 + dj2
-    fresh = (1.0 - cfg.eta) * s
-    powers = np.empty_like(s)
-    for t in range(len(s)):
-        pbar = powers[t] = cfg.eta * pbar + fresh[t]
+    powers = _affine_scan(cfg.eta, (1.0 - cfg.eta) * s, pbar)
     nu = cfg.nu_gamma / (cfg.epsilon + powers)
     nu2 = nu * nu
-    return pbar, (1.0 - nu * s, nu * dj2,
-                  1.0 + 3.0 * nu2 * s * s - 2.0 * nu * s,
-                  nu2 * j2 * s + 2.0 * nu2 * dj2 * dj2,
-                  sigma_z2 * nu2 * s,
-                  nu * dj2 - 3.0 * nu2 * s * dj2)
+    return powers[-1], (1.0 - nu * s, nu * dj2,
+                        1.0 + 3.0 * nu2 * s * s - 2.0 * nu * s,
+                        nu2 * j2 * s + 2.0 * nu2 * dj2 * dj2,
+                        sigma_z2 * nu2 * s,
+                        nu * dj2 - 3.0 * nu2 * s * dj2)
 
 
 def _sr_terms(cfg, pbar, dj1, dj2, j2, sigma_z2):
@@ -433,18 +429,31 @@ def _law(cfg: CombinerConfig):
                          "schemes only") from None
 
 
+def _affine_scan(a, c, x0) -> np.ndarray:
+    """x_1..x_T of x_{t+1} = a_t x_t + c_t, time on axis 0 of a and c,
+    which broadcast together; x0 broadcasts against one instant.  Each
+    pass of Hillis-Steele doubling composes every instant's map with the
+    one k before it, so ceil(log2 T) whole-array passes replace the loop
+    (Kogge and Stone, 1973); this reassociates its arithmetic."""
+    a, c = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, c))
+    k = 1
+    while k < len(c):
+        c[k:] += a[k:] * c[:-k]
+        a[k:] *= a[:-k]
+        k *= 2
+    return a * x0 + c
+
+
 def _coefficients(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
     """(gbar, g2bar) after each instant of a block, shape (T, 2, N), and
-    the final pbar; dj1, dj2 and j2 carry time on axis 0.  Only the
-    coefficient moments advance per instant."""
-    pbar, terms = _law(cfg)[0](cfg, pbar, dj1, dj2, j2, sigma_z2)
-    a, b, c, d1, d2, e = np.broadcast_arrays(*terms)
-    rows = np.empty((len(a), 2, *a.shape[1:]))
-    for t in range(len(a)):
-        g2bar = rows[t, 1] = (g2bar * c[t] + d1[t] + d2[t]
-                              + 2.0 * (gbar * e[t]))
-        gbar = rows[t, 0] = gbar * a[t] + b[t]
-    return rows, pbar
+    the final pbar; dj1, dj2 and j2 carry time on axis 0.  gbar is one
+    affine scan, g2bar another driven by gbar before each instant."""
+    pbar, (a, b, c, d1, d2, e) = _law(cfg)[0](cfg, pbar, dj1, dj2, j2,
+                                               sigma_z2)
+    means = _affine_scan(a, b, gbar)
+    before = np.insert(means[:-1], 0, gbar, axis=0)
+    return np.stack((means, _affine_scan(
+        c, d1 + d2 + 2.0 * (before * e), g2bar)), axis=1), pbar
 
 
 def coefficient_step(cfg: CombinerConfig, gbar, g2bar, pbar, dj1, dj2, j2,
@@ -453,7 +462,8 @@ def coefficient_step(cfg: CombinerConfig, gbar, g2bar, pbar, dj1, dj2, j2,
     one instant, driven by dj1 = j1 - j12, dj2 = j2 - j12 and j2.
 
     Arguments (scalars or arrays over agents) broadcast together, as does
-    cfg.nu_gamma.  The sign-regressor scheme returns pbar unchanged.
+    cfg.nu_gamma.  The sign-regressor scheme returns pbar unchanged.  This
+    is evolve's coefficient pass on a block of one instant.
     """
     args = np.broadcast_arrays(gbar, g2bar, pbar, dj1, dj2, j2)
     rows, pbar = _coefficients(cfg, *args[:3], *np.asarray(
@@ -525,7 +535,7 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     and three passes: the moments pass steps (m, p) and keeps the means
     and each agent's diagonal factor blocks, one readout covers the
     block, and the coefficient pass forms the law's time-only terms over
-    the block, then advances (gbar, g2bar) per instant.
+    the block, then scans (gbar, g2bar) across it (_coefficients).
 
     Within one call covariance_step reads p alone, so once a block's last
     step returns its input bit for bit (a non-finite p never does), later
@@ -686,20 +696,12 @@ def universality_report(j1, j2, j12, dj1, dj2) -> UniversalityReport:
     combined = np.where(degenerate, j12,
                         j12 + dj1 * dj2 / np.where(degenerate, 1.0, s))
 
-    regimes = []
-    for k in range(j1.shape[0]):
-        if degenerate[k]:
-            regimes.append("indistinguishable")
-        elif dj1[k] >= 0 and dj2[k] >= 0:
-            regimes.append("interpolating")
-        elif dj1[k] < 0:
-            regimes.append("extrapolating_beyond_1")
-        else:
-            regimes.append("extrapolating_beyond_2")
+    regimes = np.select(
+        [degenerate, (dj1 >= 0) & (dj2 >= 0), dj1 < 0],
+        ["indistinguishable", "interpolating", "extrapolating_beyond_1"],
+        "extrapolating_beyond_2")
 
-    net1 = float(np.sum(j1))
-    net2 = float(np.sum(j2))
-    net_combined = float(np.sum(combined))
+    net1, net2, net_combined = (float(np.sum(v)) for v in (j1, j2, combined))
     margin = min(net1, net2) - net_combined
     if bool(np.all(degenerate)):
         verdict = "components indistinguishable"
@@ -711,4 +713,4 @@ def universality_report(j1, j2, j12, dj1, dj2) -> UniversalityReport:
     return UniversalityReport(emse_combined=combined,
                               network_emse1=net1, network_emse2=net2,
                               network_combined=net_combined, margin=margin,
-                              verdict=verdict, agent_regimes=tuple(regimes))
+                              verdict=verdict, agent_regimes=tuple(regimes.tolist()))

@@ -15,6 +15,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from make_presets import stats  # noqa: E402,F401
 
 
+def assert_scaled_close(got, want, label=None, rtol=1e-12):
+    """|got - want| <= rtol max|want| entrywise, shapes equal: the
+    coefficient law's affine scans reassociate the per-instant loop's
+    arithmetic, so coefficient-derived arrays agree to rounding only."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, label
+    assert np.all(np.abs(got - want) <= rtol * np.max(np.abs(want))), label
+
+
+def assert_same_series(got, want, label=None):
+    """Two predictions' series: those read from the coefficient moments
+    (gamma_*, the combined msd and emse) agree to 1e-12 of scale, as the
+    coefficient scans may be grouped differently; the rest bit for bit."""
+    assert got.keys() == want.keys()
+    for key, series in want.items():
+        if "combined" in key or key.startswith("gamma_"):
+            assert_scaled_close(got[key], series, (label, key))
+        else:
+            assert np.array_equal(got[key], series), (label, key)
+
+
 def strategy(topology, mu, a1=None, a2=None, c=None):
     """Static-fusion strategy config; every matrix left out is the identity
     (a2 alone gives adapt-then-combine, a1 alone combine-then-adapt)."""

@@ -171,16 +171,16 @@ class TestValidate:
         # simulation; both forms of targets
         ("universality_pn",
          lambda r: r["targets"]["constant"][0].__setitem__(0, "0.7"), 1,
-         "targets is not a number: [['0.7', -0.5]"),
+         "targets is not a number: entry (0, 0) is '0.7'"),
         ("universality_pn",
          lambda r: r["targets"]["constant"][0].__setitem__(0, float("nan")),
-         1, "targets is not a number: [[nan, -0.5]"),
+         1, "targets is not a number: entry (0, 0) is nan"),
         ("tracking_static_pn",
          lambda r: r["targets"]["stages"][1]["targets"][0].__setitem__(
-             0, "0.7"), 1, "targets is not a number: [['0.7', "),
+             0, "0.7"), 1, "targets is not a number: entry (0, 0) is '0.7'"),
         ("tracking_static_pn",
          lambda r: r["targets"]["stages"][1]["targets"][0].__setitem__(
-             0, float("nan")), 1, "targets is not a number: [[nan, "),
+             0, float("nan")), 1, "targets is not a number: entry (0, 0) is nan"),
     ])
     def test_malformed_value(self, tmp_path, capsys, preset, edit, code,
                              message):
@@ -194,6 +194,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_bad_target_of_a_long_stage_is_one_line(self, tmp_path, capsys):
+        # one quoted value among the 500 targets of an L = 50 stage: the
+        # message names that entry, not every target of the stage
+        raw = json.loads((resources.files("diffcomb") / "presets"
+                          / "tracking_static_pn.json").read_text())
+        raw["targets"]["stages"][2]["targets"][3][1] = "0.5"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "invalid experiment: targets is not a number: "
+            "entry (3, 1) is '0.5'\n")
 
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())

@@ -48,7 +48,7 @@ from diffcomb.signal import (
     load_snr_preset,
     regressor_covariance,
 )
-from helpers import stack, strategy
+from helpers import assert_same_series, stack, strategy
 
 CHAIN4 = Topology(
     n_agents=4,
@@ -942,8 +942,7 @@ class TestTheoryPath:
         cfg_two = small_config(horizon=40, schedule=split)
         a = run_theory(cfg_one)
         b = run_theory(cfg_two)
-        for name in a.series:
-            np.testing.assert_array_equal(a.series[name], b.series[name])
+        assert_same_series(b.series, a.series)
         assert len(b.steady) == 2
 
     def test_gamma_init_seeds_predicted_coefficient(self):

@@ -106,6 +106,19 @@ class TestTargetSchedule:
         with pytest.raises(ValueError, match="targets is not a number"):
             TargetSchedule(stages=((0, np.zeros((2, 2))), (5, rows)))
 
+    @pytest.mark.parametrize("bad,shown", [("0.5", "'0.5'"),
+                                           (float("nan"), "nan"),
+                                           (None, "None")])
+    def test_bad_target_named_by_its_entry(self, bad, shown):
+        # one bad value among the 500 targets of an L = 50 stage: the
+        # message names it by index and does not grow with the stage
+        rows = np.full((10, 50), 0.5).tolist()
+        rows[3][1] = bad
+        with pytest.raises(ValueError) as err:
+            TargetSchedule(stages=((0, np.zeros((10, 50))), (5, rows)))
+        assert str(err.value) == \
+            f"targets is not a number: entry (3, 1) is {shown}"
+
     def test_integral_times_are_stored_as_ints(self):
         w = np.zeros((1, 1))
         s = TargetSchedule(stages=((0.0, w), (5.0, w)), transition_len=2.0)

@@ -40,7 +40,7 @@ from diffcomb.theory import (
 )
 from diffcomb import harness, theory
 from diffcomb.theory import _build_model, _diagonal_blocks, _readouts
-from helpers import strategy
+from helpers import assert_same_series, assert_scaled_close, strategy
 
 
 def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
@@ -991,11 +991,16 @@ def oracle_evolve(pair, cfg, n_steps, state=None):
 
 
 def assert_same_trajectory(got, want):
+    """The moments and their readouts are bit for bit the oracle's, the
+    coefficient moments agree to 1e-12 of scale."""
     np.testing.assert_array_equal(got.record, want.record)
-    np.testing.assert_array_equal(got.coefficients, want.coefficients)
-    for name in ("m", "p", "gbar", "g2bar", "pbar"):
+    assert_scaled_close(got.coefficients, want.coefficients)
+    for name in ("m", "p"):
         assert np.array_equal(getattr(got.state, name),
                               getattr(want.state, name)), name
+    for name in ("gbar", "g2bar", "pbar"):
+        assert_scaled_close(getattr(got.state, name),
+                            getattr(want.state, name))
     assert got.degenerate_steps == want.degenerate_steps
 
 
@@ -1045,6 +1050,42 @@ def started(pair, gamma0=0.8):
     state = initial_moments(pair, gamma0=gamma0)
     return dataclasses.replace(
         state, pbar=np.linspace(0.1, 0.3, pair.n_agents))
+
+
+def sequential_scan(a, c, x0):
+    """x_1..x_T of x_{t+1} = a_t x_t + c_t as a per-instant loop."""
+    a, c = np.broadcast_arrays(a, c)
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(x0)))
+    x = x0
+    for t in range(len(c)):
+        x = out[t] = a[t] * x + c[t]
+    return out
+
+
+class TestAffineScan:
+    @pytest.mark.parametrize("t_len", [0, 1, 2, 3, B - 1, B, B + 1])
+    @pytest.mark.parametrize("case", ["scalar_a", "signed_a", "mixed_shapes"])
+    def test_matches_sequential_loop(self, case, t_len):
+        rng = np.random.default_rng(t_len)
+        n = 4
+        c = rng.normal(size=(t_len, n))
+        x0 = rng.normal(size=n)
+        if case == "scalar_a":  # the smoothed power's forgetting factor
+            a = 0.95
+        else:
+            # entries above one, exactly zero and negative
+            a = rng.uniform(-1.1, 1.1, size=(t_len, n))
+            a[::7] = 1.05
+            a[3::11] = 0.0
+            if case == "mixed_shapes":
+                a, x0 = a[:, :1], 0.3
+        got = theory._affine_scan(a, c, x0)
+        want = sequential_scan(a, c, x0)
+        assert got.shape == want.shape == (t_len, n)
+        if t_len:
+            assert_scaled_close(got, want)
+        if t_len == 1:
+            np.testing.assert_array_equal(got, a * x0 + c)
 
 
 class TestBlockedEvolve:
@@ -1104,10 +1145,10 @@ class TestBlockedEvolve:
             want = oracle_coefficient_step(cfg, *want, dj1[t], dj2[t], j2[t],
                                            sz)
             for got in (one, rows[t]):
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
-        np.testing.assert_array_equal(one[2], want[2])
-        np.testing.assert_array_equal(pbar, want[2])
+                assert_scaled_close(got[0], want[0])
+                assert_scaled_close(got[1], want[1])
+        assert_scaled_close(one[2], want[2])
+        assert_scaled_close(pbar, want[2])
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
     def test_coefficient_step_broadcasts_mixed_shapes(self, make_cfg):
@@ -1123,7 +1164,7 @@ class TestBlockedEvolve:
             got = coefficient_step(cfg, *start, *drivers, 0.05)
             want = oracle_coefficient_step(cfg, *start, *drivers, 0.05)
             for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, np.broadcast_to(w, (3,)))
+                assert_scaled_close(g, np.broadcast_to(w, (3,)))
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
     def test_settled_covariance_matches_oracle(self, make_cfg, monkeypatch):
@@ -1163,9 +1204,7 @@ class TestBlockedEvolve:
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "evolve", oracle_evolve)
                 want = harness.run_theory(cfg)
-            assert got.series.keys() == want.series.keys()
-            for key, series in want.series.items():
-                assert np.array_equal(got.series[key], series), (name, key)
+            assert_same_series(got.series, want.series, name)
             assert len(got.steady) == len(want.steady)
             assert_same_leaves(got.steady, want.steady)
 
@@ -1197,15 +1236,15 @@ class TestEvolve:
             state = MomentState(m=mean_step(pair, state.m),
                                 p=covariance_step(pair, state.p),
                                 gbar=gbar, g2bar=g2bar, pbar=pbar)
-            np.testing.assert_array_equal(traj.coefficients[t + 1],
-                                          [state.gbar, state.g2bar])
+            assert_scaled_close(traj.coefficients[t + 1],
+                                [state.gbar, state.g2bar])
             np.testing.assert_allclose(
                 record_series(traj)["combined_msd"][t],
                 combined_deviation(*raw_moments(state.m, state.p),
                                    state.gbar, state.g2bar), rtol=1e-13)
         np.testing.assert_array_equal(traj.state.m, state.m)
         np.testing.assert_array_equal(traj.state.p, state.p)
-        np.testing.assert_array_equal(traj.state.pbar, state.pbar)
+        assert_scaled_close(traj.state.pbar, state.pbar)
 
     def test_identical_components_freeze_coefficient(self):
         traj = evolve(random_model(81, n=3, l=1), pn_cfg(), 50)
@@ -1238,24 +1277,29 @@ class TestEvolve:
         # split falls inside a block or on a block boundary.  The
         # covariance settles at instant 288: the whole run stops stepping
         # it from instant 512, the split run from 512 in the first call
-        # and one block into the second
+        # and one block into the second.  Only a split on a block
+        # boundary keeps the coefficient scans' grouping, so elsewhere
+        # the coefficient moments agree to rounding
         pair = random_pair(86, n=3, l=2)
         cfg = make_cfg()
         start = initial_moments(pair, gamma0=0.8)
         whole = evolve(pair, cfg, sum(split), state=start)
         first = evolve(pair, cfg, split[0], state=start)
         second = evolve(pair, cfg, split[1], state=first.state)
+        same = np.testing.assert_array_equal if split[0] % B == 0 \
+            else assert_scaled_close
         np.testing.assert_array_equal(second.record[0], first.record[-1])
         np.testing.assert_array_equal(second.coefficients[0],
                                       first.coefficients[-1])
         np.testing.assert_array_equal(
             whole.record, np.concatenate((first.record, second.record[1:])))
-        np.testing.assert_array_equal(
-            whole.coefficients,
-            np.concatenate((first.coefficients, second.coefficients[1:])))
-        for name in ("m", "p", "gbar", "g2bar", "pbar"):
+        same(whole.coefficients,
+             np.concatenate((first.coefficients, second.coefficients[1:])))
+        for name in ("m", "p"):
             np.testing.assert_array_equal(getattr(whole.state, name),
                                           getattr(second.state, name))
+        for name in ("gbar", "g2bar", "pbar"):
+            same(getattr(whole.state, name), getattr(second.state, name))
         assert whole.degenerate_steps == (first.degenerate_steps
                                           + second.degenerate_steps)
 
