@@ -118,8 +118,6 @@ def pn_update(
     p <- eta p + (1 - eta) delta_y^2, gamma <- gamma +
     nu/(epsilon + p) e delta_y.
     """
-    if cfg.scheme != "power_normalized":
-        raise ValueError("combiner is not configured as power_normalized")
     p_new = cfg.eta * st.p + (1.0 - cfg.eta) * delta_y**2
     gamma_new = st.gamma + cfg.nu_gamma / (cfg.epsilon + p_new) * e * delta_y
     return CombinerState(gamma=gamma_new, p=p_new)
@@ -130,8 +128,6 @@ def sr_update(
 ) -> CombinerState:
     """Sign-regressor coefficient update: gamma <- gamma +
     nu e sgn(delta_y), with sgn(0) = 0."""
-    if cfg.scheme != "sign_regressor":
-        raise ValueError("combiner is not configured as sign_regressor")
     gamma_new = st.gamma + cfg.nu_gamma * e * np.sign(delta_y)
     return CombinerState(gamma=gamma_new)
 
@@ -164,8 +160,6 @@ def multi_update(
     nu_alpha e sgn((e - e_i)/denominator) and are re-mapped to
     coefficients afterwards.
     """
-    if cfg.scheme != "multi_sign":
-        raise ValueError("combiner is not configured as multi_sign")
     if component_errors.shape[-2] != cfg.m:
         raise ValueError(f"expected {cfg.m} component error rows")
     nu = np.asarray(cfg.nu_alpha)

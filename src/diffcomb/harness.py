@@ -6,17 +6,17 @@ The same description drives three paths: seeded Monte Carlo simulation,
 the deterministic moment recursions, and a comparison of the two.
 
 Monte Carlo runs are split into fixed-size chunks of consecutive run
-indices.  Each chunk advances all of its runs as one batched simulation,
-and chunk partial sums are reduced in chunk order, so the aggregate is
-bit-identical no matter how many worker processes execute the chunks.
+indices, each reduced on its own; chunk partial sums are added in chunk
+order, so the aggregate is bit-identical no matter how many worker
+processes run them.  A group of consecutive chunks is one batched run.
 
-Within a chunk the M component estimates and their combination are one
+Within a group the M component estimates and their combination are one
 (M+1, runs, N, L) array.  Each instant reads it once for the outputs
 and errors, updates the combiner once, advances all M components with
 one step (a ``StrategyStack`` built once per experiment) and writes the
-next stack.  Blocks of up to 2**15 estimate values (at least one
-instant) reduce each power family with one sum, straight into the
-series table; the sampler draws blocks of up to 2**19 regressor values.
+next stack.  Blocks of up to 2**15 estimate values of one chunk (at
+least one instant) reduce each power family with one sum per chunk,
+straight into its table; the sampler draws blocks of up to 2**19 values.
 """
 
 from __future__ import annotations
@@ -468,10 +468,12 @@ def _power_sums(parts, pair, cross, out) -> None:
 
 
 def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
-                    run_indices) -> np.ndarray:
-    """Advance one block of runs of the stacked components and return
-    per-step sums over the block, a (horizon, series) table in
-    series_layout order."""
+                    chunks) -> np.ndarray:
+    """Advance a group of consecutive chunks of runs of the stacked
+    components in one pass of the time loop and return, for each chunk on
+    its own, per-step sums over its runs: a (chunks, horizon, series)
+    array of tables in series_layout order.  A chunk's table does not
+    depend on the group it runs in."""
     n, m = cfg.n_agents, len(cfg.components)
     pair = cfg.combiner.scheme != "multi_sign"
     update = {"power_normalized": pn_update, "sign_regressor": sr_update,
@@ -483,17 +485,19 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
         def driver(rep):
             return np.moveaxis(rep.e[:m], 0, -2)
 
-    r = len(run_indices)
+    runs = [run for chunk in chunks for run in chunk]
+    ends = np.cumsum([len(chunk) for chunk in chunks]).tolist()
     sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
-                             run_indices, horizon=cfg.horizon)
-    st = init_state(stack, cfg.filter_len, batch_shape=(r,))
-    comb = init_combiner(cfg.combiner, n, batch_shape=(r,))
+                             runs, horizon=cfg.horizon)
+    st = init_state(stack, cfg.filter_len, batch_shape=(len(runs),))
+    comb = init_combiner(cfg.combiner, n, batch_shape=(len(runs),))
     if cfg.gamma_init is not None:
         comb.gamma = np.full_like(comb.gamma, cfg.gamma_init)
 
     # est[j] is the stack before instant j of a block: rows 0..M-1 the
-    # component estimates, row M their combination
-    size = st.w[0].size
+    # component estimates, row M their combination; a block holds one
+    # chunk's worth of values, so the group only widens each instant
+    size = len(chunks[0]) * n * cfg.filter_len
     width = max(1, min(cfg.horizon, _BLOCK_VALUES // ((m + 1) * size)))
     est = np.empty((width + 1, m + 1) + st.w.shape[1:])
     est[0, :m] = st.w
@@ -503,8 +507,9 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     targets = np.empty((width, n, cfg.filter_len))
     cross = np.empty((width, size))
     layout = series_layout(cfg)
-    table = np.empty((cfg.horizon, len(layout.names)))
-    gammas = table[:, layout.gamma].reshape(cfg.horizon, 2, *comb.gamma.shape[1:])
+    tables = np.empty((len(chunks), cfg.horizon, len(layout.names)))
+    gammas = tables[:, :, layout.gamma].reshape(
+        len(chunks), cfg.horizon, 2, *comb.gamma.shape[1:])
     for t in range(0, cfg.horizon, width):
         b = min(width, cfg.horizon - t)
         for j in range(b):
@@ -519,17 +524,18 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
             targets[j] = batch.targets
             del batch  # so that a refill can free the spent sampler block
         est[0] = est[b]
-        dev = est[1:b + 1]
+        dev, err = est[1:b + 1], e_tilde[:b]
         dev -= targets[:b, None, None]
-        rows = table[t:t + b]
-        _power_sums(dev, pair, cross, rows[:, layout.msd])
-        _power_sums(e_tilde[:b], pair, cross, rows[:, layout.emse])
-        rows[:, layout.msd] /= n
-        g = gamma[:b]
-        np.add.reduce(g, axis=1, out=gammas[t:t + b, 0])
-        g *= g
-        np.add.reduce(g, axis=1, out=gammas[t:t + b, 1])
-    return table
+        for table, sums, lo, hi in zip(tables, gammas, [0] + ends, ends):
+            rows = table[t:t + b]
+            _power_sums(dev[:, :, lo:hi], pair, cross, rows[:, layout.msd])
+            _power_sums(err[:, :, lo:hi], pair, cross, rows[:, layout.emse])
+            rows[:, layout.msd] /= n
+            g = gamma[:b, lo:hi]
+            np.add.reduce(g, axis=1, out=sums[t:t + b, 0])
+            g *= g
+            np.add.reduce(g, axis=1, out=sums[t:t + b, 1])
+    return tables
 
 
 def _resolve_workers(workers) -> int:
@@ -548,9 +554,11 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
     reruns exactly those seeds (repeats are allowed, which makes the
     degenerate equal-seed aggregate testable).  workers defaults to the
     DIFFCOMB_WORKERS environment variable, then to serial execution.
-    The result is identical for every worker count.  A series that is
-    not finite at some instant raises ValueError naming the first such
-    instant and series.
+    The result is identical for every worker count.  Consecutive chunks
+    advance in groups: at most ceil(chunks/workers) chunks, and no more
+    than fit one reduction block's values.  A series that is not finite
+    at some instant raises ValueError naming the first such instant and
+    series.
     """
     if run_indices is None:
         run_indices = range(cfg.runs)
@@ -561,17 +569,20 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
               for i in range(0, len(run_indices), CHUNK_RUNS)]
     stack = StrategyStack.of(cfg.components)
     workers = _resolve_workers(workers)
-    if workers > 1 and len(chunks) > 1:
+    per_chunk = (len(cfg.components) + 1) * CHUNK_RUNS * cfg.n_agents * cfg.filter_len
+    group = max(1, min(-(-len(chunks) // workers), _BLOCK_VALUES // per_chunk))
+    groups = [chunks[i:i + group] for i in range(0, len(chunks), group)]
+    args = [cfg] * len(groups), [stack] * len(groups), groups
+    if workers > 1 and len(groups) > 1:
         # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_simulate_chunk, [cfg] * len(chunks),
-                                  [stack] * len(chunks), chunks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+            parts = list(pool.map(_simulate_chunk, *args))
     else:
-        parts = [_simulate_chunk(cfg, stack, chunk) for chunk in chunks]
+        parts = list(map(_simulate_chunk, *args))
 
-    total = np.zeros_like(parts[0])
-    for part in parts:  # chunk order, independent of scheduling
-        total += part
+    total = np.zeros(parts[0].shape[1:])
+    for table in (table for part in parts for table in part):  # chunk order
+        total += table
     runs = len(run_indices)
     return _result(cfg, total / runs, "monte_carlo", runs, cfg.seed)
 

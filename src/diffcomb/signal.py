@@ -259,8 +259,8 @@ class ChunkedSampler:
         ar = self._ar
         # per AR(1) stream: row 0 its last value (on the very first block,
         # the stream's first normal), rows 1..b its innovations, which the
-        # recursion below overwrites in place with the new values
-        xs = np.empty((b + 1, n_runs, ar.size))
+        # recursion below overwrites in place; white columns stay zero
+        xs = np.zeros((b + 1, n_runs, self.n_agents)) if ar.size else None
         first = self._ar_last is None
         for i, states in enumerate(self._states):
             for k, state in enumerate(states):
@@ -271,16 +271,16 @@ class ChunkedSampler:
                 noise[:, i, k] = np.sqrt(self._sz[k]) * (
                     state.noise_rng.standard_normal(b)
                 )
-            for j, k in enumerate(ar):
-                xs[1 - first:, i, j] = states[k].regressor_rng.standard_normal(
+            for k in ar:
+                xs[1 - first:, i, k] = states[k].regressor_rng.standard_normal(
                     b + first)
         if ar.size:
-            xs[0] = np.sqrt(self._sx[ar]) * xs[0] if first else self._ar_last
-            scale = np.sqrt(0.75 * self._sx[ar])
+            xs[0] = np.sqrt(self._sx) * xs[0] if first else self._ar_last
+            scale = np.sqrt(0.75 * self._sx)
             for t in range(b):
                 xs[t + 1] = AR1_COEFF * xs[t] + scale * xs[t + 1]
-            reg[:, :, ar, 0] = xs[1:]
-            reg[:, :, ar, 1] = xs[:-1]
+            np.copyto(reg[..., 0], xs[1:], where=self._ar_mask)
+            np.copyto(reg[..., 1], xs[:-1], where=self._ar_mask)
             self._ar_last = xs[b].copy()
         # targets and references for the whole block, each instant's the
         # same numbers an instant-by-instant product gives

@@ -260,10 +260,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="m must be an integer >= 2"):
             CombinerConfig(scheme="multi_sign", m=2.5, nu_alpha=0.1)
 
-    def test_scheme_mismatch_guards(self):
-        state = init_combiner(pn_cfg(), 1)
-        with pytest.raises(ValueError, match="not configured"):
-            sr_update(pn_cfg(), state, np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError, match="not configured"):
-            pn_update(sr_cfg(), init_combiner(sr_cfg(), 1), np.zeros(1), np.zeros(1))
-

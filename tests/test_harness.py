@@ -260,6 +260,29 @@ def per_run_series(cfg):
     return np.mean(np.reshape(rows, (cfg.runs, cfg.horizon, -1)), axis=0)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the process pools run_monte_carlo opens, through a
+    stand-in pool that maps in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 def raw_config(**overrides):
     raw = {
         "topology": {"preset": "net1"},
@@ -731,16 +754,33 @@ class TestMonteCarlo:
     ], ids=["power_normalized", "sign_regressor", "multi_sign"])
     def test_chunk_table_independent_of_block_width(self, cfg, monkeypatch):
         # widths 1, 7 (four full blocks and one of two instants) and the
-        # whole horizon, over targets that ramp inside a block
-        per_instant = (len(cfg.components) + 1) * cfg.runs * 4 * 2
+        # whole horizon, over targets that ramp inside a block, on a group
+        # of two chunks of two runs: the width counts one chunk's values
+        chunks = [range(0, 2), range(2, 4)]
+        per_instant = (len(cfg.components) + 1) * 2 * 4 * 2
         tables = []
         for width in (1, 7, 10 ** 6):
             monkeypatch.setattr(harness, "_BLOCK_VALUES", width * per_instant)
             tables.append(harness._simulate_chunk(
-                cfg, StrategyStack.of(cfg.components), range(cfg.runs)))
+                cfg, StrategyStack.of(cfg.components), chunks))
+        assert tables[0].shape[0] == len(chunks)
         assert np.all(np.isfinite(tables[0]))
         for table in tables[1:]:
             assert np.array_equal(table, tables[0])
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_chunk_tables_independent_of_group_size(self, name):
+        # four chunks advanced as one group, and each alone
+        cfg = dataclasses.replace(load_preset_config(name), horizon=40,
+                                  runs=4 * harness.CHUNK_RUNS)
+        stack = StrategyStack.of(cfg.components)
+        chunks = [range(i, i + harness.CHUNK_RUNS)
+                  for i in range(0, cfg.runs, harness.CHUNK_RUNS)]
+        grouped = harness._simulate_chunk(cfg, stack, chunks)
+        assert grouped.shape == (4, 40, len(series_layout(cfg).names))
+        for table, chunk in zip(grouped, chunks):
+            alone, = harness._simulate_chunk(cfg, stack, [chunk])
+            assert np.array_equal(table, alone)
 
     @pytest.mark.parametrize("index", [0.7, -1, "3"])
     def test_refuses_bad_run_index_by_name(self, index):
@@ -801,30 +841,46 @@ class TestMonteCarlo:
             exported.append(path.read_bytes())
         assert exported[0] == exported[1]
 
-    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
-        # a stand-in pool records its size and maps in this process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_pool_starts_no_more_workers_than_chunks(self, pool_sizes):
         cfg = small_config(horizon=5, runs=2 * harness.CHUNK_RUNS)
         serial = run_monte_carlo(cfg, workers=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         pooled = run_monte_carlo(cfg, workers=8)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         for name, values in serial.series.items():
             np.testing.assert_array_equal(values, pooled.series[name])
+
+    @pytest.mark.parametrize("name,runs,workers,groups,pools", [
+        # two groups of two chunks, one per worker
+        ("steady_net2_snr1_ar1_pn", 100, 2, [[25, 25], [25, 25]], [2]),
+        # one L = 50 chunk already fills a reduction block
+        ("tracking_static_pn", 100, 2, [[25], [25], [25], [25]], [2]),
+        # uneven chunks share one group
+        ("steady_net2_snr1_ar1_pn", 26, 1, [[25, 1]], []),
+    ])
+    def test_chunk_groups(self, name, runs, workers, groups, pools,
+                          pool_sizes, monkeypatch):
+        mapped, runs_seen = [], []
+        simulate = harness._simulate_chunk
+
+        def recording(cfg, stack, chunks):
+            mapped.append([len(chunk) for chunk in chunks])
+            runs_seen.extend(run for chunk in chunks for run in chunk)
+            return simulate(cfg, stack, chunks)
+
+        monkeypatch.setattr(harness, "_simulate_chunk", recording)
+        cfg = dataclasses.replace(load_preset_config(name), horizon=5,
+                                  runs=runs)
+        grouped = run_monte_carlo(cfg, workers=workers)
+        assert mapped == groups
+        assert runs_seen == list(range(runs))
+        assert pool_sizes == pools
+        # a zero value budget advances each chunk alone
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", 0)
+        alone = run_monte_carlo(cfg, workers=1)
+        assert mapped[len(groups):] == [[size] for group in groups
+                                        for size in group]
+        for key, values in alone.series.items():
+            np.testing.assert_array_equal(values, grouped.series[key])
 
     def test_divergence_names_first_non_finite_instant(self):
         # mu = 3 on the fast universality preset: component 2 overflows first
