@@ -24,7 +24,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from diffcomb import graph  # noqa: E402
+from diffcomb import graph, signal  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "diffcomb" / "data"
 
@@ -65,6 +65,17 @@ def stats(t: graph.Topology) -> GraphStats:
         reach, diameter = (reach @ hop > 0).astype(float), diameter + 1
     return GraphStats(size=n, density=np.count_nonzero(t.adjacency) / (n * n),
                       lambda2=_lambda2(adj), diameter=diameter)
+
+
+def format_edge_list(t: graph.Topology) -> str:
+    """Serialize a Topology to the edge-list text format (1-based) that
+    graph.parse_edge_list reads."""
+    lines = [f"{u + 1} {v + 1}" for u, v in np.argwhere(np.triu(t.adjacency, 1))]
+    if t.clusters is not None:
+        for i, grp in enumerate(t.clusters, start=1):
+            members = " ".join(str(m + 1) for m in grp)
+            lines.append(f"cluster {i}: {members}")
+    return "\n".join(lines) + "\n"
 
 
 def _diameter_is_3(adj: np.ndarray) -> bool:
@@ -138,7 +149,7 @@ def make_topologies() -> None:
             f"lambda2 {st.lambda2:.6f}, diameter {st.diameter}\n"
             f"# frozen output of scripts/make_presets.py (seed {seed})\n"
         )
-        path.write_text(header + graph.format_edge_list(topo))
+        path.write_text(header + format_edge_list(topo))
         print(
             f"{name}: density {100 * st.density:.2f}%  lambda2 {st.lambda2:.6f}  "
             f"diameter {st.diameter}  -> {path.name}"
@@ -169,9 +180,15 @@ def _snr_targets(n, level, rng):
     return values[rng.permutation(n)]
 
 
-def make_signal_presets() -> None:
-    from diffcomb import signal
+def snr(p: signal.AgentSignalParams, w_star: np.ndarray) -> float:
+    """Signal-to-noise ratio 10 log10(w*' R_x w* / sigma_z2) in dB."""
+    if p.sigma_z2 <= 0:
+        raise ValueError("snr undefined for zero noise variance")
+    power = float(w_star @ signal.regressor_covariance(p) @ w_star)
+    return 10.0 * np.log10(power / p.sigma_z2)
 
+
+def make_signal_presets() -> None:
     rng = np.random.default_rng(SIGNAL_SEED)
     out = {}
     for n in (10, 20):
@@ -202,7 +219,7 @@ def make_signal_presets() -> None:
         for kind in ("white", "ar1"):
             for level in SNR_LEVELS:
                 params, w = signal.load_snr_preset(n, level, kind)
-                vals = [signal.snr(p, w) for p in params]
+                vals = [snr(p, w) for p in params]
                 print(
                     f"n{n} {kind:5s} {level}: max {max(vals):9.4f}  "
                     f"min {min(vals):9.4f}  mean {np.mean(vals):9.4f}"

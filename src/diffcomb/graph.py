@@ -67,10 +67,6 @@ class Topology:
         """Indices of the neighborhood of agent k, including k itself."""
         return np.flatnonzero(self.adjacency[:, k])
 
-    def degree(self, k: int) -> int:
-        """Size of the neighborhood of agent k (self included)."""
-        return int(self.adjacency[:, k].sum())
-
     def cluster_of(self, k: int) -> tuple:
         """The cluster containing agent k."""
         if self.clusters is None:
@@ -139,7 +135,7 @@ def static_rule(t: Topology, rule: str) -> StochasticMatrix:
             hood = [l for l in t.neighbors(k) if l in t.cluster_of(k)]
             a[hood, k] = 1.0 / len(hood)
     elif rule == "metropolis":
-        deg = np.array([t.degree(k) for k in range(n)])
+        deg = t.adjacency.sum(axis=0)
         for k in range(n):
             for l in t.neighbors(k):
                 if l != k:
@@ -236,16 +232,6 @@ def parse_edge_list(text: str) -> Topology:
         adj[u, v] = adj[v, u] = True
     grouped = tuple(clusters[k] for k in sorted(clusters)) if clusters else None
     return Topology(n_agents=n, adjacency=adj, clusters=grouped)
-
-
-def format_edge_list(t: Topology) -> str:
-    """Serialize a Topology to the edge-list text format (1-based)."""
-    lines = [f"{u + 1} {v + 1}" for u, v in np.argwhere(np.triu(t.adjacency, 1))]
-    if t.clusters is not None:
-        for i, grp in enumerate(t.clusters, start=1):
-            members = " ".join(str(m + 1) for m in grp)
-            lines.append(f"cluster {i}: {members}")
-    return "\n".join(lines) + "\n"
 
 
 def read_edge_list(path) -> Topology:

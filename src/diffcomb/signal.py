@@ -29,15 +29,21 @@ _BLOCK_VALUES = 2 ** 19  # regressor values per default sampler block
 
 
 def integer_value(name, value, least) -> int:
-    """value as an int, refused by name unless integral and >= least."""
-    if not isinstance(value, numbers.Real) or value % 1 or value < least:
+    """value as an int, refused by name unless integral and >= least; a
+    boolean is no integer here, though Python counts it as one."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or value % 1 or value < least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def _is_number(value) -> bool:
+    """Whether value is a finite number or array of them.  A boolean is
+    none, also among numbers in a list, where numpy would read it as 0 or 1."""
     arr = np.asarray(value)
-    return arr.dtype.kind in "biuf" and bool(np.all(np.isfinite(arr)))
+    return (arr.dtype.kind in "iuf" and bool(np.all(np.isfinite(arr)))
+            and {bool, np.bool_}.isdisjoint(
+                map(type, np.array(value, dtype=object).flat)))
 
 
 def require_number(name, value) -> None:
@@ -199,14 +205,6 @@ def target_at(schedule: TargetSchedule, n: int) -> np.ndarray:
             frac = (n - ramp_start) / schedule.transition_len
             return current + (nxt - current) * frac
     return current
-
-
-def snr(p: AgentSignalParams, w_star: np.ndarray) -> float:
-    """Signal-to-noise ratio 10 log10(w*' R_x w* / sigma_z2) in dB."""
-    if p.sigma_z2 <= 0:
-        raise ValueError("snr undefined for zero noise variance")
-    power = float(w_star @ regressor_covariance(p) @ w_star)
-    return 10.0 * np.log10(power / p.sigma_z2)
 
 
 class ChunkedSampler:

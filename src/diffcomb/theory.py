@@ -33,10 +33,10 @@ The mixing coefficient follows one law per two-component scheme, looked
 up by scheme name.  Over a block of instants, the smoothed power, the
 per-agent mean and then its second moment are each one log-depth affine
 scan over the law's terms, and agree with a per-instant loop to rounding.
-coefficient_step is a block of one, coefficient_steady gives the limits,
-stability_bounds the step-size bounds.  The drivers dj1 = j1 - j12 and
-dj2 = j2 - j12 are read from (m1 - m2, p11 - p12) and (m2 - m1,
-p22 - p12) directly, so nearly equal excess errors never cancel.
+coefficient_steady gives the limits, stability_bounds the step-size
+bounds.  The drivers dj1 = j1 - j12 and dj2 = j2 - j12 are read from
+(m1 - m2, p11 - p12) and (m2 - m1, p22 - p12) directly, so nearly equal
+excess errors never cancel.
 
 evolve advances the bare arrays (m, p) and (gbar, g2bar, pbar), block
 by block, and records the states 0..n of a stage: per-agent deviation
@@ -454,21 +454,6 @@ def _coefficients(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
     before = np.insert(means[:-1], 0, gbar, axis=0)
     return np.stack((means, _affine_scan(
         c, d1 + d2 + 2.0 * (before * e), g2bar)), axis=1), pbar
-
-
-def coefficient_step(cfg: CombinerConfig, gbar, g2bar, pbar, dj1, dj2, j2,
-                     sigma_z2):
-    """Advance the per-agent coefficient moments (gbar, g2bar, pbar) by
-    one instant, driven by dj1 = j1 - j12, dj2 = j2 - j12 and j2.
-
-    Arguments (scalars or arrays over agents) broadcast together, as does
-    cfg.nu_gamma.  The sign-regressor scheme returns pbar unchanged.  This
-    is evolve's coefficient pass on a block of one instant.
-    """
-    args = np.broadcast_arrays(gbar, g2bar, pbar, dj1, dj2, j2)
-    rows, pbar = _coefficients(cfg, *args[:3], *np.asarray(
-        args[3:], dtype=float)[:, None], sigma_z2)
-    return rows[0, 0], rows[0, 1], pbar
 
 
 def coefficient_steady(cfg: CombinerConfig, dj1, dj2, j2, sigma_z2):

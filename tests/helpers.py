@@ -6,13 +6,29 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from diffcomb import theory
 from diffcomb.diffusion import StrategyConfig, StrategyStack
 from diffcomb.graph import StochasticMatrix, Topology, static_rule
 
-# the statistics of a topology live with the script that searches for the
-# bundled networks, their only user outside the tests
+# the statistics of a topology, its edge-list writer and the SNR of an
+# agent's signal live with the script that writes the bundled data files,
+# their only user outside the tests
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from make_presets import stats  # noqa: E402,F401
+from make_presets import format_edge_list, snr, stats  # noqa: E402,F401
+
+
+def coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
+    """Advance the per-agent coefficient moments (gbar, g2bar, pbar) by
+    one instant, driven by dj1 = j1 - j12, dj2 = j2 - j12 and j2: the
+    coefficient pass of theory.evolve on a block of one instant.
+
+    Arguments (scalars or arrays over agents) broadcast together, as does
+    cfg.nu_gamma.  The sign-regressor scheme returns pbar unchanged.
+    """
+    args = np.broadcast_arrays(gbar, g2bar, pbar, dj1, dj2, j2)
+    rows, pbar = theory._coefficients(cfg, *args[:3], *np.asarray(
+        args[3:], dtype=float)[:, None], sigma_z2)
+    return rows[0, 0], rows[0, 1], pbar
 
 
 def assert_scaled_close(got, want, label=None, rtol=1e-12):

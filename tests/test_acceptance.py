@@ -18,7 +18,6 @@ from diffcomb import harness
 from diffcomb.graph import build_preset, static_rule, validate_stochastic
 from diffcomb.theory import (
     coefficient_steady,
-    coefficient_step,
     covariance_step,
     initial_moments,
     mean_step,
@@ -26,7 +25,7 @@ from diffcomb.theory import (
     steady_state,
     universality_report,
 )
-from helpers import stats
+from helpers import coefficient_step, stats
 
 WINDOW_SLOW = (18000, 20000)
 WINDOW_FAST = (4500, 5000)

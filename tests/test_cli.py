@@ -167,6 +167,14 @@ class TestValidate:
         ("universality_pn",
          lambda r: r["components"][0].update(mu=float("inf")), 1,
          "mu is not a number: inf"),
+        # each used to print "config ok", reading the boolean as 0 or 1
+        ("universality_pn", lambda r: r["components"][0].update(mu=True), 1,
+         "mu is not a number: True"),
+        ("universality_pn", lambda r: r["combiner"].update(nu_gamma=True), 1,
+         "nu_gamma is not a number: True"),
+        ("universality_pn",
+         lambda r: r["targets"]["constant"][0].__setitem__(0, True), 1,
+         "targets is not a number: entry (0, 0) is True"),
         # the first used to be parsed, the second reported as a diverged
         # simulation; both forms of targets
         ("universality_pn",
@@ -207,6 +215,23 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "invalid experiment: targets is not a number: "
             "entry (3, 1) is '0.5'\n")
+
+    def test_boolean_numbers_refused_in_one_line(self, tmp_path, capsys):
+        # validate used to print "config ok: ... 1 runs", and the run then
+        # used sigma_x2 = 1 for agent 1
+        raw = json.loads((resources.files("diffcomb") / "presets"
+                          / "universality_pn.json").read_text())
+        agent = raw["signal"]["agents"][0]
+        sigma_x2 = agent["sigma_x2"]
+        raw["runs"] = agent["sigma_x2"] = True
+        path = tmp_path / "bad.json"
+        for message in ("sigma_x2 is not a number: True",
+                        "runs must be an integer >= 1, got True"):
+            path.write_text(json.dumps(raw))
+            assert main(["validate", str(path)]) == 1
+            assert capsys.readouterr().err == \
+                f"invalid experiment: {message}\n"
+            agent["sigma_x2"] = sigma_x2
 
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())

@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 from diffcomb.graph import (
     Topology,
     build_preset,
-    format_edge_list,
     parse_edge_list,
     static_rule,
     validate_stochastic,
 )
-from helpers import stats, topologies
+from helpers import format_edge_list, stats, topologies
 
 
 def path_graph(n):

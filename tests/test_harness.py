@@ -48,7 +48,7 @@ from diffcomb.signal import (
     load_snr_preset,
     regressor_covariance,
 )
-from helpers import assert_same_series, stack, strategy
+from helpers import assert_same_series, coefficient_step, stack, strategy
 
 CHAIN4 = Topology(
     n_agents=4,
@@ -139,7 +139,7 @@ def raw_moment_series(cfg):
         for _ in range(start, end):
             j1, j2, j12 = (per_agent(om[pair], rx) for pair in pairs)
             dj1, dj2 = j1 - j12, j2 - j12
-            gbar_next, g2bar_next, pbar = theory.coefficient_step(
+            gbar_next, g2bar_next, pbar = coefficient_step(
                 cfg.combiner, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
             rows["emse1"].append(j1.sum())
             rows["emse2"].append(j2.sum())
@@ -321,6 +321,11 @@ class TestExperimentConfig:
         ("horizon", 20.7, "horizon must be an integer >= 1"),
         ("runs", 2.5, "runs must be an integer"),
         ("runs", "3", "runs must be an integer"),
+        # a JSON boolean used to be read as 0 or 1
+        ("runs", True, "runs must be an integer >= 1, got True"),
+        ("horizon", True, "horizon must be an integer >= 1, got True"),
+        ("seed", False, "seed must be an integer >= 0, got False"),
+        ("gamma_init", True, "gamma_init is not a number: True"),
         ("gamma_init", "x", "gamma_init is not a number: 'x'"),
     ])
     def test_rejects_unrunnable_values(self, field, value, message):

@@ -10,9 +10,9 @@ from diffcomb.signal import (
     TargetSchedule,
     load_snr_preset,
     regressor_covariance,
-    snr,
     target_at,
 )
+from helpers import snr
 
 
 # The scalar sampling path: one datum at a time from one (run, agent)
@@ -96,10 +96,10 @@ class TestTargetSchedule:
             TargetSchedule(stages=((0, w), (100, w)), transition_len=200)
 
     @pytest.mark.parametrize("bad", ["0.7", float("nan"), float("inf"),
-                                     None, [0.7]])
+                                     None, [0.7], True])
     def test_non_number_targets_refused_by_name(self, bad):
         # a quoted target used to be parsed, a NaN one to run; [0.7] makes
-        # the rows a ragged nesting
+        # the rows a ragged nesting; a boolean used to be read as 1
         rows = [[bad, -0.5], [0.7, -0.5]]
         with pytest.raises(ValueError, match="targets is not a number"):
             TargetSchedule.constant(rows)
@@ -108,7 +108,8 @@ class TestTargetSchedule:
 
     @pytest.mark.parametrize("bad,shown", [("0.5", "'0.5'"),
                                            (float("nan"), "nan"),
-                                           (None, "None")])
+                                           (None, "None"),
+                                           (False, "False")])
     def test_bad_target_named_by_its_entry(self, bad, shown):
         # one bad value among the 500 targets of an L = 50 stage: the
         # message names it by index and does not grow with the stage
@@ -371,7 +372,7 @@ class TestChunkedSampler:
         sampler = ChunkedSampler(params, schedule, seed=3, runs=range(runs))
         assert sampler.block_len == expected
 
-    @pytest.mark.parametrize("block_len", [0, -4, 2.5, "8"])
+    @pytest.mark.parametrize("block_len", [0, -4, 2.5, "8", True])
     def test_refuses_bad_block_length_by_name(self, block_len):
         # 0 used to fail stacking an empty block of targets
         params = self._params(("white", "ar1"))

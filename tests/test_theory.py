@@ -25,7 +25,6 @@ from diffcomb.theory import (
     InstabilityError,
     MomentState,
     build_component_model,
-    coefficient_step,
     coefficient_steady,
     covariance_step,
     evolve,
@@ -40,7 +39,12 @@ from diffcomb.theory import (
 )
 from diffcomb import harness, theory
 from diffcomb.theory import _build_model, _diagonal_blocks, _readouts
-from helpers import assert_same_series, assert_scaled_close, strategy
+from helpers import (
+    assert_same_series,
+    assert_scaled_close,
+    coefficient_step,
+    strategy,
+)
 
 
 def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
