@@ -16,6 +16,7 @@ Usage: python3 scripts/run_preset_suite.py --out results [--runs 20]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fnmatch
 import pathlib
 import sys
@@ -35,7 +36,7 @@ def main(argv=None):
                         help="glob over preset names (default: all)")
     parser.add_argument("--runs", type=int, default=None,
                         help="override the per-preset run count")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--tol-msd-db", type=float, default=2.0)
     parser.add_argument("--tol-gamma", type=float, default=0.05)
     args = parser.parse_args(argv)
@@ -50,10 +51,13 @@ def main(argv=None):
     failures = []
     for name in names:
         cfg = harness.load_preset_config(name)
-        run_indices = range(args.runs) if args.runs else None
+        if args.runs is not None:
+            try:
+                cfg = dataclasses.replace(cfg, runs=args.runs)
+            except ValueError as exc:
+                parser.exit(2, f"{parser.prog}: error: {exc}\n")
         start = time.perf_counter()
-        sim = harness.run_monte_carlo(cfg, run_indices=run_indices,
-                                      workers=args.workers)
+        sim = harness.run_monte_carlo(cfg, workers=args.workers)
         sim_path = out_dir / f"{name}_sim.csv"
         harness.export(sim, sim_path, columns=cfg.outputs)
         elapsed = time.perf_counter() - start

@@ -12,6 +12,7 @@ Usage: python3 scripts/run_stepsize_sweep.py --scheme power_normalized
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -38,13 +39,17 @@ def main(argv=None):
                         default="power_normalized")
     parser.add_argument("--gains", type=float, nargs="+", default=None)
     parser.add_argument("--runs", type=int, default=20)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None,
                         help="optional CSV file for the summary table")
     args = parser.parse_args(argv)
 
     gains = tuple(args.gains) if args.gains else DEFAULT_GAINS[args.scheme]
-    base = harness.load_preset_config(BASE_PRESET[args.scheme])
+    try:
+        base = dataclasses.replace(
+            harness.load_preset_config(BASE_PRESET[args.scheme]), runs=args.runs)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     windows = harness.stage_windows(base.horizon, base.schedule, 0.2)
 
     rows = []
@@ -52,9 +57,8 @@ def main(argv=None):
         raw = json.loads(json.dumps(base.source))
         raw["combiner"]["nu_gamma"] = nu
         raw["label"] = f"{args.scheme} sweep nu={nu}"
-        cfg = harness.config_from_dict(raw)
-        sim = harness.run_monte_carlo(cfg, run_indices=range(args.runs),
-                                      workers=args.workers)
+        cfg = dataclasses.replace(harness.config_from_dict(raw), runs=base.runs)
+        sim = harness.run_monte_carlo(cfg, workers=args.workers)
         msd = sim.series["msd_combined"]
         tails = [10.0 * np.log10(np.mean(msd[lo:hi]))
                  for lo, hi in windows]

@@ -7,11 +7,11 @@ failures, 2 for unreadable or malformed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .harness import (
     ConfigError,
+    ExportError,
     check_step_sizes,
     compare,
     export,
@@ -36,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("-o", "--output", required=True, help="output file")
     sim.add_argument("--format", choices=("csv", "json"), default=None,
                      help="output format (default: from the file extension)")
-    sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: DIFFCOMB_WORKERS or 1)")
+    sim.add_argument("--workers", type=int, default=1,
+                     help="worker processes (default: 1)")
 
     theo = sub.add_parser("theory", help="evaluate the moment recursions")
     theo.add_argument("config", help="config file path or bundled preset name")
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ExportError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, InstabilityError) as exc:

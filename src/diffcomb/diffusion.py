@@ -84,10 +84,6 @@ class StrategyConfig:
             tau.setflags(write=False)
             object.__setattr__(self, "tau", tau)
 
-    @property
-    def n_agents(self) -> int:
-        return self.topology.n_agents
-
 
 @dataclass(frozen=True)
 class StrategyStack:
@@ -110,7 +106,7 @@ class StrategyStack:
     def of(cls, components) -> StrategyStack:
         """Stack the configurations of strategies on one network."""
         comps = tuple(components)
-        eye = np.eye(comps[0].n_agents)
+        eye = np.eye(comps[0].topology.n_agents)
 
         def stacked(role):
             entries = np.stack([getattr(c, role).entries for c in comps])
@@ -231,14 +227,15 @@ def adapt_matrix_relative_variance(
 
 
 def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,
-         e: np.ndarray | None = None) -> StrategyState:
+         e: np.ndarray) -> StrategyState:
     """Advance every component one instant: pre-combine, adapt, (refresh
     A2), combine.
 
-    e, when given, holds the components' output errors d - x'w (M, ...,
-    N) from errors_and_outputs.  With A1 = C = I for every component they
-    are the errors the adaptation needs, so x'w is not formed again;
-    otherwise e is not read.
+    e holds the components' output errors d - x'w (M, ..., N) from
+    errors_and_outputs.  With A1 = C = I for every component they are the
+    errors the adaptation needs, so x'w is not formed again; with A1 != I
+    the errors are taken at the pre-combined phi instead, and with C != I
+    e is not read.
     """
     x, d = batch.regressors, batch.references
     if x.shape[-2:] != st.w.shape[-2:]:
@@ -252,7 +249,7 @@ def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,
 
     mu = _lift(stack.mu, nb)
     if stack.c is None:
-        if e is None or stack.a1 is not None:
+        if stack.a1 is not None:
             e = d - np.einsum("...kl,...kl->...k", x, phi)
         psi = phi + mu * e[..., None] * x
     else:

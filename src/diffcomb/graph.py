@@ -68,13 +68,8 @@ class Topology:
         return np.flatnonzero(self.adjacency[:, k])
 
     def cluster_of(self, k: int) -> tuple:
-        """The cluster containing agent k."""
-        if self.clusters is None:
-            raise ValueError("topology has no clusters")
-        for g in self.clusters:
-            if k in g:
-                return g
-        raise ValueError(f"agent {k} not in any cluster")
+        """The cluster containing agent k, of a clustered topology."""
+        return next(g for g in self.clusters if k in g)
 
 
 @dataclass(frozen=True)
@@ -146,14 +141,12 @@ def static_rule(t: Topology, rule: str) -> StochasticMatrix:
     return StochasticMatrix(entries=a, role="left")
 
 
-def validate_stochastic(
-    m: StochasticMatrix, t: Topology, tol: float = 1e-12
-) -> str | None:
+def validate_stochastic(m: StochasticMatrix, t: Topology) -> str | None:
     """Check a combination matrix against its role and the topology support.
 
     Returns None for a valid matrix, otherwise a message naming the first
     defect: a negative entry, an entry off the topology's support, or a
-    column (left role) or row (right role) whose sum is not within tol
+    column (left role) or row (right role) whose sum is not within 1e-12
     of one.
     """
     ent = m.entries
@@ -167,7 +160,7 @@ def validate_stochastic(
             return f"entry ({l}, {k}) {what}"
     axis, line = (0, "column") if m.role == "left" else (1, "row")
     sums = ent.sum(axis=axis)
-    off = np.flatnonzero(~(np.abs(sums - 1.0) <= tol))
+    off = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12))
     if off.size:
         return f"{line} {off[0]} sums to {float(sums[off[0]])}, not 1"
     return None

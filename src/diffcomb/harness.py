@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -69,7 +68,6 @@ from .theory import (
 
 CHUNK_RUNS = 25
 _BLOCK_VALUES = 2 ** 15  # estimate values per reduction block
-WORKERS_ENV = "DIFFCOMB_WORKERS"
 
 _TOP_LEVEL_KEYS = {
     "topology", "signal", "targets", "components", "combiner",
@@ -81,6 +79,11 @@ _COMPONENT_KEYS = {"a1", "c", "a2", "a2_mode", "mu", "tau"}
 class ConfigError(Exception):
     """Structural problem in an experiment description (unreadable file,
     malformed syntax, unknown keys, missing sections)."""
+
+
+class ExportError(Exception):
+    """A file that load_result cannot read as an exported result: not a
+    table of equal-length numeric series."""
 
 
 @dataclass
@@ -104,7 +107,6 @@ class ExperimentConfig:
     outputs: tuple | None = None
     gamma_init: float | None = None
     source: dict | None = None
-    label: str | None = None
 
     def __post_init__(self):
         for name, least in (("horizon", 1), ("runs", 1), ("seed", 0)):
@@ -135,6 +137,8 @@ class ExperimentConfig:
             if self.combiner.scheme == "multi_sign":
                 raise ValueError("gamma_init applies to two-component schemes only")
             require_number("gamma_init", self.gamma_init)
+            if np.ndim(self.gamma_init):
+                raise ValueError("gamma_init must be a single number")
             self.gamma_init = float(self.gamma_init)
         for name, shape, per in (
                 ("nu_gamma", (n,), "agent"),
@@ -215,6 +219,14 @@ def _structural(mapping, key, context):
         raise ConfigError(f"{context} is missing {key!r}") from None
 
 
+def _name(mapping, key, context):
+    """The string setting context.key, refused unless it is one."""
+    value = _structural(mapping, key, context)
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}.{key} must be a string")
+    return value
+
+
 def _check_keys(mapping, allowed, context):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a table of settings")
@@ -237,11 +249,11 @@ def _topology_from_dict(raw, base_dir):
     _check_keys(raw, {"preset", "edges"}, "topology")
     if "preset" in raw:
         try:
-            return build_preset(raw["preset"])
+            return build_preset(_name(raw, "preset", "topology"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if "edges" in raw:
-        path = Path(base_dir) / raw["edges"]
+        path = Path(base_dir) / _name(raw, "edges", "topology")
         if not path.exists():
             raise ConfigError(f"edge-list file {path} does not exist")
         return read_edge_list(path)
@@ -255,8 +267,8 @@ def _signal_from_dict(raw, n_agents):
         _check_keys(spec, {"level", "kind"}, "signal.snr_preset")
         try:
             params, w_star = load_snr_preset(
-                n_agents, _structural(spec, "level", "signal.snr_preset"),
-                _structural(spec, "kind", "signal.snr_preset"))
+                n_agents, _name(spec, "level", "signal.snr_preset"),
+                _name(spec, "kind", "signal.snr_preset"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return params, w_star
@@ -264,6 +276,8 @@ def _signal_from_dict(raw, n_agents):
         entries = raw["agents"]
         if isinstance(entries, dict):
             entries = [entries] * n_agents
+        if not isinstance(entries, list):
+            raise ConfigError("signal.agents must be a list or one agent entry")
         if len(entries) != n_agents:
             raise ConfigError(
                 f"signal.agents lists {len(entries)} agents, "
@@ -272,6 +286,8 @@ def _signal_from_dict(raw, n_agents):
         for entry in entries:
             _check_keys(entry, {"sigma_x2", "sigma_z2", "filter_len",
                                 "regressor_kind"}, "signal agent entry")
+            for key in ("sigma_x2", "sigma_z2", "filter_len"):
+                _structural(entry, key, "signal agent entry")
             params.append(AgentSignalParams(**entry))
         return params, None
     raise ConfigError("signal needs snr_preset or explicit agent parameters")
@@ -287,6 +303,8 @@ def _schedule_from_dict(raw, w_star, n_agents):
     if "constant" in raw:
         return TargetSchedule.constant(raw["constant"])
     if "stages" in raw:
+        if not isinstance(raw["stages"], list):
+            raise ConfigError("targets.stages must be a list of stages")
         stages = []
         for entry in raw["stages"]:
             _check_keys(entry, {"start", "targets"}, "target stage")
@@ -342,7 +360,8 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
     _structural(comb_raw, "scheme", "combiner")
     combiner = CombinerConfig(**comb_raw)
     outputs = raw.get("outputs")
-    if outputs is not None and not isinstance(outputs, list):
+    if outputs is not None and not (isinstance(outputs, list) and all(
+            isinstance(name, str) for name in outputs)):
         raise ConfigError("outputs must be a list of series names")
     return ExperimentConfig(
         topology=topology,
@@ -356,7 +375,6 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
         outputs=tuple(outputs) if outputs is not None else None,
         gamma_init=raw.get("gamma_init"),
         source=raw,
-        label=raw.get("label"),
     )
 
 
@@ -538,37 +556,20 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     return tables
 
 
-def _resolve_workers(workers) -> int:
-    name = "workers"
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        name, workers = WORKERS_ENV, int(env) if env.isdecimal() else env or 1
-    return max(1, integer_value(name, workers, 0))
+def run_monte_carlo(cfg: ExperimentConfig, workers=1) -> SeriesResult:
+    """Average the configured experiment over its cfg.runs seeded Monte
+    Carlo runs on workers processes (serial by default; 0 counts as 1).
 
-
-def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
-                    workers=None) -> SeriesResult:
-    """Average the configured experiment over seeded Monte Carlo runs.
-
-    run_indices defaults to range(cfg.runs); passing an explicit list
-    reruns exactly those seeds (repeats are allowed, which makes the
-    degenerate equal-seed aggregate testable).  workers defaults to the
-    DIFFCOMB_WORKERS environment variable, then to serial execution.
     The result is identical for every worker count.  Consecutive chunks
     advance in groups: at most ceil(chunks/workers) chunks, and no more
     than fit one reduction block's values.  A series that is not finite
     at some instant raises ValueError naming the first such instant and
     series.
     """
-    if run_indices is None:
-        run_indices = range(cfg.runs)
-    run_indices = [integer_value("run index", i, 0) for i in run_indices]
-    if not run_indices:
-        raise ValueError("need at least one run index")
-    chunks = [run_indices[i:i + CHUNK_RUNS]
-              for i in range(0, len(run_indices), CHUNK_RUNS)]
+    workers = max(1, integer_value("workers", workers, 0))
+    chunks = [range(i, min(i + CHUNK_RUNS, cfg.runs))
+              for i in range(0, cfg.runs, CHUNK_RUNS)]
     stack = StrategyStack.of(cfg.components)
-    workers = _resolve_workers(workers)
     per_chunk = (len(cfg.components) + 1) * CHUNK_RUNS * cfg.n_agents * cfg.filter_len
     group = max(1, min(-(-len(chunks) // workers), _BLOCK_VALUES // per_chunk))
     groups = [chunks[i:i + group] for i in range(0, len(chunks), group)]
@@ -583,8 +584,7 @@ def run_monte_carlo(cfg: ExperimentConfig, run_indices=None,
     total = np.zeros(parts[0].shape[1:])
     for table in (table for part in parts for table in part):  # chunk order
         total += table
-    runs = len(run_indices)
-    return _result(cfg, total / runs, "monte_carlo", runs, cfg.seed)
+    return _result(cfg, total / cfg.runs, "monte_carlo", cfg.runs, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +632,7 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
         # the coefficient moments carry over in the last recorded state
         state = (shift_targets(traj.state, (stages[i - 1][1] - target).ravel())
                  if i else initial_moments(pair, gamma0=gamma0))
-        traj = evolve(pair, cfg.combiner, end - start, state=state)
+        traj = evolve(pair, cfg.combiner, end - start, state)
         # a power family holds (1, 2, combined, cross): deviations after
         # each update, averaged over agents, excess errors before it, summed
         rows, coef = table[start:end], traj.coefficients
@@ -826,19 +826,30 @@ def load_result(path) -> SeriesResult:
 
     Instants whose power was nonpositive were stored as nan and stay nan.
     The metadata of a JSON file comes back with it; a CSV file has none.
+    A file that holds no table of equal-length numeric series, one per
+    named column, raises ExportError naming it.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text())
-        names = [name for name in payload["columns"] if name != "n"]
-        columns = [payload["series"][name] for name in names]
-        horizon = len(columns[0]) if columns else 0
-        metadata = payload.get("metadata") or {}
-    else:
-        with open(path) as fh:
-            names = fh.readline().strip().split(",")[1:]
-            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-        columns, horizon, metadata = matrix.T[1:], matrix.shape[0], {}
-    return SeriesResult(horizon, {name: _linear(name, column)
-                                  for name, column in zip(names, columns)},
-                        metadata)
+    try:
+        if path.suffix.lower() == ".json":
+            payload = json.loads(path.read_text())
+            names = [name for name in payload["columns"] if name != "n"]
+            columns = [payload["series"][name] for name in names]
+            horizon = len(columns[0]) if columns else 0
+            metadata = payload.get("metadata") or {}
+        else:
+            with open(path) as fh:
+                names = fh.readline().strip().split(",")[1:]
+                matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if matrix.shape[1] != len(names) + 1:
+                raise ValueError(f"its header names {len(names)} series, "
+                                 f"its rows hold {matrix.shape[1] - 1}")
+            columns, horizon, metadata = matrix.T[1:], matrix.shape[0], {}
+        series = {name: _linear(name, column)
+                  for name, column in zip(names, columns)}
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise ExportError(f"{path} is not a result export: {exc}") from None
+    if any(values.shape != (horizon,) for values in series.values()):
+        raise ExportError(f"{path} is not a result export: its series "
+                          "differ in length")
+    return SeriesResult(horizon, series, metadata)

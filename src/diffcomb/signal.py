@@ -145,9 +145,9 @@ class TargetSchedule:
         return self.stages[0][1].shape[1]
 
     @staticmethod
-    def constant(targets, start: int = 0) -> "TargetSchedule":
-        """A single-stage schedule holding one target forever."""
-        return TargetSchedule(stages=((start, targets),))
+    def constant(targets) -> "TargetSchedule":
+        """A single-stage schedule holding one target from time 0 on."""
+        return TargetSchedule(stages=((0, targets),))
 
 
 @dataclass(frozen=True)
@@ -212,24 +212,21 @@ class ChunkedSampler:
 
     One stream pair per (run, agent), seeded from (seed, run, agent), so
     the numbers of a given run never depend on which block it lands in.
-    Normals are drawn in blocks of ``block_len`` steps per stream; block
-    boundaries do not change the values either, only how many samples
-    each stream call returns; the default is at most 512 instants of at
-    most 2**19 regressor values (41 at 25 runs, 10 agents, L = 50).
-    With a ``horizon`` no block reaches past it, so the streams are left
-    exactly ``horizon`` instants in and stepping further raises ValueError.
+    Normals are drawn in blocks of at most 512 instants of at most
+    ``_BLOCK_VALUES`` = 2**19 regressor values (41 instants at 25 runs,
+    10 agents, L = 50); block boundaries do not change the values, only
+    how many samples each stream call returns.  No block reaches past the
+    ``horizon``, so the streams are left exactly ``horizon`` instants in
+    and stepping further raises ValueError.
     """
 
-    def __init__(self, params, schedule, seed, runs, block_len=None,
-                 horizon=None):
+    def __init__(self, params, schedule, seed, runs, horizon):
         self.params = list(params)
         self.schedule = schedule
         self.runs = list(runs)
         self.n_agents = len(self.params)
-        if block_len is None:
-            values = len(self.runs) * self.n_agents * schedule.filter_len
-            block_len = min(512, max(1, _BLOCK_VALUES // max(1, values)))
-        self.block_len = integer_value("block_len", block_len, 1)
+        values = len(self.runs) * self.n_agents * schedule.filter_len
+        self.block_len = min(512, max(1, _BLOCK_VALUES // max(1, values)))
         self.horizon = horizon
         self._states = [
             [GeneratorState(seed, r, k) for k in range(self.n_agents)]
@@ -239,27 +236,27 @@ class ChunkedSampler:
         self._sz = np.array([p.sigma_z2 for p in self.params])
         self._ar_mask = np.array([p.regressor_kind == "ar1" for p in self.params])
         self._ar = np.flatnonzero(self._ar_mask)  # empty when all are white
+        # each AR(1) stream starts from its first normal times sqrt(sigma_x2)
+        self._ar_last = np.sqrt(self._sx) * np.array(
+            [[s.regressor_rng.standard_normal() if ar else 0.0
+              for s, ar in zip(states, self._ar_mask)] for states in self._states])
         self._n = self._cursor = self._end = 0  # the first step refills
-        self._ar_last = None
         self._block = None  # regressors, references, noises and targets
 
     def _refill(self):
-        b = self.block_len
-        if self.horizon is not None:
-            b = min(b, self.horizon - self._n)
-            if b <= 0:
-                raise ValueError(f"the sampler's horizon of {self.horizon} "
-                                 "instants is exhausted")
+        b = min(self.block_len, self.horizon - self._n)
+        if b <= 0:
+            raise ValueError(f"the sampler's horizon of {self.horizon} "
+                             "instants is exhausted")
         self._block = None  # freed now unless a caller holds a batch of it
         n_runs, L = len(self.runs), self.schedule.filter_len
         reg = np.empty((b, n_runs, self.n_agents, L))
         noise = np.empty((b, n_runs, self.n_agents))
         ar = self._ar
-        # per AR(1) stream: row 0 its last value (on the very first block,
-        # the stream's first normal), rows 1..b its innovations, which the
-        # recursion below overwrites in place; white columns stay zero
+        # per AR(1) stream: row 0 its last value, rows 1..b its innovations,
+        # which the recursion below overwrites in place; white columns stay
+        # zero
         xs = np.zeros((b + 1, n_runs, self.n_agents)) if ar.size else None
-        first = self._ar_last is None
         for i, states in enumerate(self._states):
             for k, state in enumerate(states):
                 if not self._ar_mask[k]:
@@ -270,10 +267,9 @@ class ChunkedSampler:
                     state.noise_rng.standard_normal(b)
                 )
             for k in ar:
-                xs[1 - first:, i, k] = states[k].regressor_rng.standard_normal(
-                    b + first)
+                xs[1:, i, k] = states[k].regressor_rng.standard_normal(b)
         if ar.size:
-            xs[0] = np.sqrt(self._sx) * xs[0] if first else self._ar_last
+            xs[0] = self._ar_last
             scale = np.sqrt(0.75 * self._sx)
             for t in range(b):
                 xs[t + 1] = AR1_COEFF * xs[t] + scale * xs[t + 1]

@@ -510,8 +510,9 @@ def shift_targets(state: MomentState, delta: np.ndarray) -> MomentState:
 
 
 def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
-           state: MomentState | None = None) -> TheoryTrajectory:
-    """Run the coupled moment recursions for n_steps instants.
+           state: MomentState) -> TheoryTrajectory:
+    """Run the coupled moment recursions for n_steps instants from state
+    (initial_moments(pair) at the start of an experiment).
 
     Per instant, the pre-update excess errors drive the coefficient
     update (the stochastic update also acts on pre-update errors), and
@@ -526,8 +527,6 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     step returns its input bit for bit (a non-finite p never does), later
     blocks read their diagonal blocks from that p without stepping it.
     """
-    if state is None:
-        state = initial_moments(pair)
     m, p, pbar = state.m, state.p, state.pbar
     n, k = pair.n_agents, pair.weights.shape[-1]
     record = np.empty((n_steps + 1, 3, 2, n))

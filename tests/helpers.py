@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from diffcomb import theory
-from diffcomb.diffusion import StrategyConfig, StrategyStack
+from diffcomb.diffusion import StrategyConfig, StrategyStack, errors_and_outputs, step
 from diffcomb.graph import StochasticMatrix, Topology, static_rule
 
 # the statistics of a topology, its edge-list writer and the SNR of an
@@ -29,6 +29,11 @@ def coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
     rows, pbar = theory._coefficients(cfg, *args[:3], *np.asarray(
         args[3:], dtype=float)[:, None], sigma_z2)
     return rows[0, 0], rows[0, 1], pbar
+
+
+def advance(stack, state, batch):
+    """diffusion.step with the output errors the harness passes it."""
+    return step(stack, state, batch, errors_and_outputs(state.w, batch).e)
 
 
 def assert_scaled_close(got, want, label=None, rtol=1e-12):

@@ -97,7 +97,7 @@ def test_steady_msd_matches_monte_carlo_at_both_step_sizes(
         for name in MSD_NAMES:
             dev = entries[name].steady_abs_dev
             assert np.isfinite(dev) and dev <= tol, \
-                f"{bundle.cfg.label}: {name} deviates {dev:.3f} dB"
+                f"{bundle.cfg.source['label']}: {name} deviates {dev:.3f} dB"
 
 
 def test_mixing_coefficient_moments_match_predictions(pn_bundle, sr_bundle):
@@ -110,7 +110,7 @@ def test_mixing_coefficient_moments_match_predictions(pn_bundle, sr_bundle):
         for entry in gamma_entries:
             assert np.isfinite(entry.steady_abs_dev) \
                 and entry.steady_abs_dev <= 0.05, \
-                f"{bundle.cfg.label}: {entry.name} " \
+                f"{bundle.cfg.source['label']}: {entry.name} " \
                 f"deviates {entry.steady_abs_dev:.4f}"
 
 
@@ -281,8 +281,7 @@ def test_bundled_networks_and_combination_rules_are_well_formed():
         if topo.clusters is not None:
             rules.append("uniform_in_cluster")
         for rule in rules:
-            defect = validate_stochastic(static_rule(topo, rule), topo,
-                                         tol=1e-12)
+            defect = validate_stochastic(static_rule(topo, rule), topo)
             assert defect is None, (name, rule, defect)
 
     for preset in harness.preset_names():
@@ -291,7 +290,7 @@ def test_bundled_networks_and_combination_rules_are_well_formed():
             for matrix in (component.a1, component.c, component.a2):
                 if matrix is None:
                     continue
-                defect = validate_stochastic(matrix, cfg.topology, tol=1e-12)
+                defect = validate_stochastic(matrix, cfg.topology)
                 assert defect is None, (preset, matrix.role, defect)
 
 

@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 invalid values or tolerance failure,
 2 unreadable or malformed inputs.
 """
 
+import importlib
 import json
 from importlib import resources
 
@@ -12,6 +13,7 @@ import pytest
 
 from diffcomb.cli import main
 from diffcomb.harness import export_csv, load_result
+import helpers  # noqa: F401  (puts scripts/ on sys.path)
 
 
 @pytest.fixture
@@ -203,6 +205,48 @@ class TestValidate:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,message", [
+        # each used to end in a TypeError traceback
+        (lambda r: r.update(outputs=[["msd_combined"]]),
+         "outputs must be a list of series names"),
+        (lambda r: r.update(outputs=[1, "bogus"]),
+         "outputs must be a list of series names"),
+        (lambda r: r["signal"]["agents"][0].pop("filter_len"),
+         "signal agent entry is missing 'filter_len'"),
+        (lambda r: r["signal"].update(agents=5),
+         "signal.agents must be a list or one agent entry"),
+        (lambda r: r.update(topology={"edges": 5}),
+         "topology.edges must be a string"),
+        (lambda r: r.update(signal={"snr_preset": {"level": ["snr1"],
+                                                   "kind": "white"}}),
+         "signal.snr_preset.level must be a string"),
+        (lambda r: r.update(targets={"stages": 5}),
+         "targets.stages must be a list of stages"),
+        (lambda r: r["topology"].update(preset=["net1"]),
+         "topology.preset must be a string"),
+    ], ids=["outputs_nested", "outputs_number", "agent_filter_len",
+            "agents_number", "edges_number", "snr_level_list",
+            "stages_number", "preset_list"])
+    def test_ill_typed_entry_refused_in_one_line(self, tmp_path, capsys, edit,
+                                                 message):
+        raw = json.loads((resources.files("diffcomb") / "presets"
+                          / "universality_pn.json").read_text())
+        edit(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
+
+    def test_gamma_init_list_refused_in_one_line(self, config_path, capsys):
+        # used to end in a TypeError traceback from float()
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps(dict(raw, gamma_init=[0.5])))
+        assert main(["validate", str(config_path)]) == 1
+        assert capsys.readouterr().err == \
+            "invalid experiment: gamma_init must be a single number\n"
+
     def test_bad_target_of_a_long_stage_is_one_line(self, tmp_path, capsys):
         # one quoted value among the 500 targets of an L = 50 stage: the
         # message names that entry, not every target of the stage
@@ -267,15 +311,6 @@ class TestSimulate:
         assert main(["simulate", str(config_path), "-o", str(two),
                      "--workers", "3"]) == 0
         assert one.read_bytes() == two.read_bytes()
-
-    def test_bad_worker_variable_exits_one_naming_it(
-            self, config_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DIFFCOMB_WORKERS", "abc")
-        out = tmp_path / "sim.csv"
-        assert main(["simulate", str(config_path), "-o", str(out)]) == 1
-        assert "DIFFCOMB_WORKERS must be an integer >= 0, got 'abc'" \
-            in capsys.readouterr().err
-        assert not out.exists()
 
     def test_divergence_exits_one_without_output(self, tmp_path, capsys):
         raw = json.loads(
@@ -433,3 +468,45 @@ class TestCompare:
     def test_missing_input(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "a.csv"),
                      str(tmp_path / "b.csv")]) == 2
+
+    @pytest.mark.parametrize("name,text,reason", [
+        # the first two used to exit 1 as an invalid experiment
+        ("cell.csv", "n,msd_combined\n0,-10\n1,abc\n",
+         "could not convert string 'abc'"),
+        ("ragged.csv", "n,msd_combined\n0,-10\n1,-11,3\n",
+         "the number of columns changed"),
+        # used to compare the one named series the rows hold
+        ("header.csv", "n,msd_combined,msd_cross\n0,-10\n1,-11\n",
+         "its header names 2 series, its rows hold 1"),
+        # used to end in a TypeError traceback
+        ("list.json", "[1, 2]", "list indices must be integers"),
+        # used to load, with series that disagree with the horizon
+        ("unequal.json", json.dumps({
+            "columns": ["n", "msd_combined", "msd_cross"],
+            "series": {"msd_combined": [-10, -11], "msd_cross": [-10]}}),
+         "its series differ in length"),
+    ], ids=["cell", "ragged", "header", "list", "unequal"])
+    def test_malformed_export_exits_two_naming_it(self, tmp_path, capsys,
+                                                  name, text, reason):
+        good, bad = tmp_path / "good.csv", tmp_path / name
+        good.write_text("n,msd_combined\n0,-10\n1,-11\n")
+        bad.write_text(text)
+        assert main(["compare", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {bad} is not a result export: ")
+        assert reason in err and err.count("\n") == 1
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["run_preset_suite",
+                                        "run_stepsize_sweep"])
+    def test_zero_runs_refused_in_one_line(self, script, tmp_path, capsys):
+        # the suite used to run each preset's own count, the sweep to
+        # end in a traceback
+        script_main = importlib.import_module(script).main
+        with pytest.raises(SystemExit) as exit_:
+            script_main(["--runs", "0", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: runs must be an integer >= 1, got 0\n")
+        assert err.count("\n") == 1

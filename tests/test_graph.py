@@ -180,7 +180,7 @@ class TestStaticRules:
     @settings(deadline=None, max_examples=30)
     @given(t=topologies(), rule=st.sampled_from(["identity", "averaging", "metropolis"]))
     def test_rules_always_left_stochastic(self, t, rule):
-        assert validate_stochastic(static_rule(t, rule), t, tol=1e-12) is None
+        assert validate_stochastic(static_rule(t, rule), t) is None
 
 
 class TestValidate:

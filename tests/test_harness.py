@@ -15,13 +15,12 @@ import pytest
 
 from diffcomb import combine, harness, theory
 from diffcomb.combine import CombinerConfig
-from diffcomb.diffusion import StrategyConfig, StrategyStack, init_state, step
+from diffcomb.diffusion import StrategyConfig, StrategyStack, init_state
 from diffcomb.graph import StochasticMatrix, Topology, build_preset, static_rule
 from diffcomb.harness import (
     ConfigError,
     ExperimentConfig,
     SeriesResult,
-    _resolve_workers,
     check_step_sizes,
     compare,
     config_from_dict,
@@ -48,7 +47,7 @@ from diffcomb.signal import (
     load_snr_preset,
     regressor_covariance,
 )
-from helpers import assert_same_series, coefficient_step, stack, strategy
+from helpers import advance, assert_same_series, coefficient_step, stack, strategy
 
 CHAIN4 = Topology(
     n_agents=4,
@@ -221,7 +220,7 @@ def per_run_series(cfg):
     rows = []
     for run in range(cfg.runs):
         sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
-                                 [run])
+                                 [run], cfg.horizon)
         stacks = [stack(comp) for comp in cfg.components]
         states = [init_state(one, l) for one in stacks]
         comb = combine.init_combiner(cfg.combiner, n)
@@ -241,7 +240,7 @@ def per_run_series(cfg):
             else:
                 comb = combine.multi_update(cfg.combiner, comb, d - y_c,
                                             d - ys)
-            states = [step(one, s, SampleBatch(x, d, b.noises[0], w))
+            states = [advance(one, s, SampleBatch(x, d, b.noises[0], w))
                       for one, s in zip(stacks, states)]
             new_weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
                 else comb.gamma
@@ -684,34 +683,19 @@ class TestSeriesLayout:
         assert series_units(name) == units
 
 
-class TestWorkerResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("DIFFCOMB_WORKERS", "7")
-        assert _resolve_workers(2) == 2
+class TestWorkerCount:
+    # 60 runs make three chunks, which two workers would split in two
+    @pytest.mark.parametrize("workers", [{}, {"workers": 0}])
+    def test_serial_by_default_and_at_zero(self, workers, pool_sizes):
+        run_monte_carlo(small_config(horizon=3, runs=60), **workers)
+        assert pool_sizes == []
+        run_monte_carlo(small_config(horizon=3, runs=60), workers=2)
+        assert pool_sizes == [2]
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("DIFFCOMB_WORKERS", "3")
-        assert _resolve_workers(None) == 3
-
-    def test_serial_default(self, monkeypatch):
-        monkeypatch.delenv("DIFFCOMB_WORKERS", raising=False)
-        assert _resolve_workers(None) == 1
-
-    def test_floor_at_one(self):
-        assert _resolve_workers(0) == 1
-
-    @pytest.mark.parametrize("env", ["abc", "2.5", "-1"])
-    def test_refuses_env_value_by_name(self, monkeypatch, env):
-        # "abc" used to fail in int() without naming the variable
-        monkeypatch.setenv("DIFFCOMB_WORKERS", env)
-        with pytest.raises(ValueError, match="DIFFCOMB_WORKERS must be an "
-                                             "integer >= 0"):
-            _resolve_workers(None)
-
-    @pytest.mark.parametrize("workers", [-2, 1.5])
+    @pytest.mark.parametrize("workers", [-2, 1.5, None])
     def test_refuses_argument_by_name(self, workers):
         with pytest.raises(ValueError, match="workers must be an integer"):
-            _resolve_workers(workers)
+            run_monte_carlo(small_config(horizon=3), workers=workers)
 
 
 class TestMonteCarlo:
@@ -787,12 +771,6 @@ class TestMonteCarlo:
             alone, = harness._simulate_chunk(cfg, stack, [chunk])
             assert np.array_equal(table, alone)
 
-    @pytest.mark.parametrize("index", [0.7, -1, "3"])
-    def test_refuses_bad_run_index_by_name(self, index):
-        # 0.7 used to run run 0, -1 to fail inside numpy's seeding
-        with pytest.raises(ValueError, match="run index must be an integer"):
-            run_monte_carlo(small_config(horizon=3), run_indices=[1, index])
-
     def test_repeat_is_bit_identical(self):
         cfg = small_config()
         a = run_monte_carlo(cfg)
@@ -810,15 +788,12 @@ class TestMonteCarlo:
 
     def test_repeated_run_index_degenerates_to_single_run(self):
         # summing two identical runs regroups the floating-point adds,
-        # so the halved aggregate matches the single run to rounding
+        # so the doubled table matches the single run's to rounding
         cfg = small_config()
-        once = run_monte_carlo(cfg, run_indices=[4])
-        twice = run_monte_carlo(cfg, run_indices=[4, 4])
-        assert twice.metadata["runs"] == 2
-        for name in once.series:
-            np.testing.assert_allclose(once.series[name],
-                                       twice.series[name],
-                                       rtol=1e-12, atol=1e-14)
+        stack = StrategyStack.of(cfg.components)
+        once, = harness._simulate_chunk(cfg, stack, [[4]])
+        twice, = harness._simulate_chunk(cfg, stack, [[4, 4]])
+        np.testing.assert_allclose(twice, 2 * once, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("name", preset_names())
     def test_every_preset_runs_finite_and_worker_independent(self, name):
@@ -895,10 +870,6 @@ class TestMonteCarlo:
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match="msd_network_2 is not finite at instant 89"):
             run_monte_carlo(cfg)
-
-    def test_empty_run_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one run"):
-            run_monte_carlo(small_config(), run_indices=[])
 
     def test_combiner_choice_leaves_components_untouched(self):
         pn = run_monte_carlo(small_config(scheme="power_normalized"))

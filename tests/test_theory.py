@@ -1222,7 +1222,7 @@ class TestEvolve:
         pair = near_equal_pair(85) if near_equal \
             else random_pair(80, n=3, l=1)
         cfg = pn_cfg(nu=0.01)
-        traj = evolve(pair, cfg, 3)
+        traj = evolve(pair, cfg, 3, initial_moments(pair))
         assert traj.record.shape == (4, 3, 2, 3)
         assert traj.coefficients.shape == (4, 2, 3)
         state = initial_moments(pair)
@@ -1251,7 +1251,8 @@ class TestEvolve:
         assert_scaled_close(traj.state.pbar, state.pbar)
 
     def test_identical_components_freeze_coefficient(self):
-        traj = evolve(random_model(81, n=3, l=1), pn_cfg(), 50)
+        pair = random_model(81, n=3, l=1)
+        traj = evolve(pair, pn_cfg(), 50, initial_moments(pair))
         series = record_series(traj)
         np.testing.assert_allclose(series["gbar"], 0.5, rtol=1e-9)
         np.testing.assert_allclose(series["g2bar"], 0.25, rtol=1e-9)
@@ -1261,7 +1262,7 @@ class TestEvolve:
 
     def test_initial_row_reflects_starting_state(self):
         pair = random_pair(82, n=3, l=2)
-        traj = evolve(pair, sr_cfg(), 2)
+        traj = evolve(pair, sr_cfg(), 2, initial_moments(pair))
         w = pair.w_star.reshape(3, 2)
         rx = pair.rx
         expected = np.array([w[k] @ rx[k] @ w[k] for k in range(3)])
@@ -1310,7 +1311,8 @@ class TestEvolve:
     def test_rejects_multi_component_scheme(self):
         cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=2)
         with pytest.raises(ValueError, match="two-component"):
-            evolve(random_model(83), cfg, 1)
+            pair = random_model(83)
+            evolve(pair, cfg, 1, initial_moments(pair))
 
     @pytest.mark.parametrize("make_cfg", [lambda: pn_cfg(nu=0.04),
                                           lambda: sr_cfg(nu=0.05)])
@@ -1326,7 +1328,7 @@ class TestEvolve:
             rx, 0.25, w)
         cfg = make_cfg()
         report = steady_state(pair, cfg)
-        series = record_series(evolve(pair, cfg, 4000))
+        series = record_series(evolve(pair, cfg, 4000, initial_moments(pair)))
         np.testing.assert_allclose(series["gbar"][-1], report.gbar,
                                    rtol=1e-5)
         np.testing.assert_allclose(series["g2bar"][-1], report.g2bar,
@@ -1340,7 +1342,8 @@ class TestEvolve:
                                    rtol=1e-6)
 
     def test_coefficient_variance_stays_nonnegative(self):
-        traj = evolve(random_pair(85, n=3, l=2), pn_cfg(nu=0.01), 500)
+        pair = random_pair(85, n=3, l=2)
+        traj = evolve(pair, pn_cfg(nu=0.01), 500, initial_moments(pair))
         series = record_series(traj)
         assert np.all(series["g2bar"] - series["gbar"]**2 >= -1e-9)
         assert np.all(np.isfinite(series["combined_msd"]))
@@ -1622,8 +1625,8 @@ class TestKronFactoredPath:
             assume(np.max(np.abs(np.linalg.eigvals(b))) < 1.0)
         cfg = pn_cfg(nu=0.02) if scheme == "power_normalized" \
             else sr_cfg(nu=0.02)
-        got = evolve(fast, cfg, 60)
-        want = evolve(dense, cfg, 60)
+        got = evolve(fast, cfg, 60, initial_moments(fast))
+        want = evolve(dense, cfg, 60, initial_moments(dense))
         # pbar is not recorded per step; the final states compare it
         got_series, want_series = record_series(got), record_series(want)
         for name, b in want_series.items():
