@@ -40,6 +40,10 @@ def main(argv=None):
     parser.add_argument("--tol-msd-db", type=float, default=2.0)
     parser.add_argument("--tol-gamma", type=float, default=0.05)
     args = parser.parse_args(argv)
+    try:
+        harness.integer_value("workers", args.workers, 0)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

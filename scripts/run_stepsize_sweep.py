@@ -43,6 +43,10 @@ def main(argv=None):
     parser.add_argument("--out", default=None,
                         help="optional CSV file for the summary table")
     args = parser.parse_args(argv)
+    try:
+        harness.integer_value("workers", args.workers, 0)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
     gains = tuple(args.gains) if args.gains else DEFAULT_GAINS[args.scheme]
     try:

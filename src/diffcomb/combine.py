@@ -99,14 +99,15 @@ def init_combiner(cfg: CombinerConfig, n_agents: int, batch_shape=()) -> Combine
 
 
 def combine_weights(st: CombinerState, estimates, out=None) -> np.ndarray:
-    """Mix the component estimates, stacked on axis 0 as (M, ..., N, L):
+    """Mix the component estimates, stacked on axis 0 as (M, ..., L, N):
     gamma w1 + (1 - gamma) w2, or the M-component sum for the multi
     scheme.  The mix is written into out when given (the harness passes
     the combination row of its estimate stack)."""
     if st.alpha is not None:
-        return np.einsum("...ik,i...kl->...kl", st.gamma, estimates, out=out)
-    g = st.gamma[..., None]
-    return np.add(g * estimates[0], (1.0 - g) * estimates[1], out=out)
+        return np.einsum("...ik,i...lk->...lk", st.gamma, estimates, out=out)
+    g = st.gamma[..., None, :]
+    mix = np.multiply(g, estimates[0], out=out)
+    return np.add(mix, (1.0 - g) * estimates[1], out=mix)
 
 
 def pn_update(

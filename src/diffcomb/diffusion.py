@@ -15,9 +15,10 @@ skips the pre-combination, and reuses the output errors the caller
 already formed, without testing the matrices again.  A single strategy
 is a stack of one.
 
-State arrays are (M, ..., N, L): the component axis first, then an
-arbitrary batch shape (used by the harness to advance a block of Monte
-Carlo runs at once), agents on axis -2 and taps on axis -1.
+State arrays are tap-major, (M, ..., L, N): the component axis first,
+then an arbitrary batch shape (used by the harness to advance a block of
+Monte Carlo runs at once), then taps, then agents, so a matrix combines
+agents by right-multiplication.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class StrategyConfig:
 class StrategyStack:
     """The M component strategies of an experiment, advanced as one.
 
-    ``mu`` is (M, N, 1); ``a1`` and ``c`` are (M, N, N), or None when the
+    ``mu`` is (M, 1, N); ``a1`` and ``c`` are (M, N, N), or None when the
     matrix is the identity for every component; ``a2`` (M, N, N) holds
     each static A2, or the averaging start of an adaptive one, whose
     index is listed in ``adaptive``.
@@ -114,15 +115,15 @@ class StrategyStack:
 
         a2 = [c.a2.entries if c.a2_mode == "static"
               else static_rule(c.topology, "averaging").entries for c in comps]
-        return cls(comps, np.stack([c.mu for c in comps])[:, :, None],
+        return cls(comps, np.stack([c.mu for c in comps])[:, None],
                    stacked("a1"), stacked("c"), np.stack(a2),
                    tuple(i for i, c in enumerate(comps) if c.a2_mode != "static"))
 
 
 @dataclass
 class StrategyState:
-    """Evolving quantities of a stack: estimates w (M, ..., N, L), the
-    effective A2 (M, ..., N, N) (singleton batch axes when every
+    """Evolving quantities of a stack: estimates w (M, ..., L, N), the
+    effective A2 (M, ..., N, N) (the stack's (M, N, N) when every
     component is static) and the edge distances zeta2 (M, ..., E) of the
     relative-variance rule."""
 
@@ -152,31 +153,38 @@ def init_state(stack: StrategyStack, filter_len: int, batch_shape=()) -> Strateg
     averaging weights and unit distance estimates."""
     m, n = stack.a2.shape[:2]
     batch_shape = tuple(batch_shape)
-    a2 = _lift(stack.a2, len(batch_shape))
+    a2 = stack.a2
     if stack.adaptive:
-        a2 = np.broadcast_to(a2, (m,) + batch_shape + (n, n)).copy()
+        a2 = np.broadcast_to(_lift(a2, len(batch_shape)),
+                             (m,) + batch_shape + (n, n)).copy()
     relative = any(c.a2_mode == "adaptive_relative_variance"
                    for c in stack.components)
     edges = stack.components[0].topology.edges[0].shape
-    return StrategyState(w=np.zeros((m,) + batch_shape + (n, filter_len)), a2=a2,
+    return StrategyState(w=np.zeros((m,) + batch_shape + (filter_len, n)), a2=a2,
                          zeta2=np.ones(a2.shape[:-2] + edges) if relative else None)
 
 
 def errors_and_outputs(w: np.ndarray, batch: SampleBatch) -> ErrorReport:
-    """Outputs and errors of estimates w (..., N, L) against a batch; any
+    """Outputs and errors of estimates w (..., L, N) against a batch; any
     leading axes of w beyond the batch's (a stack of estimates) carry
     through to the outputs."""
-    x = batch.regressors
-    y = np.einsum("...kl,...kl->...k", x, w)
+    y = np.einsum("...lk,...lk->...k", batch.regressors, w)
     e = batch.references - y
     return ErrorReport(y=y, e=e, e_tilde=e - batch.noises)
 
 
+def _right(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Each component's x (M, ..., L, N) times its matrix (M, N, N): one
+    product per component, whatever the batch shape."""
+    return (x.reshape(len(x), -1, x.shape[-1]) @ mats).reshape(x.shape)
+
+
 def _edge_dist2(topology: Topology, at_src, at_dst) -> np.ndarray:
-    """Squared distances (..., E) from at_src[l] to at_dst[k] over the
-    edges (l, k) of the topology."""
+    """Squared distances (..., E) from at_src[:, l] to at_dst[:, k] over
+    the edges (l, k), gathered from agent-major views, taps contiguous."""
     src, dst = topology.edges
-    diff = np.take(at_src, src, axis=-2) - np.take(at_dst, dst, axis=-2)
+    diff = np.take(np.swapaxes(at_src, -1, -2), src, axis=-2)
+    diff -= np.take(np.swapaxes(at_dst, -1, -2), dst, axis=-2)
     return np.einsum("...ed,...ed->...e", diff, diff)
 
 
@@ -202,8 +210,9 @@ def adapt_matrix_projection(
     point, measured on the edges (l, k) only.
     """
     x, d = batch.regressors, batch.references
-    eps = d - np.einsum("...kl,...kl->...k", x, psi)
-    ref = psi + mu[:, None] * eps[..., None] * x
+    eps = d - np.einsum("...lk,...lk->...k", x, psi)
+    ref = (mu * eps)[..., None, :] * x
+    ref += psi
     return _inverse_weights(topology, _edge_dist2(topology, psi, ref))
 
 
@@ -242,25 +251,22 @@ def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,
         raise ValueError(
             f"batch shape {x.shape} does not match state {st.w.shape}"
         )
-    nb = st.w.ndim - 3
-    phi = st.w
-    if stack.a1 is not None:
-        phi = np.swapaxes(_lift(stack.a1, nb), -1, -2) @ st.w
+    phi = st.w if stack.a1 is None else _right(st.w, stack.a1)
 
-    mu = _lift(stack.mu, nb)
+    mu = _lift(stack.mu, st.w.ndim - 3)
     if stack.c is None:
         if stack.a1 is not None:
-            e = d - np.einsum("...kl,...kl->...k", x, phi)
-        psi = phi + mu * e[..., None] * x
+            e = d - np.einsum("...lk,...lk->...k", x, phi)
+        psi = mu * e[..., None, :] * x
+        psi += phi
     else:
         # cross[l, k] = d_l - x_l' phi_k, weighted by c_lk and summed over l
-        cross = d[..., :, None] - x @ np.swapaxes(phi, -1, -2)
-        psi = phi + mu * (np.swapaxes(_lift(stack.c, nb) * cross, -1, -2) @ x)
+        cross = d[..., :, None] - np.swapaxes(x, -1, -2) @ phi
+        psi = phi + mu * (x @ (_lift(stack.c, st.w.ndim - 3) * cross))
 
-    a2, zeta2 = st.a2, st.zeta2
-    if stack.adaptive:
-        a2 = a2.copy()
-        zeta2 = None if zeta2 is None else zeta2.copy()
+    if not stack.adaptive:
+        return StrategyState(w=_right(psi, st.a2), a2=st.a2)
+    a2, zeta2 = st.a2.copy(), None if st.zeta2 is None else st.zeta2.copy()
     for i in stack.adaptive:
         comp = stack.components[i]
         if comp.a2_mode == "adaptive_projection":
@@ -269,6 +275,4 @@ def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,
         else:
             a2[i], zeta2[i] = adapt_matrix_relative_variance(
                 comp.topology, psi[i], st.w[i], zeta2[i], comp.tau)
-
-    w = np.swapaxes(a2, -1, -2) @ psi
-    return StrategyState(w=w, a2=a2, zeta2=zeta2)
+    return StrategyState(w=psi @ a2, a2=a2, zeta2=zeta2)

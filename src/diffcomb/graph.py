@@ -16,6 +16,11 @@ import numpy as np
 _PRESET_FILES = {"net1": "net1.edges", "net2": "net2.edges"}
 
 
+class ConfigError(Exception):
+    """Structural problem in an experiment description (unreadable file,
+    malformed syntax, unknown keys, missing sections)."""
+
+
 @dataclass(frozen=True)
 class Topology:
     """Undirected connected network of agents.
@@ -178,7 +183,7 @@ def build_preset(name: str) -> Topology:
         text = (
             resources.files("diffcomb").joinpath("data", _PRESET_FILES[name])
         ).read_text()
-        return parse_edge_list(text)
+        return parse_edge_list(text, _PRESET_FILES[name])
     if name == "net3":
         return _build_net3()
     raise ValueError(f"unknown preset {name!r}")
@@ -194,27 +199,32 @@ def _build_net3() -> Topology:
     return Topology(n_agents=20, adjacency=adj, clusters=clusters)
 
 
-def parse_edge_list(text: str) -> Topology:
-    """Parse an edge-list document into a Topology.
+def parse_edge_list(text: str, source) -> Topology:
+    """Parse an edge-list document, read from source, into a Topology.
 
     Plain lines hold one undirected edge as two 1-based indices
     (``u v``).  Lines of the form ``cluster <id>: <members>`` declare a
     cluster with space-separated 1-based members.  Blank lines and lines
-    starting with ``#`` are skipped.
+    starting with ``#`` are skipped; ConfigError names any other line.
     """
     edges = []
     clusters = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("cluster"):
-            head, _, body = line.partition(":")
-            cid = head.split()[1]
-            clusters[cid] = tuple(int(tok) - 1 for tok in body.split())
-            continue
-        u, v = line.split()
-        edges.append((int(u) - 1, int(v) - 1))
+        try:
+            if line.startswith("cluster"):
+                head, _, body = line.partition(":")
+                _, cid = head.split()
+                clusters[cid] = tuple(int(tok) - 1 for tok in body.split())
+            else:
+                u, v = map(int, line.split())
+                edges.append((u - 1, v - 1))
+        except ValueError:
+            raise ConfigError(
+                f"edge-list file {source}, line {number}: {line!r} is "
+                "neither 'u v' nor 'cluster <id>: <members>'") from None
     if not edges:
         raise ValueError("edge list is empty")
     n = 1 + max(max(u, v) for u, v in edges)
@@ -230,4 +240,4 @@ def parse_edge_list(text: str) -> Topology:
 def read_edge_list(path) -> Topology:
     """Load a Topology from an edge-list file."""
     with open(path) as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh.read(), path)

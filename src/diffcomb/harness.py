@@ -11,12 +11,13 @@ order, so the aggregate is bit-identical no matter how many worker
 processes run them.  A group of consecutive chunks is one batched run.
 
 Within a group the M component estimates and their combination are one
-(M+1, runs, N, L) array.  Each instant reads it once for the outputs
-and errors, updates the combiner once, advances all M components with
-one step (a ``StrategyStack`` built once per experiment) and writes the
-next stack.  Blocks of up to 2**15 estimate values of one chunk (at
-least one instant) reduce each power family with one sum per chunk,
-straight into its table; the sampler draws blocks of up to 2**19 values.
+tap-major (M+1, runs, L, N) array, agents on the last axis.  Each
+instant reads it once for the outputs and errors, updates the combiner
+once, advances all M components with one step (a ``StrategyStack``
+built once per experiment) and writes the next stack.  Blocks of up to
+2**15 estimate values of one chunk (at least one instant) reduce each
+power family with one sum per chunk, straight into its table; the
+sampler draws blocks of up to 2**19 values, one random stream per run.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .diffusion import (
     init_state,
     step,
 )
-from .graph import StochasticMatrix, Topology, build_preset, read_edge_list, static_rule
+from .graph import (ConfigError, StochasticMatrix, Topology, build_preset,
+                    read_edge_list, static_rule)
 from .signal import (
     AgentSignalParams,
     ChunkedSampler,
@@ -74,11 +76,6 @@ _TOP_LEVEL_KEYS = {
     "horizon", "runs", "seed", "outputs", "gamma_init", "label",
 }
 _COMPONENT_KEYS = {"a1", "c", "a2", "a2_mode", "mu", "tau"}
-
-
-class ConfigError(Exception):
-    """Structural problem in an experiment description (unreadable file,
-    malformed syntax, unknown keys, missing sections)."""
 
 
 class ExportError(Exception):
@@ -520,9 +517,9 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     est = np.empty((width + 1, m + 1) + st.w.shape[1:])
     est[0, :m] = st.w
     combine_weights(comb, est[0, :m], out=est[0, m])
-    e_tilde = np.empty((width, m + 1) + st.w.shape[1:-1])
+    e_tilde = np.empty((width, m + 1, len(runs), n))
     gamma = np.empty((width,) + comb.gamma.shape)
-    targets = np.empty((width, n, cfg.filter_len))
+    targets = np.empty((width, cfg.filter_len, n))
     cross = np.empty((width, size))
     layout = series_layout(cfg)
     tables = np.empty((len(chunks), cfg.horizon, len(layout.names)))

@@ -5,11 +5,11 @@ Gaussian regressor (white, or the two-tap shift structure of a
 first-order autoregressive stream) and z white Gaussian noise.  Targets
 follow a staged schedule with linear interpolation between stages.
 
-Randomness is organized as one pair of independent streams per
-(run, agent): one for regressors, one for noise.  The block-drawing
-sampler used by the Monte Carlo harness consumes each stream in the
-order a one-sample-at-a-time draw would, so batching never changes the
-data.
+Randomness is organized as one stream per run, which draws a fixed
+count of normals per instant in an order fixed by the agents' regressor
+kinds.  The block-drawing sampler used by the Monte Carlo harness
+consumes each stream in the order a one-instant-at-a-time draw would, so
+batching never changes the data.  Its arrays put agents on the last axis.
 """
 
 from __future__ import annotations
@@ -152,29 +152,16 @@ class TargetSchedule:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """One instant of data for a block of runs.
+    """One instant of data for a block of runs, agents on the last axis.
 
-    regressors: (runs, N, L); references and noises: (runs, N);
-    targets: (N, L), shared by all runs.
+    regressors: (runs, L, N); references and noises: (runs, N);
+    targets: (L, N), shared by all runs.
     """
 
     regressors: np.ndarray
     references: np.ndarray
     noises: np.ndarray
     targets: np.ndarray
-
-
-class GeneratorState:
-    """Sampling state of one (run, agent) pair: two independent streams,
-    one for regressors and one for noise."""
-
-    def __init__(self, seed: int, run: int, agent: int):
-        self.regressor_rng = np.random.default_rng(
-            np.random.SeedSequence((seed, run, agent, 0))
-        )
-        self.noise_rng = np.random.default_rng(
-            np.random.SeedSequence((seed, run, agent, 1))
-        )
 
 
 def regressor_covariance(p: AgentSignalParams) -> np.ndarray:
@@ -210,38 +197,42 @@ def target_at(schedule: TargetSchedule, n: int) -> np.ndarray:
 class ChunkedSampler:
     """Draws one instant per step for a block of runs of an ExperimentConfig.
 
-    One stream pair per (run, agent), seeded from (seed, run, agent), so
-    the numbers of a given run never depend on which block it lands in.
-    Normals are drawn in blocks of at most 512 instants of at most
-    ``_BLOCK_VALUES`` = 2**19 regressor values (41 instants at 25 runs,
-    10 agents, L = 50); block boundaries do not change the values, only
-    how many samples each stream call returns.  No block reaches past the
-    ``horizon``, so the streams are left exactly ``horizon`` instants in
-    and stepping further raises ValueError.
+    One stream per run, seeded from (seed, run), so the numbers of a given
+    run never depend on which block it lands in.  A run draws the start
+    value of each AR(1) agent at construction, then per instant the cells
+    of an (L + 1, N) grid in row-major order, L tap rows and a noise row,
+    less each AR(1) agent's tap 1 (its tap 0 of the instant before; its
+    tap 0 draws the innovation): L normals per white agent, one per AR(1)
+    agent and one noise per agent.  Blocks of at most 512 instants of at
+    most ``_BLOCK_VALUES`` = 2**19 regressor values (41 instants at 25
+    runs, 10 agents, L = 50) take one draw per run into its contiguous
+    slab; block boundaries do not change the values.  No block reaches
+    past the ``horizon``, so the streams are left exactly ``horizon``
+    instants in and stepping further raises ValueError.
     """
 
     def __init__(self, params, schedule, seed, runs, horizon):
-        self.params = list(params)
-        self.schedule = schedule
-        self.runs = list(runs)
-        self.n_agents = len(self.params)
-        values = len(self.runs) * self.n_agents * schedule.filter_len
+        self.schedule, self.horizon = schedule, horizon
+        self._rngs = [np.random.default_rng(np.random.SeedSequence((seed, r)))
+                      for r in runs]
+        n, L = len(params), schedule.filter_len
+        values = len(self._rngs) * n * L
         self.block_len = min(512, max(1, _BLOCK_VALUES // max(1, values)))
-        self.horizon = horizon
-        self._states = [
-            [GeneratorState(seed, r, k) for k in range(self.n_agents)]
-            for r in self.runs
-        ]
-        self._sx = np.array([p.sigma_x2 for p in self.params])
-        self._sz = np.array([p.sigma_z2 for p in self.params])
-        self._ar_mask = np.array([p.regressor_kind == "ar1" for p in self.params])
-        self._ar = np.flatnonzero(self._ar_mask)  # empty when all are white
+        sx = np.array([p.sigma_x2 for p in params])
+        self._ar = ar = np.array([p.regressor_kind == "ar1" for p in params])
+        # per grid cell: taps scale by sqrt(sigma_x2), an AR(1) innovation
+        # by sqrt(0.75 sigma_x2), a noise by sqrt(sigma_z2)
+        self._scale = np.sqrt(np.vstack([np.broadcast_to(sx, (L, n)),
+                                         [p.sigma_z2 for p in params]]))
+        self._scale[0, ar] = np.sqrt(0.75 * sx[ar])
+        self._drawn = np.flatnonzero(np.vstack([np.ones(n, bool), ~np.broadcast_to(
+            ar, (L - 1, n)), np.ones(n, bool)]))
         # each AR(1) stream starts from its first normal times sqrt(sigma_x2)
-        self._ar_last = np.sqrt(self._sx) * np.array(
-            [[s.regressor_rng.standard_normal() if ar else 0.0
-              for s, ar in zip(states, self._ar_mask)] for states in self._states])
+        self._ar_last = np.zeros((len(self._rngs), n))
+        self._ar_last[:, ar] = np.sqrt(sx[ar]) * np.array(
+            [rng.standard_normal(np.count_nonzero(ar)) for rng in self._rngs])
         self._n = self._cursor = self._end = 0  # the first step refills
-        self._block = None  # regressors, references, noises and targets
+        self._block = None  # grids, references and targets
 
     def _refill(self):
         b = min(self.block_len, self.horizon - self._n)
@@ -249,40 +240,36 @@ class ChunkedSampler:
             raise ValueError(f"the sampler's horizon of {self.horizon} "
                              "instants is exhausted")
         self._block = None  # freed now unless a caller holds a batch of it
-        n_runs, L = len(self.runs), self.schedule.filter_len
-        reg = np.empty((b, n_runs, self.n_agents, L))
-        noise = np.empty((b, n_runs, self.n_agents))
-        ar = self._ar
-        # per AR(1) stream: row 0 its last value, rows 1..b its innovations,
-        # which the recursion below overwrites in place; white columns stay
-        # zero
-        xs = np.zeros((b + 1, n_runs, self.n_agents)) if ar.size else None
-        for i, states in enumerate(self._states):
-            for k, state in enumerate(states):
-                if not self._ar_mask[k]:
-                    reg[:, i, k] = np.sqrt(self._sx[k]) * (
-                        state.regressor_rng.standard_normal((b, L))
-                    )
-                noise[:, i, k] = np.sqrt(self._sz[k]) * (
-                    state.noise_rng.standard_normal(b)
-                )
-            for k in ar:
-                xs[1:, i, k] = states[k].regressor_rng.standard_normal(b)
-        if ar.size:
+        L, ar = self.schedule.filter_len, self._ar
+        runs, n = self._ar_last.shape
+        # one allocation per block: per run its references, then its slab
+        # of grids, each run's draws contiguous and scaled in place
+        block = np.zeros((runs, b * n * (L + 2)))
+        grids = block[:, b * n:].reshape(runs, b, L + 1, n)
+        for rng, cells in zip(self._rngs, grids.reshape(runs, b, -1)):
+            if ar.any():
+                cells[:, self._drawn] = rng.standard_normal((b, self._drawn.size))
+            else:
+                rng.standard_normal(out=cells)
+            cells *= self._scale.ravel()
+        if ar.any():
+            # per instant, tap 0 of every agent after the last values; an
+            # AR(1) agent's scaled innovations become its stream's values,
+            # and only its columns are written back
+            xs = np.empty((b + 1,) + self._ar_last.shape)
             xs[0] = self._ar_last
-            scale = np.sqrt(0.75 * self._sx)
+            xs[1:] = grids[:, :, 0].swapaxes(0, 1)
             for t in range(b):
-                xs[t + 1] = AR1_COEFF * xs[t] + scale * xs[t + 1]
-            np.copyto(reg[..., 0], xs[1:], where=self._ar_mask)
-            np.copyto(reg[..., 1], xs[:-1], where=self._ar_mask)
+                xs[t + 1] += AR1_COEFF * xs[t]
+            np.copyto(grids[:, :, 0], xs[1:].swapaxes(0, 1), where=ar)
+            np.copyto(grids[:, :, 1], xs[:-1].swapaxes(0, 1), where=ar)
             self._ar_last = xs[b].copy()
-        # targets and references for the whole block, each instant's the
-        # same numbers an instant-by-instant product gives
-        w = np.stack([target_at(self.schedule, n)
-                      for n in range(self._n, self._n + b)])
-        ref = np.einsum("brkl,bkl->brk", reg, w)
-        ref += noise
-        self._block, self._cursor, self._end = (reg, ref, noise, w), 0, b
+        w = np.stack([target_at(self.schedule, i).T
+                      for i in range(self._n, self._n + b)])
+        ref = block[:, :b * n].reshape(runs, b, n)
+        np.einsum("rblk,blk->rbk", grids[:, :, :L], w, out=ref)
+        ref += grids[:, :, L]
+        self._block, self._cursor, self._end = (grids, ref, w), 0, b
 
     def step(self) -> SampleBatch:
         """Produce the next instant of data for all runs and agents."""
@@ -291,7 +278,8 @@ class ChunkedSampler:
         i = self._cursor
         self._cursor += 1
         self._n += 1
-        return SampleBatch(*(part[i] for part in self._block))
+        grids, ref, w = self._block
+        return SampleBatch(grids[:, i, :-1], ref[:, i], grids[:, i, -1], w[i])
 
 
 def load_snr_preset(n_agents: int, level: str, kind: str):

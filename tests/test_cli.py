@@ -277,6 +277,19 @@ class TestValidate:
                 f"invalid experiment: {message}\n"
             agent["sigma_x2"] = sigma_x2
 
+    @pytest.mark.parametrize("bad", ["2 3 4", "2 x", "cluster"])
+    def test_malformed_edge_list_refused_in_one_line(self, config_path,
+                                                     capsys, bad):
+        # each used to end in a traceback from the edge-list parser
+        edges = config_path.parent / "net.edges"
+        edges.write_text(f"1 2\n2 3\n{bad}\n")
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps(dict(raw, topology={"edges": "net.edges"})))
+        assert main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: edge-list file {edges}, line 3: {bad!r} is "
+            "neither 'u v' nor 'cluster <id>: <members>'\n")
+
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
         raw["components"][0]["mu"] = -1.0
@@ -323,7 +336,7 @@ class TestSimulate:
         path.write_text(json.dumps(raw))
         with np.errstate(all="ignore"):
             assert main(["simulate", str(path), "-o", str(out)]) == 1
-        assert "not finite at instant 89" in capsys.readouterr().err
+        assert "not finite at instant 90" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output(self, config_path, tmp_path):
@@ -510,3 +523,17 @@ class TestScripts:
         err = capsys.readouterr().err
         assert err.endswith("error: runs must be an integer >= 1, got 0\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("script", ["run_preset_suite",
+                                        "run_stepsize_sweep"])
+    def test_negative_workers_refused_in_one_line(self, script, tmp_path,
+                                                  capsys):
+        # each used to end in a traceback after loading its presets
+        script_main = importlib.import_module(script).main
+        with pytest.raises(SystemExit) as exit_:
+            script_main(["--workers", "-1", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: workers must be an integer >= 0, got -1\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()

@@ -31,13 +31,13 @@ def multi_cfg(m=2, nu_alpha=0.1, delta=0.01):
 class TestCombineWeights:
     def test_gamma_one_selects_first(self):
         state = CombinerState(gamma=np.array([1.0]))
-        w1 = np.array([[2.0, 3.0]])
-        w2 = np.array([[9.0, -9.0]])
+        w1 = np.array([[2.0], [3.0]])
+        w2 = np.array([[9.0], [-9.0]])
         np.testing.assert_array_equal(combine_weights(state, [w1, w2]), w1)
 
     def test_opposite_estimates_cancel(self):
         state = CombinerState(gamma=np.array([0.5]))
-        w1 = np.array([[1.0, -2.0]])
+        w1 = np.array([[1.0], [-2.0]])
         np.testing.assert_allclose(combine_weights(state, [w1, -w1]), 0.0)
 
     def test_affine_extrapolation_legal(self):
@@ -49,7 +49,7 @@ class TestCombineWeights:
     def test_shape_mismatch(self):
         state = CombinerState(gamma=np.array([0.5]))
         with pytest.raises(ValueError, match="shape"):
-            combine_weights(state, [np.zeros((1, 2)), np.zeros((1, 3))])
+            combine_weights(state, [np.zeros((2, 1)), np.zeros((3, 1))])
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -60,19 +60,19 @@ class TestCombineWeights:
     )
     def test_errors_combine_affinely(self, gamma, e1, e2, z):
         # a priori errors mix with the same coefficients as the weights
-        x = np.array([[1.0, 2.0]])
-        w_star = np.array([[1.0, -1.0]])
+        x = np.array([[1.0], [2.0]])
+        w_star = np.array([[1.0], [-1.0]])
         # choose component estimates whose a priori errors are e1, e2
-        w1 = w_star - np.array([[e1 / 5.0, 2 * e1 / 5.0]])
-        w2 = w_star - np.array([[e2 / 5.0, 2 * e2 / 5.0]])
+        w1 = w_star - np.array([[e1 / 5.0], [2 * e1 / 5.0]])
+        w2 = w_star - np.array([[e2 / 5.0], [2 * e2 / 5.0]])
         state = CombinerState(gamma=np.array([gamma]))
         w = combine_weights(state, [w1, w2])
-        et1 = float(x[0] @ (w_star - w1)[0])
-        et2 = float(x[0] @ (w_star - w2)[0])
-        et = float(x[0] @ (w_star - w)[0])
+        et1 = float(x[:, 0] @ (w_star - w1)[:, 0])
+        et2 = float(x[:, 0] @ (w_star - w2)[:, 0])
+        et = float(x[:, 0] @ (w_star - w)[:, 0])
         assert et == pytest.approx(gamma * et1 + (1 - gamma) * et2, abs=1e-9)
-        d = float(x[0] @ w_star[0]) + z
-        e = d - float(x[0] @ w[0])
+        d = float(x[:, 0] @ w_star[:, 0]) + z
+        e = d - float(x[:, 0] @ w[:, 0])
         assert e == pytest.approx(et + z, abs=1e-9)
 
 

@@ -35,7 +35,7 @@ def batch_of(x, d, w_star, z=None):
     d = np.asarray(d, dtype=float)
     w_star = np.asarray(w_star, dtype=float)
     if z is None:
-        z = d - np.einsum("...kl,kl->...k", x, w_star)
+        z = d - np.einsum("...lk,lk->...k", x, w_star)
     return SampleBatch(regressors=x, references=d, noises=np.asarray(z), targets=w_star)
 
 
@@ -44,19 +44,19 @@ class TestStep:
         t = single_agent()
         cfg = stack(strategy(t, 0.3))
         st = init_state(cfg, filter_len=2)
-        st.w[:] = [[0.5, -0.5]]
-        x = np.array([[1.0, 2.0]])
+        st.w[0, :, 0] = [0.5, -0.5]
+        x = np.array([[1.0], [2.0]])
         d = np.array([1.2])
-        new = advance(cfg, st, batch_of(x, d, np.zeros((1, 2))))
-        expect = st.w[0, 0] + 0.3 * x[0] * (1.2 - x[0] @ st.w[0, 0])
-        np.testing.assert_allclose(new.w[0, 0], expect, rtol=1e-15)
+        new = advance(cfg, st, batch_of(x, d, np.zeros((2, 1))))
+        expect = st.w[0, :, 0] + 0.3 * x[:, 0] * (1.2 - x[:, 0] @ st.w[0, :, 0])
+        np.testing.assert_allclose(new.w[0, :, 0], expect, rtol=1e-15)
 
     def test_zero_step_size_freezes_state(self):
         t = single_agent()
         cfg = stack(strategy(t, 0.0))
         st = init_state(cfg, filter_len=2)
-        st.w[:] = [[1.0, 2.0]]
-        new = advance(cfg, st, batch_of([[0.3, 0.4]], [5.0], np.zeros((1, 2))))
+        st.w[0, :, 0] = [1.0, 2.0]
+        new = advance(cfg, st, batch_of([[0.3], [0.4]], [5.0], np.zeros((2, 1))))
         np.testing.assert_array_equal(new.w, st.w)
 
     def test_two_hand_iterations(self):
@@ -76,7 +76,7 @@ class TestStep:
         cfg = stack(strategy(t, 0.1))
         st = init_state(cfg, filter_len=2)
         with pytest.raises(ValueError, match="match"):
-            step(cfg, st, batch_of([[1.0, 2.0, 3.0]], [0.0], np.zeros((1, 3))),
+            step(cfg, st, batch_of([[1.0], [2.0], [3.0]], [0.0], np.zeros((3, 1))),
                  np.zeros((1, 1)))
 
     def test_batched_step_matches_per_run(self):
@@ -146,12 +146,12 @@ class TestStep:
         c = StochasticMatrix(static_rule(t, "averaging").entries.T, "right")
         cfg = stack(strategy(t, 0.1, c=c))
         st = init_state(cfg, 2)
-        x = np.zeros((10, 2))
-        x[0] = [1.0, 1.0]
+        x = np.zeros((2, 10))
+        x[:, 0] = [1.0, 1.0]
         d = np.zeros(10)
         d[0] = 1.0
-        new = advance(cfg, st, batch_of(x, d, np.zeros((10, 2))))
-        touched = np.flatnonzero(np.abs(new.w[0]).sum(axis=1) > 0)
+        new = advance(cfg, st, batch_of(x, d, np.zeros((2, 10))))
+        touched = np.flatnonzero(np.abs(new.w[0]).sum(axis=0) > 0)
         np.testing.assert_array_equal(touched, t.neighbors(0))
 
     def test_determinism(self):
@@ -203,13 +203,18 @@ def random_stochastic(rng, t, role):
     return StochasticMatrix(m / m.sum(axis=axis, keepdims=True), role)
 
 
+def agent_major(a):
+    """A tap-major (..., L, N) array viewed as (..., N, L)."""
+    return np.swapaxes(a, -1, -2)
+
+
 def dense_projection(topology, psi, batch, mu):
     """The projection rule over all N^2 agent pairs, non-neighbors
     masked out afterwards."""
     x, d = batch.regressors, batch.references
-    eps = d - np.einsum("...kl,...kl->...k", x, psi)
-    ref = psi + mu[:, None] * eps[..., None] * x
-    diff = psi[..., :, None, :] - ref[..., None, :, :]
+    eps = d - np.einsum("...lk,...lk->...k", x, psi)
+    ref = psi + (mu * eps)[..., None, :] * x
+    diff = agent_major(psi)[..., :, None, :] - agent_major(ref)[..., None, :, :]
     dist2 = np.einsum("...lkd,...lkd->...lk", diff, diff)
     inv = np.where(topology.adjacency, 1.0 / np.maximum(dist2, DISTANCE_FLOOR), 0.0)
     return inv / inv.sum(axis=-2, keepdims=True)
@@ -218,7 +223,7 @@ def dense_projection(topology, psi, batch, mu):
 def dense_relative_variance(topology, psi, w_prev, zeta2, tau):
     """The relative-variance rule with zeta2 (..., N, N) over all agent
     pairs, non-neighbors masked out afterwards."""
-    diff = psi[..., :, None, :] - w_prev[..., None, :, :]
+    diff = agent_major(psi)[..., :, None, :] - agent_major(w_prev)[..., None, :, :]
     dist2 = np.einsum("...lkd,...lkd->...lk", diff, diff)
     zeta2_new = (1.0 - tau[None, :]) * zeta2 + tau[None, :] * dist2
     inv = np.where(topology.adjacency,
@@ -238,17 +243,19 @@ def dense_of_edges(topology, on_edges, off_edges):
 def paper_step(cfg, w, x, d, a2_of_psi):
     """One instant for one batch entry, agent by agent, from the three
     stages: phi_k = sum_l a1_lk w_l; psi_k = phi_k + mu_k sum_l c_lk x_l
-    (d_l - x_l' phi_k); w_k = sum_l a2_lk psi_l."""
+    (d_l - x_l' phi_k); w_k = sum_l a2_lk psi_l.  w, x and the result
+    are tap-major (L, N): column k holds agent k's vector."""
     n = cfg.topology.n_agents
     a1, c = cfg.a1.entries, cfg.c.entries
+    w, x = w.T, x.T
     phi = [sum(a1[l, k] * w[l] for l in range(n)) for k in range(n)]
     psi = np.array([
         phi[k] + cfg.mu[k] * sum(c[l, k] * x[l] * (d[l] - x[l] @ phi[k])
                                  for l in range(n))
-        for k in range(n)])
+        for k in range(n)]).T
     a2 = a2_of_psi(psi)
-    return np.array([sum(a2[l, k] * psi[l] for l in range(n))
-                     for k in range(n)]), a2
+    return np.array([sum(a2[l, k] * psi[:, l] for l in range(n))
+                     for k in range(n)]).T, a2
 
 
 class TestStepOracle:
@@ -287,12 +294,13 @@ class TestStepOracle:
         assert (stk.c is None) is not c_random
 
         state = init_state(stk, filter_len, batch_shape=batch_shape)
-        state.w[...] = rng.standard_normal(state.w.shape)
+        state.w[...] = agent_major(rng.standard_normal(
+            state.w.shape[:-2] + (n, filter_len)))
         if state.zeta2 is not None:
             state.zeta2[...] = rng.uniform(0.1, 2.0, state.zeta2.shape)
-        x = rng.standard_normal(batch_shape + (n, filter_len))
+        x = agent_major(rng.standard_normal(batch_shape + (n, filter_len)))
         d = rng.standard_normal(batch_shape + (n,))
-        targets = rng.standard_normal((n, filter_len))
+        targets = rng.standard_normal((n, filter_len)).T
         batch = batch_of(x, d, targets)
         # the errors the harness passes, read only when A1 = C = I
         new = advance(stk, state, batch)
@@ -322,8 +330,8 @@ class TestErrors:
         t = single_agent()
         cfg = stack(strategy(t, 0.1))
         st = init_state(cfg, 2)
-        st.w[:] = [[1.0, -1.0]]
-        b = batch_of([[2.0, 1.0]], [1.0 + 0.3], [[1.0, -1.0]], z=[0.3])
+        st.w[0, :, 0] = [1.0, -1.0]
+        b = batch_of([[2.0], [1.0]], [1.0 + 0.3], [[1.0], [-1.0]], z=[0.3])
         rep = errors_and_outputs(st.w, b)
         assert rep.e_tilde[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert rep.e[0, 0] == pytest.approx(0.3, abs=1e-15)
@@ -332,8 +340,8 @@ class TestErrors:
         t = single_agent()
         cfg = stack(strategy(t, 0.1))
         st = init_state(cfg, 2)
-        st.w[:] = [[0.2, 0.4]]
-        b = batch_of([[1.0, 3.0]], [1.0 * 0.6 + 3.0 * -0.1], [[0.6, -0.1]])
+        st.w[0, :, 0] = [0.2, 0.4]
+        b = batch_of([[1.0], [3.0]], [1.0 * 0.6 + 3.0 * -0.1], [[0.6], [-0.1]])
         rep = errors_and_outputs(st.w, b)
         assert rep.e[0, 0] == rep.e_tilde[0, 0]
 
@@ -341,7 +349,7 @@ class TestErrors:
         t = single_agent()
         cfg = stack(strategy(t, 0.1))
         st = init_state(cfg, 2)  # w = 0
-        b = batch_of([[1.0, 1.0]], [1.5], [[1.0, 0.0]], z=[0.5])
+        b = batch_of([[1.0], [1.0]], [1.5], [[1.0], [0.0]], z=[0.5])
         rep = errors_and_outputs(st.w, b)
         assert rep.y[0, 0] == 0.0
         assert rep.e_tilde[0, 0] == 1.0
@@ -369,18 +377,18 @@ class TestAdaptiveProjection:
         t = triangle()
         # equilateral arrangement; agent 0 projects onto the centroid,
         # which is equidistant from all three estimates
-        psi = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        centroid = psi.mean(axis=0)
-        x = np.vstack([centroid, np.zeros((2, 2))])
+        psi = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]).T
+        centroid = psi.mean(axis=1)
+        x = np.vstack([centroid, np.zeros((2, 2))]).T
         d = np.array([1.0, 0.0, 0.0])
-        b = batch_of(x, d, np.zeros((3, 2)), z=d.copy())
+        b = batch_of(x, d, np.zeros((2, 3)), z=d.copy())
         a2 = adapt_matrix_projection(t, psi, b, mu=np.ones(3))
         np.testing.assert_allclose(a2[:, 0], 1 / 3, atol=1e-12)
 
     def test_zero_distances_floor_to_self_weight(self):
         t = triangle()
-        psi = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        b = batch_of(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)))
+        psi = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]).T
+        b = batch_of(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 3)))
         # zero step-size: the projection point is psi_k itself, so the
         # floored self-distance collects nearly all the mass
         a2 = adapt_matrix_projection(t, psi, b, mu=np.zeros(3))
@@ -389,10 +397,10 @@ class TestAdaptiveProjection:
 
     def test_hand_weights_four_ninths(self):
         t = triangle()
-        psi = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        psi = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 2.0]]).T
+        x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]).T
         d = np.array([1.0, 0.0, 0.0])
-        b = batch_of(x, d, np.zeros((3, 2)), z=d.copy())
+        b = batch_of(x, d, np.zeros((2, 3)), z=d.copy())
         a2 = adapt_matrix_projection(t, psi, b, mu=np.ones(3))
         # agent 0 projects to (1, 0): distances 1, 1, 2 -> (1, 1, 1/4)/2.25
         np.testing.assert_allclose(a2[:, 0], [4 / 9, 4 / 9, 1 / 9], atol=1e-12)
@@ -400,9 +408,9 @@ class TestAdaptiveProjection:
     def test_columns_normalized(self):
         t = build_preset("net1")
         rng = np.random.default_rng(1)
-        psi = rng.standard_normal((10, 4))
+        psi = rng.standard_normal((10, 4)).T
         b = batch_of(
-            rng.standard_normal((10, 4)), rng.standard_normal(10), np.zeros((10, 4))
+            rng.standard_normal((10, 4)).T, rng.standard_normal(10), np.zeros((4, 10))
         )
         a2 = adapt_matrix_projection(t, psi, b, mu=np.full(10, 0.1))
         np.testing.assert_allclose(a2.sum(axis=0), 1.0, atol=1e-12)
@@ -414,8 +422,8 @@ class TestAdaptiveRelativeVariance:
     # graph that is the row-major ravel of the (l, k) table
     def test_equal_distances_give_uniform_weights(self):
         t = triangle()
-        psi = np.zeros((3, 2))
-        w_prev = np.zeros((3, 2))
+        psi = np.zeros((2, 3))
+        w_prev = np.zeros((2, 3))
         zeta2 = np.ones((3, 3)).ravel()
         a2, _ = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, np.full(3, 0.1))
         np.testing.assert_allclose(a2, np.full((3, 3), 1 / 3), atol=1e-12)
@@ -423,17 +431,17 @@ class TestAdaptiveRelativeVariance:
     def test_tau_one_keeps_instantaneous_distance(self):
         t = triangle()
         rng = np.random.default_rng(0)
-        psi = rng.standard_normal((3, 2))
-        w_prev = rng.standard_normal((3, 2))
+        psi = rng.standard_normal((3, 2)).T
+        w_prev = rng.standard_normal((3, 2)).T
         zeta2 = np.full((3, 3), 99.0).ravel()
         _, z_new = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, np.ones(3))
-        expect = ((psi[:, None, :] - w_prev[None, :, :]) ** 2).sum(-1)
+        expect = ((psi.T[:, None, :] - w_prev.T[None, :, :]) ** 2).sum(-1)
         np.testing.assert_allclose(z_new, expect[t.edges], atol=1e-12)
 
     def test_pair_weights(self):
         t = Topology(n_agents=2, adjacency=np.ones((2, 2), dtype=bool))
         w_prev = np.zeros((2, 2))
-        psi = np.array([[1.0, 0.0], [2.0, 0.0]])  # distances 1 and 4 from w_0
+        psi = np.array([[1.0, 0.0], [2.0, 0.0]]).T  # distances 1 and 4 from w_0
         zeta2 = np.array([[1.0, 1.0], [4.0, 4.0]]).ravel()
         a2, z_new = adapt_matrix_relative_variance(
             t, psi, w_prev, zeta2, np.full(2, 0.5)
@@ -456,9 +464,10 @@ def assert_edge_rules_match_dense(t, seed, filter_len, batch_shape):
     oracles: the same A2 bits, and the same zeta2 bits on every edge."""
     rng = np.random.default_rng(seed)
     n = t.n_agents
-    psi, w_prev, x = rng.standard_normal((3,) + batch_shape + (n, filter_len))
+    psi, w_prev, x = agent_major(
+        rng.standard_normal((3,) + batch_shape + (n, filter_len)))
     batch = batch_of(x, rng.standard_normal(batch_shape + (n,)),
-                     rng.standard_normal((n, filter_len)))
+                     rng.standard_normal((n, filter_len)).T)
     mu, tau = rng.uniform(0.01, 0.5, n), rng.uniform(0.05, 0.95, n)
     zeta2 = rng.uniform(0.1, 2.0, batch_shape + t.edges[0].shape)
     assert np.array_equal(adapt_matrix_projection(t, psi, batch, mu),

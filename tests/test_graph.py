@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffcomb.graph import (
+    ConfigError,
     Topology,
     build_preset,
     parse_edge_list,
@@ -224,6 +225,17 @@ class TestValidate:
 
 def test_edge_list_roundtrip():
     t = build_preset("net3")
-    parsed = parse_edge_list(format_edge_list(t))
+    parsed = parse_edge_list(format_edge_list(t), "net3.edges")
     np.testing.assert_array_equal(parsed.adjacency, t.adjacency)
     assert parsed.clusters == t.clusters
+
+
+@pytest.mark.parametrize("bad", ["2 3 4", "2 x", "cluster", "cluster 1: 2 x"])
+def test_malformed_edge_line_named_by_file_and_line(bad):
+    # the first three used to fail with "too many values to unpack", an
+    # int() message and an IndexError
+    with pytest.raises(ConfigError) as err:
+        parse_edge_list(f"# a chain\n1 2\n\n{bad}\n2 3\n", "chain.edges")
+    assert str(err.value) == (
+        f"edge-list file chain.edges, line 4: {bad!r} is neither 'u v' "
+        "nor 'cluster <id>: <members>'")

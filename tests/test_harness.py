@@ -227,7 +227,7 @@ def per_run_series(cfg):
         for t in range(cfg.horizon):
             b = sampler.step()
             x, d, w = b.regressors[0], b.references[0], b.targets
-            ys = np.array([np.sum(x * s.w[0], axis=1) for s in states])
+            ys = np.array([np.sum(x * s.w[0], axis=0) for s in states])
             weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
                 else comb.gamma
             y_c = np.sum(weights * ys, axis=0)
@@ -244,10 +244,10 @@ def per_run_series(cfg):
                       for one, s in zip(stacks, states)]
             new_weights = np.array([comb.gamma, 1 - comb.gamma]) if pair \
                 else comb.gamma
-            w_c = np.sum(new_weights[:, :, None] * [s.w[0] for s in states],
+            w_c = np.sum(new_weights[:, None, :] * [s.w[0] for s in states],
                          axis=0)
             devs = [s.w[0] - w for s in states] + [w_c - w]
-            errs = [np.sum(x * w, axis=1) - y for y in [*ys, y_c]]
+            errs = [np.sum(x * w, axis=0) - y for y in [*ys, y_c]]
             row = [np.sum(v**2) / n for v in devs]
             if pair:
                 row.append(np.sum(devs[0] * devs[1]) / n)
@@ -868,7 +868,7 @@ class TestMonteCarlo:
         cfg = dataclasses.replace(cfg, horizon=200, components=[
             dataclasses.replace(comp, mu=3.0) for comp in cfg.components])
         with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match="msd_network_2 is not finite at instant 89"):
+                ValueError, match="msd_network_2 is not finite at instant 90"):
             run_monte_carlo(cfg)
 
     def test_combiner_choice_leaves_components_untouched(self):

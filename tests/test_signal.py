@@ -7,7 +7,6 @@ from diffcomb.signal import (
     AR1_COEFF,
     AgentSignalParams,
     ChunkedSampler,
-    GeneratorState,
     TargetSchedule,
     load_snr_preset,
     regressor_covariance,
@@ -16,35 +15,46 @@ from diffcomb.signal import (
 from helpers import snr
 
 
-# The scalar sampling path: one datum at a time from one (run, agent)
-# stream pair, the oracle the block-drawing sampler is checked against.
+# The scalar sampling path: one normal at a time from one run's stream,
+# the oracle the block-drawing sampler is checked against.
 
-class ScalarStream(GeneratorState):
-    """A stream pair plus the autoregressive memory x_{n-1} of ar1 inputs."""
+class ScalarStream:
+    """One run's stream, seeded as the sampler seeds it, plus the
+    autoregressive memory x_{n-1} of each ar1 agent, drawn at creation."""
 
-    ar_prev = None
-
-
-def draw_regressor(p, state):
-    """Draw the next regressor from the agent's stream."""
-    if p.regressor_kind == "white":
-        return np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal(p.filter_len)
-    if state.ar_prev is None:
-        state.ar_prev = float(
-            np.sqrt(p.sigma_x2) * state.regressor_rng.standard_normal()
-        )
-    innovation = state.regressor_rng.standard_normal()
-    x_new = AR1_COEFF * state.ar_prev + np.sqrt(0.75 * p.sigma_x2) * innovation
-    out = np.array([x_new, state.ar_prev])
-    state.ar_prev = float(x_new)
-    return out
+    def __init__(self, params, seed, run):
+        self.params = params
+        self.rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        self.ar_prev = [float(np.sqrt(p.sigma_x2) * self.rng.standard_normal())
+                        if p.regressor_kind == "ar1" else None for p in params]
 
 
-def emit_sample(p, w_star, x, state):
-    """Complete one datum: draw noise and form the reference d = x'w* + z;
-    returns (reference, noise)."""
-    z = float(np.sqrt(p.sigma_z2) * state.noise_rng.standard_normal())
-    return float(np.dot(x, w_star)) + z, z
+def draw_regressors(state):
+    """The next regressors (L, N), column k agent k's: tap 0 of every agent
+    (an ar1 agent's innovation), then each further tap of the white
+    agents, tap by tap."""
+    params = state.params
+    x = np.empty((params[0].filter_len, len(params)))
+    for l in range(len(x)):
+        for k, p in enumerate(params):
+            if p.regressor_kind == "white":
+                x[l, k] = np.sqrt(p.sigma_x2) * state.rng.standard_normal()
+            elif l == 0:
+                innovation = state.rng.standard_normal()
+                x[:, k] = (AR1_COEFF * state.ar_prev[k]
+                           + np.sqrt(0.75 * p.sigma_x2) * innovation,
+                           state.ar_prev[k])
+                state.ar_prev[k] = float(x[0, k])
+    return x
+
+
+def emit_samples(w_star, x, state):
+    """Complete one instant: draw one noise per agent and form the
+    references d_k = x_k'w*_k + z_k; returns (references, noises)."""
+    z = np.array([np.sqrt(p.sigma_z2) * state.rng.standard_normal()
+                  for p in state.params])
+    return np.array([float(np.dot(x[:, k], w_star[k]))
+                     for k in range(len(z))]) + z, z
 
 
 def two_stage_schedule(a=0.0, b=5.0, n_agents=1, L=1, t_len=500):
@@ -159,7 +169,7 @@ class TestRegressors:
         p = AgentSignalParams(sigma_x2=2.0, sigma_z2=0.1, filter_len=3)
         schedule = TargetSchedule.constant(np.zeros((1, 3)))
         sampler = ChunkedSampler([p], schedule, seed=7, runs=[0], horizon=100_000)
-        draws = np.array([sampler.step().regressors[0, 0] for _ in range(100_000)])
+        draws = np.array([sampler.step().regressors[0, :, 0] for _ in range(100_000)])
         cov = draws.T @ draws / len(draws)
         np.testing.assert_allclose(cov, 2.0 * np.eye(3), atol=0.1)
 
@@ -167,8 +177,8 @@ class TestRegressors:
         p = AgentSignalParams(
             sigma_x2=1.5, sigma_z2=0.1, filter_len=2, regressor_kind="ar1"
         )
-        state = ScalarStream(seed=3, run=0, agent=0)
-        draws = np.array([draw_regressor(p, state) for _ in range(40_000)])
+        state = ScalarStream([p], seed=3, run=0)
+        draws = np.array([draw_regressors(state)[:, 0] for _ in range(40_000)])
         assert np.var(draws[:, 0]) == pytest.approx(1.5, rel=0.05)
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert corr == pytest.approx(0.5, rel=0.05)
@@ -188,50 +198,50 @@ class TestRegressors:
             )
 
     def test_same_seed_same_stream(self):
-        p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)
-        a = ScalarStream(seed=11, run=2, agent=5)
-        b = ScalarStream(seed=11, run=2, agent=5)
+        params = [AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)] * 6
+        a = ScalarStream(params, seed=11, run=2)
+        b = ScalarStream(params, seed=11, run=2)
         for _ in range(50):
-            np.testing.assert_array_equal(draw_regressor(p, a), draw_regressor(p, b))
+            np.testing.assert_array_equal(draw_regressors(a), draw_regressors(b))
 
     def test_runs_get_independent_streams(self):
-        p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)
-        a = ScalarStream(seed=11, run=0, agent=0)
-        b = ScalarStream(seed=11, run=1, agent=0)
-        assert not np.array_equal(draw_regressor(p, a), draw_regressor(p, b))
+        params = [AgentSignalParams(sigma_x2=1.0, sigma_z2=0.2, filter_len=4)]
+        a = ScalarStream(params, seed=11, run=0)
+        b = ScalarStream(params, seed=11, run=1)
+        assert not np.array_equal(draw_regressors(a), draw_regressors(b))
 
 
 class TestEmit:
     def test_noiseless_reference(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.0, filter_len=2)
-        state = ScalarStream(0, 0, 0)
-        x = np.array([1.0, -2.0])
-        w = np.array([0.5, 0.25])
-        reference, noise = emit_sample(p, w, x, state)
-        assert reference == 1.0 * 0.5 - 2.0 * 0.25
-        assert noise == 0.0
+        state = ScalarStream([p], 0, 0)
+        x = np.array([[1.0], [-2.0]])
+        w = np.array([[0.5, 0.25]])
+        reference, noise = emit_samples(w, x, state)
+        assert reference[0] == 1.0 * 0.5 - 2.0 * 0.25
+        assert noise[0] == 0.0
 
     def test_zero_regressor(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.3, filter_len=2)
-        state = ScalarStream(0, 0, 0)
-        reference, noise = emit_sample(p, np.ones(2), np.zeros(2), state)
-        assert reference == noise
+        state = ScalarStream([p], 0, 0)
+        reference, noise = emit_samples(np.ones((1, 2)), np.zeros((2, 1)), state)
+        assert reference[0] == noise[0]
 
     def test_model_identity_holds_exactly(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.5, filter_len=3)
-        state = ScalarStream(5, 0, 0)
-        w = np.array([0.3, -1.2, 0.7])
+        state = ScalarStream([p], 5, 0)
+        w = np.array([[0.3, -1.2, 0.7]])
         for _ in range(200):
-            x = draw_regressor(p, state)
-            reference, noise = emit_sample(p, w, x, state)
-            assert reference == float(np.dot(x, w)) + noise
+            x = draw_regressors(state)
+            reference, noise = emit_samples(w, x, state)
+            assert reference[0] == float(np.dot(x[:, 0], w[0])) + noise[0]
 
     def test_noise_variance(self):
         p = AgentSignalParams(sigma_x2=1.0, sigma_z2=0.4, filter_len=1)
-        state = ScalarStream(9, 0, 0)
-        w = np.zeros(1)
+        state = ScalarStream([p], 9, 0)
+        w = np.zeros((1, 1))
         noises = [
-            emit_sample(p, w, draw_regressor(p, state), state)[1]
+            emit_samples(w, draw_regressors(state), state)[1][0]
             for _ in range(100_000)
         ]
         assert np.var(noises) == pytest.approx(0.4, rel=0.05)
@@ -290,20 +300,14 @@ class TestChunkedSampler:
         ]
 
     def _scalar_reference(self, params, schedule, seed, run, horizon):
-        states = [ScalarStream(seed, run, k) for k in range(len(params))]
+        state = ScalarStream(params, seed, run)
         xs, ds, zs = [], [], []
         for n in range(horizon):
-            w = target_at(schedule, n)
-            row_x, row_d, row_z = [], [], []
-            for k, p in enumerate(params):
-                x = draw_regressor(p, states[k])
-                reference, noise = emit_sample(p, w[k], x, states[k])
-                row_x.append(x)
-                row_d.append(reference)
-                row_z.append(noise)
-            xs.append(row_x)
-            ds.append(row_d)
-            zs.append(row_z)
+            x = draw_regressors(state)
+            reference, noise = emit_samples(target_at(schedule, n), x, state)
+            xs.append(x)
+            ds.append(reference)
+            zs.append(noise)
         return np.array(xs), np.array(ds), np.array(zs)
 
     def _blocked(self, monkeypatch, params, schedule, seed, runs, horizon,
@@ -367,7 +371,7 @@ class TestChunkedSampler:
         long = self._blocked(monkeypatch, params, schedule, 3, runs, 100, 512)
         for _ in range(100):  # crosses two default refills
             sd, sl = default.step(), long.step()
-            assert default._block[0].size <= 2 ** 19
+            assert default._block[0][:, :, :-1].size <= 2 ** 19
             np.testing.assert_array_equal(sd.regressors, sl.regressors)
             np.testing.assert_array_equal(sd.references, sl.references)
             np.testing.assert_array_equal(sd.noises, sl.noises)
@@ -383,10 +387,13 @@ class TestChunkedSampler:
                                  horizon=1000)
         assert sampler.block_len == expected
 
+    @pytest.mark.parametrize("kinds", [("white", "white", "white"),
+                                       ("ar1", "ar1", "ar1"),
+                                       ("white", "ar1", "white")])
     @pytest.mark.parametrize("block", [512, 64])
-    def test_horizon_stops_every_stream_at_the_horizon(self, block,
+    def test_horizon_stops_every_stream_at_the_horizon(self, block, kinds,
                                                        monkeypatch):
-        params = self._params(("white", "ar1", "white"))
+        params = self._params(kinds)
         schedule = TargetSchedule.constant(np.tile([0.4, -0.7], (3, 1)))
         runs = [0, 3]
         capped = self._blocked(monkeypatch, params, schedule, 5, runs, 200,
@@ -398,20 +405,16 @@ class TestChunkedSampler:
             np.testing.assert_array_equal(sc.regressors, sf.regressors)
             np.testing.assert_array_equal(sc.references, sf.references)
             np.testing.assert_array_equal(sc.noises, sf.noises)
-        # a fresh stream that draws exactly 200 instants ends in the same
-        # state: 2 normals per white regressor, one more (the start) for
-        # an AR(1) stream, one per noise sample
-        for i, run in enumerate(runs):
-            for k, p in enumerate(params):
-                fresh = GeneratorState(5, run, k)
-                fresh.regressor_rng.standard_normal(
-                    400 if p.regressor_kind == "white" else 201)
-                fresh.noise_rng.standard_normal(200)
-                used = capped._states[i][k]
-                assert (used.regressor_rng.bit_generator.state
-                        == fresh.regressor_rng.bit_generator.state)
-                assert (used.noise_rng.bit_generator.state
-                        == fresh.noise_rng.bit_generator.state)
+        # a fresh stream that draws exactly the documented count ends in
+        # the same state: one start value per AR(1) agent, then per instant
+        # 2 normals per white regressor, one per AR(1) innovation and one
+        # per noise sample
+        ar = sum(kind == "ar1" for kind in kinds)
+        per_instant = 2 * (len(kinds) - ar) + ar + len(kinds)
+        for used, run in zip(capped._rngs, runs):
+            fresh = np.random.default_rng(np.random.SeedSequence((5, run)))
+            fresh.standard_normal(ar + 200 * per_instant)
+            assert used.bit_generator.state == fresh.bit_generator.state
         with pytest.raises(ValueError, match="exhausted"):
             capped.step()
 
