@@ -242,10 +242,10 @@ class ChunkedSampler:
         self._block = None  # freed now unless a caller holds a batch of it
         L, ar = self.schedule.filter_len, self._ar
         runs, n = self._ar_last.shape
-        # one allocation per block: per run its references, then its slab
-        # of grids, each run's draws contiguous and scaled in place
-        block = np.zeros((runs, b * n * (L + 2)))
-        grids = block[:, b * n:].reshape(runs, b, L + 1, n)
+        # one allocation per block: the references, then the grids, each
+        # run's slab of draws contiguous and scaled in place
+        block = np.zeros(runs * b * n * (L + 2))
+        grids = block[runs * b * n:].reshape(runs, b, L + 1, n)
         for rng, cells in zip(self._rngs, grids.reshape(runs, b, -1)):
             if ar.any():
                 cells[:, self._drawn] = rng.standard_normal((b, self._drawn.size))
@@ -266,7 +266,7 @@ class ChunkedSampler:
             self._ar_last = xs[b].copy()
         w = np.stack([target_at(self.schedule, i).T
                       for i in range(self._n, self._n + b)])
-        ref = block[:, :b * n].reshape(runs, b, n)
+        ref = block[:runs * b * n].reshape(runs, b, n)
         np.einsum("rblk,blk->rbk", grids[:, :, :L], w, out=ref)
         ref += grids[:, :, L]
         self._block, self._cursor, self._end = (grids, ref, w), 0, b
