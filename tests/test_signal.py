@@ -387,36 +387,34 @@ class TestChunkedSampler:
                                  horizon=1000)
         assert sampler.block_len == expected
 
-    @pytest.mark.parametrize("kinds", [("white", "white", "white"),
-                                       ("ar1", "ar1", "ar1"),
-                                       ("white", "ar1", "white")])
     @pytest.mark.parametrize("block", [512, 64])
-    def test_horizon_stops_every_stream_at_the_horizon(self, block, kinds,
+    def test_horizon_stops_every_stream_at_the_horizon(self, block,
                                                        monkeypatch):
-        params = self._params(kinds)
-        schedule = TargetSchedule.constant(np.tile([0.4, -0.7], (3, 1)))
-        runs = [0, 3]
-        capped = self._blocked(monkeypatch, params, schedule, 5, runs, 200,
-                               block)
-        full = self._blocked(monkeypatch, params, schedule, 5, runs, 1000,
-                             512)
-        for _ in range(200):
-            sc, sf = capped.step(), full.step()
-            np.testing.assert_array_equal(sc.regressors, sf.regressors)
-            np.testing.assert_array_equal(sc.references, sf.references)
-            np.testing.assert_array_equal(sc.noises, sf.noises)
-        # a fresh stream that draws exactly the documented count ends in
-        # the same state: one start value per AR(1) agent, then per instant
-        # 2 normals per white regressor, one per AR(1) innovation and one
-        # per noise sample
-        ar = sum(kind == "ar1" for kind in kinds)
-        per_instant = 2 * (len(kinds) - ar) + ar + len(kinds)
-        for used, run in zip(capped._rngs, runs):
-            fresh = np.random.default_rng(np.random.SeedSequence((5, run)))
-            fresh.standard_normal(ar + 200 * per_instant)
-            assert used.bit_generator.state == fresh.bit_generator.state
-        with pytest.raises(ValueError, match="exhausted"):
-            capped.step()
+        for kinds in (("white", "ar1", "white"), ("white",) * 3, ("ar1",) * 3):
+            params = self._params(kinds)
+            schedule = TargetSchedule.constant(np.tile([0.4, -0.7], (3, 1)))
+            runs = [0, 3]
+            capped = self._blocked(monkeypatch, params, schedule, 5, runs,
+                                   200, block)
+            full = self._blocked(monkeypatch, params, schedule, 5, runs,
+                                 1000, 512)
+            for _ in range(200):
+                sc, sf = capped.step(), full.step()
+                np.testing.assert_array_equal(sc.regressors, sf.regressors)
+                np.testing.assert_array_equal(sc.references, sf.references)
+                np.testing.assert_array_equal(sc.noises, sf.noises)
+            # a fresh stream that draws exactly the documented count ends
+            # in the same state: one start value per AR(1) agent, then per
+            # instant 2 normals per white regressor, one per AR(1)
+            # innovation and one per noise sample
+            ar = kinds.count("ar1")
+            per_instant = 2 * (len(kinds) - ar) + ar + len(kinds)
+            for used, run in zip(capped._rngs, runs):
+                fresh = np.random.default_rng(np.random.SeedSequence((5, run)))
+                fresh.standard_normal(ar + 200 * per_instant)
+                assert used.bit_generator.state == fresh.bit_generator.state
+            with pytest.raises(ValueError, match="exhausted"):
+                capped.step()
 
 
 class TestParamValidation:
