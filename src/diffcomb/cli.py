@@ -33,16 +33,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo experiment")
     sim.add_argument("config", help="config file path or bundled preset name")
-    sim.add_argument("-o", "--output", required=True, help="output file")
-    sim.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format (default: from the file extension)")
+    sim.add_argument("-o", "--output", required=True,
+                     help="output file: JSON if named *.json, else CSV")
     sim.add_argument("--workers", type=int, default=1,
                      help="worker processes (default: 1)")
 
     theo = sub.add_parser("theory", help="evaluate the moment recursions")
     theo.add_argument("config", help="config file path or bundled preset name")
-    theo.add_argument("-o", "--output", required=True, help="output file")
-    theo.add_argument("--format", choices=("csv", "json"), default=None)
+    theo.add_argument("-o", "--output", required=True,
+                      help="output file: JSON if named *.json, else CSV")
 
     cmp_ = sub.add_parser("compare",
                           help="compare two exported result files")
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
     result = run_monte_carlo(cfg, workers=args.workers)
-    export(result, args.output, fmt=args.format, columns=cfg.outputs)
+    export(result, args.output, columns=cfg.outputs)
     print(f"wrote {args.output} ({result.metadata['runs']} runs, "
           f"horizon {result.horizon})")
     return 0
@@ -75,7 +74,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_theory(args) -> int:
     cfg = resolve_config(args.config)
     result = run_theory(cfg)
-    export(result, args.output, fmt=args.format, columns=cfg.outputs)
+    export(result, args.output, columns=cfg.outputs)
     for start, report in result.steady:
         verdict = report.universality.verdict
         print(f"stage at n={start}: combined steady MSD "

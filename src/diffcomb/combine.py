@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import integer_value, require_number
+from .signal import require_number
 
 SCHEMES = ("power_normalized", "sign_regressor", "multi_sign")
 
@@ -39,7 +39,6 @@ class CombinerConfig:
     eta: float = 0.95
     delta: float = 0.01
     nu_alpha: np.ndarray | float | None = None
-    m: int = 2
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -47,9 +46,6 @@ class CombinerConfig:
         for name in ("nu_gamma", "epsilon", "eta", "delta", "nu_alpha"):
             if getattr(self, name) is not None:
                 require_number(name, getattr(self, name))
-        object.__setattr__(self, "m", integer_value("m", self.m, 2))
-        if self.scheme != "multi_sign" and self.m != 2:
-            raise ValueError("two-component schemes require m = 2")
         if np.ndim(self.nu_gamma):
             object.__setattr__(self, "nu_gamma",
                                np.asarray(self.nu_gamma, dtype=float))
@@ -85,11 +81,12 @@ class CombinerState:
     degenerate_events: int = 0
 
 
-def init_combiner(cfg: CombinerConfig, n_agents: int, batch_shape=()) -> CombinerState:
-    """Neutral start: equal weight on every component, zero power."""
+def init_combiner(cfg: CombinerConfig, m: int, n_agents: int,
+                  batch_shape=()) -> CombinerState:
+    """Neutral start: equal weight on each of m components, zero power."""
     shape = tuple(batch_shape) + (n_agents,)
     if cfg.scheme == "multi_sign":
-        alpha = np.full(tuple(batch_shape) + (cfg.m, n_agents), 1.0 / cfg.m)
+        alpha = np.full(tuple(batch_shape) + (m, n_agents), 1.0 / m)
         gamma, _ = _multi_mapping(cfg, alpha)
         return CombinerState(gamma=gamma, alpha=alpha)
     state = CombinerState(gamma=np.full(shape, 0.5))
@@ -134,9 +131,9 @@ def sr_update(
 
 
 def _denominator(cfg: CombinerConfig, alpha: np.ndarray):
-    """sum(alpha) + M delta over the components, replaced by delta where
-    it is not positive, and the count of replaced entries."""
-    denom = alpha.sum(axis=-2, keepdims=True) + cfg.m * cfg.delta
+    """sum(alpha) + M delta over the M rows of alpha (..., M, N), replaced
+    by delta where it is not positive, and the count of replaced entries."""
+    denom = alpha.sum(axis=-2, keepdims=True) + alpha.shape[-2] * cfg.delta
     bad = denom <= 0
     return np.where(bad, cfg.delta, denom), int(np.count_nonzero(bad))
 
@@ -161,8 +158,8 @@ def multi_update(
     nu_alpha e sgn((e - e_i)/denominator) and are re-mapped to
     coefficients afterwards.
     """
-    if component_errors.shape[-2] != cfg.m:
-        raise ValueError(f"expected {cfg.m} component error rows")
+    if component_errors.shape[-2] != st.alpha.shape[-2]:
+        raise ValueError(f"expected {st.alpha.shape[-2]} component error rows")
     nu = np.asarray(cfg.nu_alpha)
     denom, clamped = _denominator(cfg, st.alpha)
     arg = (e[..., None, :] - component_errors) / denom

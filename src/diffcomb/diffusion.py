@@ -209,9 +209,8 @@ def adapt_matrix_projection(
     each neighbor l by inverse squared distance from psi_l to that
     point, measured on the edges (l, k) only.
     """
-    x, d = batch.regressors, batch.references
-    eps = d - np.einsum("...lk,...lk->...k", x, psi)
-    ref = (mu * eps)[..., None, :] * x
+    eps = errors_and_outputs(psi, batch).e
+    ref = (mu * eps)[..., None, :] * batch.regressors
     ref += psi
     return _inverse_weights(topology, _edge_dist2(topology, psi, ref))
 
@@ -256,7 +255,7 @@ def step(stack: StrategyStack, st: StrategyState, batch: SampleBatch,
     mu = _lift(stack.mu, st.w.ndim - 3)
     if stack.c is None:
         if stack.a1 is not None:
-            e = d - np.einsum("...lk,...lk->...k", x, phi)
+            e = errors_and_outputs(phi, batch).e
         psi = mu * e[..., None, :] * x
         psi += phi
     else:

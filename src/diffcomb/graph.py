@@ -217,10 +217,12 @@ def parse_edge_list(text: str, source) -> Topology:
             if line.startswith("cluster"):
                 head, _, body = line.partition(":")
                 _, cid = head.split()
-                clusters[cid] = tuple(int(tok) - 1 for tok in body.split())
+                clusters[cid] = agents = tuple(int(t) - 1 for t in body.split())
             else:
-                u, v = map(int, line.split())
-                edges.append((u - 1, v - 1))
+                u, v = agents = tuple(int(t) - 1 for t in line.split())
+                edges.append((u, v))
+            if min(agents, default=0) < 0:
+                raise ValueError
         except ValueError:
             raise ConfigError(
                 f"edge-list file {source}, line {number}: {line!r} is "

@@ -119,19 +119,17 @@ class ExperimentConfig:
             raise ValueError("target schedule shape does not match the network")
         if self.schedule.stages[0][0] != 0:
             raise ValueError("the first target stage must start at time 0")
-        if len(self.components) < 2:
-            raise ValueError("need at least two component strategies")
+        m, pair = len(self.components), self.combiner.scheme != "multi_sign"
+        if m < 2 or (pair and m != 2):
+            raise ValueError(f"the {self.combiner.scheme} combiner needs "
+                             f"{'exactly' if pair else 'at least'} two "
+                             f"component strategies, got {m}")
         for comp in self.components:
             if not np.array_equal(comp.topology.adjacency,
                                   self.topology.adjacency):
                 raise ValueError("component strategies must share the network")
-        expected = self.combiner.m if self.combiner.scheme == "multi_sign" else 2
-        if len(self.components) != expected:
-            raise ValueError(
-                f"combiner expects {expected} component strategies, "
-                f"got {len(self.components)}")
         if self.gamma_init is not None:
-            if self.combiner.scheme == "multi_sign":
+            if not pair:
                 raise ValueError("gamma_init applies to two-component schemes only")
             require_number("gamma_init", self.gamma_init)
             if np.ndim(self.gamma_init):
@@ -139,7 +137,7 @@ class ExperimentConfig:
             self.gamma_init = float(self.gamma_init)
         for name, shape, per in (
                 ("nu_gamma", (n,), "agent"),
-                ("nu_alpha", (self.combiner.m, n), "component and agent")):
+                ("nu_alpha", (m, n), "component and agent")):
             value = getattr(self.combiner, name)
             try:
                 np.broadcast_to(value, shape)
@@ -505,7 +503,7 @@ def _simulate_chunk(cfg: ExperimentConfig, stack: StrategyStack,
     sampler = ChunkedSampler(cfg.signal_params, cfg.schedule, cfg.seed,
                              runs, horizon=cfg.horizon)
     st = init_state(stack, cfg.filter_len, batch_shape=(len(runs),))
-    comb = init_combiner(cfg.combiner, n, batch_shape=(len(runs),))
+    comb = init_combiner(cfg.combiner, m, n, batch_shape=(len(runs),))
     if cfg.gamma_init is not None:
         comb.gamma = np.full_like(comb.gamma, cfg.gamma_init)
 
@@ -806,16 +804,18 @@ def export_json(result, path, columns=None) -> None:
         fh.write("\n")
 
 
-def export(result, path, fmt=None, columns=None) -> None:
-    """Write a result to path; the format follows the extension unless given."""
-    if fmt is None:
-        fmt = Path(path).suffix.lstrip(".").lower() or "csv"
-    if fmt == "csv":
-        export_csv(result, path, columns=columns)
-    elif fmt == "json":
+def _is_json(path) -> bool:
+    """The format rule of export and load_result alike: a file named
+    *.json, in any case, holds JSON; any other name holds CSV."""
+    return Path(path).suffix.lower() == ".json"
+
+
+def export(result, path, columns=None) -> None:
+    """Write a result to path in the format its name picks (_is_json)."""
+    if _is_json(path):
         export_json(result, path, columns=columns)
     else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        export_csv(result, path, columns=columns)
 
 
 def load_result(path) -> SeriesResult:
@@ -828,7 +828,7 @@ def load_result(path) -> SeriesResult:
     """
     path = Path(path)
     try:
-        if path.suffix.lower() == ".json":
+        if _is_json(path):
             payload = json.loads(path.read_text())
             names = [name for name in payload["columns"] if name != "n"]
             columns = [payload["series"][name] for name in names]

@@ -35,6 +35,16 @@ def config_path(tmp_path):
     return path
 
 
+def three_component_multi(config_path):
+    """The fixture's experiment with a third component, all three mixed
+    by the multi scheme; no "m" restates their count."""
+    raw = json.loads(config_path.read_text())
+    raw["components"].append({"a2": "metropolis", "mu": 0.02})
+    raw["combiner"] = {"scheme": "multi_sign", "nu_gamma": 0.01,
+                       "nu_alpha": 0.1}
+    return raw
+
+
 class TestValidate:
     def test_valid_config(self, config_path, capsys):
         assert main(["validate", str(config_path)]) == 0
@@ -277,7 +287,7 @@ class TestValidate:
                 f"invalid experiment: {message}\n"
             agent["sigma_x2"] = sigma_x2
 
-    @pytest.mark.parametrize("bad", ["2 3 4", "2 x", "cluster"])
+    @pytest.mark.parametrize("bad", ["2 3 4", "2 x", "cluster", "0 3"])
     def test_malformed_edge_list_refused_in_one_line(self, config_path,
                                                      capsys, bad):
         # each used to end in a traceback from the edge-list parser
@@ -289,6 +299,14 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"config error: edge-list file {edges}, line 3: {bad!r} is "
             "neither 'u v' nor 'cluster <id>: <members>'\n")
+
+    def test_component_count_key_refused_by_name(self, config_path, capsys):
+        raw = three_component_multi(config_path)
+        raw["combiner"]["m"] = 3
+        config_path.write_text(json.dumps(raw))
+        assert main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: combiner has unknown keys ['m']\n")
 
     def test_invalid_value(self, config_path, capsys):
         raw = json.loads(config_path.read_text())
@@ -312,6 +330,39 @@ class TestSimulate:
         assert main(["simulate", str(config_path), "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["metadata"]["runs"] == 4
+
+    def test_other_suffix_writes_csv(self, config_path, tmp_path):
+        # used to run the whole simulation, then exit 1 on the suffix
+        out = tmp_path / "sim.out"
+        assert main(["simulate", str(config_path), "-o", str(out)]) == 0
+        assert out.read_text().startswith("n,msd_network_1,")
+        loaded = load_result(out)
+        assert loaded.horizon == 40 and loaded.metadata == {}
+
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    def test_format_flag_refused(self, config_path, tmp_path, capsys,
+                                 command):
+        # the file name alone picks the format, so a .csv name can no
+        # longer hold JSON that compare then refuses
+        with pytest.raises(SystemExit) as exit_:
+            main([command, str(config_path), "-o",
+                  str(tmp_path / "sim.csv"), "--format", "json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format json" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_three_component_multi_scheme(self, config_path, tmp_path,
+                                          capsys):
+        # used to be refused: "combiner expects 2 component strategies"
+        config_path.write_text(json.dumps(three_component_multi(config_path)))
+        out = tmp_path / "multi.csv"
+        assert main(["validate", str(config_path)]) == 0
+        assert "3 components" in capsys.readouterr().out
+        assert main(["simulate", str(config_path), "-o", str(out)]) == 0
+        loaded = load_result(out)
+        assert loaded.horizon == 40
+        assert {"msd_network_3", "gamma_mean_c3_a1"} <= set(loaded.series)
 
     def test_worker_flag_keeps_bytes(self, config_path, tmp_path):
         raw = json.loads(config_path.read_text())
@@ -401,6 +452,20 @@ class TestCompare:
         sim, theo = self._export_pair(config_path, tmp_path)
         assert main(["compare", str(sim), str(theo),
                      "--tol-msd-db", "60", "--tol-gamma", "1.0"]) == 0
+
+    def test_json_simulation_against_csv_theory(self, config_path, tmp_path,
+                                                capsys):
+        # each file is read back in the format its name gave it on export
+        sim, theo = self._export_pair(config_path, tmp_path)
+        as_json = tmp_path / "sim.json"
+        assert main(["simulate", str(config_path), "-o", str(as_json)]) == 0
+        capsys.readouterr()
+        args = ["--tol-msd-db", "60", "--tol-gamma", "1.0"]
+        assert main(["compare", str(as_json), str(theo), *args]) == 0
+        from_json = capsys.readouterr().out
+        assert main(["compare", str(sim), str(theo), *args]) == 0
+        assert "comparison passed" in from_json
+        assert from_json == capsys.readouterr().out
 
     def test_offset_fails(self, config_path, tmp_path, capsys):
         _, theo = self._export_pair(config_path, tmp_path)

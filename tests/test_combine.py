@@ -22,9 +22,9 @@ def sr_cfg(nu=0.015):
     return CombinerConfig(scheme="sign_regressor", nu_gamma=nu)
 
 
-def multi_cfg(m=2, nu_alpha=0.1, delta=0.01):
+def multi_cfg(nu_alpha=0.1, delta=0.01):
     return CombinerConfig(
-        scheme="multi_sign", nu_gamma=0.01, m=m, nu_alpha=nu_alpha, delta=delta
+        scheme="multi_sign", nu_gamma=0.01, nu_alpha=nu_alpha, delta=delta
     )
 
 
@@ -79,7 +79,7 @@ class TestCombineWeights:
 class TestPowerNormalized:
     def test_identical_components_freeze_gamma(self):
         cfg = pn_cfg()
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         state.p[:] = 0.4
         new = pn_update(cfg, state, e=np.array([2.0]), delta_y=np.array([0.0]))
         assert new.gamma[0] == 0.5
@@ -89,14 +89,14 @@ class TestPowerNormalized:
         cfg = CombinerConfig(
             scheme="power_normalized", nu_gamma=0.01, epsilon=0.05, eta=0.95
         )
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         new = pn_update(cfg, state, e=np.array([1.0]), delta_y=np.array([1.0]))
         assert new.p[0] == pytest.approx(0.05, abs=1e-15)
         assert new.gamma[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_zero_step_size_freezes(self):
         cfg = CombinerConfig(scheme="power_normalized", nu_gamma=0.0)
-        state = init_combiner(cfg, 3)
+        state = init_combiner(cfg, 2, 3)
         rng = np.random.default_rng(0)
         for _ in range(10):
             state = pn_update(
@@ -109,7 +109,7 @@ class TestPowerNormalized:
         cfg = CombinerConfig(
             scheme="power_normalized", nu_gamma=0.1, epsilon=0.05, eta=0.5
         )
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         new = pn_update(cfg, state, e=np.array([1.0]), delta_y=np.array([3.0]))
         # p = 0.5*0 + 0.5*9 = 4.5; with the stale p the step would be
         # 0.1/0.05*3 = 6, with the fresh one 0.1/4.55*3
@@ -119,26 +119,26 @@ class TestPowerNormalized:
 class TestSignRegressor:
     def test_zero_difference_is_fixed_point(self):
         cfg = sr_cfg()
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         new = sr_update(cfg, state, e=np.array([5.0]), delta_y=np.array([0.0]))
         assert new.gamma[0] == 0.5
 
     def test_hand_update(self):
         cfg = sr_cfg(nu=0.015)
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         new = sr_update(cfg, state, e=np.array([-2.0]), delta_y=np.array([0.7]))
         assert new.gamma[0] == pytest.approx(0.47, abs=1e-15)
 
     def test_sign_antisymmetry(self):
         cfg = sr_cfg()
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         up = sr_update(cfg, state, np.array([1.0]), np.array([2.0]))
         down = sr_update(cfg, state, np.array([1.0]), np.array([-2.0]))
         assert up.gamma[0] - 0.5 == pytest.approx(-(down.gamma[0] - 0.5), abs=1e-15)
 
     def test_magnitude_of_difference_ignored(self):
         cfg = sr_cfg()
-        state = init_combiner(cfg, 1)
+        state = init_combiner(cfg, 2, 1)
         a = sr_update(cfg, state, np.array([1.0]), np.array([0.1]))
         b = sr_update(cfg, state, np.array([1.0]), np.array([100.0]))
         assert a.gamma[0] == b.gamma[0]
@@ -146,12 +146,12 @@ class TestSignRegressor:
 
 class TestMulti:
     def test_equal_scores_give_uniform_coefficients(self):
-        cfg = multi_cfg(m=4)
-        state = init_combiner(cfg, 3)
+        cfg = multi_cfg()
+        state = init_combiner(cfg, 4, 3)
         np.testing.assert_allclose(state.gamma, 0.25, atol=1e-15)
 
     def test_hand_update(self):
-        cfg = multi_cfg(m=2, nu_alpha=0.1, delta=0.01)
+        cfg = multi_cfg(nu_alpha=0.1, delta=0.01)
         state = CombinerState(
             gamma=np.full((2, 1), 0.5), alpha=np.ones((2, 1))
         )
@@ -176,7 +176,7 @@ class TestMulti:
         )
     )
     def test_mapping_sums_to_one(self, alpha):
-        cfg = multi_cfg(m=3)
+        cfg = multi_cfg()
         state = CombinerState(gamma=None, alpha=alpha)
         new = multi_update(
             cfg, state, e=np.zeros(2), component_errors=np.zeros((3, 2))
@@ -192,7 +192,7 @@ class TestMulti:
     def test_mapping_monotone_in_own_score(self, alpha, bump, idx):
         from diffcomb.combine import _multi_mapping
 
-        cfg = multi_cfg(m=3)
+        cfg = multi_cfg()
         g0, _ = _multi_mapping(cfg, alpha[:, None])
         bumped = alpha.copy()
         bumped[idx] += bump
@@ -200,7 +200,7 @@ class TestMulti:
         assert g1[idx, 0] > g0[idx, 0]
 
     def test_nonpositive_denominator_clamped_and_flagged(self):
-        cfg = multi_cfg(m=2, delta=0.01)
+        cfg = multi_cfg(delta=0.01)
         state = CombinerState(gamma=None, alpha=np.array([[-3.0], [1.0]]))
         new = multi_update(
             cfg, state, e=np.array([0.5]), component_errors=np.zeros((2, 1))
@@ -208,9 +208,20 @@ class TestMulti:
         assert new.degenerate_events > 0
         assert np.all(np.isfinite(new.gamma))
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_denominator_counts_score_rows(self, m):
+        # M is read from the scores, not configured
+        from diffcomb.combine import _denominator
+
+        alpha = np.arange(2.0 * m).reshape(m, 2)
+        denom, clamped = _denominator(multi_cfg(delta=0.01), alpha)
+        np.testing.assert_array_equal(
+            denom, alpha.sum(axis=0, keepdims=True) + m * 0.01)
+        assert clamped == 0
+
     def test_wrong_component_count(self):
-        cfg = multi_cfg(m=3)
-        state = init_combiner(cfg, 1)
+        cfg = multi_cfg()
+        state = init_combiner(cfg, 3, 1)
         with pytest.raises(ValueError, match="component error rows"):
             multi_update(cfg, state, np.zeros(1), np.zeros((2, 1)))
 
@@ -218,14 +229,14 @@ class TestMulti:
 class TestInit:
     def test_two_component_start(self):
         cfg = pn_cfg()
-        state = init_combiner(cfg, 5, batch_shape=(3,))
+        state = init_combiner(cfg, 2, 5, batch_shape=(3,))
         assert state.gamma.shape == (3, 5)
         np.testing.assert_array_equal(state.gamma, 0.5)
         np.testing.assert_array_equal(state.p, 0.0)
 
     def test_multi_start(self):
-        cfg = multi_cfg(m=3)
-        state = init_combiner(cfg, 4)
+        cfg = multi_cfg()
+        state = init_combiner(cfg, 3, 4)
         np.testing.assert_allclose(state.alpha, 1 / 3)
         np.testing.assert_allclose(state.gamma.sum(axis=0), 1.0, atol=1e-12)
 
@@ -235,28 +246,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="scheme"):
             CombinerConfig(scheme="least_squares")
 
-    def test_two_component_schemes_fix_m(self):
-        with pytest.raises(ValueError, match="m = 2"):
-            CombinerConfig(scheme="power_normalized", m=3)
-
     def test_eta_range(self):
         with pytest.raises(ValueError, match="eta"):
             CombinerConfig(scheme="power_normalized", eta=1.0)
 
     def test_multi_needs_nu_alpha(self):
         with pytest.raises(ValueError, match="nu_alpha"):
-            CombinerConfig(scheme="multi_sign", m=3)
+            CombinerConfig(scheme="multi_sign")
 
     @pytest.mark.parametrize("name", ["nu_gamma", "epsilon", "eta", "delta",
                                       "nu_alpha"])
     def test_non_numbers_refused_by_name(self, name):
-        kwargs = {"scheme": "multi_sign", "m": 3, "nu_alpha": 0.1, name: "x"}
+        kwargs = {"scheme": "multi_sign", "nu_alpha": 0.1, name: "x"}
         with pytest.raises(ValueError, match=f"{name} is not a number"):
             CombinerConfig(**kwargs)
 
-    def test_non_numeric_entry_and_fractional_m_refused(self):
+    def test_non_numeric_entry_refused(self):
         with pytest.raises(ValueError, match="nu_gamma is not a number"):
             CombinerConfig(scheme="power_normalized", nu_gamma=[0.1, "x"])
-        with pytest.raises(ValueError, match="m must be an integer >= 2"):
-            CombinerConfig(scheme="multi_sign", m=2.5, nu_alpha=0.1)
+
+    def test_component_count_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="'m'"):
+            CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=3)
 

@@ -230,10 +230,12 @@ def test_edge_list_roundtrip():
     assert parsed.clusters == t.clusters
 
 
-@pytest.mark.parametrize("bad", ["2 3 4", "2 x", "cluster", "cluster 1: 2 x"])
+@pytest.mark.parametrize("bad", ["2 3 4", "2 x", "cluster", "cluster 1: 2 x",
+                                 "0 3", "3 -1", "cluster a: 0 1"])
 def test_malformed_edge_line_named_by_file_and_line(bad):
     # the first three used to fail with "too many values to unpack", an
-    # int() message and an IndexError
+    # int() message and an IndexError; an index below 1 used to wrap
+    # around, "0 3" becoming a self-loop on agent 3
     with pytest.raises(ConfigError) as err:
         parse_edge_list(f"# a chain\n1 2\n\n{bad}\n2 3\n", "chain.edges")
     assert str(err.value) == (

@@ -183,7 +183,7 @@ def multi_config(horizon=30, runs=4):
                          ("metropolis", 0.02))
     ]
     combiner = CombinerConfig(scheme="multi_sign", nu_gamma=0.01,
-                              nu_alpha=0.1, delta=0.01, m=3)
+                              nu_alpha=0.1, delta=0.01)
     return ExperimentConfig(
         topology=CHAIN4, signal_params=chain_params(),
         schedule=TargetSchedule.constant(TARGETS4),
@@ -223,7 +223,7 @@ def per_run_series(cfg):
                                  [run], cfg.horizon)
         stacks = [stack(comp) for comp in cfg.components]
         states = [init_state(one, l) for one in stacks]
-        comb = combine.init_combiner(cfg.combiner, n)
+        comb = combine.init_combiner(cfg.combiner, len(cfg.components), n)
         for t in range(cfg.horizon):
             b = sampler.step()
             x, d, w = b.regressors[0], b.references[0], b.targets
@@ -347,13 +347,27 @@ class TestExperimentConfig:
                 schedule=cfg.schedule, components=cfg.components[:1],
                 combiner=cfg.combiner, horizon=10, runs=1, seed=0)
 
-    def test_rejects_component_count_mismatch_for_multi(self):
+    def test_rejects_three_components_for_a_pair_scheme(self):
         cfg = multi_config()
-        with pytest.raises(ValueError, match="expects 3"):
+        with pytest.raises(ValueError, match="the power_normalized combiner "
+                           "needs exactly two component strategies, got 3"):
             ExperimentConfig(
                 topology=cfg.topology, signal_params=cfg.signal_params,
-                schedule=cfg.schedule, components=cfg.components[:2],
-                combiner=cfg.combiner, horizon=10, runs=1, seed=0)
+                schedule=cfg.schedule, components=cfg.components,
+                combiner=small_config().combiner, horizon=10, runs=1, seed=0)
+
+    def test_multi_scheme_takes_its_count_from_the_components(self):
+        # the multi_config combiner, as is, mixes two components as well
+        cfg = multi_config()
+        two = ExperimentConfig(
+            topology=cfg.topology, signal_params=cfg.signal_params,
+            schedule=cfg.schedule, components=cfg.components[:2],
+            combiner=cfg.combiner, horizon=10, runs=1, seed=0)
+        assert series_layout(two).names[:3] == [
+            "msd_network_1", "msd_network_2", "msd_combined"]
+        with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+            dataclasses.replace(two, combiner=dataclasses.replace(
+                cfg.combiner, nu_alpha=[0.1] * 3))
 
     def test_rejects_component_on_another_network_of_the_same_size(self):
         # used to simulate over edges the first network does not have
@@ -1334,12 +1348,20 @@ class TestExport:
             np.testing.assert_allclose(loaded.series[name], values,
                                        rtol=1e-12, atol=1e-300)
 
-    def test_format_inference_and_rejection(self, tmp_path):
+    @pytest.mark.parametrize("name, is_json", [
+        ("auto.json", True), ("AUTO.JSON", True), ("auto.csv", False),
+        ("auto.xml", False), ("auto", False), ("auto.json.csv", False)])
+    def test_format_follows_the_suffix(self, tmp_path, name, is_json):
+        # one rule picks the codec on write and on reload
         result = run_monte_carlo(small_config(horizon=3, runs=1))
-        export(result, tmp_path / "auto.json")
-        assert json.loads((tmp_path / "auto.json").read_text())["columns"]
-        with pytest.raises(ValueError, match="unknown export format"):
-            export(result, tmp_path / "auto.xml")
+        export(result, tmp_path / name)
+        text = (tmp_path / name).read_text()
+        assert text.startswith("{") == is_json
+        loaded = load_result(tmp_path / name)
+        assert loaded.metadata == (result.metadata if is_json else {})
+        for key, values in result.series.items():
+            np.testing.assert_allclose(loaded.series[key], values,
+                                       rtol=1e-12, atol=1e-16)
 
     def test_compare_on_reloaded_files(self, tmp_path):
         cfg = small_config(horizon=30, runs=4)

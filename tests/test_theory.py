@@ -663,7 +663,7 @@ class TestCoefficientSteps:
             np.testing.assert_allclose(m, g2bar, rtol=1e-15)
 
     def test_multi_scheme_is_rejected(self):
-        cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=2)
+        cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1)
         with pytest.raises(ValueError, match="two-component"):
             step(cfg, 0.5, 0.25, 0.0, 1.0, 1.0, 2.0, 0.1)
         with pytest.raises(ValueError, match="two-component"):
@@ -1309,7 +1309,7 @@ class TestEvolve:
                                           + second.degenerate_steps)
 
     def test_rejects_multi_component_scheme(self):
-        cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1, m=2)
+        cfg = CombinerConfig(scheme="multi_sign", nu_alpha=0.1)
         with pytest.raises(ValueError, match="two-component"):
             pair = random_model(83)
             evolve(pair, cfg, 1, initial_moments(pair))
