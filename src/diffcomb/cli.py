@@ -7,6 +7,8 @@ failures, 2 for unreadable or malformed inputs.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .harness import (
@@ -131,6 +133,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out = getattr(args, "output", None)  # refused before any work
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -44,7 +44,8 @@ and excess-error readouts of the three moments, and (gbar, g2bar).  The
 series read the deviations after each update (rows 1..n) and the excess
 errors before it (rows 0..n-1), the errors that drive it.  mix forms a
 combined value from those readouts and coefficient moments, for the
-transient series and the steady report alike.  Within a stage
+transient series and the steady report alike.  Within a stage the
+mean map is constant, so evolve fills a block's means by doubling, and
 covariance_step reads p alone, so once one step returns p bit for bit,
 every later step would too: from the next block on, evolve stops
 stepping p and only the means and the coefficient moments advance.
@@ -349,6 +350,18 @@ def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
         - pair.rbar
 
 
+def _mean_maps(pair: PairModel, width: int) -> list:
+    """The maps m -> b^h m - d_h of h = 1, 2, 4, .. <= width mean steps,
+    d_h = sum_{s<h} b^s rbar, by squaring mean_step's own map: b^2h =
+    b^h b^h, d_2h = b^h d_h + d_h (Kogge and Stone, 1973)."""
+    maps = [(pair.b, -mean_step(pair, 0.0 * pair.rbar).reshape(
+        pair.b.shape[:2] + (-1,)))]
+    while 2 ** len(maps) <= width:
+        power, drift = maps[-1]
+        maps.append((power @ power, power @ drift + drift))
+    return maps
+
+
 def covariance_step(pair: PairModel, p: np.ndarray) -> np.ndarray:
     """One step of the three centered factors: left p right^T + g.
 
@@ -518,10 +531,11 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     update (the stochastic update also acts on pre-update errors), and
     both components' moments advance.  Component moments never depend on
     the coefficient, so the states 0..n-1 go in blocks of _BLOCK instants
-    and three passes: the moments pass steps (m, p) and keeps the means
-    and each agent's diagonal factor blocks, one readout covers the
-    block, and the coefficient pass forms the law's time-only terms over
-    the block, then scans (gbar, g2bar) across it (_coefficients).
+    and three passes: the moments pass fills the means by doubling
+    (_mean_maps; they agree with a mean_step loop to rounding), steps p
+    and keeps each agent's diagonal blocks, one readout covers the block,
+    and the coefficient pass forms the law's time-only terms over the
+    block, then scans (gbar, g2bar) across it (_coefficients).
 
     Within one call covariance_step reads p alone, so once a block's last
     step returns its input bit for bit (a non-finite p never does), later
@@ -534,21 +548,27 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     coefficients[0] = state.gbar, state.g2bar
     width = max(1, min(_BLOCK, n_steps,
                        _BLOCK_FLOATS // (m.size + 3 * n * k * k)))
-    means = np.empty((width,) + m.shape)
+    maps = _mean_maps(pair, width)
+    means = np.empty((width + 1,) + m.shape)
+    grid = means.reshape((width + 1,) + maps[0][1].shape)
     blocks = np.empty((width, 3, n, k, k))
     degenerate, settled = 0, False
 
     for t0 in range(0, n_steps, width):
         t1 = min(t0 + width, n_steps)
+        means[0] = m  # then m_{h+r} = b^h m_r - d_h for r < h
+        for j, (power, drift) in enumerate(maps[:(t1 - t0).bit_length()]):
+            rows = grid[1 << j:min(2 << j, t1 - t0 + 1)]
+            np.matmul(power, grid[:len(rows)], out=rows)
+            rows -= drift
+        m = means[t1 - t0].copy()
         if settled:
             blocks[:] = _diagonal_blocks(p, n)
-        for r in range(t1 - t0):
-            means[r] = m
-            m = mean_step(pair, m)
-            if not settled:
+        else:
+            for r in range(t1 - t0):
                 blocks[r] = _diagonal_blocks(p, n)
                 last, p = p, covariance_step(pair, p)
-        settled = settled or np.array_equal(last, p)
+            settled = np.array_equal(last, p)
         readouts = _readouts(pair.weights, means[:t1 - t0], blocks[:t1 - t0])
         record[t0:t1] = readouts[:, :3]
         _, j2, _, dj1, dj2 = readouts[:, :, 1].transpose(1, 0, 2)

@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from diffcomb import cli
 from diffcomb.cli import main
 from diffcomb.harness import export_csv, load_result
 import helpers  # noqa: F401  (puts scripts/ on sys.path)
@@ -393,6 +394,20 @@ class TestSimulate:
     def test_unwritable_output(self, config_path, tmp_path):
         out = tmp_path / "no" / "dir" / "sim.csv"
         assert main(["simulate", str(config_path), "-o", str(out)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    def test_missing_directory_refused_before_computing(
+            self, command, config_path, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking the output")
+
+        for name in ("run_monte_carlo", "run_theory"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "no" / "dir" / "out.csv"
+        assert main([command, str(config_path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: '{out}'\n")
+        assert not out.parent.exists()
 
 
 class TestTheory:

@@ -5,8 +5,9 @@ weighted-norm recursion (the vectorized route), against Monte Carlo
 estimates of the gradient-noise moments, and against scalar closed forms.
 Coefficient-moment updates are checked on hand-computed values and their
 stationary expressions are verified to be fixed points of the iteration.
-The blocked evolve is checked bit for bit against a per-instant loop
-kept here as an oracle, alone and inside run_theory on every preset.
+The blocked evolve is checked against a per-instant loop kept here as
+an oracle, alone and inside run_theory on every preset: the covariance
+bit for bit, the means and what they drive to 1e-12 of scale.
 """
 
 import dataclasses
@@ -916,6 +917,14 @@ class TestShiftTargets:
         np.testing.assert_array_equal(shifted.m, state.m)
 
 
+# A near-equal pair's drivers are differences of means gap apart in
+# relative size, so a reordering of the mean steps moves them by about
+# 1e-9 of their scale at gap 1e-6, and the coefficient moments they drive
+# by up to 8e-8 (measured on near_equal_pair(85)); drivers formed with
+# cancellation, j1 - j12, miss by 6e-4 to 500
+NEAR_EQUAL_RTOL = 1e-6
+
+
 def near_equal_pair(seed, n=3, l=2, gap=1e-8):
     """Two strategies gap apart in relative mu with |w*| ~ 10: at the
     default gap their excess errors agree to about eight digits."""
@@ -965,9 +974,10 @@ def oracle_coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
             quad + nu2 * j2 + nu2 * sigma_z2 + 2.0 * cross, pbar)
 
 
-def oracle_evolve(pair, cfg, n_steps, state=None):
+def oracle_evolve(pair, cfg, n_steps, state=None, drivers=None):
     """evolve as a per-instant loop: one coefficient step, one mean and
-    covariance step and one readout per instant."""
+    covariance step and one readout per instant; drivers, if a list,
+    receives each instant's (dj1, dj2, j2)."""
     if state is None:
         state = initial_moments(pair)
     m, p = state.m, state.p
@@ -980,6 +990,8 @@ def oracle_evolve(pair, cfg, n_steps, state=None):
     coefficients[0] = gbar, g2bar
     for t in range(1, n_steps + 1):
         _, j2, _, dj1, dj2 = out[:, 1]
+        if drivers is not None:
+            drivers.append((dj1, dj2, j2))
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
         gbar, g2bar, pbar = oracle_coefficient_step(
             cfg, gbar, g2bar, pbar, dj1, dj2, j2, pair.sigma_z2)
@@ -995,14 +1007,13 @@ def oracle_evolve(pair, cfg, n_steps, state=None):
 
 
 def assert_same_trajectory(got, want):
-    """The moments and their readouts are bit for bit the oracle's, the
-    coefficient moments agree to 1e-12 of scale."""
-    np.testing.assert_array_equal(got.record, want.record)
+    """The covariance factors are bit for bit the oracle's; the means,
+    the readouts they drive and the coefficient moments agree to 1e-12
+    of scale, as the means' doubling reassociates the mean steps."""
+    assert_scaled_close(got.record, want.record)
     assert_scaled_close(got.coefficients, want.coefficients)
-    for name in ("m", "p"):
-        assert np.array_equal(getattr(got.state, name),
-                              getattr(want.state, name)), name
-    for name in ("gbar", "g2bar", "pbar"):
+    np.testing.assert_array_equal(got.state.p, want.state.p)
+    for name in ("m", "gbar", "g2bar", "pbar"):
         assert_scaled_close(getattr(got.state, name),
                             getattr(want.state, name))
     assert got.degenerate_steps == want.degenerate_steps
@@ -1054,6 +1065,39 @@ def started(pair, gamma0=0.8):
     state = initial_moments(pair, gamma0=gamma0)
     return dataclasses.replace(
         state, pbar=np.linspace(0.1, 0.3, pair.n_agents))
+
+
+def mean_loop(pair, m, n_steps):
+    """The means at instants 0..n_steps as a per-instant mean_step loop."""
+    out = [m]
+    for _ in range(n_steps):
+        out.append(mean_step(pair, out[-1]))
+    return np.array(out)
+
+
+def evolved_means(pair, cfg, n_steps, state, monkeypatch):
+    """The means evolve reads at instants 0..n_steps, the block width and
+    the number of squared mean maps of each call to _mean_maps, and the
+    final state."""
+    seen, widths = [], []
+    readouts, mean_maps = theory._readouts, theory._mean_maps
+
+    def spied_readouts(weights, m, blocks):
+        seen.append(m.reshape(-1, *m.shape[-2:]).copy())  # a buffer view
+        return readouts(weights, m, blocks)
+
+    def spied_maps(pair, width):
+        maps = mean_maps(pair, width)
+        widths.append((width, len(maps)))
+        return maps
+
+    with monkeypatch.context() as patch:
+        patch.setattr(theory, "_readouts", spied_readouts)
+        patch.setattr(theory, "_mean_maps", spied_maps)
+        traj = evolve(pair, cfg, n_steps, state)
+    means = np.concatenate(seen)
+    np.testing.assert_array_equal(means[-1], traj.state.m)
+    return means, widths, traj.state
 
 
 def sequential_scan(a, c, x0):
@@ -1109,13 +1153,42 @@ class TestBlockedEvolve:
         assert got.record.shape == (n_steps + 1, 3, 2, pair.n_agents)
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
-    def test_near_equal_pair_hits_the_floor(self, make_cfg):
+    def test_near_equal_pair_hits_the_floor(self, make_cfg, monkeypatch):
+        # the drivers and what they drive are checked twice: against the
+        # oracle to NEAR_EQUAL_RTOL, and, to 1e-12, against the
+        # per-instant law driven by evolve's own drivers
         pair = near_equal_pair(85, gap=1e-6)
         cfg, start = make_cfg(), started(pair)
+        drivers, oracle_drivers, scan = [], [], theory._coefficients
+
+        def spied(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
+            drivers.extend(zip(dj1, dj2, j2))
+            return scan(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
+
+        monkeypatch.setattr(theory, "_coefficients", spied)
         got = evolve(pair, cfg, 3 * B + 7, state=start)
+        want = oracle_evolve(pair, cfg, 3 * B + 7, start, oracle_drivers)
         assert 0 < got.degenerate_steps < (3 * B + 7) * pair.n_agents
-        assert_same_trajectory(
-            got, oracle_evolve(pair, cfg, 3 * B + 7, start))
+        assert got.degenerate_steps == want.degenerate_steps
+        assert_scaled_close(got.record, want.record)
+        assert_scaled_close(got.state.m, want.state.m)
+        np.testing.assert_array_equal(got.state.p, want.state.p)
+        got_d, want_d = np.array(drivers), np.array(oracle_drivers)
+        for i, rtol in enumerate((NEAR_EQUAL_RTOL, NEAR_EQUAL_RTOL, 1e-12)):
+            assert_scaled_close(got_d[:, i], want_d[:, i], rtol=rtol)
+        assert_scaled_close(got.coefficients, want.coefficients,
+                            rtol=NEAR_EQUAL_RTOL)
+        law = [(start.gbar, start.g2bar, start.pbar)]
+        for dj1, dj2, j2 in drivers:
+            law.append(oracle_coefficient_step(cfg, *law[-1], dj1, dj2, j2,
+                                               pair.sigma_z2))
+        assert_scaled_close(got.coefficients, np.array(law)[:, :2])
+        for name, value, oracle in zip(("gbar", "g2bar", "pbar"), law[-1],
+                                       (want.state.gbar, want.state.g2bar,
+                                        want.state.pbar)):
+            assert_scaled_close(getattr(got.state, name), value)
+            assert_scaled_close(getattr(got.state, name), oracle,
+                                rtol=NEAR_EQUAL_RTOL)
 
     def test_per_agent_step_size_matches_oracle(self):
         pair = random_pair(88, n=3, l=2)
@@ -1130,6 +1203,56 @@ class TestBlockedEvolve:
         cfg, start = sr_cfg(), started(pair)
         assert_same_trajectory(evolve(pair, cfg, 20, start),
                                oracle_evolve(pair, cfg, 20, start))
+
+    @pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("kind", ["white", "colored"])
+    def test_block_means_match_mean_step_loop(self, kind, n_steps,
+                                              monkeypatch):
+        # two stages: the targets spread apart between them, so the
+        # second pair's drifts differ and it needs maps of its own
+        setup = white_pair(87, 4, 3) if kind == "white" \
+            else random_pair_setup(87, n=3, l=2)
+        *data, w = setup
+        first, second = (build_component_model(*data, target)
+                         for target in (w, 1.5 * w))
+        assert not np.allclose(first.rbar, second.rbar)
+        state = started(first)
+        for pair in (first, second):
+            assert pair.kron_len == (3 if kind == "white" else 1)
+            got, widths, end = evolved_means(pair, pn_cfg(), n_steps, state,
+                                             monkeypatch)
+            width = min(B, n_steps)
+            assert widths == [(width, width.bit_length())]
+            np.testing.assert_array_equal(got[0], state.m)
+            assert_scaled_close(got, mean_loop(pair, state.m, n_steps))
+            state = shift_targets(end, -0.5 * w.ravel())
+
+    def test_slow_means_stay_within_rounding_over_many_blocks(
+            self, monkeypatch):
+        # spectral radius about 0.999: 20,000 instants are 79 blocks,
+        # each filled from the last mean of the one before
+        pair = build_component_model(*white_pair(90, 3, 2,
+                                                 mus=(0.001, 0.002)))
+        rho = np.max(np.abs(np.linalg.eigvals(pair.b)))
+        assert 0.998 < rho < 1.0
+        state = started(pair)
+        got, widths, _ = evolved_means(pair, sr_cfg(), 20000, state,
+                                       monkeypatch)
+        assert widths == [(B, 9)]
+        want = mean_loop(pair, state.m, 20000)
+        assert np.max(np.abs(want[-1] - want[0])) > 0.5 * np.max(np.abs(want))
+        assert_scaled_close(got, want)
+
+    def test_tiny_budget_shrinks_the_maps_with_the_block(self,
+                                                          monkeypatch):
+        # three instants' budget: maps of 1 and 2 steps fill each block
+        pair = random_pair(89, n=3, l=2)
+        monkeypatch.setattr(theory, "_BLOCK_FLOATS", 3 * (12 + 3 * 3 * 4))
+        calls, state = count_covariance_steps(monkeypatch), started(pair)
+        got, widths, _ = evolved_means(pair, sr_cfg(), 20, state,
+                                       monkeypatch)
+        assert widths == [(3, 2)] and calls == [20]
+        assert_scaled_close(got, mean_loop(pair, state.m, 20))
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
     def test_coefficient_step_is_a_block_of_one(self, make_cfg):
@@ -1218,7 +1341,8 @@ class TestEvolve:
     def test_matches_manual_composition(self, near_equal):
         # three steps unrolled by direct calls pin the update order:
         # pre-update errors drive the coefficient, then moments advance;
-        # the near-equal pair also pins drivers read without cancellation
+        # the near-equal pair also pins drivers read without cancellation,
+        # to the rounding its means allow (NEAR_EQUAL_RTOL)
         pair = near_equal_pair(85) if near_equal \
             else random_pair(80, n=3, l=1)
         cfg = pn_cfg(nu=0.01)
@@ -1232,8 +1356,7 @@ class TestEvolve:
         for t in range(3):
             j1, j2, j12, dj1, dj2 = readouts(weights, state.m,
                                              state.p)[:, 0]
-            np.testing.assert_array_equal(traj.record[t, :, 1],
-                                          [j1, j2, j12])
+            assert_scaled_close(traj.record[t, :, 1], [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
                 pair.sigma_z2)
@@ -1246,9 +1369,10 @@ class TestEvolve:
                 record_series(traj)["combined_msd"][t],
                 combined_deviation(*raw_moments(state.m, state.p),
                                    state.gbar, state.g2bar), rtol=1e-13)
-        np.testing.assert_array_equal(traj.state.m, state.m)
+        assert_scaled_close(traj.state.m, state.m)
         np.testing.assert_array_equal(traj.state.p, state.p)
-        assert_scaled_close(traj.state.pbar, state.pbar)
+        assert_scaled_close(traj.state.pbar, state.pbar,
+                            rtol=NEAR_EQUAL_RTOL if near_equal else 1e-12)
 
     def test_identical_components_freeze_coefficient(self):
         pair = random_model(81, n=3, l=1)
@@ -1283,8 +1407,9 @@ class TestEvolve:
         # covariance settles at instant 288: the whole run stops stepping
         # it from instant 512, the split run from 512 in the first call
         # and one block into the second.  Only a split on a block
-        # boundary keeps the coefficient scans' grouping, so elsewhere
-        # the coefficient moments agree to rounding
+        # boundary keeps the grouping of the means' doubling and of the
+        # coefficient scans, so elsewhere the means and the coefficient
+        # moments agree to rounding; the covariance, bit for bit
         pair = random_pair(86, n=3, l=2)
         cfg = make_cfg()
         start = initial_moments(pair, gamma0=0.8)
@@ -1296,14 +1421,11 @@ class TestEvolve:
         np.testing.assert_array_equal(second.record[0], first.record[-1])
         np.testing.assert_array_equal(second.coefficients[0],
                                       first.coefficients[-1])
-        np.testing.assert_array_equal(
-            whole.record, np.concatenate((first.record, second.record[1:])))
+        same(whole.record, np.concatenate((first.record, second.record[1:])))
         same(whole.coefficients,
              np.concatenate((first.coefficients, second.coefficients[1:])))
-        for name in ("m", "p"):
-            np.testing.assert_array_equal(getattr(whole.state, name),
-                                          getattr(second.state, name))
-        for name in ("gbar", "g2bar", "pbar"):
+        np.testing.assert_array_equal(whole.state.p, second.state.p)
+        for name in ("m", "gbar", "g2bar", "pbar"):
             same(getattr(whole.state, name), getattr(second.state, name))
         assert whole.degenerate_steps == (first.degenerate_steps
                                           + second.degenerate_steps)
