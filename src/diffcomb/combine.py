@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import require_number
+from .signal import require_number, require_scalar
 
 SCHEMES = ("power_normalized", "sign_regressor", "multi_sign")
 
@@ -43,9 +43,11 @@ class CombinerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        for name in ("nu_gamma", "epsilon", "eta", "delta", "nu_alpha"):
+        for name in ("nu_gamma", "nu_alpha"):
             if getattr(self, name) is not None:
                 require_number(name, getattr(self, name))
+        for name in ("epsilon", "eta", "delta"):
+            require_scalar(name, getattr(self, name))
         if np.ndim(self.nu_gamma):
             object.__setattr__(self, "nu_gamma",
                                np.asarray(self.nu_gamma, dtype=float))

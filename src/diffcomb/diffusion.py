@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import StochasticMatrix, Topology, static_rule, validate_stochastic
-from .signal import SampleBatch, require_number
+from .signal import SampleBatch, per_agent, require_number
 
 DISTANCE_FLOOR = 1e-12
 
@@ -70,7 +70,7 @@ class StrategyConfig:
             if defect:
                 raise ValueError(f"a2 must be a valid left-stochastic matrix: {defect}")
         require_number("mu", self.mu)
-        mu = np.broadcast_to(np.asarray(self.mu, dtype=float), (n,)).copy()
+        mu = per_agent("mu", self.mu, (n,)).astype(float)
         if np.any(mu < 0):
             raise ValueError("step-sizes must be nonnegative")
         mu.setflags(write=False)
@@ -79,7 +79,7 @@ class StrategyConfig:
             if self.tau is None:
                 raise ValueError("adaptive_relative_variance requires tau")
             require_number("tau", self.tau)
-            tau = np.broadcast_to(np.asarray(self.tau, dtype=float), (n,)).copy()
+            tau = per_agent("tau", self.tau, (n,)).astype(float)
             if np.any((tau <= 0) | (tau >= 1)):
                 raise ValueError("forgetting factors must lie in (0, 1)")
             tau.setflags(write=False)

@@ -26,7 +26,7 @@ import hashlib
 import json
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -55,8 +55,9 @@ from .signal import (
     TargetSchedule,
     integer_value,
     load_snr_preset,
+    per_agent,
     regressor_covariance,
-    require_number,
+    require_scalar,
 )
 from .theory import (
     build_component_model,
@@ -64,7 +65,6 @@ from .theory import (
     initial_moments,
     mix,
     mu_bounds,
-    shift_targets,
     steady_state,
 )
 
@@ -131,21 +131,11 @@ class ExperimentConfig:
         if self.gamma_init is not None:
             if not pair:
                 raise ValueError("gamma_init applies to two-component schemes only")
-            require_number("gamma_init", self.gamma_init)
-            if np.ndim(self.gamma_init):
-                raise ValueError("gamma_init must be a single number")
+            require_scalar("gamma_init", self.gamma_init)
             self.gamma_init = float(self.gamma_init)
-        for name, shape, per in (
-                ("nu_gamma", (n,), "agent"),
-                ("nu_alpha", (m, n), "component and agent")):
-            value = getattr(self.combiner, name)
-            try:
-                np.broadcast_to(value, shape)
-            except ValueError:
-                raise ValueError(
-                    f"{name} has shape {np.shape(value)}: it must be a "
-                    f"scalar or give one value per {per}, shape "
-                    f"{shape}") from None
+        per_agent("nu_gamma", self.combiner.nu_gamma, (n,))
+        per_agent("nu_alpha", self.combiner.nu_alpha, (m, n),
+                  "component and agent")
         if self.outputs is not None and not self.outputs:
             raise ValueError("outputs must name at least one series")
         unknown = sorted(set(self.outputs or ()) - set(series_layout(self).names))
@@ -596,9 +586,11 @@ def theory_covers(cfg: ExperimentConfig) -> bool:
 def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     """Predicted series for the configured pair over the full horizon.
 
-    Each stationary stage gets its own moment description and steady
-    report; at a stage boundary the moment state is re-expressed against
-    the new target and evolution continues.  The predictor holds the
+    One moment description serves the whole experiment.  Each stationary
+    stage points it at the stage's target with dataclasses.replace, which
+    only the drive of the means and the readouts see; the moment state,
+    which holds mean estimates, carries over the boundary as it is, and
+    each stage gets its own steady report.  The predictor holds the
     previous target through a transition ramp, so predicted and
     simulated curves are comparable only inside stationary stretches.
     Raises ValueError, before building any model, for an experiment
@@ -609,25 +601,24 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     if not theory_covers(cfg):
         raise ValueError("the moment theory covers two-component schemes "
                          "with static a2 fusion only")
-    rx = _regressor_covariances(cfg)
-    sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
     t_max = cfg.horizon
     layout = series_layout(cfg)
     table = np.empty((t_max, len(layout.names)))
-    gamma0 = 0.5 if cfg.gamma_init is None else cfg.gamma_init
     steady = []
     stages = cfg.schedule.stages
     ends = [start for start, _ in stages[1:]] + [t_max]
-    for i, ((start, target), end) in enumerate(zip(stages, ends)):
+    pair = build_component_model(
+        cfg.topology, cfg.components, _regressor_covariances(cfg),
+        np.array([p.sigma_z2 for p in cfg.signal_params]), stages[0][1])
+    state = initial_moments(
+        pair, gamma0=0.5 if cfg.gamma_init is None else cfg.gamma_init)
+    for (start, target), end in zip(stages, ends):
         if start >= t_max:
             break
         end = min(end, t_max)
-        pair = build_component_model(cfg.topology, cfg.components, rx,
-                                     sigma_z2, target)
-        # the coefficient moments carry over in the last recorded state
-        state = (shift_targets(traj.state, (stages[i - 1][1] - target).ravel())
-                 if i else initial_moments(pair, gamma0=gamma0))
+        pair = replace(pair, w_star=np.ravel(target))
         traj = evolve(pair, cfg.combiner, end - start, state)
+        state = traj.state
         # a power family holds (1, 2, combined, cross): deviations after
         # each update, averaged over agents, excess errors before it, summed
         rows, coef = table[start:end], traj.coefficients

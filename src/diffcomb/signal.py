@@ -60,6 +60,24 @@ def require_number(name, value) -> None:
     raise ValueError(f"{name} is not a number: {where}{reprlib.repr(entries[at])}")
 
 
+def require_scalar(name, value) -> None:
+    """Refuse by name a value that is not one finite number."""
+    require_number(name, value)
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a single number")
+
+
+def per_agent(name, value, shape, per="agent") -> np.ndarray:
+    """value broadcast to shape, refused by name unless a scalar or one
+    value per `per`."""
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValueError(f"{name} has shape {np.shape(value)}: it must be a "
+                         f"scalar or give one value per {per}, shape "
+                         f"{shape}") from None
+
+
 @dataclass(frozen=True)
 class AgentSignalParams:
     """Per-agent signal statistics.
@@ -85,8 +103,8 @@ class AgentSignalParams:
     regressor_kind: str = "white"
 
     def __post_init__(self):
-        require_number("sigma_x2", self.sigma_x2)
-        require_number("sigma_z2", self.sigma_z2)
+        require_scalar("sigma_x2", self.sigma_x2)
+        require_scalar("sigma_z2", self.sigma_z2)
         object.__setattr__(self, "filter_len",
                            integer_value("filter_len", self.filter_len, 1))
         if self.sigma_x2 <= 0:

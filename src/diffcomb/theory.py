@@ -1,30 +1,31 @@
 """Deterministic moment evolution for a pair of combined diffusion strategies.
 
-Under the usual independence assumptions for LMS analysis, the weight
-errors v = w - w_opt of each component strategy obey linear recursions
-in their first and second moments.  This module builds those recursions
-from the network description, couples them to scalar recursions for the
-per-agent mixing-coefficient moments, and assembles transient and
-steady-state aggregates (per-component MSD, cross-MSD, combined MSD).
+Under the usual independence assumptions for LMS analysis, the mean
+estimates and the error covariances of each component strategy obey
+linear recursions.  This module builds them from the network
+description, couples them to scalar recursions for the per-agent
+mixing-coefficient moments, and assembles transient and steady-state
+aggregates (per-component MSD, cross-MSD, combined MSD).
 
 Block quantities live in R^{NL}: agent k owns the slice [kL, (k+1)L).
 Every model matrix M of size NL x NL is stored as a factor F with
-M = F kron I_{kron_len}, over factor blocks of size m = L / kron_len.
-When every regressor covariance is white (sigma_k^2 I_L), m = 1 and the
-factors are N x N agent-level matrices; colored regressors (AR(1),
-general SPD covariances) give m = L, NL x NL factors and kron_len = 1.
+M = F kron I, over factor blocks of size m.  When every regressor
+covariance is white (sigma_k^2 I_L), m = 1 and the factors are N x N
+agent-level matrices; colored regressors (AR(1), general SPD
+covariances) give m = L and NL x NL factors.
 
-The moments share that structure, and the pair's moments are carried
-stacked.  The means m, of shape (2, NL), hold m1 and m2 and evolve as
-m_i' = b_i m_i - r_i.  The three distinct (cross-)covariances
-E{v_i v_j^T} = p_ij kron I + m_i m_j^T are carried by their centered
-factors p, of shape (3, N m, N m), in the block order (p11, p22, p12):
-p' = left p right^T + g with left = (b1, b2, b1), right = (b1, b2, b2)
-and g = (f1^T q f1, f2^T q f2, f1^T q f2), because the drift moves the
-means and leaves centered moments alone.  build_component_model builds
-one PairModel per stage from both components and the data they share,
-and the steady report keeps that block order.  So white-regressor
-theory never forms an NL x NL array, and transient and steady state run
+The pair's moments share that structure and are carried stacked.  The
+means m, of shape (2, NL), hold the mean estimates E{w1}, E{w2} and
+step as m_i' = b_i m_i + drive_i w_opt: the data enter through
+E{x d} = R w_opt alone, so only the drive and the readouts, of the
+mean errors m_i - w_opt, read the target.  The errors' centered
+(cross-)covariance factors p, of shape (3, N m, N m), in the block
+order (p11, p22, p12), step as p' = left p right^T + g with left =
+(b1, b2, b1), right = (b1, b2, b2) and g = (f1^T q f1, f2^T q f2,
+f1^T q f2).  build_component_model builds one PairModel per
+experiment; another target is the same model with another w_star.
+So white-regressor theory never forms an NL x NL array, and transient
+and steady state run
 one code path for both regressor kinds.  Steady factors solve that
 Stein equation, all three blocks in one call, by squared Smith doubling
 at O(N_f^3 log t) for factors of size N_f.
@@ -82,25 +83,24 @@ class InstabilityError(RuntimeError):
 class PairModel:
     """Stacked moment description of two strategies observing the same data.
 
-    b, rbar and f stack the components' mean transitions, drifts and
-    gradient-noise maps: component i's noise is (f_i kron I)^T p, where
-    the raw terms p = x_k z_k have second moment q kron I.  left, right
-    and g are the transitions and noise moments of the centered factors
-    in the block order (p11, p22, p12) (see the module docstring); the
-    two auto moments of g are exactly symmetric.  weights holds the
-    per-agent readout blocks: the identity (row 0) gives deviations, rx
-    (row 1) excess errors, with rx[k] = rx[k, :m, :m] kron I.  c and mu
-    stack the components' C matrices and step-sizes; rx, sigma_z2 and
-    the flattened w_star are the data both components share.
+    b and drive stack the components' mean transitions and the factors
+    of A2^T U H_c, where block (k, l) of H_c is c_lk R_l: component i's
+    mean estimate steps as b_i m + drive_i w_star.  left, right and g
+    are the transitions and gradient-noise moments of the centered
+    factors in the block order (p11, p22, p12); the two auto moments of
+    g are exactly symmetric.  weights holds the per-agent readout
+    blocks: the identity (row 0) gives deviations, rx (row 1) excess
+    errors, with rx[k] = rx[k, :m, :m] kron I.  c and mu stack the
+    components' C matrices and step-sizes; rx, sigma_z2 and the
+    flattened w_star are the data both components share.  Only the
+    drive and the readouts read w_star, so one model serves every
+    stage through dataclasses.replace(pair, w_star=...).
     """
 
     n_agents: int
     filter_len: int
-    kron_len: int
     b: np.ndarray
-    rbar: np.ndarray
-    f: np.ndarray
-    q: np.ndarray
+    drive: np.ndarray
     left: np.ndarray
     right: np.ndarray
     g: np.ndarray
@@ -113,7 +113,7 @@ class PairModel:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if name not in ("n_agents", "filter_len", "kron_len"):
+            if name not in ("n_agents", "filter_len"):
                 arr = np.asarray(getattr(self, name), dtype=float)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -123,11 +123,12 @@ class PairModel:
 class MomentState:
     """Joint moment state of both components and the combiner at one instant.
 
-    m, of shape (2, NL), stacks the mean error vectors m1 and m2.  p, of
-    shape (3, N m, N m), stacks the centered covariance factors over the
-    models' kron_len identity in the block order (p11, p22, p12):
-    E{v_i v_j^T} = p_ij kron I + m_i m_j^T, so p[2] is the cross factor
-    of E{v1 v2^T}.  gbar/g2bar are the per-agent first and second moments
+    m, of shape (2, NL), stacks the mean estimates E{w1} and E{w2}; no
+    target is part of the state, so it carries over a stage boundary
+    as it is.  p, of shape (3, N m, N m), stacks the centered covariance
+    factors in the block order (p11, p22, p12): against a target w_star,
+    E{v_i v_j^T} = p_ij kron I + (m_i - w_star)(m_j - w_star)^T, so p[2]
+    is the cross factor of E{v1 v2^T}.  gbar/g2bar are the per-agent first and second moments
     of the mixing coefficient, pbar the per-agent smoothed difference
     power.
     """
@@ -201,8 +202,9 @@ class UniversalityReport:
 class SteadyReport:
     """Closed-form steady state of the combined pair.
 
-    m stacks the fixed mean errors (m1, m2) and p the centered covariance
-    factors (p11, p22, p12), in the layout of MomentState.  emse, of
+    m stacks the fixed mean estimates (E{w1}, E{w2}) and p the centered
+    covariance factors (p11, p22, p12), in the layout of MomentState;
+    bias is the combined mean error at the stationary gbar.  emse, of
     shape (3, N), holds the per-agent excess errors and msd, of shape
     (3,), the network deviations of the same three moments, in the
     same block order.
@@ -228,11 +230,6 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(n * l, n * l)
 
 
-def _kron_apply(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(factor kron I) v for a block vector v."""
-    return (factor @ v.reshape(factor.shape[0], -1)).reshape(-1)
-
-
 def _diagonal_blocks(p: np.ndarray, n: int) -> np.ndarray:
     """A view of each agent's diagonal block of p: (..., 3, N, m, m)."""
     k = p.shape[-1] // n
@@ -247,8 +244,9 @@ def _readouts(weights: np.ndarray, m: np.ndarray, blocks: np.ndarray):
     are component 1 (m1, m1, p11), component 2 (m2, m2, p22), the cross
     moment (m1, m2, p12), and the drivers j1 - j12 from (m1, m1 - m2,
     p11 - p12) and j2 - j12 from (m2, m2 - m1, p22 - p12): read directly,
-    the drivers never cancel two nearly equal excess errors.  Any leading
-    (time) axes of m and blocks lead the result, (..., 5, len(weights), N).
+    the drivers never cancel two nearly equal excess errors.  m holds
+    mean errors, the mean estimates less the target.  Any leading (time)
+    axes of m and blocks lead the result, (..., 5, len(weights), N).
     """
     n, k = blocks.shape[-3], blocks.shape[-1]
     shape = (*m.shape[:-2], 5, n, k, m.shape[-1] // (n * k))
@@ -256,8 +254,8 @@ def _readouts(weights: np.ndarray, m: np.ndarray, blocks: np.ndarray):
     d = m1 - m2
     left = np.stack((m1, m2, m1, m1, m2), axis=-2).reshape(shape)
     right = np.stack((m1, m2, m2, d, -d), axis=-2).reshape(shape)
-    # agent k's diagonal block of Om, folded over the kron_len identity:
-    # kron_len p_kk plus the mean part sum_t a_t b_t^T
+    # agent k's diagonal block of Om, folded over the identity of size
+    # L / m: that size times p_kk, plus the mean part sum_t a_t b_t^T
     drivers = blocks[..., :2, :, :, :] - blocks[..., 2:, :, :, :]
     om = shape[-1] * np.concatenate((blocks, drivers), axis=-4)
     om += np.einsum("...skjt,...skit->...skji", left, right)
@@ -272,9 +270,9 @@ def build_component_model(topology: Topology, components, rx, sigma_z2,
     per-agent regressor covariances with shape (N, L, L), sigma_z2 the
     per-agent noise variances, w_star the stationary targets with shape
     (N, L); both components observe these data.  White covariances
-    (rx[k] = sigma_k^2 I_L for every agent) give N x N factors with
-    kron_len = L, anything else NL x NL factors with kron_len = 1.  Raises
-    for adaptive fusion modes, which the predictor does not cover.
+    (rx[k] = sigma_k^2 I_L for every agent) give N x N factors, anything
+    else NL x NL factors.  Raises for adaptive fusion modes, which the
+    predictor does not cover.
     """
     if len(components) != 2:
         raise ValueError("the moment predictor covers two components")
@@ -302,59 +300,55 @@ def build_component_model(topology: Topology, components, rx, sigma_z2,
 
 def _build_model(components, rx: np.ndarray, sigma_z2: np.ndarray,
                  w: np.ndarray, m: int) -> PairModel:
-    """Pair model over factor blocks of size m, so kron_len = L / m.
+    """Pair model over factor blocks of size m.
 
-    Needs rx[k] = rx[k, :m, :m] kron I_kron_len for every agent: m = L
+    Needs rx[k] = rx[k, :m, :m] kron I_{L/m} for every agent: m = L
     always qualifies, m = 1 when every covariance is sigma_k^2 I_L.
     """
     n, l = w.shape
     rx_m = rx[:, :m, :m]
-    b, rbar, f = (np.stack(x) for x in zip(*(_component(cfg, rx, w, m)
-                                            for cfg in components)))
+    b, drive, f = (np.stack(x) for x in zip(*(_component(cfg, rx_m)
+                                             for cfg in components)))
     q = _block_diag(sigma_z2[:, None, None] * rx_m)
     g = np.stack([f[i].T @ q @ f[j] for i, j in ((0, 0), (1, 1), (0, 1))])
     g[:2] = 0.5 * (g[:2] + g[:2].transpose(0, 2, 1))
     weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)), rx_m])
     return PairModel(
-        n_agents=n, filter_len=l, kron_len=l // m, b=b, rbar=rbar, f=f, q=q,
-        left=b[[0, 1, 0]], right=b[[0, 1, 1]], g=g, weights=weights,
+        n_agents=n, filter_len=l, b=b, drive=drive, left=b[[0, 1, 0]],
+        right=b[[0, 1, 1]], g=g, weights=weights,
         c=np.array([cfg.c.entries for cfg in components], dtype=float),
         mu=np.array([cfg.mu for cfg in components], dtype=float),
         rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1))
 
 
-def _component(cfg: StrategyConfig, rx: np.ndarray, w: np.ndarray, m: int):
-    """One component's (bbar, rbar, f) over factor blocks of size m."""
-    eye_m, eye = np.eye(m), np.eye(w.shape[0] * m)
+def _component(cfg: StrategyConfig, rx_m: np.ndarray):
+    """One component's (bbar, drive, f) over covariance factor blocks."""
+    n, m = rx_m.shape[:2]
+    eye_m, eye = np.eye(m), np.eye(n * m)
     c = np.array(cfg.c.entries, dtype=float)
     a1x = np.kron(np.array(cfg.a1.entries, dtype=float), eye_m)
     a2x = np.kron(np.array(cfg.a2.entries, dtype=float), eye_m)
     u = np.kron(np.diag(np.array(cfg.mu, dtype=float)), eye_m)
 
-    hbar = _block_diag(np.einsum("lk,lij->kij", c, rx[:, :m, :m]))
-    damp = eye - u @ hbar
-    bbar = a2x.T @ damp @ a1x.T
-
-    # drift: data sharing pulls each agent toward its neighbors' targets,
-    # while combining leaks weight mass across heterogeneous targets
-    diff = w[None, :, :] - w[:, None, :]
-    hu = np.einsum("lk,lij,lkj->ki", c, rx, diff).reshape(-1)
-    leak = a2x.T @ damp @ (a1x.T - eye) + (a2x.T - eye)
-    rbar = _kron_apply(a2x.T @ u, hu) - _kron_apply(leak, w.reshape(-1))
-    return bbar, rbar, np.kron(c, eye_m) @ u @ a2x
+    hbar = _block_diag(np.einsum("lk,lij->kij", c, rx_m))
+    bbar = a2x.T @ (eye - u @ hbar) @ a1x.T
+    # the data enter through E{x_l d_l} = R_l w_l, weighed by c_lk at k
+    h_c = np.einsum("lk,lij->kilj", c, rx_m).reshape(n * m, n * m)
+    return bbar, a2x.T @ u @ h_c, np.kron(c, eye_m) @ u @ a2x
 
 
 def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
-    """One step of both mean error recursions: b m - rbar, per component."""
-    return (pair.b @ m.reshape(2, pair.b.shape[1], -1)).reshape(2, -1) \
-        - pair.rbar
+    """One step of both mean estimates: b m + drive w_star, per component."""
+    k = pair.b.shape[1]
+    return (pair.b @ m.reshape(2, k, -1)
+            + pair.drive @ pair.w_star.reshape(k, -1)).reshape(2, -1)
 
 
 def _mean_maps(pair: PairModel, width: int) -> list:
-    """The maps m -> b^h m - d_h of h = 1, 2, 4, .. <= width mean steps,
-    d_h = sum_{s<h} b^s rbar, by squaring mean_step's own map: b^2h =
-    b^h b^h, d_2h = b^h d_h + d_h (Kogge and Stone, 1973)."""
-    maps = [(pair.b, -mean_step(pair, 0.0 * pair.rbar).reshape(
+    """The maps m -> b^h m + d_h of h = 1, 2, 4, .. <= width mean steps,
+    d_h = sum_{s<h} b^s drive w_star, by squaring mean_step's own map:
+    b^2h = b^h b^h, d_2h = b^h d_h + d_h (Kogge and Stone, 1973)."""
+    maps = [(pair.b, mean_step(pair, np.zeros((2, pair.w_star.size))).reshape(
         pair.b.shape[:2] + (-1,)))]
     while 2 ** len(maps) <= width:
         power, drift = maps[-1]
@@ -501,31 +495,19 @@ def mix(t, gbar, g2bar):
 
 
 def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
-    """Moment state for all-zero initial estimates and gamma = gamma0.
-
-    The errors start at the deterministic -w_star, so every centered
-    factor is zero.
-    """
+    """Moment state for the deterministic all-zero initial estimates,
+    so every centered factor is zero, and gamma = gamma0."""
     n, k, g = pair.n_agents, pair.b.shape[1], float(gamma0)
-    return MomentState(m=np.tile(-pair.w_star, (2, 1)),
+    return MomentState(m=np.zeros((2, pair.w_star.size)),
                        p=np.zeros((3, k, k)), gbar=np.full(n, g),
                        g2bar=np.full(n, g ** 2), pbar=np.zeros(n))
-
-
-def shift_targets(state: MomentState, delta: np.ndarray) -> MomentState:
-    """Re-express a moment state against a new stationary target.
-
-    delta is old target minus new target, flattened.  Error vectors all
-    shift deterministically by delta, so both means translate while the
-    centered factors and the coefficient moments are unaffected.
-    """
-    return replace(state, m=state.m + np.asarray(delta, dtype=float))
 
 
 def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
            state: MomentState) -> TheoryTrajectory:
     """Run the coupled moment recursions for n_steps instants from state
-    (initial_moments(pair) at the start of an experiment).
+    (initial_moments(pair) at the start of an experiment, the last
+    call's final state at a stage boundary, whatever its target).
 
     Per instant, the pre-update excess errors drive the coefficient
     update (the stochastic update also acts on pre-update errors), and
@@ -556,11 +538,11 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
 
     for t0 in range(0, n_steps, width):
         t1 = min(t0 + width, n_steps)
-        means[0] = m  # then m_{h+r} = b^h m_r - d_h for r < h
+        means[0] = m  # then m_{h+r} = b^h m_r + d_h for r < h
         for j, (power, drift) in enumerate(maps[:(t1 - t0).bit_length()]):
             rows = grid[1 << j:min(2 << j, t1 - t0 + 1)]
             np.matmul(power, grid[:len(rows)], out=rows)
-            rows -= drift
+            rows += drift
         m = means[t1 - t0].copy()
         if settled:
             blocks[:] = _diagonal_blocks(p, n)
@@ -569,23 +551,25 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
                 blocks[r] = _diagonal_blocks(p, n)
                 last, p = p, covariance_step(pair, p)
             settled = np.array_equal(last, p)
-        readouts = _readouts(pair.weights, means[:t1 - t0], blocks[:t1 - t0])
+        readouts = _readouts(pair.weights, means[:t1 - t0] - pair.w_star,
+                             blocks[:t1 - t0])
         record[t0:t1] = readouts[:, :3]
         _, j2, _, dj1, dj2 = readouts[:, :, 1].transpose(1, 0, 2)
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
         coefficients[t0 + 1:t1 + 1], pbar = _coefficients(
             cfg, *coefficients[t0], pbar, dj1, dj2, j2, pair.sigma_z2)
-    record[n_steps] = _readouts(pair.weights, m, _diagonal_blocks(p, n))[:3]
+    record[n_steps] = _readouts(pair.weights, m - pair.w_star,
+                                _diagonal_blocks(p, n))[:3]
 
     return TheoryTrajectory(record, coefficients, MomentState(
         m, p, *coefficients[n_steps].copy(), pbar), degenerate)
 
 
 def _fixed_mean(pair: PairModel) -> np.ndarray:
-    """The mean errors m with m = b m - rbar, per component."""
+    """The mean estimates m with m = b m + drive w_star, per component."""
     k = pair.b.shape[1]
-    rhs = pair.rbar.reshape(2, k, -1)
-    return -np.linalg.solve(np.eye(k) - pair.b, rhs).reshape(2, -1)
+    rhs = mean_step(pair, np.zeros((2, pair.w_star.size))).reshape(2, k, -1)
+    return np.linalg.solve(np.eye(k) - pair.b, rhs).reshape(2, -1)
 
 
 def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -614,8 +598,9 @@ def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     """Closed-form limits of the coupled recursions.
 
-    The means sit at m = b m - rbar and the centered factors solve
-    p = left p right^T + g, all three blocks in one Stein solve.
+    The mean estimates sit at m = b m + drive w_star, read against
+    w_star, and the centered factors solve p = left p right^T + g, all
+    three blocks in one Stein solve.
     Coefficient moments come from their stationary expressions with
     moments frozen at the limits; the verdict reads "outside coefficient
     bounds" when bounds.nu_ms_ok fails on any agent.
@@ -629,16 +614,18 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
                 f"spectral radius {rho:.6f} >= 1")
 
     m = _fixed_mean(pair)
+    errors = m - pair.w_star
     p = _stein(pair.left, pair.right, pair.g)
     p[:2] = 0.5 * (p[:2] + p[:2].transpose(0, 2, 1))
 
-    readouts = _readouts(pair.weights, m, _diagonal_blocks(p, pair.n_agents))
+    readouts = _readouts(pair.weights, errors,
+                         _diagonal_blocks(p, pair.n_agents))
     emse, (dj1, dj2) = readouts[:3, 1], readouts[3:, 1]
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[1],
                                            pair.sigma_z2)
 
     gamma = np.repeat(gbar, pair.filter_len)
-    bias = gamma * m[0] + (1.0 - gamma) * m[1]
+    bias = gamma * errors[0] + (1.0 - gamma) * errors[1]
     bounds = stability_bounds(pair, cfg, dj1 + dj2)
     universality = universality_report(*emse, dj1, dj2)
     if not np.all(bounds.nu_ms_ok):

@@ -31,6 +31,36 @@ def coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
     return rows[0, 0], rows[0, 1], pbar
 
 
+def error_drift(components, rx, w):
+    """The drift r of both components' mean errors, m' = b m - r, shape
+    (2, NL): the error form of the mean recursion, written out over the
+    dense NL x NL matrices as a reference independent of the model's
+    drive.  Data sharing pulls each agent toward its neighbors' targets,
+    while combining leaks weight mass across heterogeneous targets.
+
+    rx holds the (N, L, L) regressor covariances and w the (N, L)
+    targets.
+    """
+    rx, w = np.asarray(rx, dtype=float), np.asarray(w, dtype=float)
+    n, l = w.shape
+    eye_l, eye = np.eye(l), np.eye(n * l)
+    drifts = []
+    for cfg in components:
+        c = np.array(cfg.c.entries, dtype=float)
+        a1x = np.kron(np.array(cfg.a1.entries, dtype=float), eye_l)
+        a2x = np.kron(np.array(cfg.a2.entries, dtype=float), eye_l)
+        u = np.kron(np.diag(np.array(cfg.mu, dtype=float)), eye_l)
+        hbar = np.zeros((n * l, n * l))
+        for k, block in enumerate(np.einsum("lk,lij->kij", c, rx)):
+            hbar[k * l:(k + 1) * l, k * l:(k + 1) * l] = block
+        damp = eye - u @ hbar
+        diff = w[None, :, :] - w[:, None, :]
+        hu = np.einsum("lk,lij,lkj->ki", c, rx, diff).reshape(-1)
+        leak = a2x.T @ damp @ (a1x.T - eye) + (a2x.T - eye)
+        drifts.append(a2x.T @ u @ hu - leak @ w.reshape(-1))
+    return np.array(drifts)
+
+
 def advance(stack, state, batch):
     """diffusion.step with the output errors the harness passes it."""
     return step(stack, state, batch, errors_and_outputs(state.w, batch).e)

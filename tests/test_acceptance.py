@@ -117,7 +117,7 @@ def test_mixing_coefficient_moments_match_predictions(pn_bundle, sr_bundle):
 def test_moment_recursions_consistent_across_formulations():
     """Matrix covariance recursions agree with the vectorized weighted-norm
     route over 100 steps, and the steady solves with long iteration."""
-    pair = test_theory.random_pair(41, n=3, l=1)
+    pair, drift = test_theory.random_pair_drift(41, n=3, l=1)
     rng = np.random.default_rng(541)
     dim = pair.w_star.size
     a = rng.normal(size=(dim, dim))
@@ -129,14 +129,15 @@ def test_moment_recursions_consistent_across_formulations():
     m, p = start.m, start.p
     xi_mat = np.empty((3, steps + 1))
     for t in range(steps + 1):
-        xi_mat[:, t] = [np.sum(sigma * om) for om in raw_moments(m, p)]
+        xi_mat[:, t] = [np.sum(sigma * om)
+                        for om in raw_moments(m - pair.w_star, p)]
         p = covariance_step(pair, p)
         m = mean_step(pair, m)
     for k in range(2):
-        xi_vec = test_theory.weighted_norm_curve(pair, k, sigma, steps)
+        xi_vec = test_theory.weighted_norm_curve(pair, drift, k, sigma, steps)
         np.testing.assert_allclose(xi_mat[k], xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
-    xi_vec = test_theory.cross_norm_curve(pair, sigma, steps)
+    xi_vec = test_theory.cross_norm_curve(pair, drift, sigma, steps)
     np.testing.assert_allclose(xi_mat[2], xi_vec, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(xi_vec)))
 
@@ -145,8 +146,8 @@ def test_moment_recursions_consistent_across_formulations():
     for _ in range(100_000):
         p = covariance_step(pair, p)
         m = mean_step(pair, m)
-    for got, want in zip(raw_moments(m, p),
-                         raw_moments(report.m, report.p)):
+    for got, want in zip(raw_moments(m - pair.w_star, p),
+                         raw_moments(report.m - pair.w_star, report.p)):
         np.testing.assert_allclose(got, want, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(want)))
 

@@ -258,6 +258,42 @@ class TestValidate:
         assert capsys.readouterr().err == \
             "invalid experiment: gamma_init must be a single number\n"
 
+    @pytest.mark.parametrize("field", ["epsilon", "eta", "delta", "sigma_x2",
+                                       "sigma_z2"])
+    def test_list_for_a_single_number_refused_in_one_line(self, tmp_path,
+                                                          capsys, field):
+        # each used to end in a TypeError traceback from a comparison
+        raw = json.loads((resources.files("diffcomb") / "presets"
+                          / "universality_pn.json").read_text())
+        if field.startswith("sigma"):
+            raw["signal"]["agents"][0][field] = [0.5, 0.5]
+        else:
+            raw["combiner"][field] = [0.5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"invalid experiment: {field} must be a single number\n"
+
+    @pytest.mark.parametrize("field", ["mu", "tau"])
+    def test_per_agent_value_of_wrong_length_refused_by_name(
+            self, tmp_path, capsys, field):
+        # used to be refused with numpy's broadcast message, which named
+        # neither the field nor the expected shape
+        raw = json.loads((resources.files("diffcomb") / "presets"
+                          / "universality_pn.json").read_text())
+        component = raw["components"][0]
+        if field == "tau":
+            component.pop("a2", None)
+            component.update(a2_mode="adaptive_relative_variance", tau=0.1)
+        component[field] = [0.01, 0.02]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid experiment: {field} has shape (2,): it must be a "
+            "scalar or give one value per agent, shape (10,)\n")
+
     def test_bad_target_of_a_long_stage_is_one_line(self, tmp_path, capsys):
         # one quoted value among the 500 targets of an L = 50 stage: the
         # message names that entry, not every target of the stage

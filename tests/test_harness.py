@@ -47,7 +47,14 @@ from diffcomb.signal import (
     load_snr_preset,
     regressor_covariance,
 )
-from helpers import advance, assert_same_series, coefficient_step, stack, strategy
+from helpers import (
+    advance,
+    assert_same_series,
+    coefficient_step,
+    error_drift,
+    stack,
+    strategy,
+)
 
 CHAIN4 = Topology(
     n_agents=4,
@@ -102,8 +109,9 @@ def small_config(scheme="power_normalized", nu=0.01, mu=0.05, horizon=40,
 def raw_moment_series(cfg):
     """run_theory's series for a power-normalized pair, recomputed with the
     uncentered recursion on raw NL x NL second moments:
-    Om+ = B Om B^T - B m r^T - r m^T B^T + r r^T + G kron I, and at a
-    stage boundary Om + m d^T + d m^T + d d^T for the target shift d."""
+    Om+ = B Om B^T - B m r^T - r m^T B^T + r r^T + G kron I with the
+    reference drift r of the mean errors m (error_drift), and at a stage
+    boundary Om + m d^T + d m^T + d d^T for the target shift d."""
     n = cfg.n_agents
     rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
@@ -121,9 +129,10 @@ def raw_moment_series(cfg):
     stages = cfg.schedule.stages
     for i, (start, target) in enumerate(stages):
         end = stages[i + 1][0] if i + 1 < len(stages) else cfg.horizon
-        # the dense model: factor blocks of size L, NL x NL factors
+        # the dense model: factor blocks of size L, NL x NL factors; the
+        # mean errors drift by the reference drift, not the model's drive
         model = theory._build_model(cfg.components, rx, sigma_z2, target, l)
-        b, r = model.b, model.rbar
+        b, r = model.b, error_drift(cfg.components, rx, target)
         g = dict(zip(pairs, model.g))
         w = target.reshape(-1)
         if prev is None:
@@ -1042,6 +1051,41 @@ class TestTheoryPath:
                 assert report.m.shape == (2, 4 * filter_len)
                 assert report.universality.verdict
 
+    def test_one_model_per_experiment(self, monkeypatch):
+        # tracking_static_pn cut to 200 instants, its four stages to 50
+        # instants each: one model is built, and each stage's evolve
+        # starts from the state the one before it ended in, bit for bit,
+        # with only the target changed
+        base = load_preset_config("tracking_static_pn")
+        schedule = TargetSchedule(
+            stages=tuple((start // 30, target)
+                         for start, target in base.schedule.stages),
+            transition_len=base.schedule.transition_len // 30)
+        cfg = dataclasses.replace(base, horizon=200, schedule=schedule)
+        builds, calls = [], []
+        build, evolve = harness.build_component_model, harness.evolve
+
+        def counted_build(*args):
+            builds.append(build(*args))
+            return builds[-1]
+
+        def recorded_evolve(pair, combiner, n_steps, state):
+            traj = evolve(pair, combiner, n_steps, state)
+            calls.append((pair, state, traj.state))
+            return traj
+
+        monkeypatch.setattr(harness, "build_component_model", counted_build)
+        monkeypatch.setattr(harness, "evolve", recorded_evolve)
+        run_theory(cfg)
+        assert len(builds) == 1 and len(calls) == 4
+        for (pair, _, end), (following, start, _), (_, target) in zip(
+                calls, calls[1:], schedule.stages[1:]):
+            for name in ("m", "p", "gbar", "g2bar", "pbar"):
+                np.testing.assert_array_equal(getattr(start, name),
+                                              getattr(end, name))
+            np.testing.assert_array_equal(following.w_star, target.ravel())
+            assert following.b is pair.b and following.drive is pair.drive
+
     @pytest.mark.parametrize("kind,l,factor", [("white", 12, 4),
                                                ("ar1", 2, 8)],
                              ids=["white", "colored"])
@@ -1049,7 +1093,7 @@ class TestTheoryPath:
                                                       l, factor):
         # two stages: the stacked factors must stay N x N for white
         # regressors at L = 12 and be NL x NL for AR(1) regressors at
-        # L = 2 (kron_len = 1), and reproduce the raw NL x NL recursion
+        # L = 2, and reproduce the raw NL x NL recursion
         targets = np.resize(TARGETS4, (4, l))
         moved = TargetSchedule(stages=((0, targets), (25, targets - 0.7)))
         cfg = dataclasses.replace(small_config(horizon=50),
