@@ -8,27 +8,34 @@ mixing-coefficient moments, and assembles transient and steady-state
 aggregates (per-component MSD, cross-MSD, combined MSD).
 
 Block quantities live in R^{NL}: agent k owns the slice [kL, (k+1)L).
-Every model matrix M of size NL x NL is stored as a factor F with
-M = F kron I, over factor blocks of size m.  When every regressor
-covariance is white (sigma_k^2 I_L), m = 1 and the factors are N x N
-agent-level matrices; colored regressors (AR(1), general SPD
-covariances) give m = L and NL x NL factors.
+build_component_model looks once for an orthonormal basis Q of R^L
+in which every regressor covariance R_k is diagonal, diag_d(lambda_kd).
+In Q's coordinates each NL x NL recursion falls apart into one per
+direction d of Q, over the N agents with the variances lambda_kd, and
+directions with equal variance profiles merge, c columns of Q each.
+So every model matrix is stored as D direction factors F_d of size
+N m, over factor blocks of size m, acting as F_d kron I_c on their own
+columns: white covariances (sigma_k^2 I_L) give one N x N factor with
+c = L, AR(1) covariances at L = 2 two N x N factors, and covariances
+without a common eigenbasis one NL x NL factor (m = L, D = c = 1).
 
 The pair's moments share that structure and are carried stacked.  The
-means m, of shape (2, NL), hold the mean estimates E{w1}, E{w2} and
-step as m_i' = b_i m_i + drive_i w_opt: the data enter through
-E{x d} = R w_opt alone, so only the drive and the readouts, of the
-mean errors m_i - w_opt, read the target.  The errors' centered
-(cross-)covariance factors p, of shape (3, N m, N m), in the block
+means m, of shape (2, NL), hold the mean estimates E{w1}, E{w2} in the
+agents' coordinates and step, in direction coordinates
+(_to_directions), as m_i' = b_i m_i + drive_i w_opt: the data enter
+through E{x d} = R w_opt alone, so only the drive and the readouts, of
+the mean errors m_i - w_opt, read the target.  The errors' centered
+(cross-)covariance factors p, of shape (3, D, N m, N m), in the block
 order (p11, p22, p12), step as p' = left p right^T + g with left =
 (b1, b2, b1), right = (b1, b2, b2) and g = (f1^T q f1, f2^T q f2,
-f1^T q f2).  build_component_model builds one PairModel per
-experiment; another target is the same model with another w_star.
-So white-regressor theory never forms an NL x NL array, and transient
-and steady state run
-one code path for both regressor kinds.  Steady factors solve that
-Stein equation, all three blocks in one call, by squared Smith doubling
-at O(N_f^3 log t) for factors of size N_f.
+f1^T q f2), direction by direction: D is one more batch axis of every
+factor step, readout and steady solve.  build_component_model builds
+one PairModel per experiment; another target is the same model with
+another w_star.  So white and AR(1) theory never form an NL x NL
+array, and transient and steady state run one code path for every
+regressor kind.  Steady factors solve that Stein equation, all blocks
+and directions in one call, by squared Smith doubling at
+O(D N_f^3 log t) for factors of size N_f.
 
 The mixing coefficient follows one law per two-component scheme, looked
 up by scheme name.  Over a block of instants, the smoothed power, the
@@ -83,18 +90,23 @@ class InstabilityError(RuntimeError):
 class PairModel:
     """Stacked moment description of two strategies observing the same data.
 
-    b and drive stack the components' mean transitions and the factors
-    of A2^T U H_c, where block (k, l) of H_c is c_lk R_l: component i's
-    mean estimate steps as b_i m + drive_i w_star.  left, right and g
-    are the transitions and gradient-noise moments of the centered
-    factors in the block order (p11, p22, p12); the two auto moments of
-    g are exactly symmetric.  weights holds the per-agent readout
-    blocks: the identity (row 0) gives deviations, rx (row 1) excess
-    errors, with rx[k] = rx[k, :m, :m] kron I.  c and mu stack the
-    components' C matrices and step-sizes; rx, sigma_z2 and the
-    flattened w_star are the data both components share.  Only the
-    drive and the readouts read w_star, so one model serves every
-    stage through dataclasses.replace(pair, w_star=...).
+    b and drive, of shape (2, D, N m, N m), stack the components' mean
+    transitions and the factors of A2^T U H_c, where block (k, l) of
+    H_c is c_lk R_l, per direction: component i's mean estimate steps
+    as b_i m + drive_i w_star in direction coordinates.  left, right
+    and g, of shape (3, D, N m, N m), are the transitions and
+    gradient-noise moments of the centered factors in the block order
+    (p11, p22, p12); the two auto moments of g are exactly symmetric.
+    weights, of shape (2, D, N, m, m), holds the per-agent readout
+    blocks of each direction: the identity (row 0) gives deviations,
+    the covariance block (row 1) excess errors, with
+    Q^T rx[k] Q = diag_d(weights[1, d, k] kron I_c).  basis is that
+    orthonormal Q, columns grouped by direction, or None where it is
+    the identity.  c and mu stack the components' C matrices and
+    step-sizes; rx, sigma_z2 and the flattened w_star are the data both
+    components share, in the agents' coordinates.  Only the drive and
+    the readouts read w_star, so one model serves every stage through
+    dataclasses.replace(pair, w_star=...).
     """
 
     n_agents: int
@@ -110,10 +122,12 @@ class PairModel:
     rx: np.ndarray
     sigma_z2: np.ndarray
     w_star: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if name not in ("n_agents", "filter_len"):
+            if name not in ("n_agents", "filter_len") \
+                    and getattr(self, name) is not None:
                 arr = np.asarray(getattr(self, name), dtype=float)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -123,14 +137,17 @@ class PairModel:
 class MomentState:
     """Joint moment state of both components and the combiner at one instant.
 
-    m, of shape (2, NL), stacks the mean estimates E{w1} and E{w2}; no
-    target is part of the state, so it carries over a stage boundary
-    as it is.  p, of shape (3, N m, N m), stacks the centered covariance
-    factors in the block order (p11, p22, p12): against a target w_star,
-    E{v_i v_j^T} = p_ij kron I + (m_i - w_star)(m_j - w_star)^T, so p[2]
-    is the cross factor of E{v1 v2^T}.  gbar/g2bar are the per-agent first and second moments
-    of the mixing coefficient, pbar the per-agent smoothed difference
-    power.
+    m, of shape (2, NL), stacks the mean estimates E{w1} and E{w2} in
+    the agents' coordinates; no target is part of the state, so it
+    carries over a stage boundary as it is.  p, of shape
+    (3, D, N m, N m), stacks the centered covariance factors of each
+    direction in the block order (p11, p22, p12): against a target
+    w_star, E{v_i v_j^T} = (I_N kron Q) diag_d(p_ij,d kron I_c)
+    (I_N kron Q)^T + (m_i - w_star)(m_j - w_star)^T, with Q the model's
+    basis and each direction's factor laid over its agents and its c
+    columns, so p[2] holds the cross factors of E{v1 v2^T}.  gbar/g2bar
+    are the per-agent first and second moments of the mixing
+    coefficient, pbar the per-agent smoothed difference power.
     """
 
     m: np.ndarray
@@ -203,11 +220,12 @@ class SteadyReport:
     """Closed-form steady state of the combined pair.
 
     m stacks the fixed mean estimates (E{w1}, E{w2}) and p the centered
-    covariance factors (p11, p22, p12), in the layout of MomentState;
-    bias is the combined mean error at the stationary gbar.  emse, of
-    shape (3, N), holds the per-agent excess errors and msd, of shape
-    (3,), the network deviations of the same three moments, in the
-    same block order.
+    covariance factors (p11, p22, p12) per direction, (3, D, N m, N m),
+    in the layout of MomentState; bias, of shape (NL,), is the combined
+    mean error at the stationary gbar, in the agents' coordinates.
+    emse, of shape (3, N), holds the per-agent excess errors and msd, of
+    shape (3,), the network deviations of the same three moments, in
+    the same block order.
     """
 
     m: np.ndarray
@@ -224,42 +242,68 @@ class SteadyReport:
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    n, l, _ = blocks.shape
-    out = np.zeros((n, l, n, l))
-    out[np.arange(n), :, np.arange(n)] = blocks
-    return out.reshape(n * l, n * l)
+    """(..., N, m, m) blocks along the diagonal of (..., N m, N m)."""
+    *lead, n, l, _ = blocks.shape
+    out = np.zeros((*lead, n, l, n, l))
+    idx = np.arange(n)
+    out[..., idx, :, idx, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(*lead, n * l, n * l)
 
 
 def _diagonal_blocks(p: np.ndarray, n: int) -> np.ndarray:
-    """A view of each agent's diagonal block of p: (..., 3, N, m, m)."""
+    """A view of each agent's diagonal block of p: (..., N, m, m)."""
     k = p.shape[-1] // n
-    return np.einsum("...skikj->...skij", p.reshape(*p.shape[:-2], n, k, n, k))
+    return np.einsum("...kikj->...kij", p.reshape(*p.shape[:-2], n, k, n, k))
+
+
+def _to_directions(pair: PairModel, x: np.ndarray) -> np.ndarray:
+    """Vectors of R^{NL}, (..., NL), in direction coordinates: the
+    basis coordinates of each agent's slice, (..., D, N m, c)."""
+    d, k = pair.b.shape[-3:-1]
+    x = x.reshape(*x.shape[:-1], pair.n_agents, pair.filter_len)
+    if pair.basis is not None:
+        x = x @ pair.basis
+    x = x.reshape(*x.shape[:-1], d, -1).swapaxes(-3, -2)
+    return x.reshape(*x.shape[:-2], k, -1)
+
+
+def _from_directions(pair: PairModel, y: np.ndarray) -> np.ndarray:
+    """The inverse of _to_directions: (..., D, N m, c) to (..., NL)."""
+    n, l = pair.n_agents, pair.filter_len
+    x = y.reshape(*y.shape[:-2], n, -1).swapaxes(-3, -2)
+    x = x.reshape(*x.shape[:-3], n, l)
+    if pair.basis is not None:
+        x = x @ pair.basis.T
+    return x.reshape(*x.shape[:-2], n * l)
 
 
 def _readouts(weights: np.ndarray, m: np.ndarray, blocks: np.ndarray):
     """Per-agent tr((W_k kron I) Om_kk) of five moments Om = p kron I + a b^T.
 
-    weights[w, k] is an m x m block W_k acting as W_k kron I on agent k's
-    diagonal block of p, held in blocks (_diagonal_blocks).  The moments
-    are component 1 (m1, m1, p11), component 2 (m2, m2, p22), the cross
-    moment (m1, m2, p12), and the drivers j1 - j12 from (m1, m1 - m2,
-    p11 - p12) and j2 - j12 from (m2, m2 - m1, p22 - p12): read directly,
-    the drivers never cancel two nearly equal excess errors.  m holds
-    mean errors, the mean estimates less the target.  Any leading (time)
-    axes of m and blocks lead the result, (..., 5, len(weights), N).
+    weights[w, d, k] is an m x m block W_dk acting as W_dk kron I_c on
+    direction d of agent k, whose diagonal block of p, blocks (from
+    _diagonal_blocks), holds; the readout sums the directions.  The
+    moments are component 1 (m1, m1, p11), component 2 (m2, m2, p22),
+    the cross moment (m1, m2, p12), and the drivers j1 - j12 from (m1,
+    m1 - m2, p11 - p12) and j2 - j12 from (m2, m2 - m1, p22 - p12):
+    read directly, the drivers never cancel two nearly equal excess
+    errors.  m holds mean errors, the mean estimates less the target,
+    in direction coordinates (_to_directions).  Any leading (time) axes
+    of m and blocks lead the result, (..., 5, len(weights), N).
     """
-    n, k = blocks.shape[-3], blocks.shape[-1]
-    shape = (*m.shape[:-2], 5, n, k, m.shape[-1] // (n * k))
-    m1, m2 = m[..., 0, :], m[..., 1, :]
-    d = m1 - m2
-    left = np.stack((m1, m2, m1, m1, m2), axis=-2).reshape(shape)
-    right = np.stack((m1, m2, m2, d, -d), axis=-2).reshape(shape)
-    # agent k's diagonal block of Om, folded over the identity of size
-    # L / m: that size times p_kk, plus the mean part sum_t a_t b_t^T
-    drivers = blocks[..., :2, :, :, :] - blocks[..., 2:, :, :, :]
-    om = shape[-1] * np.concatenate((blocks, drivers), axis=-4)
-    om += np.einsum("...skjt,...skit->...skji", left, right)
-    return np.einsum("wkij,...skji->...swk", weights, om)
+    d, n, k = blocks.shape[-4], blocks.shape[-3], blocks.shape[-1]
+    shape = (*m.shape[:-4], 5, d, n, k, m.shape[-1])
+    m1, m2 = m[..., 0, :, :, :], m[..., 1, :, :, :]
+    diff = m1 - m2
+    left = np.stack((m1, m2, m1, m1, m2), axis=-4).reshape(shape)
+    right = np.stack((m1, m2, m2, diff, -diff), axis=-4).reshape(shape)
+    # agent k's diagonal block of Om in direction d, folded over the
+    # direction's c columns: c times p_kk, plus the mean part
+    # sum_t a_t b_t^T
+    drivers = blocks[..., :2, :, :, :, :] - blocks[..., 2:, :, :, :, :]
+    om = shape[-1] * np.concatenate((blocks, drivers), axis=-5)
+    om += np.einsum("...dkjt,...dkit->...dkji", left, right)
+    return np.einsum("wdkij,...sdkji->...swk", weights, om)
 
 
 def build_component_model(topology: Topology, components, rx, sigma_z2,
@@ -269,9 +313,11 @@ def build_component_model(topology: Topology, components, rx, sigma_z2,
     components holds both strategies' configurations.  rx holds the
     per-agent regressor covariances with shape (N, L, L), sigma_z2 the
     per-agent noise variances, w_star the stationary targets with shape
-    (N, L); both components observe these data.  White covariances
-    (rx[k] = sigma_k^2 I_L for every agent) give N x N factors, anything
-    else NL x NL factors.  Raises for adaptive fusion modes, which the
+    (N, L); both components observe these data.  The factors are split
+    by the directions of the basis in which every rx[k] is diagonal
+    (_directions): white covariances give one N x N factor, AR(1) ones
+    at L = 2 two, and covariances with no common eigenbasis one
+    NL x NL factor.  Raises for adaptive fusion modes, which the
     predictor does not cover.
     """
     if len(components) != 2:
@@ -292,64 +338,100 @@ def build_component_model(topology: Topology, components, rx, sigma_z2,
     sigma_z2 = np.broadcast_to(np.asarray(sigma_z2, dtype=float), (n,)).copy()
     if np.any(sigma_z2 < 0):
         raise ValueError("noise variances must be nonnegative")
-    l = rx.shape[-1]
-    w = np.asarray(w_star, dtype=float).reshape(n, l)
-    white = np.array_equal(rx, rx[:, :1, :1] * np.eye(l))
-    return _build_model(components, rx, sigma_z2, w, 1 if white else l)
+    w = np.asarray(w_star, dtype=float).reshape(n, rx.shape[-1])
+    return _build_model(components, rx, sigma_z2, w, *_directions(rx))
+
+
+def _directions(rx: np.ndarray):
+    """The per-direction covariance blocks of rx, (D, N, m, m), and the
+    orthonormal basis Q they live in (None: the agents' own coordinates).
+
+    Symmetric matrices that commute share an eigenbasis (Horn and
+    Johnson, Matrix Analysis, on commuting families).  Diagonal
+    covariances take Q = I exactly; otherwise Q comes from eigh of a
+    combination of them with unrelated weights sqrt(k + 2), whose
+    eigenvalues are then simple wherever the spectra allow, and is kept
+    if it leaves every rx[k] diagonal to 1e-12 of its largest entry.  Each direction then has m = 1 and its own per-agent
+    variances; directions with the same variance profile merge, c
+    columns of Q to a direction.  With no such Q, one direction of
+    blocks of size m = L is the whole of rx.
+    """
+    n, l = rx.shape[:2]
+    eye = np.eye(l)
+    lam = np.einsum("kii->ki", rx)
+    basis = None
+    if not np.array_equal(rx, lam[:, :, None] * eye):
+        _, basis = np.linalg.eigh(np.einsum(
+            "k,kij->ij", np.sqrt(np.arange(2.0, n + 2.0)), rx))
+        turned = basis.T @ rx @ basis
+        lam = np.einsum("kii->ki", turned)
+        scale = np.max(np.abs(rx), axis=(1, 2))[:, None, None]
+        if np.any(np.abs(turned - lam[:, :, None] * eye) > 1e-12 * scale):
+            return rx[None], None
+    _, group, sizes = np.unique(lam.T, axis=0, return_inverse=True,
+                                return_counts=True)
+    c = int(np.gcd.reduce(sizes))
+    order = np.argsort(group.ravel(), kind="stable") if c > 1 \
+        else np.arange(l)
+    if np.any(order != np.arange(l)):
+        basis = (eye if basis is None else basis)[:, order]
+    return lam[:, order[::c]].T[:, :, None, None], basis
 
 
 def _build_model(components, rx: np.ndarray, sigma_z2: np.ndarray,
-                 w: np.ndarray, m: int) -> PairModel:
-    """Pair model over factor blocks of size m.
+                 w: np.ndarray, blocks: np.ndarray,
+                 basis: np.ndarray | None = None) -> PairModel:
+    """Pair model over the direction factors of blocks, shape (D, N, m, m).
 
-    Needs rx[k] = rx[k, :m, :m] kron I_{L/m} for every agent: m = L
-    always qualifies, m = 1 when every covariance is sigma_k^2 I_L.
+    Needs rx[k] = Q diag_d(blocks[d, k] kron I_c) Q^T for every agent,
+    Q = basis (the identity if None) and c = L / (D m): blocks =
+    rx[None] always qualifies, a single direction of NL x NL factors.
     """
-    n, l = w.shape
-    rx_m = rx[:, :m, :m]
-    b, drive, f = (np.stack(x) for x in zip(*(_component(cfg, rx_m)
+    b, drive, f = (np.stack(x) for x in zip(*(_component(cfg, blocks)
                                              for cfg in components)))
-    q = _block_diag(sigma_z2[:, None, None] * rx_m)
+    q = _block_diag(sigma_z2[:, None, None] * blocks)
     g = np.stack([f[i].T @ q @ f[j] for i, j in ((0, 0), (1, 1), (0, 1))])
-    g[:2] = 0.5 * (g[:2] + g[:2].transpose(0, 2, 1))
-    weights = np.stack([np.broadcast_to(np.eye(m), (n, m, m)), rx_m])
+    g[:2] = 0.5 * (g[:2] + g[:2].swapaxes(-1, -2))
+    weights = np.stack([np.broadcast_to(np.eye(blocks.shape[-1]),
+                                        blocks.shape), blocks])
     return PairModel(
-        n_agents=n, filter_len=l, b=b, drive=drive, left=b[[0, 1, 0]],
-        right=b[[0, 1, 1]], g=g, weights=weights,
+        n_agents=len(w), filter_len=w.shape[1], b=b, drive=drive,
+        left=b[[0, 1, 0]], right=b[[0, 1, 1]], g=g, weights=weights,
         c=np.array([cfg.c.entries for cfg in components], dtype=float),
         mu=np.array([cfg.mu for cfg in components], dtype=float),
-        rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1))
+        rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1), basis=basis)
 
 
-def _component(cfg: StrategyConfig, rx_m: np.ndarray):
-    """One component's (bbar, drive, f) over covariance factor blocks."""
-    n, m = rx_m.shape[:2]
+def _component(cfg: StrategyConfig, blocks: np.ndarray):
+    """One component's (bbar, drive) per direction, (D, N m, N m), and
+    its gradient-noise fusion f, (N m, N m), over covariance blocks."""
+    d, n, m = blocks.shape[:3]
     eye_m, eye = np.eye(m), np.eye(n * m)
     c = np.array(cfg.c.entries, dtype=float)
     a1x = np.kron(np.array(cfg.a1.entries, dtype=float), eye_m)
     a2x = np.kron(np.array(cfg.a2.entries, dtype=float), eye_m)
     u = np.kron(np.diag(np.array(cfg.mu, dtype=float)), eye_m)
 
-    hbar = _block_diag(np.einsum("lk,lij->kij", c, rx_m))
+    hbar = _block_diag(np.einsum("lk,dlij->dkij", c, blocks))
     bbar = a2x.T @ (eye - u @ hbar) @ a1x.T
     # the data enter through E{x_l d_l} = R_l w_l, weighed by c_lk at k
-    h_c = np.einsum("lk,lij->kilj", c, rx_m).reshape(n * m, n * m)
+    h_c = np.einsum("lk,dlij->dkilj", c, blocks).reshape(d, n * m, n * m)
     return bbar, a2x.T @ u @ h_c, np.kron(c, eye_m) @ u @ a2x
 
 
 def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
     """One step of both mean estimates: b m + drive w_star, per component."""
-    k = pair.b.shape[1]
-    return (pair.b @ m.reshape(2, k, -1)
-            + pair.drive @ pair.w_star.reshape(k, -1)).reshape(2, -1)
+    x, w = (_to_directions(pair, v) for v in (m, pair.w_star))
+    return _from_directions(pair, pair.b @ x + pair.drive @ w)
 
 
 def _mean_maps(pair: PairModel, width: int) -> list:
-    """The maps m -> b^h m + d_h of h = 1, 2, 4, .. <= width mean steps,
-    d_h = sum_{s<h} b^s drive w_star, by squaring mean_step's own map:
-    b^2h = b^h b^h, d_2h = b^h d_h + d_h (Kogge and Stone, 1973)."""
-    maps = [(pair.b, mean_step(pair, np.zeros((2, pair.w_star.size))).reshape(
-        pair.b.shape[:2] + (-1,)))]
+    """The maps x -> b^h x + d_h of h = 1, 2, 4, .. <= width mean steps
+    in direction coordinates, d_h = sum_{s<h} b^s drive w_star, by
+    squaring mean_step's own map: b^2h = b^h b^h, d_2h = b^h d_h + d_h
+    (Kogge and Stone, 1973)."""
+    maps = [(pair.b, _to_directions(pair, mean_step(
+        pair, np.zeros((2, pair.w_star.size)))))]
     while 2 ** len(maps) <= width:
         power, drift = maps[-1]
         maps.append((power @ power, power @ drift + drift))
@@ -361,9 +443,9 @@ def covariance_step(pair: PairModel, p: np.ndarray) -> np.ndarray:
 
     The two auto factors p11 and p22 of the result are exactly symmetric.
     """
-    out = pair.left @ p @ pair.right.transpose(0, 2, 1)
+    out = pair.left @ p @ pair.right.swapaxes(-1, -2)
     out += pair.g
-    out[:2] = 0.5 * (out[:2] + out[:2].transpose(0, 2, 1))
+    out[:2] = 0.5 * (out[:2] + out[:2].swapaxes(-1, -2))
     return out
 
 
@@ -497,9 +579,9 @@ def mix(t, gbar, g2bar):
 def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
     """Moment state for the deterministic all-zero initial estimates,
     so every centered factor is zero, and gamma = gamma0."""
-    n, k, g = pair.n_agents, pair.b.shape[1], float(gamma0)
+    n, g = pair.n_agents, float(gamma0)
     return MomentState(m=np.zeros((2, pair.w_star.size)),
-                       p=np.zeros((3, k, k)), gbar=np.full(n, g),
+                       p=np.zeros(pair.g.shape), gbar=np.full(n, g),
                        g2bar=np.full(n, g ** 2), pbar=np.zeros(n))
 
 
@@ -517,31 +599,33 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     (_mean_maps; they agree with a mean_step loop to rounding), steps p
     and keeps each agent's diagonal blocks, one readout covers the block,
     and the coefficient pass forms the law's time-only terms over the
-    block, then scans (gbar, g2bar) across it (_coefficients).
+    block, then scans (gbar, g2bar) across it (_coefficients).  The
+    means run in direction coordinates (_to_directions), and the final
+    state holds them in the agents' coordinates again.
 
     Within one call covariance_step reads p alone, so once a block's last
     step returns its input bit for bit (a non-finite p never does), later
     blocks read their diagonal blocks from that p without stepping it.
     """
-    m, p, pbar = state.m, state.p, state.pbar
-    n, k = pair.n_agents, pair.weights.shape[-1]
+    m, p, pbar = _to_directions(pair, state.m), state.p, state.pbar
+    w = _to_directions(pair, pair.w_star)
+    n = pair.n_agents
     record = np.empty((n_steps + 1, 3, 2, n))
     coefficients = np.empty((n_steps + 1, 2, n))
     coefficients[0] = state.gbar, state.g2bar
     width = max(1, min(_BLOCK, n_steps,
-                       _BLOCK_FLOATS // (m.size + 3 * n * k * k)))
+                       _BLOCK_FLOATS // (m.size + 3 * pair.weights[0].size)))
     maps = _mean_maps(pair, width)
     means = np.empty((width + 1,) + m.shape)
-    grid = means.reshape((width + 1,) + maps[0][1].shape)
-    blocks = np.empty((width, 3, n, k, k))
+    blocks = np.empty((width, 3) + pair.weights.shape[1:])
     degenerate, settled = 0, False
 
     for t0 in range(0, n_steps, width):
         t1 = min(t0 + width, n_steps)
         means[0] = m  # then m_{h+r} = b^h m_r + d_h for r < h
         for j, (power, drift) in enumerate(maps[:(t1 - t0).bit_length()]):
-            rows = grid[1 << j:min(2 << j, t1 - t0 + 1)]
-            np.matmul(power, grid[:len(rows)], out=rows)
+            rows = means[1 << j:min(2 << j, t1 - t0 + 1)]
+            np.matmul(power, means[:len(rows)], out=rows)
             rows += drift
         m = means[t1 - t0].copy()
         if settled:
@@ -551,25 +635,26 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
                 blocks[r] = _diagonal_blocks(p, n)
                 last, p = p, covariance_step(pair, p)
             settled = np.array_equal(last, p)
-        readouts = _readouts(pair.weights, means[:t1 - t0] - pair.w_star,
+        readouts = _readouts(pair.weights, means[:t1 - t0] - w,
                              blocks[:t1 - t0])
         record[t0:t1] = readouts[:, :3]
         _, j2, _, dj1, dj2 = readouts[:, :, 1].transpose(1, 0, 2)
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
         coefficients[t0 + 1:t1 + 1], pbar = _coefficients(
             cfg, *coefficients[t0], pbar, dj1, dj2, j2, pair.sigma_z2)
-    record[n_steps] = _readouts(pair.weights, m - pair.w_star,
+    record[n_steps] = _readouts(pair.weights, m - w,
                                 _diagonal_blocks(p, n))[:3]
 
     return TheoryTrajectory(record, coefficients, MomentState(
-        m, p, *coefficients[n_steps].copy(), pbar), degenerate)
+        _from_directions(pair, m), p, *coefficients[n_steps].copy(), pbar),
+        degenerate)
 
 
 def _fixed_mean(pair: PairModel) -> np.ndarray:
     """The mean estimates m with m = b m + drive w_star, per component."""
-    k = pair.b.shape[1]
-    rhs = mean_step(pair, np.zeros((2, pair.w_star.size))).reshape(2, k, -1)
-    return np.linalg.solve(np.eye(k) - pair.b, rhs).reshape(2, -1)
+    rhs = mean_step(pair, np.zeros((2, pair.w_star.size)))
+    return _from_directions(pair, np.linalg.solve(
+        np.eye(pair.b.shape[-1]) - pair.b, _to_directions(pair, rhs)))
 
 
 def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -585,10 +670,10 @@ def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     x = np.array(c, dtype=float)
     tol = np.finfo(float).eps
     for _ in range(_MAX_DOUBLINGS):
-        step = a @ x @ b.transpose(0, 2, 1)
+        step = a @ x @ b.swapaxes(-1, -2)
         x += step
-        if np.all(np.max(np.abs(step), axis=(1, 2))
-                  <= tol * np.max(np.abs(x), axis=(1, 2))):
+        if np.all(np.max(np.abs(step), axis=(-2, -1))
+                  <= tol * np.max(np.abs(x), axis=(-2, -1))):
             return x
         a = a @ a
         b = b @ b
@@ -616,9 +701,9 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     m = _fixed_mean(pair)
     errors = m - pair.w_star
     p = _stein(pair.left, pair.right, pair.g)
-    p[:2] = 0.5 * (p[:2] + p[:2].transpose(0, 2, 1))
+    p[:2] = 0.5 * (p[:2] + p[:2].swapaxes(-1, -2))
 
-    readouts = _readouts(pair.weights, errors,
+    readouts = _readouts(pair.weights, _to_directions(pair, errors),
                          _diagonal_blocks(p, pair.n_agents))
     emse, (dj1, dj2) = readouts[:3, 1], readouts[3:, 1]
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[1],

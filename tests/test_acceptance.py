@@ -124,7 +124,9 @@ def test_moment_recursions_consistent_across_formulations():
     sigma = a @ a.T + 0.5 * np.eye(dim)
     steps = 100
 
-    raw_moments = test_theory.raw_moments
+    def raw_moments(m, p):
+        return test_theory.model_moments(pair, m, p)
+
     start = initial_moments(pair)
     m, p = start.m, start.p
     xi_mat = np.empty((3, steps + 1))

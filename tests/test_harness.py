@@ -80,9 +80,12 @@ STAGED4 = TargetSchedule(stages=((0, TARGETS4), (15, TARGETS4 - 0.5)),
 
 
 def chain_params(filter_len=2, kind="white"):
+    """The four agents' signals; kind is one regressor kind for all of
+    them or one per agent."""
+    kinds = [kind] * 4 if isinstance(kind, str) else kind
     return [
         AgentSignalParams(sigma_x2=1.0 + 0.1 * k, sigma_z2=0.04 + 0.01 * k,
-                          filter_len=filter_len, regressor_kind=kind)
+                          filter_len=filter_len, regressor_kind=kinds[k])
         for k in range(4)
     ]
 
@@ -129,11 +132,12 @@ def raw_moment_series(cfg):
     stages = cfg.schedule.stages
     for i, (start, target) in enumerate(stages):
         end = stages[i + 1][0] if i + 1 < len(stages) else cfg.horizon
-        # the dense model: factor blocks of size L, NL x NL factors; the
-        # mean errors drift by the reference drift, not the model's drive
-        model = theory._build_model(cfg.components, rx, sigma_z2, target, l)
-        b, r = model.b, error_drift(cfg.components, rx, target)
-        g = dict(zip(pairs, model.g))
+        # the dense model: one direction of NL x NL factors; the mean
+        # errors drift by the reference drift, not the model's drive
+        model = theory._build_model(cfg.components, rx, sigma_z2, target,
+                                    rx[None])
+        b, r = model.b[:, 0], error_drift(cfg.components, rx, target)
+        g = dict(zip(pairs, model.g[:, 0]))
         w = target.reshape(-1)
         if prev is None:
             m = [-w, -w]
@@ -1047,7 +1051,7 @@ class TestTheoryPath:
             assert starts == [0, 20]
             for _, report in result.steady:
                 # white regressors: agent-level factors, block means
-                assert report.p.shape == (3, 4, 4)
+                assert report.p.shape == (3, 1, 4, 4)
                 assert report.m.shape == (2, 4 * filter_len)
                 assert report.universality.verdict
 
@@ -1086,14 +1090,16 @@ class TestTheoryPath:
             np.testing.assert_array_equal(following.w_star, target.ravel())
             assert following.b is pair.b and following.drive is pair.drive
 
-    @pytest.mark.parametrize("kind,l,factor", [("white", 12, 4),
-                                               ("ar1", 2, 8)],
-                             ids=["white", "colored"])
+    @pytest.mark.parametrize("kind,l,directions", [
+        ("white", 12, 1), ("ar1", 2, 2),
+        (("ar1", "white", "white", "ar1"), 2, 2)],
+        ids=["white", "colored", "mixed"])
     def test_factored_state_matches_raw_moment_oracle(self, monkeypatch, kind,
-                                                      l, factor):
-        # two stages: the stacked factors must stay N x N for white
-        # regressors at L = 12 and be NL x NL for AR(1) regressors at
-        # L = 2, and reproduce the raw NL x NL recursion
+                                                      l, directions):
+        # two stages: the stacked factors must stay one N x N factor for
+        # white regressors at L = 12 and split into two N x N factors,
+        # one per eigendirection, for AR(1) regressors at L = 2, alone or
+        # beside white ones, and reproduce the raw NL x NL recursion
         targets = np.resize(TARGETS4, (4, l))
         moved = TargetSchedule(stages=((0, targets), (25, targets - 0.7)))
         cfg = dataclasses.replace(small_config(horizon=50),
@@ -1108,7 +1114,7 @@ class TestTheoryPath:
 
         monkeypatch.setattr(harness, "evolve", recording_evolve)
         got = run_theory(cfg)
-        assert shapes == [(3, factor, factor)] * 2
+        assert shapes == [(3, directions, 4, 4)] * 2
         for name, want in raw_moment_series(cfg).items():
             np.testing.assert_allclose(got.series[name], want, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(want)),

@@ -165,15 +165,36 @@ def scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0):
 
 
 def raw_moment(m1, m2, p):
-    """E{v1 v2^T} = p kron I + m1 m2^T from a centered factor."""
-    return np.kron(p, np.eye(m1.shape[0] // p.shape[0])) + np.outer(m1, m2)
+    """E{v1 v2^T} = p + m1 m2^T from a full NL x NL centered factor."""
+    return p + np.outer(m1, m2)
 
 
 def raw_moments(m, p):
     """The three raw NL x NL moments (om11, om22, om12) of stacked mean
-    errors m and centered factors p."""
+    errors m and full centered factors p."""
     return [raw_moment(m[i], m[j], p[k])
             for k, (i, j) in enumerate(((0, 0), (1, 1), (0, 1)))]
+
+
+def agent_factors(pair, p):
+    """The direction factors p of a pair model, (..., D, N m, N m), as
+    full NL x NL matrices in the agents' coordinates: direction d owns
+    c = L / (D m) columns of pair.basis (the identity if None) on every
+    agent, where it acts as p[..., d] kron I_c."""
+    n, l = pair.n_agents, pair.filter_len
+    d, k = p.shape[-3], p.shape[-1] // n
+    c, lead = l // (d * k), p.shape[:-3]
+    turned = np.einsum("...dkihj,de,tu->...khditeju",
+                       p.reshape(*lead, d, n, k, n, k), np.eye(d), np.eye(c))
+    turned = turned.reshape(*lead, n, n, l, l)
+    if pair.basis is not None:
+        turned = pair.basis @ turned @ pair.basis.T
+    return np.swapaxes(turned, -3, -2).reshape(*lead, n * l, n * l)
+
+
+def model_moments(pair, m, p):
+    """raw_moments of mean errors m and a pair model's factors p."""
+    return raw_moments(m, agent_factors(pair, p))
 
 
 def stacked(m1, m2, p11, p22, p12):
@@ -181,14 +202,16 @@ def stacked(m1, m2, p11, p22, p12):
 
 
 def readouts(weights, m, p):
-    """_readouts of a state given by its full factors p."""
-    return _readouts(weights, m, _diagonal_blocks(p, weights.shape[1]))
+    """_readouts of a state given by its full NL x NL factors p: one
+    direction of blocks of size L."""
+    return _readouts(weights[:, None], m[:, None, :, None],
+                     _diagonal_blocks(p[:, None], weights.shape[1]))
 
 
-def state_moments(state, w_star):
+def state_moments(pair, state):
     """A moment state with its covariances rebuilt as raw NL x NL error
-    moments against the target w_star."""
-    om1, om2, omx = raw_moments(state.m - w_star, state.p)
+    moments against the model's target."""
+    om1, om2, omx = model_moments(pair, state.m - pair.w_star, state.p)
     return {"m": state.m, "om1": om1, "om2": om2, "omx": omx,
             "gbar": state.gbar, "g2bar": state.g2bar, "pbar": state.pbar}
 
@@ -222,14 +245,14 @@ def weighted_norm_curve(model, drift, k, sigma_mat, n_steps):
     instead of the full covariance matrix, so it shares no code path
     with covariance_step or the model's drive.
     """
-    bbar, rbar = model.b[k], drift[k]
+    bbar, rbar = model.b[k, 0], drift[k]
     nl = model.w_star.size
     sigma = vec_col(sigma_mat)
     kk = np.kron(bbar.T, bbar.T)
     eye_k = np.eye(nl * nl)
     v0 = -model.w_star
     m = v0.copy()
-    vec_gt = vec_col(model.g[k].T)
+    vec_gt = vec_col(model.g[k, 0].T)
     lam = np.zeros(nl * nl)
     kns = sigma.copy()
     xi = np.empty(n_steps + 1)
@@ -252,12 +275,12 @@ def weighted_norm_curve(model, drift, k, sigma_mat, n_steps):
 def cross_norm_curve(pair, drift, sigma_mat, n_steps):
     """E{v1_n^T Sigma v2_n} through the vectorized recursion, for mean
     errors drifting by drift (error_drift)."""
-    (b1, b2), (r1, r2) = pair.b, drift
+    (b1, b2), (r1, r2) = pair.b[:, 0], drift
     nl = pair.w_star.size
     sigma = vec_col(sigma_mat)
     kx = np.kron(b2.T, b1.T)
     eye_k = np.eye(nl * nl)
-    vec_gxt = vec_col(pair.g[2])
+    vec_gxt = vec_col(pair.g[2, 0])
     v01 = -pair.w_star
     v02 = -pair.w_star
     m1 = v01.copy()
@@ -290,18 +313,18 @@ def cross_norm_curve(pair, drift, sigma_mat, n_steps):
 class TestModelBuild:
     def test_scalar_transition_and_noise_moment(self):
         model = scalar_model(mu=0.01, sx=1.0, sz=0.1)
-        assert model.b.shape == (2, 1, 1)
-        assert model.b[0, 0, 0] == 1.0 - 0.01 * 1.0
-        np.testing.assert_allclose(model.g[:, 0, 0],
+        assert model.b.shape == (2, 1, 1, 1)
+        assert model.b[0, 0, 0, 0] == 1.0 - 0.01 * 1.0
+        np.testing.assert_allclose(model.g[:, 0, 0, 0],
                                    0.01**2 * 0.1 * 1.0, rtol=1e-14)
-        assert model.drive[0, 0, 0] == 0.01 * 1.0
+        assert model.drive[0, 0, 0, 0] == 0.01 * 1.0
 
     def test_scalar_drift_for_offset_target(self):
         # one agent, identity combiners: the mean estimate settles on
         # the target, though the target is nonzero
         model = scalar_model(mu=0.5, sx=2.0, sz=0.3, target=-1.5)
         np.testing.assert_allclose(_fixed_mean(model), -1.5, rtol=1e-12)
-        assert model.b[0, 0, 0] == 1.0 - 0.5 * 2.0
+        assert model.b[0, 0, 0, 0] == 1.0 - 0.5 * 2.0
 
     @pytest.mark.parametrize("kind", ["white", "colored", "scalar_taps"])
     def test_error_drift_is_the_drive_in_error_form(self, kind):
@@ -311,10 +334,9 @@ class TestModelBuild:
                  "colored": lambda: random_pair_setup(13, n=3, l=2),
                  "scalar_taps": lambda: random_pair_setup(13, n=4)}[kind]()
         pair, drift = model_drift(*setup)
-        k = pair.b.shape[1]
-        w = pair.w_star.reshape(k, -1)
-        assert_scaled_close((w - pair.b @ w - pair.drive @ w).reshape(2, -1),
-                            drift)
+        w = theory._to_directions(pair, pair.w_star)
+        assert_scaled_close(theory._from_directions(
+            pair, w - pair.b @ w - pair.drive @ w), drift)
 
     def test_shared_target_has_no_drift(self):
         topology = build_preset("net1")
@@ -343,8 +365,11 @@ class TestModelBuild:
         nl = 8
         assert pair.w_star.shape == (nl,)
         assert (pair.n_agents, pair.filter_len) == (4, 2)
-        assert pair.g.shape == pair.left.shape == (3, nl, nl)
-        assert pair.b.shape == pair.drive.shape == (2, nl, nl)
+        # random SPD covariances share no eigenbasis: one direction of
+        # NL x NL factors
+        assert pair.basis is None
+        assert pair.g.shape == pair.left.shape == (3, 1, nl, nl)
+        assert pair.b.shape == pair.drive.shape == (2, 1, nl, nl)
         assert pair.c.shape == (2, 4, 4) and pair.mu.shape == (2, 4)
         c = np.array(cfg.c.entries)
         data = np.einsum("lk,lij->kij", c, rx)
@@ -354,7 +379,7 @@ class TestModelBuild:
 
     def test_noise_moment_symmetric_and_psd(self):
         pair = random_pair(4, n=3, l=2)
-        for g in pair.g[:2]:
+        for g in pair.g[:2, 0]:
             np.testing.assert_array_equal(g, g.T)
             assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
@@ -408,7 +433,7 @@ class TestModelBuild:
         q = np.diag(sigma_z2 * rx[:, 0, 0])
         f = [np.array(cfg.c.entries) @ np.diag(cfg.mu)
              @ np.array(cfg.a2.entries) for cfg in cfgs]
-        np.testing.assert_array_equal(pair.g[2], f[0].T @ q @ f[1])
+        np.testing.assert_array_equal(pair.g[2, 0], f[0].T @ q @ f[1])
 
     def test_model_arrays_are_frozen(self):
         pair = random_model(7)
@@ -436,9 +461,9 @@ class TestNoiseMomentSampling:
             g_rows.append(p @ np.kron(fusion, np.eye(l)))
         est11 = g_rows[0].T @ g_rows[0] / draws
         est12 = g_rows[0].T @ g_rows[1] / draws
-        scale = np.max(np.abs(pair.g[0]))
-        assert np.max(np.abs(est11 - pair.g[0])) < 0.05 * scale
-        gx = pair.g[2]
+        g11, gx = pair.g[[0, 2], 0]
+        scale = np.max(np.abs(g11))
+        assert np.max(np.abs(est11 - g11)) < 0.05 * scale
         scale_x = max(np.max(np.abs(gx)), scale)
         assert np.max(np.abs(est12 - gx)) < 0.05 * scale_x
 
@@ -463,7 +488,8 @@ class TestMeanRecursion:
         pair, drift = random_pair_drift(10, n=3, l=2)
         eye = np.eye(pair.w_star.size)
         m_inf = pair.w_star - np.stack([np.linalg.solve(eye - b, r)
-                                        for b, r in zip(pair.b, drift)])
+                                        for b, r in zip(pair.b[:, 0],
+                                                        drift)])
         np.testing.assert_allclose(mean_step(pair, m_inf), m_inf,
                                    rtol=0, atol=1e-12)
         assert_scaled_close(_fixed_mean(pair), m_inf)
@@ -490,8 +516,8 @@ class TestVecFormEquivalence:
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            v = m[0] - pair.w_star
-            xi_mat[t] = np.sum(sigma * raw_moment(v, v, p[0]))
+            om = model_moments(pair, m - pair.w_star, p)[0]
+            xi_mat[t] = np.sum(sigma * om)
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
@@ -509,8 +535,8 @@ class TestVecFormEquivalence:
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            v = m - pair.w_star
-            xi_mat[t] = np.sum(sigma * raw_moment(v[0], v[1], p[2]))
+            omx = model_moments(pair, m - pair.w_star, p)[2]
+            xi_mat[t] = np.sum(sigma * omx)
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
         np.testing.assert_allclose(xi_mat, xi_vec, rtol=1e-10,
@@ -521,31 +547,31 @@ class TestCovarianceRecursion:
     def test_result_is_exactly_symmetric(self):
         pair = random_pair(40, n=3, l=2)
         rng = np.random.default_rng(40)
-        a = rng.normal(size=(3,) + (pair.w_star.size,) * 2)
-        out = covariance_step(pair, a @ a.transpose(0, 2, 1))
-        for block in out[:2]:
+        a = rng.normal(size=pair.g.shape)
+        out = covariance_step(pair, a @ a.swapaxes(-1, -2))
+        for block in out[:2, 0]:
             np.testing.assert_array_equal(block, block.T)
 
     def test_blocks_follow_component_order(self):
         # p11, p22 and p12 advance with (b1, b1), (b2, b2) and (b1, b2);
         # a general (non-symmetric) cross factor pins the side of each
         pair = random_pair(44, n=3, l=2)
-        b1, b2 = pair.b
+        b1, b2 = pair.b[:, 0]
         rng = np.random.default_rng(44)
-        p = rng.normal(size=(3,) + b1.shape)
-        p[:2] += p[:2].transpose(0, 2, 1)
+        p = rng.normal(size=pair.g.shape)
+        p[:2] += p[:2].swapaxes(-1, -2)
         out = covariance_step(pair, p)
         for k, (left, right) in enumerate(((b1, b1), (b2, b2), (b1, b2))):
             np.testing.assert_allclose(
-                out[k], left @ p[k] @ right.T + pair.g[k], rtol=1e-13,
-                atol=1e-15)
+                out[k, 0], left @ p[k, 0] @ right.T + pair.g[k, 0],
+                rtol=1e-13, atol=1e-15)
 
     def test_zero_noise_zero_drift_stays_zero(self):
         topology, cfg, rx, _, w = random_setup(41, n=3, l=1, single_task=True)
         pair = build_component_model(topology, [cfg, cfg], rx, 0.0, w)
-        p = np.zeros((3,) + (pair.w_star.size,) * 2)
+        p = np.zeros(pair.g.shape)
         m = mean_step(pair, np.tile(pair.w_star, (2, 1)))
-        out = raw_moments(m - pair.w_star, covariance_step(pair, p))
+        out = model_moments(pair, m - pair.w_star, covariance_step(pair, p))
         # estimates on the shared target stay on it to roundoff (~1e-17),
         # which enters squared, so the result is zero at the 1e-32 scale
         assert np.max(np.abs(out)) < 1e-30
@@ -557,7 +583,7 @@ class TestCovarianceRecursion:
         for _ in range(60):
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
-        om, _, omx = raw_moments(m - pair.w_star, p)
+        om, _, omx = model_moments(pair, m - pair.w_star, p)
         np.testing.assert_allclose(omx, om, rtol=1e-10,
                                    atol=1e-13 * np.max(np.abs(om)))
 
@@ -572,7 +598,7 @@ class TestCovarianceRecursion:
         for _ in range(200):
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
-            om1, om2, omx = raw_moments(m - pair.w_star, p)
+            om1, om2, omx = model_moments(pair, m - pair.w_star, p)
             joint[:nl, :nl] = om1
             joint[nl:, nl:] = om2
             joint[:nl, nl:] = omx
@@ -972,18 +998,22 @@ def near_equal_pair(seed, n=3, l=2, gap=1e-8):
         rx, sigma_z2, 10.0 * w)
 
 
-def oracle_readouts(weights, m, p):
-    """Per-agent readouts of one state from its full factors p, coded
-    without a time axis: (5, weights.shape[0], N)."""
-    n, k = weights.shape[-3], weights.shape[-1]
-    reps = m.shape[1] // p.shape[1]
-    blocks = np.einsum("skikj->skij", p.reshape(3, n, k, n, k))
-    d = m[0] - m[1]
-    left = m[[0, 1, 0, 0, 1]].reshape(5, n, k, reps)
-    right = np.stack((m[0], m[1], m[1], d, -d)).reshape(5, n, k, reps)
+def oracle_readouts(pair, m, p):
+    """Per-agent readouts of one state from its direction factors p and
+    its mean errors m, (2, NL), coded without a time axis:
+    (5, len(pair.weights), N)."""
+    weights = pair.weights
+    d, n, k = weights.shape[1:4]
+    m = theory._to_directions(pair, m)
+    reps = m.shape[-1]
+    blocks = np.einsum("sdkikj->sdkij", p.reshape(3, d, n, k, n, k))
+    diff = m[0] - m[1]
+    left = m[[0, 1, 0, 0, 1]].reshape(5, d, n, k, reps)
+    right = np.stack((m[0], m[1], m[1], diff, -diff)).reshape(5, d, n, k,
+                                                              reps)
     om = reps * np.concatenate((blocks, blocks[:2] - blocks[2]))
-    om += np.einsum("skjt,skit->skji", left, right)
-    return np.einsum("wkij,skji->swk", weights, om)
+    om += np.einsum("sdkjt,sdkit->sdkji", left, right)
+    return np.einsum("wdkij,sdkji->swk", weights, om)
 
 
 def oracle_coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
@@ -1023,7 +1053,7 @@ def oracle_evolve(pair, cfg, n_steps, drift, state=None, drivers=None):
     """
     if state is None:
         state = initial_moments(pair)
-    k, w = pair.b.shape[1], pair.w_star
+    w = pair.w_star
     if drift is None:
         m, errors = state.m, lambda m: m - w
     else:
@@ -1033,7 +1063,7 @@ def oracle_evolve(pair, cfg, n_steps, drift, state=None, drivers=None):
     record = np.empty((n_steps + 1, 3, 2, pair.n_agents))
     coefficients = np.empty((n_steps + 1, 2, pair.n_agents))
     degenerate = 0
-    out = oracle_readouts(pair.weights, errors(m), p)
+    out = oracle_readouts(pair, errors(m), p)
     record[0] = out[:3]
     coefficients[0] = gbar, g2bar
     for t in range(1, n_steps + 1):
@@ -1044,9 +1074,10 @@ def oracle_evolve(pair, cfg, n_steps, drift, state=None, drivers=None):
         gbar, g2bar, pbar = oracle_coefficient_step(
             cfg, gbar, g2bar, pbar, dj1, dj2, j2, pair.sigma_z2)
         m = mean_step(pair, m) if drift is None \
-            else (pair.b @ m.reshape(2, k, -1)).reshape(2, -1) - drift
+            else theory._from_directions(
+                pair, pair.b @ theory._to_directions(pair, m)) - drift
         p = covariance_step(pair, p)
-        out = oracle_readouts(pair.weights, errors(m), p)
+        out = oracle_readouts(pair, errors(m), p)
         record[t] = out[:3]
         coefficients[t] = gbar, g2bar
     return theory.TheoryTrajectory(
@@ -1094,7 +1125,7 @@ def settling_pair():
     """A white pair whose covariance settles bit for bit at instant 170
     and whose means settle at instant 321, and its reference drift."""
     pair, drift = model_drift(*white_pair(87, 4, 3, mus=(0.15, 0.3)))
-    assert pair.b.shape[1] == 4
+    assert pair.b.shape[-1] == 4
     return pair, drift
 
 
@@ -1135,7 +1166,8 @@ def evolved_means(pair, cfg, n_steps, state, monkeypatch):
     readouts, mean_maps = theory._readouts, theory._mean_maps
 
     def spied_readouts(weights, m, blocks):
-        seen.append(m.reshape(-1, *m.shape[-2:]).copy())  # a buffer view
+        seen.append(theory._from_directions(pair, m).reshape(
+            -1, *pair.b.shape[:1], pair.w_star.size))
         return readouts(weights, m, blocks)
 
     def spied_maps(pair, width):
@@ -1195,10 +1227,10 @@ class TestBlockedEvolve:
     def test_matches_per_instant_oracle(self, kind, make_cfg, n_steps):
         if kind == "white":
             pair, drift = model_drift(*white_pair(87, 4, 3))
-            assert pair.b.shape[1] == 4
+            assert pair.b.shape[-1] == 4
         else:
             pair, drift = random_pair_drift(87, n=3, l=2)
-            assert pair.b.shape[1] == 6
+            assert pair.b.shape[-1] == 6
         cfg, start = make_cfg(), started(pair)
         got = evolve(pair, cfg, n_steps, state=start)
         assert_same_trajectory(
@@ -1277,7 +1309,7 @@ class TestBlockedEvolve:
                                mean_step(second, zero))
         state = started(first)
         for pair in (first, second):
-            assert pair.b.shape[1] == (4 if kind == "white" else 6)
+            assert pair.b.shape[-1] == (4 if kind == "white" else 6)
             got, widths, end = evolved_means(pair, pn_cfg(), n_steps, state,
                                              monkeypatch)
             width = min(B, n_steps)
@@ -1423,8 +1455,9 @@ class TestEvolve:
         np.testing.assert_array_equal(traj.coefficients[0],
                                       [state.gbar, state.g2bar])
         for t in range(3):
-            j1, j2, j12, dj1, dj2 = readouts(weights, state.m - pair.w_star,
-                                             state.p)[:, 0]
+            j1, j2, j12, dj1, dj2 = readouts(
+                weights, state.m - pair.w_star,
+                agent_factors(pair, state.p))[:, 0]
             assert_scaled_close(traj.record[t, :, 1], [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
@@ -1436,8 +1469,9 @@ class TestEvolve:
                                 [state.gbar, state.g2bar])
             np.testing.assert_allclose(
                 record_series(traj)["combined_msd"][t],
-                combined_deviation(*raw_moments(state.m - pair.w_star,
-                                                state.p),
+                combined_deviation(*model_moments(pair,
+                                                  state.m - pair.w_star,
+                                                  state.p),
                                    state.gbar, state.g2bar), rtol=1e-13)
         assert_scaled_close(traj.state.m, state.m)
         np.testing.assert_array_equal(traj.state.p, state.p)
@@ -1549,7 +1583,7 @@ class TestSteadyState:
         else:
             topology, cfgs, rx, sigma_z2, w = white_pair(90, 3, 2)
             model = build_component_model(topology, cfgs, rx, sigma_z2, w)
-            assert model.b.shape[1] == 3
+            assert model.b.shape[-1] == 3
         report = steady_state(model, pn_cfg())
         state = initial_moments(model)
         m, p = state.m, state.p
@@ -1559,9 +1593,9 @@ class TestSteadyState:
         w = model.w_star
         np.testing.assert_allclose(report.m - w, m - w, rtol=1e-8,
                                    atol=1e-12)
-        want = raw_moments(report.m - w, report.p)
+        want = model_moments(model, report.m - w, report.p)
         scale = np.max(np.abs(want[0]))
-        for got, rep_om in zip(raw_moments(m - w, p), want):
+        for got, rep_om in zip(model_moments(model, m - w, p), want):
             np.testing.assert_allclose(rep_om, got, rtol=1e-8,
                                        atol=1e-8 * scale)
 
@@ -1572,13 +1606,14 @@ class TestSteadyState:
         target = cfg.schedule.stages[1][1]
         pair = build_component_model(cfg.topology, cfg.components, rx,
                                      sigma_z2, target)
-        assert pair.w_star.size == 500 and pair.b.shape == (2, 10, 10)
+        assert pair.w_star.size == 500 and pair.b.shape == (2, 1, 10, 10)
         rep = steady_state(pair, cfg.combiner)
         m = mean_step(pair, rep.m)
         w = pair.w_star
         for got, want in zip(
-                [m - w] + raw_moments(m - w, covariance_step(pair, rep.p)),
-                [rep.m - w] + raw_moments(rep.m - w, rep.p)):
+                [m - w] + model_moments(pair, m - w,
+                                        covariance_step(pair, rep.p)),
+                [rep.m - w] + model_moments(pair, rep.m - w, rep.p)):
             np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(want)))
 
@@ -1778,6 +1813,24 @@ def white_pair(seed, n, l, mus=(0.05, 0.12)):
     return topology, cfgs, rx, sigma_z2, w
 
 
+def split_covariances(kind, n):
+    """Per-agent covariances with a common eigenbasis: "ar1" and
+    "white" at L = 2 for every agent, "mixed" the two kinds alternating
+    by agent, "uneven" diagonal but not white, and "merged" at L = 4,
+    AR(1) pairs on the taps (0, 2) and (1, 3), so each eigenvalue
+    profile holds two taps."""
+    scale = np.linspace(0.8, 1.4, n)[:, None, None]
+    ar1 = np.array([[1.0, 0.5], [0.5, 1.0]])
+    if kind == "merged":
+        return scale * np.kron(ar1, np.eye(2))
+    if kind == "uneven":
+        return scale * np.diag([1.0, 1.6])
+    rx = np.tile(np.eye(2) if kind == "white" else ar1, (n, 1, 1))
+    if kind == "mixed":
+        rx[1::2] = np.eye(2)
+    return scale * rx
+
+
 class TestKronFactoredPath:
     """White regressors take the Kronecker-factored path; the same
     builder at factor block size m = L, whose factors are the full
@@ -1787,7 +1840,7 @@ class TestKronFactoredPath:
     def models(seed, n, l):
         topology, cfgs, rx, sigma_z2, w = white_pair(seed, n, l)
         return (build_component_model(topology, cfgs, rx, sigma_z2, w),
-                _build_model(cfgs, rx, sigma_z2, w, l))
+                _build_model(cfgs, rx, sigma_z2, w, rx[None]))
 
     @pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 2), (5, 7)])
     def test_white_build_is_kron_factored(self, n, l):
@@ -1805,8 +1858,8 @@ class TestKronFactoredPath:
             np.testing.assert_allclose(getattr(fast, name),
                                        getattr(dense, name),
                                        rtol=1e-12, atol=1e-15)
-        assert fast.g.shape == (3, n, n)
-        for got, want in zip(fast.g, dense.g):
+        assert fast.g.shape == (3, 1, n, n)
+        for got, want in zip(fast.g[:, 0], dense.g[:, 0]):
             np.testing.assert_allclose(np.kron(got, eye), want,
                                        rtol=1e-12, atol=1e-16)
 
@@ -1830,14 +1883,14 @@ class TestKronFactoredPath:
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
 
-        oracle = state_moments(want.state, dense.w_star)
-        for name, a in state_moments(got.state, fast.w_star).items():
+        oracle = state_moments(dense, want.state)
+        for name, a in state_moments(fast, got.state).items():
             b = oracle[name]
             np.testing.assert_allclose(
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
-        assert got.state.p.shape == (3, n, n)
-        for p in got.state.p[:2]:
+        assert got.state.p.shape == (3, 1, n, n)
+        for p in got.state.p[:2, 0]:
             np.testing.assert_array_equal(p, p.T)
         assert got.degenerate_steps == want.degenerate_steps
 
@@ -1846,24 +1899,126 @@ class TestKronFactoredPath:
         rng = np.random.default_rng(7)
         n, nl = 4, 12
         eye = np.eye(3)
-        a = rng.normal(size=(2, n, n))
-        p = np.concatenate((a @ a.transpose(0, 2, 1),
-                            rng.normal(size=(1, n, n))))
+        a = rng.normal(size=(2, 1, n, n))
+        p = np.concatenate((a @ a.swapaxes(-1, -2),
+                            rng.normal(size=(1, 1, n, n))))
         m = rng.normal(size=(2, nl))
         np.testing.assert_allclose(mean_step(fast, m), mean_step(dense, m),
                                    rtol=1e-12)
-        want = covariance_step(dense, np.stack([np.kron(b, eye) for b in p]))
-        for got, block in zip(covariance_step(fast, p), want):
+        want = covariance_step(dense, np.kron(p, eye))
+        for got, block in zip(covariance_step(fast, p)[:, 0], want[:, 0]):
             np.testing.assert_allclose(np.kron(got, eye), block,
                                        rtol=1e-12, atol=1e-14)
 
-    def test_colored_regressors_stay_dense(self):
+    def test_common_eigenbasis_splits_and_random_spd_stays_dense(self):
+        # random SPD covariances share no eigenbasis and keep one
+        # direction of NL x NL factors; AR(1), mixed and uneven diagonal
+        # covariances split into two directions of N x N factors, and
+        # only the non-diagonal ones rotate
         topology, cfgs, _, sigma_z2, w = white_pair(3, 3, 2)
-        ar1 = np.tile(np.array([[1.0, 0.6], [0.6, 1.0]]), (3, 1, 1))
         spd = random_spd_covariances(np.random.default_rng(3), 3, 2)
-        # white except for one agent's variance along one tap
-        uneven = np.tile(np.eye(2), (3, 1, 1))
-        uneven[1, 1, 1] = 1.5
-        for rx in (ar1, spd, uneven):
+        for kind in ("ar1", "mixed", "uneven", "white", "spd"):
+            rx = spd if kind == "spd" else split_covariances(kind, 3)
             model = build_component_model(topology, cfgs, rx, sigma_z2, w)
-            assert model.b.shape == (2, 6, 6)
+            d, k = {"spd": (1, 6), "white": (1, 3)}.get(kind, (2, 3))
+            assert model.b.shape == (2, d, k, k), kind
+            assert model.g.shape == (3, d, k, k), kind
+            assert model.weights.shape == (2, d, 3) + (k // 3,) * 2
+            rotates = kind in ("ar1", "mixed")
+            assert (model.basis is not None) == rotates, kind
+            if rotates:
+                turned = model.basis.T @ rx @ model.basis
+                lam = model.weights[1, :, :, 0, 0].T
+                np.testing.assert_allclose(turned, lam[:, :, None] * np.eye(2),
+                                           rtol=1e-15, atol=1e-15)
+
+    def test_equal_variance_profiles_merge(self):
+        # agent k's covariance diag(s_k, 2 s_k, s_k, 2 s_k): two profiles
+        # of two taps each, so two directions of multiplicity two,
+        # reached through a permutation of the taps
+        topology, cfgs, _, sigma_z2, w = white_pair(5, 3, 4)
+        rx = np.array([1.0, 0.7, 1.3])[:, None, None] * np.diag(
+            [1.0, 2.0, 1.0, 2.0])
+        model = build_component_model(topology, cfgs, rx, sigma_z2, w)
+        assert model.b.shape == (2, 2, 3, 3)
+        np.testing.assert_array_equal(model.basis, np.eye(4)[:, [0, 2, 1, 3]])
+        np.testing.assert_array_equal(model.weights[1, :, :, 0, 0],
+                                      [[1.0, 0.7, 1.3], [2.0, 1.4, 2.6]])
+        m = np.random.default_rng(5).normal(size=(2, 12))
+        np.testing.assert_array_equal(
+            theory._from_directions(model, theory._to_directions(model, m)),
+            m)
+
+    @pytest.mark.parametrize("kind", ["ar1", "mixed", "uneven", "merged"])
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_split_matches_dense_oracle(self, kind, make_cfg):
+        # over several blocks and in steady state, every readout, the
+        # coefficient moments, the rebuilt raw moments and the steady
+        # report agree with the one-direction NL x NL model to 1e-12 of
+        # scale
+        l = 4 if kind == "merged" else 2
+        topology, cfgs, _, sigma_z2, w = white_pair(17, 4, l)
+        rx = split_covariances(kind, 4)
+        split = build_component_model(topology, cfgs, rx, sigma_z2, w)
+        dense = _build_model(cfgs, rx, sigma_z2, w, rx[None])
+        assert split.b.shape[:2] == (2, 2) and dense.b.shape[:2] == (2, 1)
+        cfg, n_steps = make_cfg(), 3 * B + 7
+        got = evolve(split, cfg, n_steps, started(split))
+        want = evolve(dense, cfg, n_steps, started(dense))
+        assert_scaled_close(got.record, want.record)
+        assert_scaled_close(got.coefficients, want.coefficients)
+        oracle = state_moments(dense, want.state)
+        for name, value in state_moments(split, got.state).items():
+            assert_scaled_close(value, oracle[name], name)
+        got, want = steady_state(split, cfg), steady_state(dense, cfg)
+        for name in ("m", "gbar", "g2bar", "pbar", "emse", "msd",
+                     "combined_msd"):
+            assert_scaled_close(getattr(got, name), getattr(want, name), name)
+        assert_scaled_close(got.bias, want.bias,
+                            rtol=1e-12 * np.max(np.abs(want.m))
+                            / max(np.max(np.abs(want.bias)), 1e-300))
+        for a, b in zip(model_moments(split, got.m - w.ravel(), got.p),
+                        model_moments(dense, want.m - w.ravel(), want.p)):
+            assert_scaled_close(a, b)
+        assert got.universality.verdict == want.universality.verdict
+        assert got.universality.agent_regimes \
+            == want.universality.agent_regimes
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_split_settled_covariance_matches_oracle(self, make_cfg,
+                                                     monkeypatch):
+        # the split factors settle inside the first block, as white ones
+        # do: covariance_step reads p alone, so the skip stays exact
+        topology, cfgs, _, sigma_z2, w = white_pair(87, 4, 2,
+                                                    mus=(0.15, 0.3))
+        pair, drift = model_drift(topology, cfgs,
+                                  split_covariances("ar1", 4), sigma_z2, w)
+        assert pair.b.shape == (2, 2, 4, 4)
+        cfg, start, n_steps = make_cfg(), started(pair), 3 * B + 7
+        calls = count_covariance_steps(monkeypatch)
+        got = evolve(pair, cfg, n_steps, state=start)
+        assert calls == [B]
+        assert_same_trajectory(
+            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair.w_star)
+
+    def test_ar1_preset_verdicts_match_dense_oracle(self):
+        # every AR(1) preset's first stage: the split model's steady
+        # report reads the dense model's verdict and values
+        names = [name for name in harness.preset_names() if "_ar1_" in name]
+        assert len(names) == 9
+        for name in names:
+            cfg = load_preset_config(name)
+            rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
+            sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
+            target = cfg.schedule.stages[0][1]
+            split = build_component_model(cfg.topology, cfg.components, rx,
+                                          sigma_z2, target)
+            dense = _build_model(cfg.components, rx, sigma_z2,
+                                 np.asarray(target, dtype=float), rx[None])
+            assert split.b.shape[:2] == (2, 2), name
+            got = steady_state(split, cfg.combiner)
+            want = steady_state(dense, cfg.combiner)
+            assert got.universality.verdict == want.universality.verdict
+            for field in ("emse", "msd", "gbar", "g2bar"):
+                assert_scaled_close(getattr(got, field),
+                                    getattr(want, field), (name, field))
