@@ -368,10 +368,9 @@ def _directions(rx: np.ndarray):
         scale = np.max(np.abs(rx), axis=(1, 2))[:, None, None]
         if np.any(np.abs(turned - lam[:, :, None] * eye) > 1e-12 * scale):
             return rx[None], None
-    _, group, sizes = np.unique(lam.T, axis=0, return_inverse=True,
-                                return_counts=True)
-    c = int(np.gcd.reduce(sizes))
-    order = np.argsort(group.ravel(), kind="stable") if c > 1 \
+    same = np.all(lam[:, :, None] == lam[:, None, :], axis=0)
+    c = int(np.gcd.reduce(same.sum(axis=0)))
+    order = np.argsort(same.argmax(axis=0), kind="stable") if c > 1 \
         else np.arange(l)
     if np.any(order != np.arange(l)):
         basis = (eye if basis is None else basis)[:, order]
