@@ -351,10 +351,11 @@ def _directions(rx: np.ndarray):
     covariances take Q = I exactly; otherwise Q comes from eigh of a
     combination of them with unrelated weights sqrt(k + 2), whose
     eigenvalues are then simple wherever the spectra allow, and is kept
-    if it leaves every rx[k] diagonal to 1e-12 of its largest entry.  Each direction then has m = 1 and its own per-agent
-    variances; directions with the same variance profile merge, c
-    columns of Q to a direction.  With no such Q, one direction of
-    blocks of size m = L is the whole of rx.
+    if it leaves every rx[k] diagonal to 1e-12 of its largest entry.
+    Each direction then has m = 1 and its own per-agent variances;
+    directions with exactly equal variance profiles merge, c columns
+    of Q to a direction.  With no such Q, one direction of blocks of
+    size m = L is the whole of rx.
     """
     n, l = rx.shape[:2]
     eye = np.eye(l)

@@ -1121,11 +1121,18 @@ def assert_same_leaves(got, want):
 B = theory._BLOCK
 
 
-def settling_pair():
-    """A white pair whose covariance settles bit for bit at instant 170
-    and whose means settle at instant 321, and its reference drift."""
-    pair, drift = model_drift(*white_pair(87, 4, 3, mus=(0.15, 0.3)))
-    assert pair.b.shape[-1] == 4
+def settling_pair(kind="white"):
+    """A pair whose covariance settles bit for bit inside the first
+    block and whose means settle in the second, and its reference
+    drift: white regressors (instants 170 and 321) or AR(1) ones split
+    into two directions (instants 218 and 422)."""
+    topology, cfgs, rx, sigma_z2, w = white_pair(
+        87, 4, 3 if kind == "white" else 2, mus=(0.15, 0.3))
+    if kind == "ar1":
+        rx = split_covariances("ar1", 4)
+    pair, drift = model_drift(topology, cfgs, rx, sigma_z2, w)
+    assert pair.b.shape == ((2, 1, 4, 4) if kind == "white"
+                            else (2, 2, 4, 4))
     return pair, drift
 
 
@@ -1385,12 +1392,15 @@ class TestBlockedEvolve:
             for g, w in zip(got, want):
                 assert_scaled_close(g, np.broadcast_to(w, (3,)))
 
+    @pytest.mark.parametrize("kind", ["white", "ar1"])
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
-    def test_settled_covariance_matches_oracle(self, make_cfg, monkeypatch):
-        # the covariance reaches its fixed point at instant 170, inside
-        # the first block, while the means move on to instant 321: later
-        # blocks read the settled factors and step the means alone
-        pair, drift = settling_pair()
+    def test_settled_covariance_matches_oracle(self, make_cfg, kind,
+                                               monkeypatch):
+        # the covariance reaches its fixed point inside the first block,
+        # while the means move on into the second: later blocks read the
+        # settled factors and step the means alone.  covariance_step
+        # reads p alone for split factors too, so the skip stays exact
+        pair, drift = settling_pair(kind)
         cfg, start, n_steps = make_cfg(), started(pair), 3 * B + 7
         calls = count_covariance_steps(monkeypatch)
         got = evolve(pair, cfg, n_steps, state=start)
@@ -1983,23 +1993,6 @@ class TestKronFactoredPath:
         assert got.universality.verdict == want.universality.verdict
         assert got.universality.agent_regimes \
             == want.universality.agent_regimes
-
-    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
-    def test_split_settled_covariance_matches_oracle(self, make_cfg,
-                                                     monkeypatch):
-        # the split factors settle inside the first block, as white ones
-        # do: covariance_step reads p alone, so the skip stays exact
-        topology, cfgs, _, sigma_z2, w = white_pair(87, 4, 2,
-                                                    mus=(0.15, 0.3))
-        pair, drift = model_drift(topology, cfgs,
-                                  split_covariances("ar1", 4), sigma_z2, w)
-        assert pair.b.shape == (2, 2, 4, 4)
-        cfg, start, n_steps = make_cfg(), started(pair), 3 * B + 7
-        calls = count_covariance_steps(monkeypatch)
-        got = evolve(pair, cfg, n_steps, state=start)
-        assert calls == [B]
-        assert_same_trajectory(
-            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair.w_star)
 
     def test_ar1_preset_verdicts_match_dense_oracle(self):
         # every AR(1) preset's first stage: the split model's steady
