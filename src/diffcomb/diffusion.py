@@ -5,7 +5,15 @@ neighborhood pre-combination (through A1), an LMS adaptation driven by
 shared data (through C), and neighborhood post-combination (through A2).
 A1 = I gives adapt-then-combine, A2 = I gives combine-then-adapt.  A2
 may also be refreshed every step by one of two data-driven rules, which
-measure distances on the network's edge list only.
+measure distances on the network's edge list only.  They read each
+squared distance from inner products, ||a_l||^2 + ||b_k||^2 - 2 a_l'b_k,
+out of one (N x L)(L x N) product per run rather than gathering the
+differences.  That form cancels: its rounding error is at most about
+(L + 4) u (||a_l|| + ||b_k||)^2 (u the unit round-off; Higham,
+"Accuracy and Stability of Numerical Algorithms", 2002, section 3.1),
+relative to the norms rather than to the distance, so neighbors that
+agree closely lose relative accuracy, and a distance may come out
+slightly negative.
 
 The M component strategies of an experiment advance together: a
 ``StrategyStack``, built once from their configurations, holds the
@@ -30,6 +38,9 @@ import numpy as np
 from .graph import StochasticMatrix, Topology, static_rule, validate_stochastic
 from .signal import SampleBatch, per_agent, require_number
 
+# inverse-distance weights floor each squared distance here: coincident
+# estimates, and the negative round-off the inner-product form can leave
+# between close neighbors, both weigh 1 / DISTANCE_FLOOR
 DISTANCE_FLOOR = 1e-12
 
 A2_MODES = ("static", "adaptive_projection", "adaptive_relative_variance")
@@ -179,13 +190,18 @@ def _right(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), -1, x.shape[-1]) @ mats).reshape(x.shape)
 
 
-def _edge_dist2(topology: Topology, at_src, at_dst) -> np.ndarray:
-    """Squared distances (..., E) from at_src[:, l] to at_dst[:, k] over
-    the edges (l, k), gathered from agent-major views, taps contiguous."""
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norms (..., N) of the columns of a tap-major (..., L, N)."""
+    return np.einsum("...lk,...lk->...k", a, a)
+
+
+def _gram_dist2(topology: Topology, sq_src, sq_dst, gram) -> np.ndarray:
+    """Squared distances (..., E) from a_l to b_k over the edges (l, k),
+    read as ||a_l||^2 + ||b_k||^2 - 2 gram[..., l, k] with gram = a'b."""
     src, dst = topology.edges
-    diff = np.take(np.swapaxes(at_src, -1, -2), src, axis=-2)
-    diff -= np.take(np.swapaxes(at_dst, -1, -2), dst, axis=-2)
-    return np.einsum("...ed,...ed->...e", diff, diff)
+    dist2 = sq_src[..., src] + sq_dst[..., dst]
+    dist2 -= 2.0 * gram[..., src, dst]
+    return dist2
 
 
 def _inverse_weights(topology: Topology, dist2: np.ndarray) -> np.ndarray:
@@ -204,15 +220,29 @@ def adapt_matrix_projection(
 ) -> np.ndarray:
     """Projection-based refresh of A2 from the freshly adapted psi.
 
-    Each agent k forms the one-step-ahead point psi_k + mu_k q_k, with
-    q_k the instantaneous LMS direction evaluated at psi_k, and weights
-    each neighbor l by inverse squared distance from psi_l to that
-    point, measured on the edges (l, k) only.
+    Each agent k forms the one-step-ahead point psi_k + c_k x_k, with
+    c_k = mu_k eps_k and eps_k = d_k - x_k' psi_k, the instantaneous LMS
+    step evaluated at psi_k, and weights each neighbor l by inverse
+    squared distance from psi_l to that point, measured on the edges
+    (l, k) only.
+
+    The point is never formed: with G = psi' psi and X = psi' x, one pair
+    of products per run, eps_k = d_k - X_kk and the distance is
+    G_ll + G_kk - 2 G_lk + c_k (c_k ||x_k||^2 - 2 (X_lk - X_kk)).  Both
+    ends read diag(G), so a self-edge is exactly c_k^2 ||x_k||^2: zero,
+    then floored, at mu_k = 0.
     """
-    eps = errors_and_outputs(psi, batch).e
-    ref = (mu * eps)[..., None, :] * batch.regressors
-    ref += psi
-    return _inverse_weights(topology, _edge_dist2(topology, psi, ref))
+    x = batch.regressors
+    src, dst = topology.edges
+    psi_t = np.swapaxes(psi, -1, -2)
+    gram, cross = psi_t @ psi, psi_t @ x
+    own = np.diagonal(gram, axis1=-2, axis2=-1)
+    fit = np.diagonal(cross, axis1=-2, axis2=-1)
+    c = (mu * (batch.references - fit))[..., dst]
+    dist2 = _gram_dist2(topology, own, own, gram)
+    dist2 += c * (c * _sq_norms(x)[..., dst]
+                  - 2.0 * (cross[..., src, dst] - fit[..., dst]))
+    return _inverse_weights(topology, dist2)
 
 
 def adapt_matrix_relative_variance(
@@ -226,11 +256,14 @@ def adapt_matrix_relative_variance(
 
     Tracks smoothed squared distances zeta2 (..., E), one per edge (l, k)
     of topology.edges, between neighbor estimate psi_l and agent k's
-    previous combined estimate, then weights by inverse zeta2.  Returns
-    (a2, new_zeta2).
+    previous combined estimate, then weights by inverse zeta2.  The
+    distances are ||psi_l||^2 + ||w_k||^2 - 2 (psi' w_prev)_lk, one
+    product per run.  Returns (a2, new_zeta2).
     """
     tau = tau[topology.edges[1]]
-    zeta2_new = (1.0 - tau) * zeta2 + tau * _edge_dist2(topology, psi, w_prev)
+    dist2 = _gram_dist2(topology, _sq_norms(psi), _sq_norms(w_prev),
+                        np.swapaxes(psi, -1, -2) @ w_prev)
+    zeta2_new = (1.0 - tau) * zeta2 + tau * dist2
     return _inverse_weights(topology, zeta2_new), zeta2_new
 
 

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diffcomb import diffusion
 from diffcomb.diffusion import (
     DISTANCE_FLOOR,
     StrategyConfig,
@@ -459,38 +462,236 @@ class TestAdaptiveRelativeVariance:
         np.testing.assert_allclose(a2.sum(axis=0), 1.0, atol=1e-12)
 
 
-def assert_edge_rules_match_dense(t, seed, filter_len, batch_shape):
-    """Both refresh rules on the edge list against their all-pairs
-    oracles: the same A2 bits, and the same zeta2 bits on every edge."""
-    rng = np.random.default_rng(seed)
+U = np.finfo(float).eps / 2
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit round-off: the
+    relative error bound of n successive roundings, and of any length-n
+    dot product against its magnitudes, whatever the summation order."""
+    return n * U / (1 - n * U)
+
+
+def oracle_dist2(t, psi, other):
+    """The all-pairs oracles' own squared distances on the edges of t:
+    dense_relative_variance at tau = 1 and zeta2 = 0 returns them
+    exactly."""
     n = t.n_agents
-    psi, w_prev, x = agent_major(
-        rng.standard_normal((3,) + batch_shape + (n, filter_len)))
-    batch = batch_of(x, rng.standard_normal(batch_shape + (n,)),
-                     rng.standard_normal((n, filter_len)).T)
-    mu, tau = rng.uniform(0.01, 0.5, n), rng.uniform(0.05, 0.95, n)
-    zeta2 = rng.uniform(0.1, 2.0, batch_shape + t.edges[0].shape)
-    assert np.array_equal(adapt_matrix_projection(t, psi, batch, mu),
-                          dense_projection(t, psi, batch, mu))
+    zeta2 = dense_relative_variance(t, psi, other, np.zeros((n, n)),
+                                    np.ones(n))[1]
+    return zeta2[(..., *t.edges)]
+
+
+def distance_bound(t, psi, other, x, c, beta):
+    """Bound (..., E) on |D_rule - D_oracle| over the edges (l, k) of t,
+    D the squared distance from psi_l to other_k + c_k x_k; derived in
+    TestEdgeRefreshMatchesDenseOracle."""
+    src, dst = t.edges
+    filter_len = psi.shape[-2]
+    a, b, own, xk = (agent_major(v)[..., i, :]
+                     for v, i in ((psi, src), (other, dst), (psi, dst), (x, dst)))
+    c, beta = c[..., dst], beta[..., dst]
+    reach = np.abs(c) + 2 * beta
+    m = np.abs(a) + np.abs(b) + reach[..., None] * np.abs(xk)
+    xx = (xk ** 2).sum(-1)
+    # the projection reads both ends of a self-edge from one diag(G)
+    exact = (src == dst) & (other is psi)
+    gram = gamma(filter_len + 4) * np.where(exact, reach ** 2 * xx,
+                                            (m ** 2).sum(-1))
+    diff = np.abs(a - (b + c[..., None] * xk))
+    g3 = gamma(3)
+    oracle = (g3 * (m * (2 * diff + 3 * g3 * m)).sum(-1)
+              + gamma(filter_len) * (diff ** 2).sum(-1))
+    gap = np.abs(a - own) / (1 - U)
+    shift = 4 * beta * ((np.abs(xk) * gap).sum(-1) + reach * xx)
+    return gram + oracle + shift
+
+
+def a2_bound(t, a2, dist2, bound):
+    """Bound (..., N, N) on |A2_rule - A2_oracle| when the rule weighted
+    edge distances within bound (..., E) of the oracle's dist2."""
+    rho = bound / np.maximum(dist2, DISTANCE_FLOOR)
+    assert np.all(rho < 1)
+    r = dense_of_edges(t, rho / (1 - rho), 0.0)
+    r_max = r.max(axis=-2, keepdims=True)
+    g = gamma(t.n_agents + 2)
+    return a2 * ((1 + (r + r_max) / (1 - r_max)) * (1 + g) / (1 - g) - 1)
+
+
+def projection_with_distances(t, psi, batch, mu):
+    """The projection rule's A2 and the edge distances it weighted."""
+    seen = []
+    weigh = diffusion._inverse_weights
+
+    def spy(topology, dist2):
+        seen.append(dist2)
+        return weigh(topology, dist2)
+
+    with mock.patch.object(diffusion, "_inverse_weights", spy):
+        a2 = adapt_matrix_projection(t, psi, batch, mu)
+    return a2, seen[0]
+
+
+def assert_edge_rules_match_dense(t, psi, w_prev, batch, mu, tau, zeta2):
+    """Both refresh rules on the edge list against their all-pairs
+    oracles, each edge's distance and zeta2 and each A2 entry within the
+    bound derived in TestEdgeRefreshMatchesDenseOracle."""
+    x, d = batch.regressors, batch.references
+    filter_len = psi.shape[-2]
+    a2, dist2 = projection_with_distances(t, psi, batch, mu)
+    c = mu * (d - np.einsum("...lk,...lk->...k", x, psi))
+    beta = gamma(filter_len + 2) * mu * (
+        np.abs(d) + np.einsum("...lk,...lk->...k", np.abs(x), np.abs(psi)))
+    bound = distance_bound(t, psi, psi, x, c, beta)
+    ref = psi + c[..., None, :] * x
+    want = oracle_dist2(t, psi, ref)
+    assert np.all(np.abs(dist2 - want) <= bound)
+    a2_dense = dense_projection(t, psi, batch, mu)
+    assert np.all(np.abs(a2 - a2_dense) <= a2_bound(t, a2_dense, want, bound))
+
     a2, z_new = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, tau)
     a2_dense, z_dense = dense_relative_variance(
         t, psi, w_prev, dense_of_edges(t, zeta2, 3.0), tau)
+    z_dense = z_dense[(..., *t.edges)]
     assert z_new.shape == zeta2.shape
-    assert np.array_equal(a2, a2_dense)
-    assert np.array_equal(z_new, z_dense[(..., *t.edges)])
+    zero = np.zeros(d.shape)
+    tau_k = tau[t.edges[1]]
+    z_bound = ((1 + U) * tau_k * distance_bound(t, psi, w_prev, x, zero, zero)
+               + gamma(3) * (np.abs(z_new) + np.abs(z_dense)))
+    assert np.all(np.abs(z_new - z_dense) <= z_bound)
+    assert np.all(np.abs(a2 - a2_dense)
+                  <= a2_bound(t, a2_dense, z_dense, z_bound))
+
+
+def random_edge_inputs(t, seed, filter_len, batch_shape, spread=1.0,
+                       offset=0.0):
+    """Inputs of both refresh rules: estimates psi and w_prev of every
+    agent at offset plus spread times a standard normal draw, a batch
+    whose references fit offset to spread, step-sizes, forgetting
+    factors and smoothed distances."""
+    rng = np.random.default_rng(seed)
+    n = t.n_agents
+    psi, w_prev = offset + spread * agent_major(
+        rng.standard_normal((2,) + batch_shape + (n, filter_len)))
+    x = agent_major(rng.standard_normal(batch_shape + (n, filter_len)))
+    d = (x * offset).sum(-2) + spread * rng.standard_normal(batch_shape + (n,))
+    batch = batch_of(x, d, rng.standard_normal((n, filter_len)).T)
+    mu, tau = rng.uniform(0.01, 0.5, n), rng.uniform(0.05, 0.95, n)
+    zeta2 = spread ** 2 * rng.uniform(0.1, 2.0, batch_shape + t.edges[0].shape)
+    return psi, w_prev, batch, mu, tau, zeta2
 
 
 class TestEdgeRefreshMatchesDenseOracle:
+    """The rules read each squared distance D from a_l to b_k + c_k x_k
+    out of inner products, ||a_l||^2 + ||b_k + c_k x_k||^2 - 2 a_l'(b_k +
+    c_k x_k) (projection: a = b = psi and c_k = mu_k eps_k, expanded
+    over G = psi'psi and X = psi'x; relative variance: a = psi,
+    b = w_prev and c = 0), while the oracles square differences.
+    Neither is exact, so each edge is held to a bound derived from the
+    dot-product error bound: a length-n dot product computed in any
+    order is off by at most gamma_n |a|'|b| (Higham 2002, section 3.1),
+    and (1 + theta_i)(1 + theta_j) = 1 + theta_{i+j}.
+
+    * The Gram form, given c.  With m = |a_l| + |b_k| + |c_k||x_k|
+      entrywise and M = ||m||^2, every product it adds (G_ll, G_kk,
+      G_lk, c^2 ||x||^2, c X_lk, c X_kk) is bounded by its share of M,
+      and each passes through at most L + 4 roundings: D_rule is off by
+      at most gamma_{L+4} M.  On a projection self-edge the G and X
+      terms are the same numbers and cancel exactly, leaving
+      gamma_{L+4} c^2 ||x||^2.
+    * The oracle, given c.  It rounds each difference entry at most
+      three times (c x, + psi, -), so its computed t_i = v_i + err_i
+      with |err_i| <= gamma_3 m_i, and |t_i^2 - v_i^2| <= gamma_3 m_i
+      (2 |t_i| + 3 gamma_3 m_i); squaring and summing add
+      gamma_L sum t_i^2.
+    * c itself.  Both sides compute c_k = mu_k (d_k - x_k'psi_k) by a
+      dot product in their own order, each within beta_k = gamma_{L+2}
+      mu_k (|d_k| + |x_k|'|psi_k|) of exact.  D(c) = ||v - c x_k||^2
+      with v = psi_l - psi_k, so two values of c within 2 beta_k of each
+      other move D by at most 4 beta_k (|x_k|'|v| + C_k ||x_k||^2), with
+      C_k = |c_k| + 2 beta_k bounding every value of |c_k| involved
+      (it also stands for |c_k| in m); |v| <= |fl(v)| / (1 - u).
+
+    |D_rule - D_oracle| is at most the sum of the three.  The
+    relative-variance rule has c = 0, beta = 0 and fewer roundings, so
+    the same bound holds.  Its zeta2 update
+    (1 - tau) zeta2 + tau D is the same arithmetic on both sides, so it
+    adds (1 + u) tau |dD| plus one rounding of tau D and of the sum on
+    each side: at most gamma_3 (|zeta2_rule| + |zeta2_oracle|).
+
+    A2.  A distance within bound B of the oracle's D moves the floored
+    max(D, floor) by at most B too, since the floor is 1-Lipschitz, so
+    its inverse weight by a factor within r = rho / (1 - rho), rho =
+    B / max(D, floor) < 1.  Column normalisation turns weights off by
+    r_l into entries off by (r_l + r_max) / (1 - r_max) relatively,
+    r_max the column's largest, and the inverse, the column sum and
+    the division round at most N + 2 times on each side.
+
+    The bounds follow from the arithmetic alone, not from observed
+    deviations, and tighten relative to D as neighbours separate.
+    """
+
     @pytest.mark.parametrize("name", ["net1", "net2"])
     @pytest.mark.parametrize("batch_shape", [(), (3,)])
     def test_presets(self, name, batch_shape):
-        assert_edge_rules_match_dense(build_preset(name), 11, 50, batch_shape)
+        t = build_preset(name)
+        assert_edge_rules_match_dense(
+            t, *random_edge_inputs(t, 11, 50, batch_shape))
+
+    @pytest.mark.parametrize("filter_len", [2, 50])
+    def test_neighbors_agree_closely(self, filter_len):
+        # every estimate within about 1e-6 per tap of one point of norm
+        # 10: the Gram form subtracts terms near 100 to leave D near
+        # 2e-12 L
+        t = build_preset("net1")
+        offset = np.full((filter_len, 1), 10 / np.sqrt(filter_len))
+        psi, *rest = random_edge_inputs(t, 5, filter_len, (3,), spread=1e-6,
+                                        offset=offset)
+        assert np.allclose(np.linalg.norm(psi, axis=-2), 10, rtol=1e-5)
+        assert_edge_rules_match_dense(t, psi, *rest)
 
     @settings(deadline=None, max_examples=60)
     @given(t=topologies(), seed=st.integers(0, 2**31 - 1),
            filter_len=st.integers(1, 4), batch_shape=st.sampled_from([(), (3,)]))
     def test_sparse_topologies(self, t, seed, filter_len, batch_shape):
-        assert_edge_rules_match_dense(t, seed, filter_len, batch_shape)
+        assert_edge_rules_match_dense(
+            t, *random_edge_inputs(t, seed, filter_len, batch_shape))
+
+    def test_projection_self_edge_at_zero_step_is_floored(self):
+        # at mu = 0 the self-edge is ||psi_k||^2 + ||psi_k||^2 - 2 G_kk
+        # from one diag(G): exactly zero however large psi_k, then floored
+        t = build_preset("net1")
+        psi, _, batch, *_ = random_edge_inputs(t, 3, 50, (3,), offset=1e3)
+        a2, dist2 = projection_with_distances(t, psi, batch, np.zeros(10))
+        src, dst = t.edges
+        assert np.all(dist2[..., src == dst] == 0.0)
+        others = dense_of_edges(t, np.where(src == dst, np.inf, dist2), np.inf)
+        share = 1.0 / (1.0 + DISTANCE_FLOOR * (1.0 / others).sum(axis=-2))
+        np.testing.assert_allclose(np.diagonal(a2, axis1=-2, axis2=-1),
+                                   share, rtol=1e-14)
+
+
+class TestEdgeRefreshBatchIndependence:
+    # worker-count identity rests on each run's refresh being computed
+    # alone; the L = 50 chunks never group, so only this test sees a
+    # batch-dependent kernel there
+    @pytest.mark.parametrize("filter_len", [2, 50])
+    @pytest.mark.parametrize("runs", [3, 25])
+    def test_each_run_alone(self, filter_len, runs):
+        t = build_preset("net1")
+        psi, w_prev, batch, mu, tau, zeta2 = random_edge_inputs(
+            t, 7, filter_len, (runs,))
+        a2 = adapt_matrix_projection(t, psi, batch, mu)
+        a2_rv, z_rv = adapt_matrix_relative_variance(t, psi, w_prev, zeta2, tau)
+        for r in range(runs):
+            alone = SampleBatch(*(getattr(batch, f)[r] for f in (
+                "regressors", "references", "noises")), targets=batch.targets)
+            assert np.array_equal(
+                adapt_matrix_projection(t, psi[r], alone, mu), a2[r])
+            a2_r, z_r = adapt_matrix_relative_variance(
+                t, psi[r], w_prev[r], zeta2[r], tau)
+            assert np.array_equal(a2_r, a2_rv[r])
+            assert np.array_equal(z_r, z_rv[r])
 
 
 class TestAdaptiveModesInsideStep:
