@@ -66,20 +66,22 @@ def machine() -> dict:
             "cpu": cpu or platform.processor()}
 
 
-def git(checkout, *args) -> str:
-    return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                          text=True).stdout.strip()
+def git(checkout, *args) -> bytes:
+    """The raw standard output of a git command in a checkout."""
+    return subprocess.run(["git", *args], cwd=checkout,
+                          capture_output=True).stdout
 
 
 def source(checkout) -> dict:
     """The commit of a checkout and, if src/ differs from it, the SHA-256
-    of that difference; after committing, ``git diff PARENT COMMIT --
-    src | sha256sum`` gives the same digest."""
-    out = {"commit": git(checkout, "rev-parse", "HEAD") or "unknown"}
+    of the raw bytes of that difference, trailing blank context lines
+    included; after committing, ``git diff PARENT COMMIT -- src |
+    sha256sum`` gives the same digest."""
+    commit = git(checkout, "rev-parse", "HEAD").decode().strip()
+    out = {"commit": commit or "unknown"}
     diff = git(checkout, "diff", "HEAD", "--", "src")
     if diff:
-        out["src_diff_sha256"] = hashlib.sha256(
-            (diff + "\n").encode()).hexdigest()
+        out["src_diff_sha256"] = hashlib.sha256(diff).hexdigest()
     return out
 
 

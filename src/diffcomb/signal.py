@@ -239,10 +239,11 @@ class ChunkedSampler:
         sx = np.array([p.sigma_x2 for p in params])
         self._ar = ar = np.array([p.regressor_kind == "ar1" for p in params])
         # per grid cell: taps scale by sqrt(sigma_x2), an AR(1) innovation
-        # by sqrt(0.75 sigma_x2), a noise by sqrt(sigma_z2)
+        # by sqrt((1 - AR1_COEFF^2) sigma_x2), which keeps the stationary
+        # variance sigma_x2, a noise by sqrt(sigma_z2)
         self._scale = np.sqrt(np.vstack([np.broadcast_to(sx, (L, n)),
                                          [p.sigma_z2 for p in params]]))
-        self._scale[0, ar] = np.sqrt(0.75 * sx[ar])
+        self._scale[0, ar] = np.sqrt((1.0 - AR1_COEFF ** 2) * sx[ar])
         self._drawn = np.flatnonzero(np.vstack([np.ones(n, bool), ~np.broadcast_to(
             ar, (L - 1, n)), np.ones(n, bool)]))
         # each AR(1) stream starts from its first normal times sqrt(sigma_x2)

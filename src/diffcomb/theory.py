@@ -14,10 +14,9 @@ In Q's coordinates each NL x NL recursion falls apart into one per
 direction d of Q, over the N agents with the variances lambda_kd, and
 directions with equal variance profiles merge, c columns of Q each.
 So every model matrix is stored as D direction factors F_d of size
-N m, over factor blocks of size m, acting as F_d kron I_c on their own
-columns: white covariances (sigma_k^2 I_L) give one N x N factor with
-c = L, AR(1) covariances at L = 2 two N x N factors, and covariances
-without a common eigenbasis one NL x NL factor (m = L, D = c = 1).
+N x N, acting as F_d kron I_c on their own columns: white covariances
+(sigma_k^2 I_L) give one factor with c = L, AR(1) covariances at L = 2
+two.  Covariances without a common eigenbasis are refused.
 
 The pair's moments share that structure and are carried stacked.  The
 means m, of shape (2, NL), hold the mean estimates E{w1}, E{w2} in the
@@ -25,17 +24,16 @@ agents' coordinates and step, in direction coordinates
 (_to_directions), as m_i' = b_i m_i + drive_i w_opt: the data enter
 through E{x d} = R w_opt alone, so only the drive and the readouts, of
 the mean errors m_i - w_opt, read the target.  The errors' centered
-(cross-)covariance factors p, of shape (3, D, N m, N m), in the block
+(cross-)covariance factors p, of shape (3, D, N, N), in the block
 order (p11, p22, p12), step as p' = left p right^T + g with left =
 (b1, b2, b1), right = (b1, b2, b2) and g = (f1^T q f1, f2^T q f2,
 f1^T q f2), direction by direction: D is one more batch axis of every
 factor step, readout and steady solve.  build_component_model builds
 one PairModel per experiment; another target is the same model with
-another w_star.  So white and AR(1) theory never form an NL x NL
-array, and transient and steady state run one code path for every
-regressor kind.  Steady factors solve that Stein equation, all blocks
-and directions in one call, by squared Smith doubling at
-O(D N_f^3 log t) for factors of size N_f.
+another w_star.  So the theory never forms an NL x NL array, and
+transient and steady state run one code path for every regressor
+kind.  Steady factors solve that Stein equation, all blocks and
+directions in one call, by squared Smith doubling at O(D N^3 log t).
 
 The mixing coefficient follows one law per two-component scheme, looked
 up by scheme name.  Over a block of instants, the smoothed power, the
@@ -90,23 +88,22 @@ class InstabilityError(RuntimeError):
 class PairModel:
     """Stacked moment description of two strategies observing the same data.
 
-    b and drive, of shape (2, D, N m, N m), stack the components' mean
+    b and drive, of shape (2, D, N, N), stack the components' mean
     transitions and the factors of A2^T U H_c, where block (k, l) of
     H_c is c_lk R_l, per direction: component i's mean estimate steps
     as b_i m + drive_i w_star in direction coordinates.  left, right
-    and g, of shape (3, D, N m, N m), are the transitions and
+    and g, of shape (3, D, N, N), are the transitions and
     gradient-noise moments of the centered factors in the block order
     (p11, p22, p12); the two auto moments of g are exactly symmetric.
-    weights, of shape (2, D, N, m, m), holds the per-agent readout
-    blocks of each direction: the identity (row 0) gives deviations,
-    the covariance block (row 1) excess errors, with
-    Q^T rx[k] Q = diag_d(weights[1, d, k] kron I_c).  basis is that
-    orthonormal Q, columns grouped by direction, or None where it is
-    the identity.  c and mu stack the components' C matrices and
-    step-sizes; rx, sigma_z2 and the flattened w_star are the data both
-    components share, in the agents' coordinates.  Only the drive and
-    the readouts read w_star, so one model serves every stage through
-    dataclasses.replace(pair, w_star=...).
+    weights, of shape (2, D, N), holds the per-agent readout weights
+    of each direction: ones (row 0) give deviations, the variances
+    (row 1) excess errors, with Q^T rx[k] Q = diag_d(weights[1, d, k]
+    I_c).  basis is that orthonormal Q, columns grouped by direction,
+    or None where it is the identity.  c and mu stack the components'
+    C matrices and step-sizes; rx, sigma_z2 and the flattened w_star
+    are the data both components share, in the agents' coordinates.
+    Only the drive and the readouts read w_star, so one model serves
+    every stage through dataclasses.replace(pair, w_star=...).
     """
 
     n_agents: int
@@ -140,7 +137,7 @@ class MomentState:
     m, of shape (2, NL), stacks the mean estimates E{w1} and E{w2} in
     the agents' coordinates; no target is part of the state, so it
     carries over a stage boundary as it is.  p, of shape
-    (3, D, N m, N m), stacks the centered covariance factors of each
+    (3, D, N, N), stacks the centered covariance factors of each
     direction in the block order (p11, p22, p12): against a target
     w_star, E{v_i v_j^T} = (I_N kron Q) diag_d(p_ij,d kron I_c)
     (I_N kron Q)^T + (m_i - w_star)(m_j - w_star)^T, with Q the model's
@@ -220,7 +217,7 @@ class SteadyReport:
     """Closed-form steady state of the combined pair.
 
     m stacks the fixed mean estimates (E{w1}, E{w2}) and p the centered
-    covariance factors (p11, p22, p12) per direction, (3, D, N m, N m),
+    covariance factors (p11, p22, p12) per direction, (3, D, N, N),
     in the layout of MomentState; bias, of shape (NL,), is the combined
     mean error at the stationary gbar, in the agents' coordinates.
     emse, of shape (3, N), holds the per-agent excess errors and msd, of
@@ -241,69 +238,48 @@ class SteadyReport:
     bounds: StabilityReport
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """(..., N, m, m) blocks along the diagonal of (..., N m, N m)."""
-    *lead, n, l, _ = blocks.shape
-    out = np.zeros((*lead, n, l, n, l))
-    idx = np.arange(n)
-    out[..., idx, :, idx, :] = np.moveaxis(blocks, -3, 0)
-    return out.reshape(*lead, n * l, n * l)
-
-
-def _diagonal_blocks(p: np.ndarray, n: int) -> np.ndarray:
-    """A view of each agent's diagonal block of p: (..., N, m, m)."""
-    k = p.shape[-1] // n
-    return np.einsum("...kikj->...kij", p.reshape(*p.shape[:-2], n, k, n, k))
-
-
 def _to_directions(pair: PairModel, x: np.ndarray) -> np.ndarray:
     """Vectors of R^{NL}, (..., NL), in direction coordinates: the
-    basis coordinates of each agent's slice, (..., D, N m, c)."""
-    d, k = pair.b.shape[-3:-1]
+    basis coordinates of each agent's slice, (..., D, N, c)."""
     x = x.reshape(*x.shape[:-1], pair.n_agents, pair.filter_len)
     if pair.basis is not None:
         x = x @ pair.basis
-    x = x.reshape(*x.shape[:-1], d, -1).swapaxes(-3, -2)
-    return x.reshape(*x.shape[:-2], k, -1)
+    return x.reshape(*x.shape[:-1], pair.b.shape[-3], -1).swapaxes(-3, -2)
 
 
 def _from_directions(pair: PairModel, y: np.ndarray) -> np.ndarray:
-    """The inverse of _to_directions: (..., D, N m, c) to (..., NL)."""
+    """The inverse of _to_directions: (..., D, N, c) to (..., NL)."""
     n, l = pair.n_agents, pair.filter_len
-    x = y.reshape(*y.shape[:-2], n, -1).swapaxes(-3, -2)
-    x = x.reshape(*x.shape[:-3], n, l)
+    x = y.swapaxes(-3, -2).reshape(*y.shape[:-3], n, l)
     if pair.basis is not None:
         x = x @ pair.basis.T
     return x.reshape(*x.shape[:-2], n * l)
 
 
-def _readouts(weights: np.ndarray, m: np.ndarray, blocks: np.ndarray):
-    """Per-agent tr((W_k kron I) Om_kk) of five moments Om = p kron I + a b^T.
+def _readouts(weights: np.ndarray, m: np.ndarray, diagonals: np.ndarray):
+    """Per-agent tr(W_k Om_kk) of five moments Om = p kron I + a b^T.
 
-    weights[w, d, k] is an m x m block W_dk acting as W_dk kron I_c on
-    direction d of agent k, whose diagonal block of p, blocks (from
-    _diagonal_blocks), holds; the readout sums the directions.  The
-    moments are component 1 (m1, m1, p11), component 2 (m2, m2, p22),
-    the cross moment (m1, m2, p12), and the drivers j1 - j12 from (m1,
-    m1 - m2, p11 - p12) and j2 - j12 from (m2, m2 - m1, p22 - p12):
-    read directly, the drivers never cancel two nearly equal excess
-    errors.  m holds mean errors, the mean estimates less the target,
-    in direction coordinates (_to_directions).  Any leading (time) axes
-    of m and blocks lead the result, (..., 5, len(weights), N).
+    weights[w, d, k] is the weight W_dk of direction d at agent k, and
+    diagonals holds those of the three factors p, (..., 3, D, N); the
+    readout sums the directions.  The moments are component 1 (m1, m1,
+    p11), component 2 (m2, m2, p22), the cross moment (m1, m2, p12),
+    and the drivers j1 - j12 from (m1, m1 - m2, p11 - p12) and
+    j2 - j12 from (m2, m2 - m1, p22 - p12): read directly, the drivers
+    never cancel two nearly equal excess errors.  m holds mean errors,
+    the mean estimates less the target, in direction coordinates
+    (_to_directions).  Any leading (time) axes of m and diagonals lead
+    the result, (..., 5, len(weights), N).
     """
-    d, n, k = blocks.shape[-4], blocks.shape[-3], blocks.shape[-1]
-    shape = (*m.shape[:-4], 5, d, n, k, m.shape[-1])
     m1, m2 = m[..., 0, :, :, :], m[..., 1, :, :, :]
     diff = m1 - m2
-    left = np.stack((m1, m2, m1, m1, m2), axis=-4).reshape(shape)
-    right = np.stack((m1, m2, m2, diff, -diff), axis=-4).reshape(shape)
-    # agent k's diagonal block of Om in direction d, folded over the
-    # direction's c columns: c times p_kk, plus the mean part
-    # sum_t a_t b_t^T
-    drivers = blocks[..., :2, :, :, :, :] - blocks[..., 2:, :, :, :, :]
-    om = shape[-1] * np.concatenate((blocks, drivers), axis=-5)
-    om += np.einsum("...dkjt,...dkit->...dkji", left, right)
-    return np.einsum("wdkij,...sdkji->...swk", weights, om)
+    left = np.stack((m1, m2, m1, m1, m2), axis=-4)
+    right = np.stack((m1, m2, m2, diff, -diff), axis=-4)
+    # agent k's trace of Om in direction d, over the direction's c
+    # columns: c times p_kk, plus the mean part sum_t a_t b_t
+    drivers = diagonals[..., :2, :, :] - diagonals[..., 2:, :, :]
+    om = m.shape[-1] * np.concatenate((diagonals, drivers), axis=-3)
+    om += np.einsum("...dkt,...dkt->...dk", left, right)
+    return np.einsum("wdk,...sdk->...swk", weights, om)
 
 
 def build_component_model(topology: Topology, components, rx, sigma_z2,
@@ -313,12 +289,12 @@ def build_component_model(topology: Topology, components, rx, sigma_z2,
     components holds both strategies' configurations.  rx holds the
     per-agent regressor covariances with shape (N, L, L), sigma_z2 the
     per-agent noise variances, w_star the stationary targets with shape
-    (N, L); both components observe these data.  The factors are split
-    by the directions of the basis in which every rx[k] is diagonal
-    (_directions): white covariances give one N x N factor, AR(1) ones
-    at L = 2 two, and covariances with no common eigenbasis one
-    NL x NL factor.  Raises for adaptive fusion modes, which the
-    predictor does not cover.
+    (N, L); both components observe these data.  The factors are N x N,
+    one per direction of the basis in which every rx[k] is diagonal
+    (_directions): white covariances give one, AR(1) ones at L = 2 two.
+    Raises for adaptive fusion modes, which the predictor does not
+    cover, and for covariances with no common eigenbasis, before any
+    factor is built.
     """
     if len(components) != 2:
         raise ValueError("the moment predictor covers two components")
@@ -339,23 +315,36 @@ def build_component_model(topology: Topology, components, rx, sigma_z2,
     if np.any(sigma_z2 < 0):
         raise ValueError("noise variances must be nonnegative")
     w = np.asarray(w_star, dtype=float).reshape(n, rx.shape[-1])
-    return _build_model(components, rx, sigma_z2, w, *_directions(rx))
+    lam, basis = _directions(rx)
+
+    b, drive, f = (np.stack(x) for x in zip(*(_component(cfg, lam)
+                                             for cfg in components)))
+    q = (sigma_z2 * lam)[:, :, None] * np.eye(n)
+    g = np.stack([f[i].T @ q @ f[j] for i, j in ((0, 0), (1, 1), (0, 1))])
+    g[:2] = 0.5 * (g[:2] + g[:2].swapaxes(-1, -2))
+    return PairModel(
+        n_agents=n, filter_len=w.shape[1], b=b, drive=drive,
+        left=b[[0, 1, 0]], right=b[[0, 1, 1]], g=g,
+        weights=np.stack([np.ones_like(lam), lam]),
+        c=np.array([cfg.c.entries for cfg in components], dtype=float),
+        mu=np.array([cfg.mu for cfg in components], dtype=float),
+        rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1), basis=basis)
 
 
 def _directions(rx: np.ndarray):
-    """The per-direction covariance blocks of rx, (D, N, m, m), and the
-    orthonormal basis Q they live in (None: the agents' own coordinates).
+    """The per-agent variances lam of rx along each direction, (D, N),
+    and the orthonormal basis Q of the directions (None: the agents' own
+    coordinates), with Q^T rx[k] Q = diag_d(lam[d, k] I_c).
 
     Symmetric matrices that commute share an eigenbasis (Horn and
     Johnson, Matrix Analysis, on commuting families).  Diagonal
     covariances take Q = I exactly; otherwise Q comes from eigh of a
     combination of them with unrelated weights sqrt(k + 2), whose
     eigenvalues are then simple wherever the spectra allow, and is kept
-    if it leaves every rx[k] diagonal to 1e-12 of its largest entry.
-    Each direction then has m = 1 and its own per-agent variances;
-    directions with exactly equal variance profiles merge, c columns
-    of Q to a direction.  With no such Q, one direction of blocks of
-    size m = L is the whole of rx.
+    if it leaves every rx[k] diagonal to 1e-12 of its largest entry;
+    covariances it does not diagonalize are refused.  Directions with
+    exactly equal variance profiles merge, c columns of Q to a
+    direction.
     """
     n, l = rx.shape[:2]
     eye = np.eye(l)
@@ -368,55 +357,30 @@ def _directions(rx: np.ndarray):
         lam = np.einsum("kii->ki", turned)
         scale = np.max(np.abs(rx), axis=(1, 2))[:, None, None]
         if np.any(np.abs(turned - lam[:, :, None] * eye) > 1e-12 * scale):
-            return rx[None], None
+            raise ValueError("the moment predictor needs regressor "
+                             "covariances with a common eigenbasis")
     same = np.all(lam[:, :, None] == lam[:, None, :], axis=0)
     c = int(np.gcd.reduce(same.sum(axis=0)))
     order = np.argsort(same.argmax(axis=0), kind="stable") if c > 1 \
         else np.arange(l)
     if np.any(order != np.arange(l)):
         basis = (eye if basis is None else basis)[:, order]
-    return lam[:, order[::c]].T[:, :, None, None], basis
+    return lam[:, order[::c]].T, basis
 
 
-def _build_model(components, rx: np.ndarray, sigma_z2: np.ndarray,
-                 w: np.ndarray, blocks: np.ndarray,
-                 basis: np.ndarray | None = None) -> PairModel:
-    """Pair model over the direction factors of blocks, shape (D, N, m, m).
-
-    Needs rx[k] = Q diag_d(blocks[d, k] kron I_c) Q^T for every agent,
-    Q = basis (the identity if None) and c = L / (D m): blocks =
-    rx[None] always qualifies, a single direction of NL x NL factors.
-    """
-    b, drive, f = (np.stack(x) for x in zip(*(_component(cfg, blocks)
-                                             for cfg in components)))
-    q = _block_diag(sigma_z2[:, None, None] * blocks)
-    g = np.stack([f[i].T @ q @ f[j] for i, j in ((0, 0), (1, 1), (0, 1))])
-    g[:2] = 0.5 * (g[:2] + g[:2].swapaxes(-1, -2))
-    weights = np.stack([np.broadcast_to(np.eye(blocks.shape[-1]),
-                                        blocks.shape), blocks])
-    return PairModel(
-        n_agents=len(w), filter_len=w.shape[1], b=b, drive=drive,
-        left=b[[0, 1, 0]], right=b[[0, 1, 1]], g=g, weights=weights,
-        c=np.array([cfg.c.entries for cfg in components], dtype=float),
-        mu=np.array([cfg.mu for cfg in components], dtype=float),
-        rx=rx, sigma_z2=sigma_z2, w_star=w.reshape(-1), basis=basis)
-
-
-def _component(cfg: StrategyConfig, blocks: np.ndarray):
-    """One component's (bbar, drive) per direction, (D, N m, N m), and
-    its gradient-noise fusion f, (N m, N m), over covariance blocks."""
-    d, n, m = blocks.shape[:3]
-    eye_m, eye = np.eye(m), np.eye(n * m)
+def _component(cfg: StrategyConfig, lam: np.ndarray):
+    """One component's (bbar, drive) per direction, (D, N, N), and its
+    gradient-noise fusion f, (N, N), over the variances lam, (D, N)."""
+    eye = np.eye(lam.shape[1])
     c = np.array(cfg.c.entries, dtype=float)
-    a1x = np.kron(np.array(cfg.a1.entries, dtype=float), eye_m)
-    a2x = np.kron(np.array(cfg.a2.entries, dtype=float), eye_m)
-    u = np.kron(np.diag(np.array(cfg.mu, dtype=float)), eye_m)
+    a1 = np.array(cfg.a1.entries, dtype=float)
+    a2 = np.array(cfg.a2.entries, dtype=float)
+    u = np.diag(np.array(cfg.mu, dtype=float))
 
-    hbar = _block_diag(np.einsum("lk,dlij->dkij", c, blocks))
-    bbar = a2x.T @ (eye - u @ hbar) @ a1x.T
+    hbar = np.einsum("lk,dl->dk", c, lam)[:, :, None] * eye
+    bbar = a2.T @ (eye - u @ hbar) @ a1.T
     # the data enter through E{x_l d_l} = R_l w_l, weighed by c_lk at k
-    h_c = np.einsum("lk,dlij->dkilj", c, blocks).reshape(d, n * m, n * m)
-    return bbar, a2x.T @ u @ h_c, np.kron(c, eye_m) @ u @ a2x
+    return bbar, a2.T @ u @ (c.T * lam[:, None, :]), c @ u @ a2
 
 
 def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
@@ -597,7 +561,7 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     the coefficient, so the states 0..n-1 go in blocks of _BLOCK instants
     and three passes: the moments pass fills the means by doubling
     (_mean_maps; they agree with a mean_step loop to rounding), steps p
-    and keeps each agent's diagonal blocks, one readout covers the block,
+    and keeps the factors' diagonals, one readout covers the block,
     and the coefficient pass forms the law's time-only terms over the
     block, then scans (gbar, g2bar) across it (_coefficients).  The
     means run in direction coordinates (_to_directions), and the final
@@ -605,7 +569,7 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
 
     Within one call covariance_step reads p alone, so once a block's last
     step returns its input bit for bit (a non-finite p never does), later
-    blocks read their diagonal blocks from that p without stepping it.
+    blocks read their diagonals from that p without stepping it.
     """
     m, p, pbar = _to_directions(pair, state.m), state.p, state.pbar
     w = _to_directions(pair, pair.w_star)
@@ -617,7 +581,7 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
                        _BLOCK_FLOATS // (m.size + 3 * pair.weights[0].size)))
     maps = _mean_maps(pair, width)
     means = np.empty((width + 1,) + m.shape)
-    blocks = np.empty((width, 3) + pair.weights.shape[1:])
+    diagonals = np.empty((width, 3) + pair.weights.shape[1:])
     degenerate, settled = 0, False
 
     for t0 in range(0, n_steps, width):
@@ -629,21 +593,21 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
             rows += drift
         m = means[t1 - t0].copy()
         if settled:
-            blocks[:] = _diagonal_blocks(p, n)
+            diagonals[:] = np.diagonal(p, axis1=-2, axis2=-1)
         else:
             for r in range(t1 - t0):
-                blocks[r] = _diagonal_blocks(p, n)
+                diagonals[r] = np.diagonal(p, axis1=-2, axis2=-1)
                 last, p = p, covariance_step(pair, p)
             settled = np.array_equal(last, p)
         readouts = _readouts(pair.weights, means[:t1 - t0] - w,
-                             blocks[:t1 - t0])
+                             diagonals[:t1 - t0])
         record[t0:t1] = readouts[:, :3]
         _, j2, _, dj1, dj2 = readouts[:, :, 1].transpose(1, 0, 2)
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
         coefficients[t0 + 1:t1 + 1], pbar = _coefficients(
             cfg, *coefficients[t0], pbar, dj1, dj2, j2, pair.sigma_z2)
     record[n_steps] = _readouts(pair.weights, m - w,
-                                _diagonal_blocks(p, n))[:3]
+                                np.diagonal(p, axis1=-2, axis2=-1))[:3]
 
     return TheoryTrajectory(record, coefficients, MomentState(
         _from_directions(pair, m), p, *coefficients[n_steps].copy(), pbar),
@@ -704,7 +668,7 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
     p[:2] = 0.5 * (p[:2] + p[:2].swapaxes(-1, -2))
 
     readouts = _readouts(pair.weights, _to_directions(pair, errors),
-                         _diagonal_blocks(p, pair.n_agents))
+                         np.diagonal(p, axis1=-2, axis2=-1))
     emse, (dj1, dj2) = readouts[:3, 1], readouts[3:, 1]
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[1],
                                            pair.sigma_z2)

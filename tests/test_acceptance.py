@@ -117,7 +117,7 @@ def test_mixing_coefficient_moments_match_predictions(pn_bundle, sr_bundle):
 def test_moment_recursions_consistent_across_formulations():
     """Matrix covariance recursions agree with the vectorized weighted-norm
     route over 100 steps, and the steady solves with long iteration."""
-    pair, drift = test_theory.random_pair_drift(41, n=3, l=1)
+    pair, dense = test_theory.random_pair_dense(41, n=3, l=1)
     rng = np.random.default_rng(541)
     dim = pair.w_star.size
     a = rng.normal(size=(dim, dim))
@@ -136,10 +136,10 @@ def test_moment_recursions_consistent_across_formulations():
         p = covariance_step(pair, p)
         m = mean_step(pair, m)
     for k in range(2):
-        xi_vec = test_theory.weighted_norm_curve(pair, drift, k, sigma, steps)
+        xi_vec = test_theory.weighted_norm_curve(dense, k, sigma, steps)
         np.testing.assert_allclose(xi_mat[k], xi_vec, rtol=1e-10,
                                    atol=1e-12 * np.max(np.abs(xi_vec)))
-    xi_vec = test_theory.cross_norm_curve(pair, drift, sigma, steps)
+    xi_vec = test_theory.cross_norm_curve(dense, sigma, steps)
     np.testing.assert_allclose(xi_mat[2], xi_vec, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(xi_vec)))
 

@@ -48,10 +48,11 @@ from diffcomb.signal import (
     regressor_covariance,
 )
 from helpers import (
+    PAIRS,
     advance,
     assert_same_series,
-    coefficient_step,
-    error_drift,
+    dense_model,
+    raw_moment_run,
     stack,
     strategy,
 )
@@ -110,83 +111,54 @@ def small_config(scheme="power_normalized", nu=0.01, mu=0.05, horizon=40,
 
 
 def raw_moment_series(cfg):
-    """run_theory's series for a power-normalized pair, recomputed with the
-    uncentered recursion on raw NL x NL second moments:
-    Om+ = B Om B^T - B m r^T - r m^T B^T + r r^T + G kron I with the
-    reference drift r of the mean errors m (error_drift), and at a stage
+    """run_theory's series for a power-normalized pair, recomputed stage by
+    stage with the uncentered recursion on raw NL x NL second moments
+    (helpers.raw_moment_run over helpers.dense_model), and at a stage
     boundary Om + m d^T + d m^T + d d^T for the target shift d."""
     n = cfg.n_agents
     rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
     sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
-    l = rx.shape[-1]
-    pairs = ((0, 0), (1, 1), (0, 1))
-
-    def per_agent(om, weights):
-        return np.einsum("kikj,kji->k", om.reshape(n, l, n, l), weights)
-
-    rows = {name: [] for name in ("msd1", "msd2", "cross", "combined",
-                                  "emse1", "emse2", "emse12",
-                                  "emse_combined", "gbar", "g2bar")}
-    gbar, g2bar, pbar = np.full(n, 0.5), np.full(n, 0.25), np.zeros(n)
+    coefficients = (np.full(n, 0.5), np.full(n, 0.25), np.zeros(n))
+    before, after, rows_before, rows_after = [], [], [], []
     m = om = prev = None
     stages = cfg.schedule.stages
     for i, (start, target) in enumerate(stages):
         end = stages[i + 1][0] if i + 1 < len(stages) else cfg.horizon
-        # the dense model: one direction of NL x NL factors; the mean
-        # errors drift by the reference drift, not the model's drive
-        model = theory._build_model(cfg.components, rx, sigma_z2, target,
-                                    rx[None])
-        b, r = model.b[:, 0], error_drift(cfg.components, rx, target)
-        g = dict(zip(pairs, model.g[:, 0]))
-        w = target.reshape(-1)
+        model = dense_model(cfg.components, rx, sigma_z2, target)
+        w = model.w_star
         if prev is None:
-            m = [-w, -w]
-            om = {pair: np.outer(w, w) for pair in pairs}
+            m, om = np.stack((-w, -w)), np.stack([np.outer(w, w)] * 3)
         else:
             d = prev - w
-            om = {(a, c): om[a, c] + np.outer(m[a], d) + np.outer(d, m[c])
-                  + np.outer(d, d) for a, c in pairs}
-            m = [m[0] + d, m[1] + d]
+            om = np.array([om[k] + np.outer(m[a], d) + np.outer(d, m[c])
+                           + np.outer(d, d) for k, (a, c) in enumerate(PAIRS)])
+            m = m + d
         prev = w
-        for _ in range(start, end):
-            j1, j2, j12 = (per_agent(om[pair], rx) for pair in pairs)
-            dj1, dj2 = j1 - j12, j2 - j12
-            gbar_next, g2bar_next, pbar = coefficient_step(
-                cfg.combiner, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2)
-            rows["emse1"].append(j1.sum())
-            rows["emse2"].append(j2.sum())
-            rows["emse12"].append(j12.sum())
-            rows["emse_combined"].append(np.sum(
-                g2bar * j1 + (1 - 2 * gbar + g2bar) * j2
-                + 2 * (gbar - g2bar) * j12))
-            gbar, g2bar = gbar_next, g2bar_next
-            bm = [b[0] @ m[0], b[1] @ m[1]]
-            om = {(a, c): b[a] @ om[a, c] @ b[c].T - np.outer(bm[a], r[c])
-                  - np.outer(r[a], bm[c]) + np.outer(r[a], r[c]) + g[a, c]
-                  for a, c in pairs}
-            m = [bm[0] - r[0], bm[1] - r[1]]
-            t1, t2, tx = (per_agent(om[pair], np.tile(np.eye(l), (n, 1, 1)))
-                          for pair in pairs)
-            rows["msd1"].append(t1.mean())
-            rows["msd2"].append(t2.mean())
-            rows["cross"].append(tx.mean())
-            rows["combined"].append(np.mean(
-                g2bar * t1 + (1 - 2 * gbar + g2bar) * t2
-                + 2 * (gbar - g2bar) * tx))
-            rows["gbar"].append(gbar)
-            rows["g2bar"].append(g2bar)
-    series = {"msd_network_1": rows["msd1"], "msd_network_2": rows["msd2"],
-              "msd_combined": rows["combined"], "msd_cross": rows["cross"],
-              "emse_network_1": rows["emse1"],
-              "emse_network_2": rows["emse2"],
-              "emse_network_combined": rows["emse_combined"],
-              "emse_network_cross": rows["emse12"]}
-    gammas = np.array(rows["gbar"])
-    squares = np.array(rows["g2bar"])
+        record, rows, (m, om, coefficients) = raw_moment_run(
+            model, cfg.combiner, end - start, m, om, coefficients)
+        # deviations after each update, excess errors before it
+        before.append(record[:-1, :, 1])
+        after.append(record[1:, :, 0])
+        rows_before.append(rows[:-1])
+        rows_after.append(rows[1:])
+    (j1, j2, j12), (t1, t2, tx) = (np.concatenate(v).transpose(1, 0, 2)
+                                   for v in (before, after))
+    (g_pre, g2_pre), (gammas, squares) = (
+        np.concatenate(v).transpose(1, 0, 2) for v in (rows_before, rows_after))
+    series = {"msd_network_1": t1.mean(-1), "msd_network_2": t2.mean(-1),
+              "msd_combined": np.mean(
+                  squares * t1 + (1 - 2 * gammas + squares) * t2
+                  + 2 * (gammas - squares) * tx, axis=-1),
+              "msd_cross": tx.mean(-1),
+              "emse_network_1": j1.sum(-1), "emse_network_2": j2.sum(-1),
+              "emse_network_combined": np.sum(
+                  g2_pre * j1 + (1 - 2 * g_pre + g2_pre) * j2
+                  + 2 * (g_pre - g2_pre) * j12, axis=-1),
+              "emse_network_cross": j12.sum(-1)}
     for k in range(n):
         series[f"gamma_mean_a{k + 1}"] = gammas[:, k]
         series[f"gamma_sq_a{k + 1}"] = squares[:, k]
-    return {name: np.asarray(values) for name, values in series.items()}
+    return series
 
 
 def multi_config(horizon=30, runs=4):

@@ -1,8 +1,10 @@
 """Tests for the deterministic moment evolution of combined diffusion pairs.
 
 The covariance recursions are checked against an independently coded
-weighted-norm recursion (the vectorized route), against Monte Carlo
-estimates of the gradient-noise moments, and against scalar closed forms.
+weighted-norm recursion (the vectorized route) and the raw NL x NL
+recursion of helpers.raw_moment_run, both over the dense matrices of
+helpers.dense_model, against Monte Carlo estimates of the gradient-noise
+moments, and against scalar closed forms.
 Coefficient-moment updates are checked on hand-computed values and their
 stationary expressions are verified to be fixed points of the iteration.
 The blocked evolve is checked against a per-instant loop kept here as
@@ -38,17 +40,17 @@ from diffcomb.theory import (
     universality_report,
 )
 from diffcomb import harness, theory
-from diffcomb.theory import (
-    _build_model,
-    _diagonal_blocks,
-    _fixed_mean,
-    _readouts,
-)
+from diffcomb.theory import _fixed_mean, _readouts
 from helpers import (
+    PAIRS,
     assert_same_series,
     assert_scaled_close,
     coefficient_step,
+    dense_model,
     error_drift,
+    raw_moment_run,
+    raw_readouts,
+    raw_steady,
     strategy,
 )
 
@@ -76,11 +78,12 @@ def random_stochastic(topology, role, rng):
 
 
 def random_spd_covariances(rng, n, l):
-    rx = np.empty((n, l, l))
-    for k in range(n):
-        m = 0.3 * rng.normal(size=(l, l))
-        rx[k] = 0.5 * (m + m.T) + (1.0 + rng.uniform(0.0, 0.5)) * np.eye(l)
-    return rx
+    """Per-agent covariances R_k = Q diag(lam_k) Q^T with one random
+    orthonormal eigenbasis Q for all agents and variances lam_k drawn
+    per agent and tap."""
+    q = np.linalg.qr(rng.normal(size=(l, l)))[0]
+    rx = np.einsum("ij,kj,lj->kil", q, rng.uniform(0.5, 2.0, size=(n, l)), q)
+    return 0.5 * (rx + rx.transpose(0, 2, 1))
 
 
 def random_setup(seed, n=3, l=1, single_task=False, mu=0.06):
@@ -110,10 +113,11 @@ def random_model(seed, n=3, l=1, single_task=False, mu=0.06):
     return model
 
 
-def random_model_drift(seed, n=3, l=1):
-    """random_model and the reference drift of its mean errors."""
+def random_model_dense(seed, n=3, l=1):
+    """random_model and its dense NL x NL reference (helpers.dense_model)."""
     topology, cfg, rx, sigma_z2, w = random_setup(seed, n=n, l=l)
-    return random_model(seed, n=n, l=l), error_drift([cfg, cfg], rx, w)
+    return (random_model(seed, n=n, l=l),
+            dense_model([cfg, cfg], rx, sigma_z2, w))
 
 
 def random_pair_setup(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
@@ -138,17 +142,30 @@ def random_pair(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
 
 def random_pair_drift(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
     """random_pair and the reference drift of its mean errors."""
-    topology, cfgs, rx, sigma_z2, w = random_pair_setup(
-        seed, n=n, l=l, single_task=single_task, mus=mus)
-    return model_drift(topology, cfgs, rx, sigma_z2, w)
+    pair, dense = random_pair_dense(seed, n=n, l=l, single_task=single_task,
+                                    mus=mus)
+    return pair, dense.drift
+
+
+def random_pair_dense(seed, n=3, l=1, single_task=False, mus=(0.05, 0.09)):
+    """random_pair and its dense NL x NL reference."""
+    return model_dense(*random_pair_setup(
+        seed, n=n, l=l, single_task=single_task, mus=mus))
 
 
 def model_drift(topology, cfgs, rx, sigma_z2, w):
     """The pair model of a setup and the reference drift of its mean
     errors (helpers.error_drift)."""
+    pair, dense = model_dense(topology, cfgs, rx, sigma_z2, w)
+    return pair, dense.drift
+
+
+def model_dense(topology, cfgs, rx, sigma_z2, w):
+    """The pair model of a setup and its dense NL x NL reference
+    (helpers.dense_model)."""
     pair = build_component_model(topology, cfgs, rx, sigma_z2, w)
     assert np.max(np.abs(np.linalg.eigvals(pair.b))) < 1.0
-    return pair, error_drift(cfgs, rx, w)
+    return pair, dense_model(cfgs, rx, sigma_z2, w)
 
 
 def scalar_model(mu=0.01, sx=1.0, sz=0.1, target=2.0):
@@ -177,16 +194,14 @@ def raw_moments(m, p):
 
 
 def agent_factors(pair, p):
-    """The direction factors p of a pair model, (..., D, N m, N m), as
+    """The direction factors p of a pair model, (..., D, N, N), as
     full NL x NL matrices in the agents' coordinates: direction d owns
-    c = L / (D m) columns of pair.basis (the identity if None) on every
+    c = L / D columns of pair.basis (the identity if None) on every
     agent, where it acts as p[..., d] kron I_c."""
     n, l = pair.n_agents, pair.filter_len
-    d, k = p.shape[-3], p.shape[-1] // n
-    c, lead = l // (d * k), p.shape[:-3]
-    turned = np.einsum("...dkihj,de,tu->...khditeju",
-                       p.reshape(*lead, d, n, k, n, k), np.eye(d), np.eye(c))
-    turned = turned.reshape(*lead, n, n, l, l)
+    d, lead = p.shape[-3], p.shape[:-3]
+    turned = np.einsum("...dkh,de,tu->...khdteu", p, np.eye(d),
+                       np.eye(l // d)).reshape(*lead, n, n, l, l)
     if pair.basis is not None:
         turned = pair.basis @ turned @ pair.basis.T
     return np.swapaxes(turned, -3, -2).reshape(*lead, n * l, n * l)
@@ -201,11 +216,11 @@ def stacked(m1, m2, p11, p22, p12):
     return np.stack((m1, m2)), np.stack((p11, p22, p12))
 
 
-def readouts(weights, m, p):
-    """_readouts of a state given by its full NL x NL factors p: one
-    direction of blocks of size L."""
-    return _readouts(weights[:, None], m[:, None, :, None],
-                     _diagonal_blocks(p[:, None], weights.shape[1]))
+def readouts(pair, m, p):
+    """_readouts of a state of a pair model: mean errors m, (2, NL), in
+    the agents' coordinates and direction factors p, (3, D, N, N)."""
+    return _readouts(pair.weights, theory._to_directions(pair, m),
+                     np.diagonal(p, axis1=-2, axis2=-1))
 
 
 def state_moments(pair, state):
@@ -237,22 +252,23 @@ def unvec_col(flat, nl):
     return np.asarray(flat).reshape(nl, nl, order="F")
 
 
-def weighted_norm_curve(model, drift, k, sigma_mat, n_steps):
+def weighted_norm_curve(dense, k, sigma_mat, n_steps):
     """E{||v_n||^2_Sigma} through the vectorized recursion, for component
-    k of a pair model whose mean errors drift by drift (error_drift).
+    k of a dense reference model (helpers.dense_model), its mean errors
+    drifting by the reference drift.
 
     Maintains the propagated weighting K^n sigma and a drift accumulator
     instead of the full covariance matrix, so it shares no code path
     with covariance_step or the model's drive.
     """
-    bbar, rbar = model.b[k, 0], drift[k]
-    nl = model.w_star.size
+    bbar, rbar = dense.b[k], dense.drift[k]
+    nl = dense.w_star.size
     sigma = vec_col(sigma_mat)
     kk = np.kron(bbar.T, bbar.T)
     eye_k = np.eye(nl * nl)
-    v0 = -model.w_star
+    v0 = -dense.w_star
     m = v0.copy()
-    vec_gt = vec_col(model.g[k, 0].T)
+    vec_gt = vec_col(dense.g[k].T)
     lam = np.zeros(nl * nl)
     kns = sigma.copy()
     xi = np.empty(n_steps + 1)
@@ -272,17 +288,18 @@ def weighted_norm_curve(model, drift, k, sigma_mat, n_steps):
     return xi
 
 
-def cross_norm_curve(pair, drift, sigma_mat, n_steps):
-    """E{v1_n^T Sigma v2_n} through the vectorized recursion, for mean
-    errors drifting by drift (error_drift)."""
-    (b1, b2), (r1, r2) = pair.b[:, 0], drift
-    nl = pair.w_star.size
+def cross_norm_curve(dense, sigma_mat, n_steps):
+    """E{v1_n^T Sigma v2_n} through the vectorized recursion, for a
+    dense reference model whose mean errors drift by the reference
+    drift."""
+    (b1, b2), (r1, r2) = dense.b, dense.drift
+    nl = dense.w_star.size
     sigma = vec_col(sigma_mat)
     kx = np.kron(b2.T, b1.T)
     eye_k = np.eye(nl * nl)
-    vec_gxt = vec_col(pair.g[2, 0])
-    v01 = -pair.w_star
-    v02 = -pair.w_star
+    vec_gxt = vec_col(dense.g[2])
+    v01 = -dense.w_star
+    v02 = -dense.w_star
     m1 = v01.copy()
     m2 = v02.copy()
     pi1 = np.zeros(nl * nl)
@@ -355,21 +372,21 @@ class TestModelBuild:
         assert_scaled_close(_fixed_mean(model), np.tile(w.ravel(), (2, 1)))
 
     def test_distinct_targets_produce_drift(self):
-        model, drift = random_model_drift(3, n=3, l=2)
-        assert np.max(np.abs(drift[0])) > 1e-6
+        model, dense = random_model_dense(3, n=3, l=2)
+        assert np.max(np.abs(dense.drift[0])) > 1e-6
         assert np.max(np.abs(_fixed_mean(model) - model.w_star)) > 1e-6
 
     def test_block_shapes_and_data_matrices(self):
         topology, cfg, rx, sigma_z2, w = random_setup(0, n=4, l=2)
         pair = build_component_model(topology, [cfg, cfg], rx, sigma_z2, w)
-        nl = 8
-        assert pair.w_star.shape == (nl,)
+        assert pair.w_star.shape == (8,)
         assert (pair.n_agents, pair.filter_len) == (4, 2)
-        # random SPD covariances share no eigenbasis: one direction of
-        # NL x NL factors
-        assert pair.basis is None
-        assert pair.g.shape == pair.left.shape == (3, 1, nl, nl)
-        assert pair.b.shape == pair.drive.shape == (2, 1, nl, nl)
+        # the random covariances share a rotated eigenbasis: two
+        # directions of N x N factors
+        assert pair.basis.shape == (2, 2)
+        assert pair.g.shape == pair.left.shape == (3, 2, 4, 4)
+        assert pair.b.shape == pair.drive.shape == (2, 2, 4, 4)
+        assert pair.weights.shape == (2, 2, 4)
         assert pair.c.shape == (2, 4, 4) and pair.mu.shape == (2, 4)
         c = np.array(cfg.c.entries)
         data = np.einsum("lk,lij->kij", c, rx)
@@ -379,7 +396,7 @@ class TestModelBuild:
 
     def test_noise_moment_symmetric_and_psd(self):
         pair = random_pair(4, n=3, l=2)
-        for g in pair.g[:2, 0]:
+        for g in pair.g[:2].reshape(-1, 3, 3):
             np.testing.assert_array_equal(g, g.T)
             assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
@@ -461,7 +478,7 @@ class TestNoiseMomentSampling:
             g_rows.append(p @ np.kron(fusion, np.eye(l)))
         est11 = g_rows[0].T @ g_rows[0] / draws
         est12 = g_rows[0].T @ g_rows[1] / draws
-        g11, gx = pair.g[[0, 2], 0]
+        g11, gx = agent_factors(pair, pair.g[[0, 2]])
         scale = np.max(np.abs(g11))
         assert np.max(np.abs(est11 - g11)) < 0.05 * scale
         scale_x = max(np.max(np.abs(gx)), scale)
@@ -485,11 +502,11 @@ class TestMeanRecursion:
 
     def test_fixed_point_is_stationary(self):
         # the fixed point of the reference error drift, as estimates
-        pair, drift = random_pair_drift(10, n=3, l=2)
+        pair, dense = random_pair_dense(10, n=3, l=2)
         eye = np.eye(pair.w_star.size)
         m_inf = pair.w_star - np.stack([np.linalg.solve(eye - b, r)
-                                        for b, r in zip(pair.b[:, 0],
-                                                        drift)])
+                                        for b, r in zip(dense.b,
+                                                        dense.drift)])
         np.testing.assert_allclose(mean_step(pair, m_inf), m_inf,
                                    rtol=0, atol=1e-12)
         assert_scaled_close(_fixed_mean(pair), m_inf)
@@ -506,12 +523,12 @@ class TestMeanRecursion:
 class TestVecFormEquivalence:
     @pytest.mark.parametrize("seed,n,l", [(20, 3, 1), (21, 2, 2), (22, 3, 2)])
     def test_weighted_norm_matches_covariance_recursion(self, seed, n, l):
-        pair, drift = random_model_drift(seed, n=n, l=l)
+        pair, dense = random_model_dense(seed, n=n, l=l)
         rng = np.random.default_rng(seed + 500)
         a = rng.normal(size=(pair.w_star.size,) * 2)
         sigma = a @ a.T + 0.5 * np.eye(pair.w_star.size)
         steps = 120
-        xi_vec = weighted_norm_curve(pair, drift, 0, sigma, steps)
+        xi_vec = weighted_norm_curve(dense, 0, sigma, steps)
         state = initial_moments(pair)
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
@@ -525,12 +542,12 @@ class TestVecFormEquivalence:
 
     @pytest.mark.parametrize("seed,n,l", [(30, 3, 1), (31, 2, 2)])
     def test_cross_norm_matches_cross_recursion(self, seed, n, l):
-        pair, drift = random_pair_drift(seed, n=n, l=l)
+        pair, dense = random_pair_dense(seed, n=n, l=l)
         rng = np.random.default_rng(seed + 500)
         # general (non-symmetric) weighting stresses the index order
         sigma = rng.normal(size=(pair.w_star.size,) * 2)
         steps = 120
-        xi_vec = cross_norm_curve(pair, drift, sigma, steps)
+        xi_vec = cross_norm_curve(dense, sigma, steps)
         state = initial_moments(pair)
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
@@ -549,21 +566,21 @@ class TestCovarianceRecursion:
         rng = np.random.default_rng(40)
         a = rng.normal(size=pair.g.shape)
         out = covariance_step(pair, a @ a.swapaxes(-1, -2))
-        for block in out[:2, 0]:
+        for block in out[:2].reshape(-1, 3, 3):
             np.testing.assert_array_equal(block, block.T)
 
     def test_blocks_follow_component_order(self):
         # p11, p22 and p12 advance with (b1, b1), (b2, b2) and (b1, b2);
         # a general (non-symmetric) cross factor pins the side of each
         pair = random_pair(44, n=3, l=2)
-        b1, b2 = pair.b[:, 0]
+        b1, b2 = pair.b
         rng = np.random.default_rng(44)
         p = rng.normal(size=pair.g.shape)
         p[:2] += p[:2].swapaxes(-1, -2)
         out = covariance_step(pair, p)
         for k, (left, right) in enumerate(((b1, b1), (b2, b2), (b1, b2))):
             np.testing.assert_allclose(
-                out[k, 0], left @ p[k, 0] @ right.T + pair.g[k, 0],
+                out[k], left @ p[k] @ right.swapaxes(-1, -2) + pair.g[k],
                 rtol=1e-13, atol=1e-15)
 
     def test_zero_noise_zero_drift_stays_zero(self):
@@ -621,39 +638,50 @@ class TestExcessErrors:
         expected = [np.trace(rx[k] @ om[k * l:(k + 1) * l, k * l:(k + 1) * l])
                     for k in range(n)]
         np.testing.assert_allclose(excess_errors(om, rx), expected, rtol=1e-13)
-        # the same moment split into a centered factor and a mean part
-        m1, m2 = rng.normal(size=(2, n * l))
-        p = om - np.outer(m1, m2)
-        np.testing.assert_allclose(
-            readouts(rx[None], *stacked(m1, m2, p, p, p))[2, 0], expected,
-            rtol=1e-12)
+        # a pair model's moment, direction factors and a mean part, read
+        # from the factors' diagonals
+        pair = random_pair(50, n=n, l=l)
+        a = rng.normal(size=pair.g.shape)
+        p = a @ a.swapaxes(-1, -2)
+        m = rng.normal(size=(2, n * l))
+        want = excess_errors(raw_moment(*m, agent_factors(pair, p[2])),
+                             pair.rx)
+        np.testing.assert_allclose(readouts(pair, m, p)[2, 1], want,
+                                   rtol=1e-12)
 
     def test_drivers_read_without_cancellation(self):
         # |m| ~ 10 and m1 - m2 ~ 1e-7: j1 - j12 would cancel about eight
-        # digits, the direct readout of (m1, m1 - m2) none
+        # digits, the direct readout of (m1, m1 - m2) none.  The means are
+        # drawn in direction coordinates, where evolve carries them and
+        # the readout forms m1 - m2
         rng = np.random.default_rng(52)
         n, l = 3, 2
-        rx = random_spd_covariances(rng, n, l)
-        m1 = 10.0 * rng.normal(size=n * l) / np.sqrt(l)
-        m2 = m1 - 1e-7 * rng.normal(size=n * l)
+        pair = random_pair(52, n=n, l=l)
+        shape = theory._to_directions(pair, pair.w_star).shape
+        m1 = 10.0 * rng.normal(size=shape) / np.sqrt(l)
+        m2 = m1 - 1e-7 * rng.normal(size=shape)
         delta = m1 - m2  # exact (Sterbenz), unlike the perturbation drawn
-        a = rng.normal(size=(n * l, n * l))
-        p = a @ a.T
-        dj1, dj2 = readouts(rx[None], *stacked(m1, m2, p, p, p))[3:, 0]
-        blocks = [slice(k * l, (k + 1) * l) for k in range(n)]
-        hand1 = [delta[b] @ rx[k] @ m1[b] for k, b in enumerate(blocks)]
-        hand2 = [-delta[b] @ rx[k] @ m2[b] for k, b in enumerate(blocks)]
+        a = rng.normal(size=pair.g.shape[1:])
+        p = np.stack([a @ a.swapaxes(-1, -2)] * 3)
+        dj1, dj2 = _readouts(pair.weights, np.stack((m1, m2)),
+                             np.diagonal(p, axis1=-2, axis2=-1))[3:, 1]
+        rx = pair.rx
+        delta, m1, m2 = (theory._from_directions(pair, v).reshape(n, l)
+                         for v in (delta, m1, m2))
+        hand1 = [delta[k] @ rx[k] @ m1[k] for k in range(n)]
+        hand2 = [-delta[k] @ rx[k] @ m2[k] for k in range(n)]
         np.testing.assert_allclose(dj1, hand1, rtol=1e-12)
         np.testing.assert_allclose(dj2, hand2, rtol=1e-12)
 
     def test_drivers_are_excess_error_differences(self):
         rng = np.random.default_rng(53)
         n, l = 3, 2
-        rx = random_spd_covariances(rng, n, l)
+        pair = random_pair(53, n=n, l=l)
+        rx = pair.rx
         m1, m2 = rng.normal(size=(2, n * l))
-        p1, p2, px = rng.normal(size=(3, n * l, n * l))
-        j1, j2, j12, dj1, dj2 = readouts(
-            rx[None], *stacked(m1, m2, p1, p2, px))[:, 0]
+        p = rng.normal(size=pair.g.shape)
+        j1, j2, j12, dj1, dj2 = readouts(pair, np.stack((m1, m2)), p)[:, 1]
+        p1, p2, px = agent_factors(pair, p)
         np.testing.assert_allclose(j1, excess_errors(
             raw_moment(m1, m1, p1), rx), rtol=1e-12)
         np.testing.assert_allclose(j12, excess_errors(
@@ -943,9 +971,10 @@ class TestTargetReadouts:
     def test_discrete_distribution_consistency(self):
         # a two-point joint distribution of the estimates: its moments,
         # read against a target, are the raw moments of the errors, each
-        # outcome shifted by the target
+        # outcome shifted by the target.  Over scalar taps its centered
+        # moments are factors of a pair model as they are
         rng = np.random.default_rng(70)
-        n, l = 2, 2
+        n, l = 4, 1
         a1, b1, a2, b2 = rng.normal(size=(4, n * l))
         p = 0.3
         m1 = p * a1 + (1 - p) * b1
@@ -965,9 +994,9 @@ class TestTargetReadouts:
         for got, om in zip(raw_moments(means - w, factors), want):
             np.testing.assert_allclose(got, om, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(om)))
-        rx = random_spd_covariances(rng, n, l)
-        weights = np.stack((np.broadcast_to(np.eye(l), (n, l, l)), rx))
-        out = readouts(weights, means - w, factors)
+        pair = random_pair(70, n=n, l=l)
+        rx = pair.rx
+        out = readouts(pair, means - w, factors[:, None])
         j = [[block_traces(om, n) for om in want],
              [excess_errors(om, rx) for om in want]]
         for row in range(2):
@@ -980,8 +1009,8 @@ class TestTargetReadouts:
 
 # A near-equal pair's drivers are differences of means gap apart in
 # relative size, so a reordering of the mean steps moves them by about
-# 1e-9 of their scale at gap 1e-6, and the coefficient moments they drive
-# by up to 8e-8 (measured on near_equal_pair(85)); drivers formed with
+# 6e-9 of their scale at gap 1e-6, and the coefficient moments they drive
+# by up to 7e-8 (measured on near_equal_pair(85)); drivers formed with
 # cancellation, j1 - j12, miss by 6e-4 to 500
 NEAR_EQUAL_RTOL = 1e-6
 
@@ -1002,18 +1031,14 @@ def oracle_readouts(pair, m, p):
     """Per-agent readouts of one state from its direction factors p and
     its mean errors m, (2, NL), coded without a time axis:
     (5, len(pair.weights), N)."""
-    weights = pair.weights
-    d, n, k = weights.shape[1:4]
     m = theory._to_directions(pair, m)
-    reps = m.shape[-1]
-    blocks = np.einsum("sdkikj->sdkij", p.reshape(3, d, n, k, n, k))
+    blocks = np.einsum("sdkk->sdk", p)
     diff = m[0] - m[1]
-    left = m[[0, 1, 0, 0, 1]].reshape(5, d, n, k, reps)
-    right = np.stack((m[0], m[1], m[1], diff, -diff)).reshape(5, d, n, k,
-                                                              reps)
-    om = reps * np.concatenate((blocks, blocks[:2] - blocks[2]))
-    om += np.einsum("sdkjt,sdkit->sdkji", left, right)
-    return np.einsum("wdkij,sdkji->swk", weights, om)
+    left = m[[0, 1, 0, 0, 1]]
+    right = np.stack((m[0], m[1], m[1], diff, -diff))
+    om = m.shape[-1] * np.concatenate((blocks, blocks[:2] - blocks[2]))
+    om += np.einsum("sdkt,sdkt->sdk", left, right)
+    return np.einsum("wdk,sdk->swk", pair.weights, om)
 
 
 def oracle_coefficient_step(cfg, gbar, g2bar, pbar, dj1, dj2, j2, sigma_z2):
@@ -1164,11 +1189,19 @@ def mean_loop(pair, m, n_steps):
     return np.array(out)
 
 
+def same_state(pair):
+    """The check that means agree as a state hands them over: bit for bit
+    where the model's basis is the identity, to rounding where it
+    rotates, as the state holds them in the agents' coordinates and the
+    means run in the basis's."""
+    return np.testing.assert_array_equal if pair.basis is None \
+        else assert_scaled_close
+
+
 def evolved_means(pair, cfg, n_steps, state, monkeypatch):
     """The mean errors evolve reads at instants 0..n_steps, the block
-    width and
-    the number of squared mean maps of each call to _mean_maps, and the
-    final state."""
+    width and the number of squared mean maps of each call to
+    _mean_maps, and the final state."""
     seen, widths = [], []
     readouts, mean_maps = theory._readouts, theory._mean_maps
 
@@ -1187,7 +1220,7 @@ def evolved_means(pair, cfg, n_steps, state, monkeypatch):
         patch.setattr(theory, "_mean_maps", spied_maps)
         traj = evolve(pair, cfg, n_steps, state)
     means = np.concatenate(seen)
-    np.testing.assert_array_equal(means[-1], traj.state.m - pair.w_star)
+    same_state(pair)(means[-1], traj.state.m - pair.w_star)
     return means, widths, traj.state
 
 
@@ -1237,7 +1270,7 @@ class TestBlockedEvolve:
             assert pair.b.shape[-1] == 4
         else:
             pair, drift = random_pair_drift(87, n=3, l=2)
-            assert pair.b.shape[-1] == 6
+            assert pair.b.shape[1:] == (2, 3, 3)
         cfg, start = make_cfg(), started(pair)
         got = evolve(pair, cfg, n_steps, state=start)
         assert_same_trajectory(
@@ -1291,9 +1324,9 @@ class TestBlockedEvolve:
             oracle_evolve(pair, cfg, B + 9, drift, started(pair)), pair.w_star)
 
     def test_short_blocks_for_large_factors(self, monkeypatch):
-        # a value budget of three instants' means and diagonal blocks
+        # a value budget of three instants' means and factor diagonals
         pair, drift = random_pair_drift(89, n=3, l=2)
-        monkeypatch.setattr(theory, "_BLOCK_FLOATS", 3 * (12 + 3 * 3 * 4))
+        monkeypatch.setattr(theory, "_BLOCK_FLOATS", 3 * (12 + 3 * 2 * 3))
         cfg, start = sr_cfg(), started(pair)
         assert_same_trajectory(evolve(pair, cfg, 20, start),
                                oracle_evolve(pair, cfg, 20, drift, start),
@@ -1316,12 +1349,13 @@ class TestBlockedEvolve:
                                mean_step(second, zero))
         state = started(first)
         for pair in (first, second):
-            assert pair.b.shape[-1] == (4 if kind == "white" else 6)
+            assert pair.b.shape[1:] == ((1, 4, 4) if kind == "white"
+                                        else (2, 3, 3))
             got, widths, end = evolved_means(pair, pn_cfg(), n_steps, state,
                                              monkeypatch)
             width = min(B, n_steps)
             assert widths == [(width, width.bit_length())]
-            np.testing.assert_array_equal(got[0], state.m - pair.w_star)
+            same_state(pair)(got[0], state.m - pair.w_star)
             assert_scaled_close(
                 got, mean_loop(pair, state.m, n_steps) - pair.w_star)
             state = end
@@ -1346,7 +1380,7 @@ class TestBlockedEvolve:
                                                           monkeypatch):
         # three instants' budget: maps of 1 and 2 steps fill each block
         pair = random_pair(89, n=3, l=2)
-        monkeypatch.setattr(theory, "_BLOCK_FLOATS", 3 * (12 + 3 * 3 * 4))
+        monkeypatch.setattr(theory, "_BLOCK_FLOATS", 3 * (12 + 3 * 2 * 3))
         calls, state = count_covariance_steps(monkeypatch), started(pair)
         got, widths, _ = evolved_means(pair, sr_cfg(), 20, state,
                                        monkeypatch)
@@ -1431,7 +1465,7 @@ class TestBlockedEvolve:
         # scale, so mean errors stepped by the reference drift agree
         # with evolve only to 2.5e-12 there.  The reference drift is
         # checked on random pairs and in the raw NL x NL oracle
-        # (tests/test_harness.py)
+        # (helpers.raw_moment_run)
         for name in harness.preset_names():
             cfg = dataclasses.replace(harness.load_preset_config(name),
                                       horizon=1100)
@@ -1461,13 +1495,11 @@ class TestEvolve:
         assert traj.record.shape == (4, 3, 2, 3)
         assert traj.coefficients.shape == (4, 2, 3)
         state = initial_moments(pair)
-        weights = pair.rx[None]
         np.testing.assert_array_equal(traj.coefficients[0],
                                       [state.gbar, state.g2bar])
         for t in range(3):
             j1, j2, j12, dj1, dj2 = readouts(
-                weights, state.m - pair.w_star,
-                agent_factors(pair, state.p))[:, 0]
+                pair, state.m - pair.w_star, state.p)[:, 1]
             assert_scaled_close(traj.record[t, :, 1], [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
@@ -1513,26 +1545,32 @@ class TestEvolve:
                                        (2 * B + 7, 2 * B)],
                              ids=["inside", "block", "two_blocks", "settled"])
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
-    def test_split_run_continues_bit_for_bit(self, make_cfg, split):
+    @pytest.mark.parametrize("kind", ["white", "rotated"])
+    def test_split_run_continues_bit_for_bit(self, kind, make_cfg, split):
         # a stage boundary without a target change: the second call
         # starts from the first one's final state, coefficient moments
         # included, and its row 0 is the first call's last row; the
         # split falls inside a block or on a block boundary.  The
-        # covariance settles at instant 288: the whole run stops stepping
-        # it from instant 512, the split run from 512 in the first call
-        # and one block into the second.  Only a split on a block
-        # boundary keeps the grouping of the means' doubling and of the
-        # coefficient scans, so elsewhere the means and the coefficient
-        # moments agree to rounding; the covariance, bit for bit
-        pair = random_pair(86, n=3, l=2)
+        # covariance settles at instant 478 over white regressors and at
+        # 279 in the rotated basis of the random ones: the whole run
+        # stops stepping it from instant 512, the split run from 512 in
+        # the first call and one block into the second.  Only a split on
+        # a block boundary keeps the grouping of the means' doubling and
+        # of the coefficient scans, and only an unrotated basis hands the
+        # means over exactly (same_state), so elsewhere the means and the
+        # coefficient moments agree to rounding; the covariance, bit for
+        # bit
+        pair = build_component_model(*white_pair(86, 3, 4)) \
+            if kind == "white" else random_pair(86, n=3, l=2)
+        assert (pair.basis is None) == (kind == "white")
         cfg = make_cfg()
         start = initial_moments(pair, gamma0=0.8)
         whole = evolve(pair, cfg, sum(split), state=start)
         first = evolve(pair, cfg, split[0], state=start)
         second = evolve(pair, cfg, split[1], state=first.state)
-        same = np.testing.assert_array_equal if split[0] % B == 0 \
-            else assert_scaled_close
-        np.testing.assert_array_equal(second.record[0], first.record[-1])
+        handover = same_state(pair)
+        same = handover if split[0] % B == 0 else assert_scaled_close
+        handover(second.record[0], first.record[-1])
         np.testing.assert_array_equal(second.coefficients[0],
                                       first.coefficients[-1])
         same(whole.record, np.concatenate((first.record, second.record[1:])))
@@ -1841,16 +1879,52 @@ def split_covariances(kind, n):
     return scale * rx
 
 
+def dense_evolve(pair, dense, cfg, n_steps, state):
+    """The raw NL x NL oracle (helpers.raw_moment_run over dense) from a
+    moment state of pair, its factors rebuilt as raw moments: a
+    trajectory with evolve's record, coefficients and degenerate count
+    and no final state, and the final state's state_moments."""
+    errors = state.m - dense.w_star
+    record, rows, (m, om, (gbar, g2bar, pbar)) = raw_moment_run(
+        dense, cfg, n_steps, errors,
+        np.array(model_moments(pair, errors, state.p)),
+        (state.gbar, state.g2bar, state.pbar))
+    j1, j2, j12 = record[:-1, :, 1].transpose(1, 0, 2)
+    degenerate = np.count_nonzero((j1 - j12) + (j2 - j12) <= DELTA_J_FLOOR)
+    return (theory.TheoryTrajectory(record, rows, None, int(degenerate)),
+            {"m": m + dense.w_star, "om1": om[0], "om2": om[1], "omx": om[2],
+             "gbar": gbar, "g2bar": g2bar, "pbar": pbar})
+
+
+def dense_steady(dense, cfg):
+    """steady_state's values read off the raw NL x NL fixed point
+    (helpers.raw_steady), as a dict: the mean estimates m, the raw
+    moments om, the coefficient moments, emse, msd, combined_msd, bias
+    and the universality report without the coefficient bounds."""
+    errors, om = raw_steady(dense)
+    traces, (j1, j2, j12) = raw_readouts(dense, om).transpose(1, 0, 2)
+    dj1, dj2 = j1 - j12, j2 - j12
+    gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, j2, dense.sigma_z2)
+    gamma = np.repeat(gbar, dense.w_star.size // gbar.size)
+    return {"m": errors + dense.w_star, "om": om, "gbar": gbar,
+            "g2bar": g2bar, "pbar": pbar, "emse": np.array([j1, j2, j12]),
+            "msd": np.mean(traces, axis=-1),
+            "combined_msd": float(np.mean(mix(traces, gbar, g2bar))),
+            "bias": gamma * errors[0] + (1.0 - gamma) * errors[1],
+            "universality": universality_report(j1, j2, j12, dj1, dj2)}
+
+
 class TestKronFactoredPath:
-    """White regressors take the Kronecker-factored path; the same
-    builder at factor block size m = L, whose factors are the full
-    NL x NL matrices, serves as the oracle."""
+    """White regressors take the Kronecker-factored path, covariances
+    with a common eigenbasis one N x N factor per direction; the raw
+    NL x NL recursion over helpers.dense_model, which shares no code
+    with the model's factors, serves as the oracle."""
 
     @staticmethod
     def models(seed, n, l):
         topology, cfgs, rx, sigma_z2, w = white_pair(seed, n, l)
         return (build_component_model(topology, cfgs, rx, sigma_z2, w),
-                _build_model(cfgs, rx, sigma_z2, w, rx[None]))
+                dense_model(cfgs, rx, sigma_z2, w))
 
     @pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 2), (5, 7)])
     def test_white_build_is_kron_factored(self, n, l):
@@ -1859,17 +1933,16 @@ class TestKronFactoredPath:
         assert dense.b.shape[-1] == n * l
         for name in ("b", "drive"):
             got, want = getattr(fast, name), getattr(dense, name)
-            assert got.shape[-2:] == (n, n)
-            for a, b in zip(np.reshape(got, (-1, n, n)),
-                            np.reshape(want, (-1, n * l, n * l))):
+            assert got.shape == (2, 1, n, n)
+            for a, b in zip(got[:, 0], want):
                 np.testing.assert_allclose(np.kron(a, eye), b, rtol=1e-12,
                                            atol=1e-15, err_msg=name)
-        for name in ("c", "mu", "rx", "sigma_z2", "w_star"):
+        for name in ("rx", "sigma_z2", "w_star"):
             np.testing.assert_allclose(getattr(fast, name),
                                        getattr(dense, name),
                                        rtol=1e-12, atol=1e-15)
         assert fast.g.shape == (3, 1, n, n)
-        for got, want in zip(fast.g[:, 0], dense.g[:, 0]):
+        for got, want in zip(fast.g[:, 0], dense.g):
             np.testing.assert_allclose(np.kron(got, eye), want,
                                        rtol=1e-12, atol=1e-16)
 
@@ -1884,7 +1957,8 @@ class TestKronFactoredPath:
         cfg = pn_cfg(nu=0.02) if scheme == "power_normalized" \
             else sr_cfg(nu=0.02)
         got = evolve(fast, cfg, 60, initial_moments(fast))
-        want = evolve(dense, cfg, 60, initial_moments(dense))
+        want, oracle = dense_evolve(fast, dense, cfg, 60,
+                                    initial_moments(fast))
         # pbar is not recorded per step; the final states compare it
         got_series, want_series = record_series(got), record_series(want)
         for name, b in want_series.items():
@@ -1893,7 +1967,6 @@ class TestKronFactoredPath:
                 a, b, rtol=1e-10, atol=1e-13 * np.max(np.abs(b)),
                 err_msg=name)
 
-        oracle = state_moments(dense, want.state)
         for name, a in state_moments(fast, got.state).items():
             b = oracle[name]
             np.testing.assert_allclose(
@@ -1913,34 +1986,60 @@ class TestKronFactoredPath:
         p = np.concatenate((a @ a.swapaxes(-1, -2),
                             rng.normal(size=(1, 1, n, n))))
         m = rng.normal(size=(2, nl))
-        np.testing.assert_allclose(mean_step(fast, m), mean_step(dense, m),
-                                   rtol=1e-12)
-        want = covariance_step(dense, np.kron(p, eye))
-        for got, block in zip(covariance_step(fast, p)[:, 0], want[:, 0]):
-            np.testing.assert_allclose(np.kron(got, eye), block,
-                                       rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            mean_step(fast, m),
+            np.einsum("sij,sj->si", dense.b, m) + dense.drive @ dense.w_star,
+            rtol=1e-12)
+        got = covariance_step(fast, p)[:, 0]
+        for k, (i, j) in enumerate(PAIRS):
+            np.testing.assert_allclose(
+                np.kron(got[k], eye),
+                dense.b[i] @ np.kron(p[k, 0], eye) @ dense.b[j].T
+                + dense.g[k], rtol=1e-12, atol=1e-14)
 
-    def test_common_eigenbasis_splits_and_random_spd_stays_dense(self):
-        # random SPD covariances share no eigenbasis and keep one
-        # direction of NL x NL factors; AR(1), mixed and uneven diagonal
-        # covariances split into two directions of N x N factors, and
-        # only the non-diagonal ones rotate
+    def test_common_eigenbasis_kinds_split(self):
+        # AR(1), mixed, uneven diagonal and rotated random covariances
+        # split into two directions of N x N factors, white ones keep
+        # one, and only the non-diagonal ones rotate
         topology, cfgs, _, sigma_z2, w = white_pair(3, 3, 2)
-        spd = random_spd_covariances(np.random.default_rng(3), 3, 2)
-        for kind in ("ar1", "mixed", "uneven", "white", "spd"):
-            rx = spd if kind == "spd" else split_covariances(kind, 3)
+        rotated = random_spd_covariances(np.random.default_rng(3), 3, 2)
+        for kind in ("ar1", "mixed", "uneven", "white", "rotated"):
+            rx = rotated if kind == "rotated" \
+                else split_covariances(kind, 3)
             model = build_component_model(topology, cfgs, rx, sigma_z2, w)
-            d, k = {"spd": (1, 6), "white": (1, 3)}.get(kind, (2, 3))
-            assert model.b.shape == (2, d, k, k), kind
-            assert model.g.shape == (3, d, k, k), kind
-            assert model.weights.shape == (2, d, 3) + (k // 3,) * 2
-            rotates = kind in ("ar1", "mixed")
+            d = 1 if kind == "white" else 2
+            assert model.b.shape == (2, d, 3, 3), kind
+            assert model.g.shape == (3, d, 3, 3), kind
+            assert model.weights.shape == (2, d, 3), kind
+            rotates = kind in ("ar1", "mixed", "rotated")
             assert (model.basis is not None) == rotates, kind
             if rotates:
                 turned = model.basis.T @ rx @ model.basis
-                lam = model.weights[1, :, :, 0, 0].T
+                lam = model.weights[1].T
                 np.testing.assert_allclose(turned, lam[:, :, None] * np.eye(2),
                                            rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["ar1_beside_uneven", "general"])
+    def test_refuses_covariances_without_common_eigenbasis(self, kind,
+                                                           monkeypatch):
+        # AR(1) beside uneven diagonal covariances do not commute, nor do
+        # general SPD draws: no basis diagonalizes them all, and the
+        # refusal comes before any factor is built
+        topology, cfgs, _, sigma_z2, w = white_pair(3, 3, 2)
+        rng = np.random.default_rng(3)
+        if kind == "general":
+            a = rng.normal(size=(3, 2, 2))
+            rx = a @ a.swapaxes(-1, -2) + np.eye(2)
+        else:
+            rx = split_covariances("ar1", 3)
+            rx[1] = np.diag([1.0, 1.6])
+
+        def refused(*args):
+            raise AssertionError("a factor was built")
+
+        monkeypatch.setattr(theory, "_component", refused)
+        with pytest.raises(ValueError, match="common eigenbasis"):
+            build_component_model(topology, cfgs, rx, sigma_z2, w)
 
     def test_equal_variance_profiles_merge(self):
         # agent k's covariance diag(s_k, 2 s_k, s_k, 2 s_k): two profiles
@@ -1952,7 +2051,7 @@ class TestKronFactoredPath:
         model = build_component_model(topology, cfgs, rx, sigma_z2, w)
         assert model.b.shape == (2, 2, 3, 3)
         np.testing.assert_array_equal(model.basis, np.eye(4)[:, [0, 2, 1, 3]])
-        np.testing.assert_array_equal(model.weights[1, :, :, 0, 0],
+        np.testing.assert_array_equal(model.weights[1],
                                       [[1.0, 0.7, 1.3], [2.0, 1.4, 2.6]])
         m = np.random.default_rng(5).normal(size=(2, 12))
         np.testing.assert_array_equal(
@@ -1964,54 +2063,50 @@ class TestKronFactoredPath:
     def test_split_matches_dense_oracle(self, kind, make_cfg):
         # over several blocks and in steady state, every readout, the
         # coefficient moments, the rebuilt raw moments and the steady
-        # report agree with the one-direction NL x NL model to 1e-12 of
-        # scale
+        # report agree with the raw NL x NL oracle to 1e-12 of scale
         l = 4 if kind == "merged" else 2
         topology, cfgs, _, sigma_z2, w = white_pair(17, 4, l)
         rx = split_covariances(kind, 4)
-        split = build_component_model(topology, cfgs, rx, sigma_z2, w)
-        dense = _build_model(cfgs, rx, sigma_z2, w, rx[None])
-        assert split.b.shape[:2] == (2, 2) and dense.b.shape[:2] == (2, 1)
+        split, dense = model_dense(topology, cfgs, rx, sigma_z2, w)
+        assert split.b.shape[:2] == (2, 2)
         cfg, n_steps = make_cfg(), 3 * B + 7
         got = evolve(split, cfg, n_steps, started(split))
-        want = evolve(dense, cfg, n_steps, started(dense))
+        want, oracle = dense_evolve(split, dense, cfg, n_steps,
+                                    started(split))
         assert_scaled_close(got.record, want.record)
         assert_scaled_close(got.coefficients, want.coefficients)
-        oracle = state_moments(dense, want.state)
         for name, value in state_moments(split, got.state).items():
             assert_scaled_close(value, oracle[name], name)
-        got, want = steady_state(split, cfg), steady_state(dense, cfg)
+        got, want = steady_state(split, cfg), dense_steady(dense, cfg)
         for name in ("m", "gbar", "g2bar", "pbar", "emse", "msd",
                      "combined_msd"):
-            assert_scaled_close(getattr(got, name), getattr(want, name), name)
-        assert_scaled_close(got.bias, want.bias,
-                            rtol=1e-12 * np.max(np.abs(want.m))
-                            / max(np.max(np.abs(want.bias)), 1e-300))
+            assert_scaled_close(getattr(got, name), want[name], name)
+        assert_scaled_close(got.bias, want["bias"],
+                            rtol=1e-12 * np.max(np.abs(want["m"]))
+                            / max(np.max(np.abs(want["bias"])), 1e-300))
         for a, b in zip(model_moments(split, got.m - w.ravel(), got.p),
-                        model_moments(dense, want.m - w.ravel(), want.p)):
+                        want["om"]):
             assert_scaled_close(a, b)
-        assert got.universality.verdict == want.universality.verdict
+        assert got.universality.verdict == want["universality"].verdict
         assert got.universality.agent_regimes \
-            == want.universality.agent_regimes
+            == want["universality"].agent_regimes
 
     def test_ar1_preset_verdicts_match_dense_oracle(self):
         # every AR(1) preset's first stage: the split model's steady
-        # report reads the dense model's verdict and values
+        # report reads the raw NL x NL oracle's verdict and values
         names = [name for name in harness.preset_names() if "_ar1_" in name]
         assert len(names) == 9
         for name in names:
             cfg = load_preset_config(name)
             rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
             sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
-            target = cfg.schedule.stages[0][1]
-            split = build_component_model(cfg.topology, cfg.components, rx,
-                                          sigma_z2, target)
-            dense = _build_model(cfg.components, rx, sigma_z2,
-                                 np.asarray(target, dtype=float), rx[None])
+            target = np.asarray(cfg.schedule.stages[0][1], dtype=float)
+            split, dense = model_dense(cfg.topology, cfg.components, rx,
+                                       sigma_z2, target)
             assert split.b.shape[:2] == (2, 2), name
             got = steady_state(split, cfg.combiner)
-            want = steady_state(dense, cfg.combiner)
-            assert got.universality.verdict == want.universality.verdict
+            want = dense_steady(dense, cfg.combiner)
+            assert got.universality.verdict == want["universality"].verdict
             for field in ("emse", "msd", "gbar", "g2bar"):
-                assert_scaled_close(getattr(got, field),
-                                    getattr(want, field), (name, field))
+                assert_scaled_close(getattr(got, field), want[field],
+                                    (name, field))
