@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -560,7 +559,9 @@ def run_monte_carlo(cfg: ExperimentConfig, workers=1) -> SeriesResult:
     groups = [chunks[i:i + group] for i in range(0, len(chunks), group)]
     args = [cfg] * len(groups), [stack] * len(groups), groups
     if workers > 1 and len(groups) > 1:
-        # the fork start method launches every worker at the first submit
+        # imported here, as only pool runs need multiprocessing; the fork
+        # start method launches every worker at the first submit
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             parts = list(pool.map(_simulate_chunk, *args))
     else:
@@ -589,14 +590,15 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     One moment description serves the whole experiment.  Each stationary
     stage points it at the stage's target with dataclasses.replace, which
     only the drive of the means and the readouts see; the moment state,
-    which holds mean estimates, carries over the boundary as it is, and
-    each stage gets its own steady report.  The predictor holds the
-    previous target through a transition ramp, so predicted and
-    simulated curves are comparable only inside stationary stretches.
+    which holds mean estimates, carries over the boundary as it is.  One
+    steady_state call, before any instant evolves, gives each stage its
+    own steady report.  The predictor holds the previous target through
+    a transition ramp, so predicted and simulated curves are comparable
+    only inside stationary stretches.
     Raises ValueError, before building any model, for an experiment
     theory_covers rejects, and after evolving, naming the first instant
     and series that is not finite, for recursions that diverged;
-    InstabilityError when a stage has no steady state.
+    InstabilityError, before evolving, when the pair has no steady state.
     """
     if not theory_covers(cfg):
         raise ValueError("the moment theory covers two-component schemes "
@@ -604,19 +606,17 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
     t_max = cfg.horizon
     layout = series_layout(cfg)
     table = np.empty((t_max, len(layout.names)))
-    steady = []
-    stages = cfg.schedule.stages
-    ends = [start for start, _ in stages[1:]] + [t_max]
+    stages = [stage for stage in cfg.schedule.stages if stage[0] < t_max]
+    starts = [start for start, _ in stages]
+    targets = np.array([np.ravel(target) for _, target in stages])
     pair = build_component_model(
         cfg.topology, cfg.components, _regressor_covariances(cfg),
         np.array([p.sigma_z2 for p in cfg.signal_params]), stages[0][1])
+    steady = zip(starts, steady_state(pair, cfg.combiner, targets))
     state = initial_moments(
         pair, gamma0=0.5 if cfg.gamma_init is None else cfg.gamma_init)
-    for (start, target), end in zip(stages, ends):
-        if start >= t_max:
-            break
-        end = min(end, t_max)
-        pair = replace(pair, w_star=np.ravel(target))
+    for start, end, target in zip(starts, starts[1:] + [t_max], targets):
+        pair = replace(pair, w_star=target)
         traj = evolve(pair, cfg.combiner, end - start, state)
         state = traj.state
         # a power family holds (1, 2, combined, cross): deviations after
@@ -628,7 +628,6 @@ def run_theory(cfg: ExperimentConfig) -> SeriesResult:
             family[:, [0, 1, 3]] = reduce(t, axis=-1)
             family[:, 2] = reduce(mix(t, c[:, 0], c[:, 1]), axis=-1)
         rows[:, layout.gamma] = coef[1:].reshape(end - start, -1)
-        steady.append((start, steady_state(pair, cfg.combiner)))
     return _result(cfg, table, "theory", 0, None, steady)
 
 

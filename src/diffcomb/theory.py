@@ -33,7 +33,8 @@ one PairModel per experiment; another target is the same model with
 another w_star.  So the theory never forms an NL x NL array, and
 transient and steady state run one code path for every regressor
 kind.  Steady factors solve that Stein equation, all blocks and
-directions in one call, by squared Smith doubling at O(D N^3 log t).
+directions in one call, by squared Smith doubling at O(D N^3 log t),
+once per experiment: of the steady limits only the means read w_star.
 
 The mixing coefficient follows one law per two-component scheme, looked
 up by scheme name.  Over a block of instants, the smoothed power, the
@@ -267,8 +268,8 @@ def _readouts(weights: np.ndarray, m: np.ndarray, diagonals: np.ndarray):
     j2 - j12 from (m2, m2 - m1, p22 - p12): read directly, the drivers
     never cancel two nearly equal excess errors.  m holds mean errors,
     the mean estimates less the target, in direction coordinates
-    (_to_directions).  Any leading (time) axes of m and diagonals lead
-    the result, (..., 5, len(weights), N).
+    (_to_directions).  Any leading (time or target) axes of m lead the
+    result, (..., 5, len(weights), N); diagonals broadcast against them.
     """
     m1, m2 = m[..., 0, :, :, :], m[..., 1, :, :, :]
     diff = m1 - m2
@@ -277,8 +278,8 @@ def _readouts(weights: np.ndarray, m: np.ndarray, diagonals: np.ndarray):
     # agent k's trace of Om in direction d, over the direction's c
     # columns: c times p_kk, plus the mean part sum_t a_t b_t
     drivers = diagonals[..., :2, :, :] - diagonals[..., 2:, :, :]
-    om = m.shape[-1] * np.concatenate((diagonals, drivers), axis=-3)
-    om += np.einsum("...dkt,...dkt->...dk", left, right)
+    om = np.einsum("...dkt,...dkt->...dk", left, right)
+    om += m.shape[-1] * np.concatenate((diagonals, drivers), axis=-3)
     return np.einsum("wdk,...sdk->...swk", weights, om)
 
 
@@ -614,9 +615,11 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
         degenerate)
 
 
-def _fixed_mean(pair: PairModel) -> np.ndarray:
-    """The mean estimates m with m = b m + drive w_star, per component."""
-    rhs = mean_step(pair, np.zeros((2, pair.w_star.size)))
+def _fixed_means(pair: PairModel, targets: np.ndarray) -> np.ndarray:
+    """The mean estimates m = b m + drive w per target w of targets,
+    (T, NL), and component, (T, 2, NL): mean_step's from zero, solved."""
+    w = _to_directions(pair, targets)[:, None]
+    rhs = _from_directions(pair, pair.drive @ w)
     return _from_directions(pair, np.linalg.solve(
         np.eye(pair.b.shape[-1]) - pair.b, _to_directions(pair, rhs)))
 
@@ -644,15 +647,19 @@ def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     raise InstabilityError("steady covariance did not converge")
 
 
-def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
-    """Closed-form limits of the coupled recursions.
+def steady_state(pair: PairModel, cfg: CombinerConfig, targets) -> tuple:
+    """Closed-form limits of the coupled recursions, one SteadyReport
+    per target w of targets, (T, NL), in order.
 
-    The mean estimates sit at m = b m + drive w_star, read against
-    w_star, and the centered factors solve p = left p right^T + g, all
-    three blocks in one Stein solve.
-    Coefficient moments come from their stationary expressions with
-    moments frozen at the limits; the verdict reads "outside coefficient
-    bounds" when bounds.nu_ms_ok fails on any agent.
+    The mean estimates sit at m = b m + drive w, read against w.  The
+    rest runs once and the reports share it: the spectral check of b,
+    the Stein solve of the centered factors, p = left p right^T + g, all
+    three blocks in one call, and the step-size limits mu.  The means,
+    readouts, coefficient moments and their limits carry the targets on
+    a leading axis.  Coefficient moments come from their stationary
+    expressions with moments frozen at the limits; a report's verdict
+    reads "outside coefficient bounds" when its bounds.nu_ms_ok fails
+    on any agent.
     Raises InstabilityError when a component cannot converge.
     """
     for label, b in enumerate(pair.b, start=1):
@@ -662,30 +669,36 @@ def steady_state(pair: PairModel, cfg: CombinerConfig) -> SteadyReport:
                 f"component {label} mean recursion diverges: "
                 f"spectral radius {rho:.6f} >= 1")
 
-    m = _fixed_mean(pair)
-    errors = m - pair.w_star
+    m = _fixed_means(pair, targets)
+    errors = m - targets[:, None]
     p = _stein(pair.left, pair.right, pair.g)
     p[:2] = 0.5 * (p[:2] + p[:2].swapaxes(-1, -2))
 
     readouts = _readouts(pair.weights, _to_directions(pair, errors),
                          np.diagonal(p, axis1=-2, axis2=-1))
-    emse, (dj1, dj2) = readouts[:3, 1], readouts[3:, 1]
-    gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[1],
+    emse, dj1, dj2 = readouts[:, :3, 1], readouts[:, 3, 1], readouts[:, 4, 1]
+    gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[:, 1],
                                            pair.sigma_z2)
 
-    gamma = np.repeat(gbar, pair.filter_len)
-    bias = gamma * errors[0] + (1.0 - gamma) * errors[1]
+    gamma = np.repeat(gbar, pair.filter_len, axis=-1)
+    bias = gamma * errors[:, 0] + (1.0 - gamma) * errors[:, 1]
     bounds = stability_bounds(pair, cfg, dj1 + dj2)
-    universality = universality_report(*emse, dj1, dj2)
-    if not np.all(bounds.nu_ms_ok):
-        universality = replace(universality,
-                               verdict="outside coefficient bounds")
-
-    return SteadyReport(
-        m=m, p=p, gbar=gbar, g2bar=g2bar, pbar=pbar, bias=bias,
-        emse=emse, msd=np.mean(readouts[:3, 0], axis=-1),
-        combined_msd=float(np.mean(mix(readouts[:3, 0], gbar, g2bar))),
-        universality=universality, bounds=bounds)
+    nu = zip(bounds.nu_mean_bound, bounds.nu_ms_bound, bounds.nu_mean_ok,
+             bounds.nu_ms_ok)
+    reports = []
+    for t, limits in enumerate(nu):
+        own = StabilityReport(bounds.mu_bound, bounds.mu_ok, *limits)
+        universality = universality_report(*emse[t], dj1[t], dj2[t])
+        if not np.all(own.nu_ms_ok):
+            universality = replace(universality,
+                                   verdict="outside coefficient bounds")
+        deviations = readouts[t, :3, 0]
+        reports.append(SteadyReport(
+            m=m[t], p=p, gbar=gbar[t], g2bar=g2bar[t], pbar=pbar[t],
+            bias=bias[t], emse=emse[t], msd=np.mean(deviations, axis=-1),
+            combined_msd=float(np.mean(mix(deviations, gbar[t], g2bar[t]))),
+            universality=universality, bounds=own))
+    return tuple(reports)
 
 
 def mu_bounds(c, rx) -> np.ndarray:
@@ -702,10 +715,11 @@ def stability_bounds(pair: PairModel, cfg: CombinerConfig,
                      dj_sum) -> StabilityReport:
     """Step-size stability limits for the configured pair.
 
-    dj_sum, of shape (N,), is the stationary excess-error difference
+    dj_sum, of shape (..., N), is the stationary excess-error difference
     power per agent, from which the configured scheme's law sets the
-    coefficient limits.  All bounds are open intervals, so a step-size
-    equal to its bound is flagged as failing.
+    coefficient limits of that shape; the step-size limits read no
+    target.  All bounds are open intervals, so a step-size equal to its
+    bound is flagged as failing.
     """
     mu_bound = np.stack([mu_bounds(c, pair.rx) for c in pair.c])
     nu = cfg.nu_gamma

@@ -22,7 +22,6 @@ from diffcomb.theory import (
     initial_moments,
     mean_step,
     stability_bounds,
-    steady_state,
     universality_report,
 )
 from helpers import coefficient_step, stats
@@ -143,7 +142,7 @@ def test_moment_recursions_consistent_across_formulations():
     np.testing.assert_allclose(xi_mat[2], xi_vec, rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(xi_vec)))
 
-    report = steady_state(pair, test_theory.pn_cfg())
+    report = test_theory.steady_report(pair, test_theory.pn_cfg())
     m, p = start.m, start.p
     for _ in range(100_000):
         p = covariance_step(pair, p)
@@ -183,7 +182,8 @@ def test_optimal_coefficient_against_grid_and_closed_forms():
     report = universality_report(j1, j2, j12, j1 - j12, j2 - j12)
     np.testing.assert_allclose(report.emse_combined, at_opt, rtol=1e-12)
 
-    scalar = steady_state(test_theory.scalar_model(), test_theory.pn_cfg())
+    scalar = test_theory.steady_report(test_theory.scalar_model(),
+                                       test_theory.pn_cfg())
     assert scalar.msd[0] == pytest.approx(0.01 * 0.1 / (2.0 - 0.01 * 1.0),
                                         rel=1e-12)
 

@@ -7,8 +7,13 @@ and the export layer against exact round trips.  A small end-to-end
 experiment ties simulation and prediction together at loose tolerance.
 """
 
+import concurrent.futures
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +268,9 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_monte_carlo imports the pool class where a pool runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     return sizes
 
 
@@ -690,6 +697,20 @@ class TestWorkerCount:
         assert pool_sizes == []
         run_monte_carlo(small_config(horizon=3, runs=60), workers=2)
         assert pool_sizes == [2]
+
+    def test_import_leaves_the_pool_out(self):
+        # a fresh interpreter: importing the harness, as every serial run
+        # and every prediction does, does not load multiprocessing
+        src = str(Path(harness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src,
+                                             os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, diffcomb.harness; "
+             "print(sorted(m for m in sys.modules if m.startswith("
+             "('multiprocessing', 'concurrent.futures.process'))))"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("workers", [-2, 1.5, None])
     def test_refuses_argument_by_name(self, workers):

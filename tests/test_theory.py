@@ -40,7 +40,7 @@ from diffcomb.theory import (
     universality_report,
 )
 from diffcomb import harness, theory
-from diffcomb.theory import _fixed_mean, _readouts
+from diffcomb.theory import _fixed_means, _readouts
 from helpers import (
     PAIRS,
     assert_same_series,
@@ -62,6 +62,17 @@ def pn_cfg(nu=0.01, eta=0.95, epsilon=0.05):
 
 def sr_cfg(nu=0.015):
     return CombinerConfig(scheme="sign_regressor", nu_gamma=nu)
+
+
+def steady_report(pair, cfg):
+    """steady_state's one report at the pair's own target."""
+    (report,) = steady_state(pair, cfg, pair.w_star[None])
+    return report
+
+
+def fixed_mean(pair):
+    """The fixed mean estimates at the pair's own target, (2, NL)."""
+    return _fixed_means(pair, pair.w_star[None])[0]
 
 
 def chain_topology(n):
@@ -340,7 +351,7 @@ class TestModelBuild:
         # one agent, identity combiners: the mean estimate settles on
         # the target, though the target is nonzero
         model = scalar_model(mu=0.5, sx=2.0, sz=0.3, target=-1.5)
-        np.testing.assert_allclose(_fixed_mean(model), -1.5, rtol=1e-12)
+        np.testing.assert_allclose(fixed_mean(model), -1.5, rtol=1e-12)
         assert model.b[0, 0, 0, 0] == 1.0 - 0.5 * 2.0
 
     @pytest.mark.parametrize("kind", ["white", "colored", "scalar_taps"])
@@ -369,12 +380,12 @@ class TestModelBuild:
         w = np.tile(rng.normal(size=2), (topology.n_agents, 1))
         model = build_component_model(topology, [cfg, cfg], rx, 0.1, w)
         assert np.max(np.abs(error_drift([cfg, cfg], rx, w))) < 1e-10
-        assert_scaled_close(_fixed_mean(model), np.tile(w.ravel(), (2, 1)))
+        assert_scaled_close(fixed_mean(model), np.tile(w.ravel(), (2, 1)))
 
     def test_distinct_targets_produce_drift(self):
         model, dense = random_model_dense(3, n=3, l=2)
         assert np.max(np.abs(dense.drift[0])) > 1e-6
-        assert np.max(np.abs(_fixed_mean(model) - model.w_star)) > 1e-6
+        assert np.max(np.abs(fixed_mean(model) - model.w_star)) > 1e-6
 
     def test_block_shapes_and_data_matrices(self):
         topology, cfg, rx, sigma_z2, w = random_setup(0, n=4, l=2)
@@ -509,7 +520,7 @@ class TestMeanRecursion:
                                                         dense.drift)])
         np.testing.assert_allclose(mean_step(pair, m_inf), m_inf,
                                    rtol=0, atol=1e-12)
-        assert_scaled_close(_fixed_mean(pair), m_inf)
+        assert_scaled_close(fixed_mean(pair), m_inf)
 
     def test_zero_drift_keeps_zero_mean(self):
         # estimates on a shared target stay on it
@@ -1601,7 +1612,7 @@ class TestEvolve:
             topology, [strategy(topology, 0.02, a2=a2), strategy(topology, 0.4)],
             rx, 0.25, w)
         cfg = make_cfg()
-        report = steady_state(pair, cfg)
+        report = steady_report(pair, cfg)
         series = record_series(evolve(pair, cfg, 4000, initial_moments(pair)))
         np.testing.assert_allclose(series["gbar"][-1], report.gbar,
                                    rtol=1e-5)
@@ -1632,7 +1643,7 @@ class TestSteadyState:
             topology, cfgs, rx, sigma_z2, w = white_pair(90, 3, 2)
             model = build_component_model(topology, cfgs, rx, sigma_z2, w)
             assert model.b.shape[-1] == 3
-        report = steady_state(model, pn_cfg())
+        report = steady_report(model, pn_cfg())
         state = initial_moments(model)
         m, p = state.m, state.p
         for _ in range(30_000):
@@ -1655,7 +1666,7 @@ class TestSteadyState:
         pair = build_component_model(cfg.topology, cfg.components, rx,
                                      sigma_z2, target)
         assert pair.w_star.size == 500 and pair.b.shape == (2, 1, 10, 10)
-        rep = steady_state(pair, cfg.combiner)
+        rep = steady_report(pair, cfg.combiner)
         m = mean_step(pair, rep.m)
         w = pair.w_star
         for got, want in zip(
@@ -1667,7 +1678,7 @@ class TestSteadyState:
 
     def test_scalar_deviation_identity(self):
         mu, sx, sz = 0.01, 1.0, 0.1
-        report = steady_state(scalar_model(mu=mu, sx=sx, sz=sz), pn_cfg())
+        report = steady_report(scalar_model(mu=mu, sx=sx, sz=sz), pn_cfg())
         expected = mu * sz / (2.0 - mu * sx)
         np.testing.assert_allclose(report.msd[:2], expected, rtol=1e-12)
         np.testing.assert_allclose(report.combined_msd, expected, rtol=1e-12)
@@ -1676,7 +1687,7 @@ class TestSteadyState:
 
     def test_bias_assembles_component_means(self):
         pair = random_pair(91, n=3, l=2)
-        report = steady_state(pair, pn_cfg())
+        report = steady_report(pair, pn_cfg())
         gamma_blocks = np.kron(np.diag(report.gbar), np.eye(2))
         errors = report.m - pair.w_star
         expected = gamma_blocks @ errors[0] \
@@ -1685,21 +1696,21 @@ class TestSteadyState:
 
     def test_shared_target_bias_vanishes(self):
         pair = random_pair(92, n=3, l=2, single_task=True)
-        report = steady_state(pair, sr_cfg())
+        report = steady_report(pair, sr_cfg())
         assert np.max(np.abs(report.bias)) < 1e-10
         assert np.max(np.abs(report.m - pair.w_star)) < 1e-10
 
     def test_unstable_component_raises(self):
         with pytest.raises(InstabilityError, match="component 1"):
-            steady_state(scalar_model(mu=(3.0, 0.1), sx=1.0, sz=0.1),
+            steady_report(scalar_model(mu=(3.0, 0.1), sx=1.0, sz=0.1),
                          pn_cfg())
         with pytest.raises(InstabilityError, match="component 2"):
-            steady_state(scalar_model(mu=(0.1, 3.0), sx=1.0, sz=0.1),
+            steady_report(scalar_model(mu=(0.1, 3.0), sx=1.0, sz=0.1),
                          pn_cfg())
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
     def test_report_carries_bounds_and_universality(self, make_cfg):
-        report = steady_state(random_pair(93, n=3, l=1, single_task=True),
+        report = steady_report(random_pair(93, n=3, l=1, single_task=True),
                               make_cfg(nu=0.001))
         bounds = report.bounds
         assert [f.name for f in dataclasses.fields(bounds)] == [
@@ -1732,13 +1743,94 @@ class TestSteadyState:
 
     def test_verdict_outside_sign_regressor_bound_on_one_agent(self):
         pair = random_pair(93, n=3, l=1)
-        bound = steady_state(pair, sr_cfg(nu=0.001)).bounds.nu_ms_bound
+        bound = steady_report(pair, sr_cfg(nu=0.001)).bounds.nu_ms_bound
         nu = np.append(0.5 * bound[:2], 1.01 * bound[2])
-        report = steady_state(pair, sr_cfg(nu=nu))
+        report = steady_report(pair, sr_cfg(nu=nu))
         assert report.bounds.nu_ms_ok.tolist() == [True, True, False]
         assert report.universality.verdict == "outside coefficient bounds"
-        inside = steady_state(pair, sr_cfg(nu=0.5 * bound))
+        inside = steady_report(pair, sr_cfg(nu=0.5 * bound))
         assert inside.universality.verdict != "outside coefficient bounds"
+
+
+def preset_pair(cfg):
+    """A preset's moment model, built as run_theory builds it, and its
+    stage targets, (T, NL)."""
+    rx = np.stack([regressor_covariance(p) for p in cfg.signal_params])
+    sigma_z2 = np.array([p.sigma_z2 for p in cfg.signal_params])
+    targets = np.array([np.ravel(w) for _, w in cfg.schedule.stages])
+    return build_component_model(cfg.topology, cfg.components, rx,
+                                  sigma_z2, targets[0]), targets
+
+
+def recorded_calls(monkeypatch, owner, name):
+    """A list of the arguments of every later call to owner.name."""
+    calls, fn = [], getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+class TestSteadyPerTarget:
+    def test_one_call_equals_per_target_calls_on_presets(self):
+        # bit for bit, every field: the means, readouts, coefficient
+        # moments and their limits over a leading target axis round as
+        # one call per target does
+        staged = 0
+        for name in harness.preset_names():
+            cfg = load_preset_config(name)
+            if not harness.theory_covers(cfg):
+                continue
+            pair, targets = preset_pair(cfg)
+            reports = steady_state(pair, cfg.combiner, targets)
+            assert len(reports) == len(targets)
+            for report, target in zip(reports, targets):
+                (want,) = steady_state(pair, cfg.combiner, target[None])
+                assert_same_leaves(report, want)
+            staged += len(targets) > 1
+        assert staged
+
+    @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
+    def test_targets_in_rotated_basis(self, make_cfg):
+        pair = random_pair(96, n=3, l=2)
+        assert pair.basis is not None
+        targets = np.random.default_rng(96).normal(size=(3, pair.w_star.size))
+        reports = steady_state(pair, make_cfg(), targets)
+        for report, target in zip(reports, targets):
+            assert_same_leaves(report, steady_report(
+                dataclasses.replace(pair, w_star=target), make_cfg()))
+        # the target-free limits are solved once and shared
+        assert reports[1].p is reports[0].p
+        assert reports[1].bounds.mu_bound is reports[0].bounds.mu_bound
+        assert not np.array_equal(reports[1].m, reports[0].m)
+
+    def test_run_theory_solves_once_per_experiment(self, monkeypatch):
+        # at 3,200 instants three of tracking_static_pn's four stages
+        # evolve, and each gets the report of its own target, in order
+        cfg = dataclasses.replace(load_preset_config("tracking_static_pn"),
+                                  horizon=3200)
+        steadies = recorded_calls(monkeypatch, harness, "steady_state")
+        steins = recorded_calls(monkeypatch, theory, "_stein")
+        evolves = recorded_calls(monkeypatch, harness, "evolve")
+        result = harness.run_theory(cfg)
+        assert len(steadies) == 1 and len(steins) == 1
+        assert [start for start, _ in result.steady] == [0, 1500, 3000]
+        assert len(evolves) == 3
+        for (_, report), (pair, *_) in zip(result.steady, evolves):
+            assert_same_leaves(report, steady_report(pair, cfg.combiner))
+
+    def test_unstable_pair_is_refused_before_evolving(self, monkeypatch):
+        base = load_preset_config("universality_pn")
+        components = [dataclasses.replace(base.components[0], mu=10.0),
+                      *base.components[1:]]
+        cfg = dataclasses.replace(base, horizon=50, components=components)
+        evolves = recorded_calls(monkeypatch, harness, "evolve")
+        with pytest.raises(InstabilityError, match="component 1"):
+            harness.run_theory(cfg)
+        assert evolves == []
 
 
 class TestStabilityBounds:
@@ -2077,7 +2169,7 @@ class TestKronFactoredPath:
         assert_scaled_close(got.coefficients, want.coefficients)
         for name, value in state_moments(split, got.state).items():
             assert_scaled_close(value, oracle[name], name)
-        got, want = steady_state(split, cfg), dense_steady(dense, cfg)
+        got, want = steady_report(split, cfg), dense_steady(dense, cfg)
         for name in ("m", "gbar", "g2bar", "pbar", "emse", "msd",
                      "combined_msd"):
             assert_scaled_close(getattr(got, name), want[name], name)
@@ -2104,7 +2196,7 @@ class TestKronFactoredPath:
             split, dense = model_dense(cfg.topology, cfg.components, rx,
                                        sigma_z2, target)
             assert split.b.shape[:2] == (2, 2), name
-            got = steady_state(split, cfg.combiner)
+            got = steady_report(split, cfg.combiner)
             want = dense_steady(dense, cfg.combiner)
             assert got.universality.verdict == want["universality"].verdict
             for field in ("emse", "msd", "gbar", "g2bar"):
