@@ -19,14 +19,14 @@ N x N, acting as F_d kron I_c on their own columns: white covariances
 two.  Covariances without a common eigenbasis are refused.
 
 The pair's moments share that structure and are carried stacked.  The
-means m, of shape (2, NL), hold the mean estimates E{w1}, E{w2} in the
-agents' coordinates and step, in direction coordinates
-(_to_directions), as m_i' = b_i m_i + drive_i w_opt: the data enter
-through E{x d} = R w_opt alone, so only the drive and the readouts, of
-the mean errors m_i - w_opt, read the target.  The errors' centered
-(cross-)covariance factors p, of shape (3, D, N, N), in the block
-order (p11, p22, p12), step as p' = left p right^T + g with left =
-(b1, b2, b1), right = (b1, b2, b2) and g = (f1^T q f1, f2^T q f2,
+means m, of shape (2, D, N, c), hold the mean estimates E{w1}, E{w2},
+and step as m_i' = b_i m_i + drive_i w_opt, in direction coordinates
+(_to_directions): the data enter through E{x d} = R w_opt alone, so
+only the drive and the readouts, of the mean errors m_i - w_opt, read
+the target, which they turn into direction coordinates.  The errors'
+centered (cross-)covariance factors p, of shape (3, D, N, N), in the
+block order (p11, p22, p12), step as p' = left p right^T + g with left
+= (b1, b2, b1), right = (b1, b2, b2) and g = (f1^T q f1, f2^T q f2,
 f1^T q f2), direction by direction: D is one more batch axis of every
 factor step, readout and steady solve.  build_component_model builds
 one PairModel per experiment; another target is the same model with
@@ -135,17 +135,18 @@ class PairModel:
 class MomentState:
     """Joint moment state of both components and the combiner at one instant.
 
-    m, of shape (2, NL), stacks the mean estimates E{w1} and E{w2} in
-    the agents' coordinates; no target is part of the state, so it
-    carries over a stage boundary as it is.  p, of shape
+    m, of shape (2, D, N, c), stacks the mean estimates E{w1} and E{w2}
+    in direction coordinates (_to_directions); no target is part of the
+    state, so it carries over a stage boundary as it is.  p, of shape
     (3, D, N, N), stacks the centered covariance factors of each
     direction in the block order (p11, p22, p12): against a target
     w_star, E{v_i v_j^T} = (I_N kron Q) diag_d(p_ij,d kron I_c)
-    (I_N kron Q)^T + (m_i - w_star)(m_j - w_star)^T, with Q the model's
-    basis and each direction's factor laid over its agents and its c
-    columns, so p[2] holds the cross factors of E{v1 v2^T}.  gbar/g2bar
-    are the per-agent first and second moments of the mixing
-    coefficient, pbar the per-agent smoothed difference power.
+    (I_N kron Q)^T + e_i e_j^T, e_i = _from_directions(m_i) - w_star,
+    with Q the model's basis and each direction's factor laid over its
+    agents and its c columns, so p[2] holds the cross factors of
+    E{v1 v2^T}.  gbar/g2bar are the per-agent first and second moments
+    of the mixing coefficient, pbar the per-agent smoothed difference
+    power.
     """
 
     m: np.ndarray
@@ -217,8 +218,8 @@ class UniversalityReport:
 class SteadyReport:
     """Closed-form steady state of the combined pair.
 
-    m stacks the fixed mean estimates (E{w1}, E{w2}) and p the centered
-    covariance factors (p11, p22, p12) per direction, (3, D, N, N),
+    m, (2, D, N, c), stacks the fixed mean estimates (E{w1}, E{w2}) and
+    p, (3, D, N, N), the centered covariance factors (p11, p22, p12),
     in the layout of MomentState; bias, of shape (NL,), is the combined
     mean error at the stationary gbar, in the agents' coordinates.
     emse, of shape (3, N), holds the per-agent excess errors and msd, of
@@ -385,9 +386,9 @@ def _component(cfg: StrategyConfig, lam: np.ndarray):
 
 
 def mean_step(pair: PairModel, m: np.ndarray) -> np.ndarray:
-    """One step of both mean estimates: b m + drive w_star, per component."""
-    x, w = (_to_directions(pair, v) for v in (m, pair.w_star))
-    return _from_directions(pair, pair.b @ x + pair.drive @ w)
+    """One step of both mean estimates, in direction coordinates:
+    b m + drive w_star, per component."""
+    return pair.b @ m + pair.drive @ _to_directions(pair, pair.w_star)
 
 
 def _mean_maps(pair: PairModel, width: int) -> list:
@@ -395,8 +396,7 @@ def _mean_maps(pair: PairModel, width: int) -> list:
     in direction coordinates, d_h = sum_{s<h} b^s drive w_star, by
     squaring mean_step's own map: b^2h = b^h b^h, d_2h = b^h d_h + d_h
     (Kogge and Stone, 1973)."""
-    maps = [(pair.b, _to_directions(pair, mean_step(
-        pair, np.zeros((2, pair.w_star.size)))))]
+    maps = [(pair.b, mean_step(pair, initial_moments(pair).m))]
     while 2 ** len(maps) <= width:
         power, drift = maps[-1]
         maps.append((power @ power, power @ drift + drift))
@@ -545,8 +545,8 @@ def initial_moments(pair: PairModel, gamma0: float = 0.5) -> MomentState:
     """Moment state for the deterministic all-zero initial estimates,
     so every centered factor is zero, and gamma = gamma0."""
     n, g = pair.n_agents, float(gamma0)
-    return MomentState(m=np.zeros((2, pair.w_star.size)),
-                       p=np.zeros(pair.g.shape), gbar=np.full(n, g),
+    m = _to_directions(pair, np.zeros((2, pair.w_star.size)))
+    return MomentState(m=m, p=np.zeros(pair.g.shape), gbar=np.full(n, g),
                        g2bar=np.full(n, g ** 2), pbar=np.zeros(n))
 
 
@@ -564,15 +564,13 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
     (_mean_maps; they agree with a mean_step loop to rounding), steps p
     and keeps the factors' diagonals, one readout covers the block,
     and the coefficient pass forms the law's time-only terms over the
-    block, then scans (gbar, g2bar) across it (_coefficients).  The
-    means run in direction coordinates (_to_directions), and the final
-    state holds them in the agents' coordinates again.
+    block, then scans (gbar, g2bar) across it (_coefficients).
 
     Within one call covariance_step reads p alone, so once a block's last
     step returns its input bit for bit (a non-finite p never does), later
     blocks read their diagonals from that p without stepping it.
     """
-    m, p, pbar = _to_directions(pair, state.m), state.p, state.pbar
+    m, p, pbar = state.m, state.p, state.pbar
     w = _to_directions(pair, pair.w_star)
     n = pair.n_agents
     record = np.empty((n_steps + 1, 3, 2, n))
@@ -611,17 +609,15 @@ def evolve(pair: PairModel, cfg: CombinerConfig, n_steps: int,
                                 np.diagonal(p, axis1=-2, axis2=-1))[:3]
 
     return TheoryTrajectory(record, coefficients, MomentState(
-        _from_directions(pair, m), p, *coefficients[n_steps].copy(), pbar),
-        degenerate)
+        m, p, *coefficients[n_steps].copy(), pbar), degenerate)
 
 
 def _fixed_means(pair: PairModel, targets: np.ndarray) -> np.ndarray:
     """The mean estimates m = b m + drive w per target w of targets,
-    (T, NL), and component, (T, 2, NL): mean_step's from zero, solved."""
-    w = _to_directions(pair, targets)[:, None]
-    rhs = _from_directions(pair, pair.drive @ w)
-    return _from_directions(pair, np.linalg.solve(
-        np.eye(pair.b.shape[-1]) - pair.b, _to_directions(pair, rhs)))
+    (T, NL), and component, in direction coordinates, (T, 2, D, N, c):
+    mean_step's from zero, solved."""
+    return np.linalg.solve(np.eye(pair.b.shape[-1]) - pair.b,
+                           pair.drive @ _to_directions(pair, targets)[:, None])
 
 
 def _stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -669,19 +665,21 @@ def steady_state(pair: PairModel, cfg: CombinerConfig, targets) -> tuple:
                 f"component {label} mean recursion diverges: "
                 f"spectral radius {rho:.6f} >= 1")
 
+    w = _to_directions(pair, targets)
     m = _fixed_means(pair, targets)
-    errors = m - targets[:, None]
+    errors = m - w[:, None]
     p = _stein(pair.left, pair.right, pair.g)
     p[:2] = 0.5 * (p[:2] + p[:2].swapaxes(-1, -2))
 
-    readouts = _readouts(pair.weights, _to_directions(pair, errors),
+    readouts = _readouts(pair.weights, errors,
                          np.diagonal(p, axis1=-2, axis2=-1))
     emse, dj1, dj2 = readouts[:, :3, 1], readouts[:, 3, 1], readouts[:, 4, 1]
     gbar, g2bar, pbar = coefficient_steady(cfg, dj1, dj2, emse[:, 1],
                                            pair.sigma_z2)
 
-    gamma = np.repeat(gbar, pair.filter_len, axis=-1)
-    bias = gamma * errors[:, 0] + (1.0 - gamma) * errors[:, 1]
+    gamma = gbar[:, None, :, None]
+    bias = _from_directions(
+        pair, gamma * errors[:, 0] + (1.0 - gamma) * errors[:, 1])
     bounds = stability_bounds(pair, cfg, dj1 + dj2)
     nu = zip(bounds.nu_mean_bound, bounds.nu_ms_bound, bounds.nu_mean_ok,
              bounds.nu_ms_ok)

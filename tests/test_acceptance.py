@@ -126,12 +126,15 @@ def test_moment_recursions_consistent_across_formulations():
     def raw_moments(m, p):
         return test_theory.model_moments(pair, m, p)
 
+    def errors(m):
+        return test_theory.agent_errors(pair, m)
+
     start = initial_moments(pair)
     m, p = start.m, start.p
     xi_mat = np.empty((3, steps + 1))
     for t in range(steps + 1):
         xi_mat[:, t] = [np.sum(sigma * om)
-                        for om in raw_moments(m - pair.w_star, p)]
+                        for om in raw_moments(errors(m), p)]
         p = covariance_step(pair, p)
         m = mean_step(pair, m)
     for k in range(2):
@@ -147,8 +150,8 @@ def test_moment_recursions_consistent_across_formulations():
     for _ in range(100_000):
         p = covariance_step(pair, p)
         m = mean_step(pair, m)
-    for got, want in zip(raw_moments(m - pair.w_star, p),
-                         raw_moments(report.m - pair.w_star, report.p)):
+    for got, want in zip(raw_moments(errors(m), p),
+                         raw_moments(errors(report.m), report.p)):
         np.testing.assert_allclose(got, want, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(want)))
 

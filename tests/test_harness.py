@@ -1030,23 +1030,49 @@ class TestTheoryPath:
         assert msd[60] > 2 * msd[59]
         assert msd[119] < msd[60]
 
-    def test_steady_reports_per_stage(self):
-        # filter length 12 puts the block dimension (48) above the 40
-        # that once bounded the stationary solves
-        for filter_len in (2, 12):
-            targets = np.resize(TARGETS4, (4, filter_len))
-            moved = TargetSchedule(stages=((0, targets), (20, targets + 1.0)))
-            cfg = dataclasses.replace(small_config(horizon=40),
-                                      signal_params=chain_params(filter_len),
-                                      schedule=moved)
-            result = run_theory(cfg)
-            starts = [start for start, _ in result.steady]
-            assert starts == [0, 20]
-            for _, report in result.steady:
-                # white regressors: agent-level factors, block means
-                assert report.p.shape == (3, 1, 4, 4)
-                assert report.m.shape == (2, 4 * filter_len)
-                assert report.universality.verdict
+    @pytest.mark.parametrize("source,directions", [
+        ("universality_pn", 1), ("steady_net2_snr1_ar1_pn", 2),
+        ("chain_l12", 1)])
+    def test_steady_reports_per_stage(self, monkeypatch, source, directions):
+        # the means keep one layout, (2, D, N, c) in direction
+        # coordinates, from the initial state through each stage's evolve
+        # to each stage's steady report, over white regressors (one
+        # direction) and AR(1) ones (two); filter length 12 puts the
+        # chain's block dimension (48) above the 40 that once bounded the
+        # stationary solves
+        if source == "chain_l12":
+            cfg, target = small_config(), np.resize(TARGETS4, (4, 12))
+            signals = {"signal_params": chain_params(12)}
+        else:
+            cfg, signals = load_preset_config(source), {}
+            target = np.asarray(cfg.schedule.stages[0][1], dtype=float)
+        moved = TargetSchedule(stages=((0, target), (20, target + 1.0)))
+        cfg = dataclasses.replace(cfg, horizon=40, schedule=moved, **signals)
+        means = []
+        initial, evolve = harness.initial_moments, harness.evolve
+
+        def recorded_initial(*args, **kwargs):
+            state = initial(*args, **kwargs)
+            means.append(state.m)
+            return state
+
+        def recorded_evolve(*args):
+            traj = evolve(*args)
+            means.append(traj.state.m)
+            return traj
+
+        monkeypatch.setattr(harness, "initial_moments", recorded_initial)
+        monkeypatch.setattr(harness, "evolve", recorded_evolve)
+        result = run_theory(cfg)
+        assert [start for start, _ in result.steady] == [0, 20]
+        means += [report.m for _, report in result.steady]
+        n, l = target.shape
+        assert len(means) == 5
+        assert {m.shape for m in means} == {(2, directions, n,
+                                            l // directions)}
+        for _, report in result.steady:
+            assert report.p.shape == (3, directions, n, n)
+            assert report.universality.verdict
 
     def test_one_model_per_experiment(self, monkeypatch):
         # tracking_static_pn cut to 200 instants, its four stages to 50

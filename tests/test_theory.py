@@ -71,8 +71,22 @@ def steady_report(pair, cfg):
 
 
 def fixed_mean(pair):
-    """The fixed mean estimates at the pair's own target, (2, NL)."""
-    return _fixed_means(pair, pair.w_star[None])[0]
+    """The fixed mean estimates at the pair's own target in the agents'
+    coordinates, (2, NL)."""
+    (m,) = _fixed_means(pair, pair.w_star[None])
+    return theory._from_directions(pair, m)
+
+
+def mean_errors(pair, m):
+    """Mean estimates m in direction coordinates, (..., 2, D, N, c), less
+    the pair's target: the mean errors evolve reads."""
+    return m - theory._to_directions(pair, pair.w_star)
+
+
+def agent_errors(pair, m):
+    """Mean estimates m in direction coordinates less the pair's target,
+    in the agents' coordinates, (..., 2, NL)."""
+    return theory._from_directions(pair, m) - pair.w_star
 
 
 def chain_topology(n):
@@ -237,9 +251,10 @@ def readouts(pair, m, p):
 def state_moments(pair, state):
     """A moment state with its covariances rebuilt as raw NL x NL error
     moments against the model's target."""
-    om1, om2, omx = model_moments(pair, state.m - pair.w_star, state.p)
-    return {"m": state.m, "om1": om1, "om2": om2, "omx": omx,
-            "gbar": state.gbar, "g2bar": state.g2bar, "pbar": state.pbar}
+    om1, om2, omx = model_moments(pair, agent_errors(pair, state.m), state.p)
+    return {"m": theory._from_directions(pair, state.m), "om1": om1,
+            "om2": om2, "omx": omx, "gbar": state.gbar,
+            "g2bar": state.g2bar, "pbar": state.pbar}
 
 
 def excess_errors(om, rx):
@@ -504,11 +519,11 @@ class TestMeanRecursion:
     def test_scalar_geometric_decay(self):
         # estimates from zero: the errors decay geometrically from -2
         pair = scalar_model(mu=(0.01, 0.005), sx=1.0, sz=0.1, target=2.0)
-        m = np.zeros((2, 1))
+        m = initial_moments(pair).m
         for n in range(1, 11):
             m = mean_step(pair, m)
-            np.testing.assert_allclose(m[:, 0] - 2.0, [-2.0 * 0.99**n,
-                                                       -2.0 * 0.995**n],
+            np.testing.assert_allclose(agent_errors(pair, m)[:, 0],
+                                       [-2.0 * 0.99**n, -2.0 * 0.995**n],
                                        rtol=1e-12)
 
     def test_fixed_point_is_stationary(self):
@@ -518,17 +533,18 @@ class TestMeanRecursion:
         m_inf = pair.w_star - np.stack([np.linalg.solve(eye - b, r)
                                         for b, r in zip(dense.b,
                                                         dense.drift)])
-        np.testing.assert_allclose(mean_step(pair, m_inf), m_inf,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(theory._from_directions(pair, mean_step(
+            pair, theory._to_directions(pair, m_inf))), m_inf,
+            rtol=0, atol=1e-12)
         assert_scaled_close(fixed_mean(pair), m_inf)
 
     def test_zero_drift_keeps_zero_mean(self):
         # estimates on a shared target stay on it
         pair = random_pair(12, n=4, l=1, single_task=True)
-        m = np.tile(pair.w_star, (2, 1))
+        m = theory._to_directions(pair, np.tile(pair.w_star, (2, 1)))
         for _ in range(5):
             m = mean_step(pair, m)
-        assert np.max(np.abs(m - pair.w_star)) < 1e-12
+        assert np.max(np.abs(agent_errors(pair, m))) < 1e-12
 
 
 class TestVecFormEquivalence:
@@ -544,7 +560,7 @@ class TestVecFormEquivalence:
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            om = model_moments(pair, m - pair.w_star, p)[0]
+            om = model_moments(pair, agent_errors(pair, m), p)[0]
             xi_mat[t] = np.sum(sigma * om)
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
@@ -563,7 +579,7 @@ class TestVecFormEquivalence:
         m, p = state.m, state.p
         xi_mat = np.empty(steps + 1)
         for t in range(steps + 1):
-            omx = model_moments(pair, m - pair.w_star, p)[2]
+            omx = model_moments(pair, agent_errors(pair, m), p)[2]
             xi_mat[t] = np.sum(sigma * omx)
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
@@ -598,8 +614,10 @@ class TestCovarianceRecursion:
         topology, cfg, rx, _, w = random_setup(41, n=3, l=1, single_task=True)
         pair = build_component_model(topology, [cfg, cfg], rx, 0.0, w)
         p = np.zeros(pair.g.shape)
-        m = mean_step(pair, np.tile(pair.w_star, (2, 1)))
-        out = model_moments(pair, m - pair.w_star, covariance_step(pair, p))
+        m = mean_step(pair, theory._to_directions(
+            pair, np.tile(pair.w_star, (2, 1))))
+        out = model_moments(pair, agent_errors(pair, m),
+                            covariance_step(pair, p))
         # estimates on the shared target stay on it to roundoff (~1e-17),
         # which enters squared, so the result is zero at the 1e-32 scale
         assert np.max(np.abs(out)) < 1e-30
@@ -611,7 +629,7 @@ class TestCovarianceRecursion:
         for _ in range(60):
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
-        om, _, omx = model_moments(pair, m - pair.w_star, p)
+        om, _, omx = model_moments(pair, agent_errors(pair, m), p)
         np.testing.assert_allclose(omx, om, rtol=1e-10,
                                    atol=1e-13 * np.max(np.abs(om)))
 
@@ -626,7 +644,7 @@ class TestCovarianceRecursion:
         for _ in range(200):
             p = covariance_step(pair, p)
             m = mean_step(pair, m)
-            om1, om2, omx = model_moments(pair, m - pair.w_star, p)
+            om1, om2, omx = model_moments(pair, agent_errors(pair, m), p)
             joint[:nl, :nl] = om1
             joint[nl:, nl:] = om2
             joint[:nl, nl:] = omx
@@ -1040,9 +1058,8 @@ def near_equal_pair(seed, n=3, l=2, gap=1e-8):
 
 def oracle_readouts(pair, m, p):
     """Per-agent readouts of one state from its direction factors p and
-    its mean errors m, (2, NL), coded without a time axis:
+    its mean errors m, (2, D, N, c), coded without a time axis:
     (5, len(pair.weights), N)."""
-    m = theory._to_directions(pair, m)
     blocks = np.einsum("sdkk->sdk", p)
     diff = m[0] - m[1]
     left = m[[0, 1, 0, 0, 1]]
@@ -1081,19 +1098,21 @@ def oracle_evolve(pair, cfg, n_steps, drift, state=None, drivers=None):
     covariance step and one readout per instant; drivers, if a list,
     receives each instant's (dj1, dj2, j2).
 
-    The start state holds estimates, as evolve's.  Given a drift, the
-    means run as errors against pair.w_star, m' = b m - drift, with the
-    reference drift (error_drift) in place of the model's drive, and the
-    final state holds mean errors.  With drift None, the estimates step
-    by mean_step, read less pair.w_star, and the final state holds them.
+    The start state holds estimates, as evolve's, in direction
+    coordinates, where the means run.  Given a drift, they run as errors
+    against pair.w_star, m' = b m - drift, with the reference drift
+    (error_drift), turned into direction coordinates, in place of the
+    model's drive, and the final state holds mean errors.  With drift
+    None, the estimates step by mean_step, read less pair.w_star, and the
+    final state holds them.
     """
     if state is None:
         state = initial_moments(pair)
-    w = pair.w_star
     if drift is None:
-        m, errors = state.m, lambda m: m - w
+        m, errors = state.m, lambda m: mean_errors(pair, m)
     else:
-        m, errors = state.m - w, lambda m: m
+        drift = theory._to_directions(pair, drift)
+        m, errors = mean_errors(pair, state.m), lambda m: m
     p = state.p
     gbar, g2bar, pbar = state.gbar, state.g2bar, state.pbar
     record = np.empty((n_steps + 1, 3, 2, pair.n_agents))
@@ -1109,9 +1128,7 @@ def oracle_evolve(pair, cfg, n_steps, drift, state=None, drivers=None):
         degenerate += int(np.count_nonzero(dj1 + dj2 <= DELTA_J_FLOOR))
         gbar, g2bar, pbar = oracle_coefficient_step(
             cfg, gbar, g2bar, pbar, dj1, dj2, j2, pair.sigma_z2)
-        m = mean_step(pair, m) if drift is None \
-            else theory._from_directions(
-                pair, pair.b @ theory._to_directions(pair, m)) - drift
+        m = mean_step(pair, m) if drift is None else pair.b @ m - drift
         p = covariance_step(pair, p)
         out = oracle_readouts(pair, errors(m), p)
         record[t] = out[:3]
@@ -1122,15 +1139,15 @@ def oracle_evolve(pair, cfg, n_steps, drift, state=None, drivers=None):
         degenerate_steps=degenerate)
 
 
-def assert_same_trajectory(got, want, w_star):
+def assert_same_trajectory(got, want, pair):
     """The covariance factors are bit for bit the oracle's; the mean
-    errors, got's estimates less w_star, the readouts they drive and the
-    coefficient moments agree to 1e-12 of scale, as the means' doubling
-    reassociates the mean steps."""
+    errors, got's estimates less pair.w_star, the readouts they drive and
+    the coefficient moments agree to 1e-12 of scale, as the means'
+    doubling reassociates the mean steps."""
     assert_scaled_close(got.record, want.record)
     assert_scaled_close(got.coefficients, want.coefficients)
     np.testing.assert_array_equal(got.state.p, want.state.p)
-    assert_scaled_close(got.state.m - w_star, want.state.m)
+    assert_scaled_close(mean_errors(pair, got.state.m), want.state.m)
     for name in ("gbar", "g2bar", "pbar"):
         assert_scaled_close(getattr(got.state, name),
                             getattr(want.state, name))
@@ -1200,15 +1217,6 @@ def mean_loop(pair, m, n_steps):
     return np.array(out)
 
 
-def same_state(pair):
-    """The check that means agree as a state hands them over: bit for bit
-    where the model's basis is the identity, to rounding where it
-    rotates, as the state holds them in the agents' coordinates and the
-    means run in the basis's."""
-    return np.testing.assert_array_equal if pair.basis is None \
-        else assert_scaled_close
-
-
 def evolved_means(pair, cfg, n_steps, state, monkeypatch):
     """The mean errors evolve reads at instants 0..n_steps, the block
     width and the number of squared mean maps of each call to
@@ -1217,8 +1225,7 @@ def evolved_means(pair, cfg, n_steps, state, monkeypatch):
     readouts, mean_maps = theory._readouts, theory._mean_maps
 
     def spied_readouts(weights, m, blocks):
-        seen.append(theory._from_directions(pair, m).reshape(
-            -1, *pair.b.shape[:1], pair.w_star.size))
+        seen.append(m.reshape(-1, *m.shape[-4:]))
         return readouts(weights, m, blocks)
 
     def spied_maps(pair, width):
@@ -1231,7 +1238,7 @@ def evolved_means(pair, cfg, n_steps, state, monkeypatch):
         patch.setattr(theory, "_mean_maps", spied_maps)
         traj = evolve(pair, cfg, n_steps, state)
     means = np.concatenate(seen)
-    same_state(pair)(means[-1], traj.state.m - pair.w_star)
+    np.testing.assert_array_equal(means[-1], mean_errors(pair, traj.state.m))
     return means, widths, traj.state
 
 
@@ -1285,7 +1292,7 @@ class TestBlockedEvolve:
         cfg, start = make_cfg(), started(pair)
         got = evolve(pair, cfg, n_steps, state=start)
         assert_same_trajectory(
-            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair.w_star)
+            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair)
         assert got.record.shape == (n_steps + 1, 3, 2, pair.n_agents)
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
@@ -1308,7 +1315,7 @@ class TestBlockedEvolve:
         assert 0 < got.degenerate_steps < (3 * B + 7) * pair.n_agents
         assert got.degenerate_steps == want.degenerate_steps
         assert_scaled_close(got.record, want.record)
-        assert_scaled_close(got.state.m - pair.w_star, want.state.m)
+        assert_scaled_close(mean_errors(pair, got.state.m), want.state.m)
         np.testing.assert_array_equal(got.state.p, want.state.p)
         got_d, want_d = np.array(drivers), np.array(oracle_drivers)
         for i, rtol in enumerate((NEAR_EQUAL_RTOL, NEAR_EQUAL_RTOL, 1e-12)):
@@ -1332,7 +1339,7 @@ class TestBlockedEvolve:
         cfg = pn_cfg(nu=[0.005, 0.01, 0.015])
         assert_same_trajectory(
             evolve(pair, cfg, B + 9, started(pair)),
-            oracle_evolve(pair, cfg, B + 9, drift, started(pair)), pair.w_star)
+            oracle_evolve(pair, cfg, B + 9, drift, started(pair)), pair)
 
     def test_short_blocks_for_large_factors(self, monkeypatch):
         # a value budget of three instants' means and factor diagonals
@@ -1341,7 +1348,7 @@ class TestBlockedEvolve:
         cfg, start = sr_cfg(), started(pair)
         assert_same_trajectory(evolve(pair, cfg, 20, start),
                                oracle_evolve(pair, cfg, 20, drift, start),
-                               pair.w_star)
+                               pair)
 
     @pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 3 * B + 7])
     @pytest.mark.parametrize("kind", ["white", "colored"])
@@ -1355,7 +1362,7 @@ class TestBlockedEvolve:
         *data, w = setup
         first = build_component_model(*data, w)
         second = dataclasses.replace(first, w_star=1.5 * w.ravel())
-        zero = np.zeros((2, w.size))
+        zero = initial_moments(first).m
         assert not np.allclose(mean_step(first, zero),
                                mean_step(second, zero))
         state = started(first)
@@ -1366,9 +1373,9 @@ class TestBlockedEvolve:
                                              monkeypatch)
             width = min(B, n_steps)
             assert widths == [(width, width.bit_length())]
-            same_state(pair)(got[0], state.m - pair.w_star)
+            np.testing.assert_array_equal(got[0], mean_errors(pair, state.m))
             assert_scaled_close(
-                got, mean_loop(pair, state.m, n_steps) - pair.w_star)
+                got, mean_errors(pair, mean_loop(pair, state.m, n_steps)))
             state = end
 
     def test_slow_means_stay_within_rounding_over_many_blocks(
@@ -1383,7 +1390,7 @@ class TestBlockedEvolve:
         got, widths, _ = evolved_means(pair, sr_cfg(), 20000, state,
                                        monkeypatch)
         assert widths == [(B, 9)]
-        want = mean_loop(pair, state.m, 20000) - pair.w_star
+        want = mean_errors(pair, mean_loop(pair, state.m, 20000))
         assert np.max(np.abs(want[-1] - want[0])) > 0.5 * np.max(np.abs(want))
         assert_scaled_close(got, want)
 
@@ -1396,7 +1403,8 @@ class TestBlockedEvolve:
         got, widths, _ = evolved_means(pair, sr_cfg(), 20, state,
                                        monkeypatch)
         assert widths == [(3, 2)] and calls == [20]
-        assert_scaled_close(got, mean_loop(pair, state.m, 20) - pair.w_star)
+        assert_scaled_close(got, mean_errors(pair, mean_loop(pair, state.m,
+                                                             20)))
 
     @pytest.mark.parametrize("make_cfg", [pn_cfg, sr_cfg])
     def test_coefficient_step_is_a_block_of_one(self, make_cfg):
@@ -1453,7 +1461,7 @@ class TestBlockedEvolve:
         # with the factors settled, only the means move the readouts
         assert not np.array_equal(got.record[B], got.record[-1])
         assert_same_trajectory(
-            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair.w_star)
+            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair)
 
     def test_moving_covariance_steps_every_instant(self, monkeypatch):
         pair, drift = random_pair_drift(87, n=3, l=2, mus=(0.01, 0.02))
@@ -1464,7 +1472,7 @@ class TestBlockedEvolve:
         p = got.state.p
         assert not np.array_equal(covariance_step(pair, p), p)
         assert_same_trajectory(
-            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair.w_star)
+            got, oracle_evolve(pair, cfg, n_steps, drift, start), pair)
 
     def test_presets_match_per_instant_oracle(self, monkeypatch):
         # several blocks per preset, stage boundaries included; at 1,100
@@ -1509,8 +1517,9 @@ class TestEvolve:
         np.testing.assert_array_equal(traj.coefficients[0],
                                       [state.gbar, state.g2bar])
         for t in range(3):
-            j1, j2, j12, dj1, dj2 = readouts(
-                pair, state.m - pair.w_star, state.p)[:, 1]
+            j1, j2, j12, dj1, dj2 = _readouts(
+                pair.weights, mean_errors(pair, state.m),
+                np.diagonal(state.p, axis1=-2, axis2=-1))[:, 1]
             assert_scaled_close(traj.record[t, :, 1], [j1, j2, j12])
             gbar, g2bar, pbar = coefficient_step(
                 cfg, state.gbar, state.g2bar, state.pbar, dj1, dj2, j2,
@@ -1523,7 +1532,7 @@ class TestEvolve:
             np.testing.assert_allclose(
                 record_series(traj)["combined_msd"][t],
                 combined_deviation(*model_moments(pair,
-                                                  state.m - pair.w_star,
+                                                  agent_errors(pair, state.m),
                                                   state.p),
                                    state.gbar, state.g2bar), rtol=1e-13)
         assert_scaled_close(traj.state.m, state.m)
@@ -1565,12 +1574,12 @@ class TestEvolve:
         # covariance settles at instant 478 over white regressors and at
         # 279 in the rotated basis of the random ones: the whole run
         # stops stepping it from instant 512, the split run from 512 in
-        # the first call and one block into the second.  Only a split on
-        # a block boundary keeps the grouping of the means' doubling and
-        # of the coefficient scans, and only an unrotated basis hands the
-        # means over exactly (same_state), so elsewhere the means and the
-        # coefficient moments agree to rounding; the covariance, bit for
-        # bit
+        # the first call and one block into the second.  The state holds
+        # the means in direction coordinates, where they run, so every
+        # basis hands them over bit for bit; only a split on a block
+        # boundary keeps the grouping of the means' doubling and of the
+        # coefficient scans, so elsewhere the means and the coefficient
+        # moments agree to rounding; the covariance, bit for bit
         pair = build_component_model(*white_pair(86, 3, 4)) \
             if kind == "white" else random_pair(86, n=3, l=2)
         assert (pair.basis is None) == (kind == "white")
@@ -1579,9 +1588,9 @@ class TestEvolve:
         whole = evolve(pair, cfg, sum(split), state=start)
         first = evolve(pair, cfg, split[0], state=start)
         second = evolve(pair, cfg, split[1], state=first.state)
-        handover = same_state(pair)
-        same = handover if split[0] % B == 0 else assert_scaled_close
-        handover(second.record[0], first.record[-1])
+        same = np.testing.assert_array_equal if split[0] % B == 0 \
+            else assert_scaled_close
+        np.testing.assert_array_equal(second.record[0], first.record[-1])
         np.testing.assert_array_equal(second.coefficients[0],
                                       first.coefficients[-1])
         same(whole.record, np.concatenate((first.record, second.record[1:])))
@@ -1649,12 +1658,13 @@ class TestSteadyState:
         for _ in range(30_000):
             p = covariance_step(model, p)
             m = mean_step(model, m)
-        w = model.w_star
-        np.testing.assert_allclose(report.m - w, m - w, rtol=1e-8,
+        errors = agent_errors(model, report.m)
+        np.testing.assert_allclose(errors, agent_errors(model, m), rtol=1e-8,
                                    atol=1e-12)
-        want = model_moments(model, report.m - w, report.p)
+        want = model_moments(model, errors, report.p)
         scale = np.max(np.abs(want[0]))
-        for got, rep_om in zip(model_moments(model, m - w, p), want):
+        for got, rep_om in zip(model_moments(model, agent_errors(model, m),
+                                             p), want):
             np.testing.assert_allclose(rep_om, got, rtol=1e-8,
                                        atol=1e-8 * scale)
 
@@ -1667,12 +1677,11 @@ class TestSteadyState:
                                      sigma_z2, target)
         assert pair.w_star.size == 500 and pair.b.shape == (2, 1, 10, 10)
         rep = steady_report(pair, cfg.combiner)
-        m = mean_step(pair, rep.m)
-        w = pair.w_star
+        m, fixed = (agent_errors(pair, v) for v in (mean_step(pair, rep.m),
+                                                    rep.m))
         for got, want in zip(
-                [m - w] + model_moments(pair, m - w,
-                                        covariance_step(pair, rep.p)),
-                [rep.m - w] + model_moments(pair, rep.m - w, rep.p)):
+                [m] + model_moments(pair, m, covariance_step(pair, rep.p)),
+                [fixed] + model_moments(pair, fixed, rep.p)):
             np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(want)))
 
@@ -1689,7 +1698,7 @@ class TestSteadyState:
         pair = random_pair(91, n=3, l=2)
         report = steady_report(pair, pn_cfg())
         gamma_blocks = np.kron(np.diag(report.gbar), np.eye(2))
-        errors = report.m - pair.w_star
+        errors = agent_errors(pair, report.m)
         expected = gamma_blocks @ errors[0] \
             + (np.eye(6) - gamma_blocks) @ errors[1]
         np.testing.assert_allclose(report.bias, expected, rtol=1e-13)
@@ -1698,7 +1707,7 @@ class TestSteadyState:
         pair = random_pair(92, n=3, l=2, single_task=True)
         report = steady_report(pair, sr_cfg())
         assert np.max(np.abs(report.bias)) < 1e-10
-        assert np.max(np.abs(report.m - pair.w_star)) < 1e-10
+        assert np.max(np.abs(agent_errors(pair, report.m))) < 1e-10
 
     def test_unstable_component_raises(self):
         with pytest.raises(InstabilityError, match="component 1"):
@@ -1976,7 +1985,7 @@ def dense_evolve(pair, dense, cfg, n_steps, state):
     moment state of pair, its factors rebuilt as raw moments: a
     trajectory with evolve's record, coefficients and degenerate count
     and no final state, and the final state's state_moments."""
-    errors = state.m - dense.w_star
+    errors = theory._from_directions(pair, state.m) - dense.w_star
     record, rows, (m, om, (gbar, g2bar, pbar)) = raw_moment_run(
         dense, cfg, n_steps, errors,
         np.array(model_moments(pair, errors, state.p)),
@@ -2079,7 +2088,8 @@ class TestKronFactoredPath:
                             rng.normal(size=(1, 1, n, n))))
         m = rng.normal(size=(2, nl))
         np.testing.assert_allclose(
-            mean_step(fast, m),
+            theory._from_directions(fast, mean_step(
+                fast, theory._to_directions(fast, m))),
             np.einsum("sij,sj->si", dense.b, m) + dense.drive @ dense.w_star,
             rtol=1e-12)
         got = covariance_step(fast, p)[:, 0]
@@ -2170,14 +2180,15 @@ class TestKronFactoredPath:
         for name, value in state_moments(split, got.state).items():
             assert_scaled_close(value, oracle[name], name)
         got, want = steady_report(split, cfg), dense_steady(dense, cfg)
-        for name in ("m", "gbar", "g2bar", "pbar", "emse", "msd",
-                     "combined_msd"):
+        assert_scaled_close(theory._from_directions(split, got.m), want["m"],
+                            "m")
+        for name in ("gbar", "g2bar", "pbar", "emse", "msd", "combined_msd"):
             assert_scaled_close(getattr(got, name), want[name], name)
         assert_scaled_close(got.bias, want["bias"],
                             rtol=1e-12 * np.max(np.abs(want["m"]))
                             / max(np.max(np.abs(want["bias"])), 1e-300))
-        for a, b in zip(model_moments(split, got.m - w.ravel(), got.p),
-                        want["om"]):
+        for a, b in zip(model_moments(split, agent_errors(split, got.m),
+                                      got.p), want["om"]):
             assert_scaled_close(a, b)
         assert got.universality.verdict == want["universality"].verdict
         assert got.universality.agent_regimes \
